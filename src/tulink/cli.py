@@ -25,6 +25,7 @@ from .errors import ConfigError, DataError, TrainingError
 from .model import ModelParams, build_model_inputs, fused_representations
 from .train import (
     evaluate_on_split,
+    evaluate_rows,
     load_checkpoint,
     save_checkpoint,
     save_history,
@@ -178,17 +179,8 @@ def run_embed(cfg: RunConfig) -> Path:
     paths = StagePaths(cfg.output_dir or ".")
     inputs, _ = _load_model_inputs(cfg, paths)
     params = _restore_params(cfg, inputs, paths)
-    rng = np.random.default_rng(0)  # unused in evaluation mode
-    rows = []
-    all_idx = np.arange(inputs.n_traj)
-    for lo in range(0, inputs.n_traj, 64):
-        chunk = all_idx[lo : lo + 64]
-        rows.append(
-            fused_representations(
-                params, cfg.model_config(), inputs, chunk, rng, training=False
-            ).values
-        )
-    reps = np.concatenate(rows, axis=0)
+    reps = evaluate_rows(params, cfg.model_config(), inputs, np.arange(inputs.n_traj),
+                         fused_representations)
     users = [inputs.user_ids[i] for i in inputs.labels]
     M.export_embeddings(reps, inputs.traj_ids, users, paths.embeddings)
     return paths.embeddings

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .graphs import GlobalSpatialGraph, LocalSpatialGraph, symmetric_normalize
 from .mobility import GridSequence
 from .tensor import Tensor
@@ -132,10 +132,12 @@ class ModelParams:
         matrix("loc_w", 3 * d, d)
         vector("loc_b", d)
         for layer in range(config.attn_layers):
-            for h in range(config.heads):
-                matrix(f"attn{layer}_q{h}", d, dh)
-                matrix(f"attn{layer}_k{h}", d, dh)
-                matrix(f"attn{layer}_v{h}", d, dh)
+            # Drawn head by head (q, k, v each), so head h owns columns
+            # h*dh:(h+1)*dh of the fused (d, d) projections.
+            draws = [[_xavier(rng, d, dh) for _ in "qkv"] for _ in range(config.heads)]
+            for j, kind in enumerate("qkv"):
+                self.tensors[f"attn{layer}_{kind}"] = Tensor(
+                    np.hstack([head[j] for head in draws]), requires_grad=True)
             matrix(f"attn{layer}_out_w", d, d)
             vector(f"attn{layer}_out_b", d)
             vector(f"attn{layer}_ln_gain", d, fill=1.0)
@@ -166,14 +168,8 @@ class ModelParams:
             names += ["loc_w", "loc_b"]
             if not cfg.disable_self_attention:
                 for layer in range(cfg.attn_layers):
-                    for h in range(cfg.heads):
-                        names += [f"attn{layer}_q{h}", f"attn{layer}_k{h}", f"attn{layer}_v{h}"]
-                    names += [
-                        f"attn{layer}_out_w",
-                        f"attn{layer}_out_b",
-                        f"attn{layer}_ln_gain",
-                        f"attn{layer}_ln_bias",
-                    ]
+                    names += [f"attn{layer}_{part}" for part in
+                              ("q", "k", "v", "out_w", "out_b", "ln_gain", "ln_bias")]
         if not cfg.disable_global:
             names += [f"gcn_global_{i}" for i in range(cfg.gcn_layers)]
         names += ["link_w", "link_b"]
@@ -197,9 +193,9 @@ class ModelParams:
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for name, t in self.tensors.items():
             if name not in values:
-                raise ValueError(f"checkpoint is missing parameter {name!r}")
+                raise DataError(f"checkpoint is missing parameter {name!r}")
             if values[name].shape != t.values.shape:
-                raise ValueError(
+                raise DataError(
                     f"checkpoint shape {values[name].shape} for {name!r} "
                     f"does not match model shape {t.values.shape}"
                 )
@@ -217,9 +213,10 @@ class ModelInputs:
     m_global: sp.csr_matrix
     x_global: sp.csr_matrix
     traj_ids: list[str]
-    grid_idx: list[np.ndarray]
-    state_idx: list[np.ndarray]
-    time_idx: list[np.ndarray]
+    grid_idx: np.ndarray  # (n_traj, max_seq_len), zero past each length
+    state_idx: np.ndarray
+    time_idx: np.ndarray
+    lengths: np.ndarray
     labels: np.ndarray
     user_ids: list[str]
     n_grids: int
@@ -260,19 +257,28 @@ def build_model_inputs(
             adj = (adj > 0).astype(np.int64)
         return symmetric_normalize(adj)
 
+    lengths = np.asarray([len(s) for s in sequences], dtype=np.int64)
+
+    def padded(field):
+        out = np.zeros((len(sequences), lengths.max()), dtype=np.int64)
+        for row, s in zip(out, sequences):
+            row[: len(s)] = getattr(s, field)
+        return out
+
     return ModelInputs(
         m_local=prepare(local_graph.adjacency),
         x_local=local_graph.features.astype(np.float64).tocsr(),
         m_global=prepare(global_graph.adjacency),
         x_global=global_graph.features.astype(np.float64).tocsr(),
         traj_ids=ids,
-        grid_idx=[np.asarray(s.grid, dtype=np.int64) for s in sequences],
-        state_idx=[np.asarray(s.state, dtype=np.int64) for s in sequences],
-        time_idx=[np.asarray(s.window, dtype=np.int64) for s in sequences],
+        grid_idx=padded("grid"),
+        state_idx=padded("state"),
+        time_idx=padded("window"),
+        lengths=lengths,
         labels=labels,
         user_ids=list(global_graph.user_ids),
         n_grids=local_graph.n_grids,
-        max_seq_len=max(len(s) for s in sequences),
+        max_seq_len=int(lengths.max()),
     )
 
 
@@ -298,11 +304,11 @@ def encode_locations(
     state_idx: np.ndarray,
     time_idx: np.ndarray,
 ) -> Tensor:
-    """Per-point fusion Tanh(FC([time ; state ; grid])) -> (m, d)."""
+    """Per-point fusion Tanh(FC([time ; state ; grid])) -> (..., m, d)."""
     d = config.embed_dim
     g_emb = T.embedding(h_local, grid_idx)
     if config.disable_time_state:
-        zeros = Tensor(np.zeros((len(grid_idx), d)))
+        zeros = Tensor(np.zeros((*np.shape(grid_idx), d)))
         t_emb, s_emb = zeros, zeros
     else:
         t_emb = T.add_bias(T.embedding(params["time_w"], time_idx), params["time_b"])
@@ -311,29 +317,40 @@ def encode_locations(
     return T.tanh(T.add_bias(T.matmul(fused, params["loc_w"]), params["loc_b"]))
 
 
+def _pad_bias(lengths: np.ndarray, m: int) -> np.ndarray:
+    """(B, m) additive mask: 0 at each row's first lengths[i] positions, -inf after."""
+    return np.where(np.arange(m) < lengths[:, None], 0.0, -np.inf)
+
+
 def self_attention_stack(
     params: ModelParams,
     config: ModelConfig,
     x: Tensor,
+    lengths: np.ndarray,
     rng: np.random.Generator,
     training: bool,
 ) -> Tensor:
-    """Position-encoded multi-head self-attention with post-norm residuals."""
-    m = x.shape[0]
+    """Position-encoded multi-head self-attention with post-norm residuals.
+
+    x is (B, m, d), row i padded past lengths[i]; padded keys get exactly
+    zero weight, so no real position ever sees padding.
+    """
+    b, m, d = x.shape
     if m == 0:
         raise ValueError("cannot attend over an empty sequence")
-    dh = config.embed_dim // config.heads
-    inv_scale = 1.0 / math.sqrt(config.embed_dim if config.scale_full_d else dh)
-    state = T.add(x, Tensor(params.pos_encoding[:m]))
+    heads = config.heads
+    dh = d // heads
+    inv_scale = 1.0 / math.sqrt(d if config.scale_full_d else dh)
+    key_mask = Tensor(np.broadcast_to(_pad_bias(lengths, m)[:, None, None, :], (b, heads, m, m)))
+    state = T.add(x, Tensor(np.broadcast_to(params.pos_encoding[:m], x.shape)))
     for layer in range(config.attn_layers):
-        heads = []
-        for h in range(config.heads):
-            q = T.matmul(state, params[f"attn{layer}_q{h}"])
-            k = T.matmul(state, params[f"attn{layer}_k{h}"])
-            v = T.matmul(state, params[f"attn{layer}_v{h}"])
-            weights = T.softmax(T.scale(T.matmul(q, T.transpose(k)), inv_scale), axis=-1)
-            heads.append(T.matmul(weights, v))
-        z = T.add_bias(T.matmul(T.concat(heads, axis=-1), params[f"attn{layer}_out_w"]),
+        # (B, m, d) -> (B, heads, m, dh): head h is columns h*dh:(h+1)*dh
+        q, k, v = (T.permute(T.reshape(T.matmul(state, params[f"attn{layer}_{kind}"]),
+                                       (b, m, heads, dh)), (0, 2, 1, 3)) for kind in "qkv")
+        scores = T.add(T.scale(T.matmul(q, T.transpose(k)), inv_scale), key_mask)
+        merged = T.reshape(T.permute(T.matmul(T.softmax(scores, axis=-1), v), (0, 2, 1, 3)),
+                           (b, m, d))
+        z = T.add_bias(T.matmul(merged, params[f"attn{layer}_out_w"]),
                        params[f"attn{layer}_out_b"])
         z = T.dropout(z, config.dropout_rate, training, rng)
         state = T.layer_norm(T.add(state, z),
@@ -345,22 +362,45 @@ def self_attention_stack(
 def global_attention(
     h_traj: Tensor,
     traj_norms: Tensor,
-    index: int,
+    batch: np.ndarray,
     use_softmax: bool,
 ) -> Tensor:
-    """Cosine-scored attention over every trajectory embedding.
+    """Cosine-scored attention over every trajectory embedding, one row per
+    batched roster index.
 
-    Scores are normalized with sparsemax so irrelevant trajectories receive
-    exactly zero weight (softmax under the corresponding ablation); the
-    output is the weighted sum of trajectory embeddings.
+    Each row of the (B, n_traj) score matrix is normalized with sparsemax so
+    irrelevant trajectories receive exactly zero weight (softmax under the
+    corresponding ablation); the output is the weighted sum of trajectory
+    embeddings.
     """
-    n_traj, d = h_traj.shape
-    hi = T.slice_rows(h_traj, index, index + 1)
-    dots = T.reshape(T.matmul(h_traj, T.transpose(hi)), (n_traj,))
-    denom = T.add_scalar(T.scale_by(traj_norms, T.row_norms(hi)), COSINE_EPS)
-    scores = T.div(dots, denom)
-    weights = T.softmax(scores) if use_softmax else T.sparsemax(scores)
-    return T.reshape(T.matmul(T.reshape(weights, (1, n_traj)), h_traj), (d,))
+    n_traj = h_traj.shape[0]
+    rows = T.embedding(h_traj, batch)
+    dots = T.matmul(rows, T.transpose(h_traj))
+    norms = T.matmul(T.reshape(T.row_norms(rows), (len(batch), 1)),
+                     T.reshape(traj_norms, (1, n_traj)))
+    scores = T.div(dots, T.add_scalar(norms, COSINE_EPS))
+    weights = T.softmax(scores, axis=-1) if use_softmax else T.sparsemax(scores)
+    return T.matmul(weights, h_traj)
+
+
+def encode_graphs(params: ModelParams, config: ModelConfig,
+                  inputs: ModelInputs) -> tuple[Tensor | None, Tensor | None, Tensor | None]:
+    """Both GCN encoders, once per pass: (grid embeddings, trajectory
+    embeddings, their row norms), None where an ablation removes a branch."""
+    h_local = h_traj = traj_norms = None
+    if not config.disable_local:
+        h_local = gcn_forward(
+            inputs.m_local, inputs.x_local,
+            [params[f"gcn_local_{i}"] for i in range(config.gcn_layers)],
+        )
+    if not config.disable_global:
+        h_global = gcn_forward(
+            inputs.m_global, inputs.x_global,
+            [params[f"gcn_global_{i}"] for i in range(config.gcn_layers)],
+        )
+        h_traj = T.slice_rows(h_global, 0, inputs.n_traj)
+        traj_norms = T.row_norms(h_traj)
+    return h_local, h_traj, traj_norms
 
 
 def fused_representations(
@@ -370,48 +410,31 @@ def fused_representations(
     batch: np.ndarray,
     rng: np.random.Generator,
     training: bool,
+    graphs: tuple | None = None,
 ) -> Tensor:
-    """Concatenated [local ; global] vectors, one row per batched trajectory."""
-    d = config.embed_dim
-    zeros_d = Tensor(np.zeros(d))
+    """Concatenated [local ; global] vectors, one row per batched trajectory.
 
-    h_local = None
+    ``graphs`` is encode_graphs' output for these parameters, computed here
+    when omitted. Sequences are padded to the longest in the batch.
+    """
+    h_local, h_traj, traj_norms = graphs or encode_graphs(params, config, inputs)
+    z_local = z_global = Tensor(np.zeros((len(batch), config.embed_dim)))
     if not config.disable_local:
-        h_local = gcn_forward(
-            inputs.m_local, inputs.x_local,
-            [params[f"gcn_local_{i}"] for i in range(config.gcn_layers)],
+        lengths = inputs.lengths[batch]
+        m = int(lengths.max())
+        x = encode_locations(
+            params, config, h_local,
+            inputs.grid_idx[batch, :m], inputs.state_idx[batch, :m], inputs.time_idx[batch, :m],
         )
-    h_traj = traj_norms = None
+        x = T.dropout(x, config.dropout_rate, training, rng)
+        z = x if config.disable_self_attention else self_attention_stack(
+            params, config, x, lengths, rng, training
+        )
+        pad = Tensor(np.broadcast_to(_pad_bias(lengths, m)[:, :, None], z.shape))
+        z_local = T.max_pool_positions(T.add(z, pad))
     if not config.disable_global:
-        h_global = gcn_forward(
-            inputs.m_global, inputs.x_global,
-            [params[f"gcn_global_{i}"] for i in range(config.gcn_layers)],
-        )
-        h_traj = T.slice_rows(h_global, 0, inputs.n_traj)
-        traj_norms = T.row_norms(h_traj)
-
-    fused = []
-    for idx in batch:
-        idx = int(idx)
-        if config.disable_local:
-            z_local = zeros_d
-        else:
-            x = encode_locations(
-                params, config, h_local,
-                inputs.grid_idx[idx], inputs.state_idx[idx], inputs.time_idx[idx],
-            )
-            x = T.dropout(x, config.dropout_rate, training, rng)
-            z = x if config.disable_self_attention else self_attention_stack(
-                params, config, x, rng, training
-            )
-            z_local = T.max_pool_positions(z)
-        if config.disable_global:
-            z_global = zeros_d
-        else:
-            z_global = global_attention(h_traj, traj_norms, idx, config.use_softmax_global)
-        fused.append(T.concat([z_local, z_global], axis=-1))
-
-    return T.stack_rows(fused)
+        z_global = global_attention(h_traj, traj_norms, batch, config.use_softmax_global)
+    return T.concat([z_local, z_global], axis=-1)
 
 
 def forward_batch(
@@ -421,9 +444,10 @@ def forward_batch(
     batch: np.ndarray,
     rng: np.random.Generator,
     training: bool,
+    graphs: tuple | None = None,
 ) -> Tensor:
     """Logits over users for a batch of trajectory roster indices."""
-    stacked = fused_representations(params, config, inputs, batch, rng, training)
+    stacked = fused_representations(params, config, inputs, batch, rng, training, graphs)
     return T.add_bias(T.matmul(stacked, T.transpose(params["link_w"])), params["link_b"])
 
 

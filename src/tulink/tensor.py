@@ -7,7 +7,7 @@ into every tracked input exactly once per use. With no active tape (the
 evaluation path) operations are plain numpy calls with no bookkeeping.
 
 The operation set is exactly what the linking model needs: dense and
-sparse-by-dense matmul, elementwise arithmetic, gather/concat/stack shape
+sparse-by-dense matmul, elementwise arithmetic, gather/concat/permute shape
 plumbing, relu/tanh, softmax and sparsemax, layer norm, inverted dropout,
 positional max-pooling, and a fused log-space cross entropy. Every
 differentiable primitive is validated against central finite differences by
@@ -16,6 +16,7 @@ differentiable primitive is validated against central finite differences by
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -24,6 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+
+from .errors import DataError
 
 LAYER_NORM_EPS = 1e-5
 # Denominator floor when turning absolute gradient deviations into relative
@@ -182,32 +185,21 @@ def scale(x: Tensor, c: float) -> Tensor:
     return out
 
 
-def scale_by(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply by a one-element tensor (differentiable on both sides)."""
-    if s.values.size != 1:
-        raise ValueError(f"scale_by expects a one-element tensor, got {s.shape}")
-    sval = s.values.item()
-    out = _result(x.values * sval, x, s)
-    if out.requires_grad:
-        def backward():
-            if x.requires_grad:
-                x.grad += out.grad * sval
-            if s.requires_grad:
-                s.grad += np.sum(out.grad * x.values).reshape(s.shape)
-        _record(backward)
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
+    """(..., m, k) @ (k, n), or (..., m, k) @ (..., k, n) with equal batch axes."""
+    if (a.values.ndim < 2 or b.values.ndim not in (2, a.values.ndim)
+            or a.shape[-1] != b.shape[-2] or (b.values.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = _result(a.values @ b.values, a, b)
     if out.requires_grad:
         def backward():
             if a.requires_grad:
-                a.grad += out.grad @ b.values.T
-            if b.requires_grad:
-                b.grad += a.values.T @ out.grad
+                a.grad += out.grad @ np.swapaxes(b.values, -1, -2)
+            if b.requires_grad and b.values.ndim == 2:  # shared weight: sum over the batch
+                k, n = b.shape
+                b.grad += a.values.reshape(-1, k).T @ out.grad.reshape(-1, n)
+            elif b.requires_grad:
+                b.grad += np.swapaxes(a.values, -1, -2) @ out.grad
         _record(backward)
     return out
 
@@ -224,18 +216,31 @@ def spmm(s: sp.spmatrix, x: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.values.ndim != 2:
+    """Swap the last two axes."""
+    if x.values.ndim < 2:
         raise ValueError(f"transpose expects a matrix, got {x.shape}")
-    out = _result(np.ascontiguousarray(x.values.T), x)
+    out = _result(np.swapaxes(x.values, -1, -2), x)
     if out.requires_grad:
         def backward():
-            x.grad += out.grad.T
+            x.grad += np.swapaxes(out.grad, -1, -2)
+        _record(backward)
+    return out
+
+
+def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Reorder axes (a view of x); output axis i is input axis axes[i]."""
+    out = _result(np.transpose(x.values, axes), x)
+    if out.requires_grad:
+        inverse = tuple(np.argsort(axes))
+        def backward():
+            x.grad += np.transpose(out.grad, inverse)
         _record(backward)
     return out
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = _result(x.values.reshape(shape).copy(), x)
+    """A view of x where numpy can give one; output values are never written."""
+    out = _result(x.values.reshape(shape), x)
     if out.requires_grad:
         def backward():
             x.grad += out.grad.reshape(x.shape)
@@ -253,18 +258,6 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
             for p, lo, hi in zip(parts, offsets, offsets[1:]):
                 if p.requires_grad:
                     p.grad += np.moveaxis(g[..., lo:hi], -1, axis)
-        _record(backward)
-    return out
-
-
-def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix."""
-    out = _result(np.stack([v.values for v in vectors], axis=0), *vectors)
-    if out.requires_grad:
-        def backward():
-            for i, v in enumerate(vectors):
-                if v.requires_grad:
-                    v.grad += out.grad[i]
         _record(backward)
     return out
 
@@ -332,7 +325,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def sparsemax(x: Tensor) -> Tensor:
-    """Euclidean projection of a vector onto the probability simplex.
+    """Euclidean projection of each last-axis row onto the probability simplex.
 
     Sort-and-threshold: with z sorted descending, the support size is the
     largest k with 1 + k * z_(k) > sum_{j<=k} z_(j); the threshold is
@@ -340,25 +333,23 @@ def sparsemax(x: Tensor) -> Tensor:
     Jacobian acts only on the support: centered upstream gradient there,
     zero elsewhere.
     """
-    if x.values.ndim != 1:
-        raise ValueError(f"sparsemax expects a vector, got {x.shape}")
+    if x.values.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError(f"sparsemax expects non-empty rows, got {x.shape}")
     if not np.all(np.isfinite(x.values)):
         raise ValueError("sparsemax input must be finite")
     z = x.values
-    z_sorted = np.sort(z)[::-1]
-    cumulative = np.cumsum(z_sorted)
-    k = np.arange(1, z.size + 1)
-    support_size = int(np.count_nonzero(1.0 + k * z_sorted > cumulative))
-    tau = (cumulative[support_size - 1] - 1.0) / support_size
+    z_sorted = np.flip(np.sort(z, axis=-1), axis=-1)
+    cumulative = np.cumsum(z_sorted, axis=-1)
+    k = np.arange(1, z.shape[-1] + 1)
+    support_size = np.count_nonzero(1.0 + k * z_sorted > cumulative, axis=-1, keepdims=True)
+    tau = (np.take_along_axis(cumulative, support_size - 1, axis=-1) - 1.0) / support_size
     p = np.maximum(z - tau, 0.0)
     out = _result(p, x)
     if out.requires_grad:
         support = p > 0.0
-        n_support = int(np.count_nonzero(support))
         def backward():
-            g = out.grad
-            mean_g = g[support].sum() / n_support
-            x.grad[support] += g[support] - mean_g
+            g = np.where(support, out.grad, 0.0)
+            x.grad += np.where(support, g - g.sum(axis=-1, keepdims=True) / support_size, 0.0)
         _record(backward)
     return out
 
@@ -408,14 +399,16 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
 
 
 def max_pool_positions(z: Tensor) -> Tensor:
-    """Column-wise max of an (m, d) matrix; ties resolve to the first row."""
-    if z.values.ndim != 2 or z.shape[0] == 0:
+    """Max over axis -2 of an (..., m, d) array; ties resolve to the first row."""
+    if z.values.ndim < 2 or z.shape[-2] == 0:
         raise ValueError(f"max_pool_positions needs a non-empty matrix, got {z.shape}")
-    winners = np.argmax(z.values, axis=0)
-    out = _result(z.values[winners, np.arange(z.shape[1])], z)
+    winners = np.argmax(z.values, axis=-2)
+    lead = np.indices(winners.shape, sparse=True)
+    index = (*lead[:-1], winners, lead[-1])  # one (row, column) per output entry
+    out = _result(z.values[index], z)
     if out.requires_grad:
         def backward():
-            np.add.at(z.grad, (winners, np.arange(z.shape[1])), out.grad)
+            z.grad[index] += out.grad
         _record(backward)
     return out
 
@@ -551,17 +544,24 @@ def save_tensors(path: str | Path, named: Sequence[tuple[str, np.ndarray]]) -> N
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; a foreign or truncated file raises DataError."""
+    size = Path(path).stat().st_size
     with Path(path).open("rb") as fh:
+        def read(n: int) -> bytes:  # checked first: a corrupt length must not allocate
+            if not 0 <= n <= size - fh.tell():
+                raise DataError(f"checkpoint {path} is truncated; rerun the 'train' stage")
+            return fh.read(n)
+
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise ValueError(f"{path} is not a tulink parameter checkpoint")
-        (count,) = struct.unpack("<I", fh.read(4))
+            raise DataError(f"{path} is not a tulink parameter checkpoint; "
+                            "rerun the 'train' stage")
+        (count,) = struct.unpack("<I", read(4))
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-            n = int(np.prod(shape)) if ndim else 1
-            values = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).copy()
+            (name_len,) = struct.unpack("<H", read(2))
+            name = read(name_len).decode("utf-8", "replace")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{ndim}q", read(8 * ndim))
+            values = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
             out[name] = values
     return out

@@ -12,9 +12,13 @@ import numpy as np
 
 from . import metrics as M
 from . import tensor as T
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .mobility import DatasetSplit
-from .model import ModelConfig, ModelInputs, ModelParams, forward_batch, model_loss
+from .model import ModelConfig, ModelInputs, ModelParams, encode_graphs, forward_batch, model_loss
+
+# Rows per evaluation forward pass; the (rows, n_traj) global-attention
+# temporaries grow with it.
+EVAL_CHUNK = 16
 
 
 @dataclass
@@ -90,20 +94,27 @@ class TrainResult:
     best_val_acc1: float = 0.0
 
 
-def predict_logits(
+def evaluate_rows(
     params: ModelParams,
     config: ModelConfig,
     inputs: ModelInputs,
     indices: np.ndarray,
-    batch_size: int = 64,
+    forward,
 ) -> np.ndarray:
-    """Evaluation-mode logits (dropout off, no tape) for roster indices."""
+    """Evaluation-mode ``forward`` rows (dropout off, no tape) for roster
+    indices, in chunks of EVAL_CHUNK with the GCNs encoded once."""
     rng = np.random.default_rng(0)  # never drawn in evaluation mode
-    rows = []
-    for lo in range(0, len(indices), batch_size):
-        chunk = indices[lo : lo + batch_size]
-        rows.append(forward_batch(params, config, inputs, chunk, rng, training=False).values)
-    return np.concatenate(rows, axis=0)
+    graphs = encode_graphs(params, config, inputs)
+    return np.concatenate([
+        forward(params, config, inputs, indices[lo : lo + EVAL_CHUNK], rng, False, graphs).values
+        for lo in range(0, len(indices), EVAL_CHUNK)
+    ], axis=0)
+
+
+def predict_logits(params: ModelParams, config: ModelConfig, inputs: ModelInputs,
+                   indices: np.ndarray) -> np.ndarray:
+    """Evaluation-mode logits for roster indices."""
+    return evaluate_rows(params, config, inputs, indices, forward_batch)
 
 
 def evaluate_on_split(
@@ -118,11 +129,6 @@ def evaluate_on_split(
     preds = M.build_predictions(logits, inputs.labels[indices])
     ks = [min(k, inputs.n_users) for k in ks]
     return M.compute_report(preds, ks=sorted(set(ks)))
-
-
-def _acc1(params, config, inputs, indices) -> float:
-    logits = predict_logits(params, config, inputs, indices)
-    return float(np.mean(np.argmax(logits, axis=1) == inputs.labels[indices]))
 
 
 def train(
@@ -181,11 +187,10 @@ def train(
             adam_step(params, state, train_config)
             losses.append(loss.item())
 
-        val_acc = _acc1(params, model_config, inputs, val_idx)
+        val_logits = predict_logits(params, model_config, inputs, val_idx)
+        val_acc = float(np.mean(np.argmax(val_logits, axis=1) == inputs.labels[val_idx]))
         if train_config.early_stop_on_loss:
-            val_logits = predict_logits(params, model_config, inputs, val_idx)
-            val_loss = T.cross_entropy(T.Tensor(val_logits), inputs.labels[val_idx]).item()
-            score = -val_loss
+            score = -T.cross_entropy(T.Tensor(val_logits), inputs.labels[val_idx]).item()
         else:
             score = val_acc
         result.history.append(
@@ -221,5 +226,11 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(params: ModelParams, path: str | Path) -> ModelParams:
-    params.load_values(T.load_tensors(path))
+    """Restore parameters; a checkpoint that does not fit the model raises DataError."""
+    values = T.load_tensors(path)
+    try:
+        params.load_values(values)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}; it was written by an earlier version or "
+                        "different settings, rerun the 'train' stage") from None
     return params

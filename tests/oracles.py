@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from tulink import tensor as T
+from tulink.model import COSINE_EPS, encode_graphs, encode_locations
+from tulink.tensor import Tensor
 
 
 def simplex_projection_oracle(x: np.ndarray) -> np.ndarray:
@@ -48,3 +54,69 @@ def confusion_matrix_oracle(true_labels, predicted_labels):
             2 * precision * recall / (precision + recall) if precision + recall else 0.0
         )
     return sum(ps) / len(ps), sum(rs) / len(rs), sum(f1s) / len(f1s)
+
+
+# ---------------------------------------------------------------------------
+# The linking model one trajectory and one head at a time
+# ---------------------------------------------------------------------------
+
+def _columns(w: Tensor, lo: int, hi: int) -> Tensor:
+    return T.transpose(T.slice_rows(T.transpose(w), lo, hi))
+
+
+def per_head_attention_oracle(params, config, x, rng, training):
+    """Self-attention over one unpadded (m, d) sequence, head h using columns
+    h*dh:(h+1)*dh of the fused projections."""
+    m, d = x.shape
+    dh = d // config.heads
+    inv_scale = 1.0 / math.sqrt(d if config.scale_full_d else dh)
+    state = T.add(x, Tensor(params.pos_encoding[:m]))
+    for layer in range(config.attn_layers):
+        heads = []
+        for h in range(config.heads):
+            q, k, v = (T.matmul(state, _columns(params[f"attn{layer}_{kind}"],
+                                                h * dh, (h + 1) * dh)) for kind in "qkv")
+            weights = T.softmax(T.scale(T.matmul(q, T.transpose(k)), inv_scale), axis=-1)
+            heads.append(T.matmul(weights, v))
+        z = T.add_bias(T.matmul(T.concat(heads, axis=-1), params[f"attn{layer}_out_w"]),
+                       params[f"attn{layer}_out_b"])
+        z = T.dropout(z, config.dropout_rate, training, rng)
+        state = T.layer_norm(T.add(state, z),
+                             params[f"attn{layer}_ln_gain"],
+                             params[f"attn{layer}_ln_bias"])
+    return state
+
+
+def per_row_global_attention_oracle(h_traj, traj_norms, index, use_softmax):
+    """Cosine scores of one trajectory against the roster, one vector."""
+    n_traj, d = h_traj.shape
+    hi = T.slice_rows(h_traj, index, index + 1)
+    dots = T.reshape(T.matmul(h_traj, T.transpose(hi)), (n_traj,))
+    denom = T.matmul(T.reshape(traj_norms, (n_traj, 1)), T.reshape(T.row_norms(hi), (1, 1)))
+    scores = T.div(dots, T.add_scalar(T.reshape(denom, (n_traj,)), COSINE_EPS))
+    weights = T.softmax(scores) if use_softmax else T.sparsemax(scores)
+    return T.reshape(T.matmul(T.reshape(weights, (1, n_traj)), h_traj), (d,))
+
+
+def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
+    """Logits with a Python loop over the batch: each trajectory attends over
+    its own unpadded sequence and scores the roster on its own."""
+    h_local, h_traj, traj_norms = encode_graphs(params, config, inputs)
+    zeros_d = Tensor(np.zeros(config.embed_dim))
+    rows = []
+    for idx in batch:
+        z_local = z_global = zeros_d
+        if not config.disable_local:
+            m = inputs.lengths[idx]
+            x = encode_locations(params, config, h_local, inputs.grid_idx[idx, :m],
+                                 inputs.state_idx[idx, :m], inputs.time_idx[idx, :m])
+            x = T.dropout(x, config.dropout_rate, training, rng)
+            z = x if config.disable_self_attention else per_head_attention_oracle(
+                params, config, x, rng, training)
+            z_local = T.max_pool_positions(z)
+        if not config.disable_global:
+            z_global = per_row_global_attention_oracle(
+                h_traj, traj_norms, int(idx), config.use_softmax_global)
+        rows.append(T.reshape(T.concat([z_local, z_global], axis=-1), (1, -1)))
+    stacked = T.concat(rows, axis=0)
+    return T.add_bias(T.matmul(stacked, T.transpose(params["link_w"])), params["link_b"])

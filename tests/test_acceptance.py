@@ -86,6 +86,13 @@ def primitive_checks(rng):
             if np.min(np.abs(x - tau)) > margin:
                 return x
 
+    def max_pool_safe(shape, margin=1e-3):
+        while True:
+            z = rng.normal(size=shape)
+            top2 = np.sort(z, axis=-2)[..., -2:, :]
+            if np.min(top2[..., 1, :] - top2[..., 0, :]) > margin:
+                return z
+
     import scipy.sparse as sp
 
     # every constant is drawn once, outside the functionals, so each f is a
@@ -100,7 +107,10 @@ def primitive_checks(rng):
     mat43 = rng.normal(size=(4, 3))
     vec6 = rng.normal(size=6)
     part32 = rng.normal(size=(3, 2))
-    stacked4 = rng.normal(size=4)
+    a234 = rng.normal(size=(2, 3, 4))
+    b245 = rng.normal(size=(2, 4, 5))
+    c24 = rng.normal(size=24)
+    c30 = rng.normal(size=30)
     c10 = rng.normal(size=10)
     c3 = rng.normal(size=3)
     sparse = sp.random(5, 3, density=0.6, random_state=7, format="csr")
@@ -121,18 +131,20 @@ def primitive_checks(rng):
         ("mul", lambda t: scalar_functional(T.mul(t, Tensor(b34)), c12), a34),
         ("div", lambda t: scalar_functional(T.div(Tensor(a34), t), c12), b34),
         ("scale", lambda t: scalar_functional(T.scale(t, -1.3), c6), vec6),
-        ("scale_by", lambda t: scalar_functional(T.scale_by(Tensor(vec6), t), c6),
-         np.array([0.8])),
         ("matmul", lambda t: scalar_functional(T.matmul(t, Tensor(mat43)), c12),
          rng.normal(size=(4, 4))),
+        ("matmul_batched", lambda t: scalar_functional(T.matmul(t, Tensor(b245)), c30),
+         a234),
+        ("matmul_batched_right", lambda t: scalar_functional(T.matmul(Tensor(a234), t), c30),
+         b245),
         ("spmm", lambda t: scalar_functional(T.spmm(sparse, t), c10),
          rng.normal(size=(3, 2))),
         ("transpose", lambda t: scalar_functional(T.transpose(t), c12), a34),
+        ("transpose_batched", lambda t: scalar_functional(T.transpose(t), c24), a234),
+        ("permute", lambda t: scalar_functional(T.permute(t, (1, 2, 0)), c24), a234),
         ("reshape", lambda t: scalar_functional(T.reshape(t, (2, 6)), c12), a34),
         ("concat", lambda t: scalar_functional(
             T.concat([t, Tensor(part32)], axis=-1), c18), a34),
-        ("stack_rows", lambda t: scalar_functional(
-            T.stack_rows([Tensor(stacked4), t]), c8), c4 + 1.0),
         ("slice_rows", lambda t: scalar_functional(T.slice_rows(t, 1, 3), c8), a34),
         ("embedding", lambda t: scalar_functional(T.embedding(t, table_idx), c8),
          rng.normal(size=(3, 2))),
@@ -141,11 +153,15 @@ def primitive_checks(rng):
         ("softmax", lambda t: scalar_functional(T.softmax(t, axis=-1), c12), a34),
         ("sparsemax", lambda t: scalar_functional(T.sparsemax(t), c6),
          sparsemax_safe_vector()),
+        ("sparsemax_rows", lambda t: scalar_functional(T.sparsemax(t), c24),
+         np.stack([sparsemax_safe_vector() for _ in range(4)])),
         ("layer_norm", lambda t: scalar_functional(
             T.layer_norm(t, Tensor(ln_gain), Tensor(ln_bias)), c12), a34),
         ("dropout", dropout_f, a34),
         ("max_pool_positions", lambda t: scalar_functional(
             T.max_pool_positions(t), c4), rng.normal(size=(5, 4))),
+        ("max_pool_positions_batched", lambda t: scalar_functional(
+            T.max_pool_positions(t), c12), max_pool_safe((3, 5, 4))),
         ("cross_entropy", lambda t: T.cross_entropy(t, targets), rng.normal(size=(3, 5))),
         ("sum_squares", lambda t: T.sum_squares(t), a34),
         ("row_norms", lambda t: scalar_functional(T.row_norms(t), c3),

@@ -1,13 +1,16 @@
 """Command-line pipeline: stage wiring, idempotence, exit codes."""
 
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from tulink import synth
 from tulink.cli import main
 from tulink.config import ABLATIONS, RunConfig, load_config_file, resolve_config
 from tulink.errors import ConfigError
+from tulink.tensor import load_tensors, save_tensors
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +144,58 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 1
         capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def trained(workspace, tmp_path_factory):
+    """A finished train stage of the workspace config in its own directory."""
+    out = tmp_path_factory.mktemp("trained")
+    for stage in ("preprocess", "build-graphs", "train"):
+        assert run([stage, "--config", workspace["config"], "--output", str(out)]) == 0
+    return out
+
+
+class TestCheckpointErrors:
+    """A checkpoint that does not fit is a data error naming the file and the
+    train stage, not a traceback."""
+
+    def _evaluate(self, workspace, trained, tmp_path, capsys, corrupt, *flags):
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        corrupt(out / "checkpoint.bin")
+        capsys.readouterr()
+        code = run(["evaluate", "--config", workspace["config"], "--output", str(out),
+                    *flags])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "checkpoint.bin" in err and "'train'" in err
+        assert "Traceback" not in err
+        return err
+
+    def test_truncated_checkpoint(self, workspace, trained, tmp_path, capsys):
+        def truncate(path):
+            path.write_bytes(path.read_bytes()[:-100])
+        assert "truncated" in self._evaluate(workspace, trained, tmp_path, capsys, truncate)
+
+    def test_dimension_mismatch(self, workspace, trained, tmp_path, capsys):
+        err = self._evaluate(workspace, trained, tmp_path, capsys, lambda path: None,
+                             "--embed-dim", "32")
+        assert "shape" in err
+
+    def test_per_head_parameter_names_of_earlier_versions(self, workspace, trained,
+                                                          tmp_path, capsys):
+        def split_heads(path):
+            named = []
+            for name, values in load_tensors(path).items():
+                layer, _, kind = name.partition("_")
+                if layer.startswith("attn") and kind in ("q", "k", "v"):
+                    named += [(f"{name}{h}", block)
+                              for h, block in enumerate(np.split(values, 2, axis=1))]
+                else:
+                    named.append((name, values))
+            save_tensors(path, named)
+        err = self._evaluate(workspace, trained, tmp_path, capsys, split_heads)
+        assert "'attn0_q'" in err
 
 
 class TestConfigResolution:

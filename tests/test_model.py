@@ -9,10 +9,12 @@ from tulink import tensor as T
 from tulink.config import seeded_rng
 from tulink.errors import ConfigError
 from tulink.model import (
+    ABLATION_FLAGS,
     ModelConfig,
     ModelParams,
     encode_locations,
     forward_batch,
+    fused_representations,
     gcn_forward,
     global_attention,
     model_loss,
@@ -21,7 +23,8 @@ from tulink.model import (
 )
 from tulink.tensor import Tape, Tensor, recording
 
-from conftest import inputs_from_sequences, small_config, toy_nine_sequences
+from conftest import inputs_from_sequences, make_sequence, small_config, toy_nine_sequences
+from oracles import per_trajectory_logits_oracle
 
 RNG = np.random.default_rng(4242)
 
@@ -165,6 +168,11 @@ class TestLocationEncoder:
                              np.array([0]), np.array([0]), np.array([99]))
 
 
+def head_weight(params, layer, kind, h, dh):
+    """Head h's block of a fused projection: columns h*dh:(h+1)*dh."""
+    return params[f"attn{layer}_{kind}"].values[:, h * dh:(h + 1) * dh]
+
+
 def dense_attention_oracle(params, cfg, x):
     """Straight-line numpy re-implementation of the attention stack."""
     d = cfg.embed_dim
@@ -174,9 +182,9 @@ def dense_attention_oracle(params, cfg, x):
     for layer in range(cfg.attn_layers):
         outs = []
         for h in range(cfg.heads):
-            q = state @ params[f"attn{layer}_q{h}"].values
-            k = state @ params[f"attn{layer}_k{h}"].values
-            v = state @ params[f"attn{layer}_v{h}"].values
+            q = state @ head_weight(params, layer, "q", h, dh)
+            k = state @ head_weight(params, layer, "k", h, dh)
+            v = state @ head_weight(params, layer, "v", h, dh)
             scores = (q @ k.T) * scale
             e = np.exp(scores)
             outs.append((e / e.sum(axis=1, keepdims=True)) @ v)
@@ -194,8 +202,9 @@ def dense_attention_oracle(params, cfg, x):
 class TestSelfAttention:
     def _run(self, params, cfg, x):
         return self_attention_stack(
-            params, cfg, Tensor(x), np.random.default_rng(0), training=False
-        ).values
+            params, cfg, Tensor(x[None]), np.array([len(x)]), np.random.default_rng(0),
+            training=False,
+        ).values[0]
 
     def test_single_position(self):
         """With one row the attention matrix is [[1]] so the output is the
@@ -243,9 +252,9 @@ class TestSelfAttention:
         for layer in range(cfg.attn_layers):
             outs = []
             for h in range(cfg.heads):
-                q = state @ params[f"attn{layer}_q{h}"].values
-                k = state @ params[f"attn{layer}_k{h}"].values
-                v = state @ params[f"attn{layer}_v{h}"].values
+                q = state @ head_weight(params, layer, "q", h, dh)
+                k = state @ head_weight(params, layer, "k", h, dh)
+                v = state @ head_weight(params, layer, "v", h, dh)
                 weights = T.softmax(Tensor((q @ k.T) / math.sqrt(dh)), axis=-1).values
                 np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
                 outs.append(weights @ v)
@@ -270,12 +279,13 @@ class TestSelfAttention:
         c = RNG.normal(size=3 * cfg.embed_dim)
 
         def f(t):
-            out = self_attention_stack(params, cfg, t, np.random.default_rng(0), False)
+            out = self_attention_stack(params, cfg, t, np.array([3]),
+                                       np.random.default_rng(0), False)
             flat = T.reshape(out, (1, out.values.size))
             return T.matmul(flat, Tensor(c.reshape(-1, 1)))
 
         from tulink.tensor import finite_difference_check
-        report = finite_difference_check(f, Tensor(RNG.normal(size=(3, cfg.embed_dim))),
+        report = finite_difference_check(f, Tensor(RNG.normal(size=(1, 3, cfg.embed_dim))),
                                          tolerance=1e-4)
         assert report.passed, report
 
@@ -284,7 +294,7 @@ class TestGlobalAttention:
     def _z(self, h, index, use_softmax=False):
         ht = Tensor(np.asarray(h, float))
         norms = T.row_norms(ht)
-        return global_attention(ht, norms, index, use_softmax).values
+        return global_attention(ht, norms, np.array([index]), use_softmax).values[0]
 
     def test_identical_embeddings_average_to_common_vector(self):
         row = RNG.normal(size=6)
@@ -334,7 +344,7 @@ class TestGlobalAttention:
             tape = Tape()
             with recording(tape):
                 norms = T.row_norms(ht)
-                z = global_attention(ht, norms, idx, use_softmax=False)
+                z = global_attention(ht, norms, np.array([idx]), use_softmax=False)
                 out = T.sum_squares(z)
             tape.backward(out)
             assert np.all(np.isfinite(z.values))
@@ -520,7 +530,7 @@ class TestForwardFull:
         batch = np.arange(9)
         targets = inputs.labels[batch]
 
-        for name in ("gcn_local_1", "gcn_global_0", "attn0_q1", "link_w", "time_b"):
+        for name in ("gcn_local_1", "gcn_global_0", "attn0_q", "link_w", "time_b"):
             original = params[name]
 
             def f(t, name=name):
@@ -535,3 +545,63 @@ class TestForwardFull:
             probe = Tensor(original.values.copy())
             report = finite_difference_check(f, probe, tolerance=1e-4)
             assert report.passed, (name, report)
+
+
+def ragged_sequences():
+    """Three users, four sub-trajectories each, of 1 to 6 points."""
+    rng = np.random.default_rng(5)
+    sequences = []
+    for u in range(3):
+        for j, m in enumerate((1, 6, 3, 2) if u != 1 else (4, 1, 5, 6)):
+            sequences.append(make_sequence(
+                f"u{u}", j, [int(g) for g in (3 * u + rng.integers(0, 4, size=m)) % 9],
+                [int(rng.integers(0, 9)) for _ in range(m)],
+                [int(rng.integers(0, 4)) for _ in range(m)],
+            ))
+    return sequences
+
+
+def logits_and_grads(forward, params, cfg, inputs, batch):
+    params.zero_grads()
+    tape = Tape()
+    with recording(tape):
+        logits = forward(params, cfg, inputs, batch, np.random.default_rng(0), False)
+        loss = model_loss(logits, inputs.labels[batch], params, cfg)
+    tape.backward(loss)
+    return logits.values, {name: t.grad.copy() for name, t in params.items()}
+
+
+def max_rel(a, b):
+    scale = np.max(np.abs(b))
+    return 0.0 if scale == 0.0 else float(np.max(np.abs(a - b)) / scale)
+
+
+class TestBatchedMatchesPerTrajectoryOracle:
+    @pytest.mark.parametrize("flag", (None,) + ABLATION_FLAGS)
+    @pytest.mark.parametrize("dims", [dict(), dict(embed_dim=16, heads=4, attn_layers=3)])
+    def test_logits_and_every_gradient(self, flag, dims):
+        cfg = small_config(**dims, **({flag: True} if flag else {}))
+        inputs, _ = inputs_from_sequences(ragged_sequences(), 9, cfg)
+        assert len(set(inputs.lengths)) > 3
+        params = make_params(cfg, max_seq_len=inputs.max_seq_len, seed=1)
+        batch = np.array([0, 3, 5, 7, 11, 2, 4])
+        logits, grads = logits_and_grads(forward_batch, params, cfg, inputs, batch)
+        ref_logits, ref_grads = logits_and_grads(per_trajectory_logits_oracle,
+                                                 params, cfg, inputs, batch)
+        assert max_rel(logits, ref_logits) <= 1e-12
+        for name in params.tensors:
+            assert max_rel(grads[name], ref_grads[name]) <= 1e-12, name
+        assert any(np.any(g != 0) for g in grads.values())
+
+    def test_padding_leaves_a_trajectory_row_unchanged(self):
+        cfg = small_config(attn_layers=2)
+        inputs, _ = inputs_from_sequences(ragged_sequences(), 9, cfg)
+        params = make_params(cfg, max_seq_len=inputs.max_seq_len)
+        short = [i for i in range(inputs.n_traj) if inputs.lengths[i] <= 2]
+        longest = int(np.argmax(inputs.lengths))
+        for i in short:
+            alone = fused_representations(params, cfg, inputs, np.array([i]),
+                                          np.random.default_rng(0), False).values[0]
+            padded = fused_representations(params, cfg, inputs, np.array([longest, i, 0]),
+                                           np.random.default_rng(0), False).values[1]
+            np.testing.assert_allclose(padded, alone, rtol=1e-12, atol=1e-15)

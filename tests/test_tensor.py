@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from tulink import tensor as T
+from tulink.errors import DataError
 from tulink.tensor import (
     GradCheckReport,
     Tape,
@@ -58,6 +59,25 @@ class TestMatmul:
         check_grad(lambda x: scalarize(T.matmul(x, Tensor(b)), c), a)
         check_grad(lambda x: scalarize(T.matmul(Tensor(a), x), c), b)
 
+    def test_batched_against_shared_and_batched_right_operand(self):
+        a = RNG.normal(size=(2, 3, 4))
+        shared = RNG.normal(size=(4, 5))
+        batched = RNG.normal(size=(2, 4, 5))
+        np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(shared)).values,
+                                   np.stack([a[i] @ shared for i in range(2)]), atol=1e-14)
+        np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(batched)).values,
+                                   np.stack([a[i] @ batched[i] for i in range(2)]), atol=1e-14)
+        c = RNG.normal(size=30)
+        for b in (shared, batched):
+            check_grad(lambda x: scalarize(T.matmul(x, Tensor(b)), c), a)
+            check_grad(lambda x: scalarize(T.matmul(Tensor(a), x), c), b)
+
+    def test_batch_axes_must_match(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(ValueError, match="mismatch"):
+            T.matmul(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 3, 5))))
+
 
 class TestElementwise:
     def test_add_mul_div_gradients(self):
@@ -76,13 +96,6 @@ class TestElementwise:
         check_grad(lambda x: scalarize(T.scale(x, -2.5), c), a)
         check_grad(lambda x: scalarize(T.add_scalar(x, 1.75), c), a)
 
-    def test_scale_by_tensor_both_sides(self):
-        a = RNG.normal(size=5)
-        s = np.array([1.3])
-        c = RNG.normal(size=5)
-        check_grad(lambda x: scalarize(T.scale_by(x, Tensor(s)), c), a)
-        check_grad(lambda x: scalarize(T.scale_by(Tensor(a), x), c), s)
-
     def test_add_bias_broadcast(self):
         x = RNG.normal(size=(4, 3))
         b = RNG.normal(size=3)
@@ -95,7 +108,7 @@ class TestElementwise:
 
 
 class TestShapePlumbing:
-    def test_transpose_reshape_concat_stack_slice(self):
+    def test_transpose_reshape_concat_slice(self):
         a = RNG.normal(size=(3, 4))
         c12 = RNG.normal(size=12)
         check_grad(lambda x: scalarize(T.transpose(x), c12), a)
@@ -103,12 +116,18 @@ class TestShapePlumbing:
         other = Tensor(RNG.normal(size=(3, 2)))
         c18 = RNG.normal(size=18)
         check_grad(lambda x: scalarize(T.concat([x, other], axis=-1), c18), a)
-        vecs = [Tensor(RNG.normal(size=4)) for _ in range(2)]
-        check_grad(
-            lambda x: scalarize(T.stack_rows([vecs[0], x, vecs[1]]), c12), RNG.normal(size=4)
-        )
         c8 = RNG.normal(size=8)
         check_grad(lambda x: scalarize(T.slice_rows(x, 1, 3), c8), a)
+
+    def test_permute_and_batched_transpose(self):
+        x = RNG.normal(size=(2, 3, 4))
+        np.testing.assert_array_equal(T.permute(Tensor(x), (1, 2, 0)).values,
+                                      np.transpose(x, (1, 2, 0)))
+        np.testing.assert_array_equal(T.transpose(Tensor(x)).values, np.swapaxes(x, 1, 2))
+        c = RNG.normal(size=24)
+        check_grad(lambda t: scalarize(T.permute(t, (1, 2, 0)), c), x)
+        check_grad(lambda t: scalarize(T.permute(t, (0, 2, 1)), c), x)
+        check_grad(lambda t: scalarize(T.transpose(t), c), x)
 
     def test_embedding_gather_and_accumulate(self):
         table = RNG.normal(size=(6, 3))
@@ -237,6 +256,30 @@ class TestSparsemax:
         tape.backward(out)
         np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
+    def test_rows_match_projection_oracle_including_ties(self):
+        rng = np.random.default_rng(101)
+        rows = [[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, -1.0], [2.0, 2.0, 2.0, -0.5],
+                [0.3, 0.3, 0.1, 0.1], [5.0, -5.0, 5.0, 0.0]]
+        rows += [rng.normal(size=4) * rng.uniform(0.1, 5.0) for _ in range(50)]
+        x = np.array(rows)
+        p = T.sparsemax(Tensor(x)).values
+        for row, out in zip(x, p):
+            np.testing.assert_allclose(out, simplex_projection_oracle(row), atol=1e-10)
+        cube = x[:54].reshape(3, 18, 4)
+        np.testing.assert_array_equal(T.sparsemax(Tensor(cube)).values, p[:54].reshape(3, 18, 4))
+
+    def test_row_gradient_away_from_support_boundaries(self):
+        rng = np.random.default_rng(34)
+        rows = []
+        while len(rows) < 4:
+            x = rng.normal(size=5)
+            p = sparsemax_values(x)
+            tau = (x[p > 0].sum() - 1.0) / np.count_nonzero(p > 0)
+            if np.min(np.abs(x - tau)) > 1e-3:
+                rows.append(x)
+        c = rng.normal(size=20)
+        check_grad(lambda t: scalarize(T.sparsemax(t), c), np.array(rows), tol=1e-5)
+
     def test_gradient_away_from_support_boundaries(self):
         rng = np.random.default_rng(33)
         checked = 0
@@ -338,6 +381,22 @@ class TestMaxPool:
         z = RNG.normal(size=(5, 3))
         c = RNG.normal(size=3)
         check_grad(lambda t: scalarize(T.max_pool_positions(t), c), z)
+
+    def test_batched_pools_axis_minus_two(self):
+        z = RNG.normal(size=(2, 5, 3))
+        np.testing.assert_array_equal(T.max_pool_positions(Tensor(z)).values, z.max(axis=1))
+        c = RNG.normal(size=6)
+        check_grad(lambda t: scalarize(T.max_pool_positions(t), c), z)
+
+    def test_batched_tie_routes_to_first_row(self):
+        z = Tensor(np.array([[[1.0, 0.0], [1.0, 0.5]], [[0.0, 2.0], [3.0, 2.0]]]),
+                   requires_grad=True)
+        tape = Tape()
+        with recording(tape):
+            out = scalarize(T.max_pool_positions(z), np.ones(4))
+        tape.backward(out)
+        np.testing.assert_array_equal(z.grad, [[[1.0, 0.0], [0.0, 1.0]],
+                                               [[0.0, 1.0], [1.0, 0.0]]])
 
 
 class TestCrossEntropy:
@@ -461,8 +520,17 @@ class TestCheckpoint:
         save_tensors(p2, load_tensors(p1).items())
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_truncated_file_rejected_at_every_cut(self, tmp_path):
+        path = tmp_path / "params.bin"
+        save_tensors(path, [("w", RNG.normal(size=(2, 3))), ("b", RNG.normal(size=3))])
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(DataError, match="params.bin"):
+                load_tensors(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="junk.bin"):
             load_tensors(path)

@@ -183,6 +183,25 @@ class TestTrainLoop:
         assert 1 <= len(result.history) <= 4
         assert result.best_epoch >= 1
 
+    def test_one_validation_pass_per_epoch_when_stopping_on_loss(self, monkeypatch):
+        import importlib
+
+        train_module = importlib.import_module("tulink.train")  # the package re-exports train()
+        calls = []
+        original = train_module.predict_logits
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "predict_logits", counting)
+        config, inputs, split = toy_training_setup()
+        tc = TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=3,
+                         early_stop_on_loss=True)
+        result = train(inputs, split, config, tc)
+        assert len(result.history) == 3
+        assert len(calls) == 3
+
 
 class TestEvaluate:
     def test_report_matches_manual_top1(self):
