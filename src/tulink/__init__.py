@@ -37,6 +37,6 @@ from .model import (
     positional_encoding,
 )
 from .tensor import Tape, Tensor, finite_difference_check, recording
-from .train import TrainConfig, TrainResult, evaluate_on_split, train
+from .train import TrainConfig, TrainResult, evaluate_on_split
 
 __version__ = "0.1.0"

@@ -64,6 +64,11 @@ def _load_preprocessed(paths: StagePaths):
     gm = mob.load_grid_map(paths.grid_map)
     sequences = mob.load_sequences(paths.sequences)
     split = mob.load_split(paths.splits)
+    known = {s.traj_id for s in sequences}
+    for tid in (*split.train, *split.validation, *split.test):
+        if tid not in known:
+            raise DataError(f"{paths.splits.name} names trajectory {tid!r}, which "
+                            f"{paths.sequences.name} lacks; rerun the 'preprocess' stage")
     return gm, sequences, split
 
 
@@ -134,6 +139,12 @@ def _load_model_inputs(cfg: RunConfig, paths: StagePaths):
     _require(paths.global_graph, "build-graphs")
     local = G.load_local_graph(paths.local_graph)
     global_g = G.load_global_graph(paths.global_graph)
+    if local.n_grids != gm.n_grids:
+        raise DataError(f"{paths.local_graph.name} has {local.n_grids} grids but "
+                        f"{paths.grid_map.name} has {gm.n_grids}; rerun the 'build-graphs' stage")
+    if global_g.traj_ids != [s.traj_id for s in sequences]:
+        raise DataError(f"{paths.global_graph.name} and {paths.sequences.name} list different "
+                        "trajectories; rerun the 'build-graphs' stage")
     inputs = build_model_inputs(sequences, local, global_g, cfg.model_config())
     return inputs, split
 

@@ -4,9 +4,9 @@ The local graph connects grid cells by consecutive-transition counts across
 all trajectories. The global graph is heterogeneous: trajectory nodes for
 every split (the model predicts from a node's embedding, so test
 trajectories must be present), user nodes attached only to training
-trajectories. Trajectory-trajectory weights count shared grids and are
-computed as the incidence self-product C @ C.T rather than by pairwise
-scans.
+trajectories. Both are sparse products of the trajectory-by-grid incidence
+C and the user-by-trajectory training-label matrix A, not pairwise scans.
+The grid features of the local graph are one-hot, so none are stored.
 
 On-disk format is a line-oriented text file: a small header, the node
 roster, then one or two integer COO sections in row-major order. Weights
@@ -15,6 +15,7 @@ are integers throughout, so round-trips are exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError
+from .errors import DataError, reading
 from .mobility import GridSequence
 
 FORMAT_VERSION = 1
@@ -32,7 +33,6 @@ FORMAT_VERSION = 1
 class LocalSpatialGraph:
     n_grids: int
     adjacency: sp.csr_matrix  # symmetric, zero diagonal, int64 weights
-    features: sp.csr_matrix   # one-hot identity
 
     @property
     def n_edges(self) -> int:
@@ -78,37 +78,24 @@ def build_local_graph(sequences: Iterable[GridSequence], n_grids: int) -> LocalS
     containing at least one consecutive step between g and h in either
     direction. Consecutive repeats of the same grid contribute nothing.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for seq in sequences:
-        pairs = set()
-        for a, b in zip(seq.grid, seq.grid[1:]):
-            if a != b:
-                pairs.add((a, b) if a < b else (b, a))
-        for pair in pairs:
-            counts[pair] = counts.get(pair, 0) + 1
-    rows, cols, data = [], [], []
-    for (a, b), w in counts.items():
-        rows.extend((a, b))
-        cols.extend((b, a))
-        data.extend((w, w))
-    adj = sp.coo_matrix(
-        (np.asarray(data, dtype=np.int64), (rows, cols)), shape=(n_grids, n_grids)
-    ).tocsr()
+    steps = [(i, a, b) for i, seq in enumerate(sequences)
+             for a, b in zip(seq.grid, seq.grid[1:]) if a != b]
+    t, a, b = np.array(steps, dtype=np.int64).reshape(-1, 3).T
+    # one count per trajectory and unordered pair
+    _, lo, hi = np.unique([t, np.minimum(a, b), np.maximum(a, b)], axis=1)
+    upper = sp.coo_matrix((np.ones(len(lo), dtype=np.int64), (lo, hi)), shape=(n_grids, n_grids))
+    adj = (upper + upper.T).tocsr()
     adj.sort_indices()
-    return LocalSpatialGraph(n_grids, adj, sp.identity(n_grids, dtype=np.int64, format="csr"))
+    return LocalSpatialGraph(n_grids, adj)
 
 
 def build_grid_incidence(sequences: Sequence[GridSequence], n_grids: int) -> sp.csr_matrix:
     """Binary trajectories-by-grids visitation matrix, rows in roster order."""
-    rows, cols = [], []
-    for i, seq in enumerate(sequences):
-        for g in sorted(set(seq.grid)):
-            rows.append(i)
-            cols.append(g)
-    inc = sp.coo_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
-        shape=(len(sequences), n_grids),
-    ).tocsr()
+    visits = [(i, g) for i, seq in enumerate(sequences) for g in seq.grid]
+    rows, cols = np.array(visits, dtype=np.int64).reshape(-1, 2).T
+    inc = sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                        shape=(len(sequences), n_grids))
+    inc.data[:] = 1  # a revisited grid is still one visit
     inc.sort_indices()
     return inc
 
@@ -118,14 +105,15 @@ def build_global_graph(
     traj_ids: Sequence[str],
     train_labels: Mapping[str, str],
 ) -> GlobalSpatialGraph:
-    """Heterogeneous trajectory + user graph from the visitation incidence.
+    """Heterogeneous trajectory + user graph from the visitation incidence C.
 
-    Trajectory-trajectory weights are |shared grids|, computed as the
-    incidence self-product with the diagonal zeroed (a trajectory's grid
-    count is self-similarity, not an edge). Each training trajectory links
-    to its user with the maximum trajectory-trajectory weight (1 when that
-    maximum is 0); users get no edges among themselves. User feature rows
-    are the union of their training trajectories' visitation rows.
+    With A the (users x trajectories) training-label matrix and w the largest
+    off-diagonal entry of C C^T (1 when there is none), the adjacency is
+    [[C C^T - diag, w A^T], [w A, 0]]: trajectories weigh their shared grids
+    (a trajectory's own grid count is self-similarity, not an edge), each
+    training trajectory links to its user with weight w, and users get no
+    edges among themselves. User feature rows are (A C) > 0, the union of
+    their training trajectories' visitation rows, stacked under C.
     """
     n_traj = len(traj_ids)
     if incidence.shape[0] != n_traj:
@@ -138,36 +126,18 @@ def build_global_graph(
             raise DataError(f"label references unknown trajectory {tid!r}")
     user_ids = sorted(set(train_labels.values()))
     user_index = {u: k for k, u in enumerate(user_ids)}
-    n_users = len(user_ids)
-    n_nodes = n_traj + n_users
+    labels = sp.csr_matrix(
+        (np.ones(len(train_labels), dtype=np.int64),
+         ([user_index[u] for u in train_labels.values()], [index_of[t] for t in train_labels])),
+        shape=(len(user_ids), n_traj),
+    )
 
-    traj_block = (incidence @ incidence.T).tocoo()
-    keep = traj_block.row != traj_block.col
-    rows = list(traj_block.row[keep])
-    cols = list(traj_block.col[keep])
-    data = list(traj_block.data[keep])
-    w_max = int(max(data)) if data else 0
-    if w_max == 0:
-        w_max = 1
-
-    for tid, user in train_labels.items():
-        ti = index_of[tid]
-        uj = n_traj + user_index[user]
-        rows.extend((ti, uj))
-        cols.extend((uj, ti))
-        data.extend((w_max, w_max))
-
-    adj = sp.coo_matrix(
-        (np.asarray(data, dtype=np.int64), (rows, cols)), shape=(n_nodes, n_nodes)
-    ).tocsr()
+    shared = incidence @ incidence.T
+    shared = shared - sp.diags(shared.diagonal(), dtype=np.int64)
+    w = int(shared.data.max(initial=0)) or 1
+    adj = sp.bmat([[shared, w * labels.T], [w * labels, None]], format="csr", dtype=np.int64)
     adj.sort_indices()
-
-    user_rows = sp.lil_matrix((n_users, incidence.shape[1]), dtype=np.int64)
-    for tid, user in train_labels.items():
-        user_rows[user_index[user]] = user_rows[user_index[user]].maximum(
-            incidence[index_of[tid]]
-        )
-    features = sp.vstack([incidence.astype(np.int64), user_rows.tocsr()]).tocsr()
+    features = sp.vstack([incidence, labels @ incidence > 0], format="csr", dtype=np.int64)
     features.sort_indices()
     return GlobalSpatialGraph(list(traj_ids), user_ids, adj, features)
 
@@ -208,15 +178,13 @@ def _write_coo(fh, name: str, m: sp.spmatrix) -> None:
 def _read_coo(lines, expect_name: str) -> sp.csr_matrix:
     tag, name, rows, cols, nnz = next(lines).split()
     if tag != "matrix" or name != expect_name:
-        raise DataError(f"expected matrix section {expect_name!r}, found {name!r}")
-    rows, cols, nnz = int(rows), int(cols), int(nnz)
-    r = np.empty(nnz, dtype=np.int64)
-    c = np.empty(nnz, dtype=np.int64)
-    w = np.empty(nnz, dtype=np.int64)
-    for i in range(nnz):
-        a, b, v = next(lines).split()
-        r[i], c[i], w[i] = int(a), int(b), int(v)
-    out = sp.coo_matrix((w, (r, c)), shape=(rows, cols)).tocsr()
+        raise ValueError(f"expected matrix section {expect_name!r}, found {name!r}")
+    nnz = int(nnz)
+    entries = np.empty((0, 3), dtype=np.int64)
+    if nnz:  # loadtxt warns on an empty section
+        entries = np.loadtxt(itertools.islice(lines, nnz), dtype=np.int64, ndmin=2)
+    r, c, w = entries.T
+    out = sp.coo_matrix((w, (r, c)), shape=(int(rows), int(cols))).tocsr()
     out.sort_indices()
     return out
 
@@ -237,13 +205,11 @@ def save_local_graph(g: LocalSpatialGraph, path: str | Path) -> None:
 
 
 def load_local_graph(path: str | Path) -> LocalSpatialGraph:
-    header, _ = _read_header(path)
-    n = int(header["nodes"])
-    lines = header["_lines"]
-    adj = _read_coo(lines, "adjacency")
-    if next(lines).strip() != "end":
-        raise DataError(f"truncated graph file {path}")
-    return LocalSpatialGraph(n, adj, sp.identity(n, dtype=np.int64, format="csr"))
+    with reading(path, "build-graphs"):
+        header, _, lines = _read_header(path, "local")
+        adj = _read_coo(lines, "adjacency")
+        _read_end(lines)
+        return LocalSpatialGraph(int(header["nodes"]), adj)
 
 
 def save_global_graph(g: GlobalSpatialGraph, path: str | Path) -> None:
@@ -266,30 +232,36 @@ def save_global_graph(g: GlobalSpatialGraph, path: str | Path) -> None:
         fh.write("end\n")
 
 
-def _read_header(path: str | Path):
-    lines = iter(Path(path).read_text(encoding="utf-8").splitlines())
-    magic = next(lines).split()
-    if magic[0] != "tulink-graph" or int(magic[1]) != FORMAT_VERSION:
-        raise DataError(f"{path} is not a version-{FORMAT_VERSION} graph file")
+def _read_header(path: str | Path, kind: str):
+    """Header fields, node roster, and the remaining lines of a graph file."""
+    text = Path(path).read_text(encoding="utf-8")
+    if not text.endswith("\nend\n"):  # a cut anywhere loses the closing line
+        raise StopIteration
+    lines = iter(text.splitlines())
+    if next(lines) != f"tulink-graph {FORMAT_VERSION}":
+        raise ValueError(f"not a version-{FORMAT_VERSION} graph file")
     header: dict = {}
-    roster: list[str] = []
     for line in lines:
         key, value = line.split(maxsplit=1)
         if key == "roster":
-            for _ in range(int(value)):
-                roster.append(next(lines))
             break
         header[key] = value
-    header["_lines"] = lines
-    return header, roster
+    if header["kind"] != kind:
+        raise ValueError(f"holds a {header['kind']} graph, not a {kind} one")
+    roster = [next(lines) for _ in range(int(value))]
+    return header, roster, lines
+
+
+def _read_end(lines) -> None:
+    if next(lines) != "end":
+        raise ValueError("matrix sections do not match their sizes")
 
 
 def load_global_graph(path: str | Path) -> GlobalSpatialGraph:
-    header, roster = _read_header(path)
-    n_traj = int(header["trajectories"])
-    lines = header["_lines"]
-    adj = _read_coo(lines, "adjacency")
-    features = _read_coo(lines, "features")
-    if next(lines).strip() != "end":
-        raise DataError(f"truncated graph file {path}")
-    return GlobalSpatialGraph(roster[:n_traj], roster[n_traj:], adj, features)
+    with reading(path, "build-graphs"):
+        header, roster, lines = _read_header(path, "global")
+        n_traj = int(header["trajectories"])
+        adj = _read_coo(lines, "adjacency")
+        features = _read_coo(lines, "features")
+        _read_end(lines)
+        return GlobalSpatialGraph(roster[:n_traj], roster[n_traj:], adj, features)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 
 EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0
@@ -408,7 +408,8 @@ def save_grid_map(gm: GridMap, path: str | Path) -> None:
 
 
 def load_grid_map(path: str | Path) -> GridMap:
-    return GridMap.from_json(json.loads(Path(path).read_text()))
+    with reading(path, "preprocess"):
+        return GridMap.from_json(json.loads(Path(path).read_text()))
 
 
 def save_sequences(sequences: Sequence[GridSequence], path: str | Path) -> None:
@@ -432,7 +433,7 @@ def save_sequences(sequences: Sequence[GridSequence], path: str | Path) -> None:
 
 def load_sequences(path: str | Path) -> list[GridSequence]:
     out = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with reading(path, "preprocess"), Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
             d = json.loads(line)
             out.append(
@@ -454,5 +455,6 @@ def save_split(split: DatasetSplit, path: str | Path) -> None:
 
 
 def load_split(path: str | Path) -> DatasetSplit:
-    d = json.loads(Path(path).read_text())
-    return DatasetSplit(train=d["train"], validation=d["validation"], test=d["test"])
+    with reading(path, "preprocess"):
+        d = json.loads(Path(path).read_text())
+        return DatasetSplit(train=d["train"], validation=d["validation"], test=d["test"])

@@ -209,7 +209,6 @@ class ModelInputs:
     """Everything the forward pass consumes, prepared once per run."""
 
     m_local: sp.csr_matrix
-    x_local: sp.csr_matrix
     m_global: sp.csr_matrix
     x_global: sp.csr_matrix
     traj_ids: list[str]
@@ -267,7 +266,6 @@ def build_model_inputs(
 
     return ModelInputs(
         m_local=prepare(local_graph.adjacency),
-        x_local=local_graph.features.astype(np.float64).tocsr(),
         m_global=prepare(global_graph.adjacency),
         x_global=global_graph.features.astype(np.float64).tocsr(),
         traj_ids=ids,
@@ -282,17 +280,12 @@ def build_model_inputs(
     )
 
 
-def gcn_forward(m_norm: sp.csr_matrix, features: sp.csr_matrix, weights: Sequence[Tensor]) -> Tensor:
-    """Stacked propagation H <- ReLU(M (H W)) starting from sparse features."""
-    if features.shape[1] != weights[0].shape[0]:
-        raise ValueError(
-            f"feature width {features.shape[1]} does not match first weight "
-            f"rows {weights[0].shape[0]}"
-        )
-    h: Tensor | None = None
-    for i, w in enumerate(weights):
-        hw = T.spmm(features, w) if i == 0 else T.matmul(h, w)
-        h = T.relu(T.spmm(m_norm, hw))
+def gcn_forward(m_norm: sp.csr_matrix, xw: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """Stacked propagation H <- ReLU(M (H W)) from the first layer's X W0,
+    then once per later layer weight."""
+    h = T.relu(T.spmm(m_norm, xw))
+    for w in weights:
+        h = T.relu(T.spmm(m_norm, T.matmul(h, w)))
     return h
 
 
@@ -389,15 +382,12 @@ def encode_graphs(params: ModelParams, config: ModelConfig,
     embeddings, their row norms), None where an ablation removes a branch."""
     h_local = h_traj = traj_norms = None
     if not config.disable_local:
-        h_local = gcn_forward(
-            inputs.m_local, inputs.x_local,
-            [params[f"gcn_local_{i}"] for i in range(config.gcn_layers)],
-        )
+        # Grid features are one-hot, so X W0 is W0 itself.
+        w = [params[f"gcn_local_{i}"] for i in range(config.gcn_layers)]
+        h_local = gcn_forward(inputs.m_local, w[0], w[1:])
     if not config.disable_global:
-        h_global = gcn_forward(
-            inputs.m_global, inputs.x_global,
-            [params[f"gcn_global_{i}"] for i in range(config.gcn_layers)],
-        )
+        w = [params[f"gcn_global_{i}"] for i in range(config.gcn_layers)]
+        h_global = gcn_forward(inputs.m_global, T.spmm(inputs.x_global, w[0]), w[1:])
         h_traj = T.slice_rows(h_global, 0, inputs.n_traj)
         traj_norms = T.row_norms(h_traj)
     return h_local, h_traj, traj_norms

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from tulink import tensor as T
 from tulink.model import COSINE_EPS, encode_graphs, encode_locations
@@ -54,6 +55,48 @@ def confusion_matrix_oracle(true_labels, predicted_labels):
             2 * precision * recall / (precision + recall) if precision + recall else 0.0
         )
     return sum(ps) / len(ps), sum(rs) / len(rs), sum(f1s) / len(f1s)
+
+
+def global_graph_oracle(incidence, traj_ids, train_labels):
+    """(adjacency, features) of the global graph from Python lists and a
+    row-by-row user union: every trajectory pair sharing grids, one edge
+    pair per training label at the largest trajectory weight (1 if none)."""
+    n_traj = len(traj_ids)
+    index_of = {tid: i for i, tid in enumerate(traj_ids)}
+    user_ids = sorted(set(train_labels.values()))
+    user_index = {u: k for k, u in enumerate(user_ids)}
+    n_users = len(user_ids)
+    n_nodes = n_traj + n_users
+
+    traj_block = (incidence @ incidence.T).tocoo()
+    keep = traj_block.row != traj_block.col
+    rows = list(traj_block.row[keep])
+    cols = list(traj_block.col[keep])
+    data = list(traj_block.data[keep])
+    w_max = int(max(data)) if data else 0
+    if w_max == 0:
+        w_max = 1
+
+    for tid, user in train_labels.items():
+        ti = index_of[tid]
+        uj = n_traj + user_index[user]
+        rows.extend((ti, uj))
+        cols.extend((uj, ti))
+        data.extend((w_max, w_max))
+
+    adj = sp.coo_matrix(
+        (np.asarray(data, dtype=np.int64), (rows, cols)), shape=(n_nodes, n_nodes)
+    ).tocsr()
+    adj.sort_indices()
+
+    user_rows = sp.lil_matrix((n_users, incidence.shape[1]), dtype=np.int64)
+    for tid, user in train_labels.items():
+        user_rows[user_index[user]] = user_rows[user_index[user]].maximum(
+            incidence[index_of[tid]]
+        )
+    features = sp.vstack([incidence.astype(np.int64), user_rows.tocsr()]).tocsr()
+    features.sort_indices()
+    return adj, features
 
 
 # ---------------------------------------------------------------------------

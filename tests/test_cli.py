@@ -248,3 +248,73 @@ class TestConfigResolution:
     def test_time_window_divisor_enforced(self):
         with pytest.raises(ConfigError, match="divide"):
             resolve_config(None, {"time_window": 7000.0})
+
+
+def cut_mid_line(path):
+    """Keep the first half of the file, moved off any line boundary."""
+    data = path.read_bytes()
+    n = len(data) // 2
+    while data[n - 1:n] == b"\n":
+        n += 1
+    path.write_bytes(data[:n])
+
+
+def drop_last_lines(path, count=3):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-count]))
+
+
+class TestArtifactErrors:
+    """A truncated, corrupt or stale pipeline artifact is a data error naming
+    the file and the stage to rerun, not a traceback."""
+
+    def _run(self, workspace, trained, tmp_path, capsys, stage, corrupt, *flags):
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        corrupt(out)
+        capsys.readouterr()
+        code = run([stage, "--config", workspace["config"], "--output", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("name", ["local_graph.txt", "global_graph.txt"])
+    def test_truncated_graph_file(self, workspace, trained, tmp_path, capsys, name):
+        err = self._run(workspace, trained, tmp_path, capsys, "train",
+                        lambda out: cut_mid_line(out / name))
+        assert name in err and "'build-graphs'" in err
+
+    @pytest.mark.parametrize("name", ["sequences.jsonl", "splits.json"])
+    def test_preprocess_file_cut_mid_line(self, workspace, trained, tmp_path, capsys, name):
+        err = self._run(workspace, trained, tmp_path, capsys, "build-graphs",
+                        lambda out: cut_mid_line(out / name))
+        assert name in err and "'preprocess'" in err
+
+    def test_grid_map_without_fields(self, workspace, trained, tmp_path, capsys):
+        err = self._run(workspace, trained, tmp_path, capsys, "build-graphs",
+                        lambda out: (out / "grid_map.json").write_text("{}\n"))
+        assert "grid_map.json" in err and "'preprocess'" in err
+
+    @pytest.mark.parametrize("stage", ["build-graphs", "train"])
+    def test_sequences_cut_at_line_boundary(self, workspace, trained, tmp_path, capsys,
+                                            stage):
+        err = self._run(workspace, trained, tmp_path, capsys, stage,
+                        lambda out: drop_last_lines(out / "sequences.jsonl"))
+        assert "splits.json" in err and "sequences.jsonl" in err and "'preprocess'" in err
+
+    def test_graphs_older_than_sequences(self, workspace, trained, tmp_path, capsys):
+        def resplit(out):
+            assert run(["preprocess", "--config", workspace["config"], "--output", str(out),
+                        "--tau", "7200"]) == 0
+        err = self._run(workspace, trained, tmp_path, capsys, "train", resplit, "--tau", "7200")
+        assert "global_graph.txt" in err and "sequences.jsonl" in err
+        assert "'build-graphs'" in err
+
+    def test_graphs_older_than_grid_map(self, workspace, trained, tmp_path, capsys):
+        def regrid(out):
+            assert run(["preprocess", "--config", workspace["config"], "--output", str(out),
+                        "--cell-size", "80"]) == 0
+        err = self._run(workspace, trained, tmp_path, capsys, "train", regrid,
+                        "--cell-size", "80")
+        assert "local_graph.txt" in err and "grid_map.json" in err
+        assert "'build-graphs'" in err

@@ -1,5 +1,7 @@
 """Graph construction against brute-force oracles, plus serialization."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from tulink.graphs import (
 )
 
 from conftest import make_sequence
+from oracles import global_graph_oracle
 
 
 def seq(user, interval, grids):
@@ -71,12 +74,11 @@ class TestLocalGraph:
             g.adjacency.toarray(), local_oracle(grid_lists, n_grids)
         )
 
-    def test_symmetric_zero_diagonal_and_one_hot_features(self):
+    def test_symmetric_zero_diagonal(self):
         g = build_local_graph([seq("a", 0, [0, 1, 2, 0])], n_grids=4)
         dense = g.adjacency.toarray()
         np.testing.assert_array_equal(dense, dense.T)
         assert np.all(np.diag(dense) == 0)
-        np.testing.assert_array_equal(g.features.toarray(), np.eye(4))
 
 
 class TestIncidence:
@@ -97,9 +99,12 @@ class TestIncidence:
         ]
         sequences = [seq(f"u{i}", 0, g) for i, g in enumerate(grid_lists)]
         inc = build_grid_incidence(sequences, 20)
-        sums = inc.toarray().sum(axis=1)
+        dense = inc.toarray()
+        sums = dense.sum(axis=1)
         for i, grids in enumerate(grid_lists):
             assert sums[i] == len(set(grids))
+            np.testing.assert_array_equal(np.flatnonzero(dense[i]), sorted(set(grids)))
+        assert inc.nnz == sums.sum() and inc.has_canonical_format
 
 
 class TestGlobalGraph:
@@ -168,6 +173,43 @@ class TestGlobalGraph:
         dense = g.adjacency.toarray()
         np.testing.assert_array_equal(dense, dense.T)
         assert np.all(np.diag(dense) == 0)
+
+
+class TestGlobalGraphOracle:
+    """The block-matrix build equals the list-and-lil oracle in storage:
+    same int64 values, same sorted indices."""
+
+    @staticmethod
+    def _check(incidence, labels):
+        ids = [f"t{i}:0" for i in range(incidence.shape[0])]
+        labels = {ids[i]: user for i, user in labels.items()}
+        g = build_global_graph(incidence, ids, labels)
+        expected = global_graph_oracle(incidence, ids, labels)
+        for got, want in zip((g.adjacency, g.features), expected):
+            assert got.dtype == np.int64 and got.shape == want.shape and got.has_sorted_indices
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+        return g
+
+    def test_random_incidences_and_label_maps(self):
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            n_traj, n_grids = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            dense = rng.random((n_traj, n_grids)) < rng.uniform(0.02, 0.4)
+            labeled = rng.choice(n_traj, size=int(rng.integers(0, n_traj + 1)), replace=False)
+            n_users = int(rng.integers(1, 6))
+            labels = {int(i): f"u{rng.integers(n_users)}" for i in labeled}
+            self._check(sp.csr_matrix(dense.astype(np.int64)), labels)
+
+    def test_no_training_labels(self):
+        inc = build_grid_incidence([seq("a", 0, [0, 1]), seq("b", 0, [1, 2])], 4)
+        g = self._check(inc, {})
+        assert g.user_ids == [] and g.features.shape == (2, 4)
+
+    def test_disjoint_trajectories_link_users_at_weight_one(self):
+        inc = build_grid_incidence([seq(f"t{i}", 0, [2 * i, 2 * i + 1]) for i in range(4)], 8)
+        g = self._check(inc, {0: "ua", 1: "ub", 3: "ua"})
+        assert g.max_weight == 1 and g.n_edges == 3
 
 
 def normalize_oracle_mpmath(dense):
@@ -270,3 +312,34 @@ class TestSerialization:
         assert text[3] == f"edges {g.n_edges}"
         assert text[4] == f"max_weight {g.max_weight}"
         assert text[5] == "symmetric 1"
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_every_cut_is_a_data_error(self, tmp_path, kind):
+        graph, save, load = {
+            "local": (self._local(), save_local_graph, load_local_graph),
+            "global": (self._global(), save_global_graph, load_global_graph),
+        }[kind]
+        full, cut = tmp_path / "full.txt", tmp_path / "cut.txt"
+        save(graph, full)
+        data = full.read_bytes()
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(DataError, match=rf"{re.escape(str(cut))}.*'build-graphs'"):
+                load(cut)
+        loaded = load(full)
+        np.testing.assert_array_equal(loaded.adjacency.toarray(), graph.adjacency.toarray())
+
+    def test_corrupt_entry_is_a_data_error(self, tmp_path):
+        path = tmp_path / "g.txt"
+        save_global_graph(self._global(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        first_entry = next(i for i, l in enumerate(lines) if l.startswith("matrix")) + 1
+        lines[first_entry] = "0 x 1\n"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match="cannot parse"):
+            load_global_graph(path)
+
+    def test_local_file_is_not_a_global_graph(self, tmp_path):
+        save_local_graph(self._local(), tmp_path / "g.txt")
+        with pytest.raises(DataError, match="not a global one"):
+            load_global_graph(tmp_path / "g.txt")

@@ -12,6 +12,7 @@ from tulink.model import (
     ABLATION_FLAGS,
     ModelConfig,
     ModelParams,
+    encode_graphs,
     encode_locations,
     forward_batch,
     fused_representations,
@@ -79,7 +80,7 @@ class TestGCN:
         rng = np.random.default_rng(1)
         m, feats = random_graph_inputs(6, 4, rng)
         weights = [Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 3)))]
-        out = gcn_forward(m, feats, weights)
+        out = gcn_forward(m, T.spmm(feats, weights[0]), weights[1:])
         np.testing.assert_array_equal(out.values, np.zeros((6, 3)))
 
     def test_single_node_identity_feature(self):
@@ -89,7 +90,7 @@ class TestGCN:
 
         m = symmetric_normalize(sp.csr_matrix((1, 1)))  # -> [[1]]
         w = RNG.normal(size=(1, 4))
-        out = gcn_forward(m, sp.identity(1, format="csr"), [Tensor(w)])
+        out = gcn_forward(m, Tensor(w), [])
         np.testing.assert_allclose(out.values, np.maximum(w, 0.0))
 
     def test_matches_dense_oracle(self):
@@ -97,18 +98,19 @@ class TestGCN:
         m, feats = random_graph_inputs(5, 5, rng)
         w0 = rng.normal(size=(5, 4))
         w1 = rng.normal(size=(4, 4))
-        out = gcn_forward(m, feats, [Tensor(w0), Tensor(w1)])
+        out = gcn_forward(m, T.spmm(feats, Tensor(w0)), [Tensor(w1)])
 
         h = feats.toarray()
         for w in (w0, w1):
             h = np.maximum(m.toarray() @ (h @ w), 0.0)
         np.testing.assert_allclose(out.values, h, atol=1e-10)
 
-    def test_feature_width_mismatch(self):
-        rng = np.random.default_rng(2)
-        m, feats = random_graph_inputs(4, 3, rng)
-        with pytest.raises(ValueError, match="feature width"):
-            gcn_forward(m, feats, [Tensor(np.zeros((5, 2)))])
+    def test_feature_width_mismatch(self, toy_model_setup):
+        _, _, inputs, _ = toy_model_setup
+        config = small_config(disable_local=True)
+        params = make_params(config, n_grids=inputs.n_grids + 1)
+        with pytest.raises(ValueError, match="mismatch"):
+            encode_graphs(params, config, inputs)
 
 
 def make_params(config, n_grids=9, n_users=3, max_seq_len=8, seed=123):

@@ -1,5 +1,7 @@
 """Optimizer behavior, the training loop, and its stopping rules."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -184,9 +186,7 @@ class TestTrainLoop:
         assert result.best_epoch >= 1
 
     def test_one_validation_pass_per_epoch_when_stopping_on_loss(self, monkeypatch):
-        import importlib
-
-        train_module = importlib.import_module("tulink.train")  # the package re-exports train()
+        import tulink.train as train_module
         calls = []
         original = train_module.predict_logits
 
@@ -239,3 +239,11 @@ class TestHistoryFile:
             assert float(loss) == row.mean_train_loss
             assert float(acc) == row.val_acc1
             assert float(secs) >= 0.0
+
+
+def test_tulink_train_is_the_submodule():
+    import tulink
+    import tulink.train
+
+    assert isinstance(tulink.train, types.ModuleType)
+    assert tulink.train.train is train
