@@ -152,6 +152,9 @@ def _load_model_inputs(cfg: RunConfig, paths: StagePaths):
 def run_train(cfg: RunConfig) -> dict:
     paths = StagePaths(cfg.output_dir or ".")
     inputs, split = _load_model_inputs(cfg, paths)
+    if not split.validation:
+        raise DataError(f"{paths.splits.name} has an empty validation split: validation "
+                        "needs a user with at least 3 sub-trajectories")
     result = train(inputs, split, cfg.model_config(), cfg.train_config())
     save_checkpoint(result.params, paths.checkpoint)
     save_history(result.history, paths.history)
@@ -167,6 +170,7 @@ def _restore_params(cfg: RunConfig, inputs, paths: StagePaths) -> ModelParams:
     params = ModelParams(
         cfg.model_config(),
         n_grids=inputs.n_grids,
+        grid_rows=inputs.grid_rows,
         n_users=inputs.n_users,
         max_seq_len=inputs.max_seq_len,
         rng=seeded_rng(cfg.seed, "init"),

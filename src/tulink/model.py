@@ -96,12 +96,15 @@ class ModelParams:
 
     Tensors live in a single insertion-ordered dict so initialization,
     checkpoints and the optimizer all walk them in one deterministic order.
+    The first GCN layers hold one row per visited grid: ``grid_rows`` are
+    those grids' ascending ids among the ``n_grids`` bounding-box cells.
     """
 
     def __init__(
         self,
         config: ModelConfig,
         n_grids: int,
+        grid_rows: np.ndarray,
         n_users: int,
         max_seq_len: int,
         rng: np.random.Generator,
@@ -115,16 +118,20 @@ class ModelParams:
         dh = d // config.heads
         self.tensors: dict[str, Tensor] = {}
 
-        def matrix(name, rows, cols):
-            self.tensors[name] = Tensor(_xavier(rng, rows, cols), requires_grad=True)
+        def matrix(name, rows, cols, keep=slice(None)):
+            self.tensors[name] = Tensor(_xavier(rng, rows, cols)[keep], requires_grad=True)
 
         def vector(name, size, fill=0.0):
             self.tensors[name] = Tensor(np.full(size, fill), requires_grad=True)
 
-        for i in range(config.gcn_layers):
-            matrix(f"gcn_local_{i}", n_grids if i == 0 else d, d)
-        for i in range(config.gcn_layers):
-            matrix(f"gcn_global_{i}", n_grids if i == 0 else d, d)
+        for branch in ("local", "global"):
+            # The first layer is drawn over the whole bounding box, with its
+            # Xavier limit, and keeps the visited rows only. So every later
+            # draw and every kept value equal a bounding-box-sized layer's,
+            # whose unvisited rows would never reach a logit.
+            matrix(f"gcn_{branch}_0", n_grids, d, keep=grid_rows)
+            for i in range(1, config.gcn_layers):
+                matrix(f"gcn_{branch}_{i}", d, d)
         matrix("time_w", config.time_vocab, d)
         vector("time_b", d)
         matrix("state_w", config.state_vocab, d)
@@ -212,13 +219,14 @@ class ModelInputs:
     m_global: sp.csr_matrix
     x_global: sp.csr_matrix
     traj_ids: list[str]
-    grid_idx: np.ndarray  # (n_traj, max_seq_len), zero past each length
+    grid_idx: np.ndarray  # (n_traj, max_seq_len) rows of grid_rows, zero past each length
     state_idx: np.ndarray
     time_idx: np.ndarray
     lengths: np.ndarray
     labels: np.ndarray
     user_ids: list[str]
-    n_grids: int
+    n_grids: int  # bounding-box cells
+    grid_rows: np.ndarray  # ascending bounding-box ids of the visited grids
     max_seq_len: int
     traj_index: dict[str, int] = field(default_factory=dict)
 
@@ -244,7 +252,14 @@ def build_model_inputs(
     global_graph: GlobalSpatialGraph,
     config: ModelConfig,
 ) -> ModelInputs:
-    """Normalize adjacencies and index every sequence against the rosters."""
+    """Normalize adjacencies and index every sequence against the rosters.
+
+    Only the grids some sequence visits get a row: ``grid_idx`` holds dense
+    row numbers into ``grid_rows``, the local adjacency keeps those rows and
+    columns, and the global features those columns. An unvisited cell is an
+    isolated self-loop node and an all-zero feature column, so dropping it
+    changes no embedding of a visited grid, trajectory or user.
+    """
     ids = [s.traj_id for s in sequences]
     if ids != list(global_graph.traj_ids):
         raise ValueError("sequence order does not match the global graph roster")
@@ -264,18 +279,21 @@ def build_model_inputs(
             row[: len(s)] = getattr(s, field)
         return out
 
+    grid_rows = np.unique(np.concatenate([s.grid for s in sequences]).astype(np.int64))
     return ModelInputs(
-        m_local=prepare(local_graph.adjacency),
+        m_local=prepare(local_graph.adjacency)[grid_rows][:, grid_rows],
         m_global=prepare(global_graph.adjacency),
-        x_global=global_graph.features.astype(np.float64).tocsr(),
+        x_global=global_graph.features.astype(np.float64).tocsr()[:, grid_rows],
         traj_ids=ids,
-        grid_idx=padded("grid"),
+        # Padding is grid 0, at or below every visited id, so it maps to row 0.
+        grid_idx=np.searchsorted(grid_rows, padded("grid")),
         state_idx=padded("state"),
         time_idx=padded("window"),
         lengths=lengths,
         labels=labels,
         user_ids=list(global_graph.user_ids),
         n_grids=local_graph.n_grids,
+        grid_rows=grid_rows,
         max_seq_len=int(lengths.max()),
     )
 

@@ -154,6 +154,7 @@ def train(
     params = ModelParams(
         model_config,
         n_grids=inputs.n_grids,
+        grid_rows=inputs.grid_rows,
         n_users=inputs.n_users,
         max_seq_len=inputs.max_seq_len,
         rng=seeded_rng(train_config.seed, "init"),

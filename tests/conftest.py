@@ -26,8 +26,9 @@ def make_sequence(user, interval, grids, states=None, windows=None, t0=None, ste
     )
 
 
-def inputs_from_sequences(sequences, n_grids, config, split=None):
-    """Graphs, labels and normalized matrices for hand-built sequences."""
+def graphs_from_sequences(sequences, n_grids, split=None):
+    """(sorted sequences, local graph, global graph, split) for hand-built
+    sequences, labelled by the training split."""
     sequences = sorted(sequences, key=lambda s: (s.user_id, s.interval_index))
     if split is None:
         split = chronological_split(sequences)
@@ -36,6 +37,12 @@ def inputs_from_sequences(sequences, n_grids, config, split=None):
     by_id = {s.traj_id: s for s in sequences}
     labels = {tid: by_id[tid].user_id for tid in split.train}
     global_g = build_global_graph(incidence, [s.traj_id for s in sequences], labels)
+    return sequences, local, global_g, split
+
+
+def inputs_from_sequences(sequences, n_grids, config, split=None):
+    """Graphs, labels and normalized matrices for hand-built sequences."""
+    sequences, local, global_g, split = graphs_from_sequences(sequences, n_grids, split)
     return build_model_inputs(sequences, local, global_g, config), split
 
 
@@ -56,6 +63,14 @@ def toy_nine_sequences(rng=None, n_grids=9, time_vocab=4):
             sequences.append(
                 make_sequence(f"u{u}", j, grids, states, windows)
             )
+    return sequences
+
+
+def on_odd_cells(sequences):
+    """The sequences with grid g moved to cell 2g + 1, so that cell 0 and
+    every even cell go unvisited."""
+    for s in sequences:
+        s.grid = [2 * g + 1 for g in s.grid]
     return sequences
 
 
@@ -81,6 +96,7 @@ def toy_model_setup():
     params = ModelParams(
         config,
         n_grids=inputs.n_grids,
+        grid_rows=inputs.grid_rows,
         n_users=inputs.n_users,
         max_seq_len=inputs.max_seq_len,
         rng=seeded_rng(123, "init"),

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from tulink import tensor as T
-from tulink.model import COSINE_EPS, encode_graphs, encode_locations
+from tulink.graphs import symmetric_normalize
+from tulink.model import (COSINE_EPS, ModelParams, build_model_inputs, encode_graphs,
+                          encode_locations)
 from tulink.tensor import Tensor
 
 
@@ -163,3 +166,70 @@ def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
         rows.append(T.reshape(T.concat([z_local, z_global], axis=-1), (1, -1)))
     stacked = T.concat(rows, axis=0)
     return T.add_bias(T.matmul(stacked, T.transpose(params["link_w"])), params["link_b"])
+
+
+# ---------------------------------------------------------------------------
+# The linking model with a first-layer GCN row for every bounding-box cell
+# ---------------------------------------------------------------------------
+
+def bounding_box_inputs_oracle(sequences, local_graph, global_graph, config):
+    """Model inputs indexed by bounding-box cell: the whole normalized local
+    adjacency, every feature column, raw grid ids padded with grid 0."""
+    inputs = build_model_inputs(sequences, local_graph, global_graph, config)
+
+    def prepare(adj):
+        if config.binarize_adjacency:
+            adj = (adj > 0).astype(np.int64)
+        return symmetric_normalize(adj)
+
+    grid_idx = np.zeros_like(inputs.grid_idx)
+    for row, s in zip(grid_idx, sequences):
+        row[: len(s)] = s.grid
+    return dataclasses.replace(
+        inputs,
+        m_local=prepare(local_graph.adjacency),
+        x_global=global_graph.features.astype(np.float64).tocsr(),
+        grid_idx=grid_idx,
+        grid_rows=np.arange(local_graph.n_grids),
+    )
+
+
+def bounding_box_initial_values(config, n_grids, n_users, rng):
+    """Every initial parameter in declaration order, each first GCN layer an
+    (n_grids, d) Xavier draw kept whole."""
+    d = config.embed_dim
+    dh = d // config.heads
+    values = {}
+
+    def xavier(rows, cols):
+        limit = math.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-limit, limit, size=(rows, cols))
+
+    for branch in ("local", "global"):
+        for i in range(config.gcn_layers):
+            values[f"gcn_{branch}_{i}"] = xavier(n_grids if i == 0 else d, d)
+    for name, vocab in (("time", config.time_vocab), ("state", config.state_vocab)):
+        values[f"{name}_w"] = xavier(vocab, d)
+        values[f"{name}_b"] = np.zeros(d)
+    values["loc_w"] = xavier(3 * d, d)
+    values["loc_b"] = np.zeros(d)
+    for layer in range(config.attn_layers):
+        draws = [[xavier(d, dh) for _ in "qkv"] for _ in range(config.heads)]
+        for j, kind in enumerate("qkv"):
+            values[f"attn{layer}_{kind}"] = np.hstack([head[j] for head in draws])
+        values[f"attn{layer}_out_w"] = xavier(d, d)
+        values[f"attn{layer}_out_b"] = np.zeros(d)
+        values[f"attn{layer}_ln_gain"] = np.ones(d)
+        values[f"attn{layer}_ln_bias"] = np.zeros(d)
+    values["link_w"] = xavier(n_users, 2 * d)
+    values["link_b"] = np.zeros(n_users)
+    return values
+
+
+def bounding_box_params_oracle(config, n_grids, n_users, max_seq_len, rng):
+    """ModelParams holding bounding_box_initial_values: one first-layer row
+    per bounding-box cell, for bounding_box_inputs_oracle."""
+    params = ModelParams(config, n_grids, np.arange(n_grids), n_users, max_seq_len,
+                         np.random.default_rng(0))
+    params.load_values(bounding_box_initial_values(config, n_grids, n_users, rng))
+    return params

@@ -1,11 +1,18 @@
 """Command-line pipeline: stage wiring, idempotence, exit codes."""
 
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tulink import mobility as mob
 from tulink import synth
 from tulink.cli import main
 from tulink.config import ABLATIONS, RunConfig, load_config_file, resolve_config
@@ -145,6 +152,23 @@ class TestExitCodes:
         assert run(["frobnicate"]) == 1
         capsys.readouterr()
 
+    def test_empty_validation_split_is_data_error(self, tmp_path, capsys):
+        # Three users with two one-point sub-trajectories each: every user
+        # splits 1/0/1, so no trajectory is left for validation.
+        data = tmp_path / "d.csv"
+        data.write_text("user_id,timestamp,lat,lon\n" + "".join(
+            f"{u},{t},{40 + 0.01 * k},{116 + 0.01 * k}\n"
+            for k, u in enumerate("abc") for t in (0, 86_400)))
+        flags = ["--dataset", str(data), "--output", str(tmp_path / "o"),
+                 "--embed-dim", "8", "--heads", "2", "--attn-layers", "1"]
+        assert run(["preprocess", *flags]) == 0
+        assert run(["build-graphs", *flags]) == 0
+        capsys.readouterr()
+        assert run(["train", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "splits.json" in err and "at least 3 sub-trajectories" in err
+        assert "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def trained(workspace, tmp_path_factory):
@@ -159,13 +183,13 @@ class TestCheckpointErrors:
     """A checkpoint that does not fit is a data error naming the file and the
     train stage, not a traceback."""
 
-    def _evaluate(self, workspace, trained, tmp_path, capsys, corrupt, *flags):
-        out = tmp_path / "run"
+    def _evaluate(self, workspace, trained, tmp_path, capsys, corrupt, *flags,
+                  stage="evaluate"):
+        out = tmp_path / stage
         shutil.copytree(trained, out)
         corrupt(out / "checkpoint.bin")
         capsys.readouterr()
-        code = run(["evaluate", "--config", workspace["config"], "--output", str(out),
-                    *flags])
+        code = run([stage, "--config", workspace["config"], "--output", str(out), *flags])
         err = capsys.readouterr().err
         assert code == 2, err
         assert "checkpoint.bin" in err and "'train'" in err
@@ -196,6 +220,27 @@ class TestCheckpointErrors:
             save_tensors(path, named)
         err = self._evaluate(workspace, trained, tmp_path, capsys, split_heads)
         assert "'attn0_q'" in err
+
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    def test_bounding_box_rows_of_earlier_versions(self, workspace, trained, tmp_path,
+                                                   capsys, stage):
+        n_cells = mob.load_grid_map(trained / "grid_map.json").n_grids
+        rows = sorted({g for s in mob.load_sequences(trained / "sequences.jsonl")
+                       for g in s.grid})
+        assert len(rows) < n_cells
+
+        def widen_first_gcn_layers(path):
+            named = []
+            for name, values in load_tensors(path).items():
+                if name in ("gcn_local_0", "gcn_global_0"):
+                    wide = np.zeros((n_cells, values.shape[1]))
+                    wide[rows] = values
+                    values = wide
+                named.append((name, values))
+            save_tensors(path, named)
+        err = self._evaluate(workspace, trained, tmp_path, capsys, widen_first_gcn_layers,
+                             stage=stage)
+        assert "'gcn_local_0'" in err and "shape" in err
 
 
 class TestConfigResolution:
@@ -318,3 +363,39 @@ class TestArtifactErrors:
                         "--cell-size", "80")
         assert "local_graph.txt" in err and "grid_map.json" in err
         assert "'build-graphs'" in err
+
+
+# The first stage that reads each artifact.
+FIRST_READER = {
+    "grid_map.json": "build-graphs",
+    "sequences.jsonl": "build-graphs",
+    "splits.json": "build-graphs",
+    "local_graph.txt": "train",
+    "global_graph.txt": "train",
+    "checkpoint.bin": "evaluate",
+}
+
+
+class TestTruncationFaults:
+    """An artifact cut at any offset makes the first stage reading it exit 2
+    naming the file. Only cuts that drop a non-whitespace byte count: a cut
+    trailing newline changes nothing."""
+
+    @pytest.mark.parametrize("name", sorted(FIRST_READER))
+    @settings(max_examples=10, deadline=None)
+    @given(fraction=st.floats(0.0, 1.0, exclude_max=True))
+    def test_cut_at_random_offset(self, workspace, trained, name, fraction):
+        data = (trained / name).read_bytes()
+        offset = int(fraction * len(data))
+        assume(data[offset:].strip())
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            shutil.copytree(trained, out)
+            (out / name).write_bytes(data[:offset])
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run([FIRST_READER[name], "--config", workspace["config"],
+                            "--output", str(out)])
+        assert code == 2, err.getvalue()
+        assert name in err.getvalue()
+        assert "Traceback" not in err.getvalue()

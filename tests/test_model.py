@@ -12,6 +12,7 @@ from tulink.model import (
     ABLATION_FLAGS,
     ModelConfig,
     ModelParams,
+    build_model_inputs,
     encode_graphs,
     encode_locations,
     forward_batch,
@@ -24,8 +25,10 @@ from tulink.model import (
 )
 from tulink.tensor import Tape, Tensor, recording
 
-from conftest import inputs_from_sequences, make_sequence, small_config, toy_nine_sequences
-from oracles import per_trajectory_logits_oracle
+from conftest import (graphs_from_sequences, inputs_from_sequences, make_sequence, on_odd_cells,
+                      small_config, toy_nine_sequences)
+from oracles import (bounding_box_initial_values, bounding_box_inputs_oracle,
+                     bounding_box_params_oracle, per_trajectory_logits_oracle)
 
 RNG = np.random.default_rng(4242)
 
@@ -113,8 +116,10 @@ class TestGCN:
             encode_graphs(params, config, inputs)
 
 
-def make_params(config, n_grids=9, n_users=3, max_seq_len=8, seed=123):
-    return ModelParams(config, n_grids, n_users, max_seq_len, seeded_rng(seed, "init"))
+def make_params(config, n_grids=9, n_users=3, max_seq_len=8, seed=123, grid_rows=None):
+    """Parameters with first GCN rows for ``grid_rows``, by default every cell."""
+    rows = np.arange(n_grids) if grid_rows is None else grid_rows
+    return ModelParams(config, n_grids, rows, n_users, max_seq_len, seeded_rng(seed, "init"))
 
 
 class TestLocationEncoder:
@@ -377,7 +382,7 @@ class TestLinking:
         cfg = small_config()
         sequences = [s for s in toy_nine_sequences() if s.user_id == "u0"]
         inputs, _ = inputs_from_sequences(sequences, n_grids=9, config=cfg)
-        params = make_params(cfg, n_users=1)
+        params = make_params(cfg, n_users=1, grid_rows=inputs.grid_rows)
         logits = forward_batch(params, cfg, inputs, np.array([0]),
                                np.random.default_rng(0), training=False)
         assert logits.values.shape == (1, 1)
@@ -488,8 +493,8 @@ class TestForwardFull:
     def test_variant_parameter_counts_match_closed_form(self, toy_model_setup):
         params, cfg, inputs, _ = toy_model_setup
         d, L, H, tv = cfg.embed_dim, cfg.gcn_layers, cfg.heads, cfg.time_vocab
-        n_grids, n_users = 9, 3
-        gcn = n_grids * d + (L - 1) * d * d
+        n_rows, n_users = len(inputs.grid_rows), 3
+        gcn = n_rows * d + (L - 1) * d * d
         time_state = tv * d + d + 9 * d + d
         loc = 3 * d * d + d
         attn = cfg.attn_layers * (3 * d * d + d * d + 3 * d)
@@ -607,3 +612,75 @@ class TestBatchedMatchesPerTrajectoryOracle:
             padded = fused_representations(params, cfg, inputs, np.array([longest, i, 0]),
                                            np.random.default_rng(0), False).values[1]
             np.testing.assert_allclose(padded, alone, rtol=1e-12, atol=1e-15)
+
+
+# ragged_sequences on odd cells: cells 0, 2, ..., 18 and 19-24 go unvisited.
+SPARSE_BBOX = 25
+
+
+class TestVisitedGridRows:
+    """Only visited grids get first-layer GCN rows; the bounding-box layout
+    in tests/oracles.py is the reference."""
+
+    def _both(self, cfg):
+        sequences, local, global_g, _ = graphs_from_sequences(on_odd_cells(ragged_sequences()),
+                                                              SPARSE_BBOX)
+        return (build_model_inputs(sequences, local, global_g, cfg),
+                bounding_box_inputs_oracle(sequences, local, global_g, cfg), sequences)
+
+    def test_inputs_keep_visited_rows(self):
+        cfg = small_config()
+        inputs, full, sequences = self._both(cfg)
+        rows = inputs.grid_rows
+        assert rows.tolist() == sorted({g for s in sequences for g in s.grid})
+        assert rows[0] > 0 and len(rows) < SPARSE_BBOX
+        for i, s in enumerate(sequences):
+            assert rows[inputs.grid_idx[i, : len(s)]].tolist() == s.grid
+            assert not inputs.grid_idx[i, len(s):].any()
+        np.testing.assert_array_equal(inputs.m_local.toarray(),
+                                      full.m_local.toarray()[np.ix_(rows, rows)])
+        np.testing.assert_array_equal(inputs.x_global.toarray(),
+                                      full.x_global.toarray()[:, rows])
+        # What makes the dropped rows dead: isolated self-loop nodes of the
+        # local graph, all-zero feature columns of the global one.
+        dropped = np.setdiff1d(np.arange(SPARSE_BBOX), rows)
+        m_full = full.m_local.toarray()
+        np.testing.assert_array_equal(m_full[dropped][:, dropped], np.eye(len(dropped)))
+        assert not m_full[np.ix_(dropped, rows)].any()
+        assert not full.x_global.toarray()[:, dropped].any()
+        params = make_params(cfg, n_grids=SPARSE_BBOX, grid_rows=rows,
+                             max_seq_len=inputs.max_seq_len)
+        for branch in ("local", "global"):
+            assert params[f"gcn_{branch}_0"].shape == (len(rows), cfg.embed_dim)
+
+    @pytest.mark.parametrize("flag", (None,) + ABLATION_FLAGS)
+    def test_matches_bounding_box_layout(self, flag):
+        cfg = small_config(**({flag: True} if flag else {}))
+        inputs, full, _ = self._both(cfg)
+        rows = inputs.grid_rows
+        params = make_params(cfg, n_grids=SPARSE_BBOX, grid_rows=rows,
+                             max_seq_len=inputs.max_seq_len, seed=7)
+        oracle = bounding_box_params_oracle(cfg, SPARSE_BBOX, inputs.n_users,
+                                            inputs.max_seq_len, seeded_rng(7, "init"))
+        reference = bounding_box_initial_values(cfg, SPARSE_BBOX, inputs.n_users,
+                                                seeded_rng(7, "init"))
+        assert list(params.tensors) == list(reference)
+        first = {"gcn_local_0", "gcn_global_0"}
+        for name, t in params.items():
+            expected = reference[name][rows] if name in first else reference[name]
+            np.testing.assert_array_equal(t.values, expected, err_msg=name)
+
+        batch = np.array([0, 3, 5, 7, 11, 2, 4])
+        logits, grads = logits_and_grads(forward_batch, params, cfg, inputs, batch)
+        ref_logits, ref_grads = logits_and_grads(forward_batch, oracle, cfg, full, batch)
+        assert max_rel(logits, ref_logits) <= 1e-12
+        for name in params.tensors:
+            ref = ref_grads[name][rows] if name in first else ref_grads[name]
+            assert max_rel(grads[name], ref) <= 1e-12, name
+
+        dropped = np.setdiff1d(np.arange(SPARSE_BBOX), rows)
+        active = oracle.active_names(cfg)
+        for name in first:
+            w = oracle[name].values[dropped]
+            l2_only = cfg.lambda_l2 * w if name in active else np.zeros_like(w)
+            np.testing.assert_array_equal(ref_grads[name][dropped], l2_only, err_msg=name)

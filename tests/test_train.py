@@ -7,7 +7,7 @@ import pytest
 
 from tulink.config import seeded_rng
 from tulink.errors import ConfigError, TrainingError
-from tulink.model import ModelParams
+from tulink.model import ModelParams, build_model_inputs
 from tulink.train import (
     AdamState,
     TrainConfig,
@@ -18,13 +18,15 @@ from tulink.train import (
     train,
 )
 
-from conftest import inputs_from_sequences, small_config, toy_nine_sequences
+from conftest import (graphs_from_sequences, inputs_from_sequences, on_odd_cells, small_config,
+                      toy_nine_sequences)
+from oracles import bounding_box_inputs_oracle
 
 
 def tiny_params(seed=0):
     cfg = small_config(gcn_layers=1, attn_layers=1)
-    return cfg, ModelParams(cfg, n_grids=4, n_users=2, max_seq_len=3,
-                            rng=seeded_rng(seed, "init"))
+    return cfg, ModelParams(cfg, n_grids=4, grid_rows=np.arange(4), n_users=2,
+                            max_seq_len=3, rng=seeded_rng(seed, "init"))
 
 
 class TestAdam:
@@ -142,7 +144,7 @@ class TestTrainLoop:
         tc = TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=2)
         result = train(inputs, split, config, tc)
         reference = ModelParams(
-            config, n_grids=inputs.n_grids, n_users=inputs.n_users,
+            config, n_grids=inputs.n_grids, grid_rows=inputs.grid_rows, n_users=inputs.n_users,
             max_seq_len=inputs.max_seq_len, rng=seeded_rng(2, "init"),
         )
         active = set(result.params.active_names(config))
@@ -153,6 +155,25 @@ class TestTrainLoop:
                                   reference[name].values), name
         assert not np.array_equal(result.params["link_w"].values,
                                   reference["link_w"].values)
+
+    def test_visited_rows_train_like_the_bounding_box_layout(self):
+        """Training on visited-grid rows gives the bounding-box layout's
+        validation history and, on the rows both hold, its parameters."""
+        config = small_config(dropout_rate=0.3)
+        sequences, local, global_g, split = graphs_from_sequences(
+            on_odd_cells(toy_nine_sequences()), 20)
+        inputs = build_model_inputs(sequences, local, global_g, config)
+        full = bounding_box_inputs_oracle(sequences, local, global_g, config)
+        tc = TrainConfig(learning_rate=1e-2, epochs_max=4, patience=10, batch_size=4, seed=8)
+        compact, reference = train(inputs, split, config, tc), train(full, split, config, tc)
+        assert [h.val_acc1 for h in compact.history] == \
+               [h.val_acc1 for h in reference.history]
+        assert compact.best_epoch == reference.best_epoch
+        rows = inputs.grid_rows
+        for name, t in compact.params.items():
+            ref = reference.params[name].values
+            ref = ref[rows] if name in ("gcn_local_0", "gcn_global_0") else ref
+            np.testing.assert_allclose(t.values, ref, rtol=1e-9, atol=1e-12, err_msg=name)
 
     def test_best_checkpoint_dominates_later_epochs(self):
         config, inputs, split = toy_training_setup()
