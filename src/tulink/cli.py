@@ -57,6 +57,15 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
+def _check_ids(paths: StagePaths, sequences, field: str, limit: int) -> None:
+    """Every sequence's ``field`` ids are integers in [0, limit), or a DataError."""
+    for s in sequences:
+        for i in getattr(s, field):
+            if type(i) is not int or not 0 <= i < limit:
+                raise DataError(f"{paths.sequences.name} holds {field} id {i!r}, not an "
+                                f"integer in [0, {limit}); rerun the 'preprocess' stage")
+
+
 def _load_preprocessed(paths: StagePaths):
     _require(paths.grid_map, "preprocess")
     _require(paths.sequences, "preprocess")
@@ -64,6 +73,7 @@ def _load_preprocessed(paths: StagePaths):
     gm = mob.load_grid_map(paths.grid_map)
     sequences = mob.load_sequences(paths.sequences)
     split = mob.load_split(paths.splits)
+    _check_ids(paths, sequences, "grid", gm.n_grids)
     known = {s.traj_id for s in sequences}
     for tid in (*split.train, *split.validation, *split.test):
         if tid not in known:
@@ -145,7 +155,10 @@ def _load_model_inputs(cfg: RunConfig, paths: StagePaths):
     if global_g.traj_ids != [s.traj_id for s in sequences]:
         raise DataError(f"{paths.global_graph.name} and {paths.sequences.name} list different "
                         "trajectories; rerun the 'build-graphs' stage")
-    inputs = build_model_inputs(sequences, local, global_g, cfg.model_config())
+    model_config = cfg.model_config()
+    _check_ids(paths, sequences, "state", model_config.state_vocab)
+    _check_ids(paths, sequences, "window", model_config.time_vocab)
+    inputs = build_model_inputs(sequences, local, global_g, model_config)
     return inputs, split
 
 

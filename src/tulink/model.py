@@ -380,18 +380,20 @@ def global_attention(
     batched roster index.
 
     Each row of the (B, n_traj) score matrix is normalized with sparsemax so
-    irrelevant trajectories receive exactly zero weight (softmax under the
-    corresponding ablation); the output is the weighted sum of trajectory
-    embeddings.
+    irrelevant trajectories receive exactly zero weight; the output is the
+    weighted sum of trajectory embeddings. Sparsemax attention is one
+    primitive whose backward visits the kept trajectories only. The softmax
+    ablation keeps every trajectory, so it stays the dense composition.
     """
+    if not use_softmax:
+        return T.sparsemax_attention(h_traj, traj_norms, batch, COSINE_EPS)
     n_traj = h_traj.shape[0]
     rows = T.embedding(h_traj, batch)
     dots = T.matmul(rows, T.transpose(h_traj))
     norms = T.matmul(T.reshape(T.row_norms(rows), (len(batch), 1)),
                      T.reshape(traj_norms, (1, n_traj)))
     scores = T.div(dots, T.add_scalar(norms, COSINE_EPS))
-    weights = T.softmax(scores, axis=-1) if use_softmax else T.sparsemax(scores)
-    return T.matmul(weights, h_traj)
+    return T.matmul(T.softmax(scores, axis=-1), h_traj)
 
 
 def encode_graphs(params: ModelParams, config: ModelConfig,

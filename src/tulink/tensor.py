@@ -8,10 +8,10 @@ evaluation path) operations are plain numpy calls with no bookkeeping.
 
 The operation set is exactly what the linking model needs: dense and
 sparse-by-dense matmul, elementwise arithmetic, gather/concat/permute shape
-plumbing, relu/tanh, softmax and sparsemax, layer norm, inverted dropout,
-positional max-pooling, and a fused log-space cross entropy. Every
-differentiable primitive is validated against central finite differences by
-:func:`finite_difference_check`.
+plumbing, relu/tanh, softmax and sparsemax, a fused cosine-scored sparsemax
+attention, layer norm, inverted dropout, positional max-pooling, and a fused
+log-space cross entropy. Every differentiable primitive is validated against
+central finite differences by :func:`finite_difference_check`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ import scipy.sparse as sp
 from .errors import DataError
 
 LAYER_NORM_EPS = 1e-5
+# Entries per row that sparsemax sorts first; trained score rows over a
+# roster of thousands keep a few dozen.
+SPARSEMAX_WIDTH = 128
 # Denominator floor when turning absolute gradient deviations into relative
 # ones; deviations below floor * tolerance are indistinguishable from
 # finite-difference roundoff.
@@ -329,27 +332,103 @@ def sparsemax(x: Tensor) -> Tensor:
 
     Sort-and-threshold: with z sorted descending, the support size is the
     largest k with 1 + k * z_(k) > sum_{j<=k} z_(j); the threshold is
-    tau = (sum_{j<=k} z_(j) - 1) / k and p_i = max(z_i - tau, 0). The
-    Jacobian acts only on the support: centered upstream gradient there,
-    zero elsewhere.
+    tau = (sum_{j<=k} z_(j) - 1) / k and p_i = max(z_i - tau, 0). Only each
+    row's top w entries are sorted (w widened x4 while some row's support
+    reaches w): they and their cumulative sums are the full sort's prefix,
+    so the result is the full sort's to the bit. The Jacobian acts only on
+    the support: centered upstream gradient there, zero elsewhere.
     """
     if x.values.ndim == 0 or x.shape[-1] == 0:
         raise ValueError(f"sparsemax expects non-empty rows, got {x.shape}")
     if not np.all(np.isfinite(x.values)):
         raise ValueError("sparsemax input must be finite")
     z = x.values
-    z_sorted = np.flip(np.sort(z, axis=-1), axis=-1)
-    cumulative = np.cumsum(z_sorted, axis=-1)
-    k = np.arange(1, z.shape[-1] + 1)
-    support_size = np.count_nonzero(1.0 + k * z_sorted > cumulative, axis=-1, keepdims=True)
+    n = z.shape[-1]
+    width = SPARSEMAX_WIDTH
+    while True:
+        if width >= n:
+            z_sorted = np.sort(z, axis=-1)
+        else:  # the top width entries of each row, ascending
+            z_sorted = np.sort(np.partition(z, n - width, axis=-1)[..., n - width:], axis=-1)
+        z_sorted = np.flip(z_sorted, axis=-1)
+        cumulative = np.cumsum(z_sorted, axis=-1)
+        k = np.arange(1, z_sorted.shape[-1] + 1)
+        inside = 1.0 + k * z_sorted > cumulative
+        if width >= n or not inside[..., -1].any():
+            break
+        width *= 4
+    support_size = np.count_nonzero(inside, axis=-1, keepdims=True)
     tau = (np.take_along_axis(cumulative, support_size - 1, axis=-1) - 1.0) / support_size
-    p = np.maximum(z - tau, 0.0)
+    p = z - tau
+    np.maximum(p, 0.0, out=p)
     out = _result(p, x)
     if out.requires_grad:
         support = p > 0.0
         def backward():
             g = np.where(support, out.grad, 0.0)
             x.grad += np.where(support, g - g.sum(axis=-1, keepdims=True) / support_size, 0.0)
+        _record(backward)
+    return out
+
+
+def sparsemax_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float) -> Tensor:
+    """Cosine-scored sparsemax attention of the rows h_traj[batch] over every
+    row of h_traj: sparsemax(scores) @ h_traj, with scores the (B, n) matrix
+    (rows @ h_trajᵀ) / (traj_norms[batch] ⊗ traj_norms + eps).
+
+    The forward makes the same float operations in the same order as the
+    taped composition of those steps. The backward visits only the support,
+    the (row, trajectory) pairs of nonzero weight: its products run over the
+    columns of the trajectories some row keeps, so it makes no (B, n)
+    gradient buffer.
+    """
+    idx = np.asarray(batch, dtype=np.int64)
+    h = h_traj.values
+    n = h.shape[0]
+    if h.ndim != 2 or traj_norms.shape != (n,) or idx.ndim != 1:
+        raise ValueError(f"sparsemax_attention shape mismatch: {h_traj.shape}, "
+                         f"{traj_norms.shape}, batch {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"sparsemax_attention index out of range [0, {n}): "
+                         f"{int(idx.min())}..{int(idx.max())}")
+    rows = h[idx]
+    nh = traj_norms.values
+    nr = nh[idx]
+    dots = rows @ np.swapaxes(h, -1, -2)
+    denom = nr.reshape(-1, 1) @ nh.reshape(1, n)
+    denom += eps
+    p = sparsemax(Tensor(dots / denom)).values
+    out = _result(p @ h, h_traj, traj_norms)
+    if out.requires_grad:
+        r, c = np.nonzero(p > 0.0)  # the support, row-major
+        kept, col = np.unique(c, return_inverse=True)  # trajectories some row keeps
+        b = len(idx)
+        count = np.bincount(r, minlength=b)  # every row keeps at least one
+        weights = p[:, kept]
+        dots_s, denom_s = dots[r, c], denom[r, c]
+
+        def backward():
+            g = out.grad
+            h_kept = h[kept]
+            g_p = (g @ h_kept.T)[r, col]
+            # Centre each row on its support. The second pass sums the
+            # residuals, so a row of nearly equal gradients centres accurately.
+            mean = np.bincount(r, g_p, b) / count
+            mean += np.bincount(r, g_p - mean[r], b) / count
+            g_scores = g_p - mean[r]
+            g_dots = g_scores / denom_s
+            g_denom = -g_scores * dots_s / (denom_s * denom_s)
+            if h_traj.requires_grad:
+                # A kept pair (i, j) reaches h[j] through the weighted sum and
+                # the dot product, and h[batch[i]] through the dot product.
+                d_dots = np.zeros(weights.shape)
+                d_dots[r, col] = g_dots
+                h_traj.grad[kept] += weights.T @ g + d_dots.T @ rows
+                np.add.at(h_traj.grad, idx, d_dots @ h_kept)
+            if traj_norms.requires_grad:
+                traj_norms.grad += np.bincount(
+                    np.concatenate((c, idx[r])),
+                    np.concatenate((g_denom * nr[r], g_denom * nh[c])), minlength=n)
         _record(backward)
     return out
 

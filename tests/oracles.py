@@ -40,6 +40,17 @@ def simplex_projection_oracle(x: np.ndarray) -> np.ndarray:
     return candidates[0]
 
 
+def sorted_sparsemax_oracle(x: np.ndarray) -> np.ndarray:
+    """Sparsemax of each last-axis row from a full descending sort of the row."""
+    z = np.asarray(x, dtype=np.float64)
+    z_sorted = np.flip(np.sort(z, axis=-1), axis=-1)
+    cumulative = np.cumsum(z_sorted, axis=-1)
+    k = np.arange(1, z.shape[-1] + 1)
+    support_size = np.count_nonzero(1.0 + k * z_sorted > cumulative, axis=-1, keepdims=True)
+    tau = (np.take_along_axis(cumulative, support_size - 1, axis=-1) - 1.0) / support_size
+    return np.maximum(z - tau, 0.0)
+
+
 def confusion_matrix_oracle(true_labels, predicted_labels):
     """Macro P/R/F1 by explicit confusion counting over present classes."""
     true_labels = list(true_labels)
@@ -142,6 +153,20 @@ def per_row_global_attention_oracle(h_traj, traj_norms, index, use_softmax):
     scores = T.div(dots, T.add_scalar(T.reshape(denom, (n_traj,)), COSINE_EPS))
     weights = T.softmax(scores) if use_softmax else T.sparsemax(scores)
     return T.reshape(T.matmul(T.reshape(weights, (1, n_traj)), h_traj), (d,))
+
+
+def dense_global_attention_oracle(h_traj, traj_norms, batch, eps=COSINE_EPS):
+    """Sparsemax attention composed of taped primitives, every backward step
+    over dense (B, n_traj) buffers. The batch rows' norms are gathered from
+    traj_norms, so gradients reach h_traj and traj_norms as they do in
+    T.sparsemax_attention."""
+    n_traj = h_traj.shape[0]
+    rows = T.embedding(h_traj, batch)
+    dots = T.matmul(rows, T.transpose(h_traj))
+    row_norms = T.embedding(T.reshape(traj_norms, (n_traj, 1)), batch)
+    norms = T.matmul(row_norms, T.reshape(traj_norms, (1, n_traj)))
+    scores = T.div(dots, T.add_scalar(norms, eps))
+    return T.matmul(T.sparsemax(scores), h_traj)
 
 
 def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):

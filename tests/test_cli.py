@@ -364,6 +364,23 @@ class TestArtifactErrors:
         assert "local_graph.txt" in err and "grid_map.json" in err
         assert "'build-graphs'" in err
 
+    @pytest.mark.parametrize("stage, field, value", [
+        ("build-graphs", "grid", 1_000_000), ("build-graphs", "grid", -1),
+        ("build-graphs", "grid", 3.5), ("train", "state", 99), ("train", "window", 99),
+        ("train", "window", None)])
+    def test_bad_id_in_sequences(self, workspace, trained, tmp_path, capsys,
+                                 stage, field, value):
+        def edit(out):
+            path = out / "sequences.jsonl"
+            lines = path.read_text().splitlines(keepends=True)
+            record = json.loads(lines[0])
+            record[field][-1] = value
+            lines[0] = json.dumps(record, sort_keys=True) + "\n"
+            path.write_text("".join(lines))
+        err = self._run(workspace, trained, tmp_path, capsys, stage, edit)
+        assert "sequences.jsonl" in err and "'preprocess'" in err
+        assert f"{field} id {value!r}" in err
+
 
 # The first stage that reads each artifact.
 FIRST_READER = {

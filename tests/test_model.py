@@ -554,12 +554,12 @@ class TestForwardFull:
             assert report.passed, (name, report)
 
 
-def ragged_sequences():
-    """Three users, four sub-trajectories each, of 1 to 6 points."""
+def ragged_sequences(repeats=1):
+    """Three users, 4 * repeats sub-trajectories each, of 1 to 6 points."""
     rng = np.random.default_rng(5)
     sequences = []
     for u in range(3):
-        for j, m in enumerate((1, 6, 3, 2) if u != 1 else (4, 1, 5, 6)):
+        for j, m in enumerate(((1, 6, 3, 2) if u != 1 else (4, 1, 5, 6)) * repeats):
             sequences.append(make_sequence(
                 f"u{u}", j, [int(g) for g in (3 * u + rng.integers(0, 4, size=m)) % 9],
                 [int(rng.integers(0, 9)) for _ in range(m)],
@@ -585,12 +585,25 @@ def max_rel(a, b):
 
 class TestBatchedMatchesPerTrajectoryOracle:
     @pytest.mark.parametrize("flag", (None,) + ABLATION_FLAGS)
-    @pytest.mark.parametrize("dims", [dict(), dict(embed_dim=16, heads=4, attn_layers=3)])
-    def test_logits_and_every_gradient(self, flag, dims):
+    # repeats=16 makes a roster of 192 whose sparsemax supports outgrow the
+    # first selection width, so the widening runs inside the check.
+    @pytest.mark.parametrize("dims", [dict(), dict(embed_dim=16, heads=4, attn_layers=3),
+                                      dict(repeats=16)])
+    def test_logits_and_every_gradient(self, flag, dims, monkeypatch):
+        dims = dict(dims)
+        repeats = dims.pop("repeats", 1)
         cfg = small_config(**dims, **({flag: True} if flag else {}))
-        inputs, _ = inputs_from_sequences(ragged_sequences(), 9, cfg)
+        inputs, _ = inputs_from_sequences(ragged_sequences(repeats), 9, cfg)
         assert len(set(inputs.lengths)) > 3
         params = make_params(cfg, max_seq_len=inputs.max_seq_len, seed=1)
+        supports = [0]
+        sparsemax = T.sparsemax
+
+        def counting_sparsemax(x):
+            out = sparsemax(x)
+            supports.append(np.count_nonzero(out.values, axis=-1).max())
+            return out
+        monkeypatch.setattr(T, "sparsemax", counting_sparsemax)
         batch = np.array([0, 3, 5, 7, 11, 2, 4])
         logits, grads = logits_and_grads(forward_batch, params, cfg, inputs, batch)
         ref_logits, ref_grads = logits_and_grads(per_trajectory_logits_oracle,
@@ -599,6 +612,8 @@ class TestBatchedMatchesPerTrajectoryOracle:
         for name in params.tensors:
             assert max_rel(grads[name], ref_grads[name]) <= 1e-12, name
         assert any(np.any(g != 0) for g in grads.values())
+        global_sparsemax = not (cfg.disable_global or cfg.use_softmax_global)
+        assert (max(supports) > T.SPARSEMAX_WIDTH) == (repeats > 1 and global_sparsemax)
 
     def test_padding_leaves_a_trajectory_row_unchanged(self):
         cfg = small_config(attn_layers=2)

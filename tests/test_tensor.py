@@ -18,7 +18,8 @@ from tulink.tensor import (
     save_tensors,
 )
 
-from oracles import simplex_projection_oracle
+from oracles import (dense_global_attention_oracle, simplex_projection_oracle,
+                     sorted_sparsemax_oracle)
 
 RNG = np.random.default_rng(20_240_817)
 
@@ -294,6 +295,143 @@ class TestSparsemax:
             c = rng.normal(size=6)
             check_grad(lambda t: scalarize(T.sparsemax(t), c), x, tol=1e-5)
             checked += 1
+
+
+WIDTH = T.SPARSEMAX_WIDTH
+
+
+class TestSparsemaxSelection:
+    """Sorting only each row's top entries gives the full sort's output to
+    the bit."""
+
+    def _same(self, x):
+        p = T.sparsemax(Tensor(x)).values
+        np.testing.assert_array_equal(p, sorted_sparsemax_oracle(x))
+        return p
+
+    def test_tied_rows(self):
+        rng = np.random.default_rng(40)
+        x = np.round(rng.normal(size=(6, 3 * WIDTH)), 1)
+        x[0] = 0.0
+        x[1] = np.where(np.arange(3 * WIDTH) < WIDTH + 10, 1.0, 0.0)  # ties across the cut
+        x[2, :WIDTH] = 2.0
+        self._same(x)
+
+    def test_supports_wider_than_the_first_width(self):
+        rng = np.random.default_rng(41)
+        near_flat = rng.normal(size=(3, 5 * WIDTH)) * 1e-4  # full support: sorts every entry
+        kept = rng.uniform(0.0, 1e-3, size=(3, 2 * WIDTH))  # support 2 * WIDTH of 20 * WIDTH
+        rest = rng.uniform(-10.0, -9.0, size=(3, 18 * WIDTH))
+        p = self._same(near_flat)
+        assert np.all(np.count_nonzero(p, axis=-1) == 5 * WIDTH)
+        p = self._same(rng.permuted(np.hstack([kept, rest]), axis=-1))
+        assert np.all(np.count_nonzero(p, axis=-1) == 2 * WIDTH)
+
+    def test_rows_no_longer_than_the_width(self):
+        rng = np.random.default_rng(42)
+        for n in (1, 2, WIDTH // 2, WIDTH):
+            self._same(rng.normal(size=(4, n)) * 3)
+
+    def test_vector_and_cube(self):
+        rng = np.random.default_rng(43)
+        scales = np.array([[1e-4, 1.0, 3.0], [0.01, 1e-3, 5.0]])[:, :, None]
+        x = rng.normal(size=(2, 3, 4 * WIDTH)) * scales
+        p = self._same(x)
+        assert np.count_nonzero(p, axis=-1).max() > WIDTH
+        for row in x.reshape(-1, 4 * WIDTH):
+            self._same(row)
+
+
+def sparsemax_attention_and_grads(attend, h, norms, batch, weights):
+    """Output values and the gradients of a fixed linear functional of the
+    output with respect to h and norms, both leaves."""
+    ht, nt = Tensor(h.copy(), requires_grad=True), Tensor(norms.copy(), requires_grad=True)
+    tape = Tape()
+    with recording(tape):
+        out = attend(ht, nt, batch, 1e-12)
+        loss = scalarize(out, weights)
+    tape.backward(loss)
+    return out.values, ht.grad, nt.grad
+
+
+def assert_rel_close(actual, expected, tol=1e-12):
+    assert np.max(np.abs(actual - expected)) <= tol * np.max(np.abs(expected))
+
+
+class TestSparsemaxAttention:
+    """The fused primitive against the dense composition in tests/oracles.py:
+    the same forward to the bit, gradients summed in another order."""
+
+    def _case(self, h, batch):
+        norms = T.row_norms(Tensor(h)).values
+        np.testing.assert_array_equal(norms[batch], T.row_norms(Tensor(h[batch])).values)
+        weights = np.random.default_rng(44).normal(size=len(batch) * h.shape[1])
+        out, grad_h, grad_norms = sparsemax_attention_and_grads(
+            T.sparsemax_attention, h, norms, batch, weights)
+        ref, ref_h, ref_norms = sparsemax_attention_and_grads(
+            dense_global_attention_oracle, h, norms, batch, weights)
+        np.testing.assert_array_equal(out, ref)
+        assert_rel_close(grad_h, ref_h)
+        if np.any(ref_norms):
+            assert_rel_close(grad_norms, ref_norms)
+        else:
+            np.testing.assert_array_equal(grad_norms, ref_norms)
+        return out
+
+    def test_random_roster(self):
+        h = RNG.normal(size=(40, 5))
+        self._case(h, np.array([0, 7, 39, 12, 5]))
+
+    def test_zero_norm_row(self):
+        h = RNG.normal(size=(6, 4))
+        h[2] = 0.0
+        self._case(h, np.array([2, 0, 4]))
+
+    def test_one_row_roster(self):
+        h = RNG.normal(size=(1, 3))
+        np.testing.assert_array_equal(self._case(h, np.array([0])), h)
+
+    def test_identical_embeddings_keep_every_row(self):
+        h = np.tile(RNG.normal(size=4), (5, 1))
+        out = self._case(h, np.array([0, 4]))
+        np.testing.assert_allclose(out, h[:2], rtol=1e-12)
+
+    def test_support_wider_than_the_first_width(self):
+        rng = np.random.default_rng(0)
+        h = rng.normal(size=4) + rng.normal(size=(2 * WIDTH, 4)) * 0.05
+        batch = np.array([0, 2 * WIDTH - 1])
+        self._case(h, batch)
+        norms = np.linalg.norm(h, axis=1)
+        p = sorted_sparsemax_oracle(h[batch] @ h.T / np.outer(norms[batch], norms))
+        assert np.all(np.count_nonzero(p, axis=-1) > WIDTH)
+        assert np.all(np.count_nonzero(p, axis=-1) < 2 * WIDTH)
+
+    def test_repeated_batch_index(self):
+        h = RNG.normal(size=(9, 3))
+        self._case(h, np.array([3, 3, 1, 3]))
+
+    def test_finite_differences_both_inputs(self):
+        rng = np.random.default_rng(45)
+        batch = np.array([1, 4, 4, 0])
+        while True:  # a draw whose support cannot flip within the FD step
+            h = rng.normal(size=(7, 3)) + 0.5
+            norms = np.linalg.norm(h, axis=1)
+            scores = (h[batch] @ h.T) / (np.outer(norms[batch], norms) + 1e-12)
+            p = sorted_sparsemax_oracle(scores)
+            tau = np.max(scores - p, axis=-1, keepdims=True)
+            if np.min(np.abs(scores - tau)) > 1e-3 and np.count_nonzero(p) > len(batch):
+                break
+        c = rng.normal(size=len(batch) * 3)
+        check_grad(lambda t: scalarize(T.sparsemax_attention(t, Tensor(norms), batch, 1e-12), c),
+                   h, tol=1e-5)
+        check_grad(lambda t: scalarize(T.sparsemax_attention(Tensor(h), t, batch, 1e-12), c),
+                   norms, tol=1e-5)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_batch_index_out_of_range(self, bad):
+        h = Tensor(RNG.normal(size=(6, 3)))
+        with pytest.raises(ValueError, match="out of range"):
+            T.sparsemax_attention(h, T.row_norms(h), np.array([0, bad]), 1e-12)
 
 
 class TestLayerNorm:
