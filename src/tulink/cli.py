@@ -58,12 +58,12 @@ def _require(path: Path, stage: str) -> Path:
 
 
 def _check_ids(paths: StagePaths, sequences, field: str, limit: int) -> None:
-    """Every sequence's ``field`` ids are integers in [0, limit), or a DataError."""
+    """Every sequence's ``field`` ids are in [0, limit), or a DataError."""
     for s in sequences:
         for i in getattr(s, field):
-            if type(i) is not int or not 0 <= i < limit:
-                raise DataError(f"{paths.sequences.name} holds {field} id {i!r}, not an "
-                                f"integer in [0, {limit}); rerun the 'preprocess' stage")
+            if not 0 <= i < limit:
+                raise DataError(f"{paths.sequences.name} holds {field} id {i!r}, not in "
+                                f"[0, {limit}); rerun the 'preprocess' stage")
 
 
 def _load_preprocessed(paths: StagePaths):
@@ -180,14 +180,7 @@ def run_train(cfg: RunConfig) -> dict:
 
 def _restore_params(cfg: RunConfig, inputs, paths: StagePaths) -> ModelParams:
     _require(paths.checkpoint, "train")
-    params = ModelParams(
-        cfg.model_config(),
-        n_grids=inputs.n_grids,
-        grid_rows=inputs.grid_rows,
-        n_users=inputs.n_users,
-        max_seq_len=inputs.max_seq_len,
-        rng=seeded_rng(cfg.seed, "init"),
-    )
+    params = ModelParams.for_inputs(cfg.model_config(), inputs, seeded_rng(cfg.seed, "init"))
     return load_checkpoint(params, paths.checkpoint)
 
 

@@ -28,6 +28,9 @@ SECONDS_PER_DAY = 86_400
 # Defaults for the nine-state motion encoder (configurable).
 SPEED_RATIO_EPS = 0.1
 TURN_THRESHOLD_DEG = 15.0
+# Share of unparseable data lines above which parse_dataset aborts.
+MAX_FAILURE_RATE = 0.01
+_SEQUENCE_KEYS = frozenset(("user", "interval", "t", "grid", "state", "window"))
 
 
 @dataclass(frozen=True)
@@ -276,10 +279,7 @@ def encode_motion_states(
 
 def encode_time_windows(st: SubTrajectory, window_len: float) -> list[int]:
     """Time-of-day window index per point; vocabulary = 86400 / window_len."""
-    if window_len <= 0 or SECONDS_PER_DAY % window_len != 0:
-        raise ConfigError(
-            f"time window length {window_len} must divide {SECONDS_PER_DAY} seconds"
-        )
+    time_window_vocab(window_len)  # validates window_len
     return [int((p.t % SECONDS_PER_DAY) // window_len) for p in st.points]
 
 
@@ -350,12 +350,12 @@ class ParseReport:
     failed: int = 0
 
 
-def parse_dataset(path: str | Path, max_failure_rate: float = 0.01):
+def parse_dataset(path: str | Path):
     """Read a record-per-line CSV into per-user trajectories.
 
     Returns ``(trajectories, report)`` with users sorted by id and each
     user's points sorted by timestamp. Lines that fail to parse are counted;
-    more than ``max_failure_rate`` of failures aborts with a DataError.
+    more than MAX_FAILURE_RATE of failures aborts with a DataError.
     """
     path = Path(path)
     per_user: dict[str, list[SpatioTemporalPoint]] = {}
@@ -387,10 +387,10 @@ def parse_dataset(path: str | Path, max_failure_rate: float = 0.01):
             report.parsed += 1
     if report.data_lines == 0:
         raise DataError(f"no records found in {path}")
-    if report.failed > max_failure_rate * report.data_lines:
+    if report.failed > MAX_FAILURE_RATE * report.data_lines:
         raise DataError(
             f"{report.failed} of {report.data_lines} lines failed to parse "
-            f"(more than {max_failure_rate:.0%}); aborting"
+            f"(more than {MAX_FAILURE_RATE:.0%}); aborting"
         )
     trajectories = [
         RawTrajectory(user, tuple(sorted(pts, key=lambda p: p.t)))
@@ -436,16 +436,17 @@ def load_sequences(path: str | Path) -> list[GridSequence]:
     with reading(path, "preprocess"), Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
             d = json.loads(line)
-            out.append(
-                GridSequence(
-                    user_id=d["user"],
-                    interval_index=d["interval"],
-                    t=d["t"],
-                    grid=d["grid"],
-                    state=d["state"],
-                    window=d["window"],
-                )
-            )
+            if type(d) is not dict or d.keys() != _SEQUENCE_KEYS:
+                raise ValueError(f"a record's keys are not {sorted(_SEQUENCE_KEYS)}")
+            t, grid, state, window = d["t"], d["grid"], d["state"], d["window"]
+            if not (type(t) is type(grid) is type(state) is type(window) is list
+                    and 0 < len(t) == len(grid) == len(state) == len(window)):
+                raise ValueError("t, grid, state and window must be lists of one non-zero length")
+            for field, ids in (("grid", grid), ("state", state), ("window", window)):
+                for i in ids:
+                    if type(i) is not int:
+                        raise ValueError(f"{field} id {i!r} is not an integer")
+            out.append(GridSequence(d["user"], d["interval"], t, grid, state, window))
     return out
 
 

@@ -96,6 +96,8 @@ class ModelParams:
 
     Tensors live in a single insertion-ordered dict so initialization,
     checkpoints and the optimizer all walk them in one deterministic order.
+    Each views its slice of two flat arenas, ``values`` and ``grad``, which
+    whole-model updates write in place; nothing rebinds a tensor's arrays.
     The first GCN layers hold one row per visited grid: ``grid_rows`` are
     those grids' ascending ids among the ``n_grids`` bounding-box cells.
     """
@@ -116,13 +118,13 @@ class ModelParams:
         self.max_seq_len = max_seq_len
         d = config.embed_dim
         dh = d // config.heads
-        self.tensors: dict[str, Tensor] = {}
+        draws: dict[str, np.ndarray] = {}
 
         def matrix(name, rows, cols, keep=slice(None)):
-            self.tensors[name] = Tensor(_xavier(rng, rows, cols)[keep], requires_grad=True)
+            draws[name] = _xavier(rng, rows, cols)[keep]
 
         def vector(name, size, fill=0.0):
-            self.tensors[name] = Tensor(np.full(size, fill), requires_grad=True)
+            draws[name] = np.full(size, fill)
 
         for branch in ("local", "global"):
             # The first layer is drawn over the whole bounding box, with its
@@ -141,10 +143,9 @@ class ModelParams:
         for layer in range(config.attn_layers):
             # Drawn head by head (q, k, v each), so head h owns columns
             # h*dh:(h+1)*dh of the fused (d, d) projections.
-            draws = [[_xavier(rng, d, dh) for _ in "qkv"] for _ in range(config.heads)]
+            heads = [[_xavier(rng, d, dh) for _ in "qkv"] for _ in range(config.heads)]
             for j, kind in enumerate("qkv"):
-                self.tensors[f"attn{layer}_{kind}"] = Tensor(
-                    np.hstack([head[j] for head in draws]), requires_grad=True)
+                draws[f"attn{layer}_{kind}"] = np.hstack([head[j] for head in heads])
             matrix(f"attn{layer}_out_w", d, d)
             vector(f"attn{layer}_out_b", d)
             vector(f"attn{layer}_ln_gain", d, fill=1.0)
@@ -152,7 +153,23 @@ class ModelParams:
         matrix("link_w", n_users, 2 * d)
         vector("link_b", n_users)
 
+        self.values = np.concatenate([a.ravel() for a in draws.values()])
+        self.grad = np.zeros_like(self.values)
+        cuts = np.cumsum([a.size for a in draws.values()])[:-1]
+        self.tensors = {
+            name: Tensor(v.reshape(a.shape), requires_grad=True, grad=g.reshape(a.shape))
+            for (name, a), v, g in zip(draws.items(), np.split(self.values, cuts),
+                                       np.split(self.grad, cuts))
+        }
+
         self.pos_encoding = positional_encoding(max(max_seq_len, 1), d)
+
+    @classmethod
+    def for_inputs(cls, config: ModelConfig, inputs: "ModelInputs",
+                   rng: np.random.Generator) -> "ModelParams":
+        """Parameters sized for ``inputs``' grids, users and sequence length."""
+        return cls(config, n_grids=inputs.n_grids, grid_rows=inputs.grid_rows,
+                   n_users=inputs.n_users, max_seq_len=inputs.max_seq_len, rng=rng)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -161,8 +178,7 @@ class ModelParams:
         return self.tensors.items()
 
     def zero_grads(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
+        self.grad.fill(0.0)
 
     def active_names(self, config: ModelConfig | None = None) -> list[str]:
         """Names of parameters reachable by the forward pass under config."""
@@ -194,9 +210,6 @@ class ModelParams:
             if self.tensors[n].values.ndim == 2
         ]
 
-    def values_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.values.copy() for name, t in self.tensors.items()}
-
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for name, t in self.tensors.items():
             if name not in values:
@@ -206,9 +219,8 @@ class ModelParams:
                     f"checkpoint shape {values[name].shape} for {name!r} "
                     f"does not match model shape {t.values.shape}"
                 )
-            t.values = values[name].astype(np.float64).copy()
-            if t.grad is not None:
-                t.grad = np.zeros_like(t.values)
+        for name, t in self.tensors.items():
+            t.values[...] = values[name]
 
 
 @dataclass
@@ -465,10 +477,5 @@ def model_loss(logits: Tensor, targets: np.ndarray, params: ModelParams,
                config: ModelConfig) -> Tensor:
     """Batch-mean cross entropy plus (lambda/2) * sum of squared weights."""
     ce = T.cross_entropy(logits, targets)
-    if config.lambda_l2 == 0.0:
-        return ce
-    penalty = None
-    for t in params.l2_tensors(config):
-        term = T.sum_squares(t)
-        penalty = term if penalty is None else T.add(penalty, term)
+    penalty = T.sum_squares(*params.l2_tensors(config))
     return T.add(ce, T.scale(penalty, 0.5 * config.lambda_l2))

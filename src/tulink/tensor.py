@@ -41,10 +41,10 @@ _REL_FLOOR = 1e-3
 class Tensor:
     __slots__ = ("values", "requires_grad", "grad")
 
-    def __init__(self, values, requires_grad: bool = False):
+    def __init__(self, values, requires_grad: bool = False, grad: np.ndarray | None = None):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.values) if self.requires_grad else None
+        self.grad = np.zeros_like(self.values) if requires_grad and grad is None else grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -52,10 +52,6 @@ class Tensor:
 
     def item(self) -> float:
         return self.values.item()
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -514,11 +510,14 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return out
 
 
-def sum_squares(x: Tensor) -> Tensor:
-    out = _result(np.asarray(np.sum(x.values * x.values)), x)
+def sum_squares(*xs: Tensor) -> Tensor:
+    """Sum of squared entries, summed per argument and then in argument order."""
+    out = _result(np.asarray(sum((np.sum(x.values * x.values) for x in xs), 0.0)), *xs)
     if out.requires_grad:
         def backward():
-            x.grad += 2.0 * x.values * out.grad
+            for x in xs:
+                if x.requires_grad:
+                    x.grad += 2.0 * x.values * out.grad
         _record(backward)
     return out
 
@@ -569,7 +568,7 @@ def finite_difference_check(
     x.requires_grad = True
     if x.grad is None:
         x.grad = np.zeros_like(x.values)
-    x.zero_grad()
+    x.grad.fill(0.0)
     tape = Tape()
     with recording(tape):
         out = f(x)

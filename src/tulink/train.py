@@ -19,6 +19,12 @@ from .model import ModelConfig, ModelInputs, ModelParams, encode_graphs, forward
 # Rows per evaluation forward pass; the (rows, n_traj) global-attention
 # temporaries grow with it.
 EVAL_CHUNK = 16
+# Adam (Kingma & Ba, 2015) decay rates and denominator floor.
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+# Arena entries per Adam update block.
+ADAM_BLOCK = 1 << 15
 
 
 @dataclass
@@ -28,9 +34,6 @@ class TrainConfig:
     batch_size: int = 16
     patience: int = 10
     seed: int = 42
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     early_stop_on_loss: bool = False  # default criterion is validation ACC@1
 
     def validate(self) -> None:
@@ -45,37 +48,36 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators mirroring the parameter shapes."""
+    """First/second moment accumulators, flat like the parameter arena."""
 
     def __init__(self, params: ModelParams):
         self.step = 0
-        self.m = {name: np.zeros_like(t.values) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.values) for name, t in params.items()}
+        self.m = np.zeros_like(params.values)
+        self.v = np.zeros_like(params.values)
 
 
 def adam_step(params: ModelParams, state: AdamState, config: TrainConfig) -> None:
     """One bias-corrected Adam update from the accumulated gradients.
 
+    Runs in place over the arena, ADAM_BLOCK entries at a time, so each
+    temporary is one block.
     A parameter whose gradient stayed zero keeps its exact bit pattern: its
     moments remain zero and the update is 0 / (0 + eps).
     """
     state.step += 1
-    b1, b2 = config.beta1, config.beta2
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
-    for name, t in params.items():
-        g = t.grad
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(
-                f"non-finite gradient in parameter {name!r} at step {state.step}"
-            )
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        t.values -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.eps)
+    if not np.isfinite(params.grad).all():
+        name = next(n for n, t in params.items() if not np.isfinite(t.grad).all())
+        raise TrainingError(f"non-finite gradient in parameter {name!r} at step {state.step}")
+    c1 = 1.0 - BETA1 ** state.step
+    c2 = 1.0 - BETA2 ** state.step
+    for lo in range(0, params.values.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        g, m, v = params.grad[block], state.m[block], state.v[block]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        params.values[block] -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -151,14 +153,7 @@ def train(
 
     from .config import seeded_rng
 
-    params = ModelParams(
-        model_config,
-        n_grids=inputs.n_grids,
-        grid_rows=inputs.grid_rows,
-        n_users=inputs.n_users,
-        max_seq_len=inputs.max_seq_len,
-        rng=seeded_rng(train_config.seed, "init"),
-    )
+    params = ModelParams.for_inputs(model_config, inputs, seeded_rng(train_config.seed, "init"))
     rng_shuffle = seeded_rng(train_config.seed, "shuffle")
     rng_dropout = seeded_rng(train_config.seed, "dropout")
 
@@ -166,7 +161,7 @@ def train(
     val_idx = inputs.indices_for(split.validation)
     state = AdamState(params)
     result = TrainResult(params=params)
-    best_values = params.values_dict()
+    best_values = params.values.copy()
     best_score = -math.inf
     epochs_without_improvement = 0
 
@@ -199,7 +194,7 @@ def train(
         )
         if score > best_score:
             best_score = score
-            best_values = params.values_dict()
+            best_values = params.values.copy()
             result.best_epoch = epoch
             result.best_val_acc1 = val_acc
             epochs_without_improvement = 0
@@ -208,7 +203,7 @@ def train(
             if epochs_without_improvement >= train_config.patience:
                 break
 
-    params.load_values(best_values)
+    params.values[:] = best_values
     return result
 
 

@@ -13,6 +13,7 @@ from tulink.graphs import symmetric_normalize
 from tulink.model import (COSINE_EPS, ModelParams, build_model_inputs, encode_graphs,
                           encode_locations)
 from tulink.tensor import Tensor
+from tulink.train import ADAM_EPS, BETA1, BETA2
 
 
 def simplex_projection_oracle(x: np.ndarray) -> np.ndarray:
@@ -258,3 +259,32 @@ def bounding_box_params_oracle(config, n_grids, n_users, max_seq_len, rng):
                          np.random.default_rng(0))
     params.load_values(bounding_box_initial_values(config, n_grids, n_users, rng))
     return params
+
+
+# ---------------------------------------------------------------------------
+# The optimizer and the regularizer one tensor at a time
+# ---------------------------------------------------------------------------
+
+def per_tensor_adam_oracle(params, m, v, step, learning_rate):
+    """One bias-corrected Adam update written out whole for each tensor, with
+    moments in per-name dicts ``m`` and ``v`` (updated in place); ``step`` is
+    the 1-based step number."""
+    c1 = 1.0 - BETA1 ** step
+    c2 = 1.0 - BETA2 ** step
+    for name, t in params.items():
+        g = t.grad
+        m[name] *= BETA1
+        m[name] += (1.0 - BETA1) * g
+        v[name] *= BETA2
+        v[name] += (1.0 - BETA2) * (g * g)
+        t.values -= learning_rate * (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
+
+
+def l2_chain_oracle(tensors):
+    """Sum of squares as one single-argument sum_squares per tensor, joined by
+    a chain of taped adds."""
+    penalty = None
+    for t in tensors:
+        term = T.sum_squares(t)
+        penalty = term if penalty is None else T.add(penalty, term)
+    return penalty

@@ -164,6 +164,7 @@ def primitive_checks(rng):
             T.max_pool_positions(t), c12), max_pool_safe((3, 5, 4))),
         ("cross_entropy", lambda t: T.cross_entropy(t, targets), rng.normal(size=(3, 5))),
         ("sum_squares", lambda t: T.sum_squares(t), a34),
+        ("sum_squares_args", lambda t: T.sum_squares(t, Tensor(part32), t), a34),
         ("row_norms", lambda t: scalar_functional(T.row_norms(t), c3),
          rng.normal(size=(3, 4)) + 1.5),
     ]

@@ -381,6 +381,25 @@ class TestArtifactErrors:
         assert "sequences.jsonl" in err and "'preprocess'" in err
         assert f"{field} id {value!r}" in err
 
+    @pytest.mark.parametrize("stage, change", [
+        ("build-graphs", lambda r: r.update(grid=5)),
+        ("train", lambda r: r["state"].pop()),
+        ("train", lambda r: r["t"].pop()),
+        ("build-graphs", lambda r: r.clear()),
+        ("build-graphs", lambda r: r.update(t=[], grid=[], state=[], window=[])),
+    ], ids=["grid-not-a-list", "state-short", "t-short", "empty-record", "no-points"])
+    def test_misshapen_record_in_sequences(self, workspace, trained, tmp_path, capsys,
+                                           stage, change):
+        def edit(out):
+            path = out / "sequences.jsonl"
+            lines = path.read_text().splitlines(keepends=True)
+            record = json.loads(lines[0])
+            change(record)
+            lines[0] = json.dumps(record, sort_keys=True) + "\n"
+            path.write_text("".join(lines))
+        err = self._run(workspace, trained, tmp_path, capsys, stage, edit)
+        assert "sequences.jsonl" in err and "'preprocess'" in err
+
 
 # The first stage that reads each artifact.
 FIRST_READER = {

@@ -28,7 +28,7 @@ from tulink.tensor import Tape, Tensor, recording
 from conftest import (graphs_from_sequences, inputs_from_sequences, make_sequence, on_odd_cells,
                       small_config, toy_nine_sequences)
 from oracles import (bounding_box_initial_values, bounding_box_inputs_oracle,
-                     bounding_box_params_oracle, per_trajectory_logits_oracle)
+                     bounding_box_params_oracle, l2_chain_oracle, per_trajectory_logits_oracle)
 
 RNG = np.random.default_rng(4242)
 
@@ -435,6 +435,29 @@ class TestModelLoss:
         np.testing.assert_allclose(
             loss.item(), ce + 0.5 * cfg.lambda_l2 * penalty, atol=1e-10
         )
+
+
+    def test_loss_and_gradients_match_the_add_chain_to_the_bit(self, toy_model_setup):
+        params, cfg, inputs, _ = toy_model_setup
+        batch = np.array([1, 4, 8])
+
+        def chain_loss(logits, targets, params, cfg):
+            ce = T.cross_entropy(logits, targets)
+            return T.add(ce, T.scale(l2_chain_oracle(params.l2_tensors(cfg)),
+                                     0.5 * cfg.lambda_l2))
+
+        runs = []
+        for loss_fn in (model_loss, chain_loss):
+            params.zero_grads()
+            tape = Tape()
+            with recording(tape):
+                logits = forward_batch(params, cfg, inputs, batch,
+                                       np.random.default_rng(0), training=False)
+                loss = loss_fn(logits, inputs.labels[batch], params, cfg)
+            tape.backward(loss)
+            runs.append((loss.item(), params.grad.copy()))
+        assert runs[0][0] == runs[1][0]
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
 
 def grads_after_backward(params, cfg, inputs, batch):

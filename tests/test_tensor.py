@@ -18,7 +18,7 @@ from tulink.tensor import (
     save_tensors,
 )
 
-from oracles import (dense_global_attention_oracle, simplex_projection_oracle,
+from oracles import (dense_global_attention_oracle, l2_chain_oracle, simplex_projection_oracle,
                      sorted_sparsemax_oracle)
 
 RNG = np.random.default_rng(20_240_817)
@@ -563,6 +563,27 @@ class TestReductions:
     def test_sum_squares_gradient(self):
         x = RNG.normal(size=(3, 5))
         check_grad(lambda t: T.sum_squares(t), x)
+
+    def test_sum_squares_matches_the_add_chain_to_the_bit(self):
+        # A leading term of 1e16 absorbs each small one alone but not their
+        # sum, so any other summation order gives another float.
+        xs = [Tensor(np.array([[1e8]]), requires_grad=True)] + [
+            Tensor(RNG.normal(size=(rows, 3)), requires_grad=rows != 5)
+            for rows in (7, 5, 40, 1, 13, 2, 29, 3)]
+        results = []
+        for penalty in (lambda: T.sum_squares(*xs), lambda: l2_chain_oracle(xs)):
+            for x in xs:
+                if x.requires_grad:
+                    x.grad.fill(0.0)
+            tape = Tape()
+            with recording(tape):
+                out = T.scale(penalty(), 2.5e-4)
+            tape.backward(out)
+            results.append((out.item(), [x.grad.copy() for x in xs if x.requires_grad]))
+        (fused, fused_grads), (chain, chain_grads) = results
+        assert fused == chain
+        for a, b in zip(fused_grads, chain_grads):
+            np.testing.assert_array_equal(a, b)
 
     def test_row_norms_values_and_gradient(self):
         x = RNG.normal(size=(4, 3)) + 2.0

@@ -6,21 +6,23 @@ import numpy as np
 import pytest
 
 from tulink.config import seeded_rng
-from tulink.errors import ConfigError, TrainingError
+from tulink.errors import ConfigError, DataError, TrainingError
 from tulink.model import ModelParams, build_model_inputs
 from tulink.train import (
     AdamState,
     TrainConfig,
     adam_step,
     evaluate_on_split,
+    load_checkpoint,
     predict_logits,
+    save_checkpoint,
     save_history,
     train,
 )
 
 from conftest import (graphs_from_sequences, inputs_from_sequences, on_odd_cells, small_config,
                       toy_nine_sequences)
-from oracles import bounding_box_inputs_oracle
+from oracles import bounding_box_inputs_oracle, per_tensor_adam_oracle
 
 
 def tiny_params(seed=0):
@@ -40,7 +42,7 @@ class TestAdam:
         params.zero_grads()
         params["link_w"].grad += 1.0
         adam_step(params, state, tc)
-        m_after_first = state.m["link_w"].copy()
+        m_after_first = state.m.copy()
         moved = {n: t.values.copy() for n, t in params.items()}
         assert not np.array_equal(moved["link_w"], before["link_w"])
 
@@ -50,7 +52,7 @@ class TestAdam:
             if name == "link_w":
                 continue  # this one has nonzero moments now
             np.testing.assert_array_equal(t.values, moved[name])
-        np.testing.assert_allclose(state.m["link_w"], 0.9 * m_after_first)
+        np.testing.assert_allclose(state.m, 0.9 * m_after_first)
 
     def test_first_step_magnitude(self):
         """Scalar g=1: bias-corrected update is lr / (1 + eps)."""
@@ -72,6 +74,28 @@ class TestAdam:
         with pytest.raises(TrainingError, match="loc_w"):
             adam_step(params, state, TrainConfig())
 
+    def test_blocks_match_the_per_tensor_update_to_the_bit(self, monkeypatch):
+        """Blocks of 7 entries cut through every tensor; values and moments
+        still equal the per-tensor formula's bit for bit, step after step."""
+        import tulink.train as train_module
+        monkeypatch.setattr(train_module, "ADAM_BLOCK", 7)
+        _, params = tiny_params(seed=3)
+        _, reference = tiny_params(seed=3)
+        state = AdamState(params)
+        m = {n: np.zeros_like(t.values) for n, t in reference.items()}
+        v = {n: np.zeros_like(t.values) for n, t in reference.items()}
+        rng = np.random.default_rng(9)
+        for step in range(1, 6):
+            params.zero_grads()
+            params.grad += rng.normal(size=params.grad.shape) * 10.0 ** rng.integers(-6, 3)
+            params["time_b"].grad[:] = 0.0  # one tensor whose gradient stays zero
+            reference.grad[:] = params.grad
+            adam_step(params, state, TrainConfig(learning_rate=3e-3))
+            per_tensor_adam_oracle(reference, m, v, step, 3e-3)
+            np.testing.assert_array_equal(params.values, reference.values)
+            np.testing.assert_array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
+            np.testing.assert_array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
+
     def test_deterministic_across_runs(self):
         results = []
         for _ in range(2):
@@ -87,6 +111,36 @@ class TestAdam:
             results.append({n: t.values.copy() for n, t in params.items()})
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name])
+
+
+def assert_views_arena(params):
+    assert sum(t.values.size for _, t in params.items()) == params.values.size
+    for name, t in params.items():
+        assert np.shares_memory(t.values, params.values), name
+        assert np.shares_memory(t.grad, params.grad), name
+
+
+class TestParameterArena:
+    def test_tensors_view_the_arena_after_init_training_and_loading(self, tmp_path):
+        config, inputs, split = toy_training_setup()
+        params = ModelParams.for_inputs(config, inputs, seeded_rng(0, "init"))
+        assert_views_arena(params)
+        result = train(inputs, split, config,
+                       TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=1))
+        assert_views_arena(result.params)
+        save_checkpoint(result.params, tmp_path / "checkpoint.bin")
+        load_checkpoint(params, tmp_path / "checkpoint.bin")
+        assert_views_arena(params)
+        np.testing.assert_array_equal(params.values, result.params.values)
+
+    def test_mismatched_checkpoint_writes_nothing(self):
+        _, params = tiny_params()
+        before = params.values.copy()
+        values = {n: np.ones_like(t.values) for n, t in params.items()}
+        values["link_b"] = np.ones(5)
+        with pytest.raises(DataError, match="link_b"):
+            params.load_values(values)
+        np.testing.assert_array_equal(params.values, before)
 
 
 class TestTrainConfig:
