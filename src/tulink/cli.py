@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import graphs as G
 from . import metrics as M
 from . import mobility as mob
-from .config import ABLATIONS, RunConfig, resolve_config, seeded_rng
+from .config import ABLATIONS, FIELD_TYPES, RunConfig, resolve_config, seeded_rng
 from .errors import ConfigError, DataError, TrainingError
 from .model import ModelParams, build_model_inputs, fused_representations
 from .train import (
@@ -97,9 +97,7 @@ def run_preprocess(cfg: RunConfig) -> dict:
     subtrajs.sort(key=lambda s: (s.user_id, s.interval_index))
     all_points = [p for tr in trajectories for p in tr.points]
     gm = mob.build_grid_map(all_points, cfg.cell_size)
-    sequences = mob.build_grid_sequences(
-        subtrajs, gm, cfg.time_window, cfg.motion_speed_eps, cfg.motion_turn_deg
-    )
+    sequences = mob.build_grid_sequences(subtrajs, gm, cfg.time_window)
     split = mob.chronological_split(subtrajs)
 
     manifest = {
@@ -158,7 +156,7 @@ def _load_model_inputs(cfg: RunConfig, paths: StagePaths):
     model_config = cfg.model_config()
     _check_ids(paths, sequences, "state", model_config.state_vocab)
     _check_ids(paths, sequences, "window", model_config.time_vocab)
-    inputs = build_model_inputs(sequences, local, global_g, model_config)
+    inputs = build_model_inputs(sequences, local, global_g)
     return inputs, split
 
 
@@ -214,31 +212,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# Flags spelled other than their field's name in kebab case.
+_FLAG_NAMES = {"output_dir": "--output", "epochs_max": "--epochs"}
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per RunConfig field."""
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--dataset", help="input CSV path")
-    sub.add_argument("--output", dest="output_dir", help="artifact directory")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--cell-size", dest="cell_size", type=float)
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--time-window", dest="time_window", type=float)
-    sub.add_argument("--embed-dim", dest="embed_dim", type=int)
-    sub.add_argument("--gcn-layers", dest="gcn_layers", type=int)
-    sub.add_argument("--attn-layers", dest="attn_layers", type=int)
-    sub.add_argument("--heads", type=int)
-    sub.add_argument("--lambda-l2", dest="lambda_l2", type=float)
-    sub.add_argument("--dropout", type=float)
-    sub.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sub.add_argument("--epochs", dest="epochs_max", type=int)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--patience", type=int)
-    sub.add_argument("--ablation", choices=sorted(ABLATIONS))
-    sub.add_argument("--binarize-adjacency", dest="binarize_adjacency",
-                     action=argparse.BooleanOptionalAction)
-    sub.add_argument("--scale-full-d", dest="scale_full_d",
-                     action=argparse.BooleanOptionalAction)
-    sub.add_argument("--early-stop-on-loss", dest="early_stop_on_loss",
-                     action=argparse.BooleanOptionalAction)
+    for f in fields(RunConfig):
+        sub.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
+                         dest=f.name, type=FIELD_TYPES[f.name],
+                         choices=sorted(ABLATIONS) if f.name == "ablation" else None)
 
 
 def build_parser() -> _Parser:

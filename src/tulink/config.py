@@ -35,23 +35,18 @@ class RunConfig:
     cell_size: float = 40.0          # meters
     tau: float = 21600.0             # sub-trajectory interval, seconds
     time_window: float = 7200.0      # time-of-day window, seconds
-    motion_speed_eps: float = 0.1
-    motion_turn_deg: float = 15.0
-    embed_dim: int = 128
-    gcn_layers: int = 2
-    attn_layers: int = 3
-    heads: int = 4
-    lambda_l2: float = 5e-4
-    dropout: float = 0.5
-    learning_rate: float = 1e-3
-    epochs_max: int = 80
-    batch_size: int = 16
-    patience: int = 10
-    seed: int = 42
+    embed_dim: int = ModelConfig.embed_dim
+    gcn_layers: int = ModelConfig.gcn_layers
+    attn_layers: int = ModelConfig.attn_layers
+    heads: int = ModelConfig.heads
+    lambda_l2: float = ModelConfig.lambda_l2
+    dropout: float = ModelConfig.dropout_rate
+    learning_rate: float = TrainConfig.learning_rate
+    epochs_max: int = TrainConfig.epochs_max
+    batch_size: int = TrainConfig.batch_size
+    patience: int = TrainConfig.patience
+    seed: int = TrainConfig.seed
     ablation: str = ""
-    binarize_adjacency: bool = False
-    scale_full_d: bool = False
-    early_stop_on_loss: bool = False
 
     def validate(self) -> None:
         if self.cell_size <= 0:
@@ -76,8 +71,6 @@ class RunConfig:
             lambda_l2=self.lambda_l2,
             dropout_rate=self.dropout,
             time_vocab=time_window_vocab(self.time_window),
-            binarize_adjacency=self.binarize_adjacency,
-            scale_full_d=self.scale_full_d,
         )
         if self.ablation:
             setattr(cfg, ABLATIONS[self.ablation], True)
@@ -90,30 +83,20 @@ class RunConfig:
             batch_size=self.batch_size,
             patience=self.patience,
             seed=self.seed,
-            early_stop_on_loss=self.early_stop_on_loss,
         )
 
 
-_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+# Each setting's parser, which is also its type, by field name.
+FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
+               for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    kind = _FIELDS[key]
     raw = raw.strip()
-    if kind == "bool":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean {key}={raw!r}")
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        return FIELD_TYPES[key](raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key}={raw!r}: {exc}") from None
-    return raw
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -127,7 +110,7 @@ def load_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = _parse_value(key, raw)
     return values
@@ -142,7 +125,7 @@ def resolve_config(file_path: str | None, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _FIELDS:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, value)
     cfg.validate()

@@ -25,7 +25,7 @@ EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0
 SECONDS_PER_DAY = 86_400
 
-# Defaults for the nine-state motion encoder (configurable).
+# Thresholds of the nine-state motion encoder.
 SPEED_RATIO_EPS = 0.1
 TURN_THRESHOLD_DEG = 15.0
 # Share of unparseable data lines above which parse_dataset aborts.
@@ -219,17 +219,14 @@ def _planar_xy(points: Sequence[SpatioTemporalPoint]) -> list[tuple[float, float
     return [(p.lon * mx, p.lat * METERS_PER_DEGREE) for p in points]
 
 
-def encode_motion_states(
-    st: SubTrajectory,
-    speed_eps: float = SPEED_RATIO_EPS,
-    turn_threshold_deg: float = TURN_THRESHOLD_DEG,
-) -> list[int]:
+def encode_motion_states(st: SubTrajectory) -> list[int]:
     """Nine-state motion codes (speed change x turn direction) per point.
 
     From the third point on, the two most recent segments are compared:
     speed class is accelerating / decelerating / constant by the ratio of
-    segment speeds against ``1 +- speed_eps``, turn class is left / right /
-    straight by the signed heading change against ``turn_threshold_deg``.
+    segment speeds against ``1 +- SPEED_RATIO_EPS``, turn class is left /
+    right / straight by the signed heading change against
+    ``TURN_THRESHOLD_DEG``.
     State = 3 * speed_class + turn_class with constant=0/accel=1/decel=2 and
     straight=0/left=1/right=2. The first two points default to state 0, as
     do zero-duration and zero-length segments.
@@ -240,7 +237,7 @@ def encode_motion_states(
         return states
     xy = _planar_xy(st.points)
     ts = [p.t for p in st.points]
-    theta0 = math.radians(turn_threshold_deg)
+    theta0 = math.radians(TURN_THRESHOLD_DEG)
     for i in range(2, n):
         dxa = xy[i - 1][0] - xy[i - 2][0]
         dya = xy[i - 1][1] - xy[i - 2][1]
@@ -255,9 +252,9 @@ def encode_motion_states(
         if dta > 0 and dtb > 0:
             va = da / dta
             vb = db / dtb
-            if vb > (1.0 + speed_eps) * va:
+            if vb > (1.0 + SPEED_RATIO_EPS) * va:
                 speed_class = 1
-            elif vb < (1.0 - speed_eps) * va:
+            elif vb < (1.0 - SPEED_RATIO_EPS) * va:
                 speed_class = 2
 
         turn_class = 0
@@ -295,8 +292,6 @@ def build_grid_sequences(
     subtrajectories: Iterable[SubTrajectory],
     gm: GridMap,
     window_len: float,
-    speed_eps: float = SPEED_RATIO_EPS,
-    turn_threshold_deg: float = TURN_THRESHOLD_DEG,
 ) -> list[GridSequence]:
     """Annotate every sub-trajectory with grid, motion-state and window ids."""
     out = []
@@ -307,7 +302,7 @@ def build_grid_sequences(
                 interval_index=st.interval_index,
                 t=[p.t for p in st.points],
                 grid=[map_point_to_grid(p, gm) for p in st.points],
-                state=encode_motion_states(st, speed_eps, turn_threshold_deg),
+                state=encode_motion_states(st),
                 window=encode_time_windows(st, window_len),
             )
         )

@@ -56,8 +56,6 @@ class ModelConfig:
     disable_self_attention: bool = False
     use_softmax_global: bool = False
     disable_time_state: bool = False
-    binarize_adjacency: bool = False
-    scale_full_d: bool = False
 
     def validate(self) -> None:
         if self.embed_dim <= 0 or self.embed_dim % self.heads != 0:
@@ -219,6 +217,9 @@ class ModelParams:
                     f"checkpoint shape {values[name].shape} for {name!r} "
                     f"does not match model shape {t.values.shape}"
                 )
+        extra = sorted(set(values) - set(self.tensors))
+        if extra:
+            raise DataError(f"checkpoint holds parameters the model lacks: {extra}")
         for name, t in self.tensors.items():
             t.values[...] = values[name]
 
@@ -262,7 +263,6 @@ def build_model_inputs(
     sequences: Sequence[GridSequence],
     local_graph: LocalSpatialGraph,
     global_graph: GlobalSpatialGraph,
-    config: ModelConfig,
 ) -> ModelInputs:
     """Normalize adjacencies and index every sequence against the rosters.
 
@@ -278,11 +278,6 @@ def build_model_inputs(
     user_index = {u: k for k, u in enumerate(global_graph.user_ids)}
     labels = np.asarray([user_index[s.user_id] for s in sequences], dtype=np.int64)
 
-    def prepare(adj):
-        if config.binarize_adjacency:
-            adj = (adj > 0).astype(np.int64)
-        return symmetric_normalize(adj)
-
     lengths = np.asarray([len(s) for s in sequences], dtype=np.int64)
 
     def padded(field):
@@ -293,8 +288,8 @@ def build_model_inputs(
 
     grid_rows = np.unique(np.concatenate([s.grid for s in sequences]).astype(np.int64))
     return ModelInputs(
-        m_local=prepare(local_graph.adjacency)[grid_rows][:, grid_rows],
-        m_global=prepare(global_graph.adjacency),
+        m_local=symmetric_normalize(local_graph.adjacency)[grid_rows][:, grid_rows],
+        m_global=symmetric_normalize(global_graph.adjacency),
         x_global=global_graph.features.astype(np.float64).tocsr()[:, grid_rows],
         traj_ids=ids,
         # Padding is grid 0, at or below every visited id, so it maps to row 0.
@@ -363,7 +358,7 @@ def self_attention_stack(
         raise ValueError("cannot attend over an empty sequence")
     heads = config.heads
     dh = d // heads
-    inv_scale = 1.0 / math.sqrt(d if config.scale_full_d else dh)
+    inv_scale = 1.0 / math.sqrt(dh)
     key_mask = Tensor(np.broadcast_to(_pad_bias(lengths, m)[:, None, None, :], (b, heads, m, m)))
     state = T.add(x, Tensor(np.broadcast_to(params.pos_encoding[:m], x.shape)))
     for layer in range(config.attn_layers):

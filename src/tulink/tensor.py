@@ -147,20 +147,6 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = _result(a.values * b.values, a, b)
-    if out.requires_grad:
-        def backward():
-            if a.requires_grad:
-                a.grad += out.grad * b.values
-            if b.requires_grad:
-                b.grad += out.grad * a.values
-        _record(backward)
-    return out
-
-
 def div(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"div shape mismatch: {a.shape} vs {b.shape}")

@@ -34,7 +34,6 @@ class TrainConfig:
     batch_size: int = 16
     patience: int = 10
     seed: int = 42
-    early_stop_on_loss: bool = False  # default criterion is validation ACC@1
 
     def validate(self) -> None:
         if not 1e-4 <= self.learning_rate <= 1e-2:
@@ -141,7 +140,7 @@ def train(
 ) -> TrainResult:
     """Optimize from a seeded initialization, keeping the best-validation state.
 
-    Stops when the validation criterion has not improved for ``patience``
+    Stops when validation acc@1 has not improved for ``patience``
     consecutive epochs, or at ``epochs_max``. Randomness (parameter init,
     epoch shuffling, dropout) flows from the run seed through named
     sub-streams so identical seeds give identical histories.
@@ -162,7 +161,6 @@ def train(
     state = AdamState(params)
     result = TrainResult(params=params)
     best_values = params.values.copy()
-    best_score = -math.inf
     epochs_without_improvement = 0
 
     for epoch in range(1, train_config.epochs_max + 1):
@@ -185,15 +183,10 @@ def train(
 
         val_logits = predict_logits(params, model_config, inputs, val_idx)
         val_acc = float(np.mean(np.argmax(val_logits, axis=1) == inputs.labels[val_idx]))
-        if train_config.early_stop_on_loss:
-            score = -T.cross_entropy(T.Tensor(val_logits), inputs.labels[val_idx]).item()
-        else:
-            score = val_acc
         result.history.append(
             EpochStats(epoch, float(np.mean(losses)), val_acc, time.perf_counter() - t0)
         )
-        if score > best_score:
-            best_score = score
+        if result.best_epoch == 0 or val_acc > result.best_val_acc1:
             best_values = params.values.copy()
             result.best_epoch = epoch
             result.best_val_acc1 = val_acc

@@ -40,10 +40,10 @@ def graphs_from_sequences(sequences, n_grids, split=None):
     return sequences, local, global_g, split
 
 
-def inputs_from_sequences(sequences, n_grids, config, split=None):
+def inputs_from_sequences(sequences, n_grids, split=None):
     """Graphs, labels and normalized matrices for hand-built sequences."""
     sequences, local, global_g, split = graphs_from_sequences(sequences, n_grids, split)
-    return build_model_inputs(sequences, local, global_g, config), split
+    return build_model_inputs(sequences, local, global_g), split
 
 
 def toy_nine_sequences(rng=None, n_grids=9, time_vocab=4):
@@ -92,7 +92,7 @@ def small_config(**overrides):
 def toy_model_setup():
     """(params, config, inputs, split) for a 3-user, 9-trajectory scenario."""
     config = small_config()
-    inputs, split = inputs_from_sequences(toy_nine_sequences(), n_grids=9, config=config)
+    inputs, split = inputs_from_sequences(toy_nine_sequences(), n_grids=9)
     params = ModelParams(
         config,
         n_grids=inputs.n_grids,

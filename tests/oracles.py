@@ -127,7 +127,7 @@ def per_head_attention_oracle(params, config, x, rng, training):
     h*dh:(h+1)*dh of the fused projections."""
     m, d = x.shape
     dh = d // config.heads
-    inv_scale = 1.0 / math.sqrt(d if config.scale_full_d else dh)
+    inv_scale = 1.0 / math.sqrt(dh)
     state = T.add(x, Tensor(params.pos_encoding[:m]))
     for layer in range(config.attn_layers):
         heads = []
@@ -198,22 +198,17 @@ def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
 # The linking model with a first-layer GCN row for every bounding-box cell
 # ---------------------------------------------------------------------------
 
-def bounding_box_inputs_oracle(sequences, local_graph, global_graph, config):
+def bounding_box_inputs_oracle(sequences, local_graph, global_graph):
     """Model inputs indexed by bounding-box cell: the whole normalized local
     adjacency, every feature column, raw grid ids padded with grid 0."""
-    inputs = build_model_inputs(sequences, local_graph, global_graph, config)
-
-    def prepare(adj):
-        if config.binarize_adjacency:
-            adj = (adj > 0).astype(np.int64)
-        return symmetric_normalize(adj)
+    inputs = build_model_inputs(sequences, local_graph, global_graph)
 
     grid_idx = np.zeros_like(inputs.grid_idx)
     for row, s in zip(grid_idx, sequences):
         row[: len(s)] = s.grid
     return dataclasses.replace(
         inputs,
-        m_local=prepare(local_graph.adjacency),
+        m_local=symmetric_normalize(local_graph.adjacency),
         x_global=global_graph.features.astype(np.float64).tocsr(),
         grid_idx=grid_idx,
         grid_rows=np.arange(local_graph.n_grids),

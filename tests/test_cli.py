@@ -1,10 +1,12 @@
 """Command-line pipeline: stage wiring, idempotence, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
 import shutil
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +16,11 @@ from hypothesis import strategies as st
 
 from tulink import mobility as mob
 from tulink import synth
-from tulink.cli import main
-from tulink.config import ABLATIONS, RunConfig, load_config_file, resolve_config
+from tulink.cli import _config_from_args, build_parser, main
+from tulink.config import ABLATIONS, FIELD_TYPES, RunConfig, load_config_file, resolve_config
 from tulink.errors import ConfigError
+from tulink.model import ModelConfig
+from tulink.train import TrainConfig
 from tulink.tensor import load_tensors, save_tensors
 
 
@@ -179,6 +183,16 @@ def trained(workspace, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def trained_deeper(workspace, tmp_path_factory):
+    """The workspace config trained with two attention and two GCN layers."""
+    out = tmp_path_factory.mktemp("deeper")
+    for stage in ("preprocess", "build-graphs", "train"):
+        assert run([stage, "--config", workspace["config"], "--output", str(out),
+                    "--attn-layers", "2", "--gcn-layers", "2"]) == 0
+    return out
+
+
 class TestCheckpointErrors:
     """A checkpoint that does not fit is a data error naming the file and the
     train stage, not a traceback."""
@@ -242,6 +256,14 @@ class TestCheckpointErrors:
                              stage=stage)
         assert "'gcn_local_0'" in err and "shape" in err
 
+    @pytest.mark.parametrize("flags", [("--attn-layers", "1"), ("--gcn-layers", "1"),
+                                       ("--attn-layers", "1", "--gcn-layers", "1")])
+    def test_checkpoint_with_more_layers(self, workspace, trained_deeper, tmp_path, capsys,
+                                         flags):
+        err = self._evaluate(workspace, trained_deeper, tmp_path, capsys, lambda path: None,
+                             *flags)
+        assert "lacks" in err
+
 
 class TestConfigResolution:
     def test_flags_beat_file_beat_defaults(self, workspace):
@@ -280,19 +302,82 @@ class TestConfigResolution:
 
     def test_config_file_comments_and_types(self, tmp_path):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("seed=9  # comment\nbinarize_adjacency=true\ndropout=0.25\n")
+        cfg.write_text("seed=9  # comment\nablation=tul-g\ndropout=0.25\n")
         values = load_config_file(cfg)
-        assert values == {"seed": 9, "binarize_adjacency": True, "dropout": 0.25}
+        assert values == {"seed": 9, "ablation": "tul-g", "dropout": 0.25}
 
-    def test_bad_boolean_rejected(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("binarize_adjacency=maybe\n")
-        with pytest.raises(ConfigError, match="boolean"):
-            load_config_file(cfg)
+    def test_defaults_are_the_model_and_training_defaults(self):
+        assert RunConfig().model_config() == ModelConfig(time_vocab=12)
+        assert RunConfig().train_config() == TrainConfig()
 
     def test_time_window_divisor_enforced(self):
         with pytest.raises(ConfigError, match="divide"):
             resolve_config(None, {"time_window": 7000.0})
+
+
+STAGES = ("preprocess", "build-graphs", "train", "evaluate", "embed")
+REMOVED_SETTINGS = ("binarize_adjacency", "scale_full_d", "early_stop_on_loss",
+                    "motion_speed_eps", "motion_turn_deg")
+
+
+def stage_parsers():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return {stage: commands.choices[stage] for stage in STAGES}
+
+
+def sample_value(name):
+    """A valid non-default value of a setting, as typed on the command line."""
+    if name == "ablation":
+        return "tul-g"
+    default = getattr(RunConfig(), name)
+    if isinstance(default, str):
+        return "x"
+    return repr(default // 2 if isinstance(default, int) else default / 2)
+
+
+class TestFlags:
+    """One flag per RunConfig field on every stage, typed from the field."""
+
+    def test_every_field_has_exactly_one_flag_per_stage(self):
+        for stage, sub in stage_parsers().items():
+            dests = [a.dest for a in sub._actions if a.dest != "help"]
+            extra = {"config", "split"} if stage == "evaluate" else {"config"}
+            assert sorted(dests) == sorted([f.name for f in fields(RunConfig)] + [*extra])
+            for a in sub._actions:
+                if a.dest in FIELD_TYPES:
+                    assert len(a.option_strings) == 1, a.dest
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_each_flag_lands_in_its_field_with_its_type(self, stage):
+        sub = stage_parsers()[stage]
+        for action in sub._actions:
+            name = action.dest
+            if name not in FIELD_TYPES:
+                continue
+            raw = sample_value(name)
+            args = build_parser().parse_args([stage, action.option_strings[0], raw])
+            value = getattr(args, name)
+            assert type(value) is FIELD_TYPES[name] and value == FIELD_TYPES[name](raw)
+            assert getattr(_config_from_args(args), name) == value
+            assert value != getattr(RunConfig(), name), name
+
+    def test_benchmark_flag_spellings(self):
+        for stage, sub in stage_parsers().items():
+            options = {a.option_strings[0]: a.dest for a in sub._actions}
+            for flag, dest in (("--dataset", "dataset"), ("--output", "output_dir"),
+                               ("--embed-dim", "embed_dim"), ("--heads", "heads"),
+                               ("--attn-layers", "attn_layers"), ("--epochs", "epochs_max")):
+                assert options[flag] == dest, (stage, flag)
+
+    @pytest.mark.parametrize("name", REMOVED_SETTINGS)
+    def test_removed_setting_is_a_usage_error(self, name, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{name}=1\n")
+        assert run(["train", "--config", str(cfg)]) == 1
+        assert f"unknown config key {name!r}" in capsys.readouterr().err
+        assert run(["train", "--" + name.replace("_", "-"), "1"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def cut_mid_line(path):

@@ -184,7 +184,7 @@ def dense_attention_oracle(params, cfg, x):
     """Straight-line numpy re-implementation of the attention stack."""
     d = cfg.embed_dim
     dh = d // cfg.heads
-    scale = 1.0 / math.sqrt(d if cfg.scale_full_d else dh)
+    scale = 1.0 / math.sqrt(dh)
     state = x + params.pos_encoding[: x.shape[0]]
     for layer in range(cfg.attn_layers):
         outs = []
@@ -237,14 +237,6 @@ class TestSelfAttention:
         cfg = small_config(attn_layers=2)
         params = make_params(cfg)
         x = RNG.normal(size=(6, cfg.embed_dim))
-        np.testing.assert_allclose(
-            self._run(params, cfg, x), dense_attention_oracle(params, cfg, x), atol=1e-10
-        )
-
-    def test_full_d_scaling_knob(self):
-        cfg = small_config(scale_full_d=True)
-        params = make_params(cfg)
-        x = RNG.normal(size=(4, cfg.embed_dim))
         np.testing.assert_allclose(
             self._run(params, cfg, x), dense_attention_oracle(params, cfg, x), atol=1e-10
         )
@@ -381,7 +373,7 @@ class TestLinking:
     def test_single_user_scalar_logit(self):
         cfg = small_config()
         sequences = [s for s in toy_nine_sequences() if s.user_id == "u0"]
-        inputs, _ = inputs_from_sequences(sequences, n_grids=9, config=cfg)
+        inputs, _ = inputs_from_sequences(sequences, n_grids=9)
         params = make_params(cfg, n_users=1, grid_rows=inputs.grid_rows)
         logits = forward_batch(params, cfg, inputs, np.array([0]),
                                np.random.default_rng(0), training=False)
@@ -536,22 +528,6 @@ class TestForwardFull:
             variant_cfg = small_config(**{flag: True})
             assert params.active_parameter_count(variant_cfg) == count, flag
 
-    def test_binarize_adjacency_switch(self):
-        """With the switch on, weighted edges enter normalization as 0/1."""
-        from tulink.graphs import build_local_graph, symmetric_normalize
-
-        sequences = toy_nine_sequences()
-        raw, _ = inputs_from_sequences(sequences, 9, small_config())
-        binarized, _ = inputs_from_sequences(
-            sequences, 9, small_config(binarize_adjacency=True)
-        )
-        ordered = sorted(sequences, key=lambda s: (s.user_id, s.interval_index))
-        local_adj = build_local_graph(ordered, 9).adjacency
-        assert local_adj.max() > 1  # the scenario has repeated transitions
-        expected = symmetric_normalize((local_adj > 0).astype(np.int64)).toarray()
-        np.testing.assert_array_equal(binarized.m_local.toarray(), expected)
-        assert not np.array_equal(raw.m_local.toarray(), binarized.m_local.toarray())
-
     def test_full_model_gradient_spot_check(self, toy_model_setup):
         """Finite differences on representative parameters of every path."""
         from tulink.tensor import finite_difference_check
@@ -616,7 +592,7 @@ class TestBatchedMatchesPerTrajectoryOracle:
         dims = dict(dims)
         repeats = dims.pop("repeats", 1)
         cfg = small_config(**dims, **({flag: True} if flag else {}))
-        inputs, _ = inputs_from_sequences(ragged_sequences(repeats), 9, cfg)
+        inputs, _ = inputs_from_sequences(ragged_sequences(repeats), 9)
         assert len(set(inputs.lengths)) > 3
         params = make_params(cfg, max_seq_len=inputs.max_seq_len, seed=1)
         supports = [0]
@@ -640,7 +616,7 @@ class TestBatchedMatchesPerTrajectoryOracle:
 
     def test_padding_leaves_a_trajectory_row_unchanged(self):
         cfg = small_config(attn_layers=2)
-        inputs, _ = inputs_from_sequences(ragged_sequences(), 9, cfg)
+        inputs, _ = inputs_from_sequences(ragged_sequences(), 9)
         params = make_params(cfg, max_seq_len=inputs.max_seq_len)
         short = [i for i in range(inputs.n_traj) if inputs.lengths[i] <= 2]
         longest = int(np.argmax(inputs.lengths))
@@ -660,15 +636,15 @@ class TestVisitedGridRows:
     """Only visited grids get first-layer GCN rows; the bounding-box layout
     in tests/oracles.py is the reference."""
 
-    def _both(self, cfg):
+    def _both(self):
         sequences, local, global_g, _ = graphs_from_sequences(on_odd_cells(ragged_sequences()),
                                                               SPARSE_BBOX)
-        return (build_model_inputs(sequences, local, global_g, cfg),
-                bounding_box_inputs_oracle(sequences, local, global_g, cfg), sequences)
+        return (build_model_inputs(sequences, local, global_g),
+                bounding_box_inputs_oracle(sequences, local, global_g), sequences)
 
     def test_inputs_keep_visited_rows(self):
         cfg = small_config()
-        inputs, full, sequences = self._both(cfg)
+        inputs, full, sequences = self._both()
         rows = inputs.grid_rows
         assert rows.tolist() == sorted({g for s in sequences for g in s.grid})
         assert rows[0] > 0 and len(rows) < SPARSE_BBOX
@@ -694,7 +670,7 @@ class TestVisitedGridRows:
     @pytest.mark.parametrize("flag", (None,) + ABLATION_FLAGS)
     def test_matches_bounding_box_layout(self, flag):
         cfg = small_config(**({flag: True} if flag else {}))
-        inputs, full, _ = self._both(cfg)
+        inputs, full, _ = self._both()
         rows = inputs.grid_rows
         params = make_params(cfg, n_grids=SPARSE_BBOX, grid_rows=rows,
                              max_seq_len=inputs.max_seq_len, seed=7)

@@ -141,6 +141,11 @@ class TestParameterArena:
         with pytest.raises(DataError, match="link_b"):
             params.load_values(values)
         np.testing.assert_array_equal(params.values, before)
+        values = {n: np.ones_like(t.values) for n, t in params.items()}
+        values["attn9_q"] = np.ones((2, 2))
+        with pytest.raises(DataError, match="lacks.*attn9_q"):
+            params.load_values(values)
+        np.testing.assert_array_equal(params.values, before)
 
 
 class TestTrainConfig:
@@ -157,7 +162,7 @@ class TestTrainConfig:
 
 def toy_training_setup(**cfg_overrides):
     config = small_config(**cfg_overrides)
-    inputs, split = inputs_from_sequences(toy_nine_sequences(), 9, config)
+    inputs, split = inputs_from_sequences(toy_nine_sequences(), 9)
     return config, inputs, split
 
 
@@ -174,7 +179,7 @@ class TestTrainLoop:
         patience 1 the second epoch is the last."""
         config = small_config()
         sequences = [s for s in toy_nine_sequences() if s.user_id == "u0"]
-        inputs, split = inputs_from_sequences(sequences, 9, config)
+        inputs, split = inputs_from_sequences(sequences, 9)
         tc = TrainConfig(epochs_max=30, patience=1, batch_size=2, seed=0)
         result = train(inputs, split, config, tc)
         assert len(result.history) == 2
@@ -216,8 +221,8 @@ class TestTrainLoop:
         config = small_config(dropout_rate=0.3)
         sequences, local, global_g, split = graphs_from_sequences(
             on_odd_cells(toy_nine_sequences()), 20)
-        inputs = build_model_inputs(sequences, local, global_g, config)
-        full = bounding_box_inputs_oracle(sequences, local, global_g, config)
+        inputs = build_model_inputs(sequences, local, global_g)
+        full = bounding_box_inputs_oracle(sequences, local, global_g)
         tc = TrainConfig(learning_rate=1e-2, epochs_max=4, patience=10, batch_size=4, seed=8)
         compact, reference = train(inputs, split, config, tc), train(full, split, config, tc)
         assert [h.val_acc1 for h in compact.history] == \
@@ -251,31 +256,6 @@ class TestTrainLoop:
         split.validation = []
         with pytest.raises(ValueError, match="non-empty"):
             train(inputs, split, config, TrainConfig())
-
-    def test_validation_loss_stopping_flag(self):
-        config, inputs, split = toy_training_setup()
-        tc = TrainConfig(epochs_max=4, patience=2, batch_size=4, seed=3,
-                         early_stop_on_loss=True)
-        result = train(inputs, split, config, tc)
-        assert 1 <= len(result.history) <= 4
-        assert result.best_epoch >= 1
-
-    def test_one_validation_pass_per_epoch_when_stopping_on_loss(self, monkeypatch):
-        import tulink.train as train_module
-        calls = []
-        original = train_module.predict_logits
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(train_module, "predict_logits", counting)
-        config, inputs, split = toy_training_setup()
-        tc = TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=3,
-                         early_stop_on_loss=True)
-        result = train(inputs, split, config, tc)
-        assert len(result.history) == 3
-        assert len(calls) == 3
 
 
 class TestEvaluate:
