@@ -20,9 +20,9 @@ import numpy as np
 from . import graphs as G
 from . import metrics as M
 from . import mobility as mob
-from .config import ABLATIONS, FIELD_TYPES, RunConfig, resolve_config, seeded_rng
+from .config import FIELD_TYPES, RunConfig, resolve_config, seeded_rng
 from .errors import ConfigError, DataError, TrainingError
-from .model import ModelParams, build_model_inputs, fused_representations
+from .model import ABLATIONS, ModelParams, build_model_inputs, fused_representations
 from .train import (
     evaluate_on_split,
     evaluate_rows,
@@ -153,9 +153,8 @@ def _load_model_inputs(cfg: RunConfig, paths: StagePaths):
     if global_g.traj_ids != [s.traj_id for s in sequences]:
         raise DataError(f"{paths.global_graph.name} and {paths.sequences.name} list different "
                         "trajectories; rerun the 'build-graphs' stage")
-    model_config = cfg.model_config()
-    _check_ids(paths, sequences, "state", model_config.state_vocab)
-    _check_ids(paths, sequences, "window", model_config.time_vocab)
+    _check_ids(paths, sequences, "state", mob.MOTION_STATES)
+    _check_ids(paths, sequences, "window", mob.time_window_vocab(cfg.time_window))
     inputs = build_model_inputs(sequences, local, global_g)
     return inputs, split
 

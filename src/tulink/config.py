@@ -19,15 +19,6 @@ from .mobility import time_window_vocab
 from .model import ModelConfig
 from .train import TrainConfig
 
-ABLATIONS = {
-    "tul-l": "disable_local",
-    "tul-g": "disable_global",
-    "tul-sa": "disable_self_attention",
-    "tul-ea": "use_softmax_global",
-    "tul-ts": "disable_time_state",
-}
-
-
 @dataclass
 class RunConfig:
     dataset: str = ""
@@ -46,24 +37,19 @@ class RunConfig:
     batch_size: int = TrainConfig.batch_size
     patience: int = TrainConfig.patience
     seed: int = TrainConfig.seed
-    ablation: str = ""
+    ablation: str = ModelConfig.ablation
 
     def validate(self) -> None:
-        if self.cell_size <= 0:
+        if not self.cell_size > 0:
             raise ConfigError(f"cell_size must be positive, got {self.cell_size}")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         time_window_vocab(self.time_window)
-        if self.ablation and self.ablation not in ABLATIONS:
-            raise ConfigError(
-                f"unknown ablation {self.ablation!r}; valid names: "
-                + ", ".join(sorted(ABLATIONS))
-            )
         self.model_config().validate()
         self.train_config().validate()
 
     def model_config(self) -> ModelConfig:
-        cfg = ModelConfig(
+        return ModelConfig(
             embed_dim=self.embed_dim,
             gcn_layers=self.gcn_layers,
             attn_layers=self.attn_layers,
@@ -71,10 +57,8 @@ class RunConfig:
             lambda_l2=self.lambda_l2,
             dropout_rate=self.dropout,
             time_vocab=time_window_vocab(self.time_window),
+            ablation=self.ablation,
         )
-        if self.ablation:
-            setattr(cfg, ABLATIONS[self.ablation], True)
-        return cfg
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(

@@ -25,7 +25,8 @@ EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0
 SECONDS_PER_DAY = 86_400
 
-# Thresholds of the nine-state motion encoder.
+# The motion-state vocabulary (3 speed x 3 turn classes) and its thresholds.
+MOTION_STATES = 9
 SPEED_RATIO_EPS = 0.1
 TURN_THRESHOLD_DEG = 15.0
 # Share of unparseable data lines above which parse_dataset aborts.

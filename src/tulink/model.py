@@ -10,9 +10,8 @@ all trajectory embeddings scored by cosine similarity. Both halves
 concatenate into an affine linking layer over users, trained with
 softmax cross entropy plus L2 on the weight matrices.
 
-Ablation switches zero out one component at a time: local branch, global
-branch, self-attention stack (pass-through), sparsemax (softmax instead),
-or the time/state encoders (zero sub-vectors).
+``ModelConfig.ablation`` names one of the paper's variants in ``ABLATIONS``,
+each of which removes one component.
 """
 
 from __future__ import annotations
@@ -27,18 +26,19 @@ import scipy.sparse as sp
 from . import tensor as T
 from .errors import ConfigError, DataError
 from .graphs import GlobalSpatialGraph, LocalSpatialGraph, symmetric_normalize
-from .mobility import GridSequence
+from .mobility import MOTION_STATES, GridSequence
 from .tensor import Tensor
 
 COSINE_EPS = 1e-12
 
-ABLATION_FLAGS = (
-    "disable_local",
-    "disable_global",
-    "disable_self_attention",
-    "use_softmax_global",
-    "disable_time_state",
-)
+# The paper's ablation variants by name, each with what it removes.
+ABLATIONS = {
+    "tul-l": "the local branch",
+    "tul-g": "the global branch",
+    "tul-sa": "the self-attention stack (a pass-through instead)",
+    "tul-ea": "sparsemax from global attention (softmax instead)",
+    "tul-ts": "the time and motion-state encoders (zero sub-vectors instead)",
+}
 
 
 @dataclass
@@ -49,15 +49,12 @@ class ModelConfig:
     heads: int = 4
     lambda_l2: float = 5e-4
     dropout_rate: float = 0.5
-    state_vocab: int = 9
     time_vocab: int = 12
-    disable_local: bool = False
-    disable_global: bool = False
-    disable_self_attention: bool = False
-    use_softmax_global: bool = False
-    disable_time_state: bool = False
+    ablation: str = ""  # the full model, or a name in ABLATIONS
 
     def validate(self) -> None:
+        if self.heads < 1:
+            raise ConfigError(f"heads must be at least 1, got {self.heads}")
         if self.embed_dim <= 0 or self.embed_dim % self.heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} must be a positive multiple of heads {self.heads}"
@@ -66,11 +63,13 @@ class ModelConfig:
             raise ConfigError("gcn_layers and attn_layers must be at least 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.time_vocab < 1 or self.state_vocab < 1:
-            raise ConfigError("vocabulary sizes must be positive")
-        n_flags = sum(getattr(self, f) for f in ABLATION_FLAGS)
-        if n_flags > 1:
-            raise ConfigError("at most one ablation flag may be set")
+        if not (math.isfinite(self.lambda_l2) and self.lambda_l2 >= 0.0):
+            raise ConfigError(f"lambda_l2 must be finite and >= 0, got {self.lambda_l2}")
+        if self.time_vocab < 1:
+            raise ConfigError("time_vocab must be positive")
+        if self.ablation and self.ablation not in ABLATIONS:
+            raise ConfigError(f"unknown ablation {self.ablation!r}; valid names: "
+                              + ", ".join(sorted(ABLATIONS)))
 
 
 def positional_encoding(max_len: int, d: int) -> np.ndarray:
@@ -134,7 +133,7 @@ class ModelParams:
                 matrix(f"gcn_{branch}_{i}", d, d)
         matrix("time_w", config.time_vocab, d)
         vector("time_b", d)
-        matrix("state_w", config.state_vocab, d)
+        matrix("state_w", MOTION_STATES, d)
         vector("state_b", d)
         matrix("loc_w", 3 * d, d)
         vector("loc_b", d)
@@ -178,33 +177,33 @@ class ModelParams:
     def zero_grads(self) -> None:
         self.grad.fill(0.0)
 
-    def active_names(self, config: ModelConfig | None = None) -> list[str]:
-        """Names of parameters reachable by the forward pass under config."""
-        cfg = config or self.config
+    def active_names(self) -> list[str]:
+        """Names of parameters reachable by the forward pass under the config."""
+        cfg = self.config
         names: list[str] = []
-        if not cfg.disable_local:
+        if cfg.ablation != "tul-l":
             names += [f"gcn_local_{i}" for i in range(cfg.gcn_layers)]
-            if not cfg.disable_time_state:
+            if cfg.ablation != "tul-ts":
                 names += ["time_w", "time_b", "state_w", "state_b"]
             names += ["loc_w", "loc_b"]
-            if not cfg.disable_self_attention:
+            if cfg.ablation != "tul-sa":
                 for layer in range(cfg.attn_layers):
                     names += [f"attn{layer}_{part}" for part in
                               ("q", "k", "v", "out_w", "out_b", "ln_gain", "ln_bias")]
-        if not cfg.disable_global:
+        if cfg.ablation != "tul-g":
             names += [f"gcn_global_{i}" for i in range(cfg.gcn_layers)]
         names += ["link_w", "link_b"]
         return names
 
-    def active_parameter_count(self, config: ModelConfig | None = None) -> int:
-        return sum(self.tensors[n].values.size for n in self.active_names(config))
+    def active_parameter_count(self) -> int:
+        return sum(self.tensors[n].values.size for n in self.active_names())
 
-    def l2_tensors(self, config: ModelConfig | None = None) -> list[Tensor]:
+    def l2_tensors(self) -> list[Tensor]:
         """Active weight matrices; biases, layer-norm affines and the fixed
         position table never enter the regularizer."""
         return [
             self.tensors[n]
-            for n in self.active_names(config)
+            for n in self.active_names()
             if self.tensors[n].values.ndim == 2
         ]
 
@@ -325,7 +324,7 @@ def encode_locations(
     """Per-point fusion Tanh(FC([time ; state ; grid])) -> (..., m, d)."""
     d = config.embed_dim
     g_emb = T.embedding(h_local, grid_idx)
-    if config.disable_time_state:
+    if config.ablation == "tul-ts":
         zeros = Tensor(np.zeros((*np.shape(grid_idx), d)))
         t_emb, s_emb = zeros, zeros
     else:
@@ -387,20 +386,11 @@ def global_attention(
     batched roster index.
 
     Each row of the (B, n_traj) score matrix is normalized with sparsemax so
-    irrelevant trajectories receive exactly zero weight; the output is the
-    weighted sum of trajectory embeddings. Sparsemax attention is one
-    primitive whose backward visits the kept trajectories only. The softmax
-    ablation keeps every trajectory, so it stays the dense composition.
+    irrelevant trajectories receive exactly zero weight, or with softmax
+    under the tul-ea ablation; the output is the weighted sum of trajectory
+    embeddings.
     """
-    if not use_softmax:
-        return T.sparsemax_attention(h_traj, traj_norms, batch, COSINE_EPS)
-    n_traj = h_traj.shape[0]
-    rows = T.embedding(h_traj, batch)
-    dots = T.matmul(rows, T.transpose(h_traj))
-    norms = T.matmul(T.reshape(T.row_norms(rows), (len(batch), 1)),
-                     T.reshape(traj_norms, (1, n_traj)))
-    scores = T.div(dots, T.add_scalar(norms, COSINE_EPS))
-    return T.matmul(T.softmax(scores, axis=-1), h_traj)
+    return T.cosine_attention(h_traj, traj_norms, batch, COSINE_EPS, use_softmax)
 
 
 def encode_graphs(params: ModelParams, config: ModelConfig,
@@ -408,11 +398,11 @@ def encode_graphs(params: ModelParams, config: ModelConfig,
     """Both GCN encoders, once per pass: (grid embeddings, trajectory
     embeddings, their row norms), None where an ablation removes a branch."""
     h_local = h_traj = traj_norms = None
-    if not config.disable_local:
+    if config.ablation != "tul-l":
         # Grid features are one-hot, so X W0 is W0 itself.
         w = [params[f"gcn_local_{i}"] for i in range(config.gcn_layers)]
         h_local = gcn_forward(inputs.m_local, w[0], w[1:])
-    if not config.disable_global:
+    if config.ablation != "tul-g":
         w = [params[f"gcn_global_{i}"] for i in range(config.gcn_layers)]
         h_global = gcn_forward(inputs.m_global, T.spmm(inputs.x_global, w[0]), w[1:])
         h_traj = T.slice_rows(h_global, 0, inputs.n_traj)
@@ -436,7 +426,7 @@ def fused_representations(
     """
     h_local, h_traj, traj_norms = graphs or encode_graphs(params, config, inputs)
     z_local = z_global = Tensor(np.zeros((len(batch), config.embed_dim)))
-    if not config.disable_local:
+    if config.ablation != "tul-l":
         lengths = inputs.lengths[batch]
         m = int(lengths.max())
         x = encode_locations(
@@ -444,13 +434,13 @@ def fused_representations(
             inputs.grid_idx[batch, :m], inputs.state_idx[batch, :m], inputs.time_idx[batch, :m],
         )
         x = T.dropout(x, config.dropout_rate, training, rng)
-        z = x if config.disable_self_attention else self_attention_stack(
+        z = x if config.ablation == "tul-sa" else self_attention_stack(
             params, config, x, lengths, rng, training
         )
         pad = Tensor(np.broadcast_to(_pad_bias(lengths, m)[:, :, None], z.shape))
         z_local = T.max_pool_positions(T.add(z, pad))
-    if not config.disable_global:
-        z_global = global_attention(h_traj, traj_norms, batch, config.use_softmax_global)
+    if config.ablation != "tul-g":
+        z_global = global_attention(h_traj, traj_norms, batch, config.ablation == "tul-ea")
     return T.concat([z_local, z_global], axis=-1)
 
 
@@ -472,5 +462,5 @@ def model_loss(logits: Tensor, targets: np.ndarray, params: ModelParams,
                config: ModelConfig) -> Tensor:
     """Batch-mean cross entropy plus (lambda/2) * sum of squared weights."""
     ce = T.cross_entropy(logits, targets)
-    penalty = T.sum_squares(*params.l2_tensors(config))
+    penalty = T.sum_squares(*params.l2_tensors())
     return T.add(ce, T.scale(penalty, 0.5 * config.lambda_l2))

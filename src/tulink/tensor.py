@@ -8,8 +8,8 @@ evaluation path) operations are plain numpy calls with no bookkeeping.
 
 The operation set is exactly what the linking model needs: dense and
 sparse-by-dense matmul, elementwise arithmetic, gather/concat/permute shape
-plumbing, relu/tanh, softmax and sparsemax, a fused cosine-scored sparsemax
-attention, layer norm, inverted dropout, positional max-pooling, and a fused
+plumbing, relu/tanh, softmax and sparsemax, a fused cosine-scored attention
+under either, layer norm, inverted dropout, positional max-pooling, and a fused
 log-space cross entropy. Every differentiable primitive is validated against
 central finite differences by :func:`finite_difference_check`.
 """
@@ -353,25 +353,26 @@ def sparsemax(x: Tensor) -> Tensor:
     return out
 
 
-def sparsemax_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float) -> Tensor:
-    """Cosine-scored sparsemax attention of the rows h_traj[batch] over every
-    row of h_traj: sparsemax(scores) @ h_traj, with scores the (B, n) matrix
-    (rows @ h_trajᵀ) / (traj_norms[batch] ⊗ traj_norms + eps).
+def cosine_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float,
+                     use_softmax: bool) -> Tensor:
+    """Cosine-scored attention of the rows h_traj[batch] over every row of
+    h_traj: sparsemax(scores) @ h_traj, or softmax if use_softmax, with scores
+    the (B, n) matrix (rows @ h_trajᵀ) / (traj_norms[batch] ⊗ traj_norms + eps).
 
     The forward makes the same float operations in the same order as the
-    taped composition of those steps. The backward visits only the support,
-    the (row, trajectory) pairs of nonzero weight: its products run over the
-    columns of the trajectories some row keeps, so it makes no (B, n)
-    gradient buffer.
+    taped composition of those steps. Both Jacobians are diag(w) - w wᵀ / Σw
+    on a row's support, the pairs of nonzero weight p: w = p for softmax, 1
+    for sparsemax. The backward visits only the support: its products run
+    over the columns of the trajectories some row keeps.
     """
     idx = np.asarray(batch, dtype=np.int64)
     h = h_traj.values
     n = h.shape[0]
     if h.ndim != 2 or traj_norms.shape != (n,) or idx.ndim != 1:
-        raise ValueError(f"sparsemax_attention shape mismatch: {h_traj.shape}, "
+        raise ValueError(f"cosine_attention shape mismatch: {h_traj.shape}, "
                          f"{traj_norms.shape}, batch {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"sparsemax_attention index out of range [0, {n}): "
+        raise ValueError(f"cosine_attention index out of range [0, {n}): "
                          f"{int(idx.min())}..{int(idx.max())}")
     rows = h[idx]
     nh = traj_norms.values
@@ -379,13 +380,15 @@ def sparsemax_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float) -
     dots = rows @ np.swapaxes(h, -1, -2)
     denom = nr.reshape(-1, 1) @ nh.reshape(1, n)
     denom += eps
-    p = sparsemax(Tensor(dots / denom)).values
+    scores = Tensor(dots / denom)
+    p = (softmax(scores, axis=-1) if use_softmax else sparsemax(scores)).values
     out = _result(p @ h, h_traj, traj_norms)
     if out.requires_grad:
         r, c = np.nonzero(p > 0.0)  # the support, row-major
         kept, col = np.unique(c, return_inverse=True)  # trajectories some row keeps
         b = len(idx)
-        count = np.bincount(r, minlength=b)  # every row keeps at least one
+        w = p[r, c] if use_softmax else np.ones(len(r))
+        w_sum = np.bincount(r, w, b)  # positive: every row keeps at least one
         weights = p[:, kept]
         dots_s, denom_s = dots[r, c], denom[r, c]
 
@@ -393,11 +396,11 @@ def sparsemax_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float) -
             g = out.grad
             h_kept = h[kept]
             g_p = (g @ h_kept.T)[r, col]
-            # Centre each row on its support. The second pass sums the
+            # Centre each row on its w-weighted mean. The second pass sums the
             # residuals, so a row of nearly equal gradients centres accurately.
-            mean = np.bincount(r, g_p, b) / count
-            mean += np.bincount(r, g_p - mean[r], b) / count
-            g_scores = g_p - mean[r]
+            mean = np.bincount(r, w * g_p, b) / w_sum
+            mean += np.bincount(r, w * (g_p - mean[r]), b) / w_sum
+            g_scores = w * (g_p - mean[r])
             g_dots = g_scores / denom_s
             g_denom = -g_scores * dots_s / (denom_s * denom_s)
             if h_traj.requires_grad:

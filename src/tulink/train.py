@@ -44,6 +44,8 @@ class TrainConfig:
             raise ConfigError(f"patience must be at least 1, got {self.patience}")
         if self.batch_size < 1 or self.epochs_max < 1:
             raise ConfigError("batch_size and epochs_max must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
 
 class AdamState:

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 from tulink import tensor as T
 from tulink.graphs import symmetric_normalize
+from tulink.mobility import MOTION_STATES
 from tulink.model import (COSINE_EPS, ModelParams, build_model_inputs, encode_graphs,
                           encode_locations)
 from tulink.tensor import Tensor
@@ -156,18 +157,19 @@ def per_row_global_attention_oracle(h_traj, traj_norms, index, use_softmax):
     return T.reshape(T.matmul(T.reshape(weights, (1, n_traj)), h_traj), (d,))
 
 
-def dense_global_attention_oracle(h_traj, traj_norms, batch, eps=COSINE_EPS):
-    """Sparsemax attention composed of taped primitives, every backward step
+def dense_global_attention_oracle(h_traj, traj_norms, batch, eps, use_softmax):
+    """Cosine attention composed of taped primitives, every backward step
     over dense (B, n_traj) buffers. The batch rows' norms are gathered from
     traj_norms, so gradients reach h_traj and traj_norms as they do in
-    T.sparsemax_attention."""
+    T.cosine_attention."""
     n_traj = h_traj.shape[0]
     rows = T.embedding(h_traj, batch)
     dots = T.matmul(rows, T.transpose(h_traj))
     row_norms = T.embedding(T.reshape(traj_norms, (n_traj, 1)), batch)
     norms = T.matmul(row_norms, T.reshape(traj_norms, (1, n_traj)))
     scores = T.div(dots, T.add_scalar(norms, eps))
-    return T.matmul(T.sparsemax(scores), h_traj)
+    weights = T.softmax(scores, axis=-1) if use_softmax else T.sparsemax(scores)
+    return T.matmul(weights, h_traj)
 
 
 def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
@@ -178,17 +180,17 @@ def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
     rows = []
     for idx in batch:
         z_local = z_global = zeros_d
-        if not config.disable_local:
+        if config.ablation != "tul-l":
             m = inputs.lengths[idx]
             x = encode_locations(params, config, h_local, inputs.grid_idx[idx, :m],
                                  inputs.state_idx[idx, :m], inputs.time_idx[idx, :m])
             x = T.dropout(x, config.dropout_rate, training, rng)
-            z = x if config.disable_self_attention else per_head_attention_oracle(
+            z = x if config.ablation == "tul-sa" else per_head_attention_oracle(
                 params, config, x, rng, training)
             z_local = T.max_pool_positions(z)
-        if not config.disable_global:
+        if config.ablation != "tul-g":
             z_global = per_row_global_attention_oracle(
-                h_traj, traj_norms, int(idx), config.use_softmax_global)
+                h_traj, traj_norms, int(idx), config.ablation == "tul-ea")
         rows.append(T.reshape(T.concat([z_local, z_global], axis=-1), (1, -1)))
     stacked = T.concat(rows, axis=0)
     return T.add_bias(T.matmul(stacked, T.transpose(params["link_w"])), params["link_b"])
@@ -229,7 +231,7 @@ def bounding_box_initial_values(config, n_grids, n_users, rng):
     for branch in ("local", "global"):
         for i in range(config.gcn_layers):
             values[f"gcn_{branch}_{i}"] = xavier(n_grids if i == 0 else d, d)
-    for name, vocab in (("time", config.time_vocab), ("state", config.state_vocab)):
+    for name, vocab in (("time", config.time_vocab), ("state", MOTION_STATES)):
         values[f"{name}_w"] = xavier(vocab, d)
         values[f"{name}_b"] = np.zeros(d)
     values["loc_w"] = xavier(3 * d, d)

@@ -5,8 +5,10 @@ One test per criterion, each printing a PASS line with its headline numbers
 and tolerances are asserted inside the tests themselves.
 """
 
+import inspect
 import itertools
 import time
+import typing
 
 import numpy as np
 
@@ -86,6 +88,16 @@ def primitive_checks(rng):
             if np.min(np.abs(x - tau)) > margin:
                 return x
 
+    def cosine_safe_roster(batch, margin=1e-3):
+        """A roster whose sparsemax supports cannot flip within the FD step."""
+        while True:
+            h = rng.normal(size=(7, 3)) + 0.5
+            norms = np.linalg.norm(h, axis=1)
+            scores = (h[batch] @ h.T) / (np.outer(norms[batch], norms) + 1e-12)
+            tau = np.max(scores - T.sparsemax(Tensor(scores)).values, axis=-1, keepdims=True)
+            if np.min(np.abs(scores - tau)) > margin:
+                return h, norms
+
     def max_pool_safe(shape, margin=1e-3):
         while True:
             z = rng.normal(size=shape)
@@ -124,7 +136,7 @@ def primitive_checks(rng):
             T.dropout(t, 0.5, training=True, rng=np.random.default_rng(55)), c12
         )
 
-    return [
+    checks = [
         ("add", lambda t: scalar_functional(T.add(t, Tensor(b34)), c12), a34),
         ("add_bias", lambda t: scalar_functional(T.add_bias(Tensor(a34), t), c12), c4),
         ("add_scalar", lambda t: scalar_functional(T.add_scalar(t, 0.7), c6), vec6),
@@ -167,9 +179,34 @@ def primitive_checks(rng):
         ("row_norms", lambda t: scalar_functional(T.row_norms(t), c3),
          rng.normal(size=(3, 4)) + 1.5),
     ]
+    batch = np.array([1, 4, 4, 0])
+    roster, roster_norms = cosine_safe_roster(batch)
+    for use_softmax in (False, True):
+        checks.append((
+            f"cosine_attention_{'softmax' if use_softmax else 'sparsemax'}",
+            lambda t, u=use_softmax: scalar_functional(
+                T.cosine_attention(t, Tensor(roster_norms), batch, 1e-12, u), c12),
+            roster))
+    return checks
+
+
+def tensor_primitives():
+    """Public functions of tulink.tensor annotated to return a Tensor."""
+    return {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+            if fn.__module__ == T.__name__ and not name.startswith("_")
+            and typing.get_type_hints(fn).get("return") is Tensor}
 
 
 class TestCriterion2Gradients:
+    def test_every_primitive_has_a_row(self):
+        """Each row is named after its primitive, plus an optional variant
+        suffix; the longest matching primitive name is the one it checks."""
+        primitives = tensor_primitives()
+        covered = {max((p for p in primitives if row == p or row.startswith(p + "_")),
+                       key=len, default=None)
+                   for row, _, _ in primitive_checks(np.random.default_rng(0))}
+        assert primitives <= covered, sorted(primitives - covered)
+
     def test_primitives_and_full_model(self):
         t0 = time.perf_counter()
         rng = np.random.default_rng(2002)

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from tulink import mobility as mob
 from tulink import synth
 from tulink.cli import _config_from_args, build_parser, main
-from tulink.config import ABLATIONS, FIELD_TYPES, RunConfig, load_config_file, resolve_config
+from tulink.config import FIELD_TYPES, RunConfig, load_config_file, resolve_config
 from tulink.errors import ConfigError
-from tulink.model import ModelConfig
+from tulink.model import ABLATIONS, ModelConfig
 from tulink.train import TrainConfig
 from tulink.tensor import load_tensors, save_tensors
 
@@ -138,6 +138,16 @@ class TestExitCodes:
         for name in ABLATIONS:
             assert name in err
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--heads", "0", "heads"), ("--heads", "-4", "heads"), ("--seed", "-1", "seed"),
+        ("--cell-size", "nan", "cell_size"), ("--tau", "nan", "tau"),
+        ("--lambda-l2", "nan", "lambda_l2"), ("--lambda-l2", "-1", "lambda_l2"),
+    ])
+    def test_bad_setting_is_usage_error_naming_it(self, workspace, capsys, flag, value, name):
+        assert run(["train", "--config", workspace["config"], flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {name} " in err and "Traceback" not in err
+
     def test_empty_dataset_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -191,6 +201,17 @@ def trained_deeper(workspace, tmp_path_factory):
         assert run([stage, "--config", workspace["config"], "--output", str(out),
                     "--attn-layers", "2", "--gcn-layers", "2"]) == 0
     return out
+
+
+@pytest.mark.parametrize("name", sorted(ABLATIONS))
+def test_each_ablation_trains_evaluates_and_embeds(workspace, trained, tmp_path, capsys, name):
+    out = tmp_path / name
+    shutil.copytree(trained, out)
+    for stage in ("train", "evaluate", "embed"):
+        code = run([stage, "--config", workspace["config"], "--output", str(out),
+                    "--ablation", name])
+        assert code == 0, (stage, capsys.readouterr().err)
+    assert len((out / "embeddings.tsv").read_text().splitlines()) == 24
 
 
 class TestCheckpointErrors:
@@ -287,18 +308,9 @@ class TestConfigResolution:
         assert cfg.batch_size == 16
         assert cfg.patience == 10
 
-    def test_ablation_maps_to_single_flag(self):
-        cfg = RunConfig(ablation="tul-ea")
-        model_cfg = cfg.model_config()
-        assert model_cfg.use_softmax_global is True
-        for flag in ("disable_local", "disable_global",
-                     "disable_self_attention", "disable_time_state"):
-            assert getattr(model_cfg, flag) is False
-
     def test_every_ablation_name_round_trips(self):
-        for name, flag in ABLATIONS.items():
-            model_cfg = RunConfig(ablation=name).model_config()
-            assert getattr(model_cfg, flag) is True
+        for name in ABLATIONS:
+            assert RunConfig(ablation=name).model_config().ablation == name
 
     def test_config_file_comments_and_types(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -9,7 +9,7 @@ from tulink import tensor as T
 from tulink.config import seeded_rng
 from tulink.errors import ConfigError
 from tulink.model import (
-    ABLATION_FLAGS,
+    ABLATIONS,
     ModelConfig,
     ModelParams,
     build_model_inputs,
@@ -31,6 +31,8 @@ from oracles import (bounding_box_initial_values, bounding_box_inputs_oracle,
                      bounding_box_params_oracle, l2_chain_oracle, per_trajectory_logits_oracle)
 
 RNG = np.random.default_rng(4242)
+# The full model ("") and every ablation.
+VARIANTS = ("", *ABLATIONS)
 
 
 class TestPositionalEncoding:
@@ -62,9 +64,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="multiple of heads"):
             ModelConfig(embed_dim=10, heads=4).validate()
 
-    def test_at_most_one_ablation_flag(self):
-        with pytest.raises(ConfigError, match="ablation"):
-            ModelConfig(disable_local=True, disable_global=True).validate()
+    def test_unknown_ablation_lists_the_valid_names(self):
+        with pytest.raises(ConfigError, match="unknown ablation") as err:
+            ModelConfig(ablation="tul-l,tul-g").validate()
+        for name in ABLATIONS:
+            assert name in str(err.value)
 
 
 def random_graph_inputs(n_nodes, n_feats, rng):
@@ -110,7 +114,7 @@ class TestGCN:
 
     def test_feature_width_mismatch(self, toy_model_setup):
         _, _, inputs, _ = toy_model_setup
-        config = small_config(disable_local=True)
+        config = small_config(ablation="tul-l")
         params = make_params(config, n_grids=inputs.n_grids + 1)
         with pytest.raises(ValueError, match="mismatch"):
             encode_graphs(params, config, inputs)
@@ -135,7 +139,7 @@ class TestLocationEncoder:
 
     def test_disable_time_state_equals_zeroed_encoders(self):
         cfg_on = small_config()
-        cfg_off = small_config(disable_time_state=True)
+        cfg_off = small_config(ablation="tul-ts")
         params = make_params(cfg_on)
         for name in ("time_w", "time_b", "state_w", "state_b"):
             params[name].values[:] = 0.0
@@ -405,7 +409,7 @@ class TestModelLoss:
 
     def test_zero_weights_zero_penalty(self, toy_model_setup):
         params, cfg, inputs, _ = toy_model_setup
-        for t in params.l2_tensors(cfg):
+        for t in params.l2_tensors():
             t.values[:] = 0.0
         batch = np.array([0, 1])
         logits = forward_batch(params, cfg, inputs, batch,
@@ -422,7 +426,7 @@ class TestModelLoss:
         loss = model_loss(logits, inputs.labels[batch], params, cfg)
         ce = T.cross_entropy(Tensor(logits.values), inputs.labels[batch]).item()
         penalty = sum(
-            float(np.sum(np.square(t.values))) for t in params.l2_tensors(cfg)
+            float(np.sum(np.square(t.values))) for t in params.l2_tensors()
         )
         np.testing.assert_allclose(
             loss.item(), ce + 0.5 * cfg.lambda_l2 * penalty, atol=1e-10
@@ -435,7 +439,7 @@ class TestModelLoss:
 
         def chain_loss(logits, targets, params, cfg):
             ce = T.cross_entropy(logits, targets)
-            return T.add(ce, T.scale(l2_chain_oracle(params.l2_tensors(cfg)),
+            return T.add(ce, T.scale(l2_chain_oracle(params.l2_tensors()),
                                      0.5 * cfg.lambda_l2))
 
         runs = []
@@ -497,8 +501,9 @@ class TestForwardFull:
                        if n.startswith(("gcn_local", "time", "state", "loc", "attn"))]
         assert any(np.any(full[n] != 0) for n in local_names)
 
-        cfg_abl = small_config(disable_local=True)
-        ablated = grads_after_backward(params, cfg_abl, inputs, batch)
+        cfg_abl = small_config(ablation="tul-l")
+        params_abl = ModelParams.for_inputs(cfg_abl, inputs, seeded_rng(123, "init"))
+        ablated = grads_after_backward(params_abl, cfg_abl, inputs, batch)
         for name in local_names:
             np.testing.assert_array_equal(ablated[name], 0.0)
         assert np.any(ablated["link_w"] != 0)
@@ -515,18 +520,20 @@ class TestForwardFull:
         attn = cfg.attn_layers * (3 * d * d + d * d + 3 * d)
         link = n_users * 2 * d + n_users
         expected_full = 2 * gcn + time_state + loc + attn + link
-        assert params.active_parameter_count(cfg) == expected_full
+        assert params.active_parameter_count() == expected_full
 
         variants = {
-            "disable_local": expected_full - gcn - time_state - loc - attn,
-            "disable_global": expected_full - gcn,
-            "disable_self_attention": expected_full - attn,
-            "use_softmax_global": expected_full,
-            "disable_time_state": expected_full - time_state,
+            "tul-l": expected_full - gcn - time_state - loc - attn,
+            "tul-g": expected_full - gcn,
+            "tul-sa": expected_full - attn,
+            "tul-ea": expected_full,
+            "tul-ts": expected_full - time_state,
         }
-        for flag, count in variants.items():
-            variant_cfg = small_config(**{flag: True})
-            assert params.active_parameter_count(variant_cfg) == count, flag
+        assert set(variants) == set(ABLATIONS)
+        for name, count in variants.items():
+            variant = ModelParams.for_inputs(small_config(ablation=name), inputs,
+                                             seeded_rng(0, "init"))
+            assert variant.active_parameter_count() == count, name
 
     def test_full_model_gradient_spot_check(self, toy_model_setup):
         """Finite differences on representative parameters of every path."""
@@ -583,15 +590,15 @@ def max_rel(a, b):
 
 
 class TestBatchedMatchesPerTrajectoryOracle:
-    @pytest.mark.parametrize("flag", (None,) + ABLATION_FLAGS)
+    @pytest.mark.parametrize("ablation", VARIANTS, ids=["full", *ABLATIONS])
     # repeats=16 makes a roster of 192 whose sparsemax supports outgrow the
     # first selection width, so the widening runs inside the check.
     @pytest.mark.parametrize("dims", [dict(), dict(embed_dim=16, heads=4, attn_layers=3),
                                       dict(repeats=16)])
-    def test_logits_and_every_gradient(self, flag, dims, monkeypatch):
+    def test_logits_and_every_gradient(self, ablation, dims, monkeypatch):
         dims = dict(dims)
         repeats = dims.pop("repeats", 1)
-        cfg = small_config(**dims, **({flag: True} if flag else {}))
+        cfg = small_config(**dims, ablation=ablation)
         inputs, _ = inputs_from_sequences(ragged_sequences(repeats), 9)
         assert len(set(inputs.lengths)) > 3
         params = make_params(cfg, max_seq_len=inputs.max_seq_len, seed=1)
@@ -611,7 +618,7 @@ class TestBatchedMatchesPerTrajectoryOracle:
         for name in params.tensors:
             assert max_rel(grads[name], ref_grads[name]) <= 1e-12, name
         assert any(np.any(g != 0) for g in grads.values())
-        global_sparsemax = not (cfg.disable_global or cfg.use_softmax_global)
+        global_sparsemax = ablation not in ("tul-g", "tul-ea")
         assert (max(supports) > T.SPARSEMAX_WIDTH) == (repeats > 1 and global_sparsemax)
 
     def test_padding_leaves_a_trajectory_row_unchanged(self):
@@ -667,9 +674,9 @@ class TestVisitedGridRows:
         for branch in ("local", "global"):
             assert params[f"gcn_{branch}_0"].shape == (len(rows), cfg.embed_dim)
 
-    @pytest.mark.parametrize("flag", (None,) + ABLATION_FLAGS)
-    def test_matches_bounding_box_layout(self, flag):
-        cfg = small_config(**({flag: True} if flag else {}))
+    @pytest.mark.parametrize("ablation", VARIANTS, ids=["full", *ABLATIONS])
+    def test_matches_bounding_box_layout(self, ablation):
+        cfg = small_config(ablation=ablation)
         inputs, full, _ = self._both()
         rows = inputs.grid_rows
         params = make_params(cfg, n_grids=SPARSE_BBOX, grid_rows=rows,
@@ -693,7 +700,7 @@ class TestVisitedGridRows:
             assert max_rel(grads[name], ref) <= 1e-12, name
 
         dropped = np.setdiff1d(np.arange(SPARSE_BBOX), rows)
-        active = oracle.active_names(cfg)
+        active = oracle.active_names()
         for name in first:
             w = oracle[name].values[dropped]
             l2_only = cfg.lambda_l2 * w if name in active else np.zeros_like(w)

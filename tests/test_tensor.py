@@ -340,13 +340,13 @@ class TestSparsemaxSelection:
             self._same(row)
 
 
-def sparsemax_attention_and_grads(attend, h, norms, batch, weights):
+def attention_and_grads(attend, h, norms, batch, weights, use_softmax):
     """Output values and the gradients of a fixed linear functional of the
     output with respect to h and norms, both leaves."""
     ht, nt = Tensor(h.copy(), requires_grad=True), Tensor(norms.copy(), requires_grad=True)
     tape = Tape()
     with recording(tape):
-        out = attend(ht, nt, batch, 1e-12)
+        out = attend(ht, nt, batch, 1e-12, use_softmax)
         loss = scalarize(out, weights)
     tape.backward(loss)
     return out.values, ht.grad, nt.grad
@@ -356,18 +356,20 @@ def assert_rel_close(actual, expected, tol=1e-12):
     assert np.max(np.abs(actual - expected)) <= tol * np.max(np.abs(expected))
 
 
-class TestSparsemaxAttention:
-    """The fused primitive against the dense composition in tests/oracles.py:
-    the same forward to the bit, gradients summed in another order."""
+@pytest.mark.parametrize("use_softmax", [False, True], ids=["sparsemax", "softmax"])
+class TestCosineAttention:
+    """The fused primitive against the dense composition in tests/oracles.py,
+    under either normalizer: the same forward to the bit, gradients summed in
+    another order."""
 
-    def _case(self, h, batch):
+    def _case(self, h, batch, use_softmax):
         norms = T.row_norms(Tensor(h)).values
         np.testing.assert_array_equal(norms[batch], T.row_norms(Tensor(h[batch])).values)
         weights = np.random.default_rng(44).normal(size=len(batch) * h.shape[1])
-        out, grad_h, grad_norms = sparsemax_attention_and_grads(
-            T.sparsemax_attention, h, norms, batch, weights)
-        ref, ref_h, ref_norms = sparsemax_attention_and_grads(
-            dense_global_attention_oracle, h, norms, batch, weights)
+        out, grad_h, grad_norms = attention_and_grads(
+            T.cosine_attention, h, norms, batch, weights, use_softmax)
+        ref, ref_h, ref_norms = attention_and_grads(
+            dense_global_attention_oracle, h, norms, batch, weights, use_softmax)
         np.testing.assert_array_equal(out, ref)
         assert_rel_close(grad_h, ref_h)
         if np.any(ref_norms):
@@ -376,42 +378,42 @@ class TestSparsemaxAttention:
             np.testing.assert_array_equal(grad_norms, ref_norms)
         return out
 
-    def test_random_roster(self):
+    def test_random_roster(self, use_softmax):
         h = RNG.normal(size=(40, 5))
-        self._case(h, np.array([0, 7, 39, 12, 5]))
+        self._case(h, np.array([0, 7, 39, 12, 5]), use_softmax)
 
-    def test_zero_norm_row(self):
+    def test_zero_norm_row(self, use_softmax):
         h = RNG.normal(size=(6, 4))
         h[2] = 0.0
-        self._case(h, np.array([2, 0, 4]))
+        self._case(h, np.array([2, 0, 4]), use_softmax)
 
-    def test_one_row_roster(self):
+    def test_one_row_roster(self, use_softmax):
         h = RNG.normal(size=(1, 3))
-        np.testing.assert_array_equal(self._case(h, np.array([0])), h)
+        np.testing.assert_array_equal(self._case(h, np.array([0]), use_softmax), h)
 
-    def test_identical_embeddings_keep_every_row(self):
+    def test_identical_embeddings_keep_every_row(self, use_softmax):
         h = np.tile(RNG.normal(size=4), (5, 1))
-        out = self._case(h, np.array([0, 4]))
+        out = self._case(h, np.array([0, 4]), use_softmax)
         np.testing.assert_allclose(out, h[:2], rtol=1e-12)
 
-    def test_support_wider_than_the_first_width(self):
+    def test_support_wider_than_the_first_width(self, use_softmax):
         rng = np.random.default_rng(0)
         h = rng.normal(size=4) + rng.normal(size=(2 * WIDTH, 4)) * 0.05
         batch = np.array([0, 2 * WIDTH - 1])
-        self._case(h, batch)
+        self._case(h, batch, use_softmax)
         norms = np.linalg.norm(h, axis=1)
         p = sorted_sparsemax_oracle(h[batch] @ h.T / np.outer(norms[batch], norms))
         assert np.all(np.count_nonzero(p, axis=-1) > WIDTH)
         assert np.all(np.count_nonzero(p, axis=-1) < 2 * WIDTH)
 
-    def test_repeated_batch_index(self):
+    def test_repeated_batch_index(self, use_softmax):
         h = RNG.normal(size=(9, 3))
-        self._case(h, np.array([3, 3, 1, 3]))
+        self._case(h, np.array([3, 3, 1, 3]), use_softmax)
 
-    def test_finite_differences_both_inputs(self):
+    def test_finite_differences_both_inputs(self, use_softmax):
         rng = np.random.default_rng(45)
         batch = np.array([1, 4, 4, 0])
-        while True:  # a draw whose support cannot flip within the FD step
+        while True:  # a draw whose sparsemax support cannot flip within the FD step
             h = rng.normal(size=(7, 3)) + 0.5
             norms = np.linalg.norm(h, axis=1)
             scores = (h[batch] @ h.T) / (np.outer(norms[batch], norms) + 1e-12)
@@ -420,16 +422,17 @@ class TestSparsemaxAttention:
             if np.min(np.abs(scores - tau)) > 1e-3 and np.count_nonzero(p) > len(batch):
                 break
         c = rng.normal(size=len(batch) * 3)
-        check_grad(lambda t: scalarize(T.sparsemax_attention(t, Tensor(norms), batch, 1e-12), c),
-                   h, tol=1e-5)
-        check_grad(lambda t: scalarize(T.sparsemax_attention(Tensor(h), t, batch, 1e-12), c),
-                   norms, tol=1e-5)
+
+        def attend(t, u):
+            return scalarize(T.cosine_attention(t, u, batch, 1e-12, use_softmax), c)
+        check_grad(lambda t: attend(t, Tensor(norms)), h, tol=1e-5)
+        check_grad(lambda t: attend(Tensor(h), t), norms, tol=1e-5)
 
     @pytest.mark.parametrize("bad", [-1, 6])
-    def test_batch_index_out_of_range(self, bad):
+    def test_batch_index_out_of_range(self, bad, use_softmax):
         h = Tensor(RNG.normal(size=(6, 3)))
         with pytest.raises(ValueError, match="out of range"):
-            T.sparsemax_attention(h, T.row_norms(h), np.array([0, bad]), 1e-12)
+            T.cosine_attention(h, T.row_norms(h), np.array([0, bad]), 1e-12, use_softmax)
 
 
 class TestLayerNorm:

@@ -199,14 +199,14 @@ class TestTrainLoop:
 
     def test_unreached_parameters_keep_initial_bits(self):
         """Under the local ablation the entire local branch must stay put."""
-        config, inputs, split = toy_training_setup(disable_local=True)
+        config, inputs, split = toy_training_setup(ablation="tul-l")
         tc = TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=2)
         result = train(inputs, split, config, tc)
         reference = ModelParams(
             config, n_grids=inputs.n_grids, grid_rows=inputs.grid_rows, n_users=inputs.n_users,
             max_seq_len=inputs.max_seq_len, rng=seeded_rng(2, "init"),
         )
-        active = set(result.params.active_names(config))
+        active = set(result.params.active_names())
         inactive = [n for n in result.params.tensors if n not in active]
         assert inactive, "ablation should leave some parameters untouched"
         for name in inactive:
