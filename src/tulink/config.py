@@ -8,6 +8,7 @@ reproducible on its own.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -40,10 +41,10 @@ class RunConfig:
     ablation: str = ModelConfig.ablation
 
     def validate(self) -> None:
-        if not self.cell_size > 0:
-            raise ConfigError(f"cell_size must be positive, got {self.cell_size}")
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        for name in ("cell_size", "tau"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         time_window_vocab(self.time_window)
         self.model_config().validate()
         self.train_config().validate()

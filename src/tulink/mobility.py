@@ -179,8 +179,11 @@ def build_grid_map(points: Iterable[SpatioTemporalPoint], cell_size: float) -> G
     height_m = (max_lat - min_lat) * METERS_PER_DEGREE
     # One-micrometer slack absorbs roundoff from the degree<->meter conversion
     # so an exact multiple of cell_size does not spill into an extra column.
-    cols = max(1, math.ceil((width_m - 1e-6) / cell_size))
-    rows = max(1, math.ceil((height_m - 1e-6) / cell_size))
+    spans = [max(1.0, (extent - 1e-6) / cell_size) for extent in (width_m, height_m)]
+    cols, rows = (math.ceil(s) if s < 2.0 ** 63 else 2 ** 63 for s in spans)
+    if cols * rows > 2 ** 63:  # ids run to cols * rows - 1 and are int64
+        raise ConfigError(f"cell_size {cell_size} m gives a grid of {spans[0]:.3g} x "
+                          f"{spans[1]:.3g} cells, too many for int64 grid ids")
     return GridMap(min_lon, min_lat, max_lon, max_lat, cell_size, cols, rows)
 
 

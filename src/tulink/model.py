@@ -304,13 +304,11 @@ def build_model_inputs(
     )
 
 
-def gcn_forward(m_norm: sp.csr_matrix, xw: Tensor, weights: Sequence[Tensor]) -> Tensor:
-    """Stacked propagation H <- ReLU(M (H W)) from the first layer's X W0,
-    then once per later layer weight."""
-    h = T.relu(T.spmm(m_norm, xw))
-    for w in weights:
-        h = T.relu(T.spmm(m_norm, T.matmul(h, w)))
-    return h
+def gcn_forward(m_norm: sp.csr_matrix, features: sp.csr_matrix | None,
+                weights: Sequence[Tensor], n_rows: int | None = None) -> Tensor:
+    """Stacked propagation H <- ReLU(M (H W)) from node features X (one-hot
+    when None), once per layer weight; the first n_rows node rows, or all."""
+    return T.gcn(m_norm, features, weights, n_rows)
 
 
 def encode_locations(
@@ -400,12 +398,13 @@ def encode_graphs(params: ModelParams, config: ModelConfig,
     h_local = h_traj = traj_norms = None
     if config.ablation != "tul-l":
         # Grid features are one-hot, so X W0 is W0 itself.
-        w = [params[f"gcn_local_{i}"] for i in range(config.gcn_layers)]
-        h_local = gcn_forward(inputs.m_local, w[0], w[1:])
+        h_local = gcn_forward(inputs.m_local, None,
+                              [params[f"gcn_local_{i}"] for i in range(config.gcn_layers)])
     if config.ablation != "tul-g":
-        w = [params[f"gcn_global_{i}"] for i in range(config.gcn_layers)]
-        h_global = gcn_forward(inputs.m_global, T.spmm(inputs.x_global, w[0]), w[1:])
-        h_traj = T.slice_rows(h_global, 0, inputs.n_traj)
+        # Trajectories are the first n_traj nodes of the global graph.
+        h_traj = gcn_forward(inputs.m_global, inputs.x_global,
+                             [params[f"gcn_global_{i}"] for i in range(config.gcn_layers)],
+                             inputs.n_traj)
         traj_norms = T.row_norms(h_traj)
     return h_local, h_traj, traj_norms
 

@@ -7,11 +7,13 @@ into every tracked input exactly once per use. With no active tape (the
 evaluation path) operations are plain numpy calls with no bookkeeping.
 
 The operation set is exactly what the linking model needs: dense and
-sparse-by-dense matmul, elementwise arithmetic, gather/concat/permute shape
-plumbing, relu/tanh, softmax and sparsemax, a fused cosine-scored attention
-under either, layer norm, inverted dropout, positional max-pooling, and a fused
-log-space cross entropy. Every differentiable primitive is validated against
-central finite differences by :func:`finite_difference_check`.
+sparse-by-dense matmul, a fused stacked GCN whose backward visits only the
+graph rows its gradient reaches, elementwise arithmetic,
+gather/concat/permute shape plumbing, relu/tanh, softmax and sparsemax, a
+fused cosine-scored attention under either, layer norm, inverted dropout,
+positional max-pooling, and a fused log-space cross entropy. Every
+differentiable primitive is validated against central finite differences by
+:func:`finite_difference_check`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ SPARSEMAX_WIDTH = 128
 # ones; deviations below floor * tolerance are indistinguishable from
 # finite-difference roundoff.
 _REL_FLOOR = 1e-3
+# Share of a graph's nodes above which a GCN backward layer runs full-graph
+# products: gathering that many rows costs more than it saves.
+GCN_DENSE_SHARE = 0.5
+_ALL = slice(None)
 
 
 class Tensor:
@@ -196,6 +202,84 @@ def spmm(s: sp.spmatrix, x: Tensor) -> Tensor:
         st = s.T
         def backward():
             x.grad += np.asarray(st @ out.grad)
+        _record(backward)
+    return out
+
+
+def _csr_rows(m: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """m[rows] for ascending rows, gathered from m's index arrays; scipy's
+    fancy row indexing costs several times as much on graphs this size."""
+    starts = m.indptr[rows]
+    lengths = m.indptr[rows + 1] - starts
+    indptr = np.zeros(len(rows) + 1, dtype=m.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    return sp.csr_matrix((m.data[pos], m.indices[pos], indptr), shape=(len(rows), m.shape[1]))
+
+
+def gcn(m_norm: sp.spmatrix, features: sp.spmatrix | None, weights: Sequence[Tensor],
+        n_rows: int | None = None) -> Tensor:
+    """Stacked graph convolution H <- ReLU(M (H W)), one layer per weight,
+    from H = features (the identity when None, so X W0 is W0); the result
+    keeps the first n_rows node rows, all of them by default.
+
+    The forward makes the same float operations in the same order as the
+    composition of spmm, matmul and relu. The backward starts from the
+    nonzero rows of the result's gradient and carries them back one hop per
+    layer: a layer's gradient reaches only the nodes adjacent to the rows it
+    starts from, so every product runs over those rows and nodes alone. From
+    the layer whose rows exceed GCN_DENSE_SHARE of the nodes, it runs the
+    full-graph products instead.
+    """
+    m = m_norm.tocsr()
+    n = m.shape[0]
+    w0 = weights[0].values
+    width = n if features is None else features.shape[1]
+    if (m.shape != (n, n) or (features is not None and features.shape[0] != n)
+            or w0.ndim != 2 or w0.shape[0] != width
+            or any(w.shape != (w0.shape[1], w0.shape[1]) for w in weights[1:])):
+        raise ValueError(f"gcn shape mismatch: {m.shape} graph, "
+                         f"{None if features is None else features.shape} features, "
+                         f"weights {[w.shape for w in weights]}")
+    # Each layer's output; its positive entries are the layer's ReLU mask.
+    hs = [np.maximum(np.asarray(m @ (w0 if features is None else np.asarray(features @ w0))), 0.0)]
+    for w in weights[1:]:
+        hs.append(np.maximum(np.asarray(m @ (hs[-1] @ w.values)), 0.0))
+    out = _result(hs[-1][:n_rows], *weights)
+    if out.requires_grad:
+        x = None if features is None else features.tocsr()
+
+        def backward():
+            g = out.grad
+            rows = np.flatnonzero(np.abs(g) @ np.ones(g.shape[1]))
+            if not rows.size:
+                return
+            g = g[rows]
+            for i in range(len(weights) - 1, -1, -1):
+                dense = rows is _ALL or rows.size > GCN_DENSE_SHARE * n
+                if dense and rows is not _ALL:  # widen to every node
+                    full = np.zeros((n, g.shape[1]))
+                    full[rows] = g
+                    g, rows = full, _ALL
+                g *= hs[i][rows] > 0.0
+                if dense:
+                    cols, gp = _ALL, np.asarray(m.T @ g)
+                else:
+                    sub = _csr_rows(m, rows)
+                    reached = np.zeros(n, dtype=bool)
+                    reached[sub.indices] = True
+                    cols = np.flatnonzero(reached)
+                    gp = np.asarray(sub.T @ g)[cols]  # (Mᵀ g)[cols]; zero elsewhere
+                w = weights[i]
+                if i > 0:
+                    if w.requires_grad:
+                        w.grad += hs[i - 1][cols].T @ gp
+                    g = gp @ w.values.T
+                    rows = cols
+                elif w.requires_grad and x is None:
+                    w.grad[cols] += gp
+                elif w.requires_grad:
+                    w.grad += np.asarray((x if dense else _csr_rows(x, cols)).T @ gp)
         _record(backward)
     return out
 
@@ -512,7 +596,8 @@ def sum_squares(*xs: Tensor) -> Tensor:
 
 
 def row_norms(x: Tensor) -> Tensor:
-    """Euclidean norm of each row; an all-zero row gets gradient zero."""
+    """Euclidean norm of each row; an all-zero row gets gradient zero. The
+    backward visits only the rows whose norm has a nonzero gradient."""
     if x.values.ndim != 2:
         raise ValueError(f"row_norms expects a matrix, got {x.shape}")
     norms = np.sqrt(np.sum(x.values * x.values, axis=1))
@@ -520,7 +605,8 @@ def row_norms(x: Tensor) -> Tensor:
     if out.requires_grad:
         safe = np.where(norms > 0.0, norms, 1.0)
         def backward():
-            x.grad += (out.grad / safe)[:, None] * x.values
+            rows = np.flatnonzero(out.grad)
+            x.grad[rows] += (out.grad[rows] / safe[rows])[:, None] * x.values[rows]
         _record(backward)
     return out
 

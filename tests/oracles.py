@@ -172,6 +172,16 @@ def dense_global_attention_oracle(h_traj, traj_norms, batch, eps, use_softmax):
     return T.matmul(weights, h_traj)
 
 
+def dense_gcn_oracle(m_norm, features, weights, n_rows=None):
+    """Stacked GCN composed of taped spmm, matmul and relu, every backward
+    step over the whole graph; features None means one-hot, so X W0 is W0."""
+    xw = weights[0] if features is None else T.spmm(features, weights[0])
+    h = T.relu(T.spmm(m_norm, xw))
+    for w in weights[1:]:
+        h = T.relu(T.spmm(m_norm, T.matmul(h, w)))
+    return h if n_rows is None else T.slice_rows(h, 0, n_rows)
+
+
 def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
     """Logits with a Python loop over the batch: each trajectory attends over
     its own unpadded sequence and scores the roster on its own."""

@@ -187,6 +187,35 @@ def primitive_checks(rng):
             lambda t, u=use_softmax: scalar_functional(
                 T.cosine_attention(t, Tensor(roster_norms), batch, 1e-12, u), c12),
             roster))
+
+    # A five-node graph whose last node is isolated, and weights drawn so no
+    # pre-activation sits within the FD step of ReLU's kink.
+    gcn_m = symmetric_normalize(sp.csr_matrix(np.array(
+        [[0, 2, 0, 0, 0], [2, 0, 1, 1, 0], [0, 1, 0, 3, 0], [0, 1, 3, 0, 0], [0, 0, 0, 0, 0]])))
+    gcn_x = sp.csr_matrix(np.array(
+        [[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 1], [0, 0, 0, 1], [0, 1, 1, 0]], dtype=float))
+
+    def gcn_safe(features, shapes, margin=1e-3):
+        while True:
+            ws = [rng.normal(size=s) for s in shapes]
+            pre = gcn_m @ (ws[0] if features is None else features @ ws[0])
+            pres = [pre]
+            for w in ws[1:]:
+                pre = gcn_m @ (np.maximum(pre, 0.0) @ w)
+                pres.append(pre)
+            if min(np.min(np.abs(p)) for p in pres) > margin:
+                return ws
+
+    gcn_one_hot = gcn_safe(None, [(5, 3), (3, 3)])
+    gcn_feats = gcn_safe(gcn_x, [(4, 3), (3, 3), (3, 3)])
+    c9 = rng.normal(size=9)
+    c15 = rng.normal(size=15)
+    checks += [
+        ("gcn", lambda t: scalar_functional(
+            T.gcn(gcn_m, None, [t, Tensor(gcn_one_hot[1])]), c15), gcn_one_hot[0]),
+        ("gcn_features", lambda t: scalar_functional(T.gcn(
+            gcn_m, gcn_x, [Tensor(gcn_feats[0]), t, Tensor(gcn_feats[2])], 3), c9), gcn_feats[1]),
+    ]
     return checks
 
 

@@ -142,9 +142,15 @@ class TestExitCodes:
         ("--heads", "0", "heads"), ("--heads", "-4", "heads"), ("--seed", "-1", "seed"),
         ("--cell-size", "nan", "cell_size"), ("--tau", "nan", "tau"),
         ("--lambda-l2", "nan", "lambda_l2"), ("--lambda-l2", "-1", "lambda_l2"),
+        ("--cell-size", "inf", "cell_size"), ("--tau", "inf", "tau"),
+        ("--cell-size", "1e-300", "cell_size"),
     ])
-    def test_bad_setting_is_usage_error_naming_it(self, workspace, capsys, flag, value, name):
-        assert run(["train", "--config", workspace["config"], flag, value]) == 1
+    def test_bad_setting_is_usage_error_naming_it(self, workspace, capsys, tmp_path,
+                                                  flag, value, name):
+        """From the first stage, which is where a cell size too small for the
+        data's extent shows; every other value fails when the config loads."""
+        assert run(["preprocess", "--config", workspace["config"],
+                    "--output", str(tmp_path / "out"), flag, value]) == 1
         err = capsys.readouterr().err
         assert f"config error: {name} " in err and "Traceback" not in err
 

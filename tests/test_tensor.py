@@ -18,8 +18,10 @@ from tulink.tensor import (
     save_tensors,
 )
 
-from oracles import (dense_global_attention_oracle, l2_chain_oracle, simplex_projection_oracle,
-                     sorted_sparsemax_oracle)
+from tulink.graphs import symmetric_normalize
+
+from oracles import (dense_gcn_oracle, dense_global_attention_oracle, l2_chain_oracle,
+                     simplex_projection_oracle, sorted_sparsemax_oracle)
 
 RNG = np.random.default_rng(20_240_817)
 
@@ -433,6 +435,124 @@ class TestCosineAttention:
         h = Tensor(RNG.normal(size=(6, 3)))
         with pytest.raises(ValueError, match="out of range"):
             T.cosine_attention(h, T.row_norms(h), np.array([0, bad]), 1e-12, use_softmax)
+
+
+def graph_with_isolated_nodes(rng, n=14, isolated=(3, 10)):
+    """A normalized weighted graph in which the isolated nodes keep only
+    their self-loops."""
+    upper = np.triu(rng.integers(1, 4, size=(n, n)) * (rng.random((n, n)) < 0.25), k=1)
+    upper[list(isolated), :] = 0
+    upper[:, list(isolated)] = 0
+    return symmetric_normalize(sp.csr_matrix(upper + upper.T))
+
+
+def gcn_and_grads(gcn, m, features, weights, n_rows, upstream):
+    """Output values and every weight's gradient under an upstream gradient
+    that reaches the output exactly as given."""
+    ws = [Tensor(w.copy(), requires_grad=True) for w in weights]
+    tape = Tape()
+    with recording(tape):
+        out = gcn(m, features, ws, n_rows)
+        loss = scalarize(out, upstream)
+    tape.backward(loss)
+    return out.values, [w.grad for w in ws]
+
+
+# Row shares that send every backward layer through gathered rows, the
+# default choice, gathered rows until one hop reaches a fifth of the graph,
+# and full-graph products.
+DENSE_SHARES = {"gathered": 2.0, "default": T.GCN_DENSE_SHARE, "widened": 0.2, "full": 0.0}
+
+
+@pytest.mark.parametrize("share", DENSE_SHARES.values(), ids=DENSE_SHARES.keys())
+class TestGCN:
+    """The fused GCN against the composition of spmm, matmul and relu in
+    tests/oracles.py: the same forward to the bit, gradients summed in
+    another order."""
+
+    N, D, FEATS = 14, 4, 6
+
+    def _inputs(self, seed, one_hot, layers):
+        rng = np.random.default_rng(seed)
+        m = graph_with_isolated_nodes(rng, self.N)
+        features = None if one_hot else sp.csr_matrix(
+            rng.integers(0, 2, size=(self.N, self.FEATS)).astype(float))
+        first = self.N if one_hot else self.FEATS
+        weights = [rng.normal(size=(first if i == 0 else self.D, self.D)) for i in range(layers)]
+        return rng, m, features, weights
+
+    def _case(self, m, features, weights, n_rows, upstream):
+        out, grads = gcn_and_grads(T.gcn, m, features, weights, n_rows, upstream)
+        ref, ref_grads = gcn_and_grads(dense_gcn_oracle, m, features, weights, n_rows, upstream)
+        np.testing.assert_array_equal(out, ref)
+        for grad, ref_grad in zip(grads, ref_grads):
+            assert_rel_close(grad, ref_grad)
+        return grads
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("one_hot", [True, False], ids=["one_hot", "sparse_features"])
+    @pytest.mark.parametrize("rows", ["one_row", "every_row"])
+    def test_matches_dense_oracle(self, monkeypatch, share, layers, one_hot, rows):
+        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
+        rng, m, features, weights = self._inputs(7 + layers, one_hot, layers)
+        n_rows = None if one_hot else self.N - 3
+        upstream = rng.normal(size=(n_rows or self.N, self.D))
+        if rows == "one_row":  # the output row with the most live units
+            out = T.gcn(m, features, [Tensor(w) for w in weights], n_rows).values
+            upstream[np.arange(len(upstream)) != np.argmax(np.count_nonzero(out, axis=1))] = 0.0
+        grads = self._case(m, features, weights, n_rows, upstream)
+        assert all(np.any(g) for g in grads)
+
+    def test_isolated_node_reaches_only_its_own_row(self, monkeypatch, share):
+        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
+        rng, m, _, weights = self._inputs(3, True, 2)
+        upstream = np.zeros((self.N, self.D))
+        upstream[3] = rng.normal(size=self.D)
+        first = self._case(m, None, weights, None, upstream)[0]
+        assert not np.any(np.delete(first, 3, axis=0))
+
+    @pytest.mark.parametrize("one_hot", [True, False], ids=["one_hot", "sparse_features"])
+    def test_finite_differences_every_weight(self, monkeypatch, share, one_hot):
+        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
+        seed = 20
+        while True:  # weights with no pre-activation within the FD step of ReLU's kink
+            rng, m, features, weights = self._inputs(seed, one_hot, 2)
+            pre = m @ (weights[0] if one_hot else features @ weights[0])
+            nonzero_rows = np.any(pre != 0.0, axis=1)  # featureless nodes stay at zero
+            pre2 = m @ (np.maximum(pre, 0.0) @ weights[1])
+            if (np.min(np.abs(pre[nonzero_rows])) > 1e-3
+                    and np.min(np.abs(pre2[np.any(pre2 != 0.0, axis=1)])) > 1e-3):
+                break
+            seed += 1
+        upstream = np.zeros((self.N, self.D))
+        upstream[[0, 3, 8]] = rng.normal(size=(3, self.D))  # node 3 is isolated
+        for i in range(len(weights)):
+            def f(t):
+                ws = [t if j == i else Tensor(w) for j, w in enumerate(weights)]
+                return scalarize(T.gcn(m, features, ws), upstream)
+            check_grad(f, weights[i])
+
+    def test_zero_upstream_leaves_every_grad_bit_unchanged(self, monkeypatch, share):
+        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
+        rng, m, features, weights = self._inputs(11, False, 3)
+        ws = []
+        for w in weights:
+            grad = rng.normal(size=w.shape)
+            grad[0] = -0.0
+            ws.append(Tensor(w, requires_grad=True, grad=grad))
+        before = [w.grad.copy() for w in ws]
+        tape = Tape()
+        with recording(tape):
+            out = T.gcn(m, features, ws, self.N - 3)
+            loss = scalarize(out, np.zeros(out.values.size))
+        tape.backward(loss)
+        for w, b in zip(ws, before):
+            np.testing.assert_array_equal(w.grad.view(np.int64), b.view(np.int64))
+
+    def test_shape_mismatch_names_every_shape(self, share):
+        _, m, features, weights = self._inputs(1, False, 2)
+        with pytest.raises(ValueError, match=r"gcn shape mismatch: \(14, 14\) graph"):
+            T.gcn(m, features, [Tensor(np.zeros((self.FEATS + 1, self.D))), Tensor(weights[1])])
 
 
 class TestLayerNorm:
