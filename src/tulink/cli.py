@@ -10,6 +10,7 @@ to run until their inputs exist. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -245,7 +246,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return resolve_config(args.config, overrides)
 
 
+def _keep_freed_memory() -> None:
+    """Fix glibc's malloc thresholds: blocks up to 4 MB come from the heap and
+    up to 32 MB of freed heap is kept. Under its adaptive defaults a training
+    step's arrays of a few hundred KB can fault their pages in again on every
+    use (see README). Without glibc this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

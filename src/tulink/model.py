@@ -332,11 +332,6 @@ def encode_locations(
     return T.tanh(T.add_bias(T.matmul(fused, params["loc_w"]), params["loc_b"]))
 
 
-def _pad_bias(lengths: np.ndarray, m: int) -> np.ndarray:
-    """(B, m) additive mask: 0 at each row's first lengths[i] positions, -inf after."""
-    return np.where(np.arange(m) < lengths[:, None], 0.0, -np.inf)
-
-
 def self_attention_stack(
     params: ModelParams,
     config: ModelConfig,
@@ -350,21 +345,14 @@ def self_attention_stack(
     x is (B, m, d), row i padded past lengths[i]; padded keys get exactly
     zero weight, so no real position ever sees padding.
     """
-    b, m, d = x.shape
+    _, m, d = x.shape
     if m == 0:
         raise ValueError("cannot attend over an empty sequence")
-    heads = config.heads
-    dh = d // heads
-    inv_scale = 1.0 / math.sqrt(dh)
-    key_mask = Tensor(np.broadcast_to(_pad_bias(lengths, m)[:, None, None, :], (b, heads, m, m)))
+    inv_scale = 1.0 / math.sqrt(d // config.heads)
     state = T.add(x, Tensor(np.broadcast_to(params.pos_encoding[:m], x.shape)))
     for layer in range(config.attn_layers):
-        # (B, m, d) -> (B, heads, m, dh): head h is columns h*dh:(h+1)*dh
-        q, k, v = (T.permute(T.reshape(T.matmul(state, params[f"attn{layer}_{kind}"]),
-                                       (b, m, heads, dh)), (0, 2, 1, 3)) for kind in "qkv")
-        scores = T.add(T.scale(T.matmul(q, T.transpose(k)), inv_scale), key_mask)
-        merged = T.reshape(T.permute(T.matmul(T.softmax(scores, axis=-1), v), (0, 2, 1, 3)),
-                           (b, m, d))
+        merged = T.masked_attention(state, *(params[f"attn{layer}_{kind}"] for kind in "qkv"),
+                                    lengths, config.heads, inv_scale)
         z = T.add_bias(T.matmul(merged, params[f"attn{layer}_out_w"]),
                        params[f"attn{layer}_out_b"])
         z = T.dropout(z, config.dropout_rate, training, rng)
@@ -436,7 +424,8 @@ def fused_representations(
         z = x if config.ablation == "tul-sa" else self_attention_stack(
             params, config, x, lengths, rng, training
         )
-        pad = Tensor(np.broadcast_to(_pad_bias(lengths, m)[:, :, None], z.shape))
+        pad = np.where(np.arange(m) < lengths[:, None], 0.0, -np.inf)  # padding never wins
+        pad = Tensor(np.broadcast_to(pad[:, :, None], z.shape))
         z_local = T.max_pool_positions(T.add(z, pad))
     if config.ablation != "tul-g":
         z_global = global_attention(h_traj, traj_norms, batch, config.ablation == "tul-ea")

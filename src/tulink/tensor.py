@@ -8,10 +8,11 @@ evaluation path) operations are plain numpy calls with no bookkeeping.
 
 The operation set is exactly what the linking model needs: dense and
 sparse-by-dense matmul, a fused stacked GCN whose backward visits only the
-graph rows its gradient reaches, elementwise arithmetic,
-gather/concat/permute shape plumbing, relu/tanh, softmax and sparsemax, a
-fused cosine-scored attention under either, layer norm, inverted dropout,
-positional max-pooling, and a fused log-space cross entropy. Every
+graph rows its gradient reaches, add/add_bias/scale, transpose, concat and
+row gathers, tanh, softmax and sparsemax, a fused masked multi-head
+self-attention, a fused cosine-scored attention under either normalizer,
+layer norm, inverted dropout, positional max-pooling, a fused log-space
+cross entropy, and the sum-of-squares and row-norm reductions. Every
 differentiable primitive is validated against central finite differences by
 :func:`finite_difference_check`.
 """
@@ -140,29 +141,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
                 x.grad += out.grad
             if b.requires_grad:
                 b.grad += out.grad.reshape(-1, b.shape[0]).sum(axis=0)
-        _record(backward)
-    return out
-
-
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    out = _result(x.values + c, x)
-    if out.requires_grad:
-        def backward():
-            x.grad += out.grad
-        _record(backward)
-    return out
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"div shape mismatch: {a.shape} vs {b.shape}")
-    out = _result(a.values / b.values, a, b)
-    if out.requires_grad:
-        def backward():
-            if a.requires_grad:
-                a.grad += out.grad / b.values
-            if b.requires_grad:
-                b.grad -= out.grad * a.values / (b.values * b.values)
         _record(backward)
     return out
 
@@ -296,27 +274,6 @@ def transpose(x: Tensor) -> Tensor:
     return out
 
 
-def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    """Reorder axes (a view of x); output axis i is input axis axes[i]."""
-    out = _result(np.transpose(x.values, axes), x)
-    if out.requires_grad:
-        inverse = tuple(np.argsort(axes))
-        def backward():
-            x.grad += np.transpose(out.grad, inverse)
-        _record(backward)
-    return out
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """A view of x where numpy can give one; output values are never written."""
-    out = _result(x.values.reshape(shape), x)
-    if out.requires_grad:
-        def backward():
-            x.grad += out.grad.reshape(x.shape)
-        _record(backward)
-    return out
-
-
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     out = _result(np.concatenate([p.values for p in parts], axis=axis), *parts)
     if out.requires_grad:
@@ -327,15 +284,6 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
             for p, lo, hi in zip(parts, offsets, offsets[1:]):
                 if p.requires_grad:
                     p.grad += np.moveaxis(g[..., lo:hi], -1, axis)
-        _record(backward)
-    return out
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    out = _result(x.values[start:stop].copy(), x)
-    if out.requires_grad:
-        def backward():
-            x.grad[start:stop] += out.grad
         _record(backward)
     return out
 
@@ -359,16 +307,6 @@ def embedding(table: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 # Nonlinear primitives
 # ---------------------------------------------------------------------------
-
-def relu(x: Tensor) -> Tensor:
-    out = _result(np.maximum(x.values, 0.0), x)
-    if out.requires_grad:
-        mask = x.values > 0.0  # subgradient at exactly zero is zero
-        def backward():
-            x.grad += out.grad * mask
-        _record(backward)
-    return out
-
 
 def tanh(x: Tensor) -> Tensor:
     vals = np.tanh(x.values)
@@ -498,6 +436,59 @@ def cosine_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float,
                 traj_norms.grad += np.bincount(
                     np.concatenate((c, idx[r])),
                     np.concatenate((g_denom * nr[r], g_denom * nh[c])), minlength=n)
+        _record(backward)
+    return out
+
+
+def masked_attention(state: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, lengths,
+                     heads: int, inv_scale: float) -> Tensor:
+    """Multi-head self-attention of each (m, d) row of the (B, m, d) state
+    over its first lengths[i] positions, the heads merged back to (B, m, d).
+    Head h uses columns h*dh:(h+1)*dh of the (d, d) projections.
+
+    The forward makes the same float operations in the same order as the
+    taped composition: the three projections, the head split, (q @ kᵀ) *
+    inv_scale plus -inf on each row's padded keys, a max-shifted softmax,
+    p @ v and the head merge. The backward is the softmax-attention gradient
+    written out (Vaswani et al., 2017): the softmax Jacobian per head, then
+    the projection gradients.
+    """
+    x = state.values
+    lens = np.asarray(lengths, dtype=np.int64)
+    if (x.ndim != 3 or heads < 1 or x.shape[2] % heads or lens.shape != x.shape[:1]
+            or any(w.shape != (x.shape[2],) * 2 for w in (wq, wk, wv))):
+        raise ValueError(f"masked_attention shape mismatch: state {state.shape}, {heads} heads, "
+                         f"weights {[w.shape for w in (wq, wk, wv)]}, lengths {lens.shape}")
+    b, m, d = x.shape
+    if lens.size and (lens.min() < 1 or lens.max() > m):
+        raise ValueError(f"masked_attention lengths must lie in [1, {m}], "
+                         f"got {int(lens.min())}..{int(lens.max())}")
+    dh = d // heads
+    # (B, m, d) -> (B, heads, m, dh) views
+    q, k, v = ((x @ w.values).reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
+               for w in (wq, wk, wv))
+    p = (q @ np.swapaxes(k, -1, -2)) * inv_scale
+    p += np.where(np.arange(m) < lens[:, None], 0.0, -np.inf)[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = _result((p @ v).transpose(0, 2, 1, 3).reshape(b, m, d), state, wq, wk, wv)
+    if out.requires_grad:
+        def backward():
+            g = out.grad.reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
+            g_p = g @ np.swapaxes(v, -1, -2)
+            g_s = (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * p
+            g_s *= inv_scale
+            g_k = np.swapaxes(np.swapaxes(q, -1, -2) @ g_s, -1, -2)
+            flat = x.reshape(-1, d)
+            # v, k, q: the composition's order of adds into state, each from a
+            # contiguous buffer as there, so every product sums in its order.
+            for w, g_head in ((wv, np.swapaxes(p, -1, -2) @ g), (wk, g_k), (wq, g_s @ k)):
+                g_w = np.ascontiguousarray(g_head.transpose(0, 2, 1, 3)).reshape(b, m, d)
+                if w.requires_grad:
+                    w.grad += flat.T @ g_w.reshape(-1, d)
+                if state.requires_grad:
+                    state.grad += g_w @ w.values.T
         _record(backward)
     return out
 
@@ -715,6 +706,9 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
             name = read(name_len).decode("utf-8", "replace")
             (ndim,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{ndim}q", read(8 * ndim))
+            if min(shape, default=0) < 0:
+                raise DataError(f"checkpoint {path} holds a negative dimension {shape} for "
+                                f"{name!r}; rerun the 'train' stage")
             values = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
             out[name] = values
     return out

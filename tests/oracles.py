@@ -13,8 +13,75 @@ from tulink.graphs import symmetric_normalize
 from tulink.mobility import MOTION_STATES
 from tulink.model import (COSINE_EPS, ModelParams, build_model_inputs, encode_graphs,
                           encode_locations)
-from tulink.tensor import Tensor
+from tulink.tensor import Tensor, _record, _result
 from tulink.train import ADAM_EPS, BETA1, BETA2
+
+
+# ---------------------------------------------------------------------------
+# Taped primitives the model no longer calls, kept for the compositions below
+# ---------------------------------------------------------------------------
+
+def add_scalar(x: Tensor, c: float) -> Tensor:
+    out = _result(x.values + c, x)
+    if out.requires_grad:
+        def backward():
+            x.grad += out.grad
+        _record(backward)
+    return out
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ValueError(f"div shape mismatch: {a.shape} vs {b.shape}")
+    out = _result(a.values / b.values, a, b)
+    if out.requires_grad:
+        def backward():
+            if a.requires_grad:
+                a.grad += out.grad / b.values
+            if b.requires_grad:
+                b.grad -= out.grad * a.values / (b.values * b.values)
+        _record(backward)
+    return out
+
+
+def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Reorder axes (a view of x); output axis i is input axis axes[i]."""
+    out = _result(np.transpose(x.values, axes), x)
+    if out.requires_grad:
+        inverse = tuple(np.argsort(axes))
+        def backward():
+            x.grad += np.transpose(out.grad, inverse)
+        _record(backward)
+    return out
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """A view of x where numpy can give one; output values are never written."""
+    out = _result(x.values.reshape(shape), x)
+    if out.requires_grad:
+        def backward():
+            x.grad += out.grad.reshape(x.shape)
+        _record(backward)
+    return out
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    out = _result(x.values[start:stop].copy(), x)
+    if out.requires_grad:
+        def backward():
+            x.grad[start:stop] += out.grad
+        _record(backward)
+    return out
+
+
+def relu(x: Tensor) -> Tensor:
+    out = _result(np.maximum(x.values, 0.0), x)
+    if out.requires_grad:
+        mask = x.values > 0.0  # subgradient at exactly zero is zero
+        def backward():
+            x.grad += out.grad * mask
+        _record(backward)
+    return out
 
 
 def simplex_projection_oracle(x: np.ndarray) -> np.ndarray:
@@ -120,7 +187,7 @@ def global_graph_oracle(incidence, traj_ids, train_labels):
 # ---------------------------------------------------------------------------
 
 def _columns(w: Tensor, lo: int, hi: int) -> Tensor:
-    return T.transpose(T.slice_rows(T.transpose(w), lo, hi))
+    return T.transpose(slice_rows(T.transpose(w), lo, hi))
 
 
 def per_head_attention_oracle(params, config, x, rng, training):
@@ -146,15 +213,29 @@ def per_head_attention_oracle(params, config, x, rng, training):
     return state
 
 
+def masked_attention_oracle(state, wq, wk, wv, lengths, heads, inv_scale):
+    """Masked multi-head self-attention composed of taped primitives: the
+    heads split by reshape and permute, an additive -inf key mask broadcast
+    to (B, heads, m, m), softmax, and the heads merged back to (B, m, d)."""
+    b, m, d = state.shape
+    dh = d // heads
+    bias = np.where(np.arange(m) < np.asarray(lengths)[:, None], 0.0, -np.inf)
+    key_mask = Tensor(np.broadcast_to(bias[:, None, None, :], (b, heads, m, m)))
+    q, k, v = (permute(reshape(T.matmul(state, w), (b, m, heads, dh)), (0, 2, 1, 3))
+               for w in (wq, wk, wv))
+    scores = T.add(T.scale(T.matmul(q, T.transpose(k)), inv_scale), key_mask)
+    return reshape(permute(T.matmul(T.softmax(scores, axis=-1), v), (0, 2, 1, 3)), (b, m, d))
+
+
 def per_row_global_attention_oracle(h_traj, traj_norms, index, use_softmax):
     """Cosine scores of one trajectory against the roster, one vector."""
     n_traj, d = h_traj.shape
-    hi = T.slice_rows(h_traj, index, index + 1)
-    dots = T.reshape(T.matmul(h_traj, T.transpose(hi)), (n_traj,))
-    denom = T.matmul(T.reshape(traj_norms, (n_traj, 1)), T.reshape(T.row_norms(hi), (1, 1)))
-    scores = T.div(dots, T.add_scalar(T.reshape(denom, (n_traj,)), COSINE_EPS))
+    hi = slice_rows(h_traj, index, index + 1)
+    dots = reshape(T.matmul(h_traj, T.transpose(hi)), (n_traj,))
+    denom = T.matmul(reshape(traj_norms, (n_traj, 1)), reshape(T.row_norms(hi), (1, 1)))
+    scores = div(dots, add_scalar(reshape(denom, (n_traj,)), COSINE_EPS))
     weights = T.softmax(scores) if use_softmax else T.sparsemax(scores)
-    return T.reshape(T.matmul(T.reshape(weights, (1, n_traj)), h_traj), (d,))
+    return reshape(T.matmul(reshape(weights, (1, n_traj)), h_traj), (d,))
 
 
 def dense_global_attention_oracle(h_traj, traj_norms, batch, eps, use_softmax):
@@ -165,9 +246,9 @@ def dense_global_attention_oracle(h_traj, traj_norms, batch, eps, use_softmax):
     n_traj = h_traj.shape[0]
     rows = T.embedding(h_traj, batch)
     dots = T.matmul(rows, T.transpose(h_traj))
-    row_norms = T.embedding(T.reshape(traj_norms, (n_traj, 1)), batch)
-    norms = T.matmul(row_norms, T.reshape(traj_norms, (1, n_traj)))
-    scores = T.div(dots, T.add_scalar(norms, eps))
+    row_norms = T.embedding(reshape(traj_norms, (n_traj, 1)), batch)
+    norms = T.matmul(row_norms, reshape(traj_norms, (1, n_traj)))
+    scores = div(dots, add_scalar(norms, eps))
     weights = T.softmax(scores, axis=-1) if use_softmax else T.sparsemax(scores)
     return T.matmul(weights, h_traj)
 
@@ -176,10 +257,10 @@ def dense_gcn_oracle(m_norm, features, weights, n_rows=None):
     """Stacked GCN composed of taped spmm, matmul and relu, every backward
     step over the whole graph; features None means one-hot, so X W0 is W0."""
     xw = weights[0] if features is None else T.spmm(features, weights[0])
-    h = T.relu(T.spmm(m_norm, xw))
+    h = relu(T.spmm(m_norm, xw))
     for w in weights[1:]:
-        h = T.relu(T.spmm(m_norm, T.matmul(h, w)))
-    return h if n_rows is None else T.slice_rows(h, 0, n_rows)
+        h = relu(T.spmm(m_norm, T.matmul(h, w)))
+    return h if n_rows is None else slice_rows(h, 0, n_rows)
 
 
 def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
@@ -201,7 +282,7 @@ def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
         if config.ablation != "tul-g":
             z_global = per_row_global_attention_oracle(
                 h_traj, traj_norms, int(idx), config.ablation == "tul-ea")
-        rows.append(T.reshape(T.concat([z_local, z_global], axis=-1), (1, -1)))
+        rows.append(reshape(T.concat([z_local, z_global], axis=-1), (1, -1)))
     stacked = T.concat(rows, axis=0)
     return T.add_bias(T.matmul(stacked, T.transpose(params["link_w"])), params["link_b"])
 

@@ -28,6 +28,7 @@ from tulink.tensor import Tensor, finite_difference_check
 from tulink.train import evaluate_on_split, train
 
 from conftest import inputs_from_sequences, make_sequence, small_config, toy_nine_sequences
+import oracles
 from oracles import confusion_matrix_oracle, simplex_projection_oracle
 
 
@@ -65,7 +66,7 @@ class TestCriterion1Sparsemax:
 
 
 def scalar_functional(t, coeffs):
-    flat = T.reshape(t, (1, t.values.size))
+    flat = oracles.reshape(t, (1, t.values.size))
     return T.matmul(flat, Tensor(np.asarray(coeffs).reshape(-1, 1)))
 
 
@@ -75,11 +76,6 @@ def primitive_checks(rng):
     Inputs are sampled away from relu kinks, max-pooling ties, and sparsemax
     support boundaries so central differences see a smooth function.
     """
-    def away_from_zero(shape, margin=0.2):
-        x = rng.normal(size=shape)
-        x[np.abs(x) < margin] += np.sign(x[np.abs(x) < margin] + 0.5) * margin
-        return x
-
     def sparsemax_safe_vector(n=6, margin=1e-3):
         while True:
             x = rng.normal(size=n)
@@ -139,8 +135,6 @@ def primitive_checks(rng):
     checks = [
         ("add", lambda t: scalar_functional(T.add(t, Tensor(b34)), c12), a34),
         ("add_bias", lambda t: scalar_functional(T.add_bias(Tensor(a34), t), c12), c4),
-        ("add_scalar", lambda t: scalar_functional(T.add_scalar(t, 0.7), c6), vec6),
-        ("div", lambda t: scalar_functional(T.div(Tensor(a34), t), c12), b34),
         ("scale", lambda t: scalar_functional(T.scale(t, -1.3), c6), vec6),
         ("matmul", lambda t: scalar_functional(T.matmul(t, Tensor(mat43)), c12),
          rng.normal(size=(4, 4))),
@@ -152,14 +146,10 @@ def primitive_checks(rng):
          rng.normal(size=(3, 2))),
         ("transpose", lambda t: scalar_functional(T.transpose(t), c12), a34),
         ("transpose_batched", lambda t: scalar_functional(T.transpose(t), c24), a234),
-        ("permute", lambda t: scalar_functional(T.permute(t, (1, 2, 0)), c24), a234),
-        ("reshape", lambda t: scalar_functional(T.reshape(t, (2, 6)), c12), a34),
         ("concat", lambda t: scalar_functional(
             T.concat([t, Tensor(part32)], axis=-1), c18), a34),
-        ("slice_rows", lambda t: scalar_functional(T.slice_rows(t, 1, 3), c8), a34),
         ("embedding", lambda t: scalar_functional(T.embedding(t, table_idx), c8),
          rng.normal(size=(3, 2))),
-        ("relu", lambda t: scalar_functional(T.relu(t), c12), away_from_zero((3, 4))),
         ("tanh", lambda t: scalar_functional(T.tanh(t), c12), a34),
         ("softmax", lambda t: scalar_functional(T.softmax(t, axis=-1), c12), a34),
         ("sparsemax", lambda t: scalar_functional(T.sparsemax(t), c6),
@@ -216,7 +206,44 @@ def primitive_checks(rng):
         ("gcn_features", lambda t: scalar_functional(T.gcn(
             gcn_m, gcn_x, [Tensor(gcn_feats[0]), t, Tensor(gcn_feats[2])], 3), c9), gcn_feats[1]),
     ]
+
+    # Three rows padded to four positions (one of length 1, one full), and
+    # one weight at a time probed under a single head.
+    attn_lengths = np.array([1, 4, 2])
+    attn_state = rng.normal(size=(3, 4, 4))
+    attn_w = [rng.normal(size=(4, 4)) * 0.5 for _ in range(3)]
+    c48 = rng.normal(size=48)
+    checks += [
+        ("masked_attention", lambda t: scalar_functional(T.masked_attention(
+            t, *map(Tensor, attn_w), attn_lengths, 2, 0.5 ** 0.5), c48), attn_state),
+        ("masked_attention_one_head", lambda t: scalar_functional(T.masked_attention(
+            Tensor(attn_state), Tensor(attn_w[0]), t, Tensor(attn_w[2]), attn_lengths, 1, 0.5),
+            c48), attn_w[1]),
+    ]
     return checks
+
+
+def oracle_primitive_checks(rng):
+    """(name, f, x) triples for the taped primitives in tests/oracles.py,
+    which the compositions there are built from."""
+    def away_from_zero(shape, margin=0.2):
+        x = rng.normal(size=shape)
+        x[np.abs(x) < margin] += np.sign(x[np.abs(x) < margin] + 0.5) * margin
+        return x
+
+    a34 = rng.normal(size=(3, 4))
+    b34 = rng.normal(size=(3, 4)) + 3.0
+    a234 = rng.normal(size=(2, 3, 4))
+    c6, c8, c12, c24 = (rng.normal(size=n) for n in (6, 8, 12, 24))
+    return [
+        ("add_scalar", lambda t: scalar_functional(oracles.add_scalar(t, 0.7), c6),
+         rng.normal(size=6)),
+        ("div", lambda t: scalar_functional(oracles.div(Tensor(a34), t), c12), b34),
+        ("permute", lambda t: scalar_functional(oracles.permute(t, (1, 2, 0)), c24), a234),
+        ("reshape", lambda t: scalar_functional(oracles.reshape(t, (2, 6)), c12), a34),
+        ("slice_rows", lambda t: scalar_functional(oracles.slice_rows(t, 1, 3), c8), a34),
+        ("relu", lambda t: scalar_functional(oracles.relu(t), c12), away_from_zero((3, 4))),
+    ]
 
 
 def tensor_primitives():
@@ -235,6 +262,16 @@ class TestCriterion2Gradients:
                        key=len, default=None)
                    for row, _, _ in primitive_checks(np.random.default_rng(0))}
         assert primitives <= covered, sorted(primitives - covered)
+
+    def test_oracle_primitives(self):
+        """The taped primitives that only tests/oracles.py keeps."""
+        failures = []
+        for name, f, x in oracle_primitive_checks(np.random.default_rng(2003)):
+            rep = finite_difference_check(f, Tensor(np.asarray(x, float)),
+                                          h=1e-5, tolerance=1e-4)
+            if not rep.passed:
+                failures.append((name, rep.max_rel_error))
+        assert not failures, failures
 
     def test_primitives_and_full_model(self):
         t0 = time.perf_counter()

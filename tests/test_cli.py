@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import shutil
+import struct
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -241,6 +242,16 @@ class TestCheckpointErrors:
         def truncate(path):
             path.write_bytes(path.read_bytes()[:-100])
         assert "truncated" in self._evaluate(workspace, trained, tmp_path, capsys, truncate)
+
+    def test_negative_dimensions(self, workspace, trained, tmp_path, capsys):
+        """A record of shape (-r, -c) holds as many values as one of (r, c)."""
+        def negate_first_matrix(path):
+            name, values = next((n, v) for n, v in load_tensors(path).items() if v.ndim == 2)
+            header = name.encode() + struct.pack("<B2q", 2, *values.shape)
+            negated = name.encode() + struct.pack("<B2q", 2, *(-n for n in values.shape))
+            path.write_bytes(path.read_bytes().replace(header, negated, 1))
+        err = self._evaluate(workspace, trained, tmp_path, capsys, negate_first_matrix)
+        assert "negative dimension" in err
 
     def test_dimension_mismatch(self, workspace, trained, tmp_path, capsys):
         err = self._evaluate(workspace, trained, tmp_path, capsys, lambda path: None,

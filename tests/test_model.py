@@ -28,7 +28,8 @@ from tulink.tensor import Tape, Tensor, recording
 from conftest import (graphs_from_sequences, inputs_from_sequences, make_sequence, on_odd_cells,
                       small_config, toy_nine_sequences)
 from oracles import (bounding_box_initial_values, bounding_box_inputs_oracle,
-                     bounding_box_params_oracle, l2_chain_oracle, per_trajectory_logits_oracle)
+                     bounding_box_params_oracle, l2_chain_oracle, per_trajectory_logits_oracle,
+                     reshape)
 
 RNG = np.random.default_rng(4242)
 # The full model ("") and every ablation.
@@ -296,13 +297,27 @@ class TestSelfAttention:
         def f(t):
             out = self_attention_stack(params, cfg, t, np.array([3]),
                                        np.random.default_rng(0), False)
-            flat = T.reshape(out, (1, out.values.size))
+            flat = reshape(out, (1, out.values.size))
             return T.matmul(flat, Tensor(c.reshape(-1, 1)))
 
         from tulink.tensor import finite_difference_check
         report = finite_difference_check(f, Tensor(RNG.normal(size=(1, 3, cfg.embed_dim))),
                                          tolerance=1e-4)
         assert report.passed, report
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_tape_ops_per_taped_forward(self, layers):
+        """The position add, then per layer one masked attention, the output
+        projection and its bias, dropout, the residual add and layer norm."""
+        cfg = small_config(attn_layers=layers, dropout_rate=0.5)
+        params = make_params(cfg)
+        tape = Tape()
+        with recording(tape):
+            x = Tensor(np.random.default_rng(0).normal(size=(3, 4, cfg.embed_dim)),
+                       requires_grad=True)
+            self_attention_stack(params, cfg, x, np.array([1, 4, 2]), np.random.default_rng(0),
+                                 training=True)
+        assert len(tape) == 1 + 6 * layers
 
 
 class TestGlobalAttention:

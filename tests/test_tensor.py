@@ -1,6 +1,7 @@
 """Autodiff core: forward values, backward rules, gradient checks."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,15 +21,16 @@ from tulink.tensor import (
 
 from tulink.graphs import symmetric_normalize
 
-from oracles import (dense_gcn_oracle, dense_global_attention_oracle, l2_chain_oracle,
-                     simplex_projection_oracle, sorted_sparsemax_oracle)
+from oracles import (add_scalar, dense_gcn_oracle, dense_global_attention_oracle, div,
+                     l2_chain_oracle, masked_attention_oracle, permute, relu, reshape,
+                     simplex_projection_oracle, slice_rows, sorted_sparsemax_oracle)
 
 RNG = np.random.default_rng(20_240_817)
 
 
 def scalarize(t, weights):
     """Reduce any tensor to a scalar via a fixed linear functional."""
-    flat = T.reshape(t, (1, t.values.size))
+    flat = reshape(t, (1, t.values.size))
     return T.matmul(flat, Tensor(np.asarray(weights).reshape(-1, 1)))
 
 
@@ -88,14 +90,14 @@ class TestElementwise:
         b = RNG.normal(size=(3, 4)) + 3.0  # keep divisors away from zero
         c = RNG.normal(size=12)
         check_grad(lambda x: scalarize(T.add(x, Tensor(b)), c), a)
-        check_grad(lambda x: scalarize(T.div(x, Tensor(b)), c), a)
-        check_grad(lambda x: scalarize(T.div(Tensor(a), x), c), b)
+        check_grad(lambda x: scalarize(div(x, Tensor(b)), c), a)
+        check_grad(lambda x: scalarize(div(Tensor(a), x), c), b)
 
     def test_scale_and_add_scalar(self):
         a = RNG.normal(size=6)
         c = RNG.normal(size=6)
         check_grad(lambda x: scalarize(T.scale(x, -2.5), c), a)
-        check_grad(lambda x: scalarize(T.add_scalar(x, 1.75), c), a)
+        check_grad(lambda x: scalarize(add_scalar(x, 1.75), c), a)
 
     def test_add_bias_broadcast(self):
         x = RNG.normal(size=(4, 3))
@@ -113,21 +115,21 @@ class TestShapePlumbing:
         a = RNG.normal(size=(3, 4))
         c12 = RNG.normal(size=12)
         check_grad(lambda x: scalarize(T.transpose(x), c12), a)
-        check_grad(lambda x: scalarize(T.reshape(x, (2, 6)), c12), a)
+        check_grad(lambda x: scalarize(reshape(x, (2, 6)), c12), a)
         other = Tensor(RNG.normal(size=(3, 2)))
         c18 = RNG.normal(size=18)
         check_grad(lambda x: scalarize(T.concat([x, other], axis=-1), c18), a)
         c8 = RNG.normal(size=8)
-        check_grad(lambda x: scalarize(T.slice_rows(x, 1, 3), c8), a)
+        check_grad(lambda x: scalarize(slice_rows(x, 1, 3), c8), a)
 
     def test_permute_and_batched_transpose(self):
         x = RNG.normal(size=(2, 3, 4))
-        np.testing.assert_array_equal(T.permute(Tensor(x), (1, 2, 0)).values,
+        np.testing.assert_array_equal(permute(Tensor(x), (1, 2, 0)).values,
                                       np.transpose(x, (1, 2, 0)))
         np.testing.assert_array_equal(T.transpose(Tensor(x)).values, np.swapaxes(x, 1, 2))
         c = RNG.normal(size=24)
-        check_grad(lambda t: scalarize(T.permute(t, (1, 2, 0)), c), x)
-        check_grad(lambda t: scalarize(T.permute(t, (0, 2, 1)), c), x)
+        check_grad(lambda t: scalarize(permute(t, (1, 2, 0)), c), x)
+        check_grad(lambda t: scalarize(permute(t, (0, 2, 1)), c), x)
         check_grad(lambda t: scalarize(T.transpose(t), c), x)
 
     def test_embedding_gather_and_accumulate(self):
@@ -152,7 +154,7 @@ class TestShapePlumbing:
 
 class TestActivations:
     def test_relu_values(self):
-        out = T.relu(Tensor([-1.0, 0.0, 2.0]))
+        out = relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
 
     def test_tanh_at_zero(self):
@@ -162,7 +164,7 @@ class TestActivations:
         x = RNG.normal(size=(4, 3))
         x[np.abs(x) < 0.05] = 0.5  # keep clear of the relu kink
         c = RNG.normal(size=12)
-        check_grad(lambda t: scalarize(T.relu(t), c), x)
+        check_grad(lambda t: scalarize(relu(t), c), x)
         check_grad(lambda t: scalarize(T.tanh(t), c), x)
 
 
@@ -435,6 +437,97 @@ class TestCosineAttention:
         h = Tensor(RNG.normal(size=(6, 3)))
         with pytest.raises(ValueError, match="out of range"):
             T.cosine_attention(h, T.row_norms(h), np.array([0, bad]), 1e-12, use_softmax)
+
+
+def masked_attention_and_grads(attend, state, weights, lengths, heads, upstream):
+    """Output values and the gradients of state and of each projection under
+    a fixed linear functional of the output, every input a leaf."""
+    st = Tensor(state.copy(), requires_grad=True)
+    ws = [Tensor(w.copy(), requires_grad=True) for w in weights]
+    inv_scale = 1.0 / math.sqrt(state.shape[2] // heads)
+    tape = Tape()
+    with recording(tape):
+        out = attend(st, *ws, lengths, heads, inv_scale)
+        loss = scalarize(out, upstream)
+    tape.backward(loss)
+    return out.values, [st.grad] + [w.grad for w in ws]
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+class TestMaskedAttention:
+    """The fused primitive against the composition of reshape, permute,
+    scale, the key mask and softmax in tests/oracles.py: the same forward to
+    the bit, every gradient within 1e-12 relative."""
+
+    def _case(self, lengths, m, heads, seed=0):
+        rng = np.random.default_rng(seed)
+        d = 8
+        state = rng.normal(size=(len(lengths), m, d))
+        weights = [rng.normal(size=(d, d)) * 0.5 for _ in "qkv"]
+        upstream = rng.normal(size=state.size)
+        out, grads = masked_attention_and_grads(
+            T.masked_attention, state, weights, lengths, heads, upstream)
+        ref, ref_grads = masked_attention_and_grads(
+            masked_attention_oracle, state, weights, lengths, heads, upstream)
+        np.testing.assert_array_equal(out, ref)
+        for g, ref_g in zip(grads, ref_grads):
+            assert_rel_close(g, ref_g)
+        return state, weights, out
+
+    def test_padded_rows_of_length_one_and_m(self, heads):
+        self._case(np.array([1, 5, 3, 1, 5, 2]), 5, heads)
+
+    def test_every_row_full(self, heads):
+        self._case(np.array([4, 4]), 4, heads, seed=1)
+
+    def test_single_position(self, heads):
+        """Each query sees only itself, so the output is its own value row."""
+        state, (_, _, wv), out = self._case(np.array([1, 1]), 1, heads, seed=2)
+        np.testing.assert_allclose(out, state @ wv, rtol=1e-14)
+
+    def test_padded_keys_change_nothing(self, heads):
+        """A row's real positions read only its first lengths[i] keys."""
+        rng = np.random.default_rng(3)
+        state = rng.normal(size=(1, 6, 8))
+        ws = [Tensor(rng.normal(size=(8, 8))) for _ in "qkv"]
+        full = T.masked_attention(Tensor(state), *ws, [3], heads, 0.5).values
+        cut = T.masked_attention(Tensor(state[:, :3]), *ws, [3], heads, 0.5).values
+        np.testing.assert_array_equal(full[:, :3], cut)
+
+    def test_finite_differences_every_input(self, heads):
+        rng = np.random.default_rng(4)
+        state = rng.normal(size=(3, 4, 8))
+        weights = [rng.normal(size=(8, 8)) * 0.5 for _ in "qkv"]
+        lengths = np.array([1, 4, 2])
+        c = rng.normal(size=state.size)
+
+        def attend(i):
+            def f(t):
+                args = [Tensor(state)] + [Tensor(w) for w in weights]
+                args[i] = t
+                return scalarize(T.masked_attention(*args, lengths, heads, 0.5), c)
+            return f
+        for i, x in enumerate([state] + weights):
+            check_grad(attend(i), x, tol=1e-6)
+
+    @pytest.mark.parametrize("state_shape, w_shape, lengths, n_heads", [
+        ((2, 3, 8), (8, 8), [1, 2, 3], None),  # one length too many
+        ((2, 3, 8), (8, 4), [1, 2], None),  # a projection not (d, d)
+        ((3, 8), (8, 8), [1, 2, 3], None),  # no batch axis
+        ((2, 3, 8), (8, 8), [1, 2], 3),  # heads do not divide d
+        ((2, 3, 8), (8, 8), [1, 2], 0),
+    ])
+    def test_shape_mismatch(self, heads, state_shape, w_shape, lengths, n_heads):
+        ws = [Tensor(np.zeros((8, 8))), Tensor(np.zeros(w_shape)), Tensor(np.zeros((8, 8)))]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            T.masked_attention(Tensor(np.zeros(state_shape)), *ws, np.array(lengths),
+                               heads if n_heads is None else n_heads, 0.5)
+
+    @pytest.mark.parametrize("lengths", [[0, 3], [2, 4], [-1, 1]])
+    def test_length_outside_one_to_m(self, heads, lengths):
+        ws = [Tensor(np.zeros((8, 8))) for _ in "qkv"]
+        with pytest.raises(ValueError, match=r"lengths must lie in \[1, 3\]"):
+            T.masked_attention(Tensor(np.zeros((2, 3, 8))), *ws, np.array(lengths), heads, 0.5)
 
 
 def graph_with_isolated_nodes(rng, n=14, isolated=(3, 10)):
@@ -808,6 +901,18 @@ class TestCheckpoint:
             path.write_bytes(raw[:cut])
             with pytest.raises(DataError, match="params.bin"):
                 load_tensors(path)
+
+    @pytest.mark.parametrize("dims", [(-2, -3), (-1, -1), (-4,), (2, -1)])
+    def test_negative_dimension_rejected(self, tmp_path, dims):
+        """Dimensions whose product is a valid size but one of them negative."""
+        path = tmp_path / "params.bin"
+        save_tensors(path, [("w", np.zeros((2, 3)))])
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"w") + 1  # the record's ndim byte follows its name
+        raw[at:at + 17] = struct.pack(f"<B{len(dims)}q", len(dims), *dims)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=r"params\.bin.*negative dimension.*'train'"):
+            load_tensors(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
