@@ -59,12 +59,13 @@ def _require(path: Path, stage: str) -> Path:
 
 
 def _check_ids(paths: StagePaths, sequences, field: str, limit: int) -> None:
-    """Every sequence's ``field`` ids are in [0, limit), or a DataError."""
-    for s in sequences:
-        for i in getattr(s, field):
-            if not 0 <= i < limit:
-                raise DataError(f"{paths.sequences.name} holds {field} id {i!r}, not in "
-                                f"[0, {limit}); rerun the 'preprocess' stage")
+    """Every sequence's ``field`` ids are in [0, limit), or a DataError naming
+    the first that is not."""
+    ids = [i for s in sequences for i in getattr(s, field)]
+    if ids and (min(ids) < 0 or max(ids) >= limit):
+        bad = next(i for i in ids if not 0 <= i < limit)
+        raise DataError(f"{paths.sequences.name} holds {field} id {bad!r}, not in "
+                        f"[0, {limit}); rerun the 'preprocess' stage")
 
 
 def _load_preprocessed(paths: StagePaths):

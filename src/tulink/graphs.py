@@ -168,11 +168,13 @@ def symmetric_normalize(adjacency: sp.spmatrix) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 
 def _write_coo(fh, name: str, m: sp.spmatrix) -> None:
+    """One ``matrix`` header line, then one "row col weight" line per entry in
+    row-major order, formatted as one string."""
     coo = m.tocoo()
     order = np.lexsort((coo.col, coo.row))
+    entries = np.column_stack((coo.row[order], coo.col[order], coo.data[order]))
     fh.write(f"matrix {name} {m.shape[0]} {m.shape[1]} {coo.nnz}\n")
-    for r, c, w in zip(coo.row[order], coo.col[order], coo.data[order]):
-        fh.write(f"{r} {c} {int(w)}\n")
+    fh.write(("%d %d %d\n" * coo.nnz) % tuple(entries.astype(np.int64).ravel().tolist()))
 
 
 def _read_coo(lines, expect_name: str) -> sp.csr_matrix:
@@ -198,8 +200,7 @@ def save_local_graph(g: LocalSpatialGraph, path: str | Path) -> None:
         fh.write(f"max_weight {g.max_weight}\n")
         fh.write("symmetric 1\n")
         fh.write(f"roster {g.n_grids}\n")
-        for i in range(g.n_grids):
-            fh.write(f"{i}\n")
+        fh.write("".join(f"{i}\n" for i in range(g.n_grids)))
         _write_coo(fh, "adjacency", g.adjacency)
         fh.write("end\n")
 
@@ -223,10 +224,7 @@ def save_global_graph(g: GlobalSpatialGraph, path: str | Path) -> None:
         fh.write(f"max_weight {g.max_weight}\n")
         fh.write("symmetric 1\n")
         fh.write(f"roster {g.n_nodes}\n")
-        for tid in g.traj_ids:
-            fh.write(f"{tid}\n")
-        for uid in g.user_ids:
-            fh.write(f"{uid}\n")
+        fh.write("".join(f"{node}\n" for node in (*g.traj_ids, *g.user_ids)))
         _write_coo(fh, "adjacency", g.adjacency)
         _write_coo(fh, "features", g.features)
         fh.write("end\n")

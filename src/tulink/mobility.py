@@ -13,11 +13,16 @@ classes) and a time-of-day window index.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DataError, reading
 
@@ -187,17 +192,44 @@ def build_grid_map(points: Iterable[SpatioTemporalPoint], cell_size: float) -> G
     return GridMap(min_lon, min_lat, max_lon, max_lat, cell_size, cols, rows)
 
 
+def _clamped_cells(offset_m: np.ndarray, cell_size: float, n: int) -> np.ndarray:
+    """min(max(floor(offset_m / cell_size), 0), n - 1) per entry, as uint64.
+
+    Exact for every n up to 2**63: the floors are clipped in floats to the
+    smallest float at or above n - 1, which fits uint64, and then to n - 1
+    in integers.
+    """
+    top = float(n - 1)
+    if top < n - 1:
+        top = math.nextafter(top, math.inf)
+    cells = np.clip(np.floor(offset_m / cell_size), 0.0, top).astype(np.uint64)
+    return np.minimum(cells, np.uint64(n - 1))
+
+
+def map_points_to_grids(lons, lats, gm: GridMap) -> np.ndarray:
+    """Cell index per point, as int64, for points inside the (one-cell-expanded)
+    bounding box; the first point outside it raises a DataError naming its
+    longitude, or its latitude when the longitude is inside."""
+    lons = np.asarray(lons, dtype=np.float64)
+    lats = np.asarray(lats, dtype=np.float64)
+    x_m = (lons - gm.min_lon) * gm.meters_per_deg_lon
+    y_m = (lats - gm.min_lat) * gm.meters_per_deg_lat
+    outside_x = ~((-gm.cell_size <= x_m) & (x_m <= gm.cols * gm.cell_size + gm.cell_size))
+    outside_y = ~((-gm.cell_size <= y_m) & (y_m <= gm.rows * gm.cell_size + gm.cell_size))
+    outside = outside_x | outside_y
+    if outside.any():
+        i = int(outside.argmax())
+        if outside_x[i]:
+            raise DataError(f"longitude {float(lons[i])} outside the expanded grid bounding box")
+        raise DataError(f"latitude {float(lats[i])} outside the expanded grid bounding box")
+    col = _clamped_cells(x_m, gm.cell_size, gm.cols)
+    row = _clamped_cells(y_m, gm.cell_size, gm.rows)
+    return (row * np.uint64(gm.cols) + col).astype(np.int64)
+
+
 def map_point_to_grid(p: SpatioTemporalPoint, gm: GridMap) -> int:
     """Cell index for a point inside the (one-cell-expanded) bounding box."""
-    x_m = (p.lon - gm.min_lon) * gm.meters_per_deg_lon
-    y_m = (p.lat - gm.min_lat) * gm.meters_per_deg_lat
-    if not -gm.cell_size <= x_m <= gm.cols * gm.cell_size + gm.cell_size:
-        raise DataError(f"longitude {p.lon} outside the expanded grid bounding box")
-    if not -gm.cell_size <= y_m <= gm.rows * gm.cell_size + gm.cell_size:
-        raise DataError(f"latitude {p.lat} outside the expanded grid bounding box")
-    col = min(max(math.floor(x_m / gm.cell_size), 0), gm.cols - 1)
-    row = min(max(math.floor(y_m / gm.cell_size), 0), gm.rows - 1)
-    return row * gm.cols + col
+    return int(map_points_to_grids([p.lon], [p.lat], gm)[0])
 
 
 def split_trajectory_by_interval(tr: RawTrajectory, tau: float) -> list[SubTrajectory]:
@@ -297,19 +329,28 @@ def build_grid_sequences(
     gm: GridMap,
     window_len: float,
 ) -> list[GridSequence]:
-    """Annotate every sub-trajectory with grid, motion-state and window ids."""
+    """Annotate every sub-trajectory with grid, motion-state and window ids.
+
+    The grid ids of all points come from one ``map_points_to_grids`` call.
+    """
+    subtrajectories = list(subtrajectories)
+    points = [p for st in subtrajectories for p in st.points]
+    grids = map_points_to_grids([p.lon for p in points], [p.lat for p in points], gm).tolist()
     out = []
+    start = 0
     for st in subtrajectories:
+        stop = start + len(st.points)
         out.append(
             GridSequence(
                 user_id=st.user_id,
                 interval_index=st.interval_index,
                 t=[p.t for p in st.points],
-                grid=[map_point_to_grid(p, gm) for p in st.points],
+                grid=grids[start:stop],
                 state=encode_motion_states(st),
                 window=encode_time_windows(st, window_len),
             )
         )
+        start = stop
     return out
 
 
@@ -411,42 +452,70 @@ def load_grid_map(path: str | Path) -> GridMap:
         return GridMap.from_json(json.loads(Path(path).read_text()))
 
 
+# One sequences.jsonl line: json.dumps(record, sort_keys=True) with the lists'
+# brackets in the template.
+_SEQUENCE_LINE = ('{"grid": [%s], "interval": %s, "state": [%s], "t": [%s], '
+                  '"user": %s, "window": [%s]}\n')
+
+
+def _json_lists(lists: list[list]) -> list[str]:
+    """Each list's json.dumps text without its brackets, from one json.dumps
+    call; numbers and brackets never hold the "], [" that separates them."""
+    return json.dumps(lists)[2:-2].split("], [")
+
+
 def save_sequences(sequences: Sequence[GridSequence], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for s in sequences:
-            fh.write(
-                json.dumps(
-                    {
-                        "user": s.user_id,
-                        "interval": s.interval_index,
-                        "t": s.t,
-                        "grid": s.grid,
-                        "state": s.state,
-                        "window": s.window,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    """One JSON object per line, byte-identical to ``json.dumps(record,
+    sort_keys=True)`` for str users, int intervals and ids and float times.
+    Each field is encoded for every record at once and the file is written
+    in one call."""
+    text = ""
+    if sequences:
+        encoded = {u: json.dumps(u) for u in {s.user_id for s in sequences}}
+        columns = (
+            _json_lists([s.grid for s in sequences]),
+            json.dumps([s.interval_index for s in sequences])[1:-1].split(", "),
+            _json_lists([s.state for s in sequences]),
+            _json_lists([s.t for s in sequences]),
+            [encoded[s.user_id] for s in sequences],
+            _json_lists([s.window for s in sequences]),
+        )
+        text = "".join(map(_SEQUENCE_LINE.__mod__, zip(*columns)))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_sequences(path: str | Path) -> list[GridSequence]:
-    out = []
-    with reading(path, "preprocess"), Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            d = json.loads(line)
-            if type(d) is not dict or d.keys() != _SEQUENCE_KEYS:
-                raise ValueError(f"a record's keys are not {sorted(_SEQUENCE_KEYS)}")
-            t, grid, state, window = d["t"], d["grid"], d["state"], d["window"]
-            if not (type(t) is type(grid) is type(state) is type(window) is list
-                    and 0 < len(t) == len(grid) == len(state) == len(window)):
-                raise ValueError("t, grid, state and window must be lists of one non-zero length")
-            for field, ids in (("grid", grid), ("state", state), ("window", window)):
-                for i in ids:
-                    if type(i) is not int:
-                        raise ValueError(f"{field} id {i!r} is not an integer")
-            out.append(GridSequence(d["user"], d["interval"], t, grid, state, window))
-    return out
+    """Parse sequences.jsonl with one json.loads over its lines joined into an
+    array, then check the records a field at a time: one dict with the six
+    keys per line, four lists of one non-zero length, integer ids, and no
+    (user, interval) twice."""
+    with reading(path, "preprocess"):
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        if not lines[-1]:
+            lines.pop()
+        records = json.loads("[" + ",".join(lines) + "]")
+        if len(records) != len(lines):  # a line holding two records
+            raise ValueError(f"{len(lines)} lines hold {len(records)} records")
+        if not records:
+            return []
+        if set(map(type, records)) != {dict} or set(map(frozenset, records)) != {_SEQUENCE_KEYS}:
+            raise ValueError(f"a record's keys are not {sorted(_SEQUENCE_KEYS)}")
+        fields = operator.itemgetter("user", "interval", "t", "grid", "state", "window")
+        users, intervals, t, grid, state, window = zip(*map(fields, records))
+        lengths = list(map(len, t))
+        if (set(map(type, t + grid + state + window)) != {list} or 0 in lengths
+                or any(list(map(len, ids)) != lengths for ids in (grid, state, window))):
+            raise ValueError("t, grid, state and window must be lists of one non-zero length")
+        for field, ids in (("grid", grid), ("state", state), ("window", window)):
+            ids = list(itertools.chain.from_iterable(ids))
+            if set(map(type, ids)) != {int}:
+                bad = next(i for i in ids if type(i) is not int)
+                raise ValueError(f"{field} id {bad!r} is not an integer")
+        traj_ids = [f"{u}:{i}" for u, i in zip(users, intervals)]
+        if len(set(traj_ids)) != len(traj_ids):
+            repeated = next(tid for tid, n in Counter(traj_ids).items() if n > 1)
+            raise ValueError(f"trajectory {repeated!r} is on two lines")
+        return list(map(GridSequence, users, intervals, t, grid, state, window))
 
 
 def save_split(split: DatasetSplit, path: str | Path) -> None:

@@ -400,7 +400,7 @@ def cosine_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float,
     nh = traj_norms.values
     nr = nh[idx]
     dots = rows @ np.swapaxes(h, -1, -2)
-    denom = nr.reshape(-1, 1) @ nh.reshape(1, n)
+    denom = nr[:, None] * nh
     denom += eps
     scores = Tensor(dots / denom)
     p = (softmax(scores, axis=-1) if use_softmax else sparsemax(scores)).values

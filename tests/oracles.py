@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from tulink import tensor as T
+from tulink.errors import DataError, reading
 from tulink.graphs import symmetric_normalize
-from tulink.mobility import MOTION_STATES
+from tulink.mobility import _SEQUENCE_KEYS, MOTION_STATES, GridSequence
 from tulink.model import (COSINE_EPS, ModelParams, build_model_inputs, encode_graphs,
                           encode_locations)
 from tulink.tensor import Tensor, _record, _result
@@ -376,3 +379,60 @@ def l2_chain_oracle(tensors):
         term = T.sum_squares(t)
         penalty = term if penalty is None else T.add(penalty, term)
     return penalty
+
+
+# ---------------------------------------------------------------------------
+# Artifact formats one record at a time
+# ---------------------------------------------------------------------------
+
+def map_point_to_grid_oracle(p, gm):
+    """Cell index of one point with Python floats and ints, or the DataError
+    naming its longitude (checked first) or latitude."""
+    x_m = (p.lon - gm.min_lon) * gm.meters_per_deg_lon
+    y_m = (p.lat - gm.min_lat) * gm.meters_per_deg_lat
+    if not -gm.cell_size <= x_m <= gm.cols * gm.cell_size + gm.cell_size:
+        raise DataError(f"longitude {p.lon} outside the expanded grid bounding box")
+    if not -gm.cell_size <= y_m <= gm.rows * gm.cell_size + gm.cell_size:
+        raise DataError(f"latitude {p.lat} outside the expanded grid bounding box")
+    col = min(max(math.floor(x_m / gm.cell_size), 0), gm.cols - 1)
+    row = min(max(math.floor(y_m / gm.cell_size), 0), gm.rows - 1)
+    return row * gm.cols + col
+
+
+def write_coo_oracle(fh, name, m):
+    """A graph file's matrix section written one entry per call."""
+    coo = m.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    fh.write(f"matrix {name} {m.shape[0]} {m.shape[1]} {coo.nnz}\n")
+    for r, c, w in zip(coo.row[order], coo.col[order], coo.data[order]):
+        fh.write(f"{r} {c} {int(w)}\n")
+
+
+def save_sequences_oracle(sequences, path):
+    """sequences.jsonl written with one json.dumps per record."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for s in sequences:
+            fh.write(json.dumps({"user": s.user_id, "interval": s.interval_index,
+                                 "t": s.t, "grid": s.grid, "state": s.state,
+                                 "window": s.window}, sort_keys=True) + "\n")
+
+
+def load_sequences_oracle(path):
+    """sequences.jsonl read with one json.loads per line and per-record checks;
+    it does not look for a (user, interval) listed twice."""
+    out = []
+    with reading(path, "preprocess"), Path(path).open("r", encoding="utf-8") as fh:
+        for line in fh:
+            d = json.loads(line)
+            if type(d) is not dict or d.keys() != _SEQUENCE_KEYS:
+                raise ValueError(f"a record's keys are not {sorted(_SEQUENCE_KEYS)}")
+            t, grid, state, window = d["t"], d["grid"], d["state"], d["window"]
+            if not (type(t) is type(grid) is type(state) is type(window) is list
+                    and 0 < len(t) == len(grid) == len(state) == len(window)):
+                raise ValueError("t, grid, state and window must be lists of one non-zero length")
+            for field, ids in (("grid", grid), ("state", state), ("window", window)):
+                for i in ids:
+                    if type(i) is not int:
+                        raise ValueError(f"{field} id {i!r} is not an integer")
+            out.append(GridSequence(d["user"], d["interval"], t, grid, state, window))
+    return out

@@ -5,6 +5,7 @@ One test per criterion, each printing a PASS line with its headline numbers
 and tolerances are asserted inside the tests themselves.
 """
 
+import hashlib
 import inspect
 import itertools
 import time
@@ -505,6 +506,34 @@ class TestCriterion8Determinism:
             strip_wall_clock((out_b / "history.tsv").read_text())
         report(8, f"{len(identical)} artifacts byte-identical; history identical "
                   f"up to wall-clock")
+
+
+# sha256 of the setup artifacts of disjoint_regions(3, 4, seed=3) under the
+# default configuration, as every version since the format was fixed writes them.
+SETUP_DIGESTS = {
+    "grid_map.json": "291642cdd47538b55b8c3ad0ea044ce9d1b13c77bb60d294fba530719175c261",
+    "sequences.jsonl": "43d02196895d4c5a7ac1a595d58b46c11f288a622d3c2aa90fb739bcba732676",
+    "splits.json": "e84be6670893c31df40100e6755a2019da1c9b030d3a5d8ddd8c23780530d892",
+    "manifest.json": "838ca252bc1c212fa32a5b8262532d686f1d407935bfdd55dbf80748f786f5fd",
+    "local_graph.txt": "a14ed275cab8da120da527f3d193806b15418da9070b72c8d07c823697179cc7",
+    "global_graph.txt": "36f55e2ad8da01c3496618160fe1ae1ad54c101d2e1d2c771bed377dc1a1c8c7",
+}
+
+
+class TestCriterion8ArtifactFormat:
+    def test_setup_artifacts_match_pinned_digests(self, tmp_path, capsys):
+        """Same-seed reruns agree with each other; these digests also hold the
+        bytes still against earlier versions."""
+        data = tmp_path / "data.csv"
+        data.write_text(synth.disjoint_regions(3, 4, seed=3))
+        out = tmp_path / "out"
+        for cmd in ("preprocess", "build-graphs"):
+            assert main([cmd, "--dataset", str(data), "--output", str(out)]) == 0, cmd
+        capsys.readouterr()
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in SETUP_DIGESTS}
+        assert digests == SETUP_DIGESTS
+        report(8, f"{len(digests)} setup artifacts match their pinned sha256")
 
 
 class TestCriterion9CheckinSmokeRun:

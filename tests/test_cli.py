@@ -480,8 +480,8 @@ class TestArtifactErrors:
 
     @pytest.mark.parametrize("stage, field, value", [
         ("build-graphs", "grid", 1_000_000), ("build-graphs", "grid", -1),
-        ("build-graphs", "grid", 3.5), ("train", "state", 99), ("train", "window", 99),
-        ("train", "window", None)])
+        ("build-graphs", "grid", 3.5), ("build-graphs", "grid", 2**70), ("train", "state", 99),
+        ("train", "window", 99), ("train", "window", None)])
     def test_bad_id_in_sequences(self, workspace, trained, tmp_path, capsys,
                                  stage, field, value):
         def edit(out):
@@ -494,6 +494,17 @@ class TestArtifactErrors:
         err = self._run(workspace, trained, tmp_path, capsys, stage, edit)
         assert "sequences.jsonl" in err and "'preprocess'" in err
         assert f"{field} id {value!r}" in err
+
+    @pytest.mark.parametrize("stage", ["build-graphs", "train"])
+    def test_duplicated_record_in_sequences(self, workspace, trained, tmp_path, capsys, stage):
+        def duplicate_first(out):
+            path = out / "sequences.jsonl"
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines + lines[:1]))
+        err = self._run(workspace, trained, tmp_path, capsys, stage, duplicate_first)
+        first = json.loads((trained / "sequences.jsonl").read_text().splitlines()[0])
+        assert "sequences.jsonl" in err and "'preprocess'" in err
+        assert f"'{first['user']}:{first['interval']}'" in err
 
     @pytest.mark.parametrize("stage, change", [
         ("build-graphs", lambda r: r.update(grid=5)),

@@ -1,14 +1,18 @@
 """Graph construction against brute-force oracles, plus serialization."""
 
+import io
 import re
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tulink.errors import DataError
 from tulink.graphs import (
+    _write_coo,
     build_global_graph,
     build_grid_incidence,
     build_local_graph,
@@ -20,7 +24,7 @@ from tulink.graphs import (
 )
 
 from conftest import make_sequence
-from oracles import global_graph_oracle
+from oracles import global_graph_oracle, write_coo_oracle
 
 
 def seq(user, interval, grids):
@@ -343,3 +347,27 @@ class TestSerialization:
         save_local_graph(self._local(), tmp_path / "g.txt")
         with pytest.raises(DataError, match="not a global one"):
             load_global_graph(tmp_path / "g.txt")
+
+
+@st.composite
+def coo_matrices(draw):
+    """Integer COO matrices with entries in any order, weights up to past 2**62
+    and possibly no entries at all."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
+    kept = draw(st.lists(st.sampled_from(cells), unique=True) if cells else st.just([]))
+    weights = st.one_of(st.integers(-3, 9), st.integers(2**62 - 3, 2**62 + 3),
+                        st.integers(2**63 - 3, 2**63 - 1))
+    w = draw(st.lists(weights, min_size=len(kept), max_size=len(kept)))
+    r, c = (np.array([rc[k] for rc in kept], dtype=np.int32) for k in (0, 1))
+    return sp.coo_matrix((np.array(w, dtype=np.int64), (r, c)), shape=(n_rows, n_cols))
+
+
+class TestCooWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(m=coo_matrices())
+    def test_matches_per_entry_writer(self, m):
+        fast, slow = io.StringIO(), io.StringIO()
+        _write_coo(fast, "adjacency", m)
+        write_coo_oracle(slow, "adjacency", m)
+        assert fast.getvalue() == slow.getvalue()

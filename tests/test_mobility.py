@@ -1,12 +1,17 @@
 """Preprocessing: gridding, interval splits, motion/time codes, data splits."""
 
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tulink.errors import ConfigError, DataError
 from tulink.mobility import (
+    GridSequence,
     METERS_PER_DEGREE,
     GridMap,
     RawTrajectory,
@@ -20,6 +25,7 @@ from tulink.mobility import (
     load_sequences,
     load_split,
     map_point_to_grid,
+    map_points_to_grids,
     parse_dataset,
     save_grid_map,
     save_sequences,
@@ -28,6 +34,9 @@ from tulink.mobility import (
     split_trajectory_by_interval,
     build_grid_sequences,
 )
+
+from oracles import (load_sequences_oracle, map_point_to_grid_oracle,
+                     save_sequences_oracle)
 
 
 def point_at_meters(x_m, y_m, t=0.0):
@@ -113,6 +122,103 @@ class TestPointToGrid:
             a = map_point_to_grid(point_at_meters(xs[0], ys[0]), gm)
             b = map_point_to_grid(point_at_meters(xs[1], ys[1]), gm)
             assert a == b
+
+
+@st.composite
+def grid_maps(draw):
+    """Grid maps from one cell to ids near 2**63, at mid-latitudes within 80°.
+    Around 2**62 + 512 and 2**63 - 512, n - 1 and n + 1 cells round to
+    different floats."""
+    cols = draw(st.one_of(st.integers(1, 12), st.integers(2**31 - 2, 2**31 + 2),
+                          st.integers(2**62 - 2, 2**62 + 2), st.integers(2**62 + 508, 2**62 + 516),
+                          st.integers(2**63 - 516, 2**63 - 508), st.integers(2**63 - 2, 2**63)))
+    top = 2**63 // cols
+    rows = draw(st.one_of(st.integers(1, min(12, top)), st.integers(max(1, top - 2), top)))
+    cell = draw(st.sampled_from([1e-9, 0.37, 40.0, 333.3]))
+    min_lon = draw(st.floats(-179.0, 179.0))
+    min_lat = draw(st.floats(-80.0, 79.0))
+    max_lat = min_lat + draw(st.floats(0.0, 1.0))
+    return GridMap(min_lon, min_lat, min_lon, max_lat, cell, cols, rows)
+
+
+def offsets_m(n_cells, cell):
+    """Meter offsets inside, on the cell edges of, on and just past the
+    one-cell-expanded extent of n_cells cells."""
+    edge = st.sampled_from([0, 1, n_cells // 2, n_cells - 1, n_cells])
+    hi = n_cells * cell + cell
+    return st.one_of(
+        st.floats(-cell, hi),
+        edge.map(lambda k: k * cell),
+        st.sampled_from([-cell, hi]),
+        st.sampled_from([math.nextafter(-cell, -math.inf), math.nextafter(hi, math.inf),
+                         -2.5 * cell, hi + cell]),
+    )
+
+
+@st.composite
+def points_on(draw, gm):
+    """Points given by meter offsets from the grid's lower corner."""
+    n = draw(st.integers(1, 6))
+    xs = draw(st.lists(offsets_m(gm.cols, gm.cell_size), min_size=n, max_size=n))
+    ys = draw(st.lists(offsets_m(gm.rows, gm.cell_size), min_size=n, max_size=n))
+    return [SimpleNamespace(lon=gm.min_lon + x / gm.meters_per_deg_lon,
+                            lat=gm.min_lat + y / gm.meters_per_deg_lat)
+            for x, y in zip(xs, ys)]
+
+
+class TestBatchPointToGrid:
+    """map_points_to_grids against the per-point Python mapper."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_point_mapper(self, data):
+        gm = data.draw(grid_maps())
+        points = data.draw(points_on(gm))
+        lons, lats = [p.lon for p in points], [p.lat for p in points]
+        expected = []
+        for p in points:
+            try:
+                expected.append(map_point_to_grid_oracle(p, gm))
+            except DataError as exc:
+                with pytest.raises(DataError) as raised:
+                    map_points_to_grids(lons, lats, gm)
+                assert str(raised.value) == str(exc)
+                return
+        ids = map_points_to_grids(lons, lats, gm)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == expected
+        assert all(0 <= i < gm.n_grids for i in expected)
+
+    @pytest.mark.parametrize("cols", [2**62 + 513, 2**63 - 511, 2**63])
+    def test_last_cell_where_floats_skip_it(self, cols):
+        """Near 2**63 the floor at the expanded box edge can round past the
+        float nearest cols - 1; the point still lands in the last cell."""
+        gm = GridMap(0.0, 0.0, 0.0, 0.0, 1.0, cols, 1)
+        hi = cols * gm.cell_size + gm.cell_size
+        lon = hi / gm.meters_per_deg_lon
+        while lon * gm.meters_per_deg_lon > hi:
+            lon = math.nextafter(lon, -math.inf)
+        while math.nextafter(lon, math.inf) * gm.meters_per_deg_lon <= hi:
+            lon = math.nextafter(lon, math.inf)
+        p = SimpleNamespace(lon=lon, lat=0.0)
+        assert map_points_to_grids([lon], [0.0], gm).tolist() == [cols - 1]
+        assert map_point_to_grid_oracle(p, gm) == cols - 1
+
+    def test_first_bad_point_is_named(self):
+        gm = square_box_map(100.0, 50.0)
+        points = [point_at_meters(10, 10), point_at_meters(10, -200), point_at_meters(400, 10)]
+        with pytest.raises(DataError, match=f"latitude {points[1].lat} "):
+            map_points_to_grids([p.lon for p in points], [p.lat for p in points], gm)
+
+    def test_no_points(self):
+        ids = map_points_to_grids([], [], square_box_map(100.0, 50.0))
+        assert ids.dtype == np.int64 and ids.shape == (0,)
+
+    def test_one_point_call_is_the_batch_call(self):
+        gm = square_box_map(330.0, 40.0)
+        p = point_at_meters(123.0, 45.6)
+        assert map_point_to_grid(p, gm) == map_points_to_grids([p.lon], [p.lat], gm)[0]
+        assert type(map_point_to_grid(p, gm)) is int
 
 
 class TestIntervalSplit:
@@ -322,3 +428,118 @@ class TestArtifactRoundTrips:
         )
         save_split(split, tmp_path / "split.json")
         assert load_split(tmp_path / "split.json") == split
+
+
+USERS = st.one_of(st.text(max_size=5), st.sampled_from(
+    ['"', "\\", 'a", "b', "x\\", "ünï", "日本", "\u2028", "\x00\x1f", "], [", "u:1"]))
+TIMES = st.one_of(
+    st.floats(-1e17, 1e17, allow_nan=False),
+    st.floats(1e-7, 1e17).flatmap(lambda t: st.sampled_from([t, -t])),
+    st.sampled_from([1e-7, -1e-7, 1e17, -1e17, 0.0, -0.0, 5e-324, 0.1]))
+IDS = st.one_of(st.integers(0, 9), st.integers(2**62 - 2, 2**62 + 2))
+
+
+@st.composite
+def grid_sequences(draw, min_points=1):
+    n = draw(st.integers(min_points, 4))
+    lists = [draw(st.lists(values, min_size=n, max_size=n))
+             for values in (TIMES, IDS, IDS, IDS)]
+    return GridSequence(draw(USERS), draw(st.integers(-2**40, 2**40)), *lists)
+
+
+def unique_ids(sequences):
+    return len({s.traj_id for s in sequences}) == len(sequences)
+
+
+class TestSequencesFormat:
+    """save_sequences and load_sequences against the per-record writer and the
+    per-line reader."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seqs=st.lists(grid_sequences(min_points=0), max_size=5))
+    @example(seqs=[])
+    @example(seqs=[GridSequence('q"\\ü', 0, [], [], [], [])])
+    def test_writer_matches_per_record_dumps(self, seqs, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("seq")
+        save_sequences(seqs, tmp / "fast.jsonl")
+        save_sequences_oracle(seqs, tmp / "slow.jsonl")
+        assert (tmp / "fast.jsonl").read_bytes() == (tmp / "slow.jsonl").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seqs=st.lists(grid_sequences(), max_size=5).filter(unique_ids))
+    def test_reader_matches_per_line_reader(self, seqs, tmp_path_factory):
+        path = tmp_path_factory.mktemp("seq") / "s.jsonl"
+        save_sequences(seqs, path)
+        assert load_sequences(path) == load_sequences_oracle(path) == seqs
+        path.write_text(path.read_text().rstrip("\n"))  # no final newline
+        assert load_sequences(path) == load_sequences_oracle(path) == seqs
+
+    def _file(self, tmp_path):
+        seqs = [GridSequence(u, i, [1.5 * i, 2.0], [i, 3], [0, 8], [1, 2])
+                for u in ("a", "b") for i in range(3)]
+        path = tmp_path / "s.jsonl"
+        save_sequences(seqs, path)
+        return path, path.read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("change", [
+        lambda r: r.clear(), lambda r: r.update(extra=1), lambda r: r.pop("user"),
+        lambda r: r.update(grid=5), lambda r: r["state"].pop(), lambda r: r["t"].pop(),
+        lambda r: r.update(t=[], grid=[], state=[], window=[]),
+        lambda r: r.update(window="ab"),
+        lambda r: r["grid"].__setitem__(0, 3.5), lambda r: r["state"].__setitem__(1, None),
+        lambda r: r["window"].__setitem__(0, True), lambda r: r["grid"].__setitem__(1, "1"),
+    ])
+    @pytest.mark.parametrize("line", [0, 4])
+    def test_misshapen_record_gives_the_per_line_message(self, tmp_path, change, line):
+        path, lines = self._file(tmp_path)
+        record = json.loads(lines[line])
+        change(record)
+        lines[line] = json.dumps(record, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError) as fast:
+            load_sequences(path)
+        with pytest.raises(DataError) as slow:
+            load_sequences_oracle(path)
+        assert str(fast.value) == str(slow.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:2] + ["\n"] + lines[2:],
+        lambda lines: lines + ["\n"],
+        lambda lines: lines[:1] + ["  \n"] + lines[1:],
+        lambda lines: [lines[0].rstrip("\n") + lines[1]] + lines[2:],
+        lambda lines: [lines[0].rstrip("\n") + ", " + lines[1]] + lines[2:],
+        lambda lines: [lines[0].rstrip("\n") + ",\n"] + lines[1:],
+        lambda lines: [lines[0][:9] + "\n", lines[0][9:]] + lines[1:],
+        lambda lines: lines[:-1] + [lines[-1][:-5]],
+        lambda lines: lines[:3] + ["]\n"] + lines[3:],
+        lambda lines: lines[:3] + ["[1, 2]\n"] + lines[3:],
+        lambda lines: lines[:3] + ["5\n"] + lines[3:],
+    ], ids=["blank-line", "blank-last-line", "spaces-line", "two-on-a-line",
+            "two-comma-separated", "trailing-comma", "record-over-two-lines",
+            "cut-last-line", "bracket-line", "array-record", "number-record"])
+    def test_line_faults_fail_as_in_the_per_line_reader(self, tmp_path, edit):
+        path, lines = self._file(tmp_path)
+        path.write_text("".join(edit(lines)))
+        with pytest.raises(DataError, match=r"s\.jsonl.*'preprocess'"):
+            load_sequences(path)
+        with pytest.raises(DataError):
+            load_sequences_oracle(path)
+
+    @pytest.mark.parametrize("text", ["", "\r\n"])
+    def test_line_endings_and_empty_file(self, tmp_path, text):
+        path, lines = self._file(tmp_path)
+        if text:
+            path.write_bytes("".join(lines).replace("\n", text).encode())
+        else:
+            path.write_text("")
+        assert load_sequences(path) == load_sequences_oracle(path)
+
+    @pytest.mark.parametrize("where", [1, 6])
+    def test_repeated_trajectory_is_rejected(self, tmp_path, where):
+        path, lines = self._file(tmp_path)
+        path.write_text("".join(lines[:where] + [lines[0]] + lines[where:]))
+        assert len(load_sequences_oracle(path)) == 7  # the per-line reader let it pass
+        with pytest.raises(DataError) as raised:
+            load_sequences(path)
+        message = str(raised.value)
+        assert str(path) in message and "'a:0'" in message and "'preprocess'" in message
