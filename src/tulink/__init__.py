@@ -15,17 +15,11 @@ from .mobility import (
     DatasetSplit,
     GridMap,
     GridSequence,
-    RawTrajectory,
-    SpatioTemporalPoint,
-    SubTrajectory,
+    PointColumns,
     build_grid_map,
     build_grid_sequences,
     chronological_split,
-    encode_motion_states,
-    encode_time_windows,
-    map_point_to_grid,
     parse_dataset,
-    split_trajectory_by_interval,
 )
 from .model import (
     ModelConfig,

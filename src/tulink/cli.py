@@ -90,23 +90,16 @@ def run_preprocess(cfg: RunConfig) -> dict:
     paths = StagePaths(cfg.output_dir or ".")
     paths.root.mkdir(parents=True, exist_ok=True)
 
-    trajectories, report = mob.parse_dataset(cfg.dataset)
-    subtrajs = [
-        st
-        for tr in trajectories
-        for st in mob.split_trajectory_by_interval(tr, cfg.tau)
-    ]
-    subtrajs.sort(key=lambda s: (s.user_id, s.interval_index))
-    all_points = [p for tr in trajectories for p in tr.points]
-    gm = mob.build_grid_map(all_points, cfg.cell_size)
-    sequences = mob.build_grid_sequences(subtrajs, gm, cfg.time_window)
-    split = mob.chronological_split(subtrajs)
+    points, report = mob.parse_dataset(cfg.dataset)
+    gm = mob.build_grid_map(points.lon, points.lat, cfg.cell_size)
+    sequences = mob.build_grid_sequences(points, gm, cfg.tau, cfg.time_window)
+    split = mob.chronological_split(sequences)
 
     manifest = {
-        "users": len(trajectories),
-        "user_roster": [tr.user_id for tr in trajectories],
+        "users": len(points.roster),
+        "user_roster": points.roster,
         "trajectories": len(sequences),
-        "points": sum(len(s) for s in sequences),
+        "points": len(points.t),
         "grids": gm.n_grids,
         "split_sizes": {
             "train": len(split.train),

@@ -97,14 +97,6 @@ def save_report(report: MetricsReport, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_report(path: str | Path) -> dict[str, float]:
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        key, value = line.split("=")
-        out[key] = float(value)
-    return out
-
-
 def export_embeddings(representations, traj_ids, user_ids, path: str | Path) -> None:
     """Write one row per trajectory: id, user, then the fused vector values.
 

@@ -8,7 +8,8 @@ An optional header line is detected by a non-numeric second field. Records
 are grouped per user, ordered by time, cut into sub-trajectories of a fixed
 time interval, and mapped onto a uniform metric grid. Each grid-sequence
 entry also carries a motion state (speed change x turn direction, nine
-classes) and a time-of-day window index.
+classes) and a time-of-day window index. Past the CSV line loop, every step
+works on columns: one array per field over all points.
 """
 
 from __future__ import annotations
@@ -39,53 +40,17 @@ MAX_FAILURE_RATE = 0.01
 _SEQUENCE_KEYS = frozenset(("user", "interval", "t", "grid", "state", "window"))
 
 
-@dataclass(frozen=True)
-class SpatioTemporalPoint:
-    """A single timestamped coordinate."""
+@dataclass(frozen=True, eq=False)
+class PointColumns:
+    """Every parsed point, one float64 array per field, in (user, time) order;
+    points of one user at one time keep their file order. ``user`` holds each
+    point's index into ``roster``, the sorted user ids."""
 
-    t: float
-    lon: float
-    lat: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValueError(f"timestamp must be finite, got {self.t}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude out of range: {self.lon}")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat}")
-
-
-@dataclass(frozen=True)
-class RawTrajectory:
-    """All points of one user, in chronological order."""
-
-    user_id: str
-    points: tuple[SpatioTemporalPoint, ...]
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("trajectory must contain at least one point")
-        ts = [p.t for p in self.points]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError(f"timestamps not non-decreasing for user {self.user_id!r}")
-
-
-@dataclass(frozen=True)
-class SubTrajectory:
-    """The slice of a user's points falling into one time interval."""
-
-    user_id: str
-    interval_index: int
-    points: tuple[SpatioTemporalPoint, ...]
-
-    @property
-    def traj_id(self) -> str:
-        return f"{self.user_id}:{self.interval_index}"
-
-    @property
-    def start_time(self) -> float:
-        return self.points[0].t
+    roster: list[str]
+    user: np.ndarray
+    t: np.ndarray
+    lon: np.ndarray
+    lat: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,7 +102,26 @@ class GridMap:
 
     @classmethod
     def from_json(cls, d: dict) -> "GridMap":
-        return cls(**d)
+        """The map ``to_json`` wrote, or a ValueError naming the first field
+        of the wrong type or range: ``cols`` and ``rows`` are ints of at
+        least 1 with int64 cell ids, the rest finite numbers and
+        ``cell_size`` positive."""
+        gm = cls(**d)
+        for name in ("cols", "rows"):
+            value = getattr(gm, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        if gm.n_grids > 2 ** 63:
+            raise ValueError(f"cols {gm.cols} x rows {gm.rows} are too many cells for int64 "
+                             "grid ids")
+        for name in ("min_lon", "min_lat", "max_lon", "max_lat", "cell_size"):
+            value = getattr(gm, name)
+            # abs(value) < inf compares without converting, so a long int cannot overflow
+            if type(value) not in (int, float) or not abs(value) < math.inf:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if gm.cell_size <= 0:
+            raise ValueError(f"cell_size must be positive, got {gm.cell_size!r}")
+        return gm
 
 
 @dataclass
@@ -168,17 +152,19 @@ class DatasetSplit:
     test: list[str] = field(default_factory=list)
 
 
-def build_grid_map(points: Iterable[SpatioTemporalPoint], cell_size: float) -> GridMap:
-    """Fit a grid of ``cell_size``-meter cells over the points' bounding box."""
+def build_grid_map(lons, lats, cell_size: float) -> GridMap:
+    """Fit a grid of ``cell_size``-meter cells over the points' bounding box.
+
+    The bounds are the first extreme coordinates in point order, so a box
+    edge at zero keeps the sign of the first zero met there."""
     if cell_size <= 0:
         raise ValueError(f"cell_size must be positive, got {cell_size}")
-    pts = list(points)
-    if not pts:
+    lons = np.asarray(lons, dtype=np.float64)
+    lats = np.asarray(lats, dtype=np.float64)
+    if not lons.size:
         raise DataError("cannot build a grid map from zero points")
-    min_lon = min(p.lon for p in pts)
-    max_lon = max(p.lon for p in pts)
-    min_lat = min(p.lat for p in pts)
-    max_lat = max(p.lat for p in pts)
+    min_lon, max_lon = float(lons[lons.argmin()]), float(lons[lons.argmax()])
+    min_lat, max_lat = float(lats[lats.argmin()]), float(lats[lats.argmax()])
     mid_lat = 0.5 * (min_lat + max_lat)
     width_m = (max_lon - min_lon) * METERS_PER_DEGREE * math.cos(math.radians(mid_lat))
     height_m = (max_lat - min_lat) * METERS_PER_DEGREE
@@ -227,95 +213,6 @@ def map_points_to_grids(lons, lats, gm: GridMap) -> np.ndarray:
     return (row * np.uint64(gm.cols) + col).astype(np.int64)
 
 
-def map_point_to_grid(p: SpatioTemporalPoint, gm: GridMap) -> int:
-    """Cell index for a point inside the (one-cell-expanded) bounding box."""
-    return int(map_points_to_grids([p.lon], [p.lat], gm)[0])
-
-
-def split_trajectory_by_interval(tr: RawTrajectory, tau: float) -> list[SubTrajectory]:
-    """Cut a trajectory into sub-trajectories of ``tau`` seconds each.
-
-    A point with timestamp t lands in interval floor(t / tau). Empty
-    intervals are omitted; within-interval point order is preserved.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    buckets: dict[int, list[SpatioTemporalPoint]] = {}
-    for p in tr.points:
-        buckets.setdefault(math.floor(p.t / tau), []).append(p)
-    return [
-        SubTrajectory(tr.user_id, idx, tuple(buckets[idx]))
-        for idx in sorted(buckets)
-    ]
-
-
-def _planar_xy(points: Sequence[SpatioTemporalPoint]) -> list[tuple[float, float]]:
-    mid_lat = 0.5 * (min(p.lat for p in points) + max(p.lat for p in points))
-    mx = METERS_PER_DEGREE * math.cos(math.radians(mid_lat))
-    return [(p.lon * mx, p.lat * METERS_PER_DEGREE) for p in points]
-
-
-def encode_motion_states(st: SubTrajectory) -> list[int]:
-    """Nine-state motion codes (speed change x turn direction) per point.
-
-    From the third point on, the two most recent segments are compared:
-    speed class is accelerating / decelerating / constant by the ratio of
-    segment speeds against ``1 +- SPEED_RATIO_EPS``, turn class is left /
-    right / straight by the signed heading change against
-    ``TURN_THRESHOLD_DEG``.
-    State = 3 * speed_class + turn_class with constant=0/accel=1/decel=2 and
-    straight=0/left=1/right=2. The first two points default to state 0, as
-    do zero-duration and zero-length segments.
-    """
-    n = len(st.points)
-    states = [0] * n
-    if n < 3:
-        return states
-    xy = _planar_xy(st.points)
-    ts = [p.t for p in st.points]
-    theta0 = math.radians(TURN_THRESHOLD_DEG)
-    for i in range(2, n):
-        dxa = xy[i - 1][0] - xy[i - 2][0]
-        dya = xy[i - 1][1] - xy[i - 2][1]
-        dxb = xy[i][0] - xy[i - 1][0]
-        dyb = xy[i][1] - xy[i - 1][1]
-        da = math.hypot(dxa, dya)
-        db = math.hypot(dxb, dyb)
-        dta = ts[i - 1] - ts[i - 2]
-        dtb = ts[i] - ts[i - 1]
-
-        speed_class = 0
-        if dta > 0 and dtb > 0:
-            va = da / dta
-            vb = db / dtb
-            if vb > (1.0 + SPEED_RATIO_EPS) * va:
-                speed_class = 1
-            elif vb < (1.0 - SPEED_RATIO_EPS) * va:
-                speed_class = 2
-
-        turn_class = 0
-        if da > 0 and db > 0:
-            dtheta = math.atan2(dyb, dxb) - math.atan2(dya, dxa)
-            # wrap to (-pi, pi]
-            while dtheta <= -math.pi:
-                dtheta += 2 * math.pi
-            while dtheta > math.pi:
-                dtheta -= 2 * math.pi
-            if dtheta > theta0:
-                turn_class = 1
-            elif dtheta < -theta0:
-                turn_class = 2
-
-        states[i] = 3 * speed_class + turn_class
-    return states
-
-
-def encode_time_windows(st: SubTrajectory, window_len: float) -> list[int]:
-    """Time-of-day window index per point; vocabulary = 86400 / window_len."""
-    time_window_vocab(window_len)  # validates window_len
-    return [int((p.t % SECONDS_PER_DAY) // window_len) for p in st.points]
-
-
 def time_window_vocab(window_len: float) -> int:
     if window_len <= 0 or SECONDS_PER_DAY % window_len != 0:
         raise ConfigError(
@@ -324,34 +221,98 @@ def time_window_vocab(window_len: float) -> int:
     return int(SECONDS_PER_DAY // window_len)
 
 
-def build_grid_sequences(
-    subtrajectories: Iterable[SubTrajectory],
-    gm: GridMap,
-    window_len: float,
-) -> list[GridSequence]:
-    """Annotate every sub-trajectory with grid, motion-state and window ids.
+def interval_ids(t: np.ndarray, tau: float) -> np.ndarray:
+    """floor(t / tau) per point as int64, or a ConfigError naming ``tau``
+    when an id would leave the int64 range."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    with np.errstate(over="ignore"):
+        ids = np.floor(np.asarray(t, dtype=np.float64) / tau)
+    if np.any(np.abs(ids) >= 2.0 ** 63):
+        raise ConfigError(f"tau {tau} s gives interval ids beyond the int64 range")
+    return ids.astype(np.int64)
 
-    The grid ids of all points come from one ``map_points_to_grids`` call.
+
+def time_windows(t: np.ndarray, window_len: float) -> np.ndarray:
+    """Time-of-day window per point as int64; vocabulary = 86400 / window_len.
+
+    A time just below a multiple of a day can round to a whole day, as
+    Python's ``-1e-13 % 86400`` does; it is in the last window."""
+    vocab = time_window_vocab(window_len)
+    windows = (np.asarray(t, dtype=np.float64) % SECONDS_PER_DAY) // window_len
+    return np.minimum(windows, vocab - 1).astype(np.int64)
+
+
+def motion_states(t: np.ndarray, lon: np.ndarray, lat: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """Nine-state motion codes (speed change x turn direction) per point, as
+    int64, for sub-trajectories that begin at the indices ``starts``.
+
+    From the third point of a sub-trajectory on, the two most recent
+    segments are compared: speed class is accelerating / decelerating /
+    constant by the ratio of segment speeds against ``1 +- SPEED_RATIO_EPS``,
+    turn class is left / right / straight by the signed heading change
+    against ``TURN_THRESHOLD_DEG``. Positions are planar meters at each
+    sub-trajectory's own mid-latitude.
+    State = 3 * speed_class + turn_class with constant=0/accel=1/decel=2 and
+    straight=0/left=1/right=2. The first two points default to state 0, as
+    do zero-duration and zero-length segments.
     """
-    subtrajectories = list(subtrajectories)
-    points = [p for st in subtrajectories for p in st.points]
-    grids = map_points_to_grids([p.lon for p in points], [p.lat for p in points], gm).tolist()
-    out = []
-    start = 0
-    for st in subtrajectories:
-        stop = start + len(st.points)
-        out.append(
-            GridSequence(
-                user_id=st.user_id,
-                interval_index=st.interval_index,
-                t=[p.t for p in st.points],
-                grid=grids[start:stop],
-                state=encode_motion_states(st),
-                window=encode_time_windows(st, window_len),
-            )
-        )
-        start = stop
-    return out
+    n = len(t)
+    states = np.zeros(n, dtype=np.int64)
+    if n < 3:
+        return states
+    lengths = np.diff(starts, append=n)
+    mid_lat = 0.5 * (np.minimum.reduceat(lat, starts) + np.maximum.reduceat(lat, starts))
+    x = lon * np.repeat(METERS_PER_DEGREE * np.cos(np.radians(mid_lat)), lengths)
+    y = lat * METERS_PER_DEGREE
+    dx, dy, dt = np.diff(x), np.diff(y), np.diff(t)
+    # Point i compares segment a = (i-2, i-1) with segment b = (i-1, i).
+    d = np.hypot(dx, dy)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = d / dt  # unused where dt is 0; inf where dt is tiny, as in Python
+    va, vb = v[:-1], v[1:]
+    timed = (dt[:-1] > 0) & (dt[1:] > 0)
+    speed = np.where(timed & (vb > (1.0 + SPEED_RATIO_EPS) * va), 1,
+                     np.where(timed & (vb < (1.0 - SPEED_RATIO_EPS) * va), 2, 0))
+    heading = np.arctan2(dy, dx)
+    dtheta = heading[1:] - heading[:-1]
+    # Wrap to (-pi, pi]; one step does it, since |dtheta| <= 2 pi.
+    dtheta = np.where(dtheta <= -math.pi, dtheta + 2 * math.pi, dtheta)
+    dtheta = np.where(dtheta > math.pi, dtheta - 2 * math.pi, dtheta)
+    theta0 = math.radians(TURN_THRESHOLD_DEG)
+    moved = (d[:-1] > 0) & (d[1:] > 0)
+    turn = np.where(moved & (dtheta > theta0), 1, np.where(moved & (dtheta < -theta0), 2, 0))
+    third_on = (np.arange(n) - np.repeat(starts, lengths))[2:] >= 2
+    states[2:] = np.where(third_on, 3 * speed + turn, 0)
+    return states
+
+
+def build_grid_sequences(points: PointColumns, gm: GridMap, tau: float,
+                         window_len: float) -> list[GridSequence]:
+    """Cut the points into sub-trajectories of ``tau`` seconds and annotate
+    every point with its grid, motion-state and window ids.
+
+    A point at time t lands in interval floor(t / tau); one user's points in
+    one interval form a sub-trajectory, and the sequences come out in
+    (user, interval) order. Each id is one array operation over all points;
+    only the final records are built one at a time.
+    """
+    n = len(points.t)
+    intervals = interval_ids(points.t, tau)
+    first = np.ones(n, dtype=bool)
+    first[1:] = (points.user[1:] != points.user[:-1]) | (intervals[1:] != intervals[:-1])
+    starts = np.flatnonzero(first)
+    grid = map_points_to_grids(points.lon, points.lat, gm)
+    state = motion_states(points.t, points.lon, points.lat, starts)
+    window = time_windows(points.t, window_len)
+    ts, grids, states, windows = (a.tolist() for a in (points.t, grid, state, window))
+    bounds = starts.tolist() + [n]
+    return [
+        GridSequence(points.roster[u], i, ts[a:b], grids[a:b], states[a:b], windows[a:b])
+        for u, i, a, b in zip(points.user[starts].tolist(), intervals[starts].tolist(),
+                              bounds, bounds[1:])
+    ]
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:
@@ -367,11 +328,11 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     return n_train, n_val, rem - n_val
 
 
-def chronological_split(subtrajectories: Iterable[SubTrajectory | GridSequence]) -> DatasetSplit:
+def chronological_split(sequences: Iterable[GridSequence]) -> DatasetSplit:
     """Per-user chronological 60/20/20 partition into train/validation/test."""
     per_user: dict[str, list] = {}
-    for st in subtrajectories:
-        per_user.setdefault(st.user_id, []).append(st)
+    for s in sequences:
+        per_user.setdefault(s.user_id, []).append(s)
     split = DatasetSplit()
     for user in sorted(per_user):
         items = sorted(per_user[user], key=lambda s: s.interval_index)
@@ -390,15 +351,17 @@ class ParseReport:
     failed: int = 0
 
 
-def parse_dataset(path: str | Path):
-    """Read a record-per-line CSV into per-user trajectories.
+def parse_dataset(path: str | Path) -> tuple[PointColumns, ParseReport]:
+    """Read a record-per-line CSV into point columns.
 
-    Returns ``(trajectories, report)`` with users sorted by id and each
-    user's points sorted by timestamp. Lines that fail to parse are counted;
-    more than MAX_FAILURE_RATE of failures aborts with a DataError.
+    Returns ``(points, report)``. A line that does not split into four
+    fields with three floats counts as a failure, and so does a point with
+    a non-finite time or a coordinate out of range; more than
+    MAX_FAILURE_RATE of failures aborts with a DataError.
     """
     path = Path(path)
-    per_user: dict[str, list[SpatioTemporalPoint]] = {}
+    users: list[str] = []
+    values: list[float] = []
     report = ParseReport()
     first_content_line = True
     with path.open("r", encoding="utf-8") as fh:
@@ -419,24 +382,29 @@ def parse_dataset(path: str | Path):
                 if len(fields) != 4:
                     raise ValueError("expected 4 comma-separated fields")
                 user, t_s, lat_s, lon_s = (f.strip() for f in fields)
-                point = SpatioTemporalPoint(t=float(t_s), lon=float(lon_s), lat=float(lat_s))
+                row = (float(t_s), float(lon_s), float(lat_s))
             except ValueError:
                 report.failed += 1
                 continue
-            per_user.setdefault(user, []).append(point)
-            report.parsed += 1
+            users.append(user)
+            values.extend(row)
     if report.data_lines == 0:
         raise DataError(f"no records found in {path}")
+    t, lon, lat = np.array(values, dtype=np.float64).reshape(-1, 3).T
+    ok = np.isfinite(t) & (np.abs(lon) <= 180.0) & (np.abs(lat) <= 90.0)
+    report.parsed = int(ok.sum())
+    report.failed += len(ok) - report.parsed
     if report.failed > MAX_FAILURE_RATE * report.data_lines:
         raise DataError(
             f"{report.failed} of {report.data_lines} lines failed to parse "
             f"(more than {MAX_FAILURE_RATE:.0%}); aborting"
         )
-    trajectories = [
-        RawTrajectory(user, tuple(sorted(pts, key=lambda p: p.t)))
-        for user, pts in sorted(per_user.items())
-    ]
-    return trajectories, report
+    # An object array keeps the ids Python strs; a numpy str array would
+    # drop trailing NULs.
+    roster, user = np.unique(np.array(users, dtype=object)[ok], return_inverse=True)
+    t, lon, lat = t[ok], lon[ok], lat[ok]
+    order = np.lexsort((t, user))  # stable: equal times keep file order
+    return PointColumns(roster.tolist(), user[order], t[order], lon[order], lat[order]), report
 
 
 # ---------------------------------------------------------------------------

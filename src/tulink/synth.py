@@ -17,7 +17,6 @@ the preprocess stage.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -138,9 +137,3 @@ def checkin_style(
             y = (cy + 0.5 + rng.uniform(-0.3, 0.3)) * cell_m
             rows.append((f"user{u:02d}", float(t), _to_lat(y), _to_lon(x)))
     return _rows_to_csv(rows)
-
-
-def write_dataset(csv_text: str, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(csv_text)
-    return path

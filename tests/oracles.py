@@ -11,9 +11,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from tulink import tensor as T
-from tulink.errors import DataError, reading
+from tulink.errors import ConfigError, DataError, reading
 from tulink.graphs import symmetric_normalize
-from tulink.mobility import _SEQUENCE_KEYS, MOTION_STATES, GridSequence
+from tulink.mobility import (_SEQUENCE_KEYS, MAX_FAILURE_RATE, METERS_PER_DEGREE, MOTION_STATES,
+                             SECONDS_PER_DAY, SPEED_RATIO_EPS, TURN_THRESHOLD_DEG, GridMap,
+                             GridSequence, ParseReport, time_window_vocab)
 from tulink.model import (COSINE_EPS, ModelParams, build_model_inputs, encode_graphs,
                           encode_locations)
 from tulink.tensor import Tensor, _record, _result
@@ -385,18 +387,13 @@ def l2_chain_oracle(tensors):
 # Artifact formats one record at a time
 # ---------------------------------------------------------------------------
 
-def map_point_to_grid_oracle(p, gm):
-    """Cell index of one point with Python floats and ints, or the DataError
-    naming its longitude (checked first) or latitude."""
-    x_m = (p.lon - gm.min_lon) * gm.meters_per_deg_lon
-    y_m = (p.lat - gm.min_lat) * gm.meters_per_deg_lat
-    if not -gm.cell_size <= x_m <= gm.cols * gm.cell_size + gm.cell_size:
-        raise DataError(f"longitude {p.lon} outside the expanded grid bounding box")
-    if not -gm.cell_size <= y_m <= gm.rows * gm.cell_size + gm.cell_size:
-        raise DataError(f"latitude {p.lat} outside the expanded grid bounding box")
-    col = min(max(math.floor(x_m / gm.cell_size), 0), gm.cols - 1)
-    row = min(max(math.floor(y_m / gm.cell_size), 0), gm.rows - 1)
-    return row * gm.cols + col
+def load_report(path):
+    """metrics.txt as a {key: value} dict."""
+    out = {}
+    for line in Path(path).read_text().splitlines():
+        key, value = line.split("=")
+        out[key] = float(value)
+    return out
 
 
 def write_coo_oracle(fh, name, m):
@@ -436,3 +433,254 @@ def load_sequences_oracle(path):
                         raise ValueError(f"{field} id {i!r} is not an integer")
             out.append(GridSequence(d["user"], d["interval"], t, grid, state, window))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Preprocessing one point and one sub-trajectory at a time
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class SpatioTemporalPoint:
+    """A single timestamped coordinate."""
+
+    t: float
+    lon: float
+    lat: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValueError(f"timestamp must be finite, got {self.t}")
+        if not -180.0 <= self.lon <= 180.0:
+            raise ValueError(f"longitude out of range: {self.lon}")
+        if not -90.0 <= self.lat <= 90.0:
+            raise ValueError(f"latitude out of range: {self.lat}")
+
+
+@dataclasses.dataclass(frozen=True)
+class RawTrajectory:
+    """All points of one user, in chronological order."""
+
+    user_id: str
+    points: tuple[SpatioTemporalPoint, ...]
+
+    def __post_init__(self):
+        if not self.points:
+            raise ValueError("trajectory must contain at least one point")
+        ts = [p.t for p in self.points]
+        if any(b < a for a, b in zip(ts, ts[1:])):
+            raise ValueError(f"timestamps not non-decreasing for user {self.user_id!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class SubTrajectory:
+    """The slice of a user's points falling into one time interval."""
+
+    user_id: str
+    interval_index: int
+    points: tuple[SpatioTemporalPoint, ...]
+
+
+def parse_dataset_oracle(path):
+    """``(trajectories, report)``: one SpatioTemporalPoint per parsed line,
+    users sorted by id and each user's points sorted by time."""
+    path = Path(path)
+    per_user: dict[str, list[SpatioTemporalPoint]] = {}
+    report = ParseReport()
+    first_content_line = True
+    with path.open("r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if first_content_line:
+                first_content_line = False
+                if len(fields) >= 2:
+                    try:
+                        float(fields[1])
+                    except ValueError:
+                        continue  # header line
+            report.data_lines += 1
+            try:
+                if len(fields) != 4:
+                    raise ValueError("expected 4 comma-separated fields")
+                user, t_s, lat_s, lon_s = (f.strip() for f in fields)
+                point = SpatioTemporalPoint(t=float(t_s), lon=float(lon_s), lat=float(lat_s))
+            except ValueError:
+                report.failed += 1
+                continue
+            per_user.setdefault(user, []).append(point)
+            report.parsed += 1
+    if report.data_lines == 0:
+        raise DataError(f"no records found in {path}")
+    if report.failed > MAX_FAILURE_RATE * report.data_lines:
+        raise DataError(
+            f"{report.failed} of {report.data_lines} lines failed to parse "
+            f"(more than {MAX_FAILURE_RATE:.0%}); aborting"
+        )
+    trajectories = [
+        RawTrajectory(user, tuple(sorted(pts, key=lambda p: p.t)))
+        for user, pts in sorted(per_user.items())
+    ]
+    return trajectories, report
+
+
+def build_grid_map_oracle(points, cell_size):
+    """The grid map over the points' bounds, taken with Python's min and max."""
+    if cell_size <= 0:
+        raise ValueError(f"cell_size must be positive, got {cell_size}")
+    pts = list(points)
+    if not pts:
+        raise DataError("cannot build a grid map from zero points")
+    min_lon = min(p.lon for p in pts)
+    max_lon = max(p.lon for p in pts)
+    min_lat = min(p.lat for p in pts)
+    max_lat = max(p.lat for p in pts)
+    mid_lat = 0.5 * (min_lat + max_lat)
+    width_m = (max_lon - min_lon) * METERS_PER_DEGREE * math.cos(math.radians(mid_lat))
+    height_m = (max_lat - min_lat) * METERS_PER_DEGREE
+    spans = [max(1.0, (extent - 1e-6) / cell_size) for extent in (width_m, height_m)]
+    cols, rows = (math.ceil(s) if s < 2.0 ** 63 else 2 ** 63 for s in spans)
+    if cols * rows > 2 ** 63:
+        raise ConfigError(f"cell_size {cell_size} m gives a grid of {spans[0]:.3g} x "
+                          f"{spans[1]:.3g} cells, too many for int64 grid ids")
+    return GridMap(min_lon, min_lat, max_lon, max_lat, cell_size, cols, rows)
+
+
+def map_point_to_grid(p, gm):
+    """Cell index of one point with Python floats and ints, or the DataError
+    naming its longitude (checked first) or latitude."""
+    x_m = (p.lon - gm.min_lon) * gm.meters_per_deg_lon
+    y_m = (p.lat - gm.min_lat) * gm.meters_per_deg_lat
+    if not -gm.cell_size <= x_m <= gm.cols * gm.cell_size + gm.cell_size:
+        raise DataError(f"longitude {p.lon} outside the expanded grid bounding box")
+    if not -gm.cell_size <= y_m <= gm.rows * gm.cell_size + gm.cell_size:
+        raise DataError(f"latitude {p.lat} outside the expanded grid bounding box")
+    col = min(max(math.floor(x_m / gm.cell_size), 0), gm.cols - 1)
+    row = min(max(math.floor(y_m / gm.cell_size), 0), gm.rows - 1)
+    return row * gm.cols + col
+
+
+def split_trajectory_by_interval(tr, tau):
+    """A point with timestamp t lands in interval floor(t / tau). Empty
+    intervals are omitted; within-interval point order is preserved. An id
+    outside the int64 range is a ConfigError naming tau."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    buckets: dict[int, list[SpatioTemporalPoint]] = {}
+    for p in tr.points:
+        index = p.t / tau
+        if not abs(index) < 2.0 ** 63:
+            raise ConfigError(f"tau {tau} s gives interval ids beyond the int64 range")
+        buckets.setdefault(math.floor(index), []).append(p)
+    return [
+        SubTrajectory(tr.user_id, idx, tuple(buckets[idx]))
+        for idx in sorted(buckets)
+    ]
+
+
+def _planar_xy(points):
+    mid_lat = 0.5 * (min(p.lat for p in points) + max(p.lat for p in points))
+    mx = METERS_PER_DEGREE * math.cos(math.radians(mid_lat))
+    return [(p.lon * mx, p.lat * METERS_PER_DEGREE) for p in points]
+
+
+def _segment_pair(st, i, xy):
+    """Planar lengths, durations and heading change of the segments ending
+    at points i - 1 and i."""
+    ts = [p.t for p in st.points]
+    dxa = xy[i - 1][0] - xy[i - 2][0]
+    dya = xy[i - 1][1] - xy[i - 2][1]
+    dxb = xy[i][0] - xy[i - 1][0]
+    dyb = xy[i][1] - xy[i - 1][1]
+    dtheta = math.atan2(dyb, dxb) - math.atan2(dya, dxa)
+    # wrap to (-pi, pi]
+    while dtheta <= -math.pi:
+        dtheta += 2 * math.pi
+    while dtheta > math.pi:
+        dtheta -= 2 * math.pi
+    return (math.hypot(dxa, dya), math.hypot(dxb, dyb), ts[i - 1] - ts[i - 2],
+            ts[i] - ts[i - 1], dtheta)
+
+
+def encode_motion_states(st):
+    """Nine-state motion codes per point, one Python float at a time."""
+    n = len(st.points)
+    states = [0] * n
+    if n < 3:
+        return states
+    xy = _planar_xy(st.points)
+    theta0 = math.radians(TURN_THRESHOLD_DEG)
+    for i in range(2, n):
+        da, db, dta, dtb, dtheta = _segment_pair(st, i, xy)
+
+        speed_class = 0
+        if dta > 0 and dtb > 0:
+            va = da / dta
+            vb = db / dtb
+            if vb > (1.0 + SPEED_RATIO_EPS) * va:
+                speed_class = 1
+            elif vb < (1.0 - SPEED_RATIO_EPS) * va:
+                speed_class = 2
+
+        turn_class = 0
+        if da > 0 and db > 0:
+            if dtheta > theta0:
+                turn_class = 1
+            elif dtheta < -theta0:
+                turn_class = 2
+
+        states[i] = 3 * speed_class + turn_class
+    return states
+
+
+def motion_margin(st, i):
+    """How near point i's speed ratio and heading change lie to their class
+    thresholds, relative to the compared values. Only within a few ulps can
+    numpy's hypot and arctan2 give another class than math's."""
+    da, db, dta, dtb, dtheta = _segment_pair(st, i, _planar_xy(st.points))
+    margins = [math.inf]
+    if dta > 0 and dtb > 0:
+        va, vb = da / dta, db / dtb
+        for factor in (1.0 + SPEED_RATIO_EPS, 1.0 - SPEED_RATIO_EPS):
+            bound = factor * va
+            margins.append(abs(vb - bound) / max(abs(vb), abs(bound), 5e-324))
+    if da > 0 and db > 0:
+        theta0 = math.radians(TURN_THRESHOLD_DEG)
+        margins += [abs(dtheta - theta0) / theta0, abs(dtheta + theta0) / theta0]
+    return min(margins)
+
+
+def encode_time_windows(st, window_len):
+    """Time-of-day window per point; a time that rounds to a whole day is in
+    the last window."""
+    vocab = time_window_vocab(window_len)
+    return [min(int((p.t % SECONDS_PER_DAY) // window_len), vocab - 1) for p in st.points]
+
+
+def build_grid_sequences_oracle(subtrajectories, gm, window_len):
+    return [
+        GridSequence(
+            user_id=st.user_id,
+            interval_index=st.interval_index,
+            t=[p.t for p in st.points],
+            grid=[map_point_to_grid(p, gm) for p in st.points],
+            state=encode_motion_states(st),
+            window=encode_time_windows(st, window_len),
+        )
+        for st in subtrajectories
+    ]
+
+
+def preprocess_oracle(path, cell_size, tau, window_len):
+    """``(report, roster, grid map, sub-trajectories, sequences)`` of a CSV
+    file through the point objects, with sub-trajectories sorted by (user,
+    interval). Errors come in the order of the column path: parse, grid
+    map, interval ids."""
+    trajectories, report = parse_dataset_oracle(path)
+    all_points = [p for tr in trajectories for p in tr.points]
+    gm = build_grid_map_oracle(all_points, cell_size)
+    subtrajs = [st for tr in trajectories for st in split_trajectory_by_interval(tr, tau)]
+    subtrajs.sort(key=lambda s: (s.user_id, s.interval_index))
+    sequences = build_grid_sequences_oracle(subtrajs, gm, window_len)
+    return report, [tr.user_id for tr in trajectories], gm, subtrajs, sequences

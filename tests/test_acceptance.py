@@ -508,8 +508,9 @@ class TestCriterion8Determinism:
                   f"up to wall-clock")
 
 
-# sha256 of the setup artifacts of disjoint_regions(3, 4, seed=3) under the
-# default configuration, as every version since the format was fixed writes them.
+# sha256 of the setup artifacts under the default configuration, as every
+# version since the format was fixed writes them: disjoint_regions(3, 4, seed=3),
+# then a check-in instance where 47 of 59 sequences are one point long.
 SETUP_DIGESTS = {
     "grid_map.json": "291642cdd47538b55b8c3ad0ea044ce9d1b13c77bb60d294fba530719175c261",
     "sequences.jsonl": "43d02196895d4c5a7ac1a595d58b46c11f288a622d3c2aa90fb739bcba732676",
@@ -518,22 +519,37 @@ SETUP_DIGESTS = {
     "local_graph.txt": "a14ed275cab8da120da527f3d193806b15418da9070b72c8d07c823697179cc7",
     "global_graph.txt": "36f55e2ad8da01c3496618160fe1ae1ad54c101d2e1d2c771bed377dc1a1c8c7",
 }
+CHECKIN_SETUP_DIGESTS = {
+    "grid_map.json": "e70cf10c29ea9c44038c50230411aa4c293fe10b6b977acb084b4645413f0194",
+    "sequences.jsonl": "248f97b0f2f98836985ee89a8930d8c872d276114d25c35b2dcd582eb8cb2940",
+    "splits.json": "7824173a0df41e379426c902a96f3d0d515cf1cfe18d2acd1968762c3c2fe8ce",
+    "manifest.json": "7a43c7d6f0fd1d47dbbc5d7d9dc0d5535e4f61447771340d7921934c9e80f205",
+    "local_graph.txt": "c5fd81237da36e26f98bc51a0e7d2230af0b1c26053c26ea24efb24fa884aef3",
+    "global_graph.txt": "0f334344241b1330bf58d244823786e5f20ed05e15dd978f3c29c1fa79772d46",
+}
 
 
 class TestCriterion8ArtifactFormat:
     def test_setup_artifacts_match_pinned_digests(self, tmp_path, capsys):
         """Same-seed reruns agree with each other; these digests also hold the
         bytes still against earlier versions."""
-        data = tmp_path / "data.csv"
-        data.write_text(synth.disjoint_regions(3, 4, seed=3))
-        out = tmp_path / "out"
-        for cmd in ("preprocess", "build-graphs"):
-            assert main([cmd, "--dataset", str(data), "--output", str(out)]) == 0, cmd
-        capsys.readouterr()
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in SETUP_DIGESTS}
-        assert digests == SETUP_DIGESTS
-        report(8, f"{len(digests)} setup artifacts match their pinned sha256")
+        instances = [
+            (synth.disjoint_regions(3, 4, seed=3), SETUP_DIGESTS),
+            (synth.checkin_style(n_users=12, checkins_per_user=6, n_days=4, seed=5),
+             CHECKIN_SETUP_DIGESTS),
+        ]
+        for k, (text, pinned) in enumerate(instances):
+            data = tmp_path / f"data{k}.csv"
+            data.write_text(text)
+            out = tmp_path / f"out{k}"
+            for cmd in ("preprocess", "build-graphs"):
+                assert main([cmd, "--dataset", str(data), "--output", str(out)]) == 0, cmd
+            capsys.readouterr()
+            digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                       for name in pinned}
+            assert digests == pinned, k
+        report(8, f"{len(instances)} x {len(SETUP_DIGESTS)} setup artifacts match their "
+                  "pinned sha256")
 
 
 class TestCriterion9CheckinSmokeRun:

@@ -144,16 +144,35 @@ class TestExitCodes:
         ("--cell-size", "nan", "cell_size"), ("--tau", "nan", "tau"),
         ("--lambda-l2", "nan", "lambda_l2"), ("--lambda-l2", "-1", "lambda_l2"),
         ("--cell-size", "inf", "cell_size"), ("--tau", "inf", "tau"),
-        ("--cell-size", "1e-300", "cell_size"),
+        ("--cell-size", "1e-300", "cell_size"), ("--tau", "1e-305", "tau"),
+        ("--tau", "1e-300", "tau"),
     ])
     def test_bad_setting_is_usage_error_naming_it(self, workspace, capsys, tmp_path,
                                                   flag, value, name):
         """From the first stage, which is where a cell size too small for the
-        data's extent shows; every other value fails when the config loads."""
+        data's extent or a tau too small for its times shows (1e-305 puts the
+        times past the float range, 1e-300 gives interval ids near 1e305);
+        every other value fails when the config loads."""
         assert run(["preprocess", "--config", workspace["config"],
                     "--output", str(tmp_path / "out"), flag, value]) == 1
         err = capsys.readouterr().err
         assert f"config error: {name} " in err and "Traceback" not in err
+
+    def test_instant_before_midnight_trains(self, tmp_path, capsys):
+        """-1e-13 s rounds to a whole day in time of day; it is in the day's
+        last window, not one past the vocabulary that train checks."""
+        lines = synth.disjoint_regions(3, 5, seed=3).splitlines()
+        user, _, lat, lon = lines[1].split(",")
+        lines[1] = f"{user},-1e-13,{lat},{lon}"
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(lines) + "\n")
+        args = ["--dataset", str(data), "--output", str(tmp_path / "o"), "--embed-dim", "8",
+                "--heads", "1", "--attn-layers", "1", "--epochs", "1"]
+        for stage in ("preprocess", "build-graphs", "train"):
+            assert run([stage, *args]) == 0, capsys.readouterr().err
+        records = [json.loads(line) for line in
+                   (tmp_path / "o" / "sequences.jsonl").read_text().splitlines()]
+        assert [(r["t"], r["window"]) for r in records if r["interval"] == -1] == [([-1e-13], [11])]
 
     def test_empty_dataset_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -453,6 +472,22 @@ class TestArtifactErrors:
         err = self._run(workspace, trained, tmp_path, capsys, "build-graphs",
                         lambda out: (out / "grid_map.json").write_text("{}\n"))
         assert "grid_map.json" in err and "'preprocess'" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("cols", "20"), ("cols", 20.5), ("cols", -3), ("cols", True), ("rows", 0),
+        ("rows", None), ("cols", 2**70), ("min_lon", "116"), ("max_lat", float("nan")),
+        ("min_lat", False), ("cell_size", float("inf")), ("cell_size", 0), ("cell_size", [40]),
+    ])
+    def test_grid_map_field_of_wrong_type_or_range(self, workspace, trained, tmp_path, capsys,
+                                                   key, value):
+        def edit(out):
+            path = out / "grid_map.json"
+            d = json.loads(path.read_text())
+            d[key] = value
+            path.write_text(json.dumps(d))
+        err = self._run(workspace, trained, tmp_path, capsys, "build-graphs", edit)
+        assert "grid_map.json" in err and "'preprocess'" in err and key in err
+        assert "sequences.jsonl" not in err
 
     @pytest.mark.parametrize("stage", ["build-graphs", "train"])
     def test_sequences_cut_at_line_boundary(self, workspace, trained, tmp_path, capsys,

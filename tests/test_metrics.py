@@ -11,13 +11,12 @@ from tulink.metrics import (
     build_predictions,
     compute_report,
     export_embeddings,
-    load_report,
     macro_metrics,
     rank_classes,
     save_report,
 )
 
-from oracles import confusion_matrix_oracle
+from oracles import confusion_matrix_oracle, load_report
 
 
 def preds_from_top1(true_labels, top1_labels, n_classes):

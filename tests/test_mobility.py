@@ -14,41 +14,54 @@ from tulink.mobility import (
     GridSequence,
     METERS_PER_DEGREE,
     GridMap,
-    RawTrajectory,
-    SpatioTemporalPoint,
-    SubTrajectory,
+    PointColumns,
     build_grid_map,
+    build_grid_sequences,
     chronological_split,
-    encode_motion_states,
-    encode_time_windows,
+    interval_ids,
     load_grid_map,
     load_sequences,
     load_split,
-    map_point_to_grid,
     map_points_to_grids,
+    motion_states,
     parse_dataset,
     save_grid_map,
     save_sequences,
     save_split,
     split_sizes,
-    split_trajectory_by_interval,
-    build_grid_sequences,
+    time_windows,
 )
 
-from oracles import (load_sequences_oracle, map_point_to_grid_oracle,
-                     save_sequences_oracle)
+import oracles
+from oracles import load_sequences_oracle, map_point_to_grid, save_sequences_oracle
 
 
 def point_at_meters(x_m, y_m, t=0.0):
     """Point whose planar offset from (0, 0) is (x_m, y_m) at the equator."""
-    return SpatioTemporalPoint(
-        t=t, lon=x_m / METERS_PER_DEGREE, lat=y_m / METERS_PER_DEGREE
-    )
+    return SimpleNamespace(t=t, lon=x_m / METERS_PER_DEGREE, lat=y_m / METERS_PER_DEGREE)
 
 
 def square_box_map(side_m, cell_m):
     corners = [point_at_meters(0, 0), point_at_meters(side_m, side_m)]
-    return build_grid_map(corners, cell_m)
+    return build_grid_map([p.lon for p in corners], [p.lat for p in corners], cell_m)
+
+
+def cell_of(p, gm):
+    """The grid id of one point, from a one-point batch call."""
+    return int(map_points_to_grids([p.lon], [p.lat], gm)[0])
+
+
+def columns(times, coords=None, users=None):
+    """PointColumns of points listed in (user, time) order, with planar
+    coordinates in meters at the equator."""
+    n = len(times)
+    coords = [(0.0, 0.0)] * n if coords is None else coords
+    users = ["u"] * n if users is None else users
+    roster = sorted(set(users))
+    return PointColumns(roster, np.array([roster.index(u) for u in users], dtype=np.int64),
+                        np.array(times, dtype=np.float64),
+                        np.array([x / METERS_PER_DEGREE for x, _ in coords], dtype=np.float64),
+                        np.array([y / METERS_PER_DEGREE for _, y in coords], dtype=np.float64))
 
 
 class TestGridMap:
@@ -58,38 +71,46 @@ class TestGridMap:
 
     def test_single_repeated_point_degenerates_to_one_cell(self):
         p = point_at_meters(5.0, 5.0)
-        gm = build_grid_map([p, p, p], 40.0)
+        gm = build_grid_map([p.lon] * 3, [p.lat] * 3, 40.0)
         assert gm.n_grids == 1
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
-            build_grid_map([], 40.0)
+            build_grid_map([], [], 40.0)
 
     def test_nonpositive_cell_rejected(self):
+        p = point_at_meters(0, 0)
         with pytest.raises(ValueError):
-            build_grid_map([point_at_meters(0, 0)], 0.0)
+            build_grid_map([p.lon], [p.lat], 0.0)
+
+    def test_bounds_keep_the_first_signed_zero(self):
+        """As Python's min and max do: the first extreme value in point order."""
+        gm = build_grid_map([0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], 40.0)
+        assert repr((gm.min_lon, gm.max_lat)) == "(0.0, -0.0)"
+        gm = build_grid_map([-0.0, 0.0, -1.0], [0.0, -0.0, 1.0], 40.0)
+        assert repr((gm.max_lon, gm.min_lat)) == "(-0.0, 0.0)"
 
 
 class TestPointToGrid:
     def test_hand_cells(self):
         gm = square_box_map(100.0, 50.0)
-        assert map_point_to_grid(point_at_meters(10, 10), gm) == 0
-        assert map_point_to_grid(point_at_meters(60, 10), gm) == 1
-        assert map_point_to_grid(point_at_meters(10, 60), gm) == 2
-        assert map_point_to_grid(point_at_meters(60, 60), gm) == 3
+        assert cell_of(point_at_meters(10, 10), gm) == 0
+        assert cell_of(point_at_meters(60, 10), gm) == 1
+        assert cell_of(point_at_meters(10, 60), gm) == 2
+        assert cell_of(point_at_meters(60, 60), gm) == 3
 
     def test_edge_belongs_to_higher_cell_except_box_max(self):
         gm = square_box_map(100.0, 50.0)
         # interior edge goes up, the maximum corner stays in the last cell
-        assert map_point_to_grid(point_at_meters(50.0 + 1e-6, 10), gm) == 1
-        assert map_point_to_grid(point_at_meters(100.0, 100.0), gm) == 3
+        assert cell_of(point_at_meters(50.0 + 1e-6, 10), gm) == 1
+        assert cell_of(point_at_meters(100.0, 100.0), gm) == 3
 
     def test_outside_expanded_box_names_coordinate(self):
         gm = square_box_map(100.0, 50.0)
         with pytest.raises(DataError, match="longitude"):
-            map_point_to_grid(point_at_meters(300.0, 10.0), gm)
+            cell_of(point_at_meters(300.0, 10.0), gm)
         with pytest.raises(DataError, match="latitude"):
-            map_point_to_grid(point_at_meters(10.0, -200.0), gm)
+            cell_of(point_at_meters(10.0, -200.0), gm)
 
     def test_matches_exhaustive_cell_scan(self):
         """10k random points agree with a brute-force containment scan."""
@@ -107,9 +128,9 @@ class TestPointToGrid:
                         return row * gm.cols + col
             raise AssertionError("point escaped the scan")
 
-        for _ in range(10_000):
-            x, y = rng.uniform(0.0, 330.0, size=2)
-            assert map_point_to_grid(point_at_meters(x, y), gm) == oracle(x, y)
+        xy = rng.uniform(0.0, 330.0, size=(10_000, 2))
+        ids = map_points_to_grids(xy[:, 0] / METERS_PER_DEGREE, xy[:, 1] / METERS_PER_DEGREE, gm)
+        assert ids.tolist() == [oracle(x, y) for x, y in xy.tolist()]
 
     def test_constant_within_a_cell(self):
         gm = square_box_map(400.0, 40.0)
@@ -119,8 +140,8 @@ class TestPointToGrid:
             row = rng.integers(0, gm.rows)
             xs = rng.uniform(col * 40.0 + 1e-3, (col + 1) * 40.0 - 1e-3, size=2)
             ys = rng.uniform(row * 40.0 + 1e-3, (row + 1) * 40.0 - 1e-3, size=2)
-            a = map_point_to_grid(point_at_meters(xs[0], ys[0]), gm)
-            b = map_point_to_grid(point_at_meters(xs[1], ys[1]), gm)
+            a = cell_of(point_at_meters(xs[0], ys[0]), gm)
+            b = cell_of(point_at_meters(xs[1], ys[1]), gm)
             assert a == b
 
 
@@ -178,7 +199,7 @@ class TestBatchPointToGrid:
         expected = []
         for p in points:
             try:
-                expected.append(map_point_to_grid_oracle(p, gm))
+                expected.append(map_point_to_grid(p, gm))
             except DataError as exc:
                 with pytest.raises(DataError) as raised:
                     map_points_to_grids(lons, lats, gm)
@@ -202,7 +223,7 @@ class TestBatchPointToGrid:
             lon = math.nextafter(lon, math.inf)
         p = SimpleNamespace(lon=lon, lat=0.0)
         assert map_points_to_grids([lon], [0.0], gm).tolist() == [cols - 1]
-        assert map_point_to_grid_oracle(p, gm) == cols - 1
+        assert map_point_to_grid(p, gm) == cols - 1
 
     def test_first_bad_point_is_named(self):
         gm = square_box_map(100.0, 50.0)
@@ -215,72 +236,93 @@ class TestBatchPointToGrid:
         assert ids.dtype == np.int64 and ids.shape == (0,)
 
     def test_one_point_call_is_the_batch_call(self):
+        """A one-point batch call gives the per-point mapper's id."""
         gm = square_box_map(330.0, 40.0)
         p = point_at_meters(123.0, 45.6)
-        assert map_point_to_grid(p, gm) == map_points_to_grids([p.lon], [p.lat], gm)[0]
-        assert type(map_point_to_grid(p, gm)) is int
+        assert cell_of(p, gm) == map_point_to_grid(p, gm)
+        assert map_points_to_grids([p.lon], [p.lat], gm).dtype == np.int64
+
+
+def sequences_at(times, tau, users=None, coords=None):
+    """Grid sequences of the points over a map that covers them all."""
+    points = columns(times, coords, users)
+    gm = build_grid_map(points.lon, points.lat, 40.0)
+    return build_grid_sequences(points, gm, tau, 7200.0)
 
 
 class TestIntervalSplit:
-    def _traj(self, hours):
-        pts = tuple(point_at_meters(h, 0, t=h * 3600.0) for h in hours)
-        return RawTrajectory("u", pts)
+    def _hours(self, hours):
+        return [h * 3600.0 for h in hours], [(h, 0.0) for h in hours]
 
     def test_six_hour_buckets(self):
-        subs = split_trajectory_by_interval(self._traj([0, 3, 7]), 21_600.0)
-        assert [len(s.points) for s in subs] == [2, 1]
+        times, coords = self._hours([0, 3, 7])
+        subs = sequences_at(times, 21_600.0, coords=coords)
+        assert [len(s) for s in subs] == [2, 1]
         assert [s.interval_index for s in subs] == [0, 1]
 
     def test_single_interval_is_identity(self):
-        tr = self._traj([1, 2, 3])
-        subs = split_trajectory_by_interval(tr, 86_400.0)
+        times, coords = self._hours([1, 2, 3])
+        subs = sequences_at(times, 86_400.0, coords=coords)
         assert len(subs) == 1
-        assert subs[0].points == tr.points
+        assert subs[0].t == times
 
     def test_preserves_points_and_order(self):
         rng = np.random.default_rng(3)
-        times = np.sort(rng.uniform(0, 50, size=40))
-        tr = self._traj(times)
-        subs = split_trajectory_by_interval(tr, 7_200.0)
-        rebuilt = [p for s in subs for p in s.points]
-        assert rebuilt == list(tr.points)
+        times, coords = self._hours(np.sort(rng.uniform(0, 50, size=40)).tolist())
+        subs = sequences_at(times, 7_200.0, coords=coords)
+        rebuilt = [t for s in subs for t in s.t]
+        assert rebuilt == times
+
+    def test_user_change_starts_a_sequence(self):
+        subs = sequences_at([0.0, 10.0, 20.0], 21_600.0, users=["a", "a", "b"])
+        assert [(s.user_id, s.interval_index, len(s)) for s in subs] == [("a", 0, 2), ("b", 0, 1)]
 
     def test_nonpositive_tau_rejected(self):
         with pytest.raises(ValueError):
-            split_trajectory_by_interval(self._traj([0]), 0.0)
+            interval_ids(np.array([0.0]), 0.0)
+
+    @pytest.mark.parametrize("tau", [1e-305, 1e-300])
+    def test_ids_past_int64_name_tau(self, tau):
+        """1e-305 puts a day's time past the float range, 1e-300 gives an id
+        about 1e304: both are a ConfigError naming tau, not an OverflowError or
+        a 300-digit id."""
+        with pytest.raises(ConfigError, match=f"^tau {tau} s "):
+            interval_ids(np.array([0.0, 86_400.0]), tau)
+
+    def test_ids_to_the_edge_of_int64(self):
+        edge = 2.0 ** 63
+        assert interval_ids(np.array([-edge + 1024, edge - 1024]), 1.0).tolist() == [
+            -2**63 + 1024, 2**63 - 1024]
+        with pytest.raises(ConfigError):
+            interval_ids(np.array([-edge]), 1.0)
 
 
 def sub_from_meters(coords, times):
-    pts = tuple(point_at_meters(x, y, t=t) for (x, y), t in zip(coords, times))
-    return SubTrajectory("u", 0, pts)
+    """Motion states of one sub-trajectory, from planar meters at the equator."""
+    points = columns(times, coords)
+    return motion_states(points.t, points.lon, points.lat, np.array([0])).tolist()
 
 
 class TestMotionStates:
     def test_collinear_constant_speed(self):
-        st = sub_from_meters([(0, 0), (10, 0), (20, 0)], [0, 10, 20])
-        assert encode_motion_states(st) == [0, 0, 0]
+        assert sub_from_meters([(0, 0), (10, 0), (20, 0)], [0, 10, 20]) == [0, 0, 0]
 
     def test_left_turn_constant_speed(self):
         """A 90-degree left turn; heading oracle: atan2 delta = +pi/2 > 15 deg."""
-        st = sub_from_meters([(0, 0), (10, 0), (10, 10)], [0, 10, 20])
-        assert encode_motion_states(st)[2] == 1
+        assert sub_from_meters([(0, 0), (10, 0), (10, 10)], [0, 10, 20])[2] == 1
 
     def test_right_turn_constant_speed(self):
-        st = sub_from_meters([(0, 0), (10, 0), (10, -10)], [0, 10, 20])
-        assert encode_motion_states(st)[2] == 2
+        assert sub_from_meters([(0, 0), (10, 0), (10, -10)], [0, 10, 20])[2] == 2
 
     def test_acceleration_straight(self):
         """Second segment twice as fast: ratio 2 > 1 + 0.1."""
-        st = sub_from_meters([(0, 0), (10, 0), (30, 0)], [0, 10, 20])
-        assert encode_motion_states(st)[2] == 3
+        assert sub_from_meters([(0, 0), (10, 0), (30, 0)], [0, 10, 20])[2] == 3
 
     def test_deceleration_straight(self):
-        st = sub_from_meters([(0, 0), (20, 0), (25, 0)], [0, 10, 20])
-        assert encode_motion_states(st)[2] == 6
+        assert sub_from_meters([(0, 0), (20, 0), (25, 0)], [0, 10, 20])[2] == 6
 
     def test_zero_duration_segment_counts_as_constant_speed(self):
-        st = sub_from_meters([(0, 0), (10, 0), (20, 0)], [0, 10, 10])
-        assert encode_motion_states(st) == [0, 0, 0]
+        assert sub_from_meters([(0, 0), (10, 0), (20, 0)], [0, 10, 10]) == [0, 0, 0]
 
     def test_length_and_range(self):
         rng = np.random.default_rng(11)
@@ -288,41 +330,56 @@ class TestMotionStates:
             m = int(rng.integers(1, 12))
             coords = rng.uniform(0, 100, size=(m, 2))
             times = np.sort(rng.uniform(0, 1000, size=m))
-            st = sub_from_meters([tuple(c) for c in coords], times)
-            states = encode_motion_states(st)
+            states = sub_from_meters([tuple(c) for c in coords], times)
             assert len(states) == m
             assert all(0 <= s < 9 for s in states)
 
+    def test_each_sub_trajectory_starts_afresh(self):
+        """One call over many sub-trajectories gives each its per-object
+        states: the first two points of each are 0 and each uses its own
+        mid-latitude."""
+        rng = np.random.default_rng(12)
+        lengths = rng.integers(1, 7, size=100)
+        starts = np.cumsum(lengths) - lengths
+        n = int(lengths.sum())
+        t = np.sort(rng.uniform(0, 1000, size=n))
+        lon = rng.uniform(-0.01, 0.01, size=n)
+        lat = np.repeat(rng.uniform(-70, 70, size=100), lengths) + rng.uniform(-0.01, 0.01, size=n)
+        states = motion_states(t, lon, lat, starts).tolist()
+        for a, m in zip(starts.tolist(), lengths.tolist()):
+            sub = oracles.SubTrajectory("u", 0, tuple(
+                oracles.SpatioTemporalPoint(t[i], lon[i], lat[i]) for i in range(a, a + m)))
+            assert states[a:a + m] == oracles.encode_motion_states(sub)
+        assert {s for s in states} - {0}
+
 
 class TestTimeWindows:
-    def _st(self, seconds):
-        return SubTrajectory(
-            "u", 0, tuple(point_at_meters(0, 0, t=s) for s in seconds)
-        )
+    def _windows(self, seconds, window_len=7200.0):
+        return time_windows(np.array(seconds, dtype=np.float64), window_len).tolist()
 
     def test_two_hour_windows(self):
-        st = self._st([30 * 60, 3 * 3600 + 10 * 60])
-        assert encode_time_windows(st, 7200.0) == [0, 1]
+        assert self._windows([30 * 60, 3 * 3600 + 10 * 60]) == [0, 1]
 
     def test_last_second_of_day_is_last_window(self):
-        st = self._st([86_399.0])
-        assert encode_time_windows(st, 7200.0) == [11]
+        assert self._windows([86_399.0]) == [11]
 
     def test_time_of_day_wraps(self):
-        st = self._st([86_400.0 + 30 * 60])
-        assert encode_time_windows(st, 7200.0) == [0]
+        assert self._windows([86_400.0 + 30 * 60]) == [0]
+
+    def test_instant_before_midnight_is_last_window(self):
+        """-1e-13 % 86400 rounds to 86400.0, one window past the vocabulary."""
+        assert -1e-13 % 86_400 == 86_400.0
+        assert self._windows([-1e-13, -7.2e-12, -0.0]) == [11, 11, 0]
+        assert self._windows([-1e-13], 86_400.0) == [0]
 
     def test_non_divisor_window_rejected(self):
         with pytest.raises(ConfigError):
-            encode_time_windows(self._st([0.0]), 7000.0)
+            self._windows([0.0], 7000.0)
 
 
 class TestChronologicalSplit:
     def _subs(self, user, n):
-        return [
-            SubTrajectory(user, j, (point_at_meters(0, 0, t=j * 100.0),))
-            for j in range(n)
-        ]
+        return [GridSequence(user, j, [j * 100.0], [0], [0], [0]) for j in range(n)]
 
     def test_ten_items(self):
         assert split_sizes(10) == (6, 2, 2)
@@ -358,9 +415,9 @@ class TestChronologicalSplit:
         assert sum(len(p) for p in parts) == len(all_ids)
         by_id = {s.traj_id: s for s in subs}
         for user in {s.user_id for s in subs}:
-            tr = [by_id[t].start_time for t in split.train if by_id[t].user_id == user]
-            va = [by_id[t].start_time for t in split.validation if by_id[t].user_id == user]
-            te = [by_id[t].start_time for t in split.test if by_id[t].user_id == user]
+            tr = [by_id[t].t[0] for t in split.train if by_id[t].user_id == user]
+            va = [by_id[t].t[0] for t in split.validation if by_id[t].user_id == user]
+            te = [by_id[t].t[0] for t in split.test if by_id[t].user_id == user]
             if va:
                 assert max(tr) < min(va)
             if te and va:
@@ -378,9 +435,12 @@ class TestParseDataset:
             "bob,50,11.0,21.0\n"
             "alice,100,10.1,20.1\n"
         )
-        trajectories, report = parse_dataset(f)
-        assert [t.user_id for t in trajectories] == ["alice", "bob"]
-        assert [p.t for p in trajectories[0].points] == [100.0, 200.0]
+        points, report = parse_dataset(f)
+        assert points.roster == ["alice", "bob"]
+        assert points.user.tolist() == [0, 0, 1]
+        assert points.t.tolist() == [100.0, 200.0, 50.0]
+        assert points.lat.tolist() == [10.1, 10.0, 11.0]
+        assert points.lon.tolist() == [20.1, 20.0, 21.0]
         assert report.parsed == 3 and report.failed == 0
 
     def test_failure_threshold_aborts(self, tmp_path):
@@ -397,6 +457,24 @@ class TestParseDataset:
         _, report = parse_dataset(f)
         assert report.failed == 1
 
+    @pytest.mark.parametrize("line", ["v,nan,0.0,0.0", "v,inf,0.0,0.0", "v,1,nan,0.0",
+                                      "v,1,90.5,0.0", "v,1,0.0,-180.5", "v,1,0.0,nan"])
+    def test_out_of_range_point_is_a_failure(self, tmp_path, line):
+        """Counted like an unparseable line; its user leaves the roster when it
+        has no other point."""
+        f = tmp_path / "d.csv"
+        f.write_text("\n".join(["u,%d,0.0,0.0" % i for i in range(200)] + [line]))
+        points, report = parse_dataset(f)
+        assert (report.data_lines, report.parsed, report.failed) == (201, 200, 1)
+        assert points.roster == ["u"] and len(points.t) == 200
+
+    def test_equal_times_keep_file_order(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("u,5,0.0,3.0\nu,-0.0,0.0,2.0\nu,5,0.0,1.0\nu,0.0,0.0,0.0\n")
+        points, _ = parse_dataset(f)
+        assert points.lon.tolist() == [2.0, 0.0, 3.0, 1.0]
+        assert repr(points.t.tolist()) == "[-0.0, 0.0, 5.0, 5.0]"
+
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("")
@@ -412,22 +490,98 @@ class TestArtifactRoundTrips:
 
     def test_sequences(self, tmp_path):
         gm = square_box_map(200.0, 40.0)
-        tr = RawTrajectory(
-            "u",
-            tuple(point_at_meters(10 * i, 5 * i, t=i * 600.0) for i in range(6)),
-        )
-        seqs = build_grid_sequences(
-            split_trajectory_by_interval(tr, 1800.0), gm, 7200.0
-        )
+        points = columns([i * 600.0 for i in range(6)], [(10 * i, 5 * i) for i in range(6)])
+        seqs = build_grid_sequences(points, gm, 1800.0, 7200.0)
+        assert [len(s) for s in seqs] == [3, 3]
         save_sequences(seqs, tmp_path / "s.jsonl")
         assert load_sequences(tmp_path / "s.jsonl") == seqs
 
     def test_split(self, tmp_path):
         split = chronological_split(
-            [SubTrajectory("u", j, (point_at_meters(0, 0, t=j),)) for j in range(7)]
+            [GridSequence("u", j, [float(j)], [0], [0], [0]) for j in range(7)]
         )
         save_split(split, tmp_path / "split.json")
         assert load_split(tmp_path / "split.json") == split
+
+
+# Text of CSV fields: numbers around the grid and time edges and signed
+# zeros, then values that fail a line or an interval id; user ids with
+# quotes, NULs, backslashes and non-ASCII characters (never a comma or a
+# line break).
+COORDINATES = st.one_of(st.floats(-0.01, 0.01).map(repr),
+                        st.sampled_from(["0.0", "-0.0", "0", "1e-300", "180", "-90.0"]))
+TIMESTAMPS = st.one_of(
+    st.integers(-90_000, 200_000).map(str),
+    st.floats(-1e6, 1e6).map(repr),
+    st.sampled_from(["-1e-13", "-7e-12", "0", "-0.0", "86399.99999999999", "5e-324"]))
+BAD_FIELDS = st.sampled_from(["nan", "inf", "-inf", "180.5", "-90.5", "", "x", "1e300"])
+CSV_USERS = st.one_of(
+    st.sampled_from(["a", "b", ' q"', "u\x00", "u", "\\", "ünï", "日本", "\u2028", ""]),
+    st.text(st.characters(codec="utf-8", exclude_characters="\n\r,"), max_size=3))
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text: drawn records, a few blank, malformed or out-of-range lines,
+    an optional header, and optionally over 100 plain records of one user
+    per failing line, so the failures can stay under the 1% limit."""
+    users = st.sampled_from(draw(st.lists(CSV_USERS, min_size=1, max_size=3)))
+    fields = [users, TIMESTAMPS, COORDINATES, COORDINATES]
+    lines = draw(st.lists(st.tuples(*fields), min_size=1, max_size=20))
+    odd = draw(st.lists(st.sampled_from(["", "   ", "garbage", "a,b", "u,1,2", "u,1,2,3,4",
+                                         ",,,", "u, 5 ,0.001 , 0.002"]), max_size=2))
+    for _ in range(draw(st.integers(0, 2))):  # one field made bad
+        bad = list(draw(st.tuples(*fields)))
+        bad[draw(st.integers(1, 3))] = draw(BAD_FIELDS)
+        odd.append(",".join(bad))
+    lines = draw(st.permutations([",".join(fields) for fields in lines] + odd))
+    if draw(st.booleans()):
+        lines.insert(0, "user_id,timestamp,lat,lon")
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([0.0, 1e-5, 3e-4]))
+        lines += [f"u,{600 * k},{step * (k % 7)},{step * (k % 5)}"
+                  for k in range(100 * len(odd) + 20)]
+    return "\n".join(lines)
+
+
+class TestColumnsMatchPointObjects:
+    """parse_dataset, build_grid_map and build_grid_sequences against the path
+    through one object per point and per sub-trajectory."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts(), cell=st.sampled_from([40.0, 0.37, 1e4, 1e-9]),
+           tau=st.sampled_from([21_600.0, 3600.0, 1800.0, 7.5, 1e-300, 1e-305]),
+           window=st.sampled_from([7200.0, 3600.0, 86_400.0, 0.5]))
+    @example(text="u,-1e-13,0,0\nu,5,0,0", cell=40.0, tau=21_600.0, window=7200.0)
+    @example(text="u,-0.0,-0.0,0.0\nu,0.0,0.0,-0.0", cell=40.0, tau=3600.0, window=7200.0)
+    @example(text="u\x00,1,0,0\nu,2,0,0", cell=40.0, tau=3600.0, window=7200.0)
+    @example(text="a,0,0.0,0.0078125\na,1,0.0,0.0\na,5e-324,0.0,0.0", cell=40.0,
+             tau=21_600.0, window=7200.0)  # a speed past the float range
+    def test_same_records_as_the_point_objects(self, text, cell, tau, window, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            report, roster, gm, subs, expected = oracles.preprocess_oracle(path, cell, tau, window)
+        except (DataError, ConfigError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                points, _ = parse_dataset(path)
+                build_grid_sequences(points, build_grid_map(points.lon, points.lat, cell),
+                                     tau, window)
+            assert str(raised.value) == str(exc)
+            return
+        points, got_report = parse_dataset(path)
+        assert got_report == report and points.roster == roster
+        got_gm = build_grid_map(points.lon, points.lat, cell)
+        assert repr(got_gm) == repr(gm)  # signed zeros included
+        got = build_grid_sequences(points, got_gm, tau, window)
+        assert len(got) == len(expected)
+        for g, e, sub in zip(got, expected, subs):
+            # numpy's hypot and arctan2 may differ from math's in the last
+            # bit, which can flip a state only at a threshold.
+            flips = [i for i, (a, b) in enumerate(zip(g.state, e.state)) if a != b]
+            assert all(oracles.motion_margin(sub, i) < 1e-12 for i in flips), flips
+            g.state = e.state
+        assert repr(got) == repr(expected)
 
 
 USERS = st.one_of(st.text(max_size=5), st.sampled_from(
