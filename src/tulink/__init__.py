@@ -10,7 +10,7 @@ from .graphs import (
     build_local_graph,
     symmetric_normalize,
 )
-from .metrics import MetricsReport, Prediction, acc_at_k, macro_metrics
+from .metrics import MetricsReport, compute_report
 from .mobility import (
     DatasetSplit,
     GridMap,

@@ -76,11 +76,9 @@ def _load_preprocessed(paths: StagePaths):
     sequences = mob.load_sequences(paths.sequences)
     split = mob.load_split(paths.splits)
     _check_ids(paths, sequences, "grid", gm.n_grids)
-    known = {s.traj_id for s in sequences}
-    for tid in (*split.train, *split.validation, *split.test):
-        if tid not in known:
-            raise DataError(f"{paths.splits.name} names trajectory {tid!r}, which "
-                            f"{paths.sequences.name} lacks; rerun the 'preprocess' stage")
+    if split != mob.chronological_split(sequences):
+        raise DataError(f"{paths.splits.name} is not the chronological split of "
+                        f"{paths.sequences.name}; rerun the 'preprocess' stage")
     return gm, sequences, split
 
 
@@ -283,12 +281,7 @@ def main(argv=None) -> int:
                 f"{summary['best_val_acc1']:.4f}"
             )
         elif args.command == "evaluate":
-            report = run_evaluate(cfg, args.split)
-            for k in sorted(report.acc_at):
-                print(f"acc@{k}={report.acc_at[k]:.6f}")
-            print(f"macro_p={report.macro_p:.6f}")
-            print(f"macro_r={report.macro_r:.6f}")
-            print(f"macro_f1={report.macro_f1:.6f}")
+            print(M.format_report(run_evaluate(cfg, args.split)), end="")
         elif args.command == "embed":
             out = run_embed(cfg)
             print(f"wrote embeddings to {out}")

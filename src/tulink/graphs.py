@@ -177,10 +177,13 @@ def _write_coo(fh, name: str, m: sp.spmatrix) -> None:
     fh.write(("%d %d %d\n" * coo.nnz) % tuple(entries.astype(np.int64).ravel().tolist()))
 
 
-def _read_coo(lines, expect_name: str) -> sp.csr_matrix:
+def _read_coo(lines, expect_name: str, nodes: int) -> sp.csr_matrix:
+    """One matrix section with ``nodes`` rows; an adjacency is square."""
     tag, name, rows, cols, nnz = next(lines).split()
     if tag != "matrix" or name != expect_name:
         raise ValueError(f"expected matrix section {expect_name!r}, found {name!r}")
+    if int(rows) != nodes or (name == "adjacency" and int(cols) != nodes):
+        raise ValueError(f"matrix {name} is {rows} x {cols}, but the header has {nodes} nodes")
     nnz = int(nnz)
     entries = np.empty((0, 3), dtype=np.int64)
     if nnz:  # loadtxt warns on an empty section
@@ -191,47 +194,23 @@ def _read_coo(lines, expect_name: str) -> sp.csr_matrix:
     return out
 
 
-def save_local_graph(g: LocalSpatialGraph, path: str | Path) -> None:
+def _save_graph(path: str | Path, header: dict, roster, sections: dict) -> None:
+    """A graph file: version line, ``header`` fields, the node roster, one COO
+    section per matrix of ``sections``, then ``end``."""
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"tulink-graph {FORMAT_VERSION}\n")
-        fh.write("kind local\n")
-        fh.write(f"nodes {g.n_grids}\n")
-        fh.write(f"edges {g.n_edges}\n")
-        fh.write(f"max_weight {g.max_weight}\n")
+        fh.write("".join(f"{key} {value}\n" for key, value in header.items()))
         fh.write("symmetric 1\n")
-        fh.write(f"roster {g.n_grids}\n")
-        fh.write("".join(f"{i}\n" for i in range(g.n_grids)))
-        _write_coo(fh, "adjacency", g.adjacency)
+        fh.write(f"roster {len(roster)}\n")
+        fh.write("".join(f"{node}\n" for node in roster))
+        for name, m in sections.items():
+            _write_coo(fh, name, m)
         fh.write("end\n")
 
 
-def load_local_graph(path: str | Path) -> LocalSpatialGraph:
-    with reading(path, "build-graphs"):
-        header, _, lines = _read_header(path, "local")
-        adj = _read_coo(lines, "adjacency")
-        _read_end(lines)
-        return LocalSpatialGraph(int(header["nodes"]), adj)
-
-
-def save_global_graph(g: GlobalSpatialGraph, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"tulink-graph {FORMAT_VERSION}\n")
-        fh.write("kind global\n")
-        fh.write(f"nodes {g.n_nodes}\n")
-        fh.write(f"trajectories {g.trajectory_count}\n")
-        fh.write(f"users {g.user_count}\n")
-        fh.write(f"edges {g.n_edges}\n")
-        fh.write(f"max_weight {g.max_weight}\n")
-        fh.write("symmetric 1\n")
-        fh.write(f"roster {g.n_nodes}\n")
-        fh.write("".join(f"{node}\n" for node in (*g.traj_ids, *g.user_ids)))
-        _write_coo(fh, "adjacency", g.adjacency)
-        _write_coo(fh, "features", g.features)
-        fh.write("end\n")
-
-
-def _read_header(path: str | Path, kind: str):
-    """Header fields, node roster, and the remaining lines of a graph file."""
+def _load_graph(path: str | Path, kind: str, sections: Sequence[str]):
+    """Header fields, node roster and matrix sections of a ``kind`` graph file;
+    the roster and each section must fit the header's ``nodes``."""
     text = Path(path).read_text(encoding="utf-8")
     if not text.endswith("\nend\n"):  # a cut anywhere loses the closing line
         raise StopIteration
@@ -246,20 +225,37 @@ def _read_header(path: str | Path, kind: str):
         header[key] = value
     if header["kind"] != kind:
         raise ValueError(f"holds a {header['kind']} graph, not a {kind} one")
-    roster = [next(lines) for _ in range(int(value))]
-    return header, roster, lines
-
-
-def _read_end(lines) -> None:
+    nodes = int(header["nodes"])
+    if int(value) != nodes:
+        raise ValueError(f"roster lists {value} nodes, but the header has {nodes}")
+    roster = [next(lines) for _ in range(nodes)]
+    matrices = [_read_coo(lines, name, nodes) for name in sections]
     if next(lines) != "end":
         raise ValueError("matrix sections do not match their sizes")
+    return header, roster, matrices
+
+
+def save_local_graph(g: LocalSpatialGraph, path: str | Path) -> None:
+    header = {"kind": "local", "nodes": g.n_grids, "edges": g.n_edges,
+              "max_weight": g.max_weight}
+    _save_graph(path, header, range(g.n_grids), {"adjacency": g.adjacency})
+
+
+def load_local_graph(path: str | Path) -> LocalSpatialGraph:
+    with reading(path, "build-graphs"):
+        header, _, (adj,) = _load_graph(path, "local", ("adjacency",))
+        return LocalSpatialGraph(int(header["nodes"]), adj)
+
+
+def save_global_graph(g: GlobalSpatialGraph, path: str | Path) -> None:
+    header = {"kind": "global", "nodes": g.n_nodes, "trajectories": g.trajectory_count,
+              "users": g.user_count, "edges": g.n_edges, "max_weight": g.max_weight}
+    _save_graph(path, header, [*g.traj_ids, *g.user_ids],
+                {"adjacency": g.adjacency, "features": g.features})
 
 
 def load_global_graph(path: str | Path) -> GlobalSpatialGraph:
     with reading(path, "build-graphs"):
-        header, roster, lines = _read_header(path, "global")
+        header, roster, (adj, features) = _load_graph(path, "global", ("adjacency", "features"))
         n_traj = int(header["trajectories"])
-        adj = _read_coo(lines, "adjacency")
-        features = _read_coo(lines, "features")
-        _read_end(lines)
         return GlobalSpatialGraph(roster[:n_traj], roster[n_traj:], adj, features)

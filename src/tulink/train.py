@@ -129,9 +129,8 @@ def evaluate_on_split(
 ) -> M.MetricsReport:
     indices = inputs.indices_for(traj_ids)
     logits = predict_logits(params, config, inputs, indices)
-    preds = M.build_predictions(logits, inputs.labels[indices])
     ks = [min(k, inputs.n_users) for k in ks]
-    return M.compute_report(preds, ks=sorted(set(ks)))
+    return M.compute_report(logits, inputs.labels[indices], ks=sorted(set(ks)))
 
 
 def train(
@@ -184,7 +183,8 @@ def train(
             losses.append(loss.item())
 
         val_logits = predict_logits(params, model_config, inputs, val_idx)
-        val_acc = float(np.mean(np.argmax(val_logits, axis=1) == inputs.labels[val_idx]))
+        val_ranks = M.true_ranks(val_logits, inputs.labels[val_idx])
+        val_acc = float(np.count_nonzero(val_ranks == 0) / len(val_ranks))
         result.history.append(
             EpochStats(epoch, float(np.mean(losses)), val_acc, time.perf_counter() - t0)
         )
@@ -224,4 +224,8 @@ def load_checkpoint(params: ModelParams, path: str | Path) -> ModelParams:
     except DataError as exc:
         raise DataError(f"{path}: {exc}; it was written by an earlier version or "
                         "different settings, rerun the 'train' stage") from None
+    if not np.isfinite(params.values).all():
+        name = next(n for n, t in params.items() if not np.isfinite(t.values).all())
+        raise DataError(f"{path}: parameter {name!r} holds a non-finite value; "
+                        "rerun the 'train' stage")
     return params

@@ -145,6 +145,66 @@ def confusion_matrix_oracle(true_labels, predicted_labels):
     return sum(ps) / len(ps), sum(rs) / len(rs), sum(f1s) / len(f1s)
 
 
+# ---------------------------------------------------------------------------
+# Ranking metrics one prediction object at a time
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass
+class Prediction:
+    true_class: int
+    ranking: np.ndarray  # permutation of all classes, best first
+
+
+def rank_classes(logits_row: np.ndarray) -> np.ndarray:
+    """Descending-logit ranking; stable sort keeps ties in ascending order."""
+    return np.argsort(-logits_row, kind="stable")
+
+
+def build_predictions(logits: np.ndarray, true_classes) -> list[Prediction]:
+    if logits.shape[0] != len(true_classes):
+        raise ValueError(f"{logits.shape[0]} logit rows for {len(true_classes)} labels")
+    return [Prediction(int(c), rank_classes(row)) for row, c in zip(logits, true_classes)]
+
+
+def acc_at_k(predictions, k: int) -> float:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if not predictions:
+        raise ValueError("cannot score an empty prediction set")
+    hits = sum(p.true_class in p.ranking[:k] for p in predictions)
+    return hits / len(predictions)
+
+
+def macro_metrics(predictions):
+    """Unweighted per-class precision/recall/F1 over classes present in truth,
+    plus ``per_class``: class -> (precision, recall)."""
+    true = np.asarray([p.true_class for p in predictions])
+    top1 = np.asarray([p.ranking[0] for p in predictions])
+    per_class: dict[int, tuple[float, float]] = {}
+    f1s = []
+    for c in sorted(set(true.tolist())):
+        tp = int(np.sum((top1 == c) & (true == c)))
+        n_pred = int(np.sum(top1 == c))
+        n_true = int(np.sum(true == c))
+        precision = tp / n_pred if n_pred else 0.0
+        recall = tp / n_true
+        per_class[c] = (precision, recall)
+        f1s.append(
+            2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        )
+    macro_p = float(np.mean([pr[0] for pr in per_class.values()]))
+    macro_r = float(np.mean([pr[1] for pr in per_class.values()]))
+    macro_f1 = float(np.mean(f1s))
+    return macro_p, macro_r, macro_f1, per_class
+
+
+def report_oracle(logits, labels, ks=(1, 5)):
+    """(acc_at, macro_p, macro_r, macro_f1) through one Prediction per row."""
+    predictions = build_predictions(logits, labels)
+    macro_p, macro_r, macro_f1, _ = macro_metrics(predictions)
+    return {k: acc_at_k(predictions, k) for k in ks}, macro_p, macro_r, macro_f1
+
+
 def global_graph_oracle(incidence, traj_ids, train_labels):
     """(adjacency, features) of the global graph from Python lists and a
     row-by-row user union: every trajectory pair sharing grids, one edge

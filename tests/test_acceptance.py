@@ -23,7 +23,7 @@ from tulink.graphs import (
     build_local_graph,
     symmetric_normalize,
 )
-from tulink.metrics import Prediction, acc_at_k, build_predictions, macro_metrics
+from tulink.metrics import compute_report
 from tulink.model import ModelParams, forward_batch, model_loss
 from tulink.tensor import Tensor, finite_difference_check
 from tulink.train import evaluate_on_split, train
@@ -444,27 +444,30 @@ class TestCriterion7Metrics:
             for n_items in range(1, 7):
                 true = [i % n_classes for i in range(n_items)]
                 for assignment in itertools.product(range(n_classes), repeat=n_items):
-                    preds = [
-                        Prediction(t, np.array([p] + [c for c in range(n_classes) if c != p]))
-                        for t, p in zip(true, assignment)
-                    ]
-                    mine = macro_metrics(preds)[:3]
+                    # each class scores minus its position in a ranking led by the top-1
+                    logits = np.array([
+                        -np.argsort([p] + [c for c in range(n_classes) if c != p])
+                        for p in assignment
+                    ], dtype=float)
+                    r = compute_report(logits, true, ks=(1,))
                     oracle = confusion_matrix_oracle(true, list(assignment))
-                    np.testing.assert_allclose(mine, oracle, atol=1e-12)
+                    np.testing.assert_allclose((r.macro_p, r.macro_r, r.macro_f1), oracle,
+                                               atol=1e-12)
                     cases += 1
 
-        hand = [
-            Prediction(0, np.array([0, 1])),
-            Prediction(0, np.array([1, 0])),
-            Prediction(1, np.array([1, 0])),
-        ]
-        _, _, f1, per_class = macro_metrics(hand)
+        # rankings [0, 1], [1, 0], [1, 0] for true classes 0, 0, 1
+        hand_logits = np.array([[0.0, -1.0], [-1.0, 0.0], [-1.0, 0.0]])
+        hand = compute_report(hand_logits, [0, 0, 1], ks=(1,))
+        oracle_p, oracle_r, oracle_f1, per_class = oracles.macro_metrics(
+            oracles.build_predictions(hand_logits, [0, 0, 1]))
         assert per_class[0] == (1.0, 0.5) and per_class[1] == (0.5, 1.0)
-        assert f1 == 2.0 / 3.0
+        assert (hand.macro_p, hand.macro_r, hand.macro_f1) == (oracle_p, oracle_r, oracle_f1)
+        assert hand.macro_f1 == 2.0 / 3.0
 
         rng = np.random.default_rng(7007)
-        preds = build_predictions(rng.normal(size=(1000, 9)), rng.integers(0, 9, 1000))
-        accs = [acc_at_k(preds, k) for k in range(1, 10)]
+        ranked = compute_report(rng.normal(size=(1000, 9)), rng.integers(0, 9, 1000),
+                                ks=range(1, 10))
+        accs = [ranked.acc_at[k] for k in range(1, 10)]
         assert all(a <= b for a, b in zip(accs, accs[1:]))
         assert accs[-1] == 1.0
         report(7, f"{cases} exhaustive assignments, hand F1 = 2/3 exact, "

@@ -313,6 +313,19 @@ class TestCheckpointErrors:
                              stage=stage)
         assert "'gcn_local_0'" in err and "shape" in err
 
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value(self, workspace, trained, tmp_path, capsys, stage, value):
+        def poison_link_bias(path):
+            named = list(load_tensors(path).items())
+            for name, values in named:
+                if name == "link_b":
+                    values[0] = value
+            save_tensors(path, named)
+        err = self._evaluate(workspace, trained, tmp_path, capsys, poison_link_bias,
+                             stage=stage)
+        assert "'link_b'" in err and "non-finite" in err
+
     @pytest.mark.parametrize("flags", [("--attn-layers", "1"), ("--gcn-layers", "1"),
                                        ("--attn-layers", "1", "--gcn-layers", "1")])
     def test_checkpoint_with_more_layers(self, workspace, trained_deeper, tmp_path, capsys,
@@ -495,6 +508,48 @@ class TestArtifactErrors:
         err = self._run(workspace, trained, tmp_path, capsys, stage,
                         lambda out: drop_last_lines(out / "sequences.jsonl"))
         assert "splits.json" in err and "sequences.jsonl" in err and "'preprocess'" in err
+
+    @pytest.mark.parametrize("stage", ["build-graphs", "train"])
+    def test_split_moves_a_user_out_of_training(self, workspace, trained, tmp_path, capsys,
+                                                stage):
+        def move_first_user_to_test(out):
+            path = out / "splits.json"
+            split = json.loads(path.read_text())
+            user = split["train"][0].rsplit(":", 1)[0]
+            moved = [t for t in split["train"] if t.rsplit(":", 1)[0] == user]
+            split["train"] = [t for t in split["train"] if t not in moved]
+            split["test"] += moved
+            path.write_text(json.dumps(split))
+        err = self._run(workspace, trained, tmp_path, capsys, stage, move_first_user_to_test)
+        assert "splits.json" in err and "sequences.jsonl" in err and "'preprocess'" in err
+
+    @pytest.mark.parametrize("stage", ["build-graphs", "train", "evaluate", "embed"])
+    def test_split_tests_a_training_trajectory(self, workspace, trained, tmp_path, capsys,
+                                               stage):
+        def also_test_first_training_id(out):
+            path = out / "splits.json"
+            split = json.loads(path.read_text())
+            split["test"].append(split["train"][0])
+            path.write_text(json.dumps(split))
+        err = self._run(workspace, trained, tmp_path, capsys, stage,
+                        also_test_first_training_id)
+        assert "splits.json" in err and "sequences.jsonl" in err and "'preprocess'" in err
+
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    @pytest.mark.parametrize("name, section", [
+        ("global_graph.txt", "adjacency"), ("global_graph.txt", "features"),
+        ("local_graph.txt", "adjacency")])
+    def test_graph_section_larger_than_header(self, workspace, trained, tmp_path, capsys,
+                                              stage, name, section):
+        def widen(out):
+            path = out / name
+            lines = path.read_text().splitlines(keepends=True)
+            i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {section} "))
+            tag, _, rows, cols, nnz = lines[i].split()
+            lines[i] = f"{tag} {section} {int(rows) + 1} {int(cols) + 1} {nnz}\n"
+            path.write_text("".join(lines))
+        err = self._run(workspace, trained, tmp_path, capsys, stage, widen)
+        assert name in err and "'build-graphs'" in err and f"matrix {section}" in err
 
     def test_graphs_older_than_sequences(self, workspace, trained, tmp_path, capsys):
         def resplit(out):

@@ -343,6 +343,14 @@ class TestSerialization:
         with pytest.raises(DataError, match="cannot parse"):
             load_global_graph(path)
 
+    def test_roster_must_fit_the_header(self, tmp_path):
+        path, g = tmp_path / "g.txt", self._global()
+        save_global_graph(g, path)
+        text = path.read_text().replace(f"roster {g.n_nodes}\n", f"roster {g.n_nodes - 1}\n")
+        path.write_text(text.replace(f"\n{g.user_ids[-1]}\n", "\n", 1))
+        with pytest.raises(DataError, match="roster lists"):
+            load_global_graph(path)
+
     def test_local_file_is_not_a_global_graph(self, tmp_path):
         save_local_graph(self._local(), tmp_path / "g.txt")
         with pytest.raises(DataError, match="not a global one"):

@@ -1,105 +1,122 @@
-"""Ranking metrics against hand arithmetic and a confusion-matrix oracle."""
+"""Ranking metrics against hand arithmetic, a confusion-matrix oracle and the
+one-Prediction-per-row path."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tulink.metrics import (
-    Prediction,
-    acc_at_k,
-    build_predictions,
     compute_report,
     export_embeddings,
-    macro_metrics,
-    rank_classes,
+    format_report,
     save_report,
+    true_ranks,
 )
 
-from oracles import confusion_matrix_oracle, load_report
+from oracles import (build_predictions, confusion_matrix_oracle, load_report, macro_metrics,
+                     report_oracle)
 
 
-def preds_from_top1(true_labels, top1_labels, n_classes):
-    """Prediction set whose rankings start with the given top-1 choices."""
-    out = []
-    for t, p in zip(true_labels, top1_labels):
-        rest = [c for c in range(n_classes) if c != p]
-        out.append(Prediction(t, np.array([p] + rest)))
-    return out
+def logits_from_top1(top1_labels, n_classes):
+    """Logit rows ranking each given top-1 class first, then the others in
+    ascending order: each class scores minus its position."""
+    rows = []
+    for p in top1_labels:
+        ranking = [p] + [c for c in range(n_classes) if c != p]
+        row = np.empty(n_classes)
+        row[ranking] = -np.arange(n_classes)
+        rows.append(row)
+    return np.array(rows).reshape(-1, n_classes)
+
+
+def macro(true_labels, top1_labels, n_classes):
+    report = compute_report(logits_from_top1(top1_labels, n_classes), true_labels, ks=(1,))
+    return report.macro_p, report.macro_r, report.macro_f1
+
+
+def per_class_oracle(true_labels, top1_labels, n_classes):
+    """The per-prediction path's macro scores and its class -> (P, R) map."""
+    logits = logits_from_top1(top1_labels, n_classes)
+    *scores, per_class = macro_metrics(build_predictions(logits, true_labels))
+    return tuple(scores), per_class
 
 
 class TestRanking:
     def test_ties_break_by_ascending_index(self):
-        ranking = rank_classes(np.array([0.5, 0.9, 0.5, 0.1]))
-        np.testing.assert_array_equal(ranking, [1, 0, 2, 3])
+        logits = np.tile([0.5, 0.9, 0.5, 0.1], (4, 1))
+        np.testing.assert_array_equal(true_ranks(logits, np.arange(4)), [1, 0, 2, 3])
+        signed_zeros = np.array([[0.0, -0.0, -1.0], [-0.0, 0.0, -1.0]])
+        np.testing.assert_array_equal(true_ranks(signed_zeros, np.array([1, 0])), [1, 0])
 
-    def test_build_predictions_shape_check(self):
-        with pytest.raises(ValueError):
-            build_predictions(np.zeros((2, 3)), [0])
+    def test_row_label_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="2 logit rows for 1 labels"):
+            compute_report(np.zeros((2, 3)), [0])
 
 
 class TestAccAtK:
     def test_half_correct(self):
-        preds = preds_from_top1([0, 1, 0, 1], [0, 1, 1, 0], n_classes=2)
-        assert acc_at_k(preds, 1) == 0.5
+        report = compute_report(logits_from_top1([0, 1, 1, 0], 2), [0, 1, 0, 1], ks=(1,))
+        assert report.acc_at[1] == 0.5
 
     def test_full_ranking_always_hits(self):
         rng = np.random.default_rng(0)
-        preds = build_predictions(rng.normal(size=(20, 6)), rng.integers(0, 6, 20))
-        assert acc_at_k(preds, 6) == 1.0
+        report = compute_report(rng.normal(size=(20, 6)), rng.integers(0, 6, 20), ks=(6,))
+        assert report.acc_at[6] == 1.0
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(1)
-        preds = build_predictions(rng.normal(size=(50, 8)), rng.integers(0, 8, 50))
-        accs = [acc_at_k(preds, k) for k in range(1, 9)]
+        report = compute_report(rng.normal(size=(50, 8)), rng.integers(0, 8, 50),
+                                ks=range(1, 9))
+        accs = [report.acc_at[k] for k in range(1, 9)]
         assert all(a <= b for a, b in zip(accs, accs[1:]))
 
     def test_matches_membership_oracle(self):
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(40, 5))
         true = rng.integers(0, 5, 40)
-        preds = build_predictions(logits, true)
+        report = compute_report(logits, true, ks=range(1, 6))
         for k in range(1, 6):
             expected = np.mean(
                 [t in np.argsort(-row, kind="stable")[:k] for row, t in zip(logits, true)]
             )
-            assert acc_at_k(preds, k) == expected
+            assert report.acc_at[k] == expected
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            acc_at_k([], 1)
+            compute_report(np.zeros((0, 3)), [])
 
     def test_k_floor(self):
         with pytest.raises(ValueError):
-            acc_at_k(preds_from_top1([0], [0], 2), 0)
+            compute_report(logits_from_top1([0], 2), [0], ks=(0,))
 
 
 class TestMacroMetrics:
     def test_perfect_predictions(self):
-        preds = preds_from_top1([0, 1, 2, 0], [0, 1, 2, 0], n_classes=3)
-        p, r, f1, _ = macro_metrics(preds)
-        assert (p, r, f1) == (1.0, 1.0, 1.0)
+        assert macro([0, 1, 2, 0], [0, 1, 2, 0], 3) == (1.0, 1.0, 1.0)
 
     def test_hand_case_two_thirds(self):
         """(P, R) of (1, 0.5) and (0.5, 1) -> per-class F1 = 2/3 each."""
-        preds = preds_from_top1([0, 0, 1], [0, 1, 1], n_classes=2)
-        p, r, f1, per_class = macro_metrics(preds)
+        scores, per_class = per_class_oracle([0, 0, 1], [0, 1, 1], 2)
         assert per_class[0] == (1.0, 0.5)
         assert per_class[1] == (0.5, 1.0)
-        assert f1 == 2.0 / 3.0
+        assert macro([0, 0, 1], [0, 1, 1], 2) == scores
+        assert scores[2] == 2.0 / 3.0
 
     def test_never_predicted_class_scores_zero(self):
-        preds = preds_from_top1([0, 1, 1], [1, 1, 1], n_classes=2)
-        p, r, f1, per_class = macro_metrics(preds)
+        scores, per_class = per_class_oracle([0, 1, 1], [1, 1, 1], 2)
         assert per_class[0] == (0.0, 0.0)
-        assert f1 == pytest.approx(0.5 * (0.0 + 2 * (2 / 3) * 1.0 / (2 / 3 + 1.0)))
+        assert macro([0, 1, 1], [1, 1, 1], 2) == scores
+        assert scores[2] == pytest.approx(0.5 * (0.0 + 2 * (2 / 3) * 1.0 / (2 / 3 + 1.0)))
 
     def test_class_absent_from_truth_excluded(self):
         # class 2 never appears as a true label; predictions of it only
         # hurt the classes that do appear
-        preds = preds_from_top1([0, 1], [0, 2], n_classes=3)
-        _, _, _, per_class = macro_metrics(preds)
+        scores, per_class = per_class_oracle([0, 1], [0, 2], 3)
         assert set(per_class) == {0, 1}
+        assert macro([0, 1], [0, 2], 3) == scores
 
     def test_exhaustive_against_confusion_oracle(self):
         """All top-1 assignments for up to 5 classes and 6 items."""
@@ -107,8 +124,7 @@ class TestMacroMetrics:
         for n_classes, n_items in [(2, 6), (3, 5), (4, 4), (5, 4)]:
             true = [i % n_classes for i in range(n_items)]
             for assignment in itertools.product(range(n_classes), repeat=n_items):
-                preds = preds_from_top1(true, assignment, n_classes)
-                mine = macro_metrics(preds)[:3]
+                mine = macro(true, assignment, n_classes)
                 oracle = confusion_matrix_oracle(true, list(assignment))
                 np.testing.assert_allclose(mine, oracle, atol=1e-12)
                 cases += 1
@@ -118,16 +134,43 @@ class TestMacroMetrics:
         rng = np.random.default_rng(3)
         true = rng.integers(0, 4, 30)
         top1 = rng.integers(0, 4, 30)
-        base = macro_metrics(preds_from_top1(true, top1, 4))[:3]
+        base = macro(true, top1, 4)
         perm = rng.permutation(4)
-        relabeled = macro_metrics(preds_from_top1(perm[true], perm[top1], 4))[:3]
+        relabeled = macro(perm[true], perm[top1], 4)
         np.testing.assert_allclose(base, relabeled, atol=1e-15)
+
+
+@st.composite
+def scored_rows(draw):
+    """(logits, labels, ks): integer-valued logits with many ties, or floats
+    with signed zeros; down to a single row or a single class; ks at and
+    beyond the class count."""
+    n_rows, n_classes = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    values = draw(st.sampled_from([
+        st.integers(-2, 2).map(float),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(-10, 10, allow_nan=False),
+    ]))
+    logits = np.array(draw(st.lists(values, min_size=n_rows * n_classes,
+                                    max_size=n_rows * n_classes))).reshape(n_rows, n_classes)
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows))
+    ks = draw(st.lists(st.integers(1, n_classes + 2), min_size=1, max_size=4, unique=True))
+    return logits, np.array(labels), sorted(ks)
+
+
+class TestAgainstPerPredictionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=scored_rows())
+    def test_report_matches_by_repr(self, case):
+        logits, labels, ks = case
+        report = compute_report(logits, labels, ks=ks)
+        mine = (report.acc_at, report.macro_p, report.macro_r, report.macro_f1)
+        assert repr(mine) == repr(report_oracle(logits, labels, ks))
 
 
 class TestReportSerialization:
     def test_six_decimal_key_value_lines(self, tmp_path):
-        preds = preds_from_top1([0, 0, 1, 1], [0, 1, 1, 1], n_classes=2)
-        report = compute_report(preds, ks=(1, 2))
+        report = compute_report(logits_from_top1([0, 1, 1, 1], 2), [0, 0, 1, 1], ks=(1, 2))
         path = tmp_path / "metrics.txt"
         save_report(report, path)
         lines = path.read_text().splitlines()
@@ -138,6 +181,7 @@ class TestReportSerialization:
             f"macro_r={report.macro_r:.6f}",
             f"macro_f1={report.macro_f1:.6f}",
         ]
+        assert path.read_text() == format_report(report)
         loaded = load_report(path)
         assert loaded["macro_f1"] == round(report.macro_f1, 6)
 
