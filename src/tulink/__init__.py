@@ -16,6 +16,7 @@ from .mobility import (
     GridMap,
     GridSequence,
     PointColumns,
+    SequenceColumns,
     build_grid_map,
     build_grid_sequences,
     chronological_split,

@@ -59,11 +59,11 @@ def _require(path: Path, stage: str) -> Path:
 
 
 def _check_ids(paths: StagePaths, sequences, field: str, limit: int) -> None:
-    """Every sequence's ``field`` ids are in [0, limit), or a DataError naming
-    the first that is not."""
-    ids = [i for s in sequences for i in getattr(s, field)]
-    if ids and (min(ids) < 0 or max(ids) >= limit):
-        bad = next(i for i in ids if not 0 <= i < limit)
+    """Every ``field`` id of the sequences is in [0, limit), or a DataError
+    naming the first that is not."""
+    ids = getattr(sequences, field)
+    if ids.size and (ids.min() < 0 or ids.max() >= limit):
+        bad = int(ids[(ids < 0) | (ids >= limit)][0])
         raise DataError(f"{paths.sequences.name} holds {field} id {bad!r}, not in "
                         f"[0, {limit}); rerun the 'preprocess' stage")
 
@@ -120,9 +120,9 @@ def run_build_graphs(cfg: RunConfig) -> dict:
 
     local = G.build_local_graph(sequences, gm.n_grids)
     incidence = G.build_grid_incidence(sequences, gm.n_grids)
-    by_id = {s.traj_id: s for s in sequences}
-    labels = {tid: by_id[tid].user_id for tid in split.train}
-    global_g = G.build_global_graph(incidence, [s.traj_id for s in sequences], labels)
+    user_of = dict(zip(sequences.traj_ids, sequences.users()))
+    labels = dict(zip(split.train, map(user_of.__getitem__, split.train)))
+    global_g = G.build_global_graph(incidence, sequences.traj_ids, labels)
 
     G.save_local_graph(local, paths.local_graph)
     G.save_global_graph(global_g, paths.global_graph)
@@ -143,7 +143,7 @@ def _load_model_inputs(cfg: RunConfig, paths: StagePaths):
     if local.n_grids != gm.n_grids:
         raise DataError(f"{paths.local_graph.name} has {local.n_grids} grids but "
                         f"{paths.grid_map.name} has {gm.n_grids}; rerun the 'build-graphs' stage")
-    if global_g.traj_ids != [s.traj_id for s in sequences]:
+    if global_g.traj_ids != sequences.traj_ids:
         raise DataError(f"{paths.global_graph.name} and {paths.sequences.name} list different "
                         "trajectories; rerun the 'build-graphs' stage")
     _check_ids(paths, sequences, "state", mob.MOTION_STATES)

@@ -18,21 +18,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, reading
-from .mobility import GridSequence
+from .mobility import SequenceColumns
 
 FORMAT_VERSION = 1
 
 
-@dataclass
-class LocalSpatialGraph:
-    n_grids: int
-    adjacency: sp.csr_matrix  # symmetric, zero diagonal, int64 weights
+class _Weighted:
+    """Edges and largest weight of a symmetric, zero-diagonal ``adjacency``."""
 
     @property
     def n_edges(self) -> int:
@@ -44,43 +42,33 @@ class LocalSpatialGraph:
 
 
 @dataclass
-class GlobalSpatialGraph:
+class LocalSpatialGraph(_Weighted):
+    n_grids: int
+    adjacency: sp.csr_matrix  # int64 weights
+
+
+@dataclass
+class GlobalSpatialGraph(_Weighted):
     traj_ids: list[str]
     user_ids: list[str]
-    adjacency: sp.csr_matrix  # (T+U) x (T+U), symmetric, zero diagonal
+    adjacency: sp.csr_matrix  # (T+U) x (T+U)
     features: sp.csr_matrix   # (T+U) x n_grids multi-hot
-
-    @property
-    def trajectory_count(self) -> int:
-        return len(self.traj_ids)
-
-    @property
-    def user_count(self) -> int:
-        return len(self.user_ids)
 
     @property
     def n_nodes(self) -> int:
         return len(self.traj_ids) + len(self.user_ids)
 
-    @property
-    def n_edges(self) -> int:
-        return self.adjacency.nnz // 2
 
-    @property
-    def max_weight(self) -> int:
-        return int(self.adjacency.data.max()) if self.adjacency.nnz else 0
-
-
-def build_local_graph(sequences: Iterable[GridSequence], n_grids: int) -> LocalSpatialGraph:
+def build_local_graph(sequences: SequenceColumns, n_grids: int) -> LocalSpatialGraph:
     """Grid graph weighted by how many trajectories make each transition.
 
     An unordered grid pair (g, h), g != h, gains weight one per trajectory
     containing at least one consecutive step between g and h in either
     direction. Consecutive repeats of the same grid contribute nothing.
     """
-    steps = [(i, a, b) for i, seq in enumerate(sequences)
-             for a, b in zip(seq.grid, seq.grid[1:]) if a != b]
-    t, a, b = np.array(steps, dtype=np.int64).reshape(-1, 3).T
+    rows, a, b = sequences.point_rows(), sequences.grid[:-1], sequences.grid[1:]
+    step = (rows[1:] == rows[:-1]) & (a != b)  # no step across a sequence boundary
+    t, a, b = rows[1:][step], a[step], b[step]
     # one count per trajectory and unordered pair
     _, lo, hi = np.unique([t, np.minimum(a, b), np.maximum(a, b)], axis=1)
     upper = sp.coo_matrix((np.ones(len(lo), dtype=np.int64), (lo, hi)), shape=(n_grids, n_grids))
@@ -89,11 +77,10 @@ def build_local_graph(sequences: Iterable[GridSequence], n_grids: int) -> LocalS
     return LocalSpatialGraph(n_grids, adj)
 
 
-def build_grid_incidence(sequences: Sequence[GridSequence], n_grids: int) -> sp.csr_matrix:
-    """Binary trajectories-by-grids visitation matrix, rows in roster order."""
-    visits = [(i, g) for i, seq in enumerate(sequences) for g in seq.grid]
-    rows, cols = np.array(visits, dtype=np.int64).reshape(-1, 2).T
-    inc = sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+def build_grid_incidence(sequences: SequenceColumns, n_grids: int) -> sp.csr_matrix:
+    """Binary trajectories-by-grids visitation matrix, rows in sequence order."""
+    inc = sp.csr_matrix((np.ones(len(sequences.grid), dtype=np.int64),
+                         (sequences.point_rows(), sequences.grid)),
                         shape=(len(sequences), n_grids))
     inc.data[:] = 1  # a revisited grid is still one visit
     inc.sort_indices()
@@ -248,8 +235,8 @@ def load_local_graph(path: str | Path) -> LocalSpatialGraph:
 
 
 def save_global_graph(g: GlobalSpatialGraph, path: str | Path) -> None:
-    header = {"kind": "global", "nodes": g.n_nodes, "trajectories": g.trajectory_count,
-              "users": g.user_count, "edges": g.n_edges, "max_weight": g.max_weight}
+    header = {"kind": "global", "nodes": g.n_nodes, "trajectories": len(g.traj_ids),
+              "users": len(g.user_ids), "edges": g.n_edges, "max_weight": g.max_weight}
     _save_graph(path, header, [*g.traj_ids, *g.user_ids],
                 {"adjacency": g.adjacency, "features": g.features})
 

@@ -9,19 +9,21 @@ are grouped per user, ordered by time, cut into sub-trajectories of a fixed
 time interval, and mapped onto a uniform metric grid. Each grid-sequence
 entry also carries a motion state (speed change x turn direction, nine
 classes) and a time-of-day window index. Past the CSV line loop, every step
-works on columns: one array per field over all points.
+works on columns: one array per field over all points or all sequences.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import itertools
 import json
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -89,20 +91,9 @@ class GridMap:
     def meters_per_deg_lon(self) -> float:
         return METERS_PER_DEGREE * math.cos(math.radians(self.mid_lat))
 
-    def to_json(self) -> dict:
-        return {
-            "min_lon": self.min_lon,
-            "min_lat": self.min_lat,
-            "max_lon": self.max_lon,
-            "max_lat": self.max_lat,
-            "cell_size": self.cell_size,
-            "cols": self.cols,
-            "rows": self.rows,
-        }
-
     @classmethod
     def from_json(cls, d: dict) -> "GridMap":
-        """The map ``to_json`` wrote, or a ValueError naming the first field
+        """The map ``save_grid_map`` wrote, or a ValueError naming the first field
         of the wrong type or range: ``cols`` and ``rows`` are ints of at
         least 1 with int64 cell ids, the rest finite numbers and
         ``cell_size`` positive."""
@@ -141,6 +132,49 @@ class GridSequence:
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+@dataclass(frozen=True, eq=False)
+class SequenceColumns:
+    """Every sub-trajectory in strictly increasing (user, interval) order:
+    sequence k has user ``roster[user[k]]`` (the roster is sorted), interval
+    ``interval[k]`` and the points from ``start[k]`` to the next start of the
+    flat per-point columns. ``t`` is float64, every other array int64."""
+
+    roster: list[str]
+    user: np.ndarray
+    interval: np.ndarray
+    start: np.ndarray
+    t: np.ndarray
+    grid: np.ndarray
+    state: np.ndarray
+    window: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.start, append=len(self.t))
+
+    def point_rows(self) -> np.ndarray:  # each point's sequence index
+        return np.repeat(np.arange(len(self.start)), self.lengths)
+
+    def users(self) -> np.ndarray:  # each sequence's user id, in an object array
+        return np.array(self.roster, dtype=object)[self.user]
+
+    def cut(self, values: list) -> Iterator[list]:  # each sequence's part of a per-point list
+        bounds = [*self.start.tolist(), len(self.t)]
+        return map(values.__getitem__, map(slice, bounds[:-1], bounds[1:]))
+
+    @cached_property
+    def traj_ids(self) -> list[str]:
+        return list(map("{}:{}".format, self.users(), self.interval.tolist()))
+
+    def __iter__(self) -> Iterator[GridSequence]:
+        """One GridSequence per sequence, for readers outside the pipeline."""
+        return map(GridSequence, self.users(), self.interval.tolist(),
+                   *(self.cut(a.tolist()) for a in (self.t, self.grid, self.state, self.window)))
 
 
 @dataclass
@@ -289,59 +323,46 @@ def motion_states(t: np.ndarray, lon: np.ndarray, lat: np.ndarray,
 
 
 def build_grid_sequences(points: PointColumns, gm: GridMap, tau: float,
-                         window_len: float) -> list[GridSequence]:
+                         window_len: float) -> SequenceColumns:
     """Cut the points into sub-trajectories of ``tau`` seconds and annotate
     every point with its grid, motion-state and window ids.
 
     A point at time t lands in interval floor(t / tau); one user's points in
-    one interval form a sub-trajectory, and the sequences come out in
-    (user, interval) order. Each id is one array operation over all points;
-    only the final records are built one at a time.
+    one interval form a sub-trajectory, and the points keep their (user,
+    time) order, so the sequences come out in (user, interval) order.
     """
-    n = len(points.t)
-    intervals = interval_ids(points.t, tau)
-    first = np.ones(n, dtype=bool)
-    first[1:] = (points.user[1:] != points.user[:-1]) | (intervals[1:] != intervals[:-1])
-    starts = np.flatnonzero(first)
-    grid = map_points_to_grids(points.lon, points.lat, gm)
-    state = motion_states(points.t, points.lon, points.lat, starts)
-    window = time_windows(points.t, window_len)
-    ts, grids, states, windows = (a.tolist() for a in (points.t, grid, state, window))
-    bounds = starts.tolist() + [n]
-    return [
-        GridSequence(points.roster[u], i, ts[a:b], grids[a:b], states[a:b], windows[a:b])
-        for u, i, a, b in zip(points.user[starts].tolist(), intervals[starts].tolist(),
-                              bounds, bounds[1:])
-    ]
+    intervals = interval_ids(points.t, tau)  # a difference that wraps is still not 0
+    starts = np.flatnonzero(np.diff(points.user, prepend=-1) | np.diff(intervals, prepend=0))
+    return SequenceColumns(
+        points.roster, points.user[starts], intervals[starts], starts, points.t,
+        map_points_to_grids(points.lon, points.lat, gm),
+        motion_states(points.t, points.lon, points.lat, starts),
+        time_windows(points.t, window_len))
 
 
-def split_sizes(n: int) -> tuple[int, int, int]:
-    """60/20/20 chronological split sizes for one user's n sub-trajectories.
+def split_sizes(n):
+    """60/20/20 chronological split sizes for one user's n sub-trajectories
+    (or each user's, for an array n).
 
     Train takes floor(0.6 n) but never less than one; the remainder is split
     evenly with the odd item going to test, so every user with two or more
     sub-trajectories keeps at least the latest one for testing.
     """
-    n_train = max(1, math.floor(0.6 * n))
+    n_train = np.maximum(1, np.floor(np.multiply(0.6, n))).astype(np.int64)
     rem = n - n_train
     n_val = rem // 2
     return n_train, n_val, rem - n_val
 
 
-def chronological_split(sequences: Iterable[GridSequence]) -> DatasetSplit:
-    """Per-user chronological 60/20/20 partition into train/validation/test."""
-    per_user: dict[str, list] = {}
-    for s in sequences:
-        per_user.setdefault(s.user_id, []).append(s)
-    split = DatasetSplit()
-    for user in sorted(per_user):
-        items = sorted(per_user[user], key=lambda s: s.interval_index)
-        n_train, n_val, n_test = split_sizes(len(items))
-        ids = [s.traj_id for s in items]
-        split.train.extend(ids[:n_train])
-        split.validation.extend(ids[n_train : n_train + n_val])
-        split.test.extend(ids[n_train + n_val :])
-    return split
+def chronological_split(sequences: SequenceColumns) -> DatasetSplit:
+    """Per-user chronological 60/20/20 partition into train/validation/test:
+    each user's sequences are one run, cut in order by ``split_sizes``."""
+    _, firsts, counts = np.unique(sequences.user, return_index=True, return_counts=True)
+    n_train, n_val, _ = (np.repeat(n, counts) for n in split_sizes(counts))
+    rank = np.arange(len(sequences)) - np.repeat(firsts, counts)
+    part = (rank >= n_train).astype(np.int64) + (rank >= n_train + n_val)
+    ids = np.array(sequences.traj_ids, dtype=object)
+    return DatasetSplit(*(ids[part == k].tolist() for k in range(3)))
 
 
 @dataclass
@@ -412,7 +433,7 @@ def parse_dataset(path: str | Path) -> tuple[PointColumns, ParseReport]:
 # ---------------------------------------------------------------------------
 
 def save_grid_map(gm: GridMap, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(gm.to_json(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(dataclasses.asdict(gm), indent=2, sort_keys=True) + "\n")
 
 
 def load_grid_map(path: str | Path) -> GridMap:
@@ -426,37 +447,34 @@ _SEQUENCE_LINE = ('{"grid": [%s], "interval": %s, "state": [%s], "t": [%s], '
                   '"user": %s, "window": [%s]}\n')
 
 
-def _json_lists(lists: list[list]) -> list[str]:
-    """Each list's json.dumps text without its brackets, from one json.dumps
-    call; numbers and brackets never hold the "], [" that separates them."""
-    return json.dumps(lists)[2:-2].split("], [")
+def save_sequences(sequences: SequenceColumns, path: str | Path) -> None:
+    """One line per sequence, byte-identical to ``json.dumps(record,
+    sort_keys=True)``: one json.dumps per field, split into numbers and
+    joined per sequence, and the file written in one call."""
+    def rows(values):  # no number holds the ", " between two numbers
+        return map(", ".join, sequences.cut(json.dumps(values.tolist())[1:-1].split(", ")))
+
+    users = np.array(list(map(json.dumps, sequences.roster)), dtype=object)[sequences.user]
+    columns = (rows(sequences.grid), json.dumps(sequences.interval.tolist())[1:-1].split(", "),
+               rows(sequences.state), rows(sequences.t), users, rows(sequences.window))
+    Path(path).write_text("".join(map(_SEQUENCE_LINE.__mod__, zip(*columns))), encoding="utf-8")
 
 
-def save_sequences(sequences: Sequence[GridSequence], path: str | Path) -> None:
-    """One JSON object per line, byte-identical to ``json.dumps(record,
-    sort_keys=True)`` for str users, int intervals and ids and float times.
-    Each field is encoded for every record at once and the file is written
-    in one call."""
-    text = ""
-    if sequences:
-        encoded = {u: json.dumps(u) for u in {s.user_id for s in sequences}}
-        columns = (
-            _json_lists([s.grid for s in sequences]),
-            json.dumps([s.interval_index for s in sequences])[1:-1].split(", "),
-            _json_lists([s.state for s in sequences]),
-            _json_lists([s.t for s in sequences]),
-            [encoded[s.user_id] for s in sequences],
-            _json_lists([s.window for s in sequences]),
-        )
-        text = "".join(map(_SEQUENCE_LINE.__mod__, zip(*columns)))
-    Path(path).write_text(text, encoding="utf-8")
+def _int64s(values: list, what: str) -> np.ndarray:
+    """``values`` as int64, or a ValueError naming the first that is not."""
+    with contextlib.suppress(OverflowError):  # an int beyond int64
+        if not set(map(type, values)) - {int}:
+            return np.array(values, dtype=np.int64)
+    bad = next(v for v in values if type(v) is not int or not -2 ** 63 <= v < 2 ** 63)
+    raise ValueError(f"{what} {bad!r} is " + ("not an integer" if type(bad) is not int
+                                              else "outside the int64 range"))
 
 
-def load_sequences(path: str | Path) -> list[GridSequence]:
-    """Parse sequences.jsonl with one json.loads over its lines joined into an
-    array, then check the records a field at a time: one dict with the six
-    keys per line, four lists of one non-zero length, integer ids, and no
-    (user, interval) twice."""
+def load_sequences(path: str | Path) -> SequenceColumns:
+    """Parse sequences.jsonl with one json.loads and check it a field at a
+    time: a dict with the six keys per line, str users, four lists of one
+    non-zero length, float times, int64 intervals and ids, and each (user,
+    interval) strictly after the one on the line before."""
     with reading(path, "preprocess"):
         lines = Path(path).read_text(encoding="utf-8").split("\n")
         if not lines[-1]:
@@ -464,26 +482,30 @@ def load_sequences(path: str | Path) -> list[GridSequence]:
         records = json.loads("[" + ",".join(lines) + "]")
         if len(records) != len(lines):  # a line holding two records
             raise ValueError(f"{len(lines)} lines hold {len(records)} records")
-        if not records:
-            return []
-        if set(map(type, records)) != {dict} or set(map(frozenset, records)) != {_SEQUENCE_KEYS}:
+        if set(map(type, records)) - {dict} or set(map(frozenset, records)) - {_SEQUENCE_KEYS}:
             raise ValueError(f"a record's keys are not {sorted(_SEQUENCE_KEYS)}")
-        fields = operator.itemgetter("user", "interval", "t", "grid", "state", "window")
-        users, intervals, t, grid, state, window = zip(*map(fields, records))
-        lengths = list(map(len, t))
-        if (set(map(type, t + grid + state + window)) != {list} or 0 in lengths
-                or any(list(map(len, ids)) != lengths for ids in (grid, state, window))):
+        users, intervals, *lists = (list(map(operator.itemgetter(key), records)) for key in
+                                    ("user", "interval", "t", "grid", "state", "window"))
+        lengths = [list(map(len, f)) for f in lists if not set(map(type, f)) - {list}]
+        if len(lengths) < 4 or 0 in lengths[0] or lengths.count(lengths[0]) < 4:
             raise ValueError("t, grid, state and window must be lists of one non-zero length")
-        for field, ids in (("grid", grid), ("state", state), ("window", window)):
-            ids = list(itertools.chain.from_iterable(ids))
-            if set(map(type, ids)) != {int}:
-                bad = next(i for i in ids if type(i) is not int)
-                raise ValueError(f"{field} id {bad!r} is not an integer")
-        traj_ids = [f"{u}:{i}" for u, i in zip(users, intervals)]
-        if len(set(traj_ids)) != len(traj_ids):
-            repeated = next(tid for tid, n in Counter(traj_ids).items() if n > 1)
-            raise ValueError(f"trajectory {repeated!r} is on two lines")
-        return list(map(GridSequence, users, intervals, t, grid, state, window))
+        t, grid, state, window = (list(itertools.chain.from_iterable(f)) for f in lists)
+        grid, state, window = (_int64s(ids, f"{field} id") for field, ids in
+                               (("grid", grid), ("state", state), ("window", window)))
+        for name, values, kind in (("t", t, float), ("user", users, str)):
+            if set(map(type, values)) - {kind}:
+                bad = next(v for v in values if type(v) is not kind)
+                raise ValueError(f"{name} {bad!r} is not a {kind.__name__}")
+        interval = _int64s(intervals, "interval")
+        roster, user = np.unique(np.array(users, dtype=object), return_inverse=True)
+        later = (user[1:] > user[:-1]) | ((user[1:] == user[:-1]) & (interval[1:] > interval[:-1]))
+        if not later.all():
+            k = int(later.argmin()) + 1
+            tid, prev = (f"{users[i]}:{intervals[i]}" for i in (k, k - 1))
+            raise ValueError(f"trajectory {tid!r} is not after {prev!r} in (user, interval) order")
+        start = np.cumsum([0, *lengths[0]], dtype=np.int64)[:-1]
+        return SequenceColumns(roster.tolist(), user.astype(np.int64), interval, start,
+                               np.array(t, dtype=np.float64), grid, state, window)
 
 
 def save_split(split: DatasetSplit, path: str | Path) -> None:

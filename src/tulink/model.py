@@ -17,7 +17,8 @@ each of which removes one component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 from . import tensor as T
 from .errors import ConfigError, DataError
 from .graphs import GlobalSpatialGraph, LocalSpatialGraph, symmetric_normalize
-from .mobility import MOTION_STATES, GridSequence
+from .mobility import MOTION_STATES, SequenceColumns
 from .tensor import Tensor
 
 COSINE_EPS = 1e-12
@@ -240,11 +241,10 @@ class ModelInputs:
     n_grids: int  # bounding-box cells
     grid_rows: np.ndarray  # ascending bounding-box ids of the visited grids
     max_seq_len: int
-    traj_index: dict[str, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.traj_index:
-            self.traj_index = {tid: i for i, tid in enumerate(self.traj_ids)}
+    @cached_property
+    def traj_index(self) -> dict[str, int]:
+        return {tid: i for i, tid in enumerate(self.traj_ids)}
 
     @property
     def n_traj(self) -> int:
@@ -259,7 +259,7 @@ class ModelInputs:
 
 
 def build_model_inputs(
-    sequences: Sequence[GridSequence],
+    sequences: SequenceColumns,
     local_graph: LocalSpatialGraph,
     global_graph: GlobalSpatialGraph,
 ) -> ModelInputs:
@@ -271,30 +271,30 @@ def build_model_inputs(
     isolated self-loop node and an all-zero feature column, so dropping it
     changes no embedding of a visited grid, trajectory or user.
     """
-    ids = [s.traj_id for s in sequences]
+    ids = sequences.traj_ids
     if ids != list(global_graph.traj_ids):
         raise ValueError("sequence order does not match the global graph roster")
     user_index = {u: k for k, u in enumerate(global_graph.user_ids)}
-    labels = np.asarray([user_index[s.user_id] for s in sequences], dtype=np.int64)
+    labels = np.asarray([user_index[u] for u in sequences.roster], dtype=np.int64)[sequences.user]
 
-    lengths = np.asarray([len(s) for s in sequences], dtype=np.int64)
+    lengths, rows = sequences.lengths, sequences.point_rows()
+    at = rows, np.arange(len(rows)) - sequences.start[rows]  # (sequence, position) per point
 
-    def padded(field):
+    def padded(values):
         out = np.zeros((len(sequences), lengths.max()), dtype=np.int64)
-        for row, s in zip(out, sequences):
-            row[: len(s)] = getattr(s, field)
+        out[at] = values
         return out
 
-    grid_rows = np.unique(np.concatenate([s.grid for s in sequences]).astype(np.int64))
+    grid_rows = np.unique(sequences.grid)
     return ModelInputs(
         m_local=symmetric_normalize(local_graph.adjacency)[grid_rows][:, grid_rows],
         m_global=symmetric_normalize(global_graph.adjacency),
         x_global=global_graph.features.astype(np.float64).tocsr()[:, grid_rows],
         traj_ids=ids,
         # Padding is grid 0, at or below every visited id, so it maps to row 0.
-        grid_idx=np.searchsorted(grid_rows, padded("grid")),
-        state_idx=padded("state"),
-        time_idx=padded("window"),
+        grid_idx=np.searchsorted(grid_rows, padded(sequences.grid)),
+        state_idx=padded(sequences.state),
+        time_idx=padded(sequences.window),
         lengths=lengths,
         labels=labels,
         user_ids=list(global_graph.user_ids),

@@ -14,10 +14,11 @@ from tulink import tensor as T
 from tulink.errors import ConfigError, DataError, reading
 from tulink.graphs import symmetric_normalize
 from tulink.mobility import (_SEQUENCE_KEYS, MAX_FAILURE_RATE, METERS_PER_DEGREE, MOTION_STATES,
-                             SECONDS_PER_DAY, SPEED_RATIO_EPS, TURN_THRESHOLD_DEG, GridMap,
-                             GridSequence, ParseReport, time_window_vocab)
-from tulink.model import (COSINE_EPS, ModelParams, build_model_inputs, encode_graphs,
-                          encode_locations)
+                             SECONDS_PER_DAY, SPEED_RATIO_EPS, TURN_THRESHOLD_DEG, DatasetSplit,
+                             GridMap, GridSequence, ParseReport, SequenceColumns, split_sizes,
+                             time_window_vocab)
+from tulink.model import (COSINE_EPS, ModelInputs, ModelParams, build_model_inputs,
+                          encode_graphs, encode_locations)
 from tulink.tensor import Tensor, _record, _result
 from tulink.train import ADAM_EPS, BETA1, BETA2
 
@@ -476,7 +477,8 @@ def save_sequences_oracle(sequences, path):
 
 def load_sequences_oracle(path):
     """sequences.jsonl read with one json.loads per line and per-record checks;
-    it does not look for a (user, interval) listed twice."""
+    it does not look at the order of the records, nor for a (user, interval)
+    listed twice."""
     out = []
     with reading(path, "preprocess"), Path(path).open("r", encoding="utf-8") as fh:
         for line in fh:
@@ -491,8 +493,109 @@ def load_sequences_oracle(path):
                 for i in ids:
                     if type(i) is not int:
                         raise ValueError(f"{field} id {i!r} is not an integer")
+                    if not -2**63 <= i < 2**63:
+                        raise ValueError(f"{field} id {i!r} is outside the int64 range")
+            for v in t:
+                if type(v) is not float:
+                    raise ValueError(f"t {v!r} is not a float")
+            if type(d["user"]) is not str:
+                raise ValueError(f"user {d['user']!r} is not a str")
+            if type(d["interval"]) is not int:
+                raise ValueError(f"interval {d['interval']!r} is not an integer")
+            if not -2**63 <= d["interval"] < 2**63:
+                raise ValueError(f"interval {d['interval']!r} is outside the int64 range")
             out.append(GridSequence(d["user"], d["interval"], t, grid, state, window))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sequence stages one GridSequence record at a time
+# ---------------------------------------------------------------------------
+
+def columns_from_records(records):
+    """SequenceColumns holding GridSequence records in their given order."""
+    roster = sorted({s.user_id for s in records})
+    code = {u: k for k, u in enumerate(roster)}
+    lengths = [len(s.t) for s in records]
+
+    def flat(field, dtype):
+        return np.array([v for s in records for v in getattr(s, field)], dtype=dtype)
+
+    return SequenceColumns(
+        roster, np.array([code[s.user_id] for s in records], dtype=np.int64),
+        np.array([s.interval_index for s in records], dtype=np.int64),
+        np.cumsum([0, *lengths], dtype=np.int64)[:-1], flat("t", np.float64),
+        flat("grid", np.int64), flat("state", np.int64), flat("window", np.int64))
+
+
+def chronological_split_oracle(sequences):
+    """Per-user 60/20/20 split of records in any order: regrouped per user in
+    a dict and sorted by interval."""
+    per_user = {}
+    for s in sequences:
+        per_user.setdefault(s.user_id, []).append(s)
+    split = DatasetSplit()
+    for user in sorted(per_user):
+        items = sorted(per_user[user], key=lambda s: s.interval_index)
+        n_train, n_val, _ = (int(n) for n in split_sizes(len(items)))
+        ids = [s.traj_id for s in items]
+        split.train.extend(ids[:n_train])
+        split.validation.extend(ids[n_train : n_train + n_val])
+        split.test.extend(ids[n_train + n_val :])
+    return split
+
+
+def build_local_graph_oracle(sequences, n_grids):
+    """Local adjacency from a list of (trajectory, grid, next grid) steps."""
+    steps = [(i, a, b) for i, seq in enumerate(sequences)
+             for a, b in zip(seq.grid, seq.grid[1:]) if a != b]
+    t, a, b = np.array(steps, dtype=np.int64).reshape(-1, 3).T
+    _, lo, hi = np.unique([t, np.minimum(a, b), np.maximum(a, b)], axis=1)
+    upper = sp.coo_matrix((np.ones(len(lo), dtype=np.int64), (lo, hi)), shape=(n_grids, n_grids))
+    adj = (upper + upper.T).tocsr()
+    adj.sort_indices()
+    return adj
+
+
+def build_grid_incidence_oracle(sequences, n_grids):
+    """Incidence from a list of (trajectory, grid) visits."""
+    visits = [(i, g) for i, seq in enumerate(sequences) for g in seq.grid]
+    rows, cols = np.array(visits, dtype=np.int64).reshape(-1, 2).T
+    inc = sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                        shape=(len(sequences), n_grids))
+    inc.data[:] = 1
+    inc.sort_indices()
+    return inc
+
+
+def model_inputs_oracle(sequences, local_graph, global_graph):
+    """Labels and padded id matrices of records filled one row at a time,
+    and the rest of ModelInputs from the records' grids."""
+    user_index = {u: k for k, u in enumerate(global_graph.user_ids)}
+    lengths = np.asarray([len(s) for s in sequences], dtype=np.int64)
+
+    def padded(field):
+        out = np.zeros((len(sequences), lengths.max()), dtype=np.int64)
+        for row, s in zip(out, sequences):
+            row[: len(s)] = getattr(s, field)
+        return out
+
+    grid_rows = np.unique(np.concatenate([s.grid for s in sequences]).astype(np.int64))
+    return ModelInputs(
+        m_local=symmetric_normalize(local_graph.adjacency)[grid_rows][:, grid_rows],
+        m_global=symmetric_normalize(global_graph.adjacency),
+        x_global=global_graph.features.astype(np.float64).tocsr()[:, grid_rows],
+        traj_ids=[s.traj_id for s in sequences],
+        grid_idx=np.searchsorted(grid_rows, padded("grid")),
+        state_idx=padded("state"),
+        time_idx=padded("window"),
+        lengths=lengths,
+        labels=np.asarray([user_index[s.user_id] for s in sequences], dtype=np.int64),
+        user_ids=list(global_graph.user_ids),
+        n_grids=local_graph.n_grids,
+        grid_rows=grid_rows,
+        max_seq_len=int(lengths.max()),
+    )
 
 
 # ---------------------------------------------------------------------------

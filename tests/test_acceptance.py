@@ -30,7 +30,7 @@ from tulink.train import evaluate_on_split, train
 
 from conftest import inputs_from_sequences, make_sequence, small_config, toy_nine_sequences
 import oracles
-from oracles import confusion_matrix_oracle, simplex_projection_oracle
+from oracles import columns_from_records, confusion_matrix_oracle, simplex_projection_oracle
 
 
 def report(criterion, detail):
@@ -327,7 +327,7 @@ class TestCriterion3GraphOracles:
                      for i, g in enumerate(grid_lists)]
         ids = [s.traj_id for s in sequences]
 
-        incidence = build_grid_incidence(sequences, n_grids)
+        incidence = build_grid_incidence(columns_from_records(sequences), n_grids)
         labels = {ids[i]: sequences[i].user_id for i in range(0, n_traj, 2)}
         global_g = build_global_graph(incidence, ids, labels)
         block = global_g.adjacency.toarray()[:n_traj, :n_traj]
@@ -337,7 +337,7 @@ class TestCriterion3GraphOracles:
                 expected = 0 if i == j else len(grid_sets[i] & grid_sets[j])
                 assert block[i, j] == expected
 
-        local = build_local_graph(sequences, n_grids)
+        local = build_local_graph(columns_from_records(sequences), n_grids)
         brute = np.zeros((n_grids, n_grids), dtype=np.int64)
         for grids in grid_lists:
             pairs = {(min(a, b), max(a, b))

@@ -1,17 +1,24 @@
-"""The traced benchmark's targets exist in the package.
+"""The benchmark's uses of the package still work.
 
 perfbench/spans.py wraps functions of tulink by name; a renamed or deleted
-one makes ``Tracer.install`` fail. This test loads that file as it is and
-installs and removes the tracer, so such a rename fails here first.
+one makes ``Tracer.install`` fail. perfbench/harness.py reads the artifacts
+of a traced run back through the package. These tests load both files as
+they are, so such a change fails here first.
 """
 
 import sys
 import types
 from pathlib import Path
 
-import tulink.cli  # noqa: F401  (imports every module the tracer wraps)
+import numpy as np
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import tulink.cli  # noqa: F401  (imports every module the tracer wraps)
+from tulink import mobility as mob
+from tulink import synth
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+HARNESS = PERFBENCH / "harness.py"
 
 
 def load_spans():
@@ -20,6 +27,44 @@ def load_spans():
     module.__file__ = str(SPANS)
     exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
     return module
+
+
+def load_harness():
+    """harness.py as a module, read from its source. Its plain imports of
+    clock and spans find perfbench/ on sys.path during this call only, and
+    write no bytecode there; its dataclasses need it in sys.modules while
+    they are made."""
+    module = types.ModuleType("perfbench_harness")
+    module.__file__ = str(HARNESS)
+    loaded = set(sys.modules)
+    sys.modules[module.__name__] = module
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode, writes_bytecode = True, sys.dont_write_bytecode
+    try:
+        exec(compile(HARNESS.read_text(), str(HARNESS), "exec"), module.__dict__)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = writes_bytecode
+        for name in {module.__name__, "clock", "spans"} - loaded:
+            sys.modules.pop(name, None)
+    return module
+
+
+def test_harness_reads_back_the_visited_grids(tmp_path):
+    """per_layer iterates load_sequences' result for the share of visited
+    cells; it must count the distinct grids of the columns."""
+    harness = load_harness()
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    data.write_text(synth.disjoint_regions(n_users=4, subtrajs_per_user=8, seed=3))
+    for stage in ("preprocess", "build-graphs"):
+        assert tulink.cli.main([stage, "--dataset", str(data), "--output", str(out)]) == 0
+    metrics = harness.per_layer(
+        {}, {"tape_ops": 0, "sparsemax_nonzero": 0, "sparsemax_outputs": 0},
+        {"epochs": 1, "out": out})
+    grids = np.unique(mob.load_sequences(out / "sequences.jsonl").grid)
+    n_grids = mob.load_grid_map(out / "grid_map.json").n_grids
+    assert 0 < len(grids) < n_grids
+    assert metrics["mobility.grids_visited_ratio"] == (len(grids) / n_grids, "ratio")
 
 
 def test_every_target_is_wrapped_and_restored():

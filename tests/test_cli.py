@@ -596,6 +596,41 @@ class TestArtifactErrors:
         assert "sequences.jsonl" in err and "'preprocess'" in err
         assert f"'{first['user']}:{first['interval']}'" in err
 
+    @pytest.mark.parametrize("stage", ["build-graphs", "evaluate"])
+    def test_swapped_records_in_sequences(self, workspace, trained, tmp_path, capsys, stage):
+        def swap_first_two(out):
+            path = out / "sequences.jsonl"
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join([lines[1], lines[0], *lines[2:]]))
+        err = self._run(workspace, trained, tmp_path, capsys, stage, swap_first_two)
+        first, second = (json.loads(line) for line in
+                         (trained / "sequences.jsonl").read_text().splitlines()[:2])
+        assert "sequences.jsonl" in err and "'preprocess'" in err
+        assert (f"trajectory '{first['user']}:{first['interval']}' is not after "
+                f"'{second['user']}:{second['interval']}'") in err
+
+    @pytest.mark.parametrize("text, shown", [
+        ('"7"', "'7'"), ("null", "None"), ("1e400", "inf"), ("2.0", "2.0"), ("true", "True"),
+        ("9223372036854775808", "9223372036854775808")])
+    @pytest.mark.parametrize("stage", ["build-graphs", "evaluate"])
+    def test_interval_not_an_int64(self, workspace, trained, tmp_path, capsys, stage, text,
+                                   shown):
+        """The last record's interval, renamed in splits.json too, so that
+        only the interval's type or range is wrong."""
+        def edit(out):
+            path = out / "sequences.jsonl"
+            lines = path.read_text().splitlines(keepends=True)
+            record = json.loads(lines[-1])
+            lines[-1] = lines[-1].replace(f'"interval": {record["interval"]}',
+                                          f'"interval": {text}')
+            path.write_text("".join(lines))
+            old, new = (f"{record['user']}:{i}" for i in (record["interval"], json.loads(text)))
+            splits = out / "splits.json"
+            splits.write_text(splits.read_text().replace(json.dumps(old), json.dumps(new)))
+        err = self._run(workspace, trained, tmp_path, capsys, stage, edit)
+        assert "sequences.jsonl" in err and "'preprocess'" in err
+        assert f"interval {shown} is" in err
+
     @pytest.mark.parametrize("stage, change", [
         ("build-graphs", lambda r: r.update(grid=5)),
         ("train", lambda r: r["state"].pop()),

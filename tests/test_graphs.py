@@ -24,7 +24,7 @@ from tulink.graphs import (
 )
 
 from conftest import make_sequence
-from oracles import global_graph_oracle, write_coo_oracle
+from oracles import columns_from_records, global_graph_oracle, write_coo_oracle
 
 
 def seq(user, interval, grids):
@@ -47,8 +47,8 @@ def local_oracle(grid_lists, n_grids):
 
 class TestLocalGraph:
     def test_hand_case(self):
-        g = build_local_graph(
-            [seq("a", 0, [1, 2, 3]), seq("b", 0, [1, 2])], n_grids=5
+        g = build_local_graph(columns_from_records(
+            [seq("a", 0, [1, 2, 3]), seq("b", 0, [1, 2])]), n_grids=5
         )
         dense = g.adjacency.toarray()
         assert dense[1, 2] == 2 and dense[2, 1] == 2
@@ -56,13 +56,13 @@ class TestLocalGraph:
         assert dense[1, 3] == 0
 
     def test_consecutive_repeats_make_no_self_edge(self):
-        g = build_local_graph([seq("a", 0, [1, 1, 2])], n_grids=3)
+        g = build_local_graph(columns_from_records([seq("a", 0, [1, 1, 2])]), n_grids=3)
         dense = g.adjacency.toarray()
         assert dense[1, 1] == 0
         assert dense[1, 2] == 1
 
     def test_single_point_trajectory_is_edgeless(self):
-        g = build_local_graph([seq("a", 0, [2])], n_grids=3)
+        g = build_local_graph(columns_from_records([seq("a", 0, [2])]), n_grids=3)
         assert g.adjacency.nnz == 0
 
     def test_matches_brute_force_on_random_inputs(self):
@@ -73,13 +73,13 @@ class TestLocalGraph:
             for _ in range(60)
         ]
         sequences = [seq(f"u{i}", 0, g) for i, g in enumerate(grid_lists)]
-        g = build_local_graph(sequences, n_grids)
+        g = build_local_graph(columns_from_records(sequences), n_grids)
         np.testing.assert_array_equal(
             g.adjacency.toarray(), local_oracle(grid_lists, n_grids)
         )
 
     def test_symmetric_zero_diagonal(self):
-        g = build_local_graph([seq("a", 0, [0, 1, 2, 0])], n_grids=4)
+        g = build_local_graph(columns_from_records([seq("a", 0, [0, 1, 2, 0])]), n_grids=4)
         dense = g.adjacency.toarray()
         np.testing.assert_array_equal(dense, dense.T)
         assert np.all(np.diag(dense) == 0)
@@ -87,12 +87,12 @@ class TestLocalGraph:
 
 class TestIncidence:
     def test_rows_are_visited_sets(self):
-        inc = build_grid_incidence([seq("a", 0, [1, 2, 1])], n_grids=4)
+        inc = build_grid_incidence(columns_from_records([seq("a", 0, [1, 2, 1])]), n_grids=4)
         np.testing.assert_array_equal(inc.toarray(), [[0, 1, 1, 0]])
 
     def test_every_row_nonempty(self):
-        inc = build_grid_incidence(
-            [seq("a", 0, [3]), seq("b", 0, [0, 0])], n_grids=4
+        inc = build_grid_incidence(columns_from_records(
+            [seq("a", 0, [3]), seq("b", 0, [0, 0])]), n_grids=4
         )
         assert np.all(inc.toarray().sum(axis=1) >= 1)
 
@@ -102,7 +102,7 @@ class TestIncidence:
             rng.integers(0, 20, size=rng.integers(1, 10)).tolist() for _ in range(40)
         ]
         sequences = [seq(f"u{i}", 0, g) for i, g in enumerate(grid_lists)]
-        inc = build_grid_incidence(sequences, 20)
+        inc = build_grid_incidence(columns_from_records(sequences), 20)
         dense = inc.toarray()
         sums = dense.sum(axis=1)
         for i, grids in enumerate(grid_lists):
@@ -115,7 +115,7 @@ class TestGlobalGraph:
     def _graph(self, grid_lists, labels, n_grids=10):
         sequences = [seq(f"t{i}", 0, g) for i, g in enumerate(grid_lists)]
         ids = [s.traj_id for s in sequences]
-        inc = build_grid_incidence(sequences, n_grids)
+        inc = build_grid_incidence(columns_from_records(sequences), n_grids)
         return build_global_graph(inc, ids, {ids[i]: u for i, u in labels.items()}), ids
 
     def test_hand_case_with_unit_max_weight(self):
@@ -142,7 +142,7 @@ class TestGlobalGraph:
 
     def test_unknown_trajectory_label_rejected(self):
         sequences = [seq("t0", 0, [0, 1])]
-        inc = build_grid_incidence(sequences, 4)
+        inc = build_grid_incidence(columns_from_records(sequences), 4)
         with pytest.raises(DataError, match="unknown trajectory"):
             build_global_graph(inc, ["t0:0"], {"ghost:0": "ua"})
 
@@ -156,7 +156,7 @@ class TestGlobalGraph:
         ]
         sequences = [seq(f"t{i}", 0, sorted(s)) for i, s in enumerate(grid_sets)]
         ids = [s.traj_id for s in sequences]
-        inc = build_grid_incidence(sequences, n_grids)
+        inc = build_grid_incidence(columns_from_records(sequences), n_grids)
         g = build_global_graph(inc, ids, {ids[0]: "ua"})
         block = g.adjacency.toarray()[:200, :200]
         for i in range(200):
@@ -206,12 +206,14 @@ class TestGlobalGraphOracle:
             self._check(sp.csr_matrix(dense.astype(np.int64)), labels)
 
     def test_no_training_labels(self):
-        inc = build_grid_incidence([seq("a", 0, [0, 1]), seq("b", 0, [1, 2])], 4)
+        inc = build_grid_incidence(
+            columns_from_records([seq("a", 0, [0, 1]), seq("b", 0, [1, 2])]), 4)
         g = self._check(inc, {})
         assert g.user_ids == [] and g.features.shape == (2, 4)
 
     def test_disjoint_trajectories_link_users_at_weight_one(self):
-        inc = build_grid_incidence([seq(f"t{i}", 0, [2 * i, 2 * i + 1]) for i in range(4)], 8)
+        inc = build_grid_incidence(
+            columns_from_records([seq(f"t{i}", 0, [2 * i, 2 * i + 1]) for i in range(4)]), 8)
         g = self._check(inc, {0: "ua", 1: "ub", 3: "ua"})
         assert g.max_weight == 1 and g.n_edges == 3
 
@@ -273,7 +275,7 @@ class TestSerialization:
         sequences = [
             seq(f"u{i}", 0, rng.integers(0, 12, size=6).tolist()) for i in range(8)
         ]
-        return build_local_graph(sequences, 12)
+        return build_local_graph(columns_from_records(sequences), 12)
 
     def _global(self):
         rng = np.random.default_rng(4)
@@ -282,7 +284,7 @@ class TestSerialization:
             for i in range(9)
         ]
         ids = [s.traj_id for s in sequences]
-        inc = build_grid_incidence(sequences, 12)
+        inc = build_grid_incidence(columns_from_records(sequences), 12)
         labels = {ids[i]: sequences[i].user_id for i in range(6)}
         return build_global_graph(inc, ids, labels)
 

@@ -1,15 +1,18 @@
 """Preprocessing: gridding, interval splits, motion/time codes, data splits."""
 
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tulink.errors import ConfigError, DataError
+from tulink.graphs import build_global_graph, build_grid_incidence, build_local_graph
 from tulink.mobility import (
     GridSequence,
     METERS_PER_DEGREE,
@@ -31,9 +34,11 @@ from tulink.mobility import (
     split_sizes,
     time_windows,
 )
+from tulink.model import build_model_inputs
 
 import oracles
-from oracles import load_sequences_oracle, map_point_to_grid, save_sequences_oracle
+from oracles import (columns_from_records, load_sequences_oracle, map_point_to_grid,
+                     save_sequences_oracle)
 
 
 def point_at_meters(x_m, y_m, t=0.0):
@@ -257,21 +262,22 @@ class TestIntervalSplit:
     def test_six_hour_buckets(self):
         times, coords = self._hours([0, 3, 7])
         subs = sequences_at(times, 21_600.0, coords=coords)
-        assert [len(s) for s in subs] == [2, 1]
-        assert [s.interval_index for s in subs] == [0, 1]
+        assert subs.lengths.tolist() == [2, 1]
+        assert subs.interval.tolist() == [0, 1]
 
     def test_single_interval_is_identity(self):
         times, coords = self._hours([1, 2, 3])
         subs = sequences_at(times, 86_400.0, coords=coords)
         assert len(subs) == 1
-        assert subs[0].t == times
+        assert subs.t.tolist() == times
 
     def test_preserves_points_and_order(self):
         rng = np.random.default_rng(3)
         times, coords = self._hours(np.sort(rng.uniform(0, 50, size=40)).tolist())
         subs = sequences_at(times, 7_200.0, coords=coords)
-        rebuilt = [t for s in subs for t in s.t]
-        assert rebuilt == times
+        assert subs.t.tolist() == times
+        first = np.diff(np.floor(np.array(times) / 7_200.0), prepend=-1) != 0
+        assert subs.start.tolist() == np.flatnonzero(first).tolist()
 
     def test_user_change_starts_a_sequence(self):
         subs = sequences_at([0.0, 10.0, 20.0], 21_600.0, users=["a", "a", "b"])
@@ -388,7 +394,7 @@ class TestChronologicalSplit:
         assert split_sizes(5) == (3, 1, 1)
 
     def test_single_item_goes_to_train_only(self):
-        split = chronological_split(self._subs("a", 1))
+        split = chronological_split(columns_from_records(self._subs("a", 1)))
         assert split.train == ["a:0"]
         assert split.validation == [] and split.test == []
 
@@ -408,7 +414,7 @@ class TestChronologicalSplit:
         subs = []
         for u in range(4):
             subs.extend(self._subs(f"user{u}", int(rng.integers(1, 15))))
-        split = chronological_split(subs)
+        split = chronological_split(columns_from_records(subs))
         all_ids = {s.traj_id for s in subs}
         parts = [set(split.train), set(split.validation), set(split.test)]
         assert parts[0] | parts[1] | parts[2] == all_ids
@@ -492,14 +498,14 @@ class TestArtifactRoundTrips:
         gm = square_box_map(200.0, 40.0)
         points = columns([i * 600.0 for i in range(6)], [(10 * i, 5 * i) for i in range(6)])
         seqs = build_grid_sequences(points, gm, 1800.0, 7200.0)
-        assert [len(s) for s in seqs] == [3, 3]
+        assert seqs.lengths.tolist() == [3, 3]
         save_sequences(seqs, tmp_path / "s.jsonl")
-        assert load_sequences(tmp_path / "s.jsonl") == seqs
+        assert list(load_sequences(tmp_path / "s.jsonl")) == list(seqs)
 
     def test_split(self, tmp_path):
-        split = chronological_split(
+        split = chronological_split(columns_from_records(
             [GridSequence("u", j, [float(j)], [0], [0], [0]) for j in range(7)]
-        )
+        ))
         save_split(split, tmp_path / "split.json")
         assert load_split(tmp_path / "split.json") == split
 
@@ -557,7 +563,21 @@ class TestColumnsMatchPointObjects:
     @example(text="u\x00,1,0,0\nu,2,0,0", cell=40.0, tau=3600.0, window=7200.0)
     @example(text="a,0,0.0,0.0078125\na,1,0.0,0.0\na,5e-324,0.0,0.0", cell=40.0,
              tau=21_600.0, window=7200.0)  # a speed past the float range
+    @example(text="a,0,0,0\na,7200,0.001,0\nb,100,0,0.001\nb,9000,0,0", cell=40.0,
+             tau=3600.0, window=7200.0)  # single-point sequences
+    @example(text="u,0,0,0\nu,60,0.0001,0\nu,120,0.0002,0.0001\nu,4000,0,0\nu,9000,0,0",
+             cell=40.0, tau=3600.0, window=7200.0)  # one user
+    @example(text="a,4611686018427387904,0,0\na,4611686018427388928,0.0001,0\n"
+                  "b,-4611686018427387904,0,0.0001", cell=40.0, tau=1.0,
+             window=7200.0)  # interval ids near 2**62
+    @example(text="a,0,0,0\na,1,0.01,0.01", cell=5e-7, tau=3600.0,
+             window=7200.0)  # grid ids near 2**62
+    @example(text='q"\\,0,0,0\nu\x00,5,0,0.001\n"",7,0.001,0\nu,9,0,0', cell=40.0,
+             tau=3600.0, window=7200.0)  # users with quotes and NULs
     def test_same_records_as_the_point_objects(self, text, cell, tau, window, tmp_path_factory):
+        """Preprocess through the columns and through the point objects, then
+        every later sequence step through the columns and through the
+        records."""
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_text(text, encoding="utf-8")
         try:
@@ -573,15 +593,53 @@ class TestColumnsMatchPointObjects:
         assert got_report == report and points.roster == roster
         got_gm = build_grid_map(points.lon, points.lat, cell)
         assert repr(got_gm) == repr(gm)  # signed zeros included
-        got = build_grid_sequences(points, got_gm, tau, window)
+        sequences = build_grid_sequences(points, got_gm, tau, window)
+        got = list(sequences)
         assert len(got) == len(expected)
         for g, e, sub in zip(got, expected, subs):
             # numpy's hypot and arctan2 may differ from math's in the last
             # bit, which can flip a state only at a threshold.
             flips = [i for i, (a, b) in enumerate(zip(g.state, e.state)) if a != b]
             assert all(oracles.motion_margin(sub, i) < 1e-12 for i in flips), flips
-            g.state = e.state
+            e.state = g.state
         assert repr(got) == repr(expected)
+        self._later_steps_match(sequences, expected, gm.n_grids, tmp_path_factory.mktemp("seq"))
+
+    @staticmethod
+    def _later_steps_match(sequences, records, n_grids, tmp):
+        save_sequences(sequences, tmp / "fast.jsonl")
+        save_sequences_oracle(records, tmp / "slow.jsonl")
+        assert (tmp / "fast.jsonl").read_bytes() == (tmp / "slow.jsonl").read_bytes()
+        sequences = load_sequences(tmp / "fast.jsonl")
+        records = load_sequences_oracle(tmp / "slow.jsonl")
+        assert list(sequences) == records
+        split = chronological_split(sequences)
+        assert split == oracles.chronological_split_oracle(records)
+        if n_grids > 10_000:  # the graphs hold arrays of n_grids entries
+            return
+        local = build_local_graph(sequences, n_grids)
+        incidence = build_grid_incidence(sequences, n_grids)
+        assert_same(local.adjacency, oracles.build_local_graph_oracle(records, n_grids))
+        assert_same(incidence, oracles.build_grid_incidence_oracle(records, n_grids))
+        user_of = {s.traj_id: s.user_id for s in records}
+        global_g = build_global_graph(incidence, sequences.traj_ids,
+                                      {tid: user_of[tid] for tid in split.train})
+        got = build_model_inputs(sequences, local, global_g)
+        expected = oracles.model_inputs_oracle(records, local, global_g)
+        for f in dataclasses.fields(got):
+            assert_same(getattr(got, f.name), getattr(expected, f.name))
+
+
+def assert_same(a, b):
+    """Equal values of the same type: sparse matrices entry for entry, arrays
+    with their dtype."""
+    assert type(a) is type(b)
+    if sp.issparse(a):
+        assert a.shape == b.shape and a.dtype == b.dtype and (a != b).nnz == 0
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        assert a == b
 
 
 USERS = st.one_of(st.text(max_size=5), st.sampled_from(
@@ -601,8 +659,8 @@ def grid_sequences(draw, min_points=1):
     return GridSequence(draw(USERS), draw(st.integers(-2**40, 2**40)), *lists)
 
 
-def unique_ids(sequences):
-    return len({s.traj_id for s in sequences}) == len(sequences)
+def record_key(s):
+    return s.user_id, s.interval_index
 
 
 class TestSequencesFormat:
@@ -615,24 +673,25 @@ class TestSequencesFormat:
     @example(seqs=[GridSequence('q"\\ü', 0, [], [], [], [])])
     def test_writer_matches_per_record_dumps(self, seqs, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("seq")
-        save_sequences(seqs, tmp / "fast.jsonl")
+        save_sequences(columns_from_records(seqs), tmp / "fast.jsonl")
         save_sequences_oracle(seqs, tmp / "slow.jsonl")
         assert (tmp / "fast.jsonl").read_bytes() == (tmp / "slow.jsonl").read_bytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(seqs=st.lists(grid_sequences(), max_size=5).filter(unique_ids))
+    @given(seqs=st.lists(grid_sequences(), max_size=5, unique_by=record_key).map(
+        lambda seqs: sorted(seqs, key=record_key)))
     def test_reader_matches_per_line_reader(self, seqs, tmp_path_factory):
         path = tmp_path_factory.mktemp("seq") / "s.jsonl"
-        save_sequences(seqs, path)
-        assert load_sequences(path) == load_sequences_oracle(path) == seqs
+        save_sequences(columns_from_records(seqs), path)
+        assert list(load_sequences(path)) == load_sequences_oracle(path) == seqs
         path.write_text(path.read_text().rstrip("\n"))  # no final newline
-        assert load_sequences(path) == load_sequences_oracle(path) == seqs
+        assert list(load_sequences(path)) == load_sequences_oracle(path) == seqs
 
     def _file(self, tmp_path):
         seqs = [GridSequence(u, i, [1.5 * i, 2.0], [i, 3], [0, 8], [1, 2])
                 for u in ("a", "b") for i in range(3)]
         path = tmp_path / "s.jsonl"
-        save_sequences(seqs, path)
+        save_sequences(columns_from_records(seqs), path)
         return path, path.read_text().splitlines(keepends=True)
 
     @pytest.mark.parametrize("change", [
@@ -642,6 +701,12 @@ class TestSequencesFormat:
         lambda r: r.update(window="ab"),
         lambda r: r["grid"].__setitem__(0, 3.5), lambda r: r["state"].__setitem__(1, None),
         lambda r: r["window"].__setitem__(0, True), lambda r: r["grid"].__setitem__(1, "1"),
+        lambda r: r["grid"].__setitem__(0, 2**63), lambda r: r["state"].__setitem__(1, -2**63 - 1),
+        lambda r: r["t"].__setitem__(0, 1), lambda r: r["t"].__setitem__(1, "2.0"),
+        lambda r: r.update(user=5), lambda r: r.update(user=None),
+        lambda r: r.update(interval="7"), lambda r: r.update(interval=None),
+        lambda r: r.update(interval=float("inf")), lambda r: r.update(interval=1.0),
+        lambda r: r.update(interval=True), lambda r: r.update(interval=2**63),
     ])
     @pytest.mark.parametrize("line", [0, 4])
     def test_misshapen_record_gives_the_per_line_message(self, tmp_path, change, line):
@@ -686,7 +751,7 @@ class TestSequencesFormat:
             path.write_bytes("".join(lines).replace("\n", text).encode())
         else:
             path.write_text("")
-        assert load_sequences(path) == load_sequences_oracle(path)
+        assert list(load_sequences(path)) == load_sequences_oracle(path)
 
     @pytest.mark.parametrize("where", [1, 6])
     def test_repeated_trajectory_is_rejected(self, tmp_path, where):
@@ -697,3 +762,15 @@ class TestSequencesFormat:
             load_sequences(path)
         message = str(raised.value)
         assert str(path) in message and "'a:0'" in message and "'preprocess'" in message
+
+    def test_swapped_lines_are_rejected(self, tmp_path):
+        """The per-line reader takes records in any order; the file lists them
+        in (user, interval) order, and the first record out of it is named."""
+        path, lines = self._file(tmp_path)
+        path.write_text("".join([lines[0], lines[2], lines[1], *lines[3:]]))
+        assert len(load_sequences_oracle(path)) == 6
+        with pytest.raises(DataError) as raised:
+            load_sequences(path)
+        message = str(raised.value)
+        assert str(path) in message and "'preprocess'" in message
+        assert "trajectory 'a:1' is not after 'a:2'" in message
