@@ -146,6 +146,9 @@ def _load_model_inputs(cfg: RunConfig, paths: StagePaths):
     if global_g.traj_ids != sequences.traj_ids:
         raise DataError(f"{paths.global_graph.name} and {paths.sequences.name} list different "
                         "trajectories; rerun the 'build-graphs' stage")
+    if global_g.user_ids != sequences.roster:  # every user has a training trajectory
+        raise DataError(f"{paths.global_graph.name} and {paths.sequences.name} list different "
+                        "users; rerun the 'build-graphs' stage")
     _check_ids(paths, sequences, "state", mob.MOTION_STATES)
     _check_ids(paths, sequences, "window", mob.time_window_vocab(cfg.time_window))
     inputs = build_model_inputs(sequences, local, global_g)
@@ -251,8 +254,26 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
 
 
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread. How a product is split
+    over threads changes its sums in the last bits, so without the pin the
+    outputs would follow the host's CPU count (see README). Where numpy
+    bundles no such library this does nothing."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            set_threads = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (AttributeError, OSError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+        return
+
+
 def main(argv=None) -> int:
     _keep_freed_memory()
+    _pin_blas_threads()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -402,7 +402,7 @@ def cosine_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float,
     dots = rows @ np.swapaxes(h, -1, -2)
     denom = nr[:, None] * nh
     denom += eps
-    scores = Tensor(dots / denom)
+    scores = Tensor(np.divide(dots, denom, out=denom))  # into denom, not read again
     p = (softmax(scores, axis=-1) if use_softmax else sparsemax(scores)).values
     out = _result(p @ h, h_traj, traj_norms)
     if out.requires_grad:
@@ -412,7 +412,8 @@ def cosine_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float,
         w = p[r, c] if use_softmax else np.ones(len(r))
         w_sum = np.bincount(r, w, b)  # positive: every row keeps at least one
         weights = p[:, kept]
-        dots_s, denom_s = dots[r, c], denom[r, c]
+        # denom's own two float operations at the kept pairs, so the same bits.
+        dots_s, denom_s = dots[r, c], nr[r] * nh[c] + eps
 
         def backward():
             g = out.grad

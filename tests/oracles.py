@@ -353,6 +353,18 @@ def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
     return T.add_bias(T.matmul(stacked, T.transpose(params["link_w"])), params["link_b"])
 
 
+def evaluate_rows_oracle(params, config, inputs, indices, forward, chunk=16):
+    """Evaluation-mode ``forward`` rows in request order, one pass per
+    ``chunk`` consecutive requested indices: the training batch's shape,
+    with no reordering and no scatter."""
+    rng = np.random.default_rng(0)
+    graphs = encode_graphs(params, config, inputs)
+    return np.concatenate([
+        forward(params, config, inputs, indices[lo : lo + chunk], rng, False, graphs).values
+        for lo in range(0, len(indices), chunk)
+    ], axis=0)
+
+
 # ---------------------------------------------------------------------------
 # The linking model with a first-layer GCN row for every bounding-box cell
 # ---------------------------------------------------------------------------

@@ -8,11 +8,16 @@ and tolerances are asserted inside the tests themselves.
 import hashlib
 import inspect
 import itertools
+import os
+import subprocess
+import sys
 import time
 import typing
+from pathlib import Path
 
 import numpy as np
 
+import tulink
 from tulink import synth
 from tulink import tensor as T
 from tulink.cli import StagePaths, _load_model_inputs, main, run_build_graphs, run_preprocess
@@ -509,6 +514,32 @@ class TestCriterion8Determinism:
             strip_wall_clock((out_b / "history.tsv").read_text())
         report(8, f"{len(identical)} artifacts byte-identical; history identical "
                   f"up to wall-clock")
+
+    def test_outputs_do_not_follow_the_blas_thread_count(self, tmp_path):
+        """The same seed gives the same bytes with one or two OpenBLAS threads,
+        because the CLI pins numpy's OpenBLAS to one thread. Without the pin
+        this instance's checkpoint differs after one epoch on a two-CPU host;
+        on a one-CPU host the two runs agree either way, so the test passes
+        trivially there."""
+        data = tmp_path / "data.csv"
+        data.write_text(synth.checkin_style(n_users=80, seed=1))
+        env = dict(os.environ)
+        src = str(Path(tulink.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads{threads}"
+            args = ["--dataset", str(data), "--output", str(out), "--embed-dim", "32",
+                    "--heads", "2", "--attn-layers", "1", "--epochs", "1"]
+            for cmd in ("preprocess", "build-graphs", "train", "embed"):
+                proc = subprocess.run([sys.executable, "-m", "tulink.cli", cmd, *args],
+                                      env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, (threads, cmd, proc.stderr)
+            outputs.append(out)
+        for name in ("checkpoint.bin", "embeddings.tsv"):
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+        report(8, "checkpoint and embeddings byte-identical at 1 and 2 BLAS threads")
 
 
 # sha256 of the setup artifacts under the default configuration, as every

@@ -568,6 +568,17 @@ class TestArtifactErrors:
         assert "local_graph.txt" in err and "grid_map.json" in err
         assert "'build-graphs'" in err
 
+    @pytest.mark.parametrize("stage", ["train", "evaluate", "embed"])
+    def test_graph_user_roster_differs(self, workspace, trained, tmp_path, capsys, stage):
+        def rename_a_user(out):
+            path = out / "global_graph.txt"
+            lines = path.read_text().splitlines(keepends=True)
+            lines[lines.index("user03\n")] = "userXX\n"
+            path.write_text("".join(lines))
+        err = self._run(workspace, trained, tmp_path, capsys, stage, rename_a_user)
+        assert "global_graph.txt" in err and "different users" in err
+        assert "'build-graphs'" in err
+
     @pytest.mark.parametrize("stage, field, value", [
         ("build-graphs", "grid", 1_000_000), ("build-graphs", "grid", -1),
         ("build-graphs", "grid", 3.5), ("build-graphs", "grid", 2**70), ("train", "state", 99),

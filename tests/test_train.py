@@ -7,12 +7,15 @@ import pytest
 
 from tulink.config import seeded_rng
 from tulink.errors import ConfigError, DataError, TrainingError
-from tulink.model import ModelParams, build_model_inputs
+from tulink.model import (ABLATIONS, ModelParams, build_model_inputs, forward_batch,
+                          fused_representations)
 from tulink.train import (
+    EVAL_CHUNK,
     AdamState,
     TrainConfig,
     adam_step,
     evaluate_on_split,
+    evaluate_rows,
     load_checkpoint,
     predict_logits,
     save_checkpoint,
@@ -20,9 +23,9 @@ from tulink.train import (
     train,
 )
 
-from conftest import (graphs_from_sequences, inputs_from_sequences, on_odd_cells, small_config,
-                      toy_nine_sequences)
-from oracles import bounding_box_inputs_oracle, per_tensor_adam_oracle
+from conftest import (graphs_from_sequences, inputs_from_sequences, make_sequence, on_odd_cells,
+                      small_config, toy_nine_sequences)
+from oracles import bounding_box_inputs_oracle, evaluate_rows_oracle, per_tensor_adam_oracle
 
 
 def tiny_params(seed=0):
@@ -277,6 +280,52 @@ class TestEvaluate:
         report = evaluate_on_split(result.params, config, inputs, split.test,
                                    ks=(1, inputs.n_users))
         assert report.acc_at[inputs.n_users] == 1.0
+
+
+def mixed_length_inputs():
+    """4 users' 80 sequences of 1 to 6 points over 12 grids, in no length
+    order, so that sorting by length moves rows and two blocks run."""
+    rng = np.random.default_rng(0)
+    sequences = []
+    for u in range(4):
+        for j in range(20):
+            m = int(rng.integers(1, 7))
+            grids = [int(g) for g in rng.integers(0, 12, m)]
+            sequences.append(make_sequence(f"u{u}", j, grids,
+                                           [int(x) for x in rng.integers(0, 9, m)],
+                                           [int(x) for x in rng.integers(0, 4, m)]))
+    inputs, _ = inputs_from_sequences(sequences, 12)
+    return inputs
+
+
+class TestEvaluateRows:
+    """Length-sorted blocks scattered back to request order agree with the
+    16-row chunks in request order, whatever the request."""
+
+    @pytest.mark.parametrize("forward", [forward_batch, fused_representations],
+                             ids=["logits", "fused"])
+    @pytest.mark.parametrize("ablation", ["", *ABLATIONS], ids=["full", *ABLATIONS])
+    def test_blocks_match_request_order_chunks(self, forward, ablation):
+        inputs = mixed_length_inputs()
+        n = inputs.n_traj
+        assert n > EVAL_CHUNK + 1 and len(set(inputs.lengths.tolist())) > 1
+        config = small_config(ablation=ablation, dropout_rate=0.5)
+        params = ModelParams.for_inputs(config, inputs, seeded_rng(3, "init"))
+        rng = np.random.default_rng(1)
+        shuffled = rng.permutation(n)
+        shuffled[-1] = shuffled[0]
+        requests = {
+            "roster": np.arange(n),
+            "reversed": np.arange(n)[::-1].copy(),
+            "shuffled with a repeat": shuffled,
+            "single": np.array([int(np.argmax(inputs.lengths))]),
+            "crossing a block": rng.permutation(n)[: EVAL_CHUNK + 1],
+        }
+        for name, indices in requests.items():
+            got = evaluate_rows(params, config, inputs, indices, forward)
+            want = evaluate_rows_oracle(params, config, inputs, indices, forward)
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 class TestHistoryFile:
