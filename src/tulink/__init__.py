@@ -31,7 +31,7 @@ from .model import (
     model_loss,
     positional_encoding,
 )
-from .tensor import Tape, Tensor, finite_difference_check, recording
+from .tensor import Tape, Tensor, recording
 from .train import TrainConfig, TrainResult, evaluate_on_split
 
 __version__ = "0.1.0"

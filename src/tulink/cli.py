@@ -74,9 +74,10 @@ def _load_preprocessed(paths: StagePaths):
     _require(paths.splits, "preprocess")
     gm = mob.load_grid_map(paths.grid_map)
     sequences = mob.load_sequences(paths.sequences)
-    split = mob.load_split(paths.splits)
+    saved = mob.load_split(paths.splits)
     _check_ids(paths, sequences, "grid", gm.n_grids)
-    if split != mob.chronological_split(sequences):
+    split = mob.chronological_split(sequences)
+    if saved != split.named(sequences.traj_ids):
         raise DataError(f"{paths.splits.name} is not the chronological split of "
                         f"{paths.sequences.name}; rerun the 'preprocess' stage")
     return gm, sequences, split
@@ -109,7 +110,7 @@ def run_preprocess(cfg: RunConfig) -> dict:
     }
     mob.save_grid_map(gm, paths.grid_map)
     mob.save_sequences(sequences, paths.sequences)
-    mob.save_split(split, paths.splits)
+    mob.save_split(split, sequences.traj_ids, paths.splits)
     paths.manifest.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
@@ -120,9 +121,8 @@ def run_build_graphs(cfg: RunConfig) -> dict:
 
     local = G.build_local_graph(sequences, gm.n_grids)
     incidence = G.build_grid_incidence(sequences, gm.n_grids)
-    user_of = dict(zip(sequences.traj_ids, sequences.users()))
-    labels = dict(zip(split.train, map(user_of.__getitem__, split.train)))
-    global_g = G.build_global_graph(incidence, sequences.traj_ids, labels)
+    global_g = G.build_global_graph(incidence, sequences.traj_ids, sequences.roster,
+                                    split.train, sequences.user[split.train])
 
     G.save_local_graph(local, paths.local_graph)
     G.save_global_graph(global_g, paths.global_graph)
@@ -158,7 +158,7 @@ def _load_model_inputs(cfg: RunConfig, paths: StagePaths):
 def run_train(cfg: RunConfig) -> dict:
     paths = StagePaths(cfg.output_dir or ".")
     inputs, split = _load_model_inputs(cfg, paths)
-    if not split.validation:
+    if not len(split.validation):
         raise DataError(f"{paths.splits.name} has an empty validation split: validation "
                         "needs a user with at least 3 sub-trajectories")
     result = train(inputs, split, cfg.model_config(), cfg.train_config())
@@ -181,10 +181,10 @@ def run_evaluate(cfg: RunConfig, split_name: str = "test") -> M.MetricsReport:
     paths = StagePaths(cfg.output_dir or ".")
     inputs, split = _load_model_inputs(cfg, paths)
     params = _restore_params(cfg, inputs, paths)
-    ids = getattr(split, split_name)
-    if not ids:
+    indices = getattr(split, split_name)
+    if not len(indices):
         raise DataError(f"split {split_name!r} is empty")
-    report = evaluate_on_split(params, cfg.model_config(), inputs, ids)
+    report = evaluate_on_split(params, cfg.model_config(), inputs, indices)
     M.save_report(report, paths.metrics)
     return report
 

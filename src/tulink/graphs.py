@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, reading
+from .errors import reading
 from .mobility import SequenceColumns
 
 FORMAT_VERSION = 1
@@ -89,35 +89,30 @@ def build_grid_incidence(sequences: SequenceColumns, n_grids: int) -> sp.csr_mat
 
 def build_global_graph(
     incidence: sp.csr_matrix,
-    traj_ids: Sequence[str],
-    train_labels: Mapping[str, str],
+    traj_ids: list[str],
+    user_ids: list[str],
+    train: np.ndarray,
+    train_users: np.ndarray,
 ) -> GlobalSpatialGraph:
     """Heterogeneous trajectory + user graph from the visitation incidence C.
 
-    With A the (users x trajectories) training-label matrix and w the largest
-    off-diagonal entry of C C^T (1 when there is none), the adjacency is
-    [[C C^T - diag, w A^T], [w A, 0]]: trajectories weigh their shared grids
-    (a trajectory's own grid count is self-similarity, not an edge), each
-    training trajectory links to its user with weight w, and users get no
-    edges among themselves. User feature rows are (A C) > 0, the union of
-    their training trajectories' visitation rows, stacked under C.
+    Training trajectory ``train[k]`` (a row of C) belongs to user
+    ``user_ids[train_users[k]]``. With A the (users x trajectories)
+    training-label matrix and w the largest off-diagonal entry of C C^T (1
+    when there is none), the adjacency is [[C C^T - diag, w A^T], [w A, 0]]:
+    trajectories weigh their shared grids (a trajectory's own grid count is
+    self-similarity, not an edge), each training trajectory links to its
+    user with weight w, and users get no edges among themselves. User
+    feature rows are (A C) > 0, the union of their training trajectories'
+    visitation rows, stacked under C.
     """
     n_traj = len(traj_ids)
     if incidence.shape[0] != n_traj:
         raise ValueError(
             f"incidence has {incidence.shape[0]} rows for {n_traj} trajectories"
         )
-    index_of = {tid: i for i, tid in enumerate(traj_ids)}
-    for tid in train_labels:
-        if tid not in index_of:
-            raise DataError(f"label references unknown trajectory {tid!r}")
-    user_ids = sorted(set(train_labels.values()))
-    user_index = {u: k for k, u in enumerate(user_ids)}
-    labels = sp.csr_matrix(
-        (np.ones(len(train_labels), dtype=np.int64),
-         ([user_index[u] for u in train_labels.values()], [index_of[t] for t in train_labels])),
-        shape=(len(user_ids), n_traj),
-    )
+    labels = sp.csr_matrix((np.ones(len(train), dtype=np.int64), (train_users, train)),
+                           shape=(len(user_ids), n_traj))
 
     shared = incidence @ incidence.T
     shared = shared - sp.diags(shared.diagonal(), dtype=np.int64)
@@ -126,7 +121,7 @@ def build_global_graph(
     adj.sort_indices()
     features = sp.vstack([incidence, labels @ incidence > 0], format="csr", dtype=np.int64)
     features.sort_indices()
-    return GlobalSpatialGraph(list(traj_ids), user_ids, adj, features)
+    return GlobalSpatialGraph(list(traj_ids), list(user_ids), adj, features)
 
 
 def symmetric_normalize(adjacency: sp.spmatrix) -> sp.csr_matrix:

@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator
@@ -177,13 +177,19 @@ class SequenceColumns:
                    *(self.cut(a.tolist()) for a in (self.t, self.grid, self.state, self.window)))
 
 
-@dataclass
+@dataclass(eq=False)
 class DatasetSplit:
-    """Chronological per-user 60/20/20 partition of sub-trajectory ids."""
+    """Chronological per-user 60/20/20 partition of the sequences, each part
+    an ascending int64 array of sequence indices."""
 
-    train: list[str] = field(default_factory=list)
-    validation: list[str] = field(default_factory=list)
-    test: list[str] = field(default_factory=list)
+    train: np.ndarray
+    validation: np.ndarray
+    test: np.ndarray
+
+    def named(self, traj_ids: list[str]) -> dict[str, list[str]]:
+        """Each part as the list of its trajectory ids, keyed by field name."""
+        ids = np.array(traj_ids, dtype=object)
+        return {f.name: ids[getattr(self, f.name)].tolist() for f in dataclasses.fields(self)}
 
 
 def build_grid_map(lons, lats, cell_size: float) -> GridMap:
@@ -361,8 +367,7 @@ def chronological_split(sequences: SequenceColumns) -> DatasetSplit:
     n_train, n_val, _ = (np.repeat(n, counts) for n in split_sizes(counts))
     rank = np.arange(len(sequences)) - np.repeat(firsts, counts)
     part = (rank >= n_train).astype(np.int64) + (rank >= n_train + n_val)
-    ids = np.array(sequences.traj_ids, dtype=object)
-    return DatasetSplit(*(ids[part == k].tolist() for k in range(3)))
+    return DatasetSplit(*(np.flatnonzero(part == k) for k in range(3)))
 
 
 @dataclass
@@ -508,12 +513,12 @@ def load_sequences(path: str | Path) -> SequenceColumns:
                                np.array(t, dtype=np.float64), grid, state, window)
 
 
-def save_split(split: DatasetSplit, path: str | Path) -> None:
-    payload = {"train": split.train, "validation": split.validation, "test": split.test}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def save_split(split: DatasetSplit, traj_ids: list[str], path: str | Path) -> None:
+    """The parts as lists of trajectory ids, one JSON object keyed by part."""
+    Path(path).write_text(json.dumps(split.named(traj_ids), indent=2, sort_keys=True) + "\n")
 
 
-def load_split(path: str | Path) -> DatasetSplit:
+def load_split(path: str | Path) -> dict:
+    """The JSON object ``save_split`` wrote, for comparing with a split's names."""
     with reading(path, "preprocess"):
-        d = json.loads(Path(path).read_text())
-        return DatasetSplit(train=d["train"], validation=d["validation"], test=d["test"])
+        return json.loads(Path(path).read_text())

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -242,10 +241,6 @@ class ModelInputs:
     grid_rows: np.ndarray  # ascending bounding-box ids of the visited grids
     max_seq_len: int
 
-    @cached_property
-    def traj_index(self) -> dict[str, int]:
-        return {tid: i for i, tid in enumerate(self.traj_ids)}
-
     @property
     def n_traj(self) -> int:
         return len(self.traj_ids)
@@ -254,16 +249,14 @@ class ModelInputs:
     def n_users(self) -> int:
         return len(self.user_ids)
 
-    def indices_for(self, traj_ids: Sequence[str]) -> np.ndarray:
-        return np.asarray([self.traj_index[t] for t in traj_ids], dtype=np.int64)
-
 
 def build_model_inputs(
     sequences: SequenceColumns,
     local_graph: LocalSpatialGraph,
     global_graph: GlobalSpatialGraph,
 ) -> ModelInputs:
-    """Normalize adjacencies and index every sequence against the rosters.
+    """Normalize adjacencies and label every sequence by its user code; the
+    global graph must list the same trajectories and users, or a ValueError.
 
     Only the grids some sequence visits get a row: ``grid_idx`` holds dense
     row numbers into ``grid_rows``, the local adjacency keeps those rows and
@@ -274,8 +267,8 @@ def build_model_inputs(
     ids = sequences.traj_ids
     if ids != list(global_graph.traj_ids):
         raise ValueError("sequence order does not match the global graph roster")
-    user_index = {u: k for k, u in enumerate(global_graph.user_ids)}
-    labels = np.asarray([user_index[u] for u in sequences.roster], dtype=np.int64)[sequences.user]
+    if sequences.roster != list(global_graph.user_ids):
+        raise ValueError("sequence users do not match the global graph's user roster")
 
     lengths, rows = sequences.lengths, sequences.point_rows()
     at = rows, np.arange(len(rows)) - sequences.start[rows]  # (sequence, position) per point
@@ -296,8 +289,8 @@ def build_model_inputs(
         state_idx=padded(sequences.state),
         time_idx=padded(sequences.window),
         lengths=lengths,
-        labels=labels,
-        user_ids=list(global_graph.user_ids),
+        labels=sequences.user,
+        user_ids=sequences.roster,
         n_grids=local_graph.n_grids,
         grid_rows=grid_rows,
         max_seq_len=int(lengths.max()),

@@ -12,9 +12,9 @@ graph rows its gradient reaches, add/add_bias/scale, transpose, concat and
 row gathers, tanh, softmax and sparsemax, a fused masked multi-head
 self-attention, a fused cosine-scored attention under either normalizer,
 layer norm, inverted dropout, positional max-pooling, a fused log-space
-cross entropy, and the sum-of-squares and row-norm reductions. Every
-differentiable primitive is validated against central finite differences by
-:func:`finite_difference_check`.
+cross entropy, and the sum-of-squares and row-norm reductions. The tests
+check every differentiable primitive against central finite differences
+(``finite_difference_check`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -35,10 +34,6 @@ LAYER_NORM_EPS = 1e-5
 # Entries per row that sparsemax sorts first; trained score rows over a
 # roster of thousands keep a few dozen.
 SPARSEMAX_WIDTH = 128
-# Denominator floor when turning absolute gradient deviations into relative
-# ones; deviations below floor * tolerance are indistinguishable from
-# finite-difference roundoff.
-_REL_FLOOR = 1e-3
 # Share of a graph's nodes above which a GCN backward layer runs full-graph
 # products: gathering that many rows costs more than it saves.
 GCN_DENSE_SHARE = 0.5
@@ -604,69 +599,6 @@ def row_norms(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Gradient verification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    max_abs_error: float
-    worst_index: tuple
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= self.tolerance
-
-
-def finite_difference_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    h: float = 1e-5,
-    tolerance: float = 1e-4,
-) -> GradCheckReport:
-    """Compare the taped gradient of scalar-valued f against central differences.
-
-    f must be deterministic. The relative error of each coordinate uses a
-    denominator floored at a small constant so coordinates whose true
-    gradient is negligible are judged on the absolute scale of
-    finite-difference noise instead of blowing up.
-    """
-    x.requires_grad = True
-    if x.grad is None:
-        x.grad = np.zeros_like(x.values)
-    x.grad.fill(0.0)
-    tape = Tape()
-    with recording(tape):
-        out = f(x)
-    tape.backward(out)
-    analytic = x.grad.copy()
-
-    numeric = np.zeros_like(x.values)
-    flat = x.values.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x).values.item()
-        flat[i] = orig - h
-        fm = f(x).values.item()
-        flat[i] = orig
-        nflat[i] = (fp - fm) / (2.0 * h)
-
-    abs_err = np.abs(numeric - analytic)
-    denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), _REL_FLOOR)
-    rel = abs_err / denom
-    worst = int(np.argmax(rel))
-    return GradCheckReport(
-        max_rel_error=float(rel.reshape(-1)[worst]),
-        max_abs_error=float(abs_err.max()),
-        worst_index=np.unravel_index(worst, x.values.shape),
-        tolerance=tolerance,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Parameter checkpoints
 # ---------------------------------------------------------------------------
 
@@ -689,7 +621,8 @@ def save_tensors(path: str | Path, named: Sequence[tuple[str, np.ndarray]]) -> N
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; a foreign or truncated file raises DataError."""
+    """Read a checkpoint; a foreign, truncated or overlong file, or one that
+    names a parameter twice, raises DataError."""
     size = Path(path).stat().st_size
     with Path(path).open("rb") as fh:
         def read(n: int) -> bytes:  # checked first: a corrupt length must not allocate
@@ -710,6 +643,12 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
             if min(shape, default=0) < 0:
                 raise DataError(f"checkpoint {path} holds a negative dimension {shape} for "
                                 f"{name!r}; rerun the 'train' stage")
+            if name in out:
+                raise DataError(f"checkpoint {path} holds parameter {name!r} twice; "
+                                "rerun the 'train' stage")
             values = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
             out[name] = values
+        if fh.tell() != size:
+            raise DataError(f"checkpoint {path} holds {size - fh.tell()} bytes after its last "
+                            "record; rerun the 'train' stage")
     return out

@@ -137,10 +137,10 @@ def evaluate_on_split(
     params: ModelParams,
     config: ModelConfig,
     inputs: ModelInputs,
-    traj_ids: Sequence[str],
+    indices: np.ndarray,
     ks: Sequence[int] = (1, 5),
 ) -> M.MetricsReport:
-    indices = inputs.indices_for(traj_ids)
+    """Metrics of the linking predictions for roster indices."""
     logits = predict_logits(params, config, inputs, indices)
     ks = [min(k, inputs.n_users) for k in ks]
     return M.compute_report(logits, inputs.labels[indices], ks=sorted(set(ks)))
@@ -161,7 +161,7 @@ def train(
     """
     model_config.validate()
     train_config.validate()
-    if not split.train or not split.validation:
+    if not len(split.train) or not len(split.validation):
         raise ValueError("training requires non-empty train and validation splits")
 
     from .config import seeded_rng
@@ -170,8 +170,6 @@ def train(
     rng_shuffle = seeded_rng(train_config.seed, "shuffle")
     rng_dropout = seeded_rng(train_config.seed, "dropout")
 
-    train_idx = inputs.indices_for(split.train)
-    val_idx = inputs.indices_for(split.validation)
     state = AdamState(params)
     result = TrainResult(params=params)
     best_values = params.values.copy()
@@ -179,7 +177,7 @@ def train(
 
     for epoch in range(1, train_config.epochs_max + 1):
         t0 = time.perf_counter()
-        order = rng_shuffle.permutation(train_idx)
+        order = rng_shuffle.permutation(split.train)
         losses = []
         for lo in range(0, len(order), train_config.batch_size):
             batch = order[lo : lo + train_config.batch_size]
@@ -195,8 +193,8 @@ def train(
             adam_step(params, state, train_config)
             losses.append(loss.item())
 
-        val_logits = predict_logits(params, model_config, inputs, val_idx)
-        val_ranks = M.true_ranks(val_logits, inputs.labels[val_idx])
+        val_logits = predict_logits(params, model_config, inputs, split.validation)
+        val_ranks = M.true_ranks(val_logits, inputs.labels[split.validation])
         val_acc = float(np.count_nonzero(val_ranks == 0) / len(val_ranks))
         result.history.append(
             EpochStats(epoch, float(np.mean(losses)), val_acc, time.perf_counter() - t0)

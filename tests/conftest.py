@@ -39,24 +39,21 @@ def make_sequence(user, interval, grids, states=None, windows=None, t0=None, ste
     )
 
 
-def graphs_from_sequences(sequences, n_grids, split=None):
+def graphs_from_sequences(sequences, n_grids):
     """(columns of the sorted sequences, local graph, global graph, split) for
-    hand-built sequences, labelled by the training split."""
-    sequences = sorted(sequences, key=lambda s: (s.user_id, s.interval_index))
-    columns = columns_from_records(sequences)
-    if split is None:
-        split = chronological_split(columns)
+    hand-built sequences, labelled by the chronological training split."""
+    columns = columns_from_records(sorted(sequences, key=lambda s: (s.user_id, s.interval_index)))
+    split = chronological_split(columns)
     local = build_local_graph(columns, n_grids)
     incidence = build_grid_incidence(columns, n_grids)
-    by_id = {s.traj_id: s for s in sequences}
-    labels = {tid: by_id[tid].user_id for tid in split.train}
-    global_g = build_global_graph(incidence, columns.traj_ids, labels)
+    global_g = build_global_graph(incidence, columns.traj_ids, columns.roster, split.train,
+                                  columns.user[split.train])
     return columns, local, global_g, split
 
 
-def inputs_from_sequences(sequences, n_grids, split=None):
+def inputs_from_sequences(sequences, n_grids):
     """Graphs, labels and normalized matrices for hand-built sequences."""
-    sequences, local, global_g, split = graphs_from_sequences(sequences, n_grids, split)
+    sequences, local, global_g, split = graphs_from_sequences(sequences, n_grids)
     return build_model_inputs(sequences, local, global_g), split
 
 

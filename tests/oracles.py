@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,13 +15,81 @@ from tulink import tensor as T
 from tulink.errors import ConfigError, DataError, reading
 from tulink.graphs import symmetric_normalize
 from tulink.mobility import (_SEQUENCE_KEYS, MAX_FAILURE_RATE, METERS_PER_DEGREE, MOTION_STATES,
-                             SECONDS_PER_DAY, SPEED_RATIO_EPS, TURN_THRESHOLD_DEG, DatasetSplit,
-                             GridMap, GridSequence, ParseReport, SequenceColumns, split_sizes,
+                             SECONDS_PER_DAY, SPEED_RATIO_EPS, TURN_THRESHOLD_DEG, GridMap,
+                             GridSequence, ParseReport, SequenceColumns, split_sizes,
                              time_window_vocab)
 from tulink.model import (COSINE_EPS, ModelInputs, ModelParams, build_model_inputs,
                           encode_graphs, encode_locations)
-from tulink.tensor import Tensor, _record, _result
+from tulink.tensor import Tape, Tensor, _record, _result, recording
 from tulink.train import ADAM_EPS, BETA1, BETA2
+
+# Denominator floor when turning absolute gradient deviations into relative
+# ones; deviations below floor * tolerance are indistinguishable from
+# finite-difference roundoff.
+_REL_FLOOR = 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Gradient verification
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass
+class GradCheckReport:
+    max_rel_error: float
+    max_abs_error: float
+    worst_index: tuple
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_error <= self.tolerance
+
+
+def finite_difference_check(
+    f: Callable[[Tensor], Tensor],
+    x: Tensor,
+    h: float = 1e-5,
+    tolerance: float = 1e-4,
+) -> GradCheckReport:
+    """Compare the taped gradient of scalar-valued f against central differences.
+
+    f must be deterministic. The relative error of each coordinate uses a
+    denominator floored at a small constant so coordinates whose true
+    gradient is negligible are judged on the absolute scale of
+    finite-difference noise instead of blowing up.
+    """
+    x.requires_grad = True
+    if x.grad is None:
+        x.grad = np.zeros_like(x.values)
+    x.grad.fill(0.0)
+    tape = Tape()
+    with recording(tape):
+        out = f(x)
+    tape.backward(out)
+    analytic = x.grad.copy()
+
+    numeric = np.zeros_like(x.values)
+    flat = x.values.reshape(-1)
+    nflat = numeric.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = f(x).values.item()
+        flat[i] = orig - h
+        fm = f(x).values.item()
+        flat[i] = orig
+        nflat[i] = (fp - fm) / (2.0 * h)
+
+    abs_err = np.abs(numeric - analytic)
+    denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), _REL_FLOOR)
+    rel = abs_err / denom
+    worst = int(np.argmax(rel))
+    return GradCheckReport(
+        max_rel_error=float(rel.reshape(-1)[worst]),
+        max_abs_error=float(abs_err.max()),
+        worst_index=np.unravel_index(worst, x.values.shape),
+        tolerance=tolerance,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +275,13 @@ def report_oracle(logits, labels, ks=(1, 5)):
     return {k: acc_at_k(predictions, k) for k in ks}, macro_p, macro_r, macro_f1
 
 
-def global_graph_oracle(incidence, traj_ids, train_labels):
-    """(adjacency, features) of the global graph from Python lists and a
-    row-by-row user union: every trajectory pair sharing grids, one edge
-    pair per training label at the largest trajectory weight (1 if none)."""
+def global_graph_oracle(incidence, traj_ids, user_ids, train_labels):
+    """(adjacency, features) of the global graph from Python lists, a dict
+    from training trajectory id to user id and a row-by-row user union:
+    every trajectory pair sharing grids, one edge pair per training label at
+    the largest trajectory weight (1 if none)."""
     n_traj = len(traj_ids)
     index_of = {tid: i for i, tid in enumerate(traj_ids)}
-    user_ids = sorted(set(train_labels.values()))
     user_index = {u: k for k, u in enumerate(user_ids)}
     n_users = len(user_ids)
     n_nodes = n_traj + n_users
@@ -541,19 +610,20 @@ def columns_from_records(records):
 
 
 def chronological_split_oracle(sequences):
-    """Per-user 60/20/20 split of records in any order: regrouped per user in
-    a dict and sorted by interval."""
+    """Per-user 60/20/20 split of records in any order, as lists of
+    trajectory ids keyed by part: regrouped per user in a dict and sorted by
+    interval."""
     per_user = {}
     for s in sequences:
         per_user.setdefault(s.user_id, []).append(s)
-    split = DatasetSplit()
+    split = {"train": [], "validation": [], "test": []}
     for user in sorted(per_user):
         items = sorted(per_user[user], key=lambda s: s.interval_index)
         n_train, n_val, _ = (int(n) for n in split_sizes(len(items)))
         ids = [s.traj_id for s in items]
-        split.train.extend(ids[:n_train])
-        split.validation.extend(ids[n_train : n_train + n_val])
-        split.test.extend(ids[n_train + n_val :])
+        split["train"].extend(ids[:n_train])
+        split["validation"].extend(ids[n_train : n_train + n_val])
+        split["test"].extend(ids[n_train + n_val :])
     return split
 
 

@@ -30,12 +30,13 @@ from tulink.graphs import (
 )
 from tulink.metrics import compute_report
 from tulink.model import ModelParams, forward_batch, model_loss
-from tulink.tensor import Tensor, finite_difference_check
+from tulink.tensor import Tensor
 from tulink.train import evaluate_on_split, train
 
 from conftest import inputs_from_sequences, make_sequence, small_config, toy_nine_sequences
 import oracles
-from oracles import columns_from_records, confusion_matrix_oracle, simplex_projection_oracle
+from oracles import (columns_from_records, confusion_matrix_oracle, finite_difference_check,
+                     simplex_projection_oracle)
 
 
 def report(criterion, detail):
@@ -333,8 +334,9 @@ class TestCriterion3GraphOracles:
         ids = [s.traj_id for s in sequences]
 
         incidence = build_grid_incidence(columns_from_records(sequences), n_grids)
-        labels = {ids[i]: sequences[i].user_id for i in range(0, n_traj, 2)}
-        global_g = build_global_graph(incidence, ids, labels)
+        train = np.arange(0, n_traj, 2)  # trajectory i belongs to user u{i % 10}
+        global_g = build_global_graph(incidence, ids, [f"u{k}" for k in range(10)], train,
+                                      train % 10)
         block = global_g.adjacency.toarray()[:n_traj, :n_traj]
         grid_sets = [set(g) for g in grid_lists]
         for i in range(n_traj):

@@ -15,13 +15,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tulink import metrics as M
 from tulink import mobility as mob
 from tulink import synth
-from tulink.cli import _config_from_args, build_parser, main
+from tulink.cli import (StagePaths, _config_from_args, _load_model_inputs, _restore_params,
+                        build_parser, main)
 from tulink.config import FIELD_TYPES, RunConfig, load_config_file, resolve_config
 from tulink.errors import ConfigError
 from tulink.model import ABLATIONS, ModelConfig
-from tulink.train import TrainConfig
+from tulink.train import TrainConfig, evaluate_on_split
 from tulink.tensor import load_tensors, save_tensors
 
 
@@ -238,6 +240,23 @@ def test_each_ablation_trains_evaluates_and_embeds(workspace, trained, tmp_path,
                     "--ablation", name])
         assert code == 0, (stage, capsys.readouterr().err)
     assert len((out / "embeddings.tsv").read_text().splitlines()) == 24
+
+
+@pytest.mark.parametrize("part", ["train", "validation"])
+def test_evaluate_scores_the_chosen_split(workspace, trained, tmp_path, part):
+    """``--split`` scores the trajectories that splits.json lists under it."""
+    out = tmp_path / part
+    shutil.copytree(trained, out)
+    assert run(["evaluate", "--config", workspace["config"], "--output", str(out),
+                "--split", part]) == 0
+    cfg = resolve_config(workspace["config"], {"output_dir": str(out)})
+    inputs, _ = _load_model_inputs(cfg, StagePaths(out))
+    ids = json.loads((out / "splits.json").read_text())[part]
+    indices = np.array([inputs.traj_ids.index(tid) for tid in ids])
+    report = evaluate_on_split(_restore_params(cfg, inputs, StagePaths(out)),
+                               cfg.model_config(), inputs, indices)
+    M.save_report(report, tmp_path / "expected.txt")
+    assert (out / "metrics.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
 
 
 class TestCheckpointErrors:
@@ -501,6 +520,23 @@ class TestArtifactErrors:
         err = self._run(workspace, trained, tmp_path, capsys, "build-graphs", edit)
         assert "grid_map.json" in err and "'preprocess'" in err and key in err
         assert "sequences.jsonl" not in err
+
+    def test_checkpoint_names_a_parameter_twice(self, workspace, trained, tmp_path, capsys):
+        def repeat_link_w(out):
+            path = out / "checkpoint.bin"
+            named = list(load_tensors(path).items())
+            values = np.random.default_rng(0).normal(size=dict(named)["link_w"].shape)
+            save_tensors(path, [*named, ("link_w", values)])
+        err = self._run(workspace, trained, tmp_path, capsys, "evaluate", repeat_link_w)
+        assert "checkpoint.bin" in err and "'train'" in err and "'link_w' twice" in err
+
+    def test_bytes_after_the_last_checkpoint_record(self, workspace, trained, tmp_path,
+                                                    capsys):
+        def append(out):
+            path = out / "checkpoint.bin"
+            path.write_bytes(path.read_bytes() + bytes(16))
+        err = self._run(workspace, trained, tmp_path, capsys, "evaluate", append)
+        assert "checkpoint.bin" in err and "'train'" in err and "16 bytes after" in err
 
     @pytest.mark.parametrize("stage", ["build-graphs", "train"])
     def test_sequences_cut_at_line_boundary(self, workspace, trained, tmp_path, capsys,

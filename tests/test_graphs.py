@@ -31,6 +31,16 @@ def seq(user, interval, grids):
     return make_sequence(user, interval, grids)
 
 
+def labelled_graph(incidence, ids, labels, user_ids=None):
+    """The global graph of training labels {trajectory row: user id}, over
+    ``user_ids`` or else the sorted labelled users."""
+    if user_ids is None:
+        user_ids = sorted(set(labels.values()))
+    train = np.array(list(labels), dtype=np.int64)
+    train_users = np.array([user_ids.index(u) for u in labels.values()], dtype=np.int64)
+    return build_global_graph(incidence, ids, user_ids, train, train_users)
+
+
 def local_oracle(grid_lists, n_grids):
     """Brute-force unordered-pair enumeration, one count per trajectory."""
     dense = np.zeros((n_grids, n_grids), dtype=np.int64)
@@ -116,7 +126,7 @@ class TestGlobalGraph:
         sequences = [seq(f"t{i}", 0, g) for i, g in enumerate(grid_lists)]
         ids = [s.traj_id for s in sequences]
         inc = build_grid_incidence(columns_from_records(sequences), n_grids)
-        return build_global_graph(inc, ids, {ids[i]: u for i, u in labels.items()}), ids
+        return labelled_graph(inc, ids, labels), ids
 
     def test_hand_case_with_unit_max_weight(self):
         g, _ = self._graph(
@@ -140,12 +150,6 @@ class TestGlobalGraph:
             feats[3 + g.user_ids.index("ua")][:5], [1, 1, 1, 1, 0]
         )
 
-    def test_unknown_trajectory_label_rejected(self):
-        sequences = [seq("t0", 0, [0, 1])]
-        inc = build_grid_incidence(columns_from_records(sequences), 4)
-        with pytest.raises(DataError, match="unknown trajectory"):
-            build_global_graph(inc, ["t0:0"], {"ghost:0": "ua"})
-
     def test_product_matches_pairwise_intersections(self):
         """200 random trajectories: C C^T equals the O(n^2) set oracle."""
         rng = np.random.default_rng(14)
@@ -157,7 +161,7 @@ class TestGlobalGraph:
         sequences = [seq(f"t{i}", 0, sorted(s)) for i, s in enumerate(grid_sets)]
         ids = [s.traj_id for s in sequences]
         inc = build_grid_incidence(columns_from_records(sequences), n_grids)
-        g = build_global_graph(inc, ids, {ids[0]: "ua"})
+        g = labelled_graph(inc, ids, {0: "ua"})
         block = g.adjacency.toarray()[:200, :200]
         for i in range(200):
             for j in range(200):
@@ -184,11 +188,13 @@ class TestGlobalGraphOracle:
     same int64 values, same sorted indices."""
 
     @staticmethod
-    def _check(incidence, labels):
+    def _check(incidence, labels, user_ids=None):
         ids = [f"t{i}:0" for i in range(incidence.shape[0])]
-        labels = {ids[i]: user for i, user in labels.items()}
-        g = build_global_graph(incidence, ids, labels)
-        expected = global_graph_oracle(incidence, ids, labels)
+        if user_ids is None:
+            user_ids = sorted(set(labels.values()))
+        g = labelled_graph(incidence, ids, labels, user_ids)
+        expected = global_graph_oracle(incidence, ids, user_ids,
+                                       {ids[i]: user for i, user in labels.items()})
         for got, want in zip((g.adjacency, g.features), expected):
             assert got.dtype == np.int64 and got.shape == want.shape and got.has_sorted_indices
             for part in ("indptr", "indices", "data"):
@@ -204,12 +210,22 @@ class TestGlobalGraphOracle:
             n_users = int(rng.integers(1, 6))
             labels = {int(i): f"u{rng.integers(n_users)}" for i in labeled}
             self._check(sp.csr_matrix(dense.astype(np.int64)), labels)
+            # the same labels over a roster that also holds unlabelled users
+            self._check(sp.csr_matrix(dense.astype(np.int64)), labels,
+                        [f"u{k}" for k in range(n_users + 2)])
 
     def test_no_training_labels(self):
         inc = build_grid_incidence(
             columns_from_records([seq("a", 0, [0, 1]), seq("b", 0, [1, 2])]), 4)
         g = self._check(inc, {})
         assert g.user_ids == [] and g.features.shape == (2, 4)
+
+    def test_user_without_training_trajectory_is_isolated(self):
+        inc = build_grid_incidence(
+            columns_from_records([seq("a", 0, [0, 1]), seq("b", 0, [1, 2])]), 4)
+        g = self._check(inc, {0: "ua"}, ["ua", "ub"])
+        assert g.user_ids == ["ua", "ub"] and g.n_nodes == 4
+        assert g.adjacency[3].nnz == 0 and g.features[3].nnz == 0
 
     def test_disjoint_trajectories_link_users_at_weight_one(self):
         inc = build_grid_incidence(
@@ -285,8 +301,7 @@ class TestSerialization:
         ]
         ids = [s.traj_id for s in sequences]
         inc = build_grid_incidence(columns_from_records(sequences), 12)
-        labels = {ids[i]: sequences[i].user_id for i in range(6)}
-        return build_global_graph(inc, ids, labels)
+        return labelled_graph(inc, ids, {i: sequences[i].user_id for i in range(6)})
 
     def test_local_round_trip_bit_exact(self, tmp_path):
         g = self._local()

@@ -395,8 +395,8 @@ class TestChronologicalSplit:
 
     def test_single_item_goes_to_train_only(self):
         split = chronological_split(columns_from_records(self._subs("a", 1)))
-        assert split.train == ["a:0"]
-        assert split.validation == [] and split.test == []
+        assert split.named(["a:0"]) == {"train": ["a:0"], "validation": [], "test": []}
+        assert all(part.dtype == np.int64 for part in (split.train, split.validation, split.test))
 
     def test_rounding_rule_sizes_one_to_twenty(self):
         """The stated rule: train = max(1, floor(0.6 n)), remainder split
@@ -414,16 +414,17 @@ class TestChronologicalSplit:
         subs = []
         for u in range(4):
             subs.extend(self._subs(f"user{u}", int(rng.integers(1, 15))))
-        split = chronological_split(columns_from_records(subs))
+        columns = columns_from_records(subs)
+        split = chronological_split(columns).named(columns.traj_ids)
         all_ids = {s.traj_id for s in subs}
-        parts = [set(split.train), set(split.validation), set(split.test)]
+        parts = [set(split["train"]), set(split["validation"]), set(split["test"])]
         assert parts[0] | parts[1] | parts[2] == all_ids
         assert sum(len(p) for p in parts) == len(all_ids)
         by_id = {s.traj_id: s for s in subs}
         for user in {s.user_id for s in subs}:
-            tr = [by_id[t].t[0] for t in split.train if by_id[t].user_id == user]
-            va = [by_id[t].t[0] for t in split.validation if by_id[t].user_id == user]
-            te = [by_id[t].t[0] for t in split.test if by_id[t].user_id == user]
+            tr = [by_id[t].t[0] for t in split["train"] if by_id[t].user_id == user]
+            va = [by_id[t].t[0] for t in split["validation"] if by_id[t].user_id == user]
+            te = [by_id[t].t[0] for t in split["test"] if by_id[t].user_id == user]
             if va:
                 assert max(tr) < min(va)
             if te and va:
@@ -503,11 +504,11 @@ class TestArtifactRoundTrips:
         assert list(load_sequences(tmp_path / "s.jsonl")) == list(seqs)
 
     def test_split(self, tmp_path):
-        split = chronological_split(columns_from_records(
-            [GridSequence("u", j, [float(j)], [0], [0], [0]) for j in range(7)]
-        ))
-        save_split(split, tmp_path / "split.json")
-        assert load_split(tmp_path / "split.json") == split
+        columns = columns_from_records(
+            [GridSequence("u", j, [float(j)], [0], [0], [0]) for j in range(7)])
+        split = chronological_split(columns)
+        save_split(split, columns.traj_ids, tmp_path / "split.json")
+        assert load_split(tmp_path / "split.json") == split.named(columns.traj_ids)
 
 
 # Text of CSV fields: numbers around the grid and time edges and signed
@@ -614,16 +615,20 @@ class TestColumnsMatchPointObjects:
         records = load_sequences_oracle(tmp / "slow.jsonl")
         assert list(sequences) == records
         split = chronological_split(sequences)
-        assert split == oracles.chronological_split_oracle(records)
+        assert split.named(sequences.traj_ids) == oracles.chronological_split_oracle(records)
         if n_grids > 10_000:  # the graphs hold arrays of n_grids entries
             return
         local = build_local_graph(sequences, n_grids)
         incidence = build_grid_incidence(sequences, n_grids)
         assert_same(local.adjacency, oracles.build_local_graph_oracle(records, n_grids))
         assert_same(incidence, oracles.build_grid_incidence_oracle(records, n_grids))
-        user_of = {s.traj_id: s.user_id for s in records}
-        global_g = build_global_graph(incidence, sequences.traj_ids,
-                                      {tid: user_of[tid] for tid in split.train})
+        global_g = build_global_graph(incidence, sequences.traj_ids, sequences.roster,
+                                      split.train, sequences.user[split.train])
+        labels = {records[i].traj_id: records[i].user_id for i in split.train}
+        adj, features = oracles.global_graph_oracle(
+            incidence, [s.traj_id for s in records], sorted({s.user_id for s in records}), labels)
+        assert_same(global_g.adjacency, adj)
+        assert_same(global_g.features, features)
         got = build_model_inputs(sequences, local, global_g)
         expected = oracles.model_inputs_oracle(records, local, global_g)
         for f in dataclasses.fields(got):

@@ -28,8 +28,8 @@ from tulink.tensor import Tape, Tensor, recording
 from conftest import (graphs_from_sequences, inputs_from_sequences, make_sequence, on_odd_cells,
                       small_config, toy_nine_sequences)
 from oracles import (bounding_box_initial_values, bounding_box_inputs_oracle,
-                     bounding_box_params_oracle, l2_chain_oracle, per_trajectory_logits_oracle,
-                     reshape)
+                     bounding_box_params_oracle, finite_difference_check, l2_chain_oracle,
+                     per_trajectory_logits_oracle, reshape)
 
 RNG = np.random.default_rng(4242)
 # The full model ("") and every ablation.
@@ -300,7 +300,6 @@ class TestSelfAttention:
             flat = reshape(out, (1, out.values.size))
             return T.matmul(flat, Tensor(c.reshape(-1, 1)))
 
-        from tulink.tensor import finite_difference_check
         report = finite_difference_check(f, Tensor(RNG.normal(size=(1, 3, cfg.embed_dim))),
                                          tolerance=1e-4)
         assert report.passed, report
@@ -564,8 +563,6 @@ class TestForwardFull:
 
     def test_full_model_gradient_spot_check(self, toy_model_setup):
         """Finite differences on representative parameters of every path."""
-        from tulink.tensor import finite_difference_check
-
         params, cfg, inputs, _ = toy_model_setup
         batch = np.arange(9)
         targets = inputs.labels[batch]
@@ -732,3 +729,20 @@ class TestVisitedGridRows:
             w = oracle[name].values[dropped]
             l2_only = cfg.lambda_l2 * w if name in active else np.zeros_like(w)
             np.testing.assert_array_equal(ref_grads[name][dropped], l2_only, err_msg=name)
+
+
+class TestBuildModelInputs:
+    def test_labels_are_user_codes(self):
+        sequences, local, global_g, _ = graphs_from_sequences(toy_nine_sequences(), 9)
+        inputs = build_model_inputs(sequences, local, global_g)
+        assert inputs.user_ids == ["u0", "u1", "u2"] == global_g.user_ids
+        np.testing.assert_array_equal(inputs.labels, np.repeat(np.arange(3), 3))
+
+    @pytest.mark.parametrize("user_ids", [["u0", "u1"], ["u0", "u2", "u1"],
+                                          ["u0", "u1", "u2", "u3"]],
+                             ids=["missing", "reordered", "extra"])
+    def test_other_user_roster_rejected(self, user_ids):
+        sequences, local, global_g, _ = graphs_from_sequences(toy_nine_sequences(), 9)
+        global_g.user_ids = user_ids
+        with pytest.raises(ValueError, match="user roster"):
+            build_model_inputs(sequences, local, global_g)

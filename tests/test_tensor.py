@@ -10,10 +10,8 @@ import scipy.sparse as sp
 from tulink import tensor as T
 from tulink.errors import DataError
 from tulink.tensor import (
-    GradCheckReport,
     Tape,
     Tensor,
-    finite_difference_check,
     load_tensors,
     recording,
     save_tensors,
@@ -21,9 +19,10 @@ from tulink.tensor import (
 
 from tulink.graphs import symmetric_normalize
 
-from oracles import (add_scalar, dense_gcn_oracle, dense_global_attention_oracle, div,
-                     l2_chain_oracle, masked_attention_oracle, permute, relu, reshape,
-                     simplex_projection_oracle, slice_rows, sorted_sparsemax_oracle)
+from oracles import (GradCheckReport, add_scalar, dense_gcn_oracle, dense_global_attention_oracle,
+                     div, finite_difference_check, l2_chain_oracle, masked_attention_oracle,
+                     permute, relu, reshape, simplex_projection_oracle, slice_rows,
+                     sorted_sparsemax_oracle)
 
 RNG = np.random.default_rng(20_240_817)
 

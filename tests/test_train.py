@@ -256,7 +256,7 @@ class TestTrainLoop:
 
     def test_empty_split_rejected(self):
         config, inputs, split = toy_training_setup()
-        split.validation = []
+        split.validation = np.array([], dtype=np.int64)
         with pytest.raises(ValueError, match="non-empty"):
             train(inputs, split, config, TrainConfig())
 
@@ -268,9 +268,8 @@ class TestEvaluate:
                          batch_size=4, seed=1)
         result = train(inputs, split, config, tc)
         report = evaluate_on_split(result.params, config, inputs, split.test)
-        idx = inputs.indices_for(split.test)
-        logits = predict_logits(result.params, config, inputs, idx)
-        manual = float(np.mean(np.argmax(logits, axis=1) == inputs.labels[idx]))
+        logits = predict_logits(result.params, config, inputs, split.test)
+        manual = float(np.mean(np.argmax(logits, axis=1) == inputs.labels[split.test]))
         assert report.acc_at[1] == manual
 
     def test_acc_at_full_user_count_is_one(self):
