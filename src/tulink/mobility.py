@@ -383,7 +383,8 @@ def parse_dataset(path: str | Path) -> tuple[PointColumns, ParseReport]:
     Returns ``(points, report)``. A line that does not split into four
     fields with three floats counts as a failure, and so does a point with
     a non-finite time or a coordinate out of range; more than
-    MAX_FAILURE_RATE of failures aborts with a DataError.
+    MAX_FAILURE_RATE of failures aborts with a DataError, and so does the
+    first line of four fields whose user id holds a tab.
     """
     path = Path(path)
     users: list[str] = []
@@ -391,7 +392,7 @@ def parse_dataset(path: str | Path) -> tuple[PointColumns, ParseReport]:
     report = ParseReport()
     first_content_line = True
     with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -408,6 +409,9 @@ def parse_dataset(path: str | Path) -> tuple[PointColumns, ParseReport]:
                 if len(fields) != 4:
                     raise ValueError("expected 4 comma-separated fields")
                 user, t_s, lat_s, lon_s = (f.strip() for f in fields)
+                if "\t" in user:
+                    raise DataError(f"{path} line {number}: user id {user!r} holds a tab, "
+                                    "which would split its rows of embeddings.tsv")
                 row = (float(t_s), float(lon_s), float(lat_s))
             except ValueError:
                 report.failed += 1

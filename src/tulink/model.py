@@ -319,10 +319,10 @@ def encode_locations(
         zeros = Tensor(np.zeros((*np.shape(grid_idx), d)))
         t_emb, s_emb = zeros, zeros
     else:
-        t_emb = T.add_bias(T.embedding(params["time_w"], time_idx), params["time_b"])
-        s_emb = T.add_bias(T.embedding(params["state_w"], state_idx), params["state_b"])
+        t_emb = T.embedding(params["time_w"], time_idx, params["time_b"])
+        s_emb = T.embedding(params["state_w"], state_idx, params["state_b"])
     fused = T.concat([t_emb, s_emb, g_emb], axis=-1)
-    return T.tanh(T.add_bias(T.matmul(fused, params["loc_w"]), params["loc_b"]))
+    return T.tanh(T.matmul(fused, params["loc_w"], params["loc_b"]))
 
 
 def self_attention_stack(
@@ -346,8 +346,7 @@ def self_attention_stack(
     for layer in range(config.attn_layers):
         merged = T.masked_attention(state, *(params[f"attn{layer}_{kind}"] for kind in "qkv"),
                                     lengths, config.heads, inv_scale)
-        z = T.add_bias(T.matmul(merged, params[f"attn{layer}_out_w"]),
-                       params[f"attn{layer}_out_b"])
+        z = T.matmul(merged, params[f"attn{layer}_out_w"], params[f"attn{layer}_out_b"])
         z = T.dropout(z, config.dropout_rate, training, rng)
         state = T.layer_norm(T.add(state, z),
                              params[f"attn{layer}_ln_gain"],
@@ -417,9 +416,7 @@ def fused_representations(
         z = x if config.ablation == "tul-sa" else self_attention_stack(
             params, config, x, lengths, rng, training
         )
-        pad = np.where(np.arange(m) < lengths[:, None], 0.0, -np.inf)  # padding never wins
-        pad = Tensor(np.broadcast_to(pad[:, :, None], z.shape))
-        z_local = T.max_pool_positions(T.add(z, pad))
+        z_local = T.max_pool_positions(z, lengths)
     if config.ablation != "tul-g":
         z_global = global_attention(h_traj, traj_norms, batch, config.ablation == "tul-ea")
     return T.concat([z_local, z_global], axis=-1)
@@ -436,12 +433,11 @@ def forward_batch(
 ) -> Tensor:
     """Logits over users for a batch of trajectory roster indices."""
     stacked = fused_representations(params, config, inputs, batch, rng, training, graphs)
-    return T.add_bias(T.matmul(stacked, T.transpose(params["link_w"])), params["link_b"])
+    return T.matmul(stacked, T.transpose(params["link_w"]), params["link_b"])
 
 
 def model_loss(logits: Tensor, targets: np.ndarray, params: ModelParams,
                config: ModelConfig) -> Tensor:
     """Batch-mean cross entropy plus (lambda/2) * sum of squared weights."""
-    ce = T.cross_entropy(logits, targets)
-    penalty = T.sum_squares(*params.l2_tensors())
-    return T.add(ce, T.scale(penalty, 0.5 * config.lambda_l2))
+    return T.add(T.cross_entropy(logits, targets),
+                 T.sum_squares(params.l2_tensors(), 0.5 * config.lambda_l2))

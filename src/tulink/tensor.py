@@ -6,19 +6,24 @@ backward closure each; replaying the tape in reverse accumulates gradients
 into every tracked input exactly once per use. With no active tape (the
 evaluation path) operations are plain numpy calls with no bookkeeping.
 
-The operation set is exactly what the linking model needs: dense and
-sparse-by-dense matmul, a fused stacked GCN whose backward visits only the
-graph rows its gradient reaches, add/add_bias/scale, transpose, concat and
-row gathers, tanh, softmax and sparsemax, a fused masked multi-head
-self-attention, a fused cosine-scored attention under either normalizer,
-layer norm, inverted dropout, positional max-pooling, a fused log-space
-cross entropy, and the sum-of-squares and row-norm reductions. The tests
-check every differentiable primitive against central finite differences
-(``finite_difference_check`` in ``tests/oracles.py``).
+The operation set is exactly what the linking model records: add, a
+dense matmul with its bias, a fused stacked GCN whose backward visits only
+the graph rows its gradient reaches, transpose, concat, row gathers with an
+optional bias, tanh, a fused masked multi-head self-attention, a fused
+cosine-scored attention under either normalizer, layer norm, inverted
+dropout, masked positional max-pooling, a fused log-space cross entropy,
+the scaled sum-of-squares penalty and the row-norm reduction; ``spmm``
+stays while perfbench's tracer wraps it. ``softmax`` and ``sparsemax`` are
+forward-only: cosine_attention reads their values and records nothing for
+them. The tests check every taped primitive against central finite
+differences (``finite_difference_check`` in ``tests/oracles.py``), which
+also keeps the taped versions of the primitives the model no longer
+records.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from contextlib import contextmanager
@@ -125,45 +130,23 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x[..., :] + b with b broadcast over all leading axes."""
-    if b.values.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ValueError(f"add_bias shape mismatch: {x.shape} vs {b.shape}")
-    out = _result(x.values + b.values, x, b)
+def matmul(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """(..., k) @ (k, n) + b: one fully connected layer, the (k, n) weight
+    and the (n,) bias shared over every leading axis."""
+    if (x.values.ndim < 1 or w.values.ndim != 2 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ValueError(f"matmul shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    k, n = w.shape
+    out = _result(x.values @ w.values + b.values, x, w, b)
     if out.requires_grad:
         def backward():
-            if x.requires_grad:
-                x.grad += out.grad
+            g = out.grad.reshape(-1, n)
             if b.requires_grad:
-                b.grad += out.grad.reshape(-1, b.shape[0]).sum(axis=0)
-        _record(backward)
-    return out
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    out = _result(x.values * c, x)
-    if out.requires_grad:
-        def backward():
-            x.grad += out.grad * c
-        _record(backward)
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., m, k) @ (k, n), or (..., m, k) @ (..., k, n) with equal batch axes."""
-    if (a.values.ndim < 2 or b.values.ndim not in (2, a.values.ndim)
-            or a.shape[-1] != b.shape[-2] or (b.values.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = _result(a.values @ b.values, a, b)
-    if out.requires_grad:
-        def backward():
-            if a.requires_grad:
-                a.grad += out.grad @ np.swapaxes(b.values, -1, -2)
-            if b.requires_grad and b.values.ndim == 2:  # shared weight: sum over the batch
-                k, n = b.shape
-                b.grad += a.values.reshape(-1, k).T @ out.grad.reshape(-1, n)
-            elif b.requires_grad:
-                b.grad += np.swapaxes(a.values, -1, -2) @ out.grad
+                b.grad += g.sum(axis=0)
+            if x.requires_grad:
+                x.grad += out.grad @ w.values.T
+            if w.requires_grad:
+                w.grad += x.values.reshape(-1, k).T @ g
         _record(backward)
     return out
 
@@ -283,18 +266,27 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     return out
 
 
-def embedding(table: Tensor, indices) -> Tensor:
-    """Gather rows of a matrix; repeated indices accumulate on backward."""
+def embedding(table: Tensor, indices, bias: Tensor | None = None) -> Tensor:
+    """Gather rows of a matrix, plus a bias row when given; repeated indices
+    accumulate on backward."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ValueError(
             f"embedding index out of range [0, {table.shape[0]}): "
             f"{int(idx.min())}..{int(idx.max())}"
         )
-    out = _result(table.values[idx], table)
+    if bias is None:
+        out = _result(table.values[idx], table)
+    elif table.values.ndim != 2 or bias.shape != table.shape[1:]:
+        raise ValueError(f"embedding bias shape {bias.shape} does not match table {table.shape}")
+    else:
+        out = _result(table.values[idx] + bias.values, table, bias)
     if out.requires_grad:
         def backward():
-            np.add.at(table.grad, idx, out.grad)
+            if bias is not None and bias.requires_grad:
+                bias.grad += out.grad.reshape(-1, bias.shape[0]).sum(axis=0)
+            if table.requires_grad:
+                np.add.at(table.grad, idx, out.grad)
         _record(backward)
     return out
 
@@ -314,16 +306,10 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Max-shifted softmax along an axis; forward-only, it records nothing."""
     shifted = x.values - x.values.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-    out = _result(p, x)
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            x.grad += (g - (g * p).sum(axis=axis, keepdims=True)) * p
-        _record(backward)
-    return out
+    return Tensor(e / e.sum(axis=axis, keepdims=True))
 
 
 def sparsemax(x: Tensor) -> Tensor:
@@ -334,8 +320,8 @@ def sparsemax(x: Tensor) -> Tensor:
     tau = (sum_{j<=k} z_(j) - 1) / k and p_i = max(z_i - tau, 0). Only each
     row's top w entries are sorted (w widened x4 while some row's support
     reaches w): they and their cumulative sums are the full sort's prefix,
-    so the result is the full sort's to the bit. The Jacobian acts only on
-    the support: centered upstream gradient there, zero elsewhere.
+    so the result is the full sort's to the bit. Forward-only: it records
+    nothing.
     """
     if x.values.ndim == 0 or x.shape[-1] == 0:
         raise ValueError(f"sparsemax expects non-empty rows, got {x.shape}")
@@ -360,14 +346,7 @@ def sparsemax(x: Tensor) -> Tensor:
     tau = (np.take_along_axis(cumulative, support_size - 1, axis=-1) - 1.0) / support_size
     p = z - tau
     np.maximum(p, 0.0, out=p)
-    out = _result(p, x)
-    if out.requires_grad:
-        support = p > 0.0
-        def backward():
-            g = np.where(support, out.grad, 0.0)
-            x.grad += np.where(support, g - g.sum(axis=-1, keepdims=True) / support_size, 0.0)
-        _record(backward)
-    return out
+    return Tensor(p)
 
 
 def cosine_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float,
@@ -533,14 +512,22 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     return out
 
 
-def max_pool_positions(z: Tensor) -> Tensor:
-    """Max over axis -2 of an (..., m, d) array; ties resolve to the first row."""
-    if z.values.ndim < 2 or z.shape[-2] == 0:
-        raise ValueError(f"max_pool_positions needs a non-empty matrix, got {z.shape}")
-    winners = np.argmax(z.values, axis=-2)
+def max_pool_positions(z: Tensor, lengths) -> Tensor:
+    """Max over axis -2 of an (..., m, d) array, each (m, d) matrix over its
+    first lengths[...] rows only; ties resolve to the first row. The rest
+    are padding: they get -inf added, so the pooled value is z + 0.0."""
+    lens = np.asarray(lengths, dtype=np.int64)
+    if z.values.ndim < 2 or lens.shape != z.shape[:-2]:
+        raise ValueError(f"max_pool_positions shape mismatch: {z.shape}, lengths {lens.shape}")
+    m = z.shape[-2]
+    if lens.size and (lens.min() < 1 or lens.max() > m):
+        raise ValueError(f"max_pool_positions lengths must lie in [1, {m}], "
+                         f"got {int(lens.min())}..{int(lens.max())}")
+    masked = z.values + np.where(np.arange(m) < lens[..., None], 0.0, -np.inf)[..., None]
+    winners = np.argmax(masked, axis=-2)
     lead = np.indices(winners.shape, sparse=True)
     index = (*lead[:-1], winners, lead[-1])  # one (row, column) per output entry
-    out = _result(z.values[index], z)
+    out = _result(masked[index], z)
     if out.requires_grad:
         def backward():
             z.grad[index] += out.grad
@@ -570,14 +557,16 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return out
 
 
-def sum_squares(*xs: Tensor) -> Tensor:
-    """Sum of squared entries, summed per argument and then in argument order."""
-    out = _result(np.asarray(sum((np.sum(x.values * x.values) for x in xs), 0.0)), *xs)
+def sum_squares(xs: Sequence[Tensor], c: float) -> Tensor:
+    """c times the sum of squared entries, summed per tensor and then in
+    order."""
+    out = _result(np.asarray(sum((np.sum(x.values * x.values) for x in xs), 0.0) * c), *xs)
     if out.requires_grad:
         def backward():
+            g = out.grad * c
             for x in xs:
                 if x.requires_grad:
-                    x.grad += 2.0 * x.values * out.grad
+                    x.grad += 2.0 * x.values * g
         _record(backward)
     return out
 
@@ -602,13 +591,19 @@ def row_norms(x: Tensor) -> Tensor:
 # Parameter checkpoints
 # ---------------------------------------------------------------------------
 
-_CKPT_MAGIC = b"TLNKPRM1"
+_CKPT_MAGIC = b"TLNKPRM2"
+_CKPT_MAGIC_V1 = b"TLNKPRM1"  # records without a header
 
 
-def save_tensors(path: str | Path, named: Sequence[tuple[str, np.ndarray]]) -> None:
-    """Versioned binary checkpoint: (name, shape, row-major float64) records."""
+def save_tensors(path: str | Path, named: Sequence[tuple[str, np.ndarray]],
+                 header: dict) -> None:
+    """Versioned binary checkpoint: a header dict as sorted-key JSON, then
+    (name, shape, row-major float64) records."""
+    meta = json.dumps(header, sort_keys=True).encode("utf-8")
     with Path(path).open("wb") as fh:
         fh.write(_CKPT_MAGIC)
+        fh.write(struct.pack("<I", len(meta)))
+        fh.write(meta)
         fh.write(struct.pack("<I", len(named)))
         for name, values in named:
             raw = name.encode("utf-8")
@@ -620,9 +615,10 @@ def save_tensors(path: str | Path, named: Sequence[tuple[str, np.ndarray]]) -> N
             fh.write(arr.tobytes())
 
 
-def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; a foreign, truncated or overlong file, or one that
-    names a parameter twice, raises DataError."""
+def load_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint's header and records; a foreign, earlier-version,
+    truncated or overlong file, a header that is not a JSON object, or a
+    file that names a parameter twice raises DataError."""
     size = Path(path).stat().st_size
     with Path(path).open("rb") as fh:
         def read(n: int) -> bytes:  # checked first: a corrupt length must not allocate
@@ -630,9 +626,21 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
                 raise DataError(f"checkpoint {path} is truncated; rerun the 'train' stage")
             return fh.read(n)
 
-        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+        magic = fh.read(len(_CKPT_MAGIC))
+        if magic == _CKPT_MAGIC_V1:
+            raise DataError(f"checkpoint {path} was written by an earlier version of tulink "
+                            "and records no model settings; rerun the 'train' stage")
+        if magic != _CKPT_MAGIC:
             raise DataError(f"{path} is not a tulink parameter checkpoint; "
                             "rerun the 'train' stage")
+        (meta_len,) = struct.unpack("<I", read(4))
+        meta = read(meta_len)
+        try:
+            header = json.loads(meta.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
+            header = None
+        if not isinstance(header, dict):
+            raise DataError(f"checkpoint {path} has a corrupt header; rerun the 'train' stage")
         (count,) = struct.unpack("<I", read(4))
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -651,4 +659,4 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
         if fh.tell() != size:
             raise DataError(f"checkpoint {path} holds {size - fh.tell()} bytes after its last "
                             "record; rerun the 'train' stage")
-    return out
+    return header, out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +27,9 @@ BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Arena entries per Adam update block.
 ADAM_BLOCK = 1 << 15
+# The ModelConfig fields that shape an evaluation forward; dropout and the L2
+# coefficient act only in training.
+FORWARD_SETTINGS = ("embed_dim", "gcn_layers", "attn_layers", "heads", "time_vocab", "ablation")
 
 
 @dataclass
@@ -224,12 +227,20 @@ def save_history(history: Sequence[EpochStats], path: str | Path) -> None:
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    T.save_tensors(path, [(name, t.values) for name, t in params.items()])
+    """Every parameter, under a header holding the model settings."""
+    T.save_tensors(path, [(name, t.values) for name, t in params.items()], asdict(params.config))
 
 
 def load_checkpoint(params: ModelParams, path: str | Path) -> ModelParams:
-    """Restore parameters; a checkpoint that does not fit the model raises DataError."""
-    values = T.load_tensors(path)
+    """Restore parameters; a checkpoint trained under other FORWARD_SETTINGS,
+    or one that does not fit the model, raises DataError."""
+    header, values = T.load_tensors(path)
+    now = asdict(params.config)
+    differ = [f"{key} {header.get(key)!r} there, {now[key]!r} here"
+              for key in FORWARD_SETTINGS if header.get(key) != now[key]]
+    if differ:
+        raise DataError(f"{path} was trained with other model settings ({'; '.join(differ)}); "
+                        "pass the training settings or rerun the 'train' stage")
     try:
         params.load_values(values)
     except DataError as exc:

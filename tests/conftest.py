@@ -85,6 +85,12 @@ def on_odd_cells(sequences):
     return sequences
 
 
+# Tape ops of one training step (forward_batch and model_loss, dropout on)
+# per variant, as (fixed, per attention layer).
+STEP_OPS = {"": (19, 5), "tul-ea": (19, 5), "tul-ts": (17, 5), "tul-g": (16, 5),
+            "tul-sa": (18, 0), "tul-l": (9, 0)}
+
+
 def small_config(**overrides):
     base = dict(
         embed_dim=8,

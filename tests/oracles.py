@@ -159,6 +159,76 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
+def add_bias(x: Tensor, b: Tensor) -> Tensor:
+    """x[..., :] + b with b broadcast over all leading axes."""
+    if b.values.ndim != 1 or x.shape[-1] != b.shape[0]:
+        raise ValueError(f"add_bias shape mismatch: {x.shape} vs {b.shape}")
+    out = _result(x.values + b.values, x, b)
+    if out.requires_grad:
+        def backward():
+            if x.requires_grad:
+                x.grad += out.grad
+            if b.requires_grad:
+                b.grad += out.grad.reshape(-1, b.shape[0]).sum(axis=0)
+        _record(backward)
+    return out
+
+
+def scale(x: Tensor, c: float) -> Tensor:
+    out = _result(x.values * c, x)
+    if out.requires_grad:
+        def backward():
+            x.grad += out.grad * c
+        _record(backward)
+    return out
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., m, k) @ (k, n), or (..., m, k) @ (..., k, n) with equal batch axes."""
+    if (a.values.ndim < 2 or b.values.ndim not in (2, a.values.ndim)
+            or a.shape[-1] != b.shape[-2] or (b.values.ndim > 2 and a.shape[:-2] != b.shape[:-2])):
+        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    out = _result(a.values @ b.values, a, b)
+    if out.requires_grad:
+        def backward():
+            if a.requires_grad:
+                a.grad += out.grad @ np.swapaxes(b.values, -1, -2)
+            if b.requires_grad and b.values.ndim == 2:  # shared weight: sum over the batch
+                k, n = b.shape
+                b.grad += a.values.reshape(-1, k).T @ out.grad.reshape(-1, n)
+            elif b.requires_grad:
+                b.grad += np.swapaxes(a.values, -1, -2) @ out.grad
+        _record(backward)
+    return out
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """T.softmax with its Jacobian recorded."""
+    p = T.softmax(x, axis=axis).values
+    out = _result(p, x)
+    if out.requires_grad:
+        def backward():
+            g = out.grad
+            x.grad += (g - (g * p).sum(axis=axis, keepdims=True)) * p
+        _record(backward)
+    return out
+
+
+def sparsemax(x: Tensor) -> Tensor:
+    """T.sparsemax with its Jacobian recorded, which acts only on each row's
+    support: the centred upstream gradient there, zero elsewhere."""
+    p = T.sparsemax(x).values
+    out = _result(p, x)
+    if out.requires_grad:
+        support = p > 0.0
+        support_size = np.count_nonzero(support, axis=-1, keepdims=True)
+        def backward():
+            g = np.where(support, out.grad, 0.0)
+            x.grad += np.where(support, g - g.sum(axis=-1, keepdims=True) / support_size, 0.0)
+        _record(backward)
+    return out
+
+
 def simplex_projection_oracle(x: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex by support search.
 
@@ -335,12 +405,12 @@ def per_head_attention_oracle(params, config, x, rng, training):
     for layer in range(config.attn_layers):
         heads = []
         for h in range(config.heads):
-            q, k, v = (T.matmul(state, _columns(params[f"attn{layer}_{kind}"],
-                                                h * dh, (h + 1) * dh)) for kind in "qkv")
-            weights = T.softmax(T.scale(T.matmul(q, T.transpose(k)), inv_scale), axis=-1)
-            heads.append(T.matmul(weights, v))
-        z = T.add_bias(T.matmul(T.concat(heads, axis=-1), params[f"attn{layer}_out_w"]),
-                       params[f"attn{layer}_out_b"])
+            q, k, v = (matmul(state, _columns(params[f"attn{layer}_{kind}"],
+                                              h * dh, (h + 1) * dh)) for kind in "qkv")
+            weights = softmax(scale(matmul(q, T.transpose(k)), inv_scale), axis=-1)
+            heads.append(matmul(weights, v))
+        z = add_bias(matmul(T.concat(heads, axis=-1), params[f"attn{layer}_out_w"]),
+                     params[f"attn{layer}_out_b"])
         z = T.dropout(z, config.dropout_rate, training, rng)
         state = T.layer_norm(T.add(state, z),
                              params[f"attn{layer}_ln_gain"],
@@ -356,21 +426,21 @@ def masked_attention_oracle(state, wq, wk, wv, lengths, heads, inv_scale):
     dh = d // heads
     bias = np.where(np.arange(m) < np.asarray(lengths)[:, None], 0.0, -np.inf)
     key_mask = Tensor(np.broadcast_to(bias[:, None, None, :], (b, heads, m, m)))
-    q, k, v = (permute(reshape(T.matmul(state, w), (b, m, heads, dh)), (0, 2, 1, 3))
+    q, k, v = (permute(reshape(matmul(state, w), (b, m, heads, dh)), (0, 2, 1, 3))
                for w in (wq, wk, wv))
-    scores = T.add(T.scale(T.matmul(q, T.transpose(k)), inv_scale), key_mask)
-    return reshape(permute(T.matmul(T.softmax(scores, axis=-1), v), (0, 2, 1, 3)), (b, m, d))
+    scores = T.add(scale(matmul(q, T.transpose(k)), inv_scale), key_mask)
+    return reshape(permute(matmul(softmax(scores, axis=-1), v), (0, 2, 1, 3)), (b, m, d))
 
 
 def per_row_global_attention_oracle(h_traj, traj_norms, index, use_softmax):
     """Cosine scores of one trajectory against the roster, one vector."""
     n_traj, d = h_traj.shape
     hi = slice_rows(h_traj, index, index + 1)
-    dots = reshape(T.matmul(h_traj, T.transpose(hi)), (n_traj,))
-    denom = T.matmul(reshape(traj_norms, (n_traj, 1)), reshape(T.row_norms(hi), (1, 1)))
+    dots = reshape(matmul(h_traj, T.transpose(hi)), (n_traj,))
+    denom = matmul(reshape(traj_norms, (n_traj, 1)), reshape(T.row_norms(hi), (1, 1)))
     scores = div(dots, add_scalar(reshape(denom, (n_traj,)), COSINE_EPS))
-    weights = T.softmax(scores) if use_softmax else T.sparsemax(scores)
-    return reshape(T.matmul(reshape(weights, (1, n_traj)), h_traj), (d,))
+    weights = softmax(scores) if use_softmax else sparsemax(scores)
+    return reshape(matmul(reshape(weights, (1, n_traj)), h_traj), (d,))
 
 
 def dense_global_attention_oracle(h_traj, traj_norms, batch, eps, use_softmax):
@@ -380,12 +450,12 @@ def dense_global_attention_oracle(h_traj, traj_norms, batch, eps, use_softmax):
     T.cosine_attention."""
     n_traj = h_traj.shape[0]
     rows = T.embedding(h_traj, batch)
-    dots = T.matmul(rows, T.transpose(h_traj))
+    dots = matmul(rows, T.transpose(h_traj))
     row_norms = T.embedding(reshape(traj_norms, (n_traj, 1)), batch)
-    norms = T.matmul(row_norms, reshape(traj_norms, (1, n_traj)))
+    norms = matmul(row_norms, reshape(traj_norms, (1, n_traj)))
     scores = div(dots, add_scalar(norms, eps))
-    weights = T.softmax(scores, axis=-1) if use_softmax else T.sparsemax(scores)
-    return T.matmul(weights, h_traj)
+    weights = softmax(scores, axis=-1) if use_softmax else sparsemax(scores)
+    return matmul(weights, h_traj)
 
 
 def dense_gcn_oracle(m_norm, features, weights, n_rows=None):
@@ -394,7 +464,7 @@ def dense_gcn_oracle(m_norm, features, weights, n_rows=None):
     xw = weights[0] if features is None else T.spmm(features, weights[0])
     h = relu(T.spmm(m_norm, xw))
     for w in weights[1:]:
-        h = relu(T.spmm(m_norm, T.matmul(h, w)))
+        h = relu(T.spmm(m_norm, matmul(h, w)))
     return h if n_rows is None else slice_rows(h, 0, n_rows)
 
 
@@ -413,13 +483,13 @@ def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
             x = T.dropout(x, config.dropout_rate, training, rng)
             z = x if config.ablation == "tul-sa" else per_head_attention_oracle(
                 params, config, x, rng, training)
-            z_local = T.max_pool_positions(z)
+            z_local = T.max_pool_positions(z, m)
         if config.ablation != "tul-g":
             z_global = per_row_global_attention_oracle(
                 h_traj, traj_norms, int(idx), config.ablation == "tul-ea")
         rows.append(reshape(T.concat([z_local, z_global], axis=-1), (1, -1)))
     stacked = T.concat(rows, axis=0)
-    return T.add_bias(T.matmul(stacked, T.transpose(params["link_w"])), params["link_b"])
+    return add_bias(matmul(stacked, T.transpose(params["link_w"])), params["link_b"])
 
 
 def evaluate_rows_oracle(params, config, inputs, indices, forward, chunk=16):
@@ -520,7 +590,7 @@ def l2_chain_oracle(tensors):
     a chain of taped adds."""
     penalty = None
     for t in tensors:
-        term = T.sum_squares(t)
+        term = T.sum_squares([t], 1.0)
         penalty = term if penalty is None else T.add(penalty, term)
     return penalty
 
@@ -733,7 +803,7 @@ def parse_dataset_oracle(path):
     report = ParseReport()
     first_content_line = True
     with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -750,6 +820,9 @@ def parse_dataset_oracle(path):
                 if len(fields) != 4:
                     raise ValueError("expected 4 comma-separated fields")
                 user, t_s, lat_s, lon_s = (f.strip() for f in fields)
+                if "\t" in user:
+                    raise DataError(f"{path} line {number}: user id {user!r} holds a tab, "
+                                    "which would split its rows of embeddings.tsv")
                 point = SpatioTemporalPoint(t=float(t_s), lon=float(lon_s), lat=float(lat_s))
             except ValueError:
                 report.failed += 1
@@ -881,8 +954,9 @@ def encode_motion_states(st):
 
 def motion_margin(st, i):
     """How near point i's speed ratio and heading change lie to their class
-    thresholds, relative to the compared values. Only within a few ulps can
-    numpy's hypot and arctan2 give another class than math's."""
+    thresholds, relative to the compared values; the heading change's wrap
+    point at pi is one. Only within a few ulps can numpy's hypot and arctan2
+    give another class than math's."""
     da, db, dta, dtb, dtheta = _segment_pair(st, i, _planar_xy(st.points))
     margins = [math.inf]
     if dta > 0 and dtb > 0:
@@ -892,7 +966,8 @@ def motion_margin(st, i):
             margins.append(abs(vb - bound) / max(abs(vb), abs(bound), 5e-324))
     if da > 0 and db > 0:
         theta0 = math.radians(TURN_THRESHOLD_DEG)
-        margins += [abs(dtheta - theta0) / theta0, abs(dtheta + theta0) / theta0]
+        margins += [abs(dtheta - theta0) / theta0, abs(dtheta + theta0) / theta0,
+                    (math.pi - abs(dtheta)) / math.pi]  # a U-turn wraps to +pi or -pi
     return min(margins)
 
 

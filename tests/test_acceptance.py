@@ -74,7 +74,7 @@ class TestCriterion1Sparsemax:
 
 def scalar_functional(t, coeffs):
     flat = oracles.reshape(t, (1, t.values.size))
-    return T.matmul(flat, Tensor(np.asarray(coeffs).reshape(-1, 1)))
+    return oracles.matmul(flat, Tensor(np.asarray(coeffs).reshape(-1, 1)))
 
 
 def primitive_checks(rng):
@@ -83,14 +83,6 @@ def primitive_checks(rng):
     Inputs are sampled away from relu kinks, max-pooling ties, and sparsemax
     support boundaries so central differences see a smooth function.
     """
-    def sparsemax_safe_vector(n=6, margin=1e-3):
-        while True:
-            x = rng.normal(size=n)
-            p = T.sparsemax(Tensor(x)).values
-            tau = (x[p > 0].sum() - 1.0) / np.count_nonzero(p > 0)
-            if np.min(np.abs(x - tau)) > margin:
-                return x
-
     def cosine_safe_roster(batch, margin=1e-3):
         """A roster whose sparsemax supports cannot flip within the FD step."""
         while True:
@@ -101,12 +93,16 @@ def primitive_checks(rng):
             if np.min(np.abs(scores - tau)) > margin:
                 return h, norms
 
-    def max_pool_safe(shape, margin=1e-3):
+    def max_pool_safe(shape, lengths, margin=1e-3):
+        """Real rows without near-ties; the padded rows hold the largest
+        entries, which must neither win nor take a gradient."""
         while True:
             z = rng.normal(size=shape)
-            top2 = np.sort(z, axis=-2)[..., -2:, :]
-            if np.min(top2[..., 1, :] - top2[..., 0, :]) > margin:
-                return z
+            real = np.arange(shape[-2]) < np.asarray(lengths)[..., None]
+            top2 = np.sort(np.where(real[..., None], z, -np.inf), axis=-2)[..., -2:, :]
+            gaps = top2[..., 1, :] - top2[..., 0, :]
+            if np.min(gaps[np.isfinite(gaps)], initial=np.inf) > margin:
+                return np.where(real[..., None], z, z + 10.0)
 
     import scipy.sparse as sp
 
@@ -115,17 +111,13 @@ def primitive_checks(rng):
     a34 = rng.normal(size=(3, 4))
     b34 = rng.normal(size=(3, 4)) + 3.0
     c4 = rng.normal(size=4)
-    c6 = rng.normal(size=6)
     c8 = rng.normal(size=8)
     c12 = rng.normal(size=12)
     c18 = rng.normal(size=18)
     mat43 = rng.normal(size=(4, 3))
-    vec6 = rng.normal(size=6)
     part32 = rng.normal(size=(3, 2))
     a234 = rng.normal(size=(2, 3, 4))
-    b245 = rng.normal(size=(2, 4, 5))
     c24 = rng.normal(size=24)
-    c30 = rng.normal(size=30)
     c10 = rng.normal(size=10)
     c3 = rng.normal(size=3)
     sparse = sp.random(5, 3, density=0.6, random_state=7, format="csr")
@@ -133,6 +125,7 @@ def primitive_checks(rng):
     ln_gain = rng.normal(size=4) + 1.0
     ln_bias = rng.normal(size=4)
     targets = np.array([1, 0, 3])
+    pool_lengths = np.array([2, 5, 1])
 
     def dropout_f(t):
         return scalar_functional(
@@ -141,14 +134,14 @@ def primitive_checks(rng):
 
     checks = [
         ("add", lambda t: scalar_functional(T.add(t, Tensor(b34)), c12), a34),
-        ("add_bias", lambda t: scalar_functional(T.add_bias(Tensor(a34), t), c12), c4),
-        ("scale", lambda t: scalar_functional(T.scale(t, -1.3), c6), vec6),
-        ("matmul", lambda t: scalar_functional(T.matmul(t, Tensor(mat43)), c12),
+        ("matmul", lambda t: scalar_functional(T.matmul(t, Tensor(mat43), Tensor(c3)), c12),
          rng.normal(size=(4, 4))),
-        ("matmul_batched", lambda t: scalar_functional(T.matmul(t, Tensor(b245)), c30),
-         a234),
-        ("matmul_batched_right", lambda t: scalar_functional(T.matmul(Tensor(a234), t), c30),
-         b245),
+        ("matmul_batched", lambda t: scalar_functional(
+            T.matmul(t, Tensor(mat43), Tensor(c3)), c18), a234),
+        ("matmul_weight", lambda t: scalar_functional(
+            T.matmul(Tensor(a234), t, Tensor(c3)), c18), mat43),
+        ("matmul_bias", lambda t: scalar_functional(
+            T.matmul(Tensor(a234), Tensor(mat43), t), c18), c3),
         ("spmm", lambda t: scalar_functional(T.spmm(sparse, t), c10),
          rng.normal(size=(3, 2))),
         ("transpose", lambda t: scalar_functional(T.transpose(t), c12), a34),
@@ -157,22 +150,21 @@ def primitive_checks(rng):
             T.concat([t, Tensor(part32)], axis=-1), c18), a34),
         ("embedding", lambda t: scalar_functional(T.embedding(t, table_idx), c8),
          rng.normal(size=(3, 2))),
+        ("embedding_with_bias", lambda t: scalar_functional(
+            T.embedding(t, table_idx, Tensor(c4[:2])), c8), rng.normal(size=(3, 2))),
+        ("embedding_bias", lambda t: scalar_functional(
+            T.embedding(Tensor(part32), table_idx, t), c8), c4[2:]),
         ("tanh", lambda t: scalar_functional(T.tanh(t), c12), a34),
-        ("softmax", lambda t: scalar_functional(T.softmax(t, axis=-1), c12), a34),
-        ("sparsemax", lambda t: scalar_functional(T.sparsemax(t), c6),
-         sparsemax_safe_vector()),
-        ("sparsemax_rows", lambda t: scalar_functional(T.sparsemax(t), c24),
-         np.stack([sparsemax_safe_vector() for _ in range(4)])),
         ("layer_norm", lambda t: scalar_functional(
             T.layer_norm(t, Tensor(ln_gain), Tensor(ln_bias)), c12), a34),
         ("dropout", dropout_f, a34),
         ("max_pool_positions", lambda t: scalar_functional(
-            T.max_pool_positions(t), c4), rng.normal(size=(5, 4))),
+            T.max_pool_positions(t, 5), c4), max_pool_safe((5, 4), 5)),
         ("max_pool_positions_batched", lambda t: scalar_functional(
-            T.max_pool_positions(t), c12), max_pool_safe((3, 5, 4))),
+            T.max_pool_positions(t, pool_lengths), c12), max_pool_safe((3, 5, 4), pool_lengths)),
         ("cross_entropy", lambda t: T.cross_entropy(t, targets), rng.normal(size=(3, 5))),
-        ("sum_squares", lambda t: T.sum_squares(t), a34),
-        ("sum_squares_args", lambda t: T.sum_squares(t, Tensor(part32), t), a34),
+        ("sum_squares", lambda t: T.sum_squares([t], 1.0), a34),
+        ("sum_squares_scaled", lambda t: T.sum_squares([t, Tensor(part32), t], -0.3), a34),
         ("row_norms", lambda t: scalar_functional(T.row_norms(t), c3),
          rng.normal(size=(3, 4)) + 1.5),
     ]
@@ -238,11 +230,34 @@ def oracle_primitive_checks(rng):
         x[np.abs(x) < margin] += np.sign(x[np.abs(x) < margin] + 0.5) * margin
         return x
 
+    def sparsemax_safe_vector(n=6, margin=1e-3):
+        while True:
+            x = rng.normal(size=n)
+            p = T.sparsemax(Tensor(x)).values
+            tau = (x[p > 0].sum() - 1.0) / np.count_nonzero(p > 0)
+            if np.min(np.abs(x - tau)) > margin:
+                return x
+
     a34 = rng.normal(size=(3, 4))
     b34 = rng.normal(size=(3, 4)) + 3.0
     a234 = rng.normal(size=(2, 3, 4))
-    c6, c8, c12, c24 = (rng.normal(size=n) for n in (6, 8, 12, 24))
+    b245 = rng.normal(size=(2, 4, 5))
+    mat43 = rng.normal(size=(4, 3))
+    c4, c6, c8, c12, c24, c30 = (rng.normal(size=n) for n in (4, 6, 8, 12, 24, 30))
     return [
+        ("add_bias", lambda t: scalar_functional(oracles.add_bias(Tensor(a34), t), c12), c4),
+        ("scale", lambda t: scalar_functional(oracles.scale(t, -1.3), c6), rng.normal(size=6)),
+        ("matmul", lambda t: scalar_functional(oracles.matmul(t, Tensor(mat43)), c12),
+         rng.normal(size=(4, 4))),
+        ("matmul_batched", lambda t: scalar_functional(oracles.matmul(t, Tensor(b245)), c30),
+         a234),
+        ("matmul_batched_right", lambda t: scalar_functional(
+            oracles.matmul(Tensor(a234), t), c30), b245),
+        ("softmax", lambda t: scalar_functional(oracles.softmax(t, axis=-1), c12), a34),
+        ("sparsemax", lambda t: scalar_functional(oracles.sparsemax(t), c6),
+         sparsemax_safe_vector()),
+        ("sparsemax_rows", lambda t: scalar_functional(oracles.sparsemax(t), c24),
+         np.stack([sparsemax_safe_vector() for _ in range(4)])),
         ("add_scalar", lambda t: scalar_functional(oracles.add_scalar(t, 0.7), c6),
          rng.normal(size=6)),
         ("div", lambda t: scalar_functional(oracles.div(Tensor(a34), t), c12), b34),
@@ -253,22 +268,39 @@ def oracle_primitive_checks(rng):
     ]
 
 
-def tensor_primitives():
-    """Public functions of tulink.tensor annotated to return a Tensor."""
-    return {name for name, fn in inspect.getmembers(T, inspect.isfunction)
-            if fn.__module__ == T.__name__ and not name.startswith("_")
+# Tensor-valued functions of tulink.tensor that record nothing: cosine_attention
+# reads only their values. Their taped versions are oracle primitives.
+FORWARD_ONLY = {"softmax", "sparsemax"}
+
+
+def taped_functions(module):
+    """Public functions defined in ``module`` and annotated to return a Tensor."""
+    return {name for name, fn in inspect.getmembers(module, inspect.isfunction)
+            if fn.__module__ == module.__name__ and not name.startswith("_")
             and typing.get_type_hints(fn).get("return") is Tensor}
+
+
+def tensor_primitives():
+    """The taped primitives of tulink.tensor: its Tensor-valued public
+    functions, less the forward-only normalizers."""
+    return taped_functions(T) - FORWARD_ONLY
+
+
+def uncovered(primitives, checks):
+    """Primitives without a row. Each row is named after its primitive, plus
+    an optional variant suffix; the longest matching name is the one it checks."""
+    covered = {max((p for p in primitives if row == p or row.startswith(p + "_")),
+                   key=len, default=None)
+               for row, _, _ in checks}
+    return sorted(primitives - covered)
 
 
 class TestCriterion2Gradients:
     def test_every_primitive_has_a_row(self):
-        """Each row is named after its primitive, plus an optional variant
-        suffix; the longest matching primitive name is the one it checks."""
-        primitives = tensor_primitives()
-        covered = {max((p for p in primitives if row == p or row.startswith(p + "_")),
-                       key=len, default=None)
-                   for row, _, _ in primitive_checks(np.random.default_rng(0))}
-        assert primitives <= covered, sorted(primitives - covered)
+        assert not uncovered(tensor_primitives(),
+                             primitive_checks(np.random.default_rng(0)))
+        assert not uncovered(taped_functions(oracles),
+                             oracle_primitive_checks(np.random.default_rng(0)))
 
     def test_oracle_primitives(self):
         """The taped primitives that only tests/oracles.py keeps."""

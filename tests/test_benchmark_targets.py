@@ -16,6 +16,8 @@ import tulink.cli  # noqa: F401  (imports every module the tracer wraps)
 from tulink import mobility as mob
 from tulink import synth
 
+from conftest import STEP_OPS
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 HARNESS = PERFBENCH / "harness.py"
@@ -88,3 +90,27 @@ def test_every_target_is_wrapped_and_restored():
     restored = [key for key, (owner, attr, fn) in originals.items()
                 if getattr(owner, attr) is fn]
     assert sorted(restored) == sorted(originals)
+
+
+def test_tracer_counts_a_training_run(tmp_path):
+    """The tracer's probes over a small train stage: sparsemax, which records
+    nothing, still reports its support through the wrapped module function,
+    and every step's tape holds the pinned op count."""
+    spans = load_spans()
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    data.write_text(synth.disjoint_regions(n_users=4, subtrajs_per_user=8, seed=3))
+    flags = ["--dataset", str(data), "--output", str(out), "--embed-dim", "8", "--heads", "2",
+             "--attn-layers", "2", "--epochs", "2"]
+    for stage in ("preprocess", "build-graphs"):
+        assert tulink.cli.main([stage, *flags]) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tulink.cli.main(["train", *flags]) == 0
+    finally:
+        tracer.remove()
+    steps = tracer.summarize()["train.adam_step"]["calls"]
+    fixed, per_layer = STEP_OPS[""]
+    assert steps > 0
+    assert tracer.counts["tape_ops"] == (fixed + 2 * per_layer) * steps
+    assert 0 < tracer.counts["sparsemax_nonzero"] <= tracer.counts["sparsemax_outputs"]

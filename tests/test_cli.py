@@ -134,6 +134,18 @@ class TestExitCodes:
         assert code == 2
         assert "train" in capsys.readouterr().err
 
+    def test_tab_in_a_user_id_is_data_error(self, tmp_path, capsys):
+        """embeddings.tsv separates fields with tabs, so such an id would
+        give that user's rows extra fields."""
+        data = tmp_path / "d.csv"
+        text = synth.checkin_style(n_users=6, seed=3).replace("user00,", "us\ter00,")
+        data.write_text(text)
+        code = run(["preprocess", "--dataset", str(data), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{data} line 2: user id 'us\\ter00' holds a tab" in err
+        assert not (tmp_path / "o" / "sequences.jsonl").exists()
+
     def test_invalid_ablation_is_usage_error_listing_names(self, workspace, capsys):
         code = run(["train", "--config", workspace["config"], "--ablation", "bogus"])
         assert code == 1
@@ -284,7 +296,7 @@ class TestCheckpointErrors:
     def test_negative_dimensions(self, workspace, trained, tmp_path, capsys):
         """A record of shape (-r, -c) holds as many values as one of (r, c)."""
         def negate_first_matrix(path):
-            name, values = next((n, v) for n, v in load_tensors(path).items() if v.ndim == 2)
+            name, values = next((n, v) for n, v in load_tensors(path)[1].items() if v.ndim == 2)
             header = name.encode() + struct.pack("<B2q", 2, *values.shape)
             negated = name.encode() + struct.pack("<B2q", 2, *(-n for n in values.shape))
             path.write_bytes(path.read_bytes().replace(header, negated, 1))
@@ -294,20 +306,58 @@ class TestCheckpointErrors:
     def test_dimension_mismatch(self, workspace, trained, tmp_path, capsys):
         err = self._evaluate(workspace, trained, tmp_path, capsys, lambda path: None,
                              "--embed-dim", "32")
-        assert "shape" in err
+        assert "embed_dim 16 there, 32 here" in err
+
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    @pytest.mark.parametrize("flags, setting", [
+        (("--heads", "1"), "heads 2 there, 1 here"),
+        (("--ablation", "tul-l"), "ablation '' there, 'tul-l' here"),
+        (("--heads", "4", "--ablation", "tul-ea"),
+         "heads 2 there, 4 here; ablation '' there, 'tul-ea' here"),
+    ], ids=["heads", "ablation", "both"])
+    def test_other_model_settings(self, workspace, trained, tmp_path, capsys, stage, flags,
+                                  setting):
+        """Settings that keep every parameter shape but change the forward:
+        restoring under them would score or embed with another model."""
+        err = self._evaluate(workspace, trained, tmp_path, capsys, lambda path: None, *flags,
+                             stage=stage)
+        assert setting in err
+        assert not (tmp_path / stage / ("metrics.txt" if stage == "evaluate"
+                                        else "embeddings.tsv")).exists()
+
+    @pytest.mark.parametrize("flags", [("--dropout", "0.1"), ("--lambda-l2", "0.01")])
+    def test_training_only_settings_may_differ(self, workspace, trained, tmp_path, capsys,
+                                               flags):
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        assert run(["evaluate", "--config", workspace["config"], "--output", str(out)]) == 0
+        expected = (out / "metrics.txt").read_bytes()
+        assert run(["evaluate", "--config", workspace["config"], "--output", str(out),
+                    *flags]) == 0
+        capsys.readouterr()
+        assert (out / "metrics.txt").read_bytes() == expected
+
+    def test_checkpoint_of_an_earlier_version(self, workspace, trained, tmp_path, capsys):
+        def drop_header(path):
+            raw = path.read_bytes()
+            (meta_len,) = struct.unpack("<I", raw[8:12])
+            path.write_bytes(b"TLNKPRM1" + raw[12 + meta_len:])
+        err = self._evaluate(workspace, trained, tmp_path, capsys, drop_header)
+        assert "earlier version" in err and "rerun the 'train' stage" in err
 
     def test_per_head_parameter_names_of_earlier_versions(self, workspace, trained,
                                                           tmp_path, capsys):
         def split_heads(path):
             named = []
-            for name, values in load_tensors(path).items():
+            header, tensors = load_tensors(path)
+            for name, values in tensors.items():
                 layer, _, kind = name.partition("_")
                 if layer.startswith("attn") and kind in ("q", "k", "v"):
                     named += [(f"{name}{h}", block)
                               for h, block in enumerate(np.split(values, 2, axis=1))]
                 else:
                     named.append((name, values))
-            save_tensors(path, named)
+            save_tensors(path, named, header)
         err = self._evaluate(workspace, trained, tmp_path, capsys, split_heads)
         assert "'attn0_q'" in err
 
@@ -321,13 +371,14 @@ class TestCheckpointErrors:
 
         def widen_first_gcn_layers(path):
             named = []
-            for name, values in load_tensors(path).items():
+            header, tensors = load_tensors(path)
+            for name, values in tensors.items():
                 if name in ("gcn_local_0", "gcn_global_0"):
                     wide = np.zeros((n_cells, values.shape[1]))
                     wide[rows] = values
                     values = wide
                 named.append((name, values))
-            save_tensors(path, named)
+            save_tensors(path, named, header)
         err = self._evaluate(workspace, trained, tmp_path, capsys, widen_first_gcn_layers,
                              stage=stage)
         assert "'gcn_local_0'" in err and "shape" in err
@@ -336,11 +387,9 @@ class TestCheckpointErrors:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value(self, workspace, trained, tmp_path, capsys, stage, value):
         def poison_link_bias(path):
-            named = list(load_tensors(path).items())
-            for name, values in named:
-                if name == "link_b":
-                    values[0] = value
-            save_tensors(path, named)
+            header, tensors = load_tensors(path)
+            tensors["link_b"][0] = value
+            save_tensors(path, tensors.items(), header)
         err = self._evaluate(workspace, trained, tmp_path, capsys, poison_link_bias,
                              stage=stage)
         assert "'link_b'" in err and "non-finite" in err
@@ -351,7 +400,15 @@ class TestCheckpointErrors:
                                          flags):
         err = self._evaluate(workspace, trained_deeper, tmp_path, capsys, lambda path: None,
                              *flags)
-        assert "lacks" in err
+        for flag in flags[::2]:
+            assert f"{flag[2:].replace('-', '_')} 2 there, 1 here" in err
+
+    def test_checkpoint_holds_a_parameter_the_model_lacks(self, workspace, trained, tmp_path,
+                                                          capsys):
+        def add_a_layer(path):
+            header, tensors = load_tensors(path)
+            save_tensors(path, [*tensors.items(), ("attn1_q", tensors["attn0_q"])], header)
+        assert "lacks" in self._evaluate(workspace, trained, tmp_path, capsys, add_a_layer)
 
 
 class TestConfigResolution:
@@ -524,9 +581,9 @@ class TestArtifactErrors:
     def test_checkpoint_names_a_parameter_twice(self, workspace, trained, tmp_path, capsys):
         def repeat_link_w(out):
             path = out / "checkpoint.bin"
-            named = list(load_tensors(path).items())
-            values = np.random.default_rng(0).normal(size=dict(named)["link_w"].shape)
-            save_tensors(path, [*named, ("link_w", values)])
+            header, tensors = load_tensors(path)
+            values = np.random.default_rng(0).normal(size=tensors["link_w"].shape)
+            save_tensors(path, [*tensors.items(), ("link_w", values)], header)
         err = self._run(workspace, trained, tmp_path, capsys, "evaluate", repeat_link_w)
         assert "checkpoint.bin" in err and "'train'" in err and "'link_w' twice" in err
 

@@ -523,7 +523,7 @@ TIMESTAMPS = st.one_of(
     st.sampled_from(["-1e-13", "-7e-12", "0", "-0.0", "86399.99999999999", "5e-324"]))
 BAD_FIELDS = st.sampled_from(["nan", "inf", "-inf", "180.5", "-90.5", "", "x", "1e300"])
 CSV_USERS = st.one_of(
-    st.sampled_from(["a", "b", ' q"', "u\x00", "u", "\\", "ünï", "日本", "\u2028", ""]),
+    st.sampled_from(["a", "b", ' q"', "u\x00", "u", "\\", "ünï", "日本", "\u2028", "", "u\tv"]),
     st.text(st.characters(codec="utf-8", exclude_characters="\n\r,"), max_size=3))
 
 
@@ -575,6 +575,8 @@ class TestColumnsMatchPointObjects:
              window=7200.0)  # grid ids near 2**62
     @example(text='q"\\,0,0,0\nu\x00,5,0,0.001\n"",7,0.001,0\nu,9,0,0', cell=40.0,
              tau=3600.0, window=7200.0)  # users with quotes and NULs
+    @example(text="a,1,-90.0,180\na,1,0.0,0.0\na,0,0.0,0.0", cell=40.0, tau=21_600.0,
+             window=7200.0)  # a U-turn whose heading change wraps to -pi with numpy
     def test_same_records_as_the_point_objects(self, text, cell, tau, window, tmp_path_factory):
         """Preprocess through the columns and through the point objects, then
         every later sequence step through the columns and through the

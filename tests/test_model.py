@@ -25,11 +25,11 @@ from tulink.model import (
 )
 from tulink.tensor import Tape, Tensor, recording
 
-from conftest import (graphs_from_sequences, inputs_from_sequences, make_sequence, on_odd_cells,
-                      small_config, toy_nine_sequences)
+from conftest import (STEP_OPS, graphs_from_sequences, inputs_from_sequences, make_sequence,
+                      on_odd_cells, small_config, toy_nine_sequences)
 from oracles import (bounding_box_initial_values, bounding_box_inputs_oracle,
                      bounding_box_params_oracle, finite_difference_check, l2_chain_oracle,
-                     per_trajectory_logits_oracle, reshape)
+                     matmul, per_trajectory_logits_oracle, reshape, scale)
 
 RNG = np.random.default_rng(4242)
 # The full model ("") and every ablation.
@@ -298,7 +298,7 @@ class TestSelfAttention:
             out = self_attention_stack(params, cfg, t, np.array([3]),
                                        np.random.default_rng(0), False)
             flat = reshape(out, (1, out.values.size))
-            return T.matmul(flat, Tensor(c.reshape(-1, 1)))
+            return matmul(flat, Tensor(c.reshape(-1, 1)))
 
         report = finite_difference_check(f, Tensor(RNG.normal(size=(1, 3, cfg.embed_dim))),
                                          tolerance=1e-4)
@@ -307,7 +307,7 @@ class TestSelfAttention:
     @pytest.mark.parametrize("layers", [1, 3])
     def test_tape_ops_per_taped_forward(self, layers):
         """The position add, then per layer one masked attention, the output
-        projection and its bias, dropout, the residual add and layer norm."""
+        projection with its bias, dropout, the residual add and layer norm."""
         cfg = small_config(attn_layers=layers, dropout_rate=0.5)
         params = make_params(cfg)
         tape = Tape()
@@ -316,7 +316,7 @@ class TestSelfAttention:
                        requires_grad=True)
             self_attention_stack(params, cfg, x, np.array([1, 4, 2]), np.random.default_rng(0),
                                  training=True)
-        assert len(tape) == 1 + 6 * layers
+        assert len(tape) == 1 + 5 * layers
 
 
 class TestGlobalAttention:
@@ -374,7 +374,7 @@ class TestGlobalAttention:
             with recording(tape):
                 norms = T.row_norms(ht)
                 z = global_attention(ht, norms, np.array([idx]), use_softmax=False)
-                out = T.sum_squares(z)
+                out = T.sum_squares([z], 1.0)
             tape.backward(out)
             assert np.all(np.isfinite(z.values))
             assert np.all(np.isfinite(ht.grad))
@@ -422,6 +422,27 @@ class TestLinking:
         np.testing.assert_allclose(logits, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("ablation", VARIANTS, ids=["full", *ABLATIONS])
+def test_tape_ops_per_training_step(ablation, layers):
+    """Full model: two GCNs, row norms, the grid gather, the time and state
+    gathers with their biases, concat, the location layer, tanh, dropout and
+    the position add; per attention layer five ops; masked max pooling,
+    cosine attention, concat, the linking layer on the transposed weight,
+    cross entropy, the scaled penalty and the loss add."""
+    cfg = small_config(attn_layers=layers, dropout_rate=0.5, ablation=ablation)
+    inputs, _ = inputs_from_sequences(toy_nine_sequences(), 9)
+    params = make_params(cfg, max_seq_len=inputs.max_seq_len)
+    batch = np.array([0, 4, 7])
+    tape = Tape()
+    with recording(tape):
+        logits = forward_batch(params, cfg, inputs, batch, np.random.default_rng(0),
+                               training=True)
+        model_loss(logits, inputs.labels[batch], params, cfg)
+    fixed, per_layer = STEP_OPS[ablation]
+    assert len(tape) == fixed + per_layer * layers
+
+
 class TestModelLoss:
     def test_lambda_zero_equals_cross_entropy(self, toy_model_setup):
         params, _, inputs, _ = toy_model_setup
@@ -465,8 +486,7 @@ class TestModelLoss:
 
         def chain_loss(logits, targets, params, cfg):
             ce = T.cross_entropy(logits, targets)
-            return T.add(ce, T.scale(l2_chain_oracle(params.l2_tensors()),
-                                     0.5 * cfg.lambda_l2))
+            return T.add(ce, scale(l2_chain_oracle(params.l2_tensors()), 0.5 * cfg.lambda_l2))
 
         runs = []
         for loss_fn in (model_loss, chain_loss):

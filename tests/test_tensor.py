@@ -1,5 +1,6 @@
 """Autodiff core: forward values, backward rules, gradient checks."""
 
+import json
 import math
 import struct
 
@@ -19,10 +20,11 @@ from tulink.tensor import (
 
 from tulink.graphs import symmetric_normalize
 
-from oracles import (GradCheckReport, add_scalar, dense_gcn_oracle, dense_global_attention_oracle,
-                     div, finite_difference_check, l2_chain_oracle, masked_attention_oracle,
-                     permute, relu, reshape, simplex_projection_oracle, slice_rows,
-                     sorted_sparsemax_oracle)
+from oracles import (GradCheckReport, add_bias, add_scalar, dense_gcn_oracle,
+                     dense_global_attention_oracle, div, finite_difference_check,
+                     l2_chain_oracle, masked_attention_oracle, matmul, permute, relu, reshape,
+                     scale, simplex_projection_oracle, slice_rows, softmax, sorted_sparsemax_oracle,
+                     sparsemax)
 
 RNG = np.random.default_rng(20_240_817)
 
@@ -30,7 +32,7 @@ RNG = np.random.default_rng(20_240_817)
 def scalarize(t, weights):
     """Reduce any tensor to a scalar via a fixed linear functional."""
     flat = reshape(t, (1, t.values.size))
-    return T.matmul(flat, Tensor(np.asarray(weights).reshape(-1, 1)))
+    return matmul(flat, Tensor(np.asarray(weights).reshape(-1, 1)))
 
 
 def check_grad(f, x_values, tol=1e-6, h=1e-5):
@@ -42,45 +44,96 @@ def check_grad(f, x_values, tol=1e-6, h=1e-5):
     return report
 
 
+def values_and_grads(f, *inputs):
+    """f's output values and the gradient of a fixed functional of them
+    with respect to each input, all leaves."""
+    leaves = [Tensor(np.array(x, dtype=float), requires_grad=True) for x in inputs]
+    tape = Tape()
+    with recording(tape):
+        out = f(*leaves)
+        loss = scalarize(out, np.random.default_rng(3).normal(size=out.values.size))
+    tape.backward(loss)
+    return out.values, [t.grad for t in leaves]
+
+
+def assert_same_bits(a, b):
+    (out_a, grads_a), (out_b, grads_b) = a, b
+    np.testing.assert_array_equal(out_a, out_b)
+    for ga, gb in zip(grads_a, grads_b, strict=True):
+        np.testing.assert_array_equal(ga, gb)
+
+
 class TestMatmul:
+    """T.matmul is one fully connected layer, x @ w + b."""
+
     def test_identity(self):
         x = RNG.normal(size=(4, 4))
-        out = T.matmul(Tensor(np.eye(4)), Tensor(x))
+        out = T.matmul(Tensor(x), Tensor(np.eye(4)), Tensor(np.zeros(4)))
         np.testing.assert_array_equal(out.values, x)
 
     def test_hand_case(self):
-        out = T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
-        np.testing.assert_array_equal(out.values, [[3.0], [7.0]])
+        out = T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]), Tensor([0.5]))
+        np.testing.assert_array_equal(out.values, [[3.5], [7.5]])
 
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\) @ \(2, 3\)"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    def test_shape_error_names_every_shape(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\) @ \(2, 3\) \+ \(3,\)"):
+            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ValueError, match="mismatch"):
+            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
+
+    def test_weight_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 5))),
+                     Tensor(np.zeros(5)))
+
+    @pytest.mark.parametrize("lead", [(7,), (2, 3)], ids=["matrix", "batched"])
+    def test_gradients_every_operand(self, lead):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(*lead, 5))
+        w = rng.normal(size=(5, 3))
+        b = rng.normal(size=3)
+        c = rng.normal(size=math.prod(lead) * 3)
+        check_grad(lambda t: scalarize(T.matmul(t, Tensor(w), Tensor(b)), c), x)
+        check_grad(lambda t: scalarize(T.matmul(Tensor(x), t, Tensor(b)), c), w)
+        check_grad(lambda t: scalarize(T.matmul(Tensor(x), Tensor(w), t), c), b)
+
+    @pytest.mark.parametrize("lead", [(7,), (2, 3)], ids=["matrix", "batched"])
+    def test_matches_the_product_then_the_bias_to_the_bit(self, lead):
+        rng = np.random.default_rng(12)
+        x, w, b = rng.normal(size=(*lead, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)
+        assert_same_bits(values_and_grads(T.matmul, x, w, b),
+                         values_and_grads(lambda x, w, b: add_bias(matmul(x, w), b), x, w, b))
+
+
+class TestOracleMatmul:
+    """The bias-free product of tests/oracles.py, with a shared or a batched
+    right operand."""
 
     def test_gradients_both_sides(self):
         a = RNG.normal(size=(7, 5))
         b = RNG.normal(size=(5, 3))
         c = RNG.normal(size=21)
-        check_grad(lambda x: scalarize(T.matmul(x, Tensor(b)), c), a)
-        check_grad(lambda x: scalarize(T.matmul(Tensor(a), x), c), b)
+        check_grad(lambda x: scalarize(matmul(x, Tensor(b)), c), a)
+        check_grad(lambda x: scalarize(matmul(Tensor(a), x), c), b)
 
     def test_batched_against_shared_and_batched_right_operand(self):
         a = RNG.normal(size=(2, 3, 4))
         shared = RNG.normal(size=(4, 5))
         batched = RNG.normal(size=(2, 4, 5))
-        np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(shared)).values,
+        np.testing.assert_allclose(matmul(Tensor(a), Tensor(shared)).values,
                                    np.stack([a[i] @ shared for i in range(2)]), atol=1e-14)
-        np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(batched)).values,
+        np.testing.assert_allclose(matmul(Tensor(a), Tensor(batched)).values,
                                    np.stack([a[i] @ batched[i] for i in range(2)]), atol=1e-14)
         c = RNG.normal(size=30)
         for b in (shared, batched):
-            check_grad(lambda x: scalarize(T.matmul(x, Tensor(b)), c), a)
-            check_grad(lambda x: scalarize(T.matmul(Tensor(a), x), c), b)
+            check_grad(lambda x: scalarize(matmul(x, Tensor(b)), c), a)
+            check_grad(lambda x: scalarize(matmul(Tensor(a), x), c), b)
 
     def test_batch_axes_must_match(self):
         with pytest.raises(ValueError, match="mismatch"):
-            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
         with pytest.raises(ValueError, match="mismatch"):
-            T.matmul(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 3, 5))))
+            matmul(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 3, 5))))
 
 
 class TestElementwise:
@@ -95,7 +148,7 @@ class TestElementwise:
     def test_scale_and_add_scalar(self):
         a = RNG.normal(size=6)
         c = RNG.normal(size=6)
-        check_grad(lambda x: scalarize(T.scale(x, -2.5), c), a)
+        check_grad(lambda x: scalarize(scale(x, -2.5), c), a)
         check_grad(lambda x: scalarize(add_scalar(x, 1.75), c), a)
 
     def test_add_bias_broadcast(self):
@@ -103,10 +156,10 @@ class TestElementwise:
         b = RNG.normal(size=3)
         c = RNG.normal(size=12)
         np.testing.assert_allclose(
-            T.add_bias(Tensor(x), Tensor(b)).values, x + b
+            add_bias(Tensor(x), Tensor(b)).values, x + b
         )
-        check_grad(lambda t: scalarize(T.add_bias(t, Tensor(b)), c), x)
-        check_grad(lambda t: scalarize(T.add_bias(Tensor(x), t), c), b)
+        check_grad(lambda t: scalarize(add_bias(t, Tensor(b)), c), x)
+        check_grad(lambda t: scalarize(add_bias(Tensor(x), t), c), b)
 
 
 class TestShapePlumbing:
@@ -138,6 +191,22 @@ class TestShapePlumbing:
         np.testing.assert_array_equal(out.values, table[idx])
         c = RNG.normal(size=12)
         check_grad(lambda x: scalarize(T.embedding(x, idx), c), table)
+
+    def test_embedding_with_bias(self):
+        rng = np.random.default_rng(13)
+        table = rng.normal(size=(6, 3))
+        bias = rng.normal(size=3)
+        idx = np.array([[1, 1], [4, 0]])
+        np.testing.assert_array_equal(T.embedding(Tensor(table), idx, Tensor(bias)).values,
+                                      table[idx] + bias)
+        c = rng.normal(size=12)
+        check_grad(lambda x: scalarize(T.embedding(x, idx, Tensor(bias)), c), table)
+        check_grad(lambda b: scalarize(T.embedding(Tensor(table), idx, b), c), bias)
+        assert_same_bits(
+            values_and_grads(lambda t, b: T.embedding(t, idx, b), table, bias),
+            values_and_grads(lambda t, b: add_bias(T.embedding(t, idx), b), table, bias))
+        with pytest.raises(ValueError, match="bias"):
+            T.embedding(Tensor(table), idx, Tensor(np.zeros(4)))
 
     def test_embedding_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -185,7 +254,17 @@ class TestSoftmax:
     def test_gradient(self):
         x = RNG.normal(size=(3, 5))
         c = RNG.normal(size=15)
-        check_grad(lambda t: scalarize(T.softmax(t, axis=-1), c), x)
+        check_grad(lambda t: scalarize(softmax(t, axis=-1), c), x)
+
+
+@pytest.mark.parametrize("normalize", [T.softmax, T.sparsemax], ids=["softmax", "sparsemax"])
+def test_normalizers_record_nothing(normalize):
+    """cosine_attention reads only their values, so neither is taped."""
+    x = Tensor(np.random.default_rng(14).normal(size=(3, 5)), requires_grad=True)
+    tape = Tape()
+    with recording(tape):
+        out = normalize(x)
+    assert len(tape) == 0 and not out.requires_grad and out.grad is None
 
 
 def sparsemax_values(x):
@@ -246,7 +325,7 @@ class TestSparsemax:
         x = Tensor([0.2, 0.1, 0.15], requires_grad=True)
         tape = Tape()
         with recording(tape):
-            out = scalarize(T.sparsemax(x), np.ones(3))  # g = 1 on full support
+            out = scalarize(sparsemax(x), np.ones(3))  # g = 1 on full support
         tape.backward(out)
         np.testing.assert_allclose(x.grad, 0.0, atol=1e-15)
 
@@ -254,7 +333,7 @@ class TestSparsemax:
         x = Tensor([2.0, 0.0], requires_grad=True)
         tape = Tape()
         with recording(tape):
-            out = scalarize(T.sparsemax(x), np.array([3.0, 7.0]))
+            out = scalarize(sparsemax(x), np.array([3.0, 7.0]))
         tape.backward(out)
         np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
@@ -280,7 +359,7 @@ class TestSparsemax:
             if np.min(np.abs(x - tau)) > 1e-3:
                 rows.append(x)
         c = rng.normal(size=20)
-        check_grad(lambda t: scalarize(T.sparsemax(t), c), np.array(rows), tol=1e-5)
+        check_grad(lambda t: scalarize(sparsemax(t), c), np.array(rows), tol=1e-5)
 
     def test_gradient_away_from_support_boundaries(self):
         rng = np.random.default_rng(33)
@@ -294,7 +373,7 @@ class TestSparsemax:
             if margin < 1e-3:  # support could flip within the FD step
                 continue
             c = rng.normal(size=6)
-            check_grad(lambda t: scalarize(T.sparsemax(t), c), x, tol=1e-5)
+            check_grad(lambda t: scalarize(sparsemax(t), c), x, tol=1e-5)
             checked += 1
 
 
@@ -704,50 +783,80 @@ class TestDropout:
 
 class TestMaxPool:
     def test_hand_case(self):
-        out = T.max_pool_positions(Tensor([[1.0, 4.0], [3.0, 2.0]]))
+        out = T.max_pool_positions(Tensor([[1.0, 4.0], [3.0, 2.0]]), 2)
         np.testing.assert_array_equal(out.values, [3.0, 4.0])
 
     def test_single_row_identity(self):
         row = RNG.normal(size=(1, 5))
-        np.testing.assert_array_equal(T.max_pool_positions(Tensor(row)).values, row[0])
+        np.testing.assert_array_equal(T.max_pool_positions(Tensor(row), 1).values, row[0])
 
     def test_dominates_every_row(self):
         z = RNG.normal(size=(6, 4))
-        out = T.max_pool_positions(Tensor(z)).values
+        out = T.max_pool_positions(Tensor(z), 6).values
         assert np.all(out[None, :] >= z)
 
     def test_tie_routes_to_first_row(self):
         z = Tensor(np.array([[1.0, 0.0], [1.0, 0.5]]), requires_grad=True)
         tape = Tape()
         with recording(tape):
-            out = scalarize(T.max_pool_positions(z), np.array([1.0, 1.0]))
+            out = scalarize(T.max_pool_positions(z, 2), np.array([1.0, 1.0]))
         tape.backward(out)
         np.testing.assert_array_equal(z.grad, [[1.0, 0.0], [0.0, 1.0]])
 
-    def test_empty_rejected(self):
+    def test_empty_and_bad_lengths_rejected(self):
         with pytest.raises(ValueError):
-            T.max_pool_positions(Tensor(np.zeros((0, 3))))
+            T.max_pool_positions(Tensor(np.zeros((0, 3))), 0)
+        z = Tensor(np.zeros((2, 3, 4)))
+        for lengths in ([0, 3], [1, 4], [3], 3):
+            with pytest.raises(ValueError):
+                T.max_pool_positions(z, lengths)
 
     def test_gradient_away_from_ties(self):
         z = RNG.normal(size=(5, 3))
         c = RNG.normal(size=3)
-        check_grad(lambda t: scalarize(T.max_pool_positions(t), c), z)
+        check_grad(lambda t: scalarize(T.max_pool_positions(t, 5), c), z)
 
     def test_batched_pools_axis_minus_two(self):
         z = RNG.normal(size=(2, 5, 3))
-        np.testing.assert_array_equal(T.max_pool_positions(Tensor(z)).values, z.max(axis=1))
+        np.testing.assert_array_equal(T.max_pool_positions(Tensor(z), [5, 5]).values,
+                                      z.max(axis=1))
         c = RNG.normal(size=6)
-        check_grad(lambda t: scalarize(T.max_pool_positions(t), c), z)
+        check_grad(lambda t: scalarize(T.max_pool_positions(t, [5, 5]), c), z)
 
     def test_batched_tie_routes_to_first_row(self):
         z = Tensor(np.array([[[1.0, 0.0], [1.0, 0.5]], [[0.0, 2.0], [3.0, 2.0]]]),
                    requires_grad=True)
         tape = Tape()
         with recording(tape):
-            out = scalarize(T.max_pool_positions(z), np.ones(4))
+            out = scalarize(T.max_pool_positions(z, [2, 2]), np.ones(4))
         tape.backward(out)
         np.testing.assert_array_equal(z.grad, [[[1.0, 0.0], [0.0, 1.0]],
                                                [[0.0, 1.0], [1.0, 0.0]]])
+
+    def test_padding_never_wins_and_gets_no_gradient(self):
+        rng = np.random.default_rng(15)
+        lengths = np.array([1, 4, 2])
+        z = rng.normal(size=(3, 4, 5))
+        z[np.arange(4) >= lengths[:, None]] = 100.0
+        out, (grad,) = values_and_grads(lambda t: T.max_pool_positions(t, lengths), z)
+        for i, n in enumerate(lengths):
+            np.testing.assert_array_equal(out[i], z[i, :n].max(axis=0))
+            assert not grad[i, n:].any()
+        c = rng.normal(size=15)
+        check_grad(lambda t: scalarize(T.max_pool_positions(t, lengths), c), z)
+
+    def test_matches_the_padded_sum_to_the_bit(self):
+        """The mask inside the op gives the values and gradients of adding a
+        -inf padding tensor first and pooling every position."""
+        lengths = np.array([1, 4, 2])
+        z = np.random.default_rng(16).normal(size=(3, 4, 5))
+        z[0, 0, 1] = -0.0
+        pad = np.where(np.arange(4) < lengths[:, None], 0.0, -np.inf)[:, :, None]
+        full = np.full(3, 4)
+        assert_same_bits(
+            values_and_grads(lambda t: T.max_pool_positions(t, lengths), z),
+            values_and_grads(lambda t: T.max_pool_positions(
+                T.add(t, Tensor(np.broadcast_to(pad, z.shape))), full), z))
 
 
 class TestCrossEntropy:
@@ -775,7 +884,9 @@ class TestCrossEntropy:
 class TestReductions:
     def test_sum_squares_gradient(self):
         x = RNG.normal(size=(3, 5))
-        check_grad(lambda t: T.sum_squares(t), x)
+        other = Tensor(np.random.default_rng(17).normal(size=(1, 5)))
+        check_grad(lambda t: T.sum_squares([t], 1.0), x)
+        check_grad(lambda t: T.sum_squares([other, t, t], -0.75), x)
 
     def test_sum_squares_matches_the_add_chain_to_the_bit(self):
         # A leading term of 1e16 absorbs each small one alone but not their
@@ -784,13 +895,14 @@ class TestReductions:
             Tensor(RNG.normal(size=(rows, 3)), requires_grad=rows != 5)
             for rows in (7, 5, 40, 1, 13, 2, 29, 3)]
         results = []
-        for penalty in (lambda: T.sum_squares(*xs), lambda: l2_chain_oracle(xs)):
+        for penalty in (lambda: T.sum_squares(xs, 2.5e-4),
+                        lambda: scale(l2_chain_oracle(xs), 2.5e-4)):
             for x in xs:
                 if x.requires_grad:
                     x.grad.fill(0.0)
             tape = Tape()
             with recording(tape):
-                out = T.scale(penalty(), 2.5e-4)
+                out = penalty()
             tape.backward(out)
             results.append((out.item(), [x.grad.copy() for x in xs if x.requires_grad]))
         (fused, fused_grads), (chain, chain_grads) = results
@@ -819,7 +931,7 @@ class TestReductions:
 class TestCheckReport:
     def test_quadratic_is_essentially_exact(self):
         x = np.ones(4)
-        report = check_grad(lambda t: T.sum_squares(t), x, tol=1e-10)
+        report = check_grad(lambda t: T.sum_squares([t], 1.0), x, tol=1e-10)
         assert report.max_rel_error <= 1e-10
 
     def test_linear_is_exact_to_rounding(self):
@@ -844,7 +956,7 @@ class TestTape:
         x = Tensor(np.array([3.0]), requires_grad=True)
         tape = Tape()
         with recording(tape):
-            out = T.sum_squares(T.add(x, x))  # d/dx (2x)^2 = 8x
+            out = T.sum_squares([T.add(x, x)], 1.0)  # d/dx (2x)^2 = 8x
         tape.backward(out)
         np.testing.assert_allclose(x.grad, [24.0])
 
@@ -853,22 +965,25 @@ class TestTape:
         unused = Tensor(np.array([5.0]), requires_grad=True)
         tape = Tape()
         with recording(tape):
-            out = T.sum_squares(used)
+            out = T.sum_squares([used], 1.0)
         tape.backward(out)
         np.testing.assert_array_equal(unused.grad, [0.0])
 
     def test_no_tape_means_no_tracking(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        out = T.scale(x, 2.0)
+        out = T.tanh(x)
         assert out.grad is None and not out.requires_grad
 
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         tape = Tape()
         with recording(tape):
-            out = T.scale(x, 2.0)
+            out = T.tanh(x)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(out)
+
+
+HEADER = {"heads": 2, "ablation": "", "lambda_l2": 5e-4}
 
 
 class TestCheckpoint:
@@ -879,22 +994,30 @@ class TestCheckpoint:
             ("gamma", np.array(2.5)),
         ]
         path = tmp_path / "params.bin"
-        save_tensors(path, named)
-        loaded = load_tensors(path)
+        save_tensors(path, named, HEADER)
+        header, loaded = load_tensors(path)
+        assert header == HEADER
         assert list(loaded) == ["alpha", "beta", "gamma"]
         for name, values in named:
             assert loaded[name].tobytes() == values.tobytes()
 
+    def test_header_is_sorted_key_json(self, tmp_path):
+        path = tmp_path / "params.bin"
+        save_tensors(path, [], HEADER)
+        meta = json.dumps(HEADER, sort_keys=True).encode()
+        assert path.read_bytes() == b"TLNKPRM2" + struct.pack("<I", len(meta)) + meta + bytes(4)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         named = [("w", RNG.normal(size=(2, 2)))]
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_tensors(p1, named)
-        save_tensors(p2, load_tensors(p1).items())
+        save_tensors(p1, named, HEADER)
+        header, values = load_tensors(p1)
+        save_tensors(p2, values.items(), header)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_file_rejected_at_every_cut(self, tmp_path):
         path = tmp_path / "params.bin"
-        save_tensors(path, [("w", RNG.normal(size=(2, 3))), ("b", RNG.normal(size=3))])
+        save_tensors(path, [("w", RNG.normal(size=(2, 3))), ("b", RNG.normal(size=3))], HEADER)
         raw = path.read_bytes()
         for cut in range(len(raw)):
             path.write_bytes(raw[:cut])
@@ -905,7 +1028,7 @@ class TestCheckpoint:
     def test_negative_dimension_rejected(self, tmp_path, dims):
         """Dimensions whose product is a valid size but one of them negative."""
         path = tmp_path / "params.bin"
-        save_tensors(path, [("w", np.zeros((2, 3)))])
+        save_tensors(path, [("w", np.zeros((2, 3)))], {})
         raw = bytearray(path.read_bytes())
         at = raw.index(b"w") + 1  # the record's ndim byte follows its name
         raw[at:at + 17] = struct.pack(f"<B{len(dims)}q", len(dims), *dims)
@@ -917,4 +1040,19 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(DataError, match="junk.bin"):
+            load_tensors(path)
+
+    def test_earlier_version_rejected(self, tmp_path):
+        path = tmp_path / "params.bin"
+        save_tensors(path, [("w", np.zeros((2, 3)))], {})
+        raw = path.read_bytes()
+        path.write_bytes(b"TLNKPRM1" + raw[8 + 4 + 2:])  # the records without the header
+        with pytest.raises(DataError, match=r"params\.bin.*earlier version.*'train'"):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("meta", [b"[1, 2]", b"{'heads': 2}", b"\xff\xfe", b""])
+    def test_header_must_be_a_json_object(self, tmp_path, meta):
+        path = tmp_path / "params.bin"
+        path.write_bytes(b"TLNKPRM2" + struct.pack("<I", len(meta)) + meta + bytes(4))
+        with pytest.raises(DataError, match=r"params\.bin.*corrupt header.*'train'"):
             load_tensors(path)
