@@ -1,10 +1,12 @@
 """Command-line pipeline: preprocess, build-graphs, train, evaluate, embed.
 
 Every command takes ``--config PATH`` (flat key=value file) plus flag
-overrides; flags win over the file, the file wins over defaults. Stage
-outputs land under the configured output directory and later stages refuse
-to run until their inputs exist. Exit codes: 0 success, 1 usage error,
-2 data error.
+overrides; flags win over the file, the file wins over defaults. Every
+command accepts every setting, and each reads those it uses: evaluate and
+embed read only the output directory, and take the model from the header of
+the checkpoint. Stage outputs land under the configured output directory and
+later stages refuse to run until their inputs exist. Exit codes: 0 success,
+1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 from . import graphs as G
 from . import metrics as M
 from . import mobility as mob
-from .config import FIELD_TYPES, RunConfig, resolve_config, seeded_rng
+from .config import FIELD_TYPES, RunConfig, resolve_config
 from .errors import ConfigError, DataError, TrainingError
-from .model import ABLATIONS, ModelParams, build_model_inputs, fused_representations
+from .model import build_model_inputs, fused_representations
 from .train import (
     evaluate_on_split,
     evaluate_rows,
@@ -58,14 +60,15 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
-def _check_ids(paths: StagePaths, sequences, field: str, limit: int) -> None:
+def _check_ids(paths: StagePaths, sequences, field: str, limit: int,
+               fix: str = "rerun the 'preprocess' stage") -> None:
     """Every ``field`` id of the sequences is in [0, limit), or a DataError
     naming the first that is not."""
     ids = getattr(sequences, field)
     if ids.size and (ids.min() < 0 or ids.max() >= limit):
         bad = int(ids[(ids < 0) | (ids >= limit)][0])
         raise DataError(f"{paths.sequences.name} holds {field} id {bad!r}, not in "
-                        f"[0, {limit}); rerun the 'preprocess' stage")
+                        f"[0, {limit}); {fix}")
 
 
 def _load_preprocessed(paths: StagePaths):
@@ -134,7 +137,7 @@ def run_build_graphs(cfg: RunConfig) -> dict:
     }
 
 
-def _load_model_inputs(cfg: RunConfig, paths: StagePaths):
+def _load_model_inputs(paths: StagePaths):
     gm, sequences, split = _load_preprocessed(paths)
     _require(paths.local_graph, "build-graphs")
     _require(paths.global_graph, "build-graphs")
@@ -150,14 +153,13 @@ def _load_model_inputs(cfg: RunConfig, paths: StagePaths):
         raise DataError(f"{paths.global_graph.name} and {paths.sequences.name} list different "
                         "users; rerun the 'build-graphs' stage")
     _check_ids(paths, sequences, "state", mob.MOTION_STATES)
-    _check_ids(paths, sequences, "window", mob.time_window_vocab(cfg.time_window))
-    inputs = build_model_inputs(sequences, local, global_g)
-    return inputs, split
+    return sequences, build_model_inputs(sequences, local, global_g), split
 
 
 def run_train(cfg: RunConfig) -> dict:
     paths = StagePaths(cfg.output_dir or ".")
-    inputs, split = _load_model_inputs(cfg, paths)
+    sequences, inputs, split = _load_model_inputs(paths)
+    _check_ids(paths, sequences, "window", mob.time_window_vocab(cfg.time_window))
     if not len(split.validation):
         raise DataError(f"{paths.splits.name} has an empty validation split: validation "
                         "needs a user with at least 3 sub-trajectories")
@@ -171,30 +173,31 @@ def run_train(cfg: RunConfig) -> dict:
     }
 
 
-def _restore_params(cfg: RunConfig, inputs, paths: StagePaths) -> ModelParams:
-    _require(paths.checkpoint, "train")
-    params = ModelParams.for_inputs(cfg.model_config(), inputs, seeded_rng(cfg.seed, "init"))
-    return load_checkpoint(params, paths.checkpoint)
+def _restore(paths: StagePaths):
+    """The checkpoint's model, whose header gives every setting, with the
+    inputs and split it runs on."""
+    sequences, inputs, split = _load_model_inputs(paths)
+    params = load_checkpoint(_require(paths.checkpoint, "train"), inputs)
+    _check_ids(paths, sequences, "window", params.config.time_vocab,
+               f"{paths.checkpoint.name} has other time windows, rerun the 'train' stage")
+    return params, inputs, split
 
 
 def run_evaluate(cfg: RunConfig, split_name: str = "test") -> M.MetricsReport:
     paths = StagePaths(cfg.output_dir or ".")
-    inputs, split = _load_model_inputs(cfg, paths)
-    params = _restore_params(cfg, inputs, paths)
+    params, inputs, split = _restore(paths)
     indices = getattr(split, split_name)
     if not len(indices):
         raise DataError(f"split {split_name!r} is empty")
-    report = evaluate_on_split(params, cfg.model_config(), inputs, indices)
+    report = evaluate_on_split(params, inputs, indices)
     M.save_report(report, paths.metrics)
     return report
 
 
 def run_embed(cfg: RunConfig) -> Path:
     paths = StagePaths(cfg.output_dir or ".")
-    inputs, _ = _load_model_inputs(cfg, paths)
-    params = _restore_params(cfg, inputs, paths)
-    reps = evaluate_rows(params, cfg.model_config(), inputs, np.arange(inputs.n_traj),
-                         fused_representations)
+    params, inputs, _ = _restore(paths)
+    reps = evaluate_rows(params, inputs, np.arange(inputs.n_traj), fused_representations)
     users = [inputs.user_ids[i] for i in inputs.labels]
     M.export_embeddings(reps, inputs.traj_ids, users, paths.embeddings)
     return paths.embeddings
@@ -216,8 +219,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file")
     for f in fields(RunConfig):
         sub.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
-                         dest=f.name, type=FIELD_TYPES[f.name],
-                         choices=sorted(ABLATIONS) if f.name == "ablation" else None)
+                         dest=f.name, type=FIELD_TYPES[f.name])
 
 
 def build_parser() -> _Parser:

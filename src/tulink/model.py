@@ -110,9 +110,6 @@ class ModelParams:
     ):
         config.validate()
         self.config = config
-        self.n_grids = n_grids
-        self.n_users = n_users
-        self.max_seq_len = max_seq_len
         d = config.embed_dim
         dh = d // config.heads
         draws: dict[str, np.ndarray] = {}
@@ -304,19 +301,12 @@ def gcn_forward(m_norm: sp.csr_matrix, features: sp.csr_matrix | None,
     return T.gcn(m_norm, features, weights, n_rows)
 
 
-def encode_locations(
-    params: ModelParams,
-    config: ModelConfig,
-    h_local: Tensor,
-    grid_idx: np.ndarray,
-    state_idx: np.ndarray,
-    time_idx: np.ndarray,
-) -> Tensor:
+def encode_locations(params: ModelParams, h_local: Tensor, grid_idx: np.ndarray,
+                     state_idx: np.ndarray, time_idx: np.ndarray) -> Tensor:
     """Per-point fusion Tanh(FC([time ; state ; grid])) -> (..., m, d)."""
-    d = config.embed_dim
     g_emb = T.embedding(h_local, grid_idx)
-    if config.ablation == "tul-ts":
-        zeros = Tensor(np.zeros((*np.shape(grid_idx), d)))
+    if params.config.ablation == "tul-ts":
+        zeros = Tensor(np.zeros((*np.shape(grid_idx), params.config.embed_dim)))
         t_emb, s_emb = zeros, zeros
     else:
         t_emb = T.embedding(params["time_w"], time_idx, params["time_b"])
@@ -325,20 +315,15 @@ def encode_locations(
     return T.tanh(T.matmul(fused, params["loc_w"], params["loc_b"]))
 
 
-def self_attention_stack(
-    params: ModelParams,
-    config: ModelConfig,
-    x: Tensor,
-    lengths: np.ndarray,
-    rng: np.random.Generator,
-    training: bool,
-) -> Tensor:
+def self_attention_stack(params: ModelParams, x: Tensor, lengths: np.ndarray,
+                         rng: np.random.Generator, training: bool) -> Tensor:
     """Position-encoded multi-head self-attention with post-norm residuals.
 
     x is (B, m, d), row i padded past lengths[i]; padded keys get exactly
     zero weight, so no real position ever sees padding.
     """
     _, m, d = x.shape
+    config = params.config
     if m == 0:
         raise ValueError("cannot attend over an empty sequence")
     inv_scale = 1.0 / math.sqrt(d // config.heads)
@@ -371,10 +356,11 @@ def global_attention(
     return T.cosine_attention(h_traj, traj_norms, batch, COSINE_EPS, use_softmax)
 
 
-def encode_graphs(params: ModelParams, config: ModelConfig,
+def encode_graphs(params: ModelParams,
                   inputs: ModelInputs) -> tuple[Tensor | None, Tensor | None, Tensor | None]:
     """Both GCN encoders, once per pass: (grid embeddings, trajectory
     embeddings, their row norms), None where an ablation removes a branch."""
+    config = params.config
     h_local = h_traj = traj_norms = None
     if config.ablation != "tul-l":
         # Grid features are one-hot, so X W0 is W0 itself.
@@ -389,32 +375,27 @@ def encode_graphs(params: ModelParams, config: ModelConfig,
     return h_local, h_traj, traj_norms
 
 
-def fused_representations(
-    params: ModelParams,
-    config: ModelConfig,
-    inputs: ModelInputs,
-    batch: np.ndarray,
-    rng: np.random.Generator,
-    training: bool,
-    graphs: tuple | None = None,
-) -> Tensor:
+def fused_representations(params: ModelParams, inputs: ModelInputs, batch: np.ndarray,
+                          rng: np.random.Generator, training: bool,
+                          graphs: tuple | None = None) -> Tensor:
     """Concatenated [local ; global] vectors, one row per batched trajectory.
 
     ``graphs`` is encode_graphs' output for these parameters, computed here
     when omitted. Sequences are padded to the longest in the batch.
     """
-    h_local, h_traj, traj_norms = graphs or encode_graphs(params, config, inputs)
+    config = params.config
+    h_local, h_traj, traj_norms = graphs or encode_graphs(params, inputs)
     z_local = z_global = Tensor(np.zeros((len(batch), config.embed_dim)))
     if config.ablation != "tul-l":
         lengths = inputs.lengths[batch]
         m = int(lengths.max())
         x = encode_locations(
-            params, config, h_local,
+            params, h_local,
             inputs.grid_idx[batch, :m], inputs.state_idx[batch, :m], inputs.time_idx[batch, :m],
         )
         x = T.dropout(x, config.dropout_rate, training, rng)
         z = x if config.ablation == "tul-sa" else self_attention_stack(
-            params, config, x, lengths, rng, training
+            params, x, lengths, rng, training
         )
         z_local = T.max_pool_positions(z, lengths)
     if config.ablation != "tul-g":
@@ -422,22 +403,14 @@ def fused_representations(
     return T.concat([z_local, z_global], axis=-1)
 
 
-def forward_batch(
-    params: ModelParams,
-    config: ModelConfig,
-    inputs: ModelInputs,
-    batch: np.ndarray,
-    rng: np.random.Generator,
-    training: bool,
-    graphs: tuple | None = None,
-) -> Tensor:
+def forward_batch(params: ModelParams, inputs: ModelInputs, batch: np.ndarray,
+                  rng: np.random.Generator, training: bool, graphs: tuple | None = None) -> Tensor:
     """Logits over users for a batch of trajectory roster indices."""
-    stacked = fused_representations(params, config, inputs, batch, rng, training, graphs)
+    stacked = fused_representations(params, inputs, batch, rng, training, graphs)
     return T.matmul(stacked, T.transpose(params["link_w"]), params["link_b"])
 
 
-def model_loss(logits: Tensor, targets: np.ndarray, params: ModelParams,
-               config: ModelConfig) -> Tensor:
+def model_loss(logits: Tensor, targets: np.ndarray, params: ModelParams) -> Tensor:
     """Batch-mean cross entropy plus (lambda/2) * sum of squared weights."""
     return T.add(T.cross_entropy(logits, targets),
-                 T.sum_squares(params.l2_tensors(), 0.5 * config.lambda_l2))
+                 T.sum_squares(params.l2_tensors(), 0.5 * params.config.lambda_l2))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -27,9 +28,6 @@ BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Arena entries per Adam update block.
 ADAM_BLOCK = 1 << 15
-# The ModelConfig fields that shape an evaluation forward; dropout and the L2
-# coefficient act only in training.
-FORWARD_SETTINGS = ("embed_dim", "gcn_layers", "attn_layers", "heads", "time_vocab", "ablation")
 
 
 @dataclass
@@ -102,13 +100,8 @@ class TrainResult:
     best_val_acc1: float = 0.0
 
 
-def evaluate_rows(
-    params: ModelParams,
-    config: ModelConfig,
-    inputs: ModelInputs,
-    indices: np.ndarray,
-    forward,
-) -> np.ndarray:
+def evaluate_rows(params: ModelParams, inputs: ModelInputs, indices: np.ndarray,
+                  forward) -> np.ndarray:
     """Evaluation-mode ``forward`` rows (dropout off, no tape) for roster
     indices, in request order, with the GCNs encoded once.
 
@@ -118,11 +111,10 @@ def evaluate_rows(
     it in the last bits.
     """
     rng = np.random.default_rng(0)  # never drawn in evaluation mode
-    graphs = encode_graphs(params, config, inputs)
+    graphs = encode_graphs(params, inputs)
     order = np.argsort(inputs.lengths[indices], kind="stable")
     blocks = np.concatenate([
-        forward(params, config, inputs, indices[order[lo : lo + EVAL_CHUNK]], rng, False,
-                graphs).values
+        forward(params, inputs, indices[order[lo : lo + EVAL_CHUNK]], rng, False, graphs).values
         for lo in range(0, len(order), EVAL_CHUNK)
     ], axis=0)
     rows = np.empty_like(blocks)
@@ -130,21 +122,15 @@ def evaluate_rows(
     return rows
 
 
-def predict_logits(params: ModelParams, config: ModelConfig, inputs: ModelInputs,
-                   indices: np.ndarray) -> np.ndarray:
+def predict_logits(params: ModelParams, inputs: ModelInputs, indices: np.ndarray) -> np.ndarray:
     """Evaluation-mode logits for roster indices."""
-    return evaluate_rows(params, config, inputs, indices, forward_batch)
+    return evaluate_rows(params, inputs, indices, forward_batch)
 
 
-def evaluate_on_split(
-    params: ModelParams,
-    config: ModelConfig,
-    inputs: ModelInputs,
-    indices: np.ndarray,
-    ks: Sequence[int] = (1, 5),
-) -> M.MetricsReport:
+def evaluate_on_split(params: ModelParams, inputs: ModelInputs, indices: np.ndarray,
+                      ks: Sequence[int] = (1, 5)) -> M.MetricsReport:
     """Metrics of the linking predictions for roster indices."""
-    logits = predict_logits(params, config, inputs, indices)
+    logits = predict_logits(params, inputs, indices)
     ks = [min(k, inputs.n_users) for k in ks]
     return M.compute_report(logits, inputs.labels[indices], ks=sorted(set(ks)))
 
@@ -187,16 +173,15 @@ def train(
             params.zero_grads()
             tape = T.Tape()
             with T.recording(tape):
-                logits = forward_batch(params, model_config, inputs, batch,
-                                       rng_dropout, training=True)
-                loss = model_loss(logits, inputs.labels[batch], params, model_config)
+                logits = forward_batch(params, inputs, batch, rng_dropout, training=True)
+                loss = model_loss(logits, inputs.labels[batch], params)
             if not math.isfinite(loss.item()):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             tape.backward(loss)
             adam_step(params, state, train_config)
             losses.append(loss.item())
 
-        val_logits = predict_logits(params, model_config, inputs, split.validation)
+        val_logits = predict_logits(params, inputs, split.validation)
         val_ranks = M.true_ranks(val_logits, inputs.labels[split.validation])
         val_acc = float(np.count_nonzero(val_ranks == 0) / len(val_ranks))
         result.history.append(
@@ -231,21 +216,45 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     T.save_tensors(path, [(name, t.values) for name, t in params.items()], asdict(params.config))
 
 
-def load_checkpoint(params: ModelParams, path: str | Path) -> ModelParams:
-    """Restore parameters; a checkpoint trained under other FORWARD_SETTINGS,
-    or one that does not fit the model, raises DataError."""
+def _header_config(header: dict, values: dict[str, np.ndarray], path: str | Path) -> ModelConfig:
+    """The ModelConfig a checkpoint header holds: exactly its fields, each of
+    its exact type (an int is no bool), with valid values whose sizes the
+    records bear out, so a corrupt header cannot size a huge model."""
+    types = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(ModelConfig)}
+    try:
+        for key in sorted(header.keys() | types.keys()):
+            if type(header.get(key)) is not types.get(key):
+                raise ConfigError(f"no {key}" if key not in header else f"unknown {key!r}"
+                                  if key not in types else
+                                  f"{key} {header[key]!r} is not {types[key].__name__}")
+        config = ModelConfig(**header)
+        config.validate()
+    except ConfigError as exc:
+        raise DataError(f"{path} has an invalid model header ({exc}); "
+                        "rerun the 'train' stage") from None
+    d = config.embed_dim
+    sizes = chain([("loc_w", (3 * d, d)), ("time_w", (config.time_vocab, d))],
+                  ((f"gcn_local_{i}", (d, d)) for i in range(1, config.gcn_layers)),
+                  ((f"attn{i}_q", (d, d)) for i in range(config.attn_layers)))
+    for name, shape in sizes:
+        if name not in values or values[name].shape != shape:
+            raise DataError(f"{path}: its header's model has parameter {name!r} of shape "
+                            f"{shape}, its records do not; rerun the 'train' stage")
+    return config
+
+
+def load_checkpoint(path: str | Path, inputs: ModelInputs) -> ModelParams:
+    """The model a checkpoint holds, sized for ``inputs``: settings from its
+    header, every parameter from its records. A header or a parameter that
+    does not fit raises DataError."""
     header, values = T.load_tensors(path)
-    now = asdict(params.config)
-    differ = [f"{key} {header.get(key)!r} there, {now[key]!r} here"
-              for key in FORWARD_SETTINGS if header.get(key) != now[key]]
-    if differ:
-        raise DataError(f"{path} was trained with other model settings ({'; '.join(differ)}); "
-                        "pass the training settings or rerun the 'train' stage")
+    params = ModelParams.for_inputs(_header_config(header, values, path), inputs,
+                                    np.random.default_rng(0))  # every value is replaced
     try:
         params.load_values(values)
     except DataError as exc:
         raise DataError(f"{path}: {exc}; it was written by an earlier version or "
-                        "different settings, rerun the 'train' stage") from None
+                        "for other inputs, rerun the 'train' stage") from None
     if not np.isfinite(params.values).all():
         name = next(n for n, t in params.items() if not np.isfinite(t.values).all())
         raise DataError(f"{path}: parameter {name!r} holds a non-finite value; "

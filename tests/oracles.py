@@ -468,17 +468,18 @@ def dense_gcn_oracle(m_norm, features, weights, n_rows=None):
     return h if n_rows is None else slice_rows(h, 0, n_rows)
 
 
-def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
+def per_trajectory_logits_oracle(params, inputs, batch, rng, training):
     """Logits with a Python loop over the batch: each trajectory attends over
     its own unpadded sequence and scores the roster on its own."""
-    h_local, h_traj, traj_norms = encode_graphs(params, config, inputs)
+    config = params.config
+    h_local, h_traj, traj_norms = encode_graphs(params, inputs)
     zeros_d = Tensor(np.zeros(config.embed_dim))
     rows = []
     for idx in batch:
         z_local = z_global = zeros_d
         if config.ablation != "tul-l":
             m = inputs.lengths[idx]
-            x = encode_locations(params, config, h_local, inputs.grid_idx[idx, :m],
+            x = encode_locations(params, h_local, inputs.grid_idx[idx, :m],
                                  inputs.state_idx[idx, :m], inputs.time_idx[idx, :m])
             x = T.dropout(x, config.dropout_rate, training, rng)
             z = x if config.ablation == "tul-sa" else per_head_attention_oracle(
@@ -492,14 +493,14 @@ def per_trajectory_logits_oracle(params, config, inputs, batch, rng, training):
     return add_bias(matmul(stacked, T.transpose(params["link_w"])), params["link_b"])
 
 
-def evaluate_rows_oracle(params, config, inputs, indices, forward, chunk=16):
+def evaluate_rows_oracle(params, inputs, indices, forward, chunk=16):
     """Evaluation-mode ``forward`` rows in request order, one pass per
     ``chunk`` consecutive requested indices: the training batch's shape,
     with no reordering and no scatter."""
     rng = np.random.default_rng(0)
-    graphs = encode_graphs(params, config, inputs)
+    graphs = encode_graphs(params, inputs)
     return np.concatenate([
-        forward(params, config, inputs, indices[lo : lo + chunk], rng, False, graphs).values
+        forward(params, inputs, indices[lo : lo + chunk], rng, False, graphs).values
         for lo in range(0, len(indices), chunk)
     ], axis=0)
 

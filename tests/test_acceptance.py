@@ -336,9 +336,9 @@ class TestCriterion2Gradients:
             def f(t, name=name):
                 params.tensors[name] = t
                 try:
-                    logits = forward_batch(params, config, inputs, batch,
+                    logits = forward_batch(params, inputs, batch,
                                            np.random.default_rng(0), training=False)
-                    return model_loss(logits, targets, params, config)
+                    return model_loss(logits, targets, params)
                 finally:
                     params.tensors[name] = original
 
@@ -431,9 +431,9 @@ class TestCriterion5SyntheticAccuracy:
         cfg.validate()  # all model/training fields at their defaults
         run_preprocess(cfg)
         run_build_graphs(cfg)
-        inputs, split = _load_model_inputs(cfg, StagePaths(cfg.output_dir))
+        _, inputs, split = _load_model_inputs(StagePaths(cfg.output_dir))
         result = train(inputs, split, cfg.model_config(), cfg.train_config())
-        rep = evaluate_on_split(result.params, cfg.model_config(), inputs, split.test)
+        rep = evaluate_on_split(result.params, inputs, split.test)
         elapsed = time.perf_counter() - t0
         assert len(result.history) <= 80
         assert rep.acc_at[1] >= 0.95
@@ -456,7 +456,7 @@ class TestCriterion6AblationOrdering:
         cfg.validate()
         run_preprocess(cfg)
         run_build_graphs(cfg)
-        inputs, split = _load_model_inputs(cfg, StagePaths(cfg.output_dir))
+        _, inputs, split = _load_model_inputs(StagePaths(cfg.output_dir))
 
         pairs = []
         for seed in (1, 2, 3, 4, 5):
@@ -464,7 +464,7 @@ class TestCriterion6AblationOrdering:
             for ablation in ("", "tul-g"):
                 c = RunConfig(**base, ablation=ablation, seed=seed)
                 result = train(inputs, split, c.model_config(), c.train_config())
-                rep = evaluate_on_split(result.params, c.model_config(), inputs, split.test)
+                rep = evaluate_on_split(result.params, inputs, split.test)
                 accs[ablation or "full"] = rep.acc_at[1]
             pairs.append((accs["full"], accs["tul-g"]))
         violations = sum(full < ablated for full, ablated in pairs)

@@ -6,6 +6,7 @@ of a traced run back through the package. These tests load both files as
 they are, so such a change fails here first.
 """
 
+import dataclasses
 import sys
 import types
 from pathlib import Path
@@ -67,6 +68,18 @@ def test_harness_reads_back_the_visited_grids(tmp_path):
     n_grids = mob.load_grid_map(out / "grid_map.json").n_grids
     assert 0 < len(grids) < n_grids
     assert metrics["mobility.grids_visited_ratio"] == (len(grids) / n_grids, "ratio")
+
+
+def test_workload_flags_pass_on_every_stage(tmp_path):
+    """The harness passes a workload's model flags to all five stages;
+    evaluate and embed take the model from the checkpoint but must still
+    accept them."""
+    harness = load_harness()
+    workload = dataclasses.replace(harness.WORKLOADS["checkin-80u"],
+                                   generate=lambda seed: synth.checkin_style(n_users=6, seed=seed))
+    session = harness.Session(workload, 1, tmp_path)
+    assert session.pipeline() is not None, session.problems
+    assert (session.attempted, session.failed) == (5, 0), session.problems
 
 
 def test_every_target_is_wrapped_and_restored():

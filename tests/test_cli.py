@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from tulink import metrics as M
 from tulink import mobility as mob
 from tulink import synth
-from tulink.cli import (StagePaths, _config_from_args, _load_model_inputs, _restore_params,
+from tulink.cli import (StagePaths, _config_from_args, _restore,
                         build_parser, main)
 from tulink.config import FIELD_TYPES, RunConfig, load_config_file, resolve_config
 from tulink.errors import ConfigError
@@ -254,6 +254,18 @@ def test_each_ablation_trains_evaluates_and_embeds(workspace, trained, tmp_path,
     assert len((out / "embeddings.tsv").read_text().splitlines()) == 24
 
 
+def test_empty_ablation_flag_selects_the_full_model(workspace, trained, tmp_path, capsys):
+    """Flags win over the file for the ablation too: '' is the full model."""
+    config = tmp_path / "tul-g.cfg"
+    config.write_text(Path(workspace["config"]).read_text() + "ablation=tul-g\n")
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    for flags, ablation in (((), "tul-g"), (("--ablation", ""), "")):
+        assert run(["train", "--config", str(config), "--output", str(out), *flags]) == 0
+        assert load_tensors(out / "checkpoint.bin")[0]["ablation"] == ablation
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("part", ["train", "validation"])
 def test_evaluate_scores_the_chosen_split(workspace, trained, tmp_path, part):
     """``--split`` scores the trajectories that splits.json lists under it."""
@@ -261,19 +273,18 @@ def test_evaluate_scores_the_chosen_split(workspace, trained, tmp_path, part):
     shutil.copytree(trained, out)
     assert run(["evaluate", "--config", workspace["config"], "--output", str(out),
                 "--split", part]) == 0
-    cfg = resolve_config(workspace["config"], {"output_dir": str(out)})
-    inputs, _ = _load_model_inputs(cfg, StagePaths(out))
+    params, inputs, _ = _restore(StagePaths(out))
     ids = json.loads((out / "splits.json").read_text())[part]
     indices = np.array([inputs.traj_ids.index(tid) for tid in ids])
-    report = evaluate_on_split(_restore_params(cfg, inputs, StagePaths(out)),
-                               cfg.model_config(), inputs, indices)
+    report = evaluate_on_split(params, inputs, indices)
     M.save_report(report, tmp_path / "expected.txt")
     assert (out / "metrics.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
 
 
 class TestCheckpointErrors:
     """A checkpoint that does not fit is a data error naming the file and the
-    train stage, not a traceback."""
+    train stage, not a traceback; one that fits is the model, whatever the
+    model flags say."""
 
     def _evaluate(self, workspace, trained, tmp_path, capsys, corrupt, *flags,
                   stage="evaluate"):
@@ -303,27 +314,74 @@ class TestCheckpointErrors:
         err = self._evaluate(workspace, trained, tmp_path, capsys, negate_first_matrix)
         assert "negative dimension" in err
 
+    def _same_as_training(self, workspace, trained, tmp_path, stage, *flags, train_flags=()):
+        """``stage`` under other flags writes the bytes it writes under the
+        training flags: the checkpoint's header is the model."""
+        out = tmp_path / stage
+        shutil.copytree(trained, out)
+        name = "metrics.txt" if stage == "evaluate" else "embeddings.tsv"
+        assert run([stage, "--config", workspace["config"], "--output", str(out),
+                    *train_flags]) == 0
+        expected = (out / name).read_bytes()
+        (out / name).unlink()
+        assert run([stage, "--config", workspace["config"], "--output", str(out), *flags]) == 0
+        assert (out / name).read_bytes() == expected
+
     def test_dimension_mismatch(self, workspace, trained, tmp_path, capsys):
-        err = self._evaluate(workspace, trained, tmp_path, capsys, lambda path: None,
-                             "--embed-dim", "32")
-        assert "embed_dim 16 there, 32 here" in err
+        self._same_as_training(workspace, trained, tmp_path, "evaluate", "--embed-dim", "32")
 
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
-    @pytest.mark.parametrize("flags, setting", [
-        (("--heads", "1"), "heads 2 there, 1 here"),
-        (("--ablation", "tul-l"), "ablation '' there, 'tul-l' here"),
-        (("--heads", "4", "--ablation", "tul-ea"),
-         "heads 2 there, 4 here; ablation '' there, 'tul-ea' here"),
+    @pytest.mark.parametrize("flags", [
+        ("--heads", "1"),
+        ("--ablation", "tul-l"),
+        ("--heads", "4", "--ablation", "tul-ea"),
     ], ids=["heads", "ablation", "both"])
-    def test_other_model_settings(self, workspace, trained, tmp_path, capsys, stage, flags,
-                                  setting):
+    def test_other_model_settings(self, workspace, trained, tmp_path, capsys, stage, flags):
         """Settings that keep every parameter shape but change the forward:
         restoring under them would score or embed with another model."""
-        err = self._evaluate(workspace, trained, tmp_path, capsys, lambda path: None, *flags,
-                             stage=stage)
-        assert setting in err
-        assert not (tmp_path / stage / ("metrics.txt" if stage == "evaluate"
-                                        else "embeddings.tsv")).exists()
+        self._same_as_training(workspace, trained, tmp_path, stage, *flags)
+
+    @pytest.mark.parametrize("change", [
+        lambda h: h.pop("heads"),
+        lambda h: h.update(seed=5),
+        lambda h: h.update(heads=2.0),
+        lambda h: h.update(heads=True),
+        lambda h: h.update(heads=0),
+        lambda h: h.update(heads=3),
+        lambda h: h.update(ablation="tul-x"),
+    ], ids=["missing-key", "extra-key", "float", "bool", "zero-heads", "not-a-multiple",
+            "unknown-ablation"])
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    def test_invalid_header(self, workspace, trained, tmp_path, capsys, stage, change):
+        def rewrite_header(path):
+            header, tensors = load_tensors(path)
+            change(header)
+            save_tensors(path, tensors.items(), header)
+        err = self._evaluate(workspace, trained, tmp_path, capsys, rewrite_header, stage=stage)
+        assert "invalid model header" in err
+
+    @pytest.mark.parametrize("setting", ["embed_dim", "gcn_layers", "attn_layers", "time_vocab"])
+    def test_header_sizes_the_records_do_not_bear_out(self, workspace, trained, tmp_path, capsys,
+                                                      setting):
+        """A header that would size a huge model exits before drawing it."""
+        def enlarge(path):
+            header, tensors = load_tensors(path)
+            header[setting] = 10 ** 12
+            save_tensors(path, tensors.items(), header)
+        err = self._evaluate(workspace, trained, tmp_path, capsys, enlarge)
+        assert "its records do not" in err
+
+    def test_window_id_outside_the_checkpoints_time_vocab(self, workspace, trained, tmp_path,
+                                                          capsys):
+        """Sequences re-preprocessed into ten-minute windows after training on
+        two-hour ones (12 of them)."""
+        def repreprocess(path):
+            for stage in ("preprocess", "build-graphs"):
+                assert run([stage, "--config", workspace["config"], "--output",
+                            str(path.parent), "--time-window", "600"]) == 0
+            assert max(mob.load_sequences(path.parent / "sequences.jsonl").window) >= 12
+        err = self._evaluate(workspace, trained, tmp_path, capsys, repreprocess)
+        assert "window id" in err and "[0, 12)" in err
 
     @pytest.mark.parametrize("flags", [("--dropout", "0.1"), ("--lambda-l2", "0.01")])
     def test_training_only_settings_may_differ(self, workspace, trained, tmp_path, capsys,
@@ -398,10 +456,8 @@ class TestCheckpointErrors:
                                        ("--attn-layers", "1", "--gcn-layers", "1")])
     def test_checkpoint_with_more_layers(self, workspace, trained_deeper, tmp_path, capsys,
                                          flags):
-        err = self._evaluate(workspace, trained_deeper, tmp_path, capsys, lambda path: None,
-                             *flags)
-        for flag in flags[::2]:
-            assert f"{flag[2:].replace('-', '_')} 2 there, 1 here" in err
+        self._same_as_training(workspace, trained_deeper, tmp_path, "evaluate", *flags,
+                               train_flags=("--attn-layers", "2", "--gcn-layers", "2"))
 
     def test_checkpoint_holds_a_parameter_the_model_lacks(self, workspace, trained, tmp_path,
                                                           capsys):

@@ -130,7 +130,7 @@ class TestGCN:
         config = small_config(ablation="tul-l")
         params = make_params(config, n_grids=inputs.n_grids + 1)
         with pytest.raises(ValueError, match="mismatch"):
-            encode_graphs(params, config, inputs)
+            encode_graphs(params, inputs)
 
 
 def make_params(config, n_grids=9, n_users=3, max_seq_len=8, seed=123, grid_rows=None):
@@ -146,20 +146,20 @@ class TestLocationEncoder:
         for name in ("time_w", "time_b", "state_w", "state_b", "loc_w", "loc_b"):
             params[name].values[:] = 0.0
         h_local = Tensor(RNG.normal(size=(9, cfg.embed_dim)))
-        out = encode_locations(params, cfg, h_local,
+        out = encode_locations(params, h_local,
                                np.array([0, 1]), np.array([2, 3]), np.array([0, 1]))
         np.testing.assert_array_equal(out.values, np.zeros((2, cfg.embed_dim)))
 
     def test_disable_time_state_equals_zeroed_encoders(self):
         cfg_on = small_config()
         cfg_off = small_config(ablation="tul-ts")
-        params = make_params(cfg_on)
+        params_on, params_off = make_params(cfg_on), make_params(cfg_off)
         for name in ("time_w", "time_b", "state_w", "state_b"):
-            params[name].values[:] = 0.0
+            params_on[name].values[:] = 0.0
         h_local = Tensor(RNG.normal(size=(9, cfg_on.embed_dim)))
         args = (np.array([0, 4, 7]), np.array([1, 8, 0]), np.array([3, 2, 1]))
-        a = encode_locations(params, cfg_on, h_local, *args)
-        b = encode_locations(params, cfg_off, h_local, *args)
+        a = encode_locations(params_on, h_local, *args)
+        b = encode_locations(params_off, h_local, *args)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_matches_closed_form_and_is_bounded(self):
@@ -169,7 +169,7 @@ class TestLocationEncoder:
         g = np.array([0, 5, 8, 5])
         s = np.array([1, 0, 8, 4])
         t = np.array([0, 3, 2, 1])
-        out = encode_locations(params, cfg, h_local, g, s, t).values
+        out = encode_locations(params, h_local, g, s, t).values
 
         fused = np.concatenate(
             [
@@ -188,7 +188,7 @@ class TestLocationEncoder:
         params = make_params(cfg)
         h_local = Tensor(np.zeros((9, cfg.embed_dim)))
         with pytest.raises(ValueError, match="out of range"):
-            encode_locations(params, cfg, h_local,
+            encode_locations(params, h_local,
                              np.array([0]), np.array([0]), np.array([99]))
 
 
@@ -226,7 +226,7 @@ def dense_attention_oracle(params, cfg, x):
 class TestSelfAttention:
     def _run(self, params, cfg, x):
         return self_attention_stack(
-            params, cfg, Tensor(x[None]), np.array([len(x)]), np.random.default_rng(0),
+            params, Tensor(x[None]), np.array([len(x)]), np.random.default_rng(0),
             training=False,
         ).values[0]
 
@@ -295,7 +295,7 @@ class TestSelfAttention:
         c = RNG.normal(size=3 * cfg.embed_dim)
 
         def f(t):
-            out = self_attention_stack(params, cfg, t, np.array([3]),
+            out = self_attention_stack(params, t, np.array([3]),
                                        np.random.default_rng(0), False)
             flat = reshape(out, (1, out.values.size))
             return matmul(flat, Tensor(c.reshape(-1, 1)))
@@ -314,7 +314,7 @@ class TestSelfAttention:
         with recording(tape):
             x = Tensor(np.random.default_rng(0).normal(size=(3, 4, cfg.embed_dim)),
                        requires_grad=True)
-            self_attention_stack(params, cfg, x, np.array([1, 4, 2]), np.random.default_rng(0),
+            self_attention_stack(params, x, np.array([1, 4, 2]), np.random.default_rng(0),
                                  training=True)
         assert len(tape) == 1 + 5 * layers
 
@@ -395,7 +395,7 @@ class TestLinking:
                 continue
             t.values[:] = 0.0
         params["link_b"].values[:] = np.array([0.5, -1.0, 2.0])
-        logits = forward_batch(params, cfg, inputs, np.array([0, 4]),
+        logits = forward_batch(params, inputs, np.array([0, 4]),
                                np.random.default_rng(0), training=False)
         np.testing.assert_allclose(logits.values,
                                    np.tile([0.5, -1.0, 2.0], (2, 1)), atol=1e-12)
@@ -405,7 +405,7 @@ class TestLinking:
         sequences = [s for s in toy_nine_sequences() if s.user_id == "u0"]
         inputs, _ = inputs_from_sequences(sequences, n_grids=9)
         params = make_params(cfg, n_users=1, grid_rows=inputs.grid_rows)
-        logits = forward_batch(params, cfg, inputs, np.array([0]),
+        logits = forward_batch(params, inputs, np.array([0]),
                                np.random.default_rng(0), training=False)
         assert logits.values.shape == (1, 1)
 
@@ -414,9 +414,9 @@ class TestLinking:
         from tulink.model import fused_representations
 
         batch = np.array([1, 3, 7])
-        reps = fused_representations(params, cfg, inputs, batch,
+        reps = fused_representations(params, inputs, batch,
                                      np.random.default_rng(0), training=False).values
-        logits = forward_batch(params, cfg, inputs, batch,
+        logits = forward_batch(params, inputs, batch,
                                np.random.default_rng(0), training=False).values
         expected = reps @ params["link_w"].values.T + params["link_b"].values
         np.testing.assert_allclose(logits, expected, atol=1e-12)
@@ -436,21 +436,22 @@ def test_tape_ops_per_training_step(ablation, layers):
     batch = np.array([0, 4, 7])
     tape = Tape()
     with recording(tape):
-        logits = forward_batch(params, cfg, inputs, batch, np.random.default_rng(0),
+        logits = forward_batch(params, inputs, batch, np.random.default_rng(0),
                                training=True)
-        model_loss(logits, inputs.labels[batch], params, cfg)
+        model_loss(logits, inputs.labels[batch], params)
     fixed, per_layer = STEP_OPS[ablation]
     assert len(tape) == fixed + per_layer * layers
 
 
 class TestModelLoss:
     def test_lambda_zero_equals_cross_entropy(self, toy_model_setup):
-        params, _, inputs, _ = toy_model_setup
-        cfg = small_config(lambda_l2=0.0)
+        _, _, inputs, _ = toy_model_setup
+        params = ModelParams.for_inputs(small_config(lambda_l2=0.0), inputs,
+                                        seeded_rng(123, "init"))
         batch = np.array([0, 3, 6])
-        logits = forward_batch(params, cfg, inputs, batch,
+        logits = forward_batch(params, inputs, batch,
                                np.random.default_rng(0), training=False)
-        loss = model_loss(logits, inputs.labels[batch], params, cfg)
+        loss = model_loss(logits, inputs.labels[batch], params)
         ce = T.cross_entropy(Tensor(logits.values), inputs.labels[batch])
         assert loss.item() == ce.item()
 
@@ -459,18 +460,18 @@ class TestModelLoss:
         for t in params.l2_tensors():
             t.values[:] = 0.0
         batch = np.array([0, 1])
-        logits = forward_batch(params, cfg, inputs, batch,
+        logits = forward_batch(params, inputs, batch,
                                np.random.default_rng(0), training=False)
-        loss = model_loss(logits, inputs.labels[batch], params, cfg)
+        loss = model_loss(logits, inputs.labels[batch], params)
         ce = T.cross_entropy(Tensor(logits.values), inputs.labels[batch])
         np.testing.assert_allclose(loss.item(), ce.item(), atol=1e-15)
 
     def test_penalty_matches_independent_accumulation(self, toy_model_setup):
         params, cfg, inputs, _ = toy_model_setup
         batch = np.array([2, 5])
-        logits = forward_batch(params, cfg, inputs, batch,
+        logits = forward_batch(params, inputs, batch,
                                np.random.default_rng(0), training=False)
-        loss = model_loss(logits, inputs.labels[batch], params, cfg)
+        loss = model_loss(logits, inputs.labels[batch], params)
         ce = T.cross_entropy(Tensor(logits.values), inputs.labels[batch]).item()
         penalty = sum(
             float(np.sum(np.square(t.values))) for t in params.l2_tensors()
@@ -484,31 +485,32 @@ class TestModelLoss:
         params, cfg, inputs, _ = toy_model_setup
         batch = np.array([1, 4, 8])
 
-        def chain_loss(logits, targets, params, cfg):
+        def chain_loss(logits, targets, params):
             ce = T.cross_entropy(logits, targets)
-            return T.add(ce, scale(l2_chain_oracle(params.l2_tensors()), 0.5 * cfg.lambda_l2))
+            return T.add(ce, scale(l2_chain_oracle(params.l2_tensors()),
+                                   0.5 * params.config.lambda_l2))
 
         runs = []
         for loss_fn in (model_loss, chain_loss):
             params.zero_grads()
             tape = Tape()
             with recording(tape):
-                logits = forward_batch(params, cfg, inputs, batch,
+                logits = forward_batch(params, inputs, batch,
                                        np.random.default_rng(0), training=False)
-                loss = loss_fn(logits, inputs.labels[batch], params, cfg)
+                loss = loss_fn(logits, inputs.labels[batch], params)
             tape.backward(loss)
             runs.append((loss.item(), params.grad.copy()))
         assert runs[0][0] == runs[1][0]
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
 
-def grads_after_backward(params, cfg, inputs, batch):
+def grads_after_backward(params, inputs, batch):
     params.zero_grads()
     tape = Tape()
     with recording(tape):
-        logits = forward_batch(params, cfg, inputs, batch,
+        logits = forward_batch(params, inputs, batch,
                                np.random.default_rng(0), training=False)
-        loss = model_loss(logits, inputs.labels[batch], params, cfg)
+        loss = model_loss(logits, inputs.labels[batch], params)
     tape.backward(loss)
     return {name: t.grad.copy() for name, t in params.items()}
 
@@ -517,39 +519,39 @@ class TestForwardFull:
     def test_same_inputs_bit_identical(self, toy_model_setup):
         params, cfg, inputs, _ = toy_model_setup
         batch = np.arange(9)
-        a = forward_batch(params, cfg, inputs, batch, np.random.default_rng(9), False)
-        b = forward_batch(params, cfg, inputs, batch, np.random.default_rng(9), False)
+        a = forward_batch(params, inputs, batch, np.random.default_rng(9), False)
+        b = forward_batch(params, inputs, batch, np.random.default_rng(9), False)
         assert np.array_equal(a.values, b.values)
 
     def test_training_mode_reproducible_under_same_stream(self, toy_model_setup):
         params, _, inputs, _ = toy_model_setup
         cfg = small_config(dropout_rate=0.5)
         batch = np.arange(4)
-        a = forward_batch(params, cfg, inputs, batch, np.random.default_rng(3), True)
-        b = forward_batch(params, cfg, inputs, batch, np.random.default_rng(3), True)
+        a = forward_batch(params, inputs, batch, np.random.default_rng(3), True)
+        b = forward_batch(params, inputs, batch, np.random.default_rng(3), True)
         assert np.array_equal(a.values, b.values)
 
     def test_batch_permutation_equivariance(self, toy_model_setup):
         params, cfg, inputs, _ = toy_model_setup
         batch = np.array([0, 2, 5, 8])
         perm = np.array([2, 0, 3, 1])
-        straight = forward_batch(params, cfg, inputs, batch,
+        straight = forward_batch(params, inputs, batch,
                                  np.random.default_rng(0), False).values
-        permuted = forward_batch(params, cfg, inputs, batch[perm],
+        permuted = forward_batch(params, inputs, batch[perm],
                                  np.random.default_rng(0), False).values
         np.testing.assert_array_equal(straight[perm], permuted)
 
     def test_local_path_gradients_vanish_under_local_ablation(self, toy_model_setup):
         params, cfg, inputs, _ = toy_model_setup
         batch = np.array([0, 3, 6])
-        full = grads_after_backward(params, cfg, inputs, batch)
+        full = grads_after_backward(params, inputs, batch)
         local_names = [n for n in params.tensors
                        if n.startswith(("gcn_local", "time", "state", "loc", "attn"))]
         assert any(np.any(full[n] != 0) for n in local_names)
 
         cfg_abl = small_config(ablation="tul-l")
         params_abl = ModelParams.for_inputs(cfg_abl, inputs, seeded_rng(123, "init"))
-        ablated = grads_after_backward(params_abl, cfg_abl, inputs, batch)
+        ablated = grads_after_backward(params_abl, inputs, batch)
         for name in local_names:
             np.testing.assert_array_equal(ablated[name], 0.0)
         assert np.any(ablated["link_w"] != 0)
@@ -593,9 +595,9 @@ class TestForwardFull:
             def f(t, name=name):
                 params.tensors[name] = t
                 try:
-                    logits = forward_batch(params, cfg, inputs, batch,
+                    logits = forward_batch(params, inputs, batch,
                                            np.random.default_rng(0), training=False)
-                    return model_loss(logits, targets, params, cfg)
+                    return model_loss(logits, targets, params)
                 finally:
                     params.tensors[name] = original
 
@@ -618,12 +620,12 @@ def ragged_sequences(repeats=1):
     return sequences
 
 
-def logits_and_grads(forward, params, cfg, inputs, batch):
+def logits_and_grads(forward, params, inputs, batch):
     params.zero_grads()
     tape = Tape()
     with recording(tape):
-        logits = forward(params, cfg, inputs, batch, np.random.default_rng(0), False)
-        loss = model_loss(logits, inputs.labels[batch], params, cfg)
+        logits = forward(params, inputs, batch, np.random.default_rng(0), False)
+        loss = model_loss(logits, inputs.labels[batch], params)
     tape.backward(loss)
     return logits.values, {name: t.grad.copy() for name, t in params.items()}
 
@@ -655,9 +657,9 @@ class TestBatchedMatchesPerTrajectoryOracle:
             return out
         monkeypatch.setattr(T, "sparsemax", counting_sparsemax)
         batch = np.array([0, 3, 5, 7, 11, 2, 4])
-        logits, grads = logits_and_grads(forward_batch, params, cfg, inputs, batch)
+        logits, grads = logits_and_grads(forward_batch, params, inputs, batch)
         ref_logits, ref_grads = logits_and_grads(per_trajectory_logits_oracle,
-                                                 params, cfg, inputs, batch)
+                                                 params, inputs, batch)
         assert max_rel(logits, ref_logits) <= 1e-12
         for name in params.tensors:
             assert max_rel(grads[name], ref_grads[name]) <= 1e-12, name
@@ -672,9 +674,9 @@ class TestBatchedMatchesPerTrajectoryOracle:
         short = [i for i in range(inputs.n_traj) if inputs.lengths[i] <= 2]
         longest = int(np.argmax(inputs.lengths))
         for i in short:
-            alone = fused_representations(params, cfg, inputs, np.array([i]),
+            alone = fused_representations(params, inputs, np.array([i]),
                                           np.random.default_rng(0), False).values[0]
-            padded = fused_representations(params, cfg, inputs, np.array([longest, i, 0]),
+            padded = fused_representations(params, inputs, np.array([longest, i, 0]),
                                            np.random.default_rng(0), False).values[1]
             np.testing.assert_allclose(padded, alone, rtol=1e-12, atol=1e-15)
 
@@ -736,8 +738,8 @@ class TestVisitedGridRows:
             np.testing.assert_array_equal(t.values, expected, err_msg=name)
 
         batch = np.array([0, 3, 5, 7, 11, 2, 4])
-        logits, grads = logits_and_grads(forward_batch, params, cfg, inputs, batch)
-        ref_logits, ref_grads = logits_and_grads(forward_batch, oracle, cfg, full, batch)
+        logits, grads = logits_and_grads(forward_batch, params, inputs, batch)
+        ref_logits, ref_grads = logits_and_grads(forward_batch, oracle, full, batch)
         assert max_rel(logits, ref_logits) <= 1e-12
         for name in params.tensors:
             ref = ref_grads[name][rows] if name in first else ref_grads[name]

@@ -132,9 +132,10 @@ class TestParameterArena:
                        TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=1))
         assert_views_arena(result.params)
         save_checkpoint(result.params, tmp_path / "checkpoint.bin")
-        load_checkpoint(params, tmp_path / "checkpoint.bin")
-        assert_views_arena(params)
-        np.testing.assert_array_equal(params.values, result.params.values)
+        loaded = load_checkpoint(tmp_path / "checkpoint.bin", inputs)
+        assert_views_arena(loaded)
+        assert loaded.config == config
+        np.testing.assert_array_equal(loaded.values, result.params.values)
 
     def test_mismatched_checkpoint_writes_nothing(self):
         _, params = tiny_params()
@@ -267,8 +268,8 @@ class TestEvaluate:
         tc = TrainConfig(learning_rate=1e-2, epochs_max=8, patience=10,
                          batch_size=4, seed=1)
         result = train(inputs, split, config, tc)
-        report = evaluate_on_split(result.params, config, inputs, split.test)
-        logits = predict_logits(result.params, config, inputs, split.test)
+        report = evaluate_on_split(result.params, inputs, split.test)
+        logits = predict_logits(result.params, inputs, split.test)
         manual = float(np.mean(np.argmax(logits, axis=1) == inputs.labels[split.test]))
         assert report.acc_at[1] == manual
 
@@ -276,7 +277,7 @@ class TestEvaluate:
         config, inputs, split = toy_training_setup()
         tc = TrainConfig(epochs_max=2, patience=10, batch_size=4, seed=1)
         result = train(inputs, split, config, tc)
-        report = evaluate_on_split(result.params, config, inputs, split.test,
+        report = evaluate_on_split(result.params, inputs, split.test,
                                    ks=(1, inputs.n_users))
         assert report.acc_at[inputs.n_users] == 1.0
 
@@ -321,8 +322,8 @@ class TestEvaluateRows:
             "crossing a block": rng.permutation(n)[: EVAL_CHUNK + 1],
         }
         for name, indices in requests.items():
-            got = evaluate_rows(params, config, inputs, indices, forward)
-            want = evaluate_rows_oracle(params, config, inputs, indices, forward)
+            got = evaluate_rows(params, inputs, indices, forward)
+            want = evaluate_rows_oracle(params, inputs, indices, forward)
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
