@@ -2,11 +2,11 @@
 
 Every command takes ``--config PATH`` (flat key=value file) plus flag
 overrides; flags win over the file, the file wins over defaults. Every
-command accepts every setting, and each reads those it uses: evaluate and
-embed read only the output directory, and take the model from the header of
-the checkpoint. Stage outputs land under the configured output directory and
-later stages refuse to run until their inputs exist. Exit codes: 0 success,
-1 usage error, 2 data error.
+command accepts and validates every setting, and each uses those it needs:
+evaluate and embed use only the output directory, and take the model from
+the header of the checkpoint. Stage outputs land under the configured output
+directory and later stages refuse to run until their inputs exist. Exit
+codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -60,15 +60,23 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
-def _check_ids(paths: StagePaths, sequences, field: str, limit: int,
-               fix: str = "rerun the 'preprocess' stage") -> None:
+def _check_ids(paths: StagePaths, sequences, field: str, limit: int) -> None:
     """Every ``field`` id of the sequences is in [0, limit), or a DataError
     naming the first that is not."""
     ids = getattr(sequences, field)
     if ids.size and (ids.min() < 0 or ids.max() >= limit):
         bad = int(ids[(ids < 0) | (ids >= limit)][0])
         raise DataError(f"{paths.sequences.name} holds {field} id {bad!r}, not in "
-                        f"[0, {limit}); {fix}")
+                        f"[0, {limit}); rerun the 'preprocess' stage")
+
+
+def _check_windows(paths: StagePaths, sequences, window_len: float, fix: str) -> None:
+    """Every window id of the sequences is its time's window of ``window_len``
+    seconds, or a DataError naming the first that is not."""
+    bad = np.flatnonzero(sequences.window != mob.time_windows(sequences.t, window_len))
+    if bad.size:
+        raise DataError(f"{paths.sequences.name} holds window id {int(sequences.window[bad[0]])} "
+                        f"at t={sequences.t[bad[0]]!r}, not of {window_len} s windows; {fix}")
 
 
 def _load_preprocessed(paths: StagePaths):
@@ -159,7 +167,7 @@ def _load_model_inputs(paths: StagePaths):
 def run_train(cfg: RunConfig) -> dict:
     paths = StagePaths(cfg.output_dir or ".")
     sequences, inputs, split = _load_model_inputs(paths)
-    _check_ids(paths, sequences, "window", mob.time_window_vocab(cfg.time_window))
+    _check_windows(paths, sequences, cfg.time_window, "rerun the 'preprocess' stage")
     if not len(split.validation):
         raise DataError(f"{paths.splits.name} has an empty validation split: validation "
                         "needs a user with at least 3 sub-trajectories")
@@ -178,8 +186,8 @@ def _restore(paths: StagePaths):
     inputs and split it runs on."""
     sequences, inputs, split = _load_model_inputs(paths)
     params = load_checkpoint(_require(paths.checkpoint, "train"), inputs)
-    _check_ids(paths, sequences, "window", params.config.time_vocab,
-               f"{paths.checkpoint.name} has other time windows, rerun the 'train' stage")
+    _check_windows(paths, sequences, mob.SECONDS_PER_DAY / params.config.time_vocab,
+                   f"{paths.checkpoint.name} has other time windows, rerun the 'train' stage")
     return params, inputs, split
 
 

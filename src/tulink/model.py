@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from . import tensor as T
 from .errors import ConfigError, DataError
 from .graphs import GlobalSpatialGraph, LocalSpatialGraph, symmetric_normalize
-from .mobility import MOTION_STATES, SequenceColumns
+from .mobility import MOTION_STATES, SECONDS_PER_DAY, SequenceColumns, time_window_vocab
 from .tensor import Tensor
 
 COSINE_EPS = 1e-12
@@ -65,8 +65,9 @@ class ModelConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not (math.isfinite(self.lambda_l2) and self.lambda_l2 >= 0.0):
             raise ConfigError(f"lambda_l2 must be finite and >= 0, got {self.lambda_l2}")
-        if self.time_vocab < 1:
-            raise ConfigError("time_vocab must be positive")
+        if self.time_vocab < 1 or (time_window_vocab(SECONDS_PER_DAY / self.time_vocab)
+                                   != self.time_vocab):
+            raise ConfigError(f"time_vocab {self.time_vocab} is no count of windows a day")
         if self.ablation and self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}; valid names: "
                               + ", ".join(sorted(ABLATIONS)))
@@ -106,46 +107,34 @@ class ModelParams:
         grid_rows: np.ndarray,
         n_users: int,
         max_seq_len: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ):
+        """Without ``rng`` every value is zero, for a checkpoint's to replace."""
         config.validate()
         self.config = config
         d = config.embed_dim
         dh = d // config.heads
-        draws: dict[str, np.ndarray] = {}
-
-        def matrix(name, rows, cols, keep=slice(None)):
-            draws[name] = _xavier(rng, rows, cols)[keep]
-
-        def vector(name, size, fill=0.0):
-            draws[name] = np.full(size, fill)
-
-        for branch in ("local", "global"):
-            # The first layer is drawn over the whole bounding box, with its
-            # Xavier limit, and keeps the visited rows only. So every later
-            # draw and every kept value equal a bounding-box-sized layer's,
-            # whose unvisited rows would never reach a logit.
-            matrix(f"gcn_{branch}_0", n_grids, d, keep=grid_rows)
-            for i in range(1, config.gcn_layers):
-                matrix(f"gcn_{branch}_{i}", d, d)
-        matrix("time_w", config.time_vocab, d)
-        vector("time_b", d)
-        matrix("state_w", MOTION_STATES, d)
-        vector("state_b", d)
-        matrix("loc_w", 3 * d, d)
-        vector("loc_b", d)
-        for layer in range(config.attn_layers):
-            # Drawn head by head (q, k, v each), so head h owns columns
-            # h*dh:(h+1)*dh of the fused (d, d) projections.
-            heads = [[_xavier(rng, d, dh) for _ in "qkv"] for _ in range(config.heads)]
-            for j, kind in enumerate("qkv"):
-                draws[f"attn{layer}_{kind}"] = np.hstack([head[j] for head in heads])
-            matrix(f"attn{layer}_out_w", d, d)
-            vector(f"attn{layer}_out_b", d)
-            vector(f"attn{layer}_ln_gain", d, fill=1.0)
-            vector(f"attn{layer}_ln_bias", d)
-        matrix("link_w", n_users, 2 * d)
-        vector("link_b", n_users)
+        shapes = dict(parameter_shapes(config, len(grid_rows), n_users))
+        draws = {name: np.zeros(shape) for name, shape in shapes.items()} if rng is None else {}
+        for name, shape in shapes.items():
+            if name in draws:  # k and v come with their q; everything without rng
+                continue
+            if len(shape) == 1:
+                draws[name] = np.full(shape, 1.0 if name.endswith("_ln_gain") else 0.0)
+            elif name in ("gcn_local_0", "gcn_global_0"):
+                # The first layer is drawn over the whole bounding box, with its
+                # Xavier limit, and keeps the visited rows only. So every later
+                # draw and every kept value equal a bounding-box-sized layer's,
+                # whose unvisited rows would never reach a logit.
+                draws[name] = _xavier(rng, n_grids, d)[grid_rows]
+            elif name.endswith("_q"):
+                # Drawn head by head (q, k, v each), so head h owns columns
+                # h*dh:(h+1)*dh of the fused (d, d) projections.
+                heads = [[_xavier(rng, d, dh) for _ in "qkv"] for _ in range(config.heads)]
+                for j, kind in enumerate("qkv"):
+                    draws[name[:-1] + kind] = np.hstack([head[j] for head in heads])
+            else:
+                draws[name] = _xavier(rng, *shape)
 
         self.values = np.concatenate([a.ravel() for a in draws.values()])
         self.grad = np.zeros_like(self.values)
@@ -160,7 +149,7 @@ class ModelParams:
 
     @classmethod
     def for_inputs(cls, config: ModelConfig, inputs: "ModelInputs",
-                   rng: np.random.Generator) -> "ModelParams":
+                   rng: np.random.Generator | None) -> "ModelParams":
         """Parameters sized for ``inputs``' grids, users and sequence length."""
         return cls(config, n_grids=inputs.n_grids, grid_rows=inputs.grid_rows,
                    n_users=inputs.n_users, max_seq_len=inputs.max_seq_len, rng=rng)
@@ -205,19 +194,45 @@ class ModelParams:
         ]
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, t in self.tensors.items():
-            if name not in values:
-                raise DataError(f"checkpoint is missing parameter {name!r}")
-            if values[name].shape != t.values.shape:
-                raise DataError(
-                    f"checkpoint shape {values[name].shape} for {name!r} "
-                    f"does not match model shape {t.values.shape}"
-                )
-        extra = sorted(set(values) - set(self.tensors))
-        if extra:
-            raise DataError(f"checkpoint holds parameters the model lacks: {extra}")
+        check_records(values, ((name, t.values.shape) for name, t in self.items()))
         for name, t in self.tensors.items():
             t.values[...] = values[name]
+
+
+def parameter_shapes(config: ModelConfig, n_rows: int,
+                     n_users: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in the order initialization,
+    checkpoints and the optimizer walk them; the first GCN layers hold
+    ``n_rows`` rows, one per visited grid."""
+    d = config.embed_dim
+    for branch in ("local", "global"):
+        for i in range(config.gcn_layers):
+            yield f"gcn_{branch}_{i}", (n_rows if i == 0 else d, d)
+    yield from [("time_w", (config.time_vocab, d)), ("time_b", (d,)),
+                ("state_w", (MOTION_STATES, d)), ("state_b", (d,)),
+                ("loc_w", (3 * d, d)), ("loc_b", (d,))]
+    for layer in range(config.attn_layers):
+        for part in ("q", "k", "v", "out_w", "out_b", "ln_gain", "ln_bias"):
+            yield f"attn{layer}_{part}", (d, d) if part in ("q", "k", "v", "out_w") else (d,)
+    yield from [("link_w", (n_users, 2 * d)), ("link_b", (n_users,))]
+
+
+def check_records(values: dict[str, np.ndarray],
+                  shapes: Iterable[tuple[str, tuple[int, ...]]]) -> None:
+    """DataError unless ``values`` holds exactly the named parameters, each of
+    its shape. Stops at the first that is missing, so a lazy ``shapes`` naming
+    a billion layers is never built."""
+    names = set()
+    for name, shape in shapes:
+        if name not in values:
+            raise DataError(f"checkpoint is missing parameter {name!r}")
+        if values[name].shape != shape:
+            raise DataError(f"checkpoint shape {values[name].shape} for {name!r} "
+                            f"does not match model shape {shape}")
+        names.add(name)
+    extra = sorted(set(values) - names)
+    if extra:
+        raise DataError(f"checkpoint holds parameters the model lacks: {extra}")
 
 
 @dataclass

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -15,7 +14,8 @@ from . import metrics as M
 from . import tensor as T
 from .errors import ConfigError, DataError, TrainingError
 from .mobility import DatasetSplit
-from .model import ModelConfig, ModelInputs, ModelParams, encode_graphs, forward_batch, model_loss
+from .model import (ModelConfig, ModelInputs, ModelParams, check_records, encode_graphs,
+                    forward_batch, model_loss, parameter_shapes)
 
 # Rows per evaluation forward pass. Fewer, larger blocks pay the fixed cost
 # of each pass less often, but each (rows, n_traj) global-attention
@@ -216,10 +216,9 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     T.save_tensors(path, [(name, t.values) for name, t in params.items()], asdict(params.config))
 
 
-def _header_config(header: dict, values: dict[str, np.ndarray], path: str | Path) -> ModelConfig:
+def _header_config(header: dict, path: str | Path) -> ModelConfig:
     """The ModelConfig a checkpoint header holds: exactly its fields, each of
-    its exact type (an int is no bool), with valid values whose sizes the
-    records bear out, so a corrupt header cannot size a huge model."""
+    its exact type (an int is no bool), with valid values."""
     types = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(ModelConfig)}
     try:
         for key in sorted(header.keys() | types.keys()):
@@ -232,29 +231,23 @@ def _header_config(header: dict, values: dict[str, np.ndarray], path: str | Path
     except ConfigError as exc:
         raise DataError(f"{path} has an invalid model header ({exc}); "
                         "rerun the 'train' stage") from None
-    d = config.embed_dim
-    sizes = chain([("loc_w", (3 * d, d)), ("time_w", (config.time_vocab, d))],
-                  ((f"gcn_local_{i}", (d, d)) for i in range(1, config.gcn_layers)),
-                  ((f"attn{i}_q", (d, d)) for i in range(config.attn_layers)))
-    for name, shape in sizes:
-        if name not in values or values[name].shape != shape:
-            raise DataError(f"{path}: its header's model has parameter {name!r} of shape "
-                            f"{shape}, its records do not; rerun the 'train' stage")
     return config
 
 
 def load_checkpoint(path: str | Path, inputs: ModelInputs) -> ModelParams:
     """The model a checkpoint holds, sized for ``inputs``: settings from its
     header, every parameter from its records. A header or a parameter that
-    does not fit raises DataError."""
+    does not fit raises DataError before the model is allocated, so a corrupt
+    header cannot size a huge one."""
     header, values = T.load_tensors(path)
-    params = ModelParams.for_inputs(_header_config(header, values, path), inputs,
-                                    np.random.default_rng(0))  # every value is replaced
+    config = _header_config(header, path)
     try:
-        params.load_values(values)
+        check_records(values, parameter_shapes(config, len(inputs.grid_rows), inputs.n_users))
     except DataError as exc:
         raise DataError(f"{path}: {exc}; it was written by an earlier version or "
                         "for other inputs, rerun the 'train' stage") from None
+    params = ModelParams.for_inputs(config, inputs, rng=None)
+    params.load_values(values)
     if not np.isfinite(params.values).all():
         name = next(n for n, t in params.items() if not np.isfinite(t.values).all())
         raise DataError(f"{path}: parameter {name!r} holds a non-finite value; "

@@ -233,13 +233,16 @@ def trained(workspace, tmp_path_factory):
     return out
 
 
+DEEPER_FLAGS = ("--attn-layers", "2", "--gcn-layers", "2")
+
+
 @pytest.fixture(scope="module")
 def trained_deeper(workspace, tmp_path_factory):
     """The workspace config trained with two attention and two GCN layers."""
     out = tmp_path_factory.mktemp("deeper")
     for stage in ("preprocess", "build-graphs", "train"):
         assert run([stage, "--config", workspace["config"], "--output", str(out),
-                    "--attn-layers", "2", "--gcn-layers", "2"]) == 0
+                    *DEEPER_FLAGS]) == 0
     return out
 
 
@@ -314,11 +317,33 @@ class TestCheckpointErrors:
         err = self._evaluate(workspace, trained, tmp_path, capsys, negate_first_matrix)
         assert "negative dimension" in err
 
-    def _same_as_training(self, workspace, trained, tmp_path, stage, *flags, train_flags=()):
-        """``stage`` under other flags writes the bytes it writes under the
-        training flags: the checkpoint's header is the model."""
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    @pytest.mark.parametrize("run_dir, flags", [
+        ("trained", ("--embed-dim", "32")),
+        ("trained", ("--heads", "1")),
+        ("trained", ("--ablation", "tul-l")),
+        ("trained", ("--heads", "4", "--ablation", "tul-ea")),
+        ("trained", ("--dropout", "0.1")),
+        ("trained", ("--lambda-l2", "0.01")),
+        ("trained", ("--embed-dim", "32", "--gcn-layers", "3", "--attn-layers", "2",
+                     "--heads", "4", "--ablation", "tul-ea", "--time-window", "3600",
+                     "--cell-size", "80", "--tau", "3600", "--dropout", "0.1",
+                     "--lambda-l2", "0.01", "--learning-rate", "0.005", "--epochs", "9",
+                     "--batch-size", "4", "--patience", "1", "--seed", "9",
+                     "--dataset", "missing.csv")),
+        ("trained_deeper", ("--attn-layers", "1")),
+        ("trained_deeper", ("--gcn-layers", "1")),
+        ("trained_deeper", ("--attn-layers", "1", "--gcn-layers", "1")),
+    ], ids=["dimension", "heads", "ablation", "heads-and-ablation", "dropout", "lambda",
+            "every-setting", "fewer-attn-layers", "fewer-gcn-layers", "fewer-layers"])
+    def test_other_settings_give_the_training_flags_bytes(self, workspace, request, tmp_path,
+                                                         stage, run_dir, flags):
+        """The checkpoint's header is the model: under any other valid model,
+        training or preprocess settings a stage writes the bytes it writes
+        under the flags the checkpoint was trained with."""
         out = tmp_path / stage
-        shutil.copytree(trained, out)
+        shutil.copytree(request.getfixturevalue(run_dir), out)
+        train_flags = {"trained": (), "trained_deeper": DEEPER_FLAGS}[run_dir]
         name = "metrics.txt" if stage == "evaluate" else "embeddings.tsv"
         assert run([stage, "--config", workspace["config"], "--output", str(out),
                     *train_flags]) == 0
@@ -326,20 +351,6 @@ class TestCheckpointErrors:
         (out / name).unlink()
         assert run([stage, "--config", workspace["config"], "--output", str(out), *flags]) == 0
         assert (out / name).read_bytes() == expected
-
-    def test_dimension_mismatch(self, workspace, trained, tmp_path, capsys):
-        self._same_as_training(workspace, trained, tmp_path, "evaluate", "--embed-dim", "32")
-
-    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
-    @pytest.mark.parametrize("flags", [
-        ("--heads", "1"),
-        ("--ablation", "tul-l"),
-        ("--heads", "4", "--ablation", "tul-ea"),
-    ], ids=["heads", "ablation", "both"])
-    def test_other_model_settings(self, workspace, trained, tmp_path, capsys, stage, flags):
-        """Settings that keep every parameter shape but change the forward:
-        restoring under them would score or embed with another model."""
-        self._same_as_training(workspace, trained, tmp_path, stage, *flags)
 
     @pytest.mark.parametrize("change", [
         lambda h: h.pop("heads"),
@@ -349,8 +360,9 @@ class TestCheckpointErrors:
         lambda h: h.update(heads=0),
         lambda h: h.update(heads=3),
         lambda h: h.update(ablation="tul-x"),
+        lambda h: h.update(time_vocab=7),
     ], ids=["missing-key", "extra-key", "float", "bool", "zero-heads", "not-a-multiple",
-            "unknown-ablation"])
+            "unknown-ablation", "no-whole-window"])
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
     def test_invalid_header(self, workspace, trained, tmp_path, capsys, stage, change):
         def rewrite_header(path):
@@ -360,40 +372,38 @@ class TestCheckpointErrors:
         err = self._evaluate(workspace, trained, tmp_path, capsys, rewrite_header, stage=stage)
         assert "invalid model header" in err
 
-    @pytest.mark.parametrize("setting", ["embed_dim", "gcn_layers", "attn_layers", "time_vocab"])
+    @pytest.mark.parametrize("setting, value, record", [
+        ("embed_dim", 10 ** 12, "gcn_local_0"), ("gcn_layers", 10 ** 12, "gcn_local_2"),
+        ("attn_layers", 10 ** 12, "attn1_q"), ("time_vocab", 86400 * 2 ** 20, "time_w")])
     def test_header_sizes_the_records_do_not_bear_out(self, workspace, trained, tmp_path, capsys,
-                                                      setting):
-        """A header that would size a huge model exits before drawing it."""
+                                                      setting, value, record):
+        """A header that would size a huge model exits at the first record
+        that does not fit it, before anything is drawn or allocated."""
         def enlarge(path):
             header, tensors = load_tensors(path)
-            header[setting] = 10 ** 12
+            header[setting] = value
             save_tensors(path, tensors.items(), header)
         err = self._evaluate(workspace, trained, tmp_path, capsys, enlarge)
-        assert "its records do not" in err
+        assert repr(record) in err
 
-    def test_window_id_outside_the_checkpoints_time_vocab(self, workspace, trained, tmp_path,
-                                                          capsys):
-        """Sequences re-preprocessed into ten-minute windows after training on
-        two-hour ones (12 of them)."""
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    @pytest.mark.parametrize("trained_window, window", [(None, "600"), ("3600", "7200")],
+                             ids=["more-windows", "fewer-windows"])
+    def test_sequences_of_other_time_windows(self, workspace, trained, tmp_path, capsys, stage,
+                                             trained_window, window):
+        """Sequences re-preprocessed into other time windows after training:
+        into more than the checkpoint's time_vocab, or into fewer, whose ids
+        all lie below it."""
         def repreprocess(path):
-            for stage in ("preprocess", "build-graphs"):
-                assert run([stage, "--config", workspace["config"], "--output",
-                            str(path.parent), "--time-window", "600"]) == 0
-            assert max(mob.load_sequences(path.parent / "sequences.jsonl").window) >= 12
-        err = self._evaluate(workspace, trained, tmp_path, capsys, repreprocess)
-        assert "window id" in err and "[0, 12)" in err
-
-    @pytest.mark.parametrize("flags", [("--dropout", "0.1"), ("--lambda-l2", "0.01")])
-    def test_training_only_settings_may_differ(self, workspace, trained, tmp_path, capsys,
-                                               flags):
-        out = tmp_path / "run"
-        shutil.copytree(trained, out)
-        assert run(["evaluate", "--config", workspace["config"], "--output", str(out)]) == 0
-        expected = (out / "metrics.txt").read_bytes()
-        assert run(["evaluate", "--config", workspace["config"], "--output", str(out),
-                    *flags]) == 0
-        capsys.readouterr()
-        assert (out / "metrics.txt").read_bytes() == expected
+            runs = [("preprocess", window), ("build-graphs", window)]
+            if trained_window:
+                runs[:0] = [(name, trained_window)
+                            for name in ("preprocess", "build-graphs", "train")]
+            for name, seconds in runs:
+                assert run([name, "--config", workspace["config"], "--output", str(path.parent),
+                            "--time-window", seconds]) == 0
+        err = self._evaluate(workspace, trained, tmp_path, capsys, repreprocess, stage=stage)
+        assert "window id" in err and "s windows" in err
 
     def test_checkpoint_of_an_earlier_version(self, workspace, trained, tmp_path, capsys):
         def drop_header(path):
@@ -451,13 +461,6 @@ class TestCheckpointErrors:
         err = self._evaluate(workspace, trained, tmp_path, capsys, poison_link_bias,
                              stage=stage)
         assert "'link_b'" in err and "non-finite" in err
-
-    @pytest.mark.parametrize("flags", [("--attn-layers", "1"), ("--gcn-layers", "1"),
-                                       ("--attn-layers", "1", "--gcn-layers", "1")])
-    def test_checkpoint_with_more_layers(self, workspace, trained_deeper, tmp_path, capsys,
-                                         flags):
-        self._same_as_training(workspace, trained_deeper, tmp_path, "evaluate", *flags,
-                               train_flags=("--attn-layers", "2", "--gcn-layers", "2"))
 
     def test_checkpoint_holds_a_parameter_the_model_lacks(self, workspace, trained, tmp_path,
                                                           capsys):
@@ -744,6 +747,15 @@ class TestArtifactErrors:
         err = self._run(workspace, trained, tmp_path, capsys, stage, edit)
         assert "sequences.jsonl" in err and "'preprocess'" in err
         assert f"{field} id {value!r}" in err
+
+    def test_sequences_of_other_time_windows_at_train(self, workspace, trained, tmp_path,
+                                                      capsys):
+        """Sequences of two-hour windows trained under one-hour windows: every
+        id lies below the 24 windows, but not every one is its time's."""
+        err = self._run(workspace, trained, tmp_path, capsys, "train", lambda out: None,
+                        "--time-window", "3600")
+        assert "sequences.jsonl" in err and "'preprocess'" in err
+        assert "window id" in err and "3600.0 s windows" in err
 
     @pytest.mark.parametrize("stage", ["build-graphs", "train"])
     def test_duplicated_record_in_sequences(self, workspace, trained, tmp_path, capsys, stage):

@@ -524,12 +524,15 @@ class TestForwardFull:
         assert np.array_equal(a.values, b.values)
 
     def test_training_mode_reproducible_under_same_stream(self, toy_model_setup):
-        params, _, inputs, _ = toy_model_setup
-        cfg = small_config(dropout_rate=0.5)
+        _, _, inputs, _ = toy_model_setup
+        params = ModelParams.for_inputs(small_config(dropout_rate=0.5), inputs,
+                                        seeded_rng(123, "init"))
         batch = np.arange(4)
         a = forward_batch(params, inputs, batch, np.random.default_rng(3), True)
         b = forward_batch(params, inputs, batch, np.random.default_rng(3), True)
+        c = forward_batch(params, inputs, batch, np.random.default_rng(4), True)
         assert np.array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, c.values)  # dropout draws from the stream
 
     def test_batch_permutation_equivariance(self, toy_model_setup):
         params, cfg, inputs, _ = toy_model_setup
