@@ -7,6 +7,8 @@ trajectories must be present), user nodes attached only to training
 trajectories. Both are sparse products of the trajectory-by-grid incidence
 C and the user-by-trajectory training-label matrix A, not pairwise scans.
 The grid features of the local graph are one-hot, so none are stored.
+``twin_quotient`` merges the global nodes whose graph and feature rows are
+equal, which every GCN layer maps to equal rows.
 
 On-disk format is a line-oriented text file: a small header, the node
 roster, then one or two integer COO sections in row-major order. Weights
@@ -25,6 +27,7 @@ import scipy.sparse as sp
 
 from .errors import reading
 from .mobility import SequenceColumns
+from .tensor import csr_rows
 
 FORMAT_VERSION = 1
 
@@ -125,7 +128,8 @@ def build_global_graph(
 
 
 def symmetric_normalize(adjacency: sp.spmatrix) -> sp.csr_matrix:
-    """Self-loop-augmented symmetric normalization D^-1/2 (A + I) D^-1/2.
+    """Self-loop-augmented symmetric normalization D^-1/2 (A + I) D^-1/2 of
+    a symmetric A with positive weights, as the graph loaders check.
 
     Row sums of A + I are at least one, so the result is always finite. The
     per-entry scale is computed as dinv[i] * dinv[j] before multiplying by
@@ -134,8 +138,6 @@ def symmetric_normalize(adjacency: sp.spmatrix) -> sp.csr_matrix:
     n, m = adjacency.shape
     if n != m:
         raise ValueError(f"adjacency must be square, got {n}x{m}")
-    if (adjacency != adjacency.T).nnz != 0:
-        raise ValueError("adjacency must be symmetric")
     a_tilde = (adjacency.astype(np.float64) + sp.identity(n, format="csr")).tocoo()
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     dinv = 1.0 / np.sqrt(deg)
@@ -143,6 +145,68 @@ def symmetric_normalize(adjacency: sp.spmatrix) -> sp.csr_matrix:
     out = sp.coo_matrix((data, (a_tilde.row, a_tilde.col)), shape=(n, n)).tocsr()
     out.sort_indices()
     return out
+
+
+def _row_keys(m: sp.csr_matrix, x: sp.csr_matrix) -> np.ndarray:
+    """One float per node, the same bits for nodes whose M and X rows are equal
+    entry for entry: each row's products with fixed random vectors."""
+    rng = np.random.default_rng(0)
+    return m @ rng.random(m.shape[1]) + x @ rng.random(x.shape[1])
+
+
+def _rows_equal(a: sp.csr_matrix, rows: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Whether CSR row rows[j] of ``a`` equals row heads[j] entry for entry,
+    for each j."""
+    counts = np.diff(a.indptr)
+    same = counts[rows] == counts[heads]
+    pairs = np.flatnonzero(same & (rows != heads))
+    n = counts[rows[pairs]]
+    run = np.arange(n.sum())  # each pair's entries in turn
+    start = np.cumsum(n) - n
+    at = run + np.repeat(a.indptr[rows[pairs]] - start, n)
+    ref = run + np.repeat(a.indptr[heads[pairs]] - start, n)
+    differs = (a.indices[at] != a.indices[ref]) | (a.data[at] != a.data[ref])
+    if differs.any():
+        same[pairs[np.searchsorted(start, run[differs], side="right") - 1]] = False
+    return same
+
+
+def twin_quotient(m: sp.csr_matrix,
+                  x: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
+    """The GCN graph over twin classes: nodes whose rows of the propagation
+    matrix ``m`` and of the features ``x`` are equal entry for entry (both
+    canonical CSR). Returns (M_q, X_q, the class of every node).
+
+    Classes are numbered by their first member. X_q holds the first members'
+    feature rows, and M_q their rows R of ``m`` with the columns of each class
+    summed, in ascending node order. With P the node-by-class membership
+    matrix, M = P R, X = P X_q and M_q = R P. So ReLU(M H W) = P ReLU(M_q H_q
+    W) whenever H = P H_q: every GCN layer's output is P times the
+    quotient's. With no twins, M_q is ``m`` to the bit.
+
+    Random projections of the rows propose the classes; each node is then
+    checked entry by entry against its class's first member, and nodes that
+    fail are grouped again among themselves.
+    """
+    n = m.shape[0]
+    keys = _row_keys(m, x)
+    todo = np.argsort(keys)
+    first = np.empty(n, dtype=np.int64)  # each node's class's first member
+    while todo.size:
+        k = keys[todo]
+        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+        heads = np.repeat(np.minimum.reduceat(todo, starts), np.diff(np.r_[starts, len(todo)]))
+        same = _rows_equal(m, todo, heads) & _rows_equal(x, todo, heads)
+        first[todo[same]] = heads[same]
+        todo = todo[~same]
+    is_first = first == np.arange(n)
+    members = np.flatnonzero(is_first)
+    classes = (np.cumsum(is_first) - 1)[first]
+    membership = sp.csr_matrix((np.ones(n), classes, np.arange(n + 1)),
+                               shape=(n, len(members)))
+    m_q = csr_rows(m, members) @ membership  # sums each row's entries in column order
+    m_q.sort_indices()
+    return m_q, csr_rows(x, members), classes
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +281,19 @@ def _load_graph(path: str | Path, kind: str, sections: Sequence[str]):
     return header, roster, matrices
 
 
+def _check_adjacency(adj: sp.csr_matrix) -> None:
+    """ValueError unless the canonical CSR ``adj`` has positive weights, a zero
+    diagonal and is symmetric: the one symmetry check of each model stage."""
+    if np.any(adj.data <= 0):
+        raise ValueError("adjacency holds a weight that is not positive")
+    if adj.diagonal().any():
+        raise ValueError("adjacency has a nonzero diagonal")
+    t = adj.T.tocsr()  # canonical too, so equal matrices have equal arrays
+    if not all(np.array_equal(getattr(adj, a), getattr(t, a))
+               for a in ("indptr", "indices", "data")):
+        raise ValueError("adjacency is not symmetric")
+
+
 def save_local_graph(g: LocalSpatialGraph, path: str | Path) -> None:
     header = {"kind": "local", "nodes": g.n_grids, "edges": g.n_edges,
               "max_weight": g.max_weight}
@@ -226,6 +303,7 @@ def save_local_graph(g: LocalSpatialGraph, path: str | Path) -> None:
 def load_local_graph(path: str | Path) -> LocalSpatialGraph:
     with reading(path, "build-graphs"):
         header, _, (adj,) = _load_graph(path, "local", ("adjacency",))
+        _check_adjacency(adj)
         return LocalSpatialGraph(int(header["nodes"]), adj)
 
 
@@ -239,5 +317,8 @@ def save_global_graph(g: GlobalSpatialGraph, path: str | Path) -> None:
 def load_global_graph(path: str | Path) -> GlobalSpatialGraph:
     with reading(path, "build-graphs"):
         header, roster, (adj, features) = _load_graph(path, "global", ("adjacency", "features"))
+        _check_adjacency(adj)
+        if np.any(features.data != 1):
+            raise ValueError("features hold an entry other than 1")
         n_traj = int(header["trajectories"])
         return GlobalSpatialGraph(roster[:n_traj], roster[n_traj:], adj, features)

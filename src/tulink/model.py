@@ -1,14 +1,16 @@
 """The trajectory-user linking network.
 
 Two graph convolution encoders produce grid embeddings (local graph) and
-trajectory/user embeddings (global graph). Each trajectory point is encoded
-by fusing its time-window and motion-state embeddings with its grid
-embedding; a stack of multi-head self-attention layers with sinusoidal
-position encoding summarizes the sequence, max-pooled into the local
-representation. The global representation is a sparsemax-weighted sum of
-all trajectory embeddings scored by cosine similarity. Both halves
-concatenate into an affine linking layer over users, trained with
-softmax cross entropy plus L2 on the weight matrices.
+trajectory/user embeddings (global graph); the global one runs once per
+twin class of nodes with equal graph and feature rows, which gives every
+node its full-graph row. Each trajectory point is encoded by fusing its
+time-window and motion-state embeddings with its grid embedding; a stack
+of multi-head self-attention layers with sinusoidal position encoding
+summarizes the sequence, max-pooled into the local representation. The
+global representation is a sparsemax-weighted sum of all trajectory
+embeddings scored by cosine similarity. Both halves concatenate into an
+affine linking layer over users, trained with softmax cross entropy plus
+L2 on the weight matrices.
 
 ``ModelConfig.ablation`` names one of the paper's variants in ``ABLATIONS``,
 each of which removes one component.
@@ -25,7 +27,7 @@ import scipy.sparse as sp
 
 from . import tensor as T
 from .errors import ConfigError, DataError
-from .graphs import GlobalSpatialGraph, LocalSpatialGraph, symmetric_normalize
+from .graphs import GlobalSpatialGraph, LocalSpatialGraph, symmetric_normalize, twin_quotient
 from .mobility import MOTION_STATES, SECONDS_PER_DAY, SequenceColumns, time_window_vocab
 from .tensor import Tensor
 
@@ -240,8 +242,9 @@ class ModelInputs:
     """Everything the forward pass consumes, prepared once per run."""
 
     m_local: sp.csr_matrix
-    m_global: sp.csr_matrix
-    x_global: sp.csr_matrix
+    m_global: sp.csr_matrix  # over the global graph's twin classes
+    x_global: sp.csr_matrix  # one feature row per twin class
+    traj_rows: np.ndarray  # each trajectory's twin class
     traj_ids: list[str]
     grid_idx: np.ndarray  # (n_traj, max_seq_len) rows of grid_rows, zero past each length
     state_idx: np.ndarray
@@ -275,6 +278,12 @@ def build_model_inputs(
     columns, and the global features those columns. An unvisited cell is an
     isolated self-loop node and an all-zero feature column, so dropping it
     changes no embedding of a visited grid, trajectory or user.
+
+    The global graph enters as its twin quotient: nodes with equal rows of
+    the normalized adjacency and of the features get equal rows from every
+    GCN layer, so the GCN computes one row per class and ``traj_rows`` reads
+    each trajectory's. On check-in data, one-cell trajectories at the same
+    cell with the same training user, or with none, are twins.
     """
     ids = sequences.traj_ids
     if ids != list(global_graph.traj_ids):
@@ -291,10 +300,14 @@ def build_model_inputs(
         return out
 
     grid_rows = np.unique(sequences.grid)
+    m_global, x_global, classes = twin_quotient(
+        symmetric_normalize(global_graph.adjacency),
+        global_graph.features.astype(np.float64).tocsr()[:, grid_rows])
     return ModelInputs(
         m_local=symmetric_normalize(local_graph.adjacency)[grid_rows][:, grid_rows],
-        m_global=symmetric_normalize(global_graph.adjacency),
-        x_global=global_graph.features.astype(np.float64).tocsr()[:, grid_rows],
+        m_global=m_global,
+        x_global=x_global,
+        traj_rows=classes[: len(ids)],  # trajectories are the first nodes
         traj_ids=ids,
         # Padding is grid 0, at or below every visited id, so it maps to row 0.
         grid_idx=np.searchsorted(grid_rows, padded(sequences.grid)),
@@ -310,10 +323,11 @@ def build_model_inputs(
 
 
 def gcn_forward(m_norm: sp.csr_matrix, features: sp.csr_matrix | None,
-                weights: Sequence[Tensor], n_rows: int | None = None) -> Tensor:
+                weights: Sequence[Tensor], rows: np.ndarray | None = None) -> Tensor:
     """Stacked propagation H <- ReLU(M (H W)) from node features X (one-hot
-    when None), once per layer weight; the first n_rows node rows, or all."""
-    return T.gcn(m_norm, features, weights, n_rows)
+    when None), once per layer weight; node rows[i]'s row for each i, or
+    every node's."""
+    return T.gcn(m_norm, features, weights, rows)
 
 
 def encode_locations(params: ModelParams, h_local: Tensor, grid_idx: np.ndarray,
@@ -382,10 +396,10 @@ def encode_graphs(params: ModelParams,
         h_local = gcn_forward(inputs.m_local, None,
                               [params[f"gcn_local_{i}"] for i in range(config.gcn_layers)])
     if config.ablation != "tul-g":
-        # Trajectories are the first n_traj nodes of the global graph.
+        # One row per twin class, read once per trajectory of the class.
         h_traj = gcn_forward(inputs.m_global, inputs.x_global,
                              [params[f"gcn_global_{i}"] for i in range(config.gcn_layers)],
-                             inputs.n_traj)
+                             inputs.traj_rows)
         traj_norms = T.row_norms(h_traj)
     return h_local, h_traj, traj_norms
 

@@ -7,8 +7,10 @@ into every tracked input exactly once per use. With no active tape (the
 evaluation path) operations are plain numpy calls with no bookkeeping.
 
 The operation set is exactly what the linking model records: add, a
-dense matmul with its bias, a fused stacked GCN whose backward visits only
-the graph rows its gradient reaches, transpose, concat, row gathers with an
+dense matmul with its bias, a fused stacked GCN whose output rows may read
+one node many times (the global GCN runs over twin classes of nodes with
+equal graph and feature rows) and whose backward visits only the graph rows
+its gradient reaches, transpose, concat, row gathers with an
 optional bias, tanh, a fused masked multi-head self-attention, a fused
 cosine-scored attention under either normalizer, layer norm, inverted
 dropout, masked positional max-pooling, a fused log-space cross entropy,
@@ -162,7 +164,7 @@ def spmm(s: sp.spmatrix, x: Tensor) -> Tensor:
     return out
 
 
-def _csr_rows(m: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+def csr_rows(m: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     """m[rows] for ascending rows, gathered from m's index arrays; scipy's
     fancy row indexing costs several times as much on graphs this size."""
     starts = m.indptr[rows]
@@ -174,18 +176,21 @@ def _csr_rows(m: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
 
 
 def gcn(m_norm: sp.spmatrix, features: sp.spmatrix | None, weights: Sequence[Tensor],
-        n_rows: int | None = None) -> Tensor:
+        rows: np.ndarray | None = None) -> Tensor:
     """Stacked graph convolution H <- ReLU(M (H W)), one layer per weight,
-    from H = features (the identity when None, so X W0 is W0); the result
-    keeps the first n_rows node rows, all of them by default.
+    from H = features (the identity when None, so X W0 is W0); output row i
+    is node rows[i]'s last-layer row, every node's in order by default.
+    Rows may repeat nodes: the global GCN runs over twin classes
+    (``graphs.twin_quotient``) and reads each trajectory's class.
 
     The forward makes the same float operations in the same order as the
-    composition of spmm, matmul and relu. The backward starts from the
-    nonzero rows of the result's gradient and carries them back one hop per
-    layer: a layer's gradient reaches only the nodes adjacent to the rows it
-    starts from, so every product runs over those rows and nodes alone. From
-    the layer whose rows exceed GCN_DENSE_SHARE of the nodes, it runs the
-    full-graph products instead.
+    composition of spmm, matmul, relu and a row gather. The backward sums
+    the nonzero rows of the result's gradient into the nodes they read, in
+    output order, and carries those nodes back one hop per layer: a layer's
+    gradient reaches only the nodes adjacent to the rows it starts from, so
+    every product runs over those rows and nodes alone. From the layer whose
+    rows exceed GCN_DENSE_SHARE of the nodes, it runs the full-graph
+    products instead.
     """
     m = m_norm.tocsr()
     n = m.shape[0]
@@ -197,31 +202,37 @@ def gcn(m_norm: sp.spmatrix, features: sp.spmatrix | None, weights: Sequence[Ten
         raise ValueError(f"gcn shape mismatch: {m.shape} graph, "
                          f"{None if features is None else features.shape} features, "
                          f"weights {[w.shape for w in weights]}")
+    if rows is not None and rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"gcn rows out of range [0, {n}): {int(rows.min())}..{int(rows.max())}")
     # Each layer's output; its positive entries are the layer's ReLU mask.
     hs = [np.maximum(np.asarray(m @ (w0 if features is None else np.asarray(features @ w0))), 0.0)]
     for w in weights[1:]:
         hs.append(np.maximum(np.asarray(m @ (hs[-1] @ w.values)), 0.0))
-    out = _result(hs[-1][:n_rows], *weights)
+    out = _result(hs[-1] if rows is None else hs[-1][rows], *weights)
     if out.requires_grad:
         x = None if features is None else features.tocsr()
 
         def backward():
             g = out.grad
-            rows = np.flatnonzero(np.abs(g) @ np.ones(g.shape[1]))
-            if not rows.size:
+            live = np.flatnonzero(np.abs(g) @ np.ones(g.shape[1]))
+            if not live.size:
                 return
-            g = g[rows]
+            nodes = live if rows is None else rows[live]
+            order = np.argsort(nodes, kind="stable")
+            nodes = nodes[order]
+            starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
+            g, nodes = np.add.reduceat(g[live[order]], starts), nodes[starts]
             for i in range(len(weights) - 1, -1, -1):
-                dense = rows is _ALL or rows.size > GCN_DENSE_SHARE * n
-                if dense and rows is not _ALL:  # widen to every node
+                dense = nodes is _ALL or nodes.size > GCN_DENSE_SHARE * n
+                if dense and nodes is not _ALL:  # widen to every node
                     full = np.zeros((n, g.shape[1]))
-                    full[rows] = g
-                    g, rows = full, _ALL
-                g *= hs[i][rows] > 0.0
+                    full[nodes] = g
+                    g, nodes = full, _ALL
+                g *= hs[i][nodes] > 0.0
                 if dense:
                     cols, gp = _ALL, np.asarray(m.T @ g)
                 else:
-                    sub = _csr_rows(m, rows)
+                    sub = csr_rows(m, nodes)
                     reached = np.zeros(n, dtype=bool)
                     reached[sub.indices] = True
                     cols = np.flatnonzero(reached)
@@ -231,11 +242,11 @@ def gcn(m_norm: sp.spmatrix, features: sp.spmatrix | None, weights: Sequence[Ten
                     if w.requires_grad:
                         w.grad += hs[i - 1][cols].T @ gp
                     g = gp @ w.values.T
-                    rows = cols
+                    nodes = cols
                 elif w.requires_grad and x is None:
                     w.grad[cols] += gp
                 elif w.requires_grad:
-                    w.grad += np.asarray((x if dense else _csr_rows(x, cols)).T @ gp)
+                    w.grad += np.asarray((x if dense else csr_rows(x, cols)).T @ gp)
         _record(backward)
     return out
 

@@ -12,8 +12,9 @@ from tulink.graphs import build_global_graph, build_grid_incidence, build_local_
 from tulink.mobility import GridSequence, chronological_split
 from tulink.model import ModelConfig, ModelParams, build_model_inputs
 from tulink.config import seeded_rng
+from tulink.tensor import Tape, Tensor, recording
 
-from oracles import columns_from_records
+from oracles import columns_from_records, matmul, reshape
 
 # To print a failing example, hypothesis imports libcst, whose import of
 # mypy_extensions.TypedDict warns of a deprecation; under the error filter of
@@ -83,6 +84,57 @@ def on_odd_cells(sequences):
     for s in sequences:
         s.grid = [2 * g + 1 for g in s.grid]
     return sequences
+
+
+def gcn_and_grads(gcn, m, features, weights, rows, upstream):
+    """Output values and every weight's gradient under an upstream gradient
+    that reaches the output exactly as given."""
+    ws = [Tensor(w.copy(), requires_grad=True) for w in weights]
+    tape = Tape()
+    with recording(tape):
+        out = gcn(m, features, ws, rows)
+        loss = matmul(reshape(out, (1, out.values.size)), Tensor(upstream.reshape(-1, 1)))
+    tape.backward(loss)
+    return out.values, [w.grad for w in ws]
+
+
+def edit_graph_section(path, section, edit):
+    """Rewrite one matrix section of a graph file: ``edit`` takes the
+    section's [row, col, weight] entries and returns the new ones."""
+    lines = path.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {section} "))
+    tag, name, rows, cols, nnz = lines[i].split()
+    end = i + 1 + int(nnz)
+    entries = edit([[int(v) for v in line.split()] for line in lines[i + 1 : end]])
+    lines[i : end] = [f"{tag} {name} {rows} {cols} {len(entries)}\n",
+                      *(f"{r} {c} {w}\n" for r, c, w in entries)]
+    path.write_text("".join(lines))
+
+
+def _set_pair(weight):
+    def edit(entries):
+        r, c, _ = entries[0]
+        for e in entries:
+            if (e[0], e[1]) in ((r, c), (c, r)):
+                e[2] = weight
+        return entries
+    return edit
+
+
+def _bump_first(entries):
+    entries[0][2] += 1
+    return entries
+
+
+# Corruptions of a graph file's sections that its loader rejects, as
+# (section, edit, the ValueError's words).
+GRAPH_CORRUPTIONS = {
+    "asymmetric": ("adjacency", _bump_first, "not symmetric"),
+    "negative_pair": ("adjacency", _set_pair(-9), "not positive"),
+    "zero_pair": ("adjacency", _set_pair(0), "not positive"),
+    "self_loop": ("adjacency", lambda e: [[e[0][0], e[0][0], 1], *e], "nonzero diagonal"),
+    "feature_of_two": ("features", _bump_first, "other than 1"),
+}
 
 
 # Tape ops of one training step (forward_batch and model_loss, dropout on)

@@ -458,14 +458,42 @@ def dense_global_attention_oracle(h_traj, traj_norms, batch, eps, use_softmax):
     return matmul(weights, h_traj)
 
 
-def dense_gcn_oracle(m_norm, features, weights, n_rows=None):
+def dense_gcn_oracle(m_norm, features, weights, rows=None):
     """Stacked GCN composed of taped spmm, matmul and relu, every backward
-    step over the whole graph; features None means one-hot, so X W0 is W0."""
+    step over the whole graph, then node rows[i]'s row for each i (every
+    node's when None); features None means one-hot, so X W0 is W0."""
     xw = weights[0] if features is None else T.spmm(features, weights[0])
     h = relu(T.spmm(m_norm, xw))
     for w in weights[1:]:
         h = relu(T.spmm(m_norm, matmul(h, w)))
-    return h if n_rows is None else slice_rows(h, 0, n_rows)
+    return h if rows is None else T.embedding(h, rows)
+
+
+def twin_quotient_oracle(m, x):
+    """graphs.twin_quotient by a loop over the nodes: a dict from each row's
+    entries to its class, and each quotient entry summed column by column."""
+    m, x = m.tocsr(), x.tocsr()
+
+    def row(a, i):
+        lo, hi = a.indptr[i], a.indptr[i + 1]
+        return tuple(a.indices[lo:hi].tolist()), tuple(a.data[lo:hi].tolist())
+
+    seen, classes, members = {}, [], []
+    for i in range(m.shape[0]):
+        key = (row(m, i), row(x, i))
+        if key not in seen:
+            seen[key] = len(members)
+            members.append(i)
+        classes.append(seen[key])
+    k = len(members)
+    m_q = sp.lil_matrix((k, k))
+    for c, i in enumerate(members):
+        sums = {}
+        for j, v in zip(*row(m, i)):
+            sums[classes[j]] = sums.get(classes[j], 0.0) + v
+        for cj, v in sums.items():
+            m_q[c, cj] = v
+    return m_q.tocsr(), x[members], np.asarray(classes, dtype=np.int64)
 
 
 def per_trajectory_logits_oracle(params, inputs, batch, rng, training):
@@ -510,8 +538,9 @@ def evaluate_rows_oracle(params, inputs, indices, forward, chunk=16):
 # ---------------------------------------------------------------------------
 
 def bounding_box_inputs_oracle(sequences, local_graph, global_graph):
-    """Model inputs indexed by bounding-box cell: the whole normalized local
-    adjacency, every feature column, raw grid ids padded with grid 0."""
+    """Model inputs indexed by bounding-box cell and by global node: the whole
+    normalized local and global adjacencies, every feature row and column,
+    raw grid ids padded with grid 0, and no twin classes."""
     inputs = build_model_inputs(sequences, local_graph, global_graph)
 
     grid_idx = np.zeros_like(inputs.grid_idx)
@@ -520,7 +549,9 @@ def bounding_box_inputs_oracle(sequences, local_graph, global_graph):
     return dataclasses.replace(
         inputs,
         m_local=symmetric_normalize(local_graph.adjacency),
+        m_global=symmetric_normalize(global_graph.adjacency),
         x_global=global_graph.features.astype(np.float64).tocsr(),
+        traj_rows=np.arange(inputs.n_traj),
         grid_idx=grid_idx,
         grid_rows=np.arange(local_graph.n_grids),
     )
@@ -734,10 +765,14 @@ def model_inputs_oracle(sequences, local_graph, global_graph):
         return out
 
     grid_rows = np.unique(np.concatenate([s.grid for s in sequences]).astype(np.int64))
+    m_global, x_global, classes = twin_quotient_oracle(
+        symmetric_normalize(global_graph.adjacency),
+        global_graph.features.astype(np.float64).tocsr()[:, grid_rows])
     return ModelInputs(
         m_local=symmetric_normalize(local_graph.adjacency)[grid_rows][:, grid_rows],
-        m_global=symmetric_normalize(global_graph.adjacency),
-        x_global=global_graph.features.astype(np.float64).tocsr()[:, grid_rows],
+        m_global=m_global,
+        x_global=x_global,
+        traj_rows=classes[: len(sequences)],
         traj_ids=[s.traj_id for s in sequences],
         grid_idx=np.searchsorted(grid_rows, padded("grid")),
         state_idx=padded("state"),

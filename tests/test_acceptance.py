@@ -202,8 +202,9 @@ def primitive_checks(rng):
     checks += [
         ("gcn", lambda t: scalar_functional(
             T.gcn(gcn_m, None, [t, Tensor(gcn_one_hot[1])]), c15), gcn_one_hot[0]),
-        ("gcn_features", lambda t: scalar_functional(T.gcn(
-            gcn_m, gcn_x, [Tensor(gcn_feats[0]), t, Tensor(gcn_feats[2])], 3), c9), gcn_feats[1]),
+        ("gcn_features", lambda t: scalar_functional(T.gcn(  # rows read node 2 twice
+            gcn_m, gcn_x, [Tensor(gcn_feats[0]), t, Tensor(gcn_feats[2])],
+            np.array([2, 0, 2])), c9), gcn_feats[1]),
     ]
 
     # Three rows padded to four positions (one of length 1, one full), and

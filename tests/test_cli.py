@@ -26,6 +26,8 @@ from tulink.model import ABLATIONS, ModelConfig
 from tulink.train import TrainConfig, evaluate_on_split
 from tulink.tensor import load_tensors, save_tensors
 
+from conftest import GRAPH_CORRUPTIONS, edit_graph_section
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -702,6 +704,20 @@ class TestArtifactErrors:
             path.write_text("".join(lines))
         err = self._run(workspace, trained, tmp_path, capsys, stage, widen)
         assert name in err and "'build-graphs'" in err and f"matrix {section}" in err
+
+    @pytest.mark.parametrize("stage", ["train", "evaluate", "embed"])
+    @pytest.mark.parametrize("name, corruption", [
+        (name, corruption) for name in ("global_graph.txt", "local_graph.txt")
+        for corruption, (section, _, _) in GRAPH_CORRUPTIONS.items()
+        if name == "global_graph.txt" or section == "adjacency"])
+    def test_malformed_graph(self, workspace, trained, tmp_path, capsys, stage, name,
+                             corruption):
+        """A graph file that parses but breaks the graph's invariants, such as
+        an asymmetric adjacency or a symmetric pair of negative weights."""
+        section, edit, words = GRAPH_CORRUPTIONS[corruption]
+        err = self._run(workspace, trained, tmp_path, capsys, stage,
+                        lambda out: edit_graph_section(out / name, section, edit))
+        assert name in err and words in err and "'build-graphs'" in err
 
     def test_graphs_older_than_sequences(self, workspace, trained, tmp_path, capsys):
         def resplit(out):

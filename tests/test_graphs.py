@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tulink import graphs as G
 from tulink.errors import DataError
 from tulink.graphs import (
     _write_coo,
@@ -21,10 +22,12 @@ from tulink.graphs import (
     save_global_graph,
     save_local_graph,
     symmetric_normalize,
+    twin_quotient,
 )
 
-from conftest import make_sequence
-from oracles import columns_from_records, global_graph_oracle, write_coo_oracle
+from conftest import GRAPH_CORRUPTIONS, edit_graph_section, make_sequence
+from oracles import (columns_from_records, global_graph_oracle, twin_quotient_oracle,
+                     write_coo_oracle)
 
 
 def seq(user, interval, grids):
@@ -275,11 +278,6 @@ class TestSymmetricNormalize:
         dense = out.toarray()
         assert np.array_equal(dense, dense.T)  # bitwise, no tolerance
 
-    def test_asymmetric_input_rejected(self):
-        a = sp.csr_matrix(np.array([[0, 1], [0, 0]]))
-        with pytest.raises(ValueError, match="symmetric"):
-            symmetric_normalize(a)
-
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             symmetric_normalize(sp.csr_matrix((2, 3)))
@@ -360,6 +358,24 @@ class TestSerialization:
         with pytest.raises(DataError, match="cannot parse"):
             load_global_graph(path)
 
+    @pytest.mark.parametrize("kind, corruption", [
+        (kind, name) for kind in ("local", "global") for name, (section, _, _)
+        in GRAPH_CORRUPTIONS.items() if kind == "global" or section == "adjacency"])
+    def test_malformed_section_is_a_data_error(self, tmp_path, kind, corruption):
+        """An adjacency that is not symmetric, a weight that is not positive, a
+        self-loop or a feature entry other than 1 names the file and the stage."""
+        section, edit, words = GRAPH_CORRUPTIONS[corruption]
+        graph, save, load = {
+            "local": (self._local(), save_local_graph, load_local_graph),
+            "global": (self._global(), save_global_graph, load_global_graph),
+        }[kind]
+        path = tmp_path / "g.txt"
+        save(graph, path)
+        load(path)
+        edit_graph_section(path, section, edit)
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))} .*{words}.*'build-graphs'"):
+            load(path)
+
     def test_roster_must_fit_the_header(self, tmp_path):
         path, g = tmp_path / "g.txt", self._global()
         save_global_graph(g, path)
@@ -396,3 +412,71 @@ class TestCooWriter:
         _write_coo(fast, "adjacency", m)
         write_coo_oracle(slow, "adjacency", m)
         assert fast.getvalue() == slow.getvalue()
+
+
+@st.composite
+def planted_twins(draw):
+    """(M, X) with rows copied from a few templates, M's and X's drawn apart,
+    so some nodes share both rows, some only one, and some neither."""
+    n = draw(st.integers(1, 9))
+    width = draw(st.integers(0, 4))
+    entry = st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.7, 1.0])
+    m_rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n))
+    x_rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                           min_size=1, max_size=n))
+    pick_m = draw(st.lists(st.integers(0, len(m_rows) - 1), min_size=n, max_size=n))
+    pick_x = draw(st.lists(st.integers(0, len(x_rows) - 1), min_size=n, max_size=n))
+    m = np.array([m_rows[k] for k in pick_m]).reshape(n, n)
+    x = np.array([x_rows[k] for k in pick_x]).reshape(n, width)
+    return sp.csr_matrix(m), sp.csr_matrix(x)
+
+
+class TestTwinQuotient:
+    def _check(self, m, x):
+        m_q, x_q, classes = twin_quotient(m, x)
+        dm, dx = m.toarray(), x.toarray()
+        n = dm.shape[0]
+        assert classes.dtype == np.int64 and classes.shape == (n,)
+        for i in range(n):
+            for j in range(n):
+                twins = np.array_equal(dm[i], dm[j]) and np.array_equal(dx[i], dx[j])
+                assert (classes[i] == classes[j]) == twins, (i, j)
+        k = m_q.shape[0]
+        values, first = np.unique(classes, return_index=True)
+        assert values.tolist() == list(range(k)) and np.all(np.diff(first) > 0)
+        np.testing.assert_array_equal(x_q.toarray(), dx[first])
+        membership = np.eye(k)[classes]
+        np.testing.assert_allclose(m_q.toarray(), dm[first] @ membership, rtol=1e-15)
+        ref_m, ref_x, ref_classes = twin_quotient_oracle(m, x)
+        np.testing.assert_array_equal(classes, ref_classes)
+        assert (m_q != ref_m).nnz == 0 and (x_q != ref_x).nnz == 0
+        if k == n:  # no twins: the graph itself, to the bit
+            np.testing.assert_array_equal(classes, np.arange(n))
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(m_q, attr), getattr(m, attr))
+        return m_q, x_q, classes
+
+    @settings(max_examples=200, deadline=None)
+    @given(mx=planted_twins())
+    def test_classes_are_the_nodes_with_equal_rows(self, mx):
+        self._check(*mx)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mx=planted_twins())
+    def test_colliding_keys_are_checked_apart(self, mx):
+        """Every proposed class is checked entry by entry, so a projection that
+        gives every node one key still yields the true classes."""
+        expected = twin_quotient(*mx)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(G, "_row_keys", lambda m, x: np.zeros(m.shape[0]))
+            got = self._check(*mx)
+        np.testing.assert_array_equal(got[2], expected[2])
+        assert (got[0] != expected[0]).nnz == 0
+
+    def test_normalized_graph_without_twins_is_itself(self):
+        rng = np.random.default_rng(6)
+        upper = np.triu(rng.integers(1, 4, size=(12, 12)) * (rng.random((12, 12)) < 0.4), k=1)
+        m = symmetric_normalize(sp.csr_matrix(upper + upper.T))
+        x = sp.csr_matrix(np.eye(12))  # one-hot features: no two rows equal
+        m_q, x_q, classes = self._check(m, x)
+        assert m_q.shape == (12, 12)

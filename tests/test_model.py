@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from tulink import synth
 from tulink import tensor as T
-from tulink.config import seeded_rng
+from tulink.config import RunConfig, seeded_rng
 from tulink.errors import ConfigError
+from tulink.graphs import (build_global_graph, build_grid_incidence, build_local_graph,
+                           symmetric_normalize, twin_quotient)
+from tulink.mobility import (build_grid_map, build_grid_sequences, chronological_split,
+                             parse_dataset)
 from tulink.model import (
     ABLATIONS,
     ModelConfig,
@@ -25,11 +30,11 @@ from tulink.model import (
 )
 from tulink.tensor import Tape, Tensor, recording
 
-from conftest import (STEP_OPS, graphs_from_sequences, inputs_from_sequences, make_sequence,
-                      on_odd_cells, small_config, toy_nine_sequences)
+from conftest import (STEP_OPS, gcn_and_grads, graphs_from_sequences, inputs_from_sequences,
+                      make_sequence, on_odd_cells, small_config, toy_nine_sequences)
 from oracles import (bounding_box_initial_values, bounding_box_inputs_oracle,
-                     bounding_box_params_oracle, finite_difference_check, l2_chain_oracle,
-                     matmul, per_trajectory_logits_oracle, reshape, scale)
+                     bounding_box_params_oracle, dense_gcn_oracle, finite_difference_check,
+                     l2_chain_oracle, matmul, per_trajectory_logits_oracle, reshape, scale)
 
 RNG = np.random.default_rng(4242)
 # The full model ("") and every ablation.
@@ -72,6 +77,21 @@ class TestConfigValidation:
             assert name in str(err.value)
 
 
+def checkin_graphs(tmp_path, n_users=12, seed=5):
+    """(sequence columns, local graph, global graph) of a check-in-style
+    dataset under the default run settings."""
+    path = tmp_path / "data.csv"
+    path.write_text(synth.checkin_style(n_users=n_users, seed=seed))
+    points, _ = parse_dataset(path)
+    cfg = RunConfig()
+    gm = build_grid_map(points.lon, points.lat, cfg.cell_size)
+    columns = build_grid_sequences(points, gm, cfg.tau, cfg.time_window)
+    split = chronological_split(columns)
+    global_g = build_global_graph(build_grid_incidence(columns, gm.n_grids), columns.traj_ids,
+                                  columns.roster, split.train, columns.user[split.train])
+    return columns, build_local_graph(columns, gm.n_grids), global_g
+
+
 def random_graph_inputs(n_nodes, n_feats, rng):
     import scipy.sparse as sp
 
@@ -106,7 +126,7 @@ class TestGCN:
         m, feats = random_graph_inputs(5, 5, rng)
         w0 = rng.normal(size=(5, 4))
         w1 = rng.normal(size=(4, 4))
-        out = gcn_forward(m, feats, [Tensor(w0), Tensor(w1)], 3)
+        out = gcn_forward(m, feats, [Tensor(w0), Tensor(w1)], np.arange(3))
 
         h = feats.toarray()
         for w in (w0, w1):
@@ -114,16 +134,43 @@ class TestGCN:
         np.testing.assert_allclose(out.values, h[:3], atol=1e-10)
 
     def test_model_graphs_equal_their_transposes_bit_for_bit(self):
-        """Both GCNs propagate over undirected graphs: the normalized
-        adjacencies the model receives are symmetric to the last bit."""
+        """Both GCNs propagate over undirected graphs: the normalized local
+        adjacency and the normalized global one, which the twin quotient
+        starts from, are symmetric to the last bit."""
         rng = np.random.default_rng(8)
         sequences = [make_sequence(f"u{k % 5}", k // 5,
                                    rng.integers(0, 40, size=rng.integers(1, 9)))
                      for k in range(40)]
-        inputs, _ = inputs_from_sequences(sequences, 40)
-        for m in (inputs.m_local, inputs.m_global):
+        columns, local, global_g, _ = graphs_from_sequences(sequences, 40)
+        inputs = build_model_inputs(columns, local, global_g)
+        for m in (inputs.m_local, symmetric_normalize(global_g.adjacency)):
             assert len(np.unique(m.data)) > 10  # many distinct degree products
             np.testing.assert_array_equal(m.toarray(), m.T.toarray())
+
+    @pytest.mark.parametrize("share", [T.GCN_DENSE_SHARE, 0.0], ids=["default", "full"])
+    def test_twin_quotient_matches_the_full_graph(self, tmp_path, monkeypatch, share):
+        """On check-in data the global GCN over twin classes gives every
+        trajectory the full graph's row and every weight its gradient."""
+        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
+        columns, local, global_g = checkin_graphs(tmp_path)
+        inputs = build_model_inputs(columns, local, global_g)
+        assert inputs.m_global.shape[0] < 0.8 * global_g.n_nodes  # 321 classes of 472 nodes
+        assert len(np.unique(inputs.traj_rows)) < inputs.n_traj
+        m = symmetric_normalize(global_g.adjacency)
+        x = global_g.features.astype(float).tocsr()[:, inputs.grid_rows]
+        d = 8
+        rng = np.random.default_rng(3)
+        weights = [rng.normal(size=(x.shape[1], d)), rng.normal(size=(d, d))]
+        upstream = rng.normal(size=(inputs.n_traj, d))
+        upstream[rng.random(inputs.n_traj) < 0.7] = 0.0  # a row-sparse gradient
+        out, grads = gcn_and_grads(T.gcn, inputs.m_global, inputs.x_global, weights,
+                                   inputs.traj_rows, upstream)
+        ref, ref_grads = gcn_and_grads(dense_gcn_oracle, m, x, weights,
+                                       np.arange(inputs.n_traj), upstream)
+        assert np.count_nonzero(ref) > ref.size / 4
+        assert max_rel(out, ref) <= 1e-12
+        for g, r in zip(grads, ref_grads):
+            assert np.any(r) and max_rel(g, r) <= 1e-12
 
     def test_feature_width_mismatch(self, toy_model_setup):
         _, _, inputs, _ = toy_model_setup
@@ -709,8 +756,10 @@ class TestVisitedGridRows:
             assert not inputs.grid_idx[i, len(s):].any()
         np.testing.assert_array_equal(inputs.m_local.toarray(),
                                       full.m_local.toarray()[np.ix_(rows, rows)])
+        _, _, classes = twin_quotient(full.m_global, full.x_global)
+        first_members = np.unique(classes, return_index=True)[1]
         np.testing.assert_array_equal(inputs.x_global.toarray(),
-                                      full.x_global.toarray()[:, rows])
+                                      full.x_global.toarray()[np.ix_(first_members, rows)])
         # What makes the dropped rows dead: isolated self-loop nodes of the
         # local graph, all-zero feature columns of the global one.
         dropped = np.setdiff1d(np.arange(SPARSE_BBOX), rows)

@@ -20,6 +20,7 @@ from tulink.tensor import (
 
 from tulink.graphs import symmetric_normalize
 
+from conftest import gcn_and_grads
 from oracles import (GradCheckReport, add_bias, add_scalar, dense_gcn_oracle,
                      dense_global_attention_oracle, div, finite_difference_check,
                      l2_chain_oracle, masked_attention_oracle, matmul, permute, relu, reshape,
@@ -617,18 +618,6 @@ def graph_with_isolated_nodes(rng, n=14, isolated=(3, 10)):
     return symmetric_normalize(sp.csr_matrix(upper + upper.T))
 
 
-def gcn_and_grads(gcn, m, features, weights, n_rows, upstream):
-    """Output values and every weight's gradient under an upstream gradient
-    that reaches the output exactly as given."""
-    ws = [Tensor(w.copy(), requires_grad=True) for w in weights]
-    tape = Tape()
-    with recording(tape):
-        out = gcn(m, features, ws, n_rows)
-        loss = scalarize(out, upstream)
-    tape.backward(loss)
-    return out.values, [w.grad for w in ws]
-
-
 # Row shares that send every backward layer through gathered rows, the
 # default choice, gathered rows until one hop reaches a fifth of the graph,
 # and full-graph products.
@@ -652,9 +641,9 @@ class TestGCN:
         weights = [rng.normal(size=(first if i == 0 else self.D, self.D)) for i in range(layers)]
         return rng, m, features, weights
 
-    def _case(self, m, features, weights, n_rows, upstream):
-        out, grads = gcn_and_grads(T.gcn, m, features, weights, n_rows, upstream)
-        ref, ref_grads = gcn_and_grads(dense_gcn_oracle, m, features, weights, n_rows, upstream)
+    def _case(self, m, features, weights, rows, upstream):
+        out, grads = gcn_and_grads(T.gcn, m, features, weights, rows, upstream)
+        ref, ref_grads = gcn_and_grads(dense_gcn_oracle, m, features, weights, rows, upstream)
         np.testing.assert_array_equal(out, ref)
         for grad, ref_grad in zip(grads, ref_grads):
             assert_rel_close(grad, ref_grad)
@@ -666,13 +655,34 @@ class TestGCN:
     def test_matches_dense_oracle(self, monkeypatch, share, layers, one_hot, rows):
         monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
         rng, m, features, weights = self._inputs(7 + layers, one_hot, layers)
-        n_rows = None if one_hot else self.N - 3
-        upstream = rng.normal(size=(n_rows or self.N, self.D))
+        nodes = None if one_hot else np.arange(self.N - 3)
+        upstream = rng.normal(size=(self.N if nodes is None else len(nodes), self.D))
         if rows == "one_row":  # the output row with the most live units
-            out = T.gcn(m, features, [Tensor(w) for w in weights], n_rows).values
+            out = T.gcn(m, features, [Tensor(w) for w in weights], nodes).values
             upstream[np.arange(len(upstream)) != np.argmax(np.count_nonzero(out, axis=1))] = 0.0
-        grads = self._case(m, features, weights, n_rows, upstream)
+        grads = self._case(m, features, weights, nodes, upstream)
         assert all(np.any(g) for g in grads)
+
+    @pytest.mark.parametrize("one_hot", [True, False], ids=["one_hot", "sparse_features"])
+    def test_repeated_rows_sum_into_their_node(self, monkeypatch, share, one_hot):
+        """Output rows that read one node, as twin trajectories read their
+        class's row, add their gradients into that node's."""
+        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
+        rng, m, features, weights = self._inputs(5, one_hot, 2)
+        rows = np.array([4, 0, 4, 9, 3, 4, 0, 12, 9])  # node 3 is isolated
+        upstream = rng.normal(size=(len(rows), self.D))
+        upstream[1] = 0.0  # one read of node 0 carries no gradient
+        out = T.gcn(m, features, [Tensor(w) for w in weights], rows).values
+        h = T.gcn(m, features, [Tensor(w) for w in weights]).values
+        np.testing.assert_array_equal(out, h[rows])
+        grads = self._case(m, features, weights, rows, upstream)
+        assert all(np.any(g) for g in grads)
+
+    @pytest.mark.parametrize("rows", [[-1, 2], [0, 14]])
+    def test_rows_outside_the_graph(self, share, rows):
+        _, m, features, weights = self._inputs(1, False, 2)
+        with pytest.raises(ValueError, match=r"gcn rows out of range \[0, 14\)"):
+            T.gcn(m, features, [Tensor(w) for w in weights], np.array(rows))
 
     def test_isolated_node_reaches_only_its_own_row(self, monkeypatch, share):
         monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
@@ -714,7 +724,7 @@ class TestGCN:
         before = [w.grad.copy() for w in ws]
         tape = Tape()
         with recording(tape):
-            out = T.gcn(m, features, ws, self.N - 3)
+            out = T.gcn(m, features, ws, np.arange(self.N - 3))
             loss = scalarize(out, np.zeros(out.values.size))
         tape.backward(loss)
         for w, b in zip(ws, before):
