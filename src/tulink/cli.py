@@ -3,7 +3,8 @@
 Every command takes ``--config PATH`` (flat key=value file) plus flag
 overrides; flags win over the file, the file wins over defaults. Every
 command accepts and validates every setting, and each uses those it needs:
-evaluate and embed use only the output directory, and take the model from
+the time-of-day window length is read only by train, and evaluate and embed
+use only the output directory, and take the model, windows included, from
 the header of the checkpoint. Stage outputs land under the configured output
 directory and later stages refuse to run until their inputs exist. Exit
 codes: 0 success, 1 usage error, 2 data error.
@@ -70,15 +71,6 @@ def _check_ids(paths: StagePaths, sequences, field: str, limit: int) -> None:
                         f"[0, {limit}); rerun the 'preprocess' stage")
 
 
-def _check_windows(paths: StagePaths, sequences, window_len: float, fix: str) -> None:
-    """Every window id of the sequences is its time's window of ``window_len``
-    seconds, or a DataError naming the first that is not."""
-    bad = np.flatnonzero(sequences.window != mob.time_windows(sequences.t, window_len))
-    if bad.size:
-        raise DataError(f"{paths.sequences.name} holds window id {int(sequences.window[bad[0]])} "
-                        f"at t={sequences.t[bad[0]]!r}, not of {window_len} s windows; {fix}")
-
-
 def _load_preprocessed(paths: StagePaths):
     _require(paths.grid_map, "preprocess")
     _require(paths.sequences, "preprocess")
@@ -102,7 +94,7 @@ def run_preprocess(cfg: RunConfig) -> dict:
 
     points, report = mob.parse_dataset(cfg.dataset)
     gm = mob.build_grid_map(points.lon, points.lat, cfg.cell_size)
-    sequences = mob.build_grid_sequences(points, gm, cfg.tau, cfg.time_window)
+    sequences = mob.build_grid_sequences(points, gm, cfg.tau)
     split = mob.chronological_split(sequences)
 
     manifest = {
@@ -161,13 +153,12 @@ def _load_model_inputs(paths: StagePaths):
         raise DataError(f"{paths.global_graph.name} and {paths.sequences.name} list different "
                         "users; rerun the 'build-graphs' stage")
     _check_ids(paths, sequences, "state", mob.MOTION_STATES)
-    return sequences, build_model_inputs(sequences, local, global_g), split
+    return build_model_inputs(sequences, local, global_g), split
 
 
 def run_train(cfg: RunConfig) -> dict:
     paths = StagePaths(cfg.output_dir or ".")
-    sequences, inputs, split = _load_model_inputs(paths)
-    _check_windows(paths, sequences, cfg.time_window, "rerun the 'preprocess' stage")
+    inputs, split = _load_model_inputs(paths)
     if not len(split.validation):
         raise DataError(f"{paths.splits.name} has an empty validation split: validation "
                         "needs a user with at least 3 sub-trajectories")
@@ -184,10 +175,8 @@ def run_train(cfg: RunConfig) -> dict:
 def _restore(paths: StagePaths):
     """The checkpoint's model, whose header gives every setting, with the
     inputs and split it runs on."""
-    sequences, inputs, split = _load_model_inputs(paths)
+    inputs, split = _load_model_inputs(paths)
     params = load_checkpoint(_require(paths.checkpoint, "train"), inputs)
-    _check_windows(paths, sequences, mob.SECONDS_PER_DAY / params.config.time_vocab,
-                   f"{paths.checkpoint.name} has other time windows, rerun the 'train' stage")
     return params, inputs, split
 
 

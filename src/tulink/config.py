@@ -2,23 +2,21 @@
 
 Precedence is command-line flags over config file over defaults. Unknown
 keys in a config file are rejected. All randomness in a run derives from
-the single ``seed`` through named sub-streams, so each pipeline stage is
-reproducible on its own.
+the single ``seed`` through named sub-streams (``seeded_rng``, defined in
+``train`` and re-exported here), so each pipeline stage is reproducible on
+its own.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError
 from .mobility import time_window_vocab
 from .model import ModelConfig
-from .train import TrainConfig
+from .train import TrainConfig, seeded_rng
 
 @dataclass
 class RunConfig:
@@ -115,10 +113,3 @@ def resolve_config(file_path: str | None, overrides: dict) -> RunConfig:
         setattr(cfg, key, value)
     cfg.validate()
     return cfg
-
-
-def seeded_rng(seed: int, stream: str) -> np.random.Generator:
-    """Independent, reproducible generator for one named randomness stream."""
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, zlib.crc32(stream.encode("utf-8"))])
-    )

@@ -7,9 +7,11 @@ The input format is one record per line, comma-separated:
 An optional header line is detected by a non-numeric second field. Records
 are grouped per user, ordered by time, cut into sub-trajectories of a fixed
 time interval, and mapped onto a uniform metric grid. Each grid-sequence
-entry also carries a motion state (speed change x turn direction, nine
-classes) and a time-of-day window index. Past the CSV line loop, every step
-works on columns: one array per field over all points or all sequences.
+entry also carries its time and a motion state (speed change x turn
+direction, nine classes); its time-of-day window is the model's to derive
+(``time_windows``), since the number of windows is a model setting. Past
+the CSV line loop, every step works on columns: one array per field over
+all points or all sequences.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ SPEED_RATIO_EPS = 0.1
 TURN_THRESHOLD_DEG = 15.0
 # Share of unparseable data lines above which parse_dataset aborts.
 MAX_FAILURE_RATE = 0.01
-_SEQUENCE_KEYS = frozenset(("user", "interval", "t", "grid", "state", "window"))
+_SEQUENCE_KEYS = frozenset(("user", "interval", "t", "grid", "state"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +126,6 @@ class GridSequence:
     t: list[float]
     grid: list[int]
     state: list[int]
-    window: list[int]
 
     @property
     def traj_id(self) -> str:
@@ -148,7 +149,6 @@ class SequenceColumns:
     t: np.ndarray
     grid: np.ndarray
     state: np.ndarray
-    window: np.ndarray
 
     def __len__(self) -> int:
         return len(self.start)
@@ -174,7 +174,7 @@ class SequenceColumns:
     def __iter__(self) -> Iterator[GridSequence]:
         """One GridSequence per sequence, for readers outside the pipeline."""
         return map(GridSequence, self.users(), self.interval.tolist(),
-                   *(self.cut(a.tolist()) for a in (self.t, self.grid, self.state, self.window)))
+                   *(self.cut(a.tolist()) for a in (self.t, self.grid, self.state)))
 
 
 @dataclass(eq=False)
@@ -328,10 +328,9 @@ def motion_states(t: np.ndarray, lon: np.ndarray, lat: np.ndarray,
     return states
 
 
-def build_grid_sequences(points: PointColumns, gm: GridMap, tau: float,
-                         window_len: float) -> SequenceColumns:
+def build_grid_sequences(points: PointColumns, gm: GridMap, tau: float) -> SequenceColumns:
     """Cut the points into sub-trajectories of ``tau`` seconds and annotate
-    every point with its grid, motion-state and window ids.
+    every point with its grid and motion-state ids.
 
     A point at time t lands in interval floor(t / tau); one user's points in
     one interval form a sub-trajectory, and the points keep their (user,
@@ -342,8 +341,7 @@ def build_grid_sequences(points: PointColumns, gm: GridMap, tau: float,
     return SequenceColumns(
         points.roster, points.user[starts], intervals[starts], starts, points.t,
         map_points_to_grids(points.lon, points.lat, gm),
-        motion_states(points.t, points.lon, points.lat, starts),
-        time_windows(points.t, window_len))
+        motion_states(points.t, points.lon, points.lat, starts))
 
 
 def split_sizes(n):
@@ -452,8 +450,7 @@ def load_grid_map(path: str | Path) -> GridMap:
 
 # One sequences.jsonl line: json.dumps(record, sort_keys=True) with the lists'
 # brackets in the template.
-_SEQUENCE_LINE = ('{"grid": [%s], "interval": %s, "state": [%s], "t": [%s], '
-                  '"user": %s, "window": [%s]}\n')
+_SEQUENCE_LINE = '{"grid": [%s], "interval": %s, "state": [%s], "t": [%s], "user": %s}\n'
 
 
 def save_sequences(sequences: SequenceColumns, path: str | Path) -> None:
@@ -465,7 +462,7 @@ def save_sequences(sequences: SequenceColumns, path: str | Path) -> None:
 
     users = np.array(list(map(json.dumps, sequences.roster)), dtype=object)[sequences.user]
     columns = (rows(sequences.grid), json.dumps(sequences.interval.tolist())[1:-1].split(", "),
-               rows(sequences.state), rows(sequences.t), users, rows(sequences.window))
+               rows(sequences.state), rows(sequences.t), users)
     Path(path).write_text("".join(map(_SEQUENCE_LINE.__mod__, zip(*columns))), encoding="utf-8")
 
 
@@ -481,7 +478,7 @@ def _int64s(values: list, what: str) -> np.ndarray:
 
 def load_sequences(path: str | Path) -> SequenceColumns:
     """Parse sequences.jsonl with one json.loads and check it a field at a
-    time: a dict with the six keys per line, str users, four lists of one
+    time: a dict with the five keys per line, str users, three lists of one
     non-zero length, float times, int64 intervals and ids, and each (user,
     interval) strictly after the one on the line before."""
     with reading(path, "preprocess"):
@@ -494,13 +491,13 @@ def load_sequences(path: str | Path) -> SequenceColumns:
         if set(map(type, records)) - {dict} or set(map(frozenset, records)) - {_SEQUENCE_KEYS}:
             raise ValueError(f"a record's keys are not {sorted(_SEQUENCE_KEYS)}")
         users, intervals, *lists = (list(map(operator.itemgetter(key), records)) for key in
-                                    ("user", "interval", "t", "grid", "state", "window"))
+                                    ("user", "interval", "t", "grid", "state"))
         lengths = [list(map(len, f)) for f in lists if not set(map(type, f)) - {list}]
-        if len(lengths) < 4 or 0 in lengths[0] or lengths.count(lengths[0]) < 4:
-            raise ValueError("t, grid, state and window must be lists of one non-zero length")
-        t, grid, state, window = (list(itertools.chain.from_iterable(f)) for f in lists)
-        grid, state, window = (_int64s(ids, f"{field} id") for field, ids in
-                               (("grid", grid), ("state", state), ("window", window)))
+        if len(lengths) < 3 or 0 in lengths[0] or lengths.count(lengths[0]) < 3:
+            raise ValueError("t, grid and state must be lists of one non-zero length")
+        t, grid, state = (list(itertools.chain.from_iterable(f)) for f in lists)
+        grid, state = (_int64s(ids, f"{field} id") for field, ids in
+                       (("grid", grid), ("state", state)))
         for name, values, kind in (("t", t, float), ("user", users, str)):
             if set(map(type, values)) - {kind}:
                 bad = next(v for v in values if type(v) is not kind)
@@ -514,7 +511,7 @@ def load_sequences(path: str | Path) -> SequenceColumns:
             raise ValueError(f"trajectory {tid!r} is not after {prev!r} in (user, interval) order")
         start = np.cumsum([0, *lengths[0]], dtype=np.int64)[:-1]
         return SequenceColumns(roster.tolist(), user.astype(np.int64), interval, start,
-                               np.array(t, dtype=np.float64), grid, state, window)
+                               np.array(t, dtype=np.float64), grid, state)
 
 
 def save_split(split: DatasetSplit, traj_ids: list[str], path: str | Path) -> None:

@@ -4,7 +4,8 @@ Two graph convolution encoders produce grid embeddings (local graph) and
 trajectory/user embeddings (global graph); the global one runs once per
 twin class of nodes with equal graph and feature rows, which gives every
 node its full-graph row. Each trajectory point is encoded by fusing its
-time-window and motion-state embeddings with its grid embedding; a stack
+time-window and motion-state embeddings with its grid embedding, the
+window being its time of day in ``ModelConfig.time_vocab`` windows; a stack
 of multi-head self-attention layers with sinusoidal position encoding
 summarizes the sequence, max-pooled into the local representation. The
 global representation is a sparsemax-weighted sum of all trajectory
@@ -28,7 +29,8 @@ import scipy.sparse as sp
 from . import tensor as T
 from .errors import ConfigError, DataError
 from .graphs import GlobalSpatialGraph, LocalSpatialGraph, symmetric_normalize, twin_quotient
-from .mobility import MOTION_STATES, SECONDS_PER_DAY, SequenceColumns, time_window_vocab
+from .mobility import (MOTION_STATES, SECONDS_PER_DAY, SequenceColumns, time_window_vocab,
+                       time_windows)
 from .tensor import Tensor
 
 COSINE_EPS = 1e-12
@@ -248,7 +250,7 @@ class ModelInputs:
     traj_ids: list[str]
     grid_idx: np.ndarray  # (n_traj, max_seq_len) rows of grid_rows, zero past each length
     state_idx: np.ndarray
-    time_idx: np.ndarray
+    times: np.ndarray  # float64 point times, 0.0 past each length
     lengths: np.ndarray
     labels: np.ndarray
     user_ids: list[str]
@@ -295,7 +297,7 @@ def build_model_inputs(
     at = rows, np.arange(len(rows)) - sequences.start[rows]  # (sequence, position) per point
 
     def padded(values):
-        out = np.zeros((len(sequences), lengths.max()), dtype=np.int64)
+        out = np.zeros((len(sequences), lengths.max()), dtype=values.dtype)
         out[at] = values
         return out
 
@@ -312,7 +314,7 @@ def build_model_inputs(
         # Padding is grid 0, at or below every visited id, so it maps to row 0.
         grid_idx=np.searchsorted(grid_rows, padded(sequences.grid)),
         state_idx=padded(sequences.state),
-        time_idx=padded(sequences.window),
+        times=padded(sequences.t),
         lengths=lengths,
         labels=sequences.user,
         user_ids=sequences.roster,
@@ -331,14 +333,16 @@ def gcn_forward(m_norm: sp.csr_matrix, features: sp.csr_matrix | None,
 
 
 def encode_locations(params: ModelParams, h_local: Tensor, grid_idx: np.ndarray,
-                     state_idx: np.ndarray, time_idx: np.ndarray) -> Tensor:
-    """Per-point fusion Tanh(FC([time ; state ; grid])) -> (..., m, d)."""
+                     state_idx: np.ndarray, times: np.ndarray) -> Tensor:
+    """Per-point fusion Tanh(FC([time ; state ; grid])) -> (..., m, d), the
+    time entering as its time-of-day window."""
     g_emb = T.embedding(h_local, grid_idx)
     if params.config.ablation == "tul-ts":
         zeros = Tensor(np.zeros((*np.shape(grid_idx), params.config.embed_dim)))
         t_emb, s_emb = zeros, zeros
     else:
-        t_emb = T.embedding(params["time_w"], time_idx, params["time_b"])
+        windows = time_windows(times, SECONDS_PER_DAY / params.config.time_vocab)
+        t_emb = T.embedding(params["time_w"], windows, params["time_b"])
         s_emb = T.embedding(params["state_w"], state_idx, params["state_b"])
     fused = T.concat([t_emb, s_emb, g_emb], axis=-1)
     return T.tanh(T.matmul(fused, params["loc_w"], params["loc_b"]))
@@ -420,7 +424,7 @@ def fused_representations(params: ModelParams, inputs: ModelInputs, batch: np.nd
         m = int(lengths.max())
         x = encode_locations(
             params, h_local,
-            inputs.grid_idx[batch, :m], inputs.state_idx[batch, :m], inputs.time_idx[batch, :m],
+            inputs.grid_idx[batch, :m], inputs.state_idx[batch, :m], inputs.times[batch, :m],
         )
         x = T.dropout(x, config.dropout_rate, training, rng)
         z = x if config.ablation == "tul-sa" else self_attention_stack(

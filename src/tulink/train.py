@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -49,6 +50,13 @@ class TrainConfig:
             raise ConfigError("batch_size and epochs_max must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
+
+
+def seeded_rng(seed: int, stream: str) -> np.random.Generator:
+    """Independent, reproducible generator for one named randomness stream."""
+    return np.random.default_rng(
+        np.random.SeedSequence([seed, zlib.crc32(stream.encode("utf-8"))])
+    )
 
 
 class AdamState:
@@ -152,8 +160,6 @@ def train(
     train_config.validate()
     if not len(split.train) or not len(split.validation):
         raise ValueError("training requires non-empty train and validation splits")
-
-    from .config import seeded_rng
 
     params = ModelParams.for_inputs(model_config, inputs, seeded_rng(train_config.seed, "init"))
     rng_shuffle = seeded_rng(train_config.seed, "shuffle")

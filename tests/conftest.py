@@ -25,18 +25,19 @@ with warnings.catch_warnings(), contextlib.suppress(ImportError):
     import hypothesis.extra._patching  # noqa: F401
 
 
-def make_sequence(user, interval, grids, states=None, windows=None, t0=None, step=600.0):
-    """GridSequence with defaulted annotations for hand-built scenarios."""
+def make_sequence(user, interval, grids, states=None, windows=None):
+    """GridSequence with defaulted annotations for hand-built scenarios, on day
+    ``interval``: point i lies i minutes into window ``windows[i]`` of a day
+    of 4 windows (i % 4 by default). So its times need not ascend, which no
+    stage after preprocess reads."""
     m = len(grids)
-    if t0 is None:
-        t0 = interval * 21_600.0
+    windows = windows if windows is not None else [i % 4 for i in range(m)]
     return GridSequence(
         user_id=user,
         interval_index=interval,
-        t=[t0 + i * step for i in range(m)],
+        t=[interval * 86_400.0 + w * 21_600.0 + 60.0 * i for i, w in enumerate(windows)],
         grid=list(grids),
         state=list(states) if states is not None else [0] * m,
-        window=list(windows) if windows is not None else [i % 4 for i in range(m)],
     )
 
 
@@ -58,7 +59,7 @@ def inputs_from_sequences(sequences, n_grids):
     return build_model_inputs(sequences, local, global_g), split
 
 
-def toy_nine_sequences(rng=None, n_grids=9, time_vocab=4):
+def toy_nine_sequences(rng=None, n_grids=9):
     """Three users with three sub-trajectories each over a 3x3 grid strip.
 
     Each user circulates within their own three-grid column, with a little
@@ -71,7 +72,7 @@ def toy_nine_sequences(rng=None, n_grids=9, time_vocab=4):
         for j in range(3):
             grids = [base, base + 1, (base + 2) % n_grids, base]
             states = [int(rng.integers(0, 9)) for _ in grids]
-            windows = [int(rng.integers(0, time_vocab)) for _ in grids]
+            windows = [int(rng.integers(0, 4)) for _ in grids]
             sequences.append(
                 make_sequence(f"u{u}", j, grids, states, windows)
             )

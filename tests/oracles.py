@@ -508,7 +508,7 @@ def per_trajectory_logits_oracle(params, inputs, batch, rng, training):
         if config.ablation != "tul-l":
             m = inputs.lengths[idx]
             x = encode_locations(params, h_local, inputs.grid_idx[idx, :m],
-                                 inputs.state_idx[idx, :m], inputs.time_idx[idx, :m])
+                                 inputs.state_idx[idx, :m], inputs.times[idx, :m])
             x = T.dropout(x, config.dropout_rate, training, rng)
             z = x if config.ablation == "tul-sa" else per_head_attention_oracle(
                 params, config, x, rng, training)
@@ -654,8 +654,8 @@ def save_sequences_oracle(sequences, path):
     with Path(path).open("w", encoding="utf-8") as fh:
         for s in sequences:
             fh.write(json.dumps({"user": s.user_id, "interval": s.interval_index,
-                                 "t": s.t, "grid": s.grid, "state": s.state,
-                                 "window": s.window}, sort_keys=True) + "\n")
+                                 "t": s.t, "grid": s.grid, "state": s.state},
+                                sort_keys=True) + "\n")
 
 
 def load_sequences_oracle(path):
@@ -668,11 +668,11 @@ def load_sequences_oracle(path):
             d = json.loads(line)
             if type(d) is not dict or d.keys() != _SEQUENCE_KEYS:
                 raise ValueError(f"a record's keys are not {sorted(_SEQUENCE_KEYS)}")
-            t, grid, state, window = d["t"], d["grid"], d["state"], d["window"]
-            if not (type(t) is type(grid) is type(state) is type(window) is list
-                    and 0 < len(t) == len(grid) == len(state) == len(window)):
-                raise ValueError("t, grid, state and window must be lists of one non-zero length")
-            for field, ids in (("grid", grid), ("state", state), ("window", window)):
+            t, grid, state = d["t"], d["grid"], d["state"]
+            if not (type(t) is type(grid) is type(state) is list
+                    and 0 < len(t) == len(grid) == len(state)):
+                raise ValueError("t, grid and state must be lists of one non-zero length")
+            for field, ids in (("grid", grid), ("state", state)):
                 for i in ids:
                     if type(i) is not int:
                         raise ValueError(f"{field} id {i!r} is not an integer")
@@ -687,7 +687,7 @@ def load_sequences_oracle(path):
                 raise ValueError(f"interval {d['interval']!r} is not an integer")
             if not -2**63 <= d["interval"] < 2**63:
                 raise ValueError(f"interval {d['interval']!r} is outside the int64 range")
-            out.append(GridSequence(d["user"], d["interval"], t, grid, state, window))
+            out.append(GridSequence(d["user"], d["interval"], t, grid, state))
     return out
 
 
@@ -708,7 +708,7 @@ def columns_from_records(records):
         roster, np.array([code[s.user_id] for s in records], dtype=np.int64),
         np.array([s.interval_index for s in records], dtype=np.int64),
         np.cumsum([0, *lengths], dtype=np.int64)[:-1], flat("t", np.float64),
-        flat("grid", np.int64), flat("state", np.int64), flat("window", np.int64))
+        flat("grid", np.int64), flat("state", np.int64))
 
 
 def chronological_split_oracle(sequences):
@@ -753,13 +753,13 @@ def build_grid_incidence_oracle(sequences, n_grids):
 
 
 def model_inputs_oracle(sequences, local_graph, global_graph):
-    """Labels and padded id matrices of records filled one row at a time,
+    """Labels and padded id and time matrices of records filled one row at a time,
     and the rest of ModelInputs from the records' grids."""
     user_index = {u: k for k, u in enumerate(global_graph.user_ids)}
     lengths = np.asarray([len(s) for s in sequences], dtype=np.int64)
 
-    def padded(field):
-        out = np.zeros((len(sequences), lengths.max()), dtype=np.int64)
+    def padded(field, dtype=np.int64):
+        out = np.zeros((len(sequences), lengths.max()), dtype=dtype)
         for row, s in zip(out, sequences):
             row[: len(s)] = getattr(s, field)
         return out
@@ -776,7 +776,7 @@ def model_inputs_oracle(sequences, local_graph, global_graph):
         traj_ids=[s.traj_id for s in sequences],
         grid_idx=np.searchsorted(grid_rows, padded("grid")),
         state_idx=padded("state"),
-        time_idx=padded("window"),
+        times=padded("t", np.float64),
         lengths=lengths,
         labels=np.asarray([user_index[s.user_id] for s in sequences], dtype=np.int64),
         user_ids=list(global_graph.user_ids),
@@ -1014,7 +1014,7 @@ def encode_time_windows(st, window_len):
     return [min(int((p.t % SECONDS_PER_DAY) // window_len), vocab - 1) for p in st.points]
 
 
-def build_grid_sequences_oracle(subtrajectories, gm, window_len):
+def build_grid_sequences_oracle(subtrajectories, gm):
     return [
         GridSequence(
             user_id=st.user_id,
@@ -1022,13 +1022,12 @@ def build_grid_sequences_oracle(subtrajectories, gm, window_len):
             t=[p.t for p in st.points],
             grid=[map_point_to_grid(p, gm) for p in st.points],
             state=encode_motion_states(st),
-            window=encode_time_windows(st, window_len),
         )
         for st in subtrajectories
     ]
 
 
-def preprocess_oracle(path, cell_size, tau, window_len):
+def preprocess_oracle(path, cell_size, tau):
     """``(report, roster, grid map, sub-trajectories, sequences)`` of a CSV
     file through the point objects, with sub-trajectories sorted by (user,
     interval). Errors come in the order of the column path: parse, grid
@@ -1038,5 +1037,5 @@ def preprocess_oracle(path, cell_size, tau, window_len):
     gm = build_grid_map_oracle(all_points, cell_size)
     subtrajs = [st for tr in trajectories for st in split_trajectory_by_interval(tr, tau)]
     subtrajs.sort(key=lambda s: (s.user_id, s.interval_index))
-    sequences = build_grid_sequences_oracle(subtrajs, gm, window_len)
+    sequences = build_grid_sequences_oracle(subtrajs, gm)
     return report, [tr.user_id for tr in trajectories], gm, subtrajs, sequences

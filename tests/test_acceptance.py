@@ -432,7 +432,7 @@ class TestCriterion5SyntheticAccuracy:
         cfg.validate()  # all model/training fields at their defaults
         run_preprocess(cfg)
         run_build_graphs(cfg)
-        _, inputs, split = _load_model_inputs(StagePaths(cfg.output_dir))
+        inputs, split = _load_model_inputs(StagePaths(cfg.output_dir))
         result = train(inputs, split, cfg.model_config(), cfg.train_config())
         rep = evaluate_on_split(result.params, inputs, split.test)
         elapsed = time.perf_counter() - t0
@@ -457,7 +457,7 @@ class TestCriterion6AblationOrdering:
         cfg.validate()
         run_preprocess(cfg)
         run_build_graphs(cfg)
-        _, inputs, split = _load_model_inputs(StagePaths(cfg.output_dir))
+        inputs, split = _load_model_inputs(StagePaths(cfg.output_dir))
 
         pairs = []
         for seed in (1, 2, 3, 4, 5):
@@ -579,10 +579,13 @@ class TestCriterion8Determinism:
 
 # sha256 of the setup artifacts under the default configuration, as every
 # version since the format was fixed writes them: disjoint_regions(3, 4, seed=3),
-# then a check-in instance where 47 of 59 sequences are one point long.
+# then a check-in instance where 47 of 59 sequences are one point long. The
+# sequences.jsonl digests are of the earlier versions' files with each record's
+# "window" key dropped and the line re-dumped with sort_keys, since windows
+# are no longer stored.
 SETUP_DIGESTS = {
     "grid_map.json": "291642cdd47538b55b8c3ad0ea044ce9d1b13c77bb60d294fba530719175c261",
-    "sequences.jsonl": "43d02196895d4c5a7ac1a595d58b46c11f288a622d3c2aa90fb739bcba732676",
+    "sequences.jsonl": "998081b4beeeece825f11d18b79d0e8f25fe45f6e268a0e6b609af3cea0d9611",
     "splits.json": "e84be6670893c31df40100e6755a2019da1c9b030d3a5d8ddd8c23780530d892",
     "manifest.json": "838ca252bc1c212fa32a5b8262532d686f1d407935bfdd55dbf80748f786f5fd",
     "local_graph.txt": "a14ed275cab8da120da527f3d193806b15418da9070b72c8d07c823697179cc7",
@@ -590,7 +593,7 @@ SETUP_DIGESTS = {
 }
 CHECKIN_SETUP_DIGESTS = {
     "grid_map.json": "e70cf10c29ea9c44038c50230411aa4c293fe10b6b977acb084b4645413f0194",
-    "sequences.jsonl": "248f97b0f2f98836985ee89a8930d8c872d276114d25c35b2dcd582eb8cb2940",
+    "sequences.jsonl": "297c0e70a85445c660308cd9cb82feaabcce9a87939d958ce6de24f475871489",
     "splits.json": "7824173a0df41e379426c902a96f3d0d515cf1cfe18d2acd1968762c3c2fe8ce",
     "manifest.json": "7a43c7d6f0fd1d47dbbc5d7d9dc0d5535e4f61447771340d7921934c9e80f205",
     "local_graph.txt": "c5fd81237da36e26f98bc51a0e7d2230af0b1c26053c26ea24efb24fa884aef3",

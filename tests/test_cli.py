@@ -175,8 +175,8 @@ class TestExitCodes:
         assert f"config error: {name} " in err and "Traceback" not in err
 
     def test_instant_before_midnight_trains(self, tmp_path, capsys):
-        """-1e-13 s rounds to a whole day in time of day; it is in the day's
-        last window, not one past the vocabulary that train checks."""
+        """-1e-13 s rounds to a whole day in time of day; the model puts it in
+        the day's last window, not one past its vocabulary."""
         lines = synth.disjoint_regions(3, 5, seed=3).splitlines()
         user, _, lat, lon = lines[1].split(",")
         lines[1] = f"{user},-1e-13,{lat},{lon}"
@@ -186,9 +186,11 @@ class TestExitCodes:
                 "--heads", "1", "--attn-layers", "1", "--epochs", "1"]
         for stage in ("preprocess", "build-graphs", "train"):
             assert run([stage, *args]) == 0, capsys.readouterr().err
-        records = [json.loads(line) for line in
-                   (tmp_path / "o" / "sequences.jsonl").read_text().splitlines()]
-        assert [(r["t"], r["window"]) for r in records if r["interval"] == -1] == [([-1e-13], [11])]
+        params, inputs, _ = _restore(StagePaths(tmp_path / "o"))
+        k = next(k for k, tid in enumerate(inputs.traj_ids) if tid.endswith(":-1"))
+        assert inputs.lengths[k] == 1 and inputs.times[k, 0] == -1e-13
+        window_len = mob.SECONDS_PER_DAY / params.config.time_vocab
+        assert mob.time_windows(inputs.times[k, :1], window_len).tolist() == [11]
 
     def test_empty_dataset_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -388,24 +390,22 @@ class TestCheckpointErrors:
         err = self._evaluate(workspace, trained, tmp_path, capsys, enlarge)
         assert repr(record) in err
 
-    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
-    @pytest.mark.parametrize("trained_window, window", [(None, "600"), ("3600", "7200")],
-                             ids=["more-windows", "fewer-windows"])
-    def test_sequences_of_other_time_windows(self, workspace, trained, tmp_path, capsys, stage,
-                                             trained_window, window):
-        """Sequences re-preprocessed into other time windows after training:
-        into more than the checkpoint's time_vocab, or into fewer, whose ids
-        all lie below it."""
-        def repreprocess(path):
-            runs = [("preprocess", window), ("build-graphs", window)]
-            if trained_window:
-                runs[:0] = [(name, trained_window)
-                            for name in ("preprocess", "build-graphs", "train")]
-            for name, seconds in runs:
-                assert run([name, "--config", workspace["config"], "--output", str(path.parent),
-                            "--time-window", seconds]) == 0
-        err = self._evaluate(workspace, trained, tmp_path, capsys, repreprocess, stage=stage)
-        assert "window id" in err and "s windows" in err
+    @pytest.mark.parametrize("window", ["600", "3600", "86400"])
+    def test_windows_come_from_the_model(self, workspace, trained, tmp_path, window):
+        """Sequences preprocessed under more, other or fewer time windows,
+        then run through every later stage under two-hour windows, give the
+        bytes of a run preprocessed under two-hour windows: the model maps
+        point times to its own windows, and preprocess stores none."""
+        out, expected = tmp_path / "run", tmp_path / "expected"
+        for stage in ("preprocess", "build-graphs", "train", "evaluate", "embed"):
+            seconds = window if stage == "preprocess" else "7200"
+            assert run([stage, "--config", workspace["config"], "--output", str(out),
+                        "--time-window", seconds]) == 0
+        shutil.copytree(trained, expected)  # trained under the default 7200 s windows
+        for stage in ("evaluate", "embed"):
+            assert run([stage, "--config", workspace["config"], "--output", str(expected)]) == 0
+        for name in ("checkpoint.bin", "metrics.txt", "embeddings.tsv"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
     def test_checkpoint_of_an_earlier_version(self, workspace, trained, tmp_path, capsys):
         def drop_header(path):
@@ -749,8 +749,7 @@ class TestArtifactErrors:
 
     @pytest.mark.parametrize("stage, field, value", [
         ("build-graphs", "grid", 1_000_000), ("build-graphs", "grid", -1),
-        ("build-graphs", "grid", 3.5), ("build-graphs", "grid", 2**70), ("train", "state", 99),
-        ("train", "window", 99), ("train", "window", None)])
+        ("build-graphs", "grid", 3.5), ("build-graphs", "grid", 2**70), ("train", "state", 99)])
     def test_bad_id_in_sequences(self, workspace, trained, tmp_path, capsys,
                                  stage, field, value):
         def edit(out):
@@ -763,15 +762,6 @@ class TestArtifactErrors:
         err = self._run(workspace, trained, tmp_path, capsys, stage, edit)
         assert "sequences.jsonl" in err and "'preprocess'" in err
         assert f"{field} id {value!r}" in err
-
-    def test_sequences_of_other_time_windows_at_train(self, workspace, trained, tmp_path,
-                                                      capsys):
-        """Sequences of two-hour windows trained under one-hour windows: every
-        id lies below the 24 windows, but not every one is its time's."""
-        err = self._run(workspace, trained, tmp_path, capsys, "train", lambda out: None,
-                        "--time-window", "3600")
-        assert "sequences.jsonl" in err and "'preprocess'" in err
-        assert "window id" in err and "3600.0 s windows" in err
 
     @pytest.mark.parametrize("stage", ["build-graphs", "train"])
     def test_duplicated_record_in_sequences(self, workspace, trained, tmp_path, capsys, stage):
@@ -824,8 +814,10 @@ class TestArtifactErrors:
         ("train", lambda r: r["state"].pop()),
         ("train", lambda r: r["t"].pop()),
         ("build-graphs", lambda r: r.clear()),
-        ("build-graphs", lambda r: r.update(t=[], grid=[], state=[], window=[])),
-    ], ids=["grid-not-a-list", "state-short", "t-short", "empty-record", "no-points"])
+        ("build-graphs", lambda r: r.update(t=[], grid=[], state=[])),
+        ("build-graphs", lambda r: r.update(window=[0] * len(r["t"]))),
+    ], ids=["grid-not-a-list", "state-short", "t-short", "empty-record", "no-points",
+            "stored-windows"])
     def test_misshapen_record_in_sequences(self, workspace, trained, tmp_path, capsys,
                                            stage, change):
         def edit(out):

@@ -4,6 +4,8 @@ Each example runs the five stages in process on a small check-in instance,
 so hypothesis draws only a few.
 """
 
+import json
+import math
 from collections import defaultdict
 
 import pytest
@@ -12,12 +14,16 @@ from hypothesis import strategies as st
 
 from tulink import synth
 from tulink.cli import main
+from tulink.config import RunConfig
+from tulink.mobility import SECONDS_PER_DAY
 
 FLAGS = ("--embed-dim", "16", "--heads", "2", "--attn-layers", "1", "--epochs", "3")
 ARTIFACTS = ("grid_map.json", "sequences.jsonl", "splits.json", "manifest.json",
              "local_graph.txt", "global_graph.txt", "checkpoint.bin", "metrics.txt",
              "embeddings.tsv")
 HEADER, *LINES = synth.checkin_style(n_users=12, seed=5).splitlines()
+USERS = sorted({line.split(",")[0] for line in LINES})
+TAU = RunConfig().tau
 
 
 def pipeline(lines, root):
@@ -55,3 +61,74 @@ def test_line_order_changes_no_artifact(in_file_order, tmp_path_factory, shuffle
     """Points are sorted by user and time and users by id, so the order of
     the data lines reaches no artifact."""
     assert pipeline(shuffled, tmp_path_factory.mktemp("shuffled")) == in_file_order
+
+
+def with_ids(artifacts, users=None, interval=0):
+    """The artifacts with every user id u read as ``users[u]`` and every
+    trajectory id's interval moved by ``interval``: sequences.jsonl,
+    splits.json and manifest.json parsed, and the global graph's roster and
+    the first two columns of embeddings.tsv rewritten."""
+    users = users or {}
+
+    def traj(tid):
+        user, _, k = tid.rpartition(":")
+        return f"{users.get(user, user)}:{int(k) + interval}"
+
+    out = dict(artifacts)
+    out["sequences.jsonl"] = [json.loads(line) for line in
+                              artifacts["sequences.jsonl"].decode().splitlines()]
+    for record in out["sequences.jsonl"]:
+        record.update(user=users.get(record["user"], record["user"]),
+                      interval=record["interval"] + interval)
+    out["splits.json"] = {part: list(map(traj, ids)) for part, ids in
+                          json.loads(artifacts["splits.json"]).items()}
+    manifest = out["manifest.json"] = json.loads(artifacts["manifest.json"])
+    manifest["user_roster"] = [users.get(u, u) for u in manifest["user_roster"]]
+    lines = out["global_graph.txt"] = artifacts["global_graph.txt"].decode().splitlines()
+    n_traj = next(int(line.split()[1]) for line in lines if line.startswith("trajectories "))
+    r = next(k for k, line in enumerate(lines) if line.startswith("roster ")) + 1
+    n = int(lines[r - 1].split()[1])
+    lines[r : r + n] = [*map(traj, lines[r : r + n_traj]),
+                        *(users.get(u, u) for u in lines[r + n_traj : r + n])]
+    out["embeddings.tsv"] = [[traj(tid), users.get(user, user), *values] for tid, user, *values
+                             in (line.split("\t") for line in
+                                 artifacts["embeddings.tsv"].decode().splitlines())]
+    return out
+
+
+@settings(max_examples=5, deadline=None)
+@given(names=st.lists(st.text(st.sampled_from("AZ_9\u00e9\u65e5"), min_size=1, max_size=4),
+                      min_size=len(USERS), max_size=len(USERS), unique=True).map(sorted))
+def test_order_preserving_renames_change_no_artifact(in_file_order, tmp_path_factory, names):
+    """Users are coded by their place in the sorted roster, so renames that
+    keep the sort order leave every artifact equal once the names are mapped
+    back. A rename that reorders users changes their codes, and with them
+    which rows the linking layer draws for whom: that is no invariance."""
+    rename = dict(zip(USERS, names))
+    lines = [rename[user] + "," + rest for user, rest in
+             (line.split(",", 1) for line in LINES)]
+    renamed = pipeline(lines, tmp_path_factory.mktemp("renamed"))
+    assert with_ids(renamed, dict(zip(names, USERS))) == with_ids(in_file_order)
+
+
+@settings(max_examples=5, deadline=None)
+@given(days=st.integers(-400, 400).filter(bool))
+def test_whole_interval_time_shifts_change_no_model_output(in_file_order, tmp_path_factory,
+                                                           days):
+    """A shift by whole days that are also whole intervals keeps every
+    point's time of day, its interval's place among the user's and the gaps
+    between points. So the model and its scores are unchanged, and only the
+    trajectory ids and the stored times move."""
+    shift = days * SECONDS_PER_DAY
+    assert shift % TAU == 0
+    lines = []
+    for line in LINES:
+        user, t, lat, lon = line.split(",")
+        lines.append(f"{user},{float(t) + shift!r},{lat},{lon}")
+    shifted = with_ids(pipeline(lines, tmp_path_factory.mktemp("shifted")),
+                       interval=-int(shift // TAU))
+    expected = with_ids(in_file_order)
+    for got, record in zip(shifted["sequences.jsonl"], expected["sequences.jsonl"]):
+        assert all(math.isclose(a - shift, b, rel_tol=0, abs_tol=1e-6)
+                   for a, b in zip(got.pop("t"), record.pop("t")))
+    assert shifted == expected

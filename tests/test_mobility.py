@@ -252,7 +252,7 @@ def sequences_at(times, tau, users=None, coords=None):
     """Grid sequences of the points over a map that covers them all."""
     points = columns(times, coords, users)
     gm = build_grid_map(points.lon, points.lat, 40.0)
-    return build_grid_sequences(points, gm, tau, 7200.0)
+    return build_grid_sequences(points, gm, tau)
 
 
 class TestIntervalSplit:
@@ -385,7 +385,7 @@ class TestTimeWindows:
 
 class TestChronologicalSplit:
     def _subs(self, user, n):
-        return [GridSequence(user, j, [j * 100.0], [0], [0], [0]) for j in range(n)]
+        return [GridSequence(user, j, [j * 100.0], [0], [0]) for j in range(n)]
 
     def test_ten_items(self):
         assert split_sizes(10) == (6, 2, 2)
@@ -498,14 +498,14 @@ class TestArtifactRoundTrips:
     def test_sequences(self, tmp_path):
         gm = square_box_map(200.0, 40.0)
         points = columns([i * 600.0 for i in range(6)], [(10 * i, 5 * i) for i in range(6)])
-        seqs = build_grid_sequences(points, gm, 1800.0, 7200.0)
+        seqs = build_grid_sequences(points, gm, 1800.0)
         assert seqs.lengths.tolist() == [3, 3]
         save_sequences(seqs, tmp_path / "s.jsonl")
         assert list(load_sequences(tmp_path / "s.jsonl")) == list(seqs)
 
     def test_split(self, tmp_path):
         columns = columns_from_records(
-            [GridSequence("u", j, [float(j)], [0], [0], [0]) for j in range(7)])
+            [GridSequence("u", j, [float(j)], [0], [0]) for j in range(7)])
         split = chronological_split(columns)
         save_split(split, columns.traj_ids, tmp_path / "split.json")
         assert load_split(tmp_path / "split.json") == split.named(columns.traj_ids)
@@ -552,8 +552,9 @@ def csv_texts(draw):
 
 
 class TestColumnsMatchPointObjects:
-    """parse_dataset, build_grid_map and build_grid_sequences against the path
-    through one object per point and per sub-trajectory."""
+    """parse_dataset, build_grid_map, build_grid_sequences and the time
+    windows of the sequences' points against the path through one object
+    per point and per sub-trajectory."""
 
     @settings(max_examples=300, deadline=None)
     @given(text=csv_texts(), cell=st.sampled_from([40.0, 0.37, 1e4, 1e-9]),
@@ -584,19 +585,20 @@ class TestColumnsMatchPointObjects:
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_text(text, encoding="utf-8")
         try:
-            report, roster, gm, subs, expected = oracles.preprocess_oracle(path, cell, tau, window)
+            report, roster, gm, subs, expected = oracles.preprocess_oracle(path, cell, tau)
         except (DataError, ConfigError) as exc:
             with pytest.raises(type(exc)) as raised:
                 points, _ = parse_dataset(path)
-                build_grid_sequences(points, build_grid_map(points.lon, points.lat, cell),
-                                     tau, window)
+                build_grid_sequences(points, build_grid_map(points.lon, points.lat, cell), tau)
             assert str(raised.value) == str(exc)
             return
         points, got_report = parse_dataset(path)
         assert got_report == report and points.roster == roster
         got_gm = build_grid_map(points.lon, points.lat, cell)
         assert repr(got_gm) == repr(gm)  # signed zeros included
-        sequences = build_grid_sequences(points, got_gm, tau, window)
+        sequences = build_grid_sequences(points, got_gm, tau)
+        assert time_windows(sequences.t, window).tolist() == [
+            w for sub in subs for w in oracles.encode_time_windows(sub, window)]
         got = list(sequences)
         assert len(got) == len(expected)
         for g, e, sub in zip(got, expected, subs):
@@ -662,7 +664,7 @@ IDS = st.one_of(st.integers(0, 9), st.integers(2**62 - 2, 2**62 + 2))
 def grid_sequences(draw, min_points=1):
     n = draw(st.integers(min_points, 4))
     lists = [draw(st.lists(values, min_size=n, max_size=n))
-             for values in (TIMES, IDS, IDS, IDS)]
+             for values in (TIMES, IDS, IDS)]
     return GridSequence(draw(USERS), draw(st.integers(-2**40, 2**40)), *lists)
 
 
@@ -677,7 +679,7 @@ class TestSequencesFormat:
     @settings(max_examples=200, deadline=None)
     @given(seqs=st.lists(grid_sequences(min_points=0), max_size=5))
     @example(seqs=[])
-    @example(seqs=[GridSequence('q"\\ü', 0, [], [], [], [])])
+    @example(seqs=[GridSequence('q"\\ü', 0, [], [], [])])
     def test_writer_matches_per_record_dumps(self, seqs, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("seq")
         save_sequences(columns_from_records(seqs), tmp / "fast.jsonl")
@@ -695,7 +697,7 @@ class TestSequencesFormat:
         assert list(load_sequences(path)) == load_sequences_oracle(path) == seqs
 
     def _file(self, tmp_path):
-        seqs = [GridSequence(u, i, [1.5 * i, 2.0], [i, 3], [0, 8], [1, 2])
+        seqs = [GridSequence(u, i, [1.5 * i, 2.0], [i, 3], [0, 8])
                 for u in ("a", "b") for i in range(3)]
         path = tmp_path / "s.jsonl"
         save_sequences(columns_from_records(seqs), path)
@@ -704,10 +706,10 @@ class TestSequencesFormat:
     @pytest.mark.parametrize("change", [
         lambda r: r.clear(), lambda r: r.update(extra=1), lambda r: r.pop("user"),
         lambda r: r.update(grid=5), lambda r: r["state"].pop(), lambda r: r["t"].pop(),
-        lambda r: r.update(t=[], grid=[], state=[], window=[]),
-        lambda r: r.update(window="ab"),
+        lambda r: r.update(t=[], grid=[], state=[]),
+        lambda r: r.update(window=[1, 2]),
         lambda r: r["grid"].__setitem__(0, 3.5), lambda r: r["state"].__setitem__(1, None),
-        lambda r: r["window"].__setitem__(0, True), lambda r: r["grid"].__setitem__(1, "1"),
+        lambda r: r["state"].__setitem__(0, True), lambda r: r["grid"].__setitem__(1, "1"),
         lambda r: r["grid"].__setitem__(0, 2**63), lambda r: r["state"].__setitem__(1, -2**63 - 1),
         lambda r: r["t"].__setitem__(0, 1), lambda r: r["t"].__setitem__(1, "2.0"),
         lambda r: r.update(user=5), lambda r: r.update(user=None),

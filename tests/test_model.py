@@ -85,7 +85,7 @@ def checkin_graphs(tmp_path, n_users=12, seed=5):
     points, _ = parse_dataset(path)
     cfg = RunConfig()
     gm = build_grid_map(points.lon, points.lat, cfg.cell_size)
-    columns = build_grid_sequences(points, gm, cfg.tau, cfg.time_window)
+    columns = build_grid_sequences(points, gm, cfg.tau)
     split = chronological_split(columns)
     global_g = build_global_graph(build_grid_incidence(columns, gm.n_grids), columns.traj_ids,
                                   columns.roster, split.train, columns.user[split.train])
@@ -209,18 +209,29 @@ class TestLocationEncoder:
         b = encode_locations(params_off, h_local, *args)
         np.testing.assert_array_equal(a.values, b.values)
 
+    def test_no_windows_without_the_time_encoder(self, monkeypatch):
+        """Under tul-ts the point times are never mapped to windows."""
+        def fail(*args):
+            raise AssertionError("time_windows called")
+        monkeypatch.setattr("tulink.model.time_windows", fail)
+        params = make_params(small_config(ablation="tul-ts"))
+        h_local = Tensor(RNG.normal(size=(9, params.config.embed_dim)))
+        encode_locations(params, h_local, np.array([0, 4]), np.array([1, 8]),
+                         np.array([0.0, 9e4]))
+
     def test_matches_closed_form_and_is_bounded(self):
         cfg = small_config()
         params = make_params(cfg)
         h_local = Tensor(RNG.normal(size=(9, cfg.embed_dim)))
         g = np.array([0, 5, 8, 5])
         s = np.array([1, 0, 8, 4])
-        t = np.array([0, 3, 2, 1])
-        out = encode_locations(params, h_local, g, s, t).values
+        times = np.array([600.0, 3 * 21_600.0, 2 * 21_600.0 + 86_400.0, -1.0])
+        out = encode_locations(params, h_local, g, s, times).values
 
+        windows = np.array([0, 3, 2, 3])  # a day of cfg.time_vocab = 4 windows
         fused = np.concatenate(
             [
-                params["time_w"].values[t] + params["time_b"].values,
+                params["time_w"].values[windows] + params["time_b"].values,
                 params["state_w"].values[s] + params["state_b"].values,
                 h_local.values[g],
             ],
@@ -236,7 +247,7 @@ class TestLocationEncoder:
         h_local = Tensor(np.zeros((9, cfg.embed_dim)))
         with pytest.raises(ValueError, match="out of range"):
             encode_locations(params, h_local,
-                             np.array([0]), np.array([0]), np.array([99]))
+                             np.array([0]), np.array([99]), np.array([0.0]))
 
 
 def head_weight(params, layer, kind, h, dh):
