@@ -9,9 +9,10 @@ window being its time of day in ``ModelConfig.time_vocab`` windows; a stack
 of multi-head self-attention layers with sinusoidal position encoding
 summarizes the sequence, max-pooled into the local representation. The
 global representation is a sparsemax-weighted sum of all trajectory
-embeddings scored by cosine similarity. Both halves concatenate into an
-affine linking layer over users, trained with softmax cross entropy plus
-L2 on the weight matrices.
+embeddings scored by cosine similarity, computed over the trajectories'
+twin classes, each weighted by its count of trajectories. Both halves
+concatenate into an affine linking layer over users, trained with softmax
+cross entropy plus L2 on the weight matrices.
 
 ``ModelConfig.ablation`` names one of the paper's variants in ``ABLATIONS``,
 each of which removes one component.
@@ -246,7 +247,7 @@ class ModelInputs:
     m_local: sp.csr_matrix
     m_global: sp.csr_matrix  # over the global graph's twin classes
     x_global: sp.csr_matrix  # one feature row per twin class
-    traj_rows: np.ndarray  # each trajectory's twin class
+    traj_rows: np.ndarray  # each trajectory's twin class, all in [0, K)
     traj_ids: list[str]
     grid_idx: np.ndarray  # (n_traj, max_seq_len) rows of grid_rows, zero past each length
     state_idx: np.ndarray
@@ -266,6 +267,11 @@ class ModelInputs:
     def n_users(self) -> int:
         return len(self.user_ids)
 
+    @property
+    def class_counts(self) -> np.ndarray:
+        """Trajectories per trajectory class, the first K twin classes."""
+        return np.bincount(self.traj_rows)
+
 
 def build_model_inputs(
     sequences: SequenceColumns,
@@ -283,9 +289,11 @@ def build_model_inputs(
 
     The global graph enters as its twin quotient: nodes with equal rows of
     the normalized adjacency and of the features get equal rows from every
-    GCN layer, so the GCN computes one row per class and ``traj_rows`` reads
-    each trajectory's. On check-in data, one-cell trajectories at the same
-    cell with the same training user, or with none, are twins.
+    GCN layer, so the GCN computes one row per class. Classes are numbered
+    by their first member and trajectories are the first nodes, so the
+    trajectory classes are the first K: ``traj_rows`` gives each
+    trajectory's. On check-in data, one-cell trajectories at the same cell
+    with the same training user, or with none, are twins.
     """
     ids = sequences.traj_ids
     if ids != list(global_graph.traj_ids):
@@ -325,11 +333,10 @@ def build_model_inputs(
 
 
 def gcn_forward(m_norm: sp.csr_matrix, features: sp.csr_matrix | None,
-                weights: Sequence[Tensor], rows: np.ndarray | None = None) -> Tensor:
+                weights: Sequence[Tensor], n_rows: int | None = None) -> Tensor:
     """Stacked propagation H <- ReLU(M (H W)) from node features X (one-hot
-    when None), once per layer weight; node rows[i]'s row for each i, or
-    every node's."""
-    return T.gcn(m_norm, features, weights, rows)
+    when None), once per layer weight; the first n_rows node rows, or all."""
+    return T.gcn(m_norm, features, weights, n_rows)
 
 
 def encode_locations(params: ModelParams, h_local: Tensor, grid_idx: np.ndarray,
@@ -373,39 +380,41 @@ def self_attention_stack(params: ModelParams, x: Tensor, lengths: np.ndarray,
 
 
 def global_attention(
-    h_traj: Tensor,
-    traj_norms: Tensor,
-    batch: np.ndarray,
+    h_class: Tensor,
+    class_norms: Tensor,
+    counts: np.ndarray,
+    classes: np.ndarray,
     use_softmax: bool,
 ) -> Tensor:
     """Cosine-scored attention over every trajectory embedding, one row per
-    batched roster index.
+    batched trajectory, given by its twin class.
 
-    Each row of the (B, n_traj) score matrix is normalized with sparsemax so
-    irrelevant trajectories receive exactly zero weight, or with softmax
-    under the tul-ea ablation; the output is the weighted sum of trajectory
-    embeddings.
+    Twin trajectories share one embedding, so the (B, K) score matrix has a
+    column per trajectory class, counted as often as the class has
+    trajectories. Each row is normalized with sparsemax so irrelevant
+    trajectories receive exactly zero weight, or with softmax under the
+    tul-ea ablation; the output is the weighted sum of trajectory embeddings.
     """
-    return T.cosine_attention(h_traj, traj_norms, batch, COSINE_EPS, use_softmax)
+    return T.cosine_attention(h_class, class_norms, counts, classes, COSINE_EPS, use_softmax)
 
 
 def encode_graphs(params: ModelParams,
                   inputs: ModelInputs) -> tuple[Tensor | None, Tensor | None, Tensor | None]:
-    """Both GCN encoders, once per pass: (grid embeddings, trajectory
+    """Both GCN encoders, once per pass: (grid embeddings, trajectory class
     embeddings, their row norms), None where an ablation removes a branch."""
     config = params.config
-    h_local = h_traj = traj_norms = None
+    h_local = h_class = class_norms = None
     if config.ablation != "tul-l":
         # Grid features are one-hot, so X W0 is W0 itself.
         h_local = gcn_forward(inputs.m_local, None,
                               [params[f"gcn_local_{i}"] for i in range(config.gcn_layers)])
     if config.ablation != "tul-g":
-        # One row per twin class, read once per trajectory of the class.
-        h_traj = gcn_forward(inputs.m_global, inputs.x_global,
-                             [params[f"gcn_global_{i}"] for i in range(config.gcn_layers)],
-                             inputs.traj_rows)
-        traj_norms = T.row_norms(h_traj)
-    return h_local, h_traj, traj_norms
+        # One row per trajectory class: the first rows of the quotient.
+        h_class = gcn_forward(inputs.m_global, inputs.x_global,
+                              [params[f"gcn_global_{i}"] for i in range(config.gcn_layers)],
+                              inputs.traj_rows.max() + 1)
+        class_norms = T.row_norms(h_class)
+    return h_local, h_class, class_norms
 
 
 def fused_representations(params: ModelParams, inputs: ModelInputs, batch: np.ndarray,
@@ -417,7 +426,7 @@ def fused_representations(params: ModelParams, inputs: ModelInputs, batch: np.nd
     when omitted. Sequences are padded to the longest in the batch.
     """
     config = params.config
-    h_local, h_traj, traj_norms = graphs or encode_graphs(params, inputs)
+    h_local, h_class, class_norms = graphs or encode_graphs(params, inputs)
     z_local = z_global = Tensor(np.zeros((len(batch), config.embed_dim)))
     if config.ablation != "tul-l":
         lengths = inputs.lengths[batch]
@@ -432,7 +441,8 @@ def fused_representations(params: ModelParams, inputs: ModelInputs, batch: np.nd
         )
         z_local = T.max_pool_positions(z, lengths)
     if config.ablation != "tul-g":
-        z_global = global_attention(h_traj, traj_norms, batch, config.ablation == "tul-ea")
+        z_global = global_attention(h_class, class_norms, inputs.class_counts,
+                                    inputs.traj_rows[batch], config.ablation == "tul-ea")
     return T.concat([z_local, z_global], axis=-1)
 
 

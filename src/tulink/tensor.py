@@ -7,20 +7,20 @@ into every tracked input exactly once per use. With no active tape (the
 evaluation path) operations are plain numpy calls with no bookkeeping.
 
 The operation set is exactly what the linking model records: add, a
-dense matmul with its bias, a fused stacked GCN whose output rows may read
-one node many times (the global GCN runs over twin classes of nodes with
-equal graph and feature rows) and whose backward visits only the graph rows
-its gradient reaches, transpose, concat, row gathers with an
-optional bias, tanh, a fused masked multi-head self-attention, a fused
-cosine-scored attention under either normalizer, layer norm, inverted
-dropout, masked positional max-pooling, a fused log-space cross entropy,
-the scaled sum-of-squares penalty and the row-norm reduction; ``spmm``
-stays while perfbench's tracer wraps it. ``softmax`` and ``sparsemax`` are
-forward-only: cosine_attention reads their values and records nothing for
-them. The tests check every taped primitive against central finite
-differences (``finite_difference_check`` in ``tests/oracles.py``), which
-also keeps the taped versions of the primitives the model no longer
-records.
+dense matmul with its bias, a fused stacked GCN that keeps its first rows
+and whose backward visits only the graph rows its gradient reaches,
+transpose, concat, row gathers with an optional bias, tanh, a fused masked
+multi-head self-attention, a fused cosine-scored attention under either
+normalizer over rows that each stand for a count of equal rows (the global
+attention runs over twin classes of trajectories, weighted by class
+size), layer norm, inverted dropout, masked positional max-pooling, a
+fused log-space cross entropy, the scaled sum-of-squares penalty and the
+row-norm reduction; ``spmm`` stays while perfbench's tracer wraps it.
+``softmax`` and ``sparsemax``, both weighted by counts, are forward-only:
+cosine_attention reads their values and records nothing for them. The
+tests check every taped primitive against central finite differences
+(``finite_difference_check`` in ``tests/oracles.py``), which also keeps
+the taped versions of the primitives the model no longer records.
 """
 
 from __future__ import annotations
@@ -164,33 +164,45 @@ def spmm(s: sp.spmatrix, x: Tensor) -> Tensor:
     return out
 
 
-def csr_rows(m: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """m[rows] for ascending rows, gathered from m's index arrays; scipy's
-    fancy row indexing costs several times as much on graphs this size."""
+def _gathered(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(data, indices, indptr) of m[rows] for ascending rows, gathered from
+    m's index arrays; scipy's fancy row indexing costs several times as
+    much on graphs this size."""
     starts = m.indptr[rows]
     lengths = m.indptr[rows + 1] - starts
     indptr = np.zeros(len(rows) + 1, dtype=m.indptr.dtype)
     np.cumsum(lengths, out=indptr[1:])
     pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-    return sp.csr_matrix((m.data[pos], m.indices[pos], indptr), shape=(len(rows), m.shape[1]))
+    return m.data[pos], m.indices[pos], indptr
+
+
+def csr_rows(m: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """m[rows] for ascending rows."""
+    return sp.csr_matrix(_gathered(m, rows), shape=(len(rows), m.shape[1]))
+
+
+def _csr_rows_transposed(m: sp.csr_matrix, rows: np.ndarray) -> sp.csc_matrix:
+    """m[rows]ᵀ for ascending rows: the CSC matrix over m[rows]'s three
+    arrays, which is what scipy's transpose of csr_rows(m, rows) builds,
+    without the CSR object in between."""
+    return sp.csc_matrix(_gathered(m, rows), shape=(m.shape[1], len(rows)))
 
 
 def gcn(m_norm: sp.spmatrix, features: sp.spmatrix | None, weights: Sequence[Tensor],
-        rows: np.ndarray | None = None) -> Tensor:
+        n_rows: int | None = None) -> Tensor:
     """Stacked graph convolution H <- ReLU(M (H W)), one layer per weight,
-    from H = features (the identity when None, so X W0 is W0); output row i
-    is node rows[i]'s last-layer row, every node's in order by default.
-    Rows may repeat nodes: the global GCN runs over twin classes
-    (``graphs.twin_quotient``) and reads each trajectory's class.
+    from H = features (the identity when None, so X W0 is W0); the result
+    keeps the first n_rows node rows, all of them by default. The global
+    GCN runs over twin classes of nodes (``graphs.twin_quotient``), whose
+    trajectory classes are its first rows.
 
     The forward makes the same float operations in the same order as the
-    composition of spmm, matmul, relu and a row gather. The backward sums
-    the nonzero rows of the result's gradient into the nodes they read, in
-    output order, and carries those nodes back one hop per layer: a layer's
-    gradient reaches only the nodes adjacent to the rows it starts from, so
-    every product runs over those rows and nodes alone. From the layer whose
-    rows exceed GCN_DENSE_SHARE of the nodes, it runs the full-graph
-    products instead.
+    composition of spmm, matmul and relu. The backward starts from the
+    nonzero rows of the result's gradient and carries them back one hop per
+    layer: a layer's gradient reaches only the nodes adjacent to the rows it
+    starts from, so every product runs over those rows and nodes alone. From
+    the layer whose rows exceed GCN_DENSE_SHARE of the nodes, it runs the
+    full-graph products instead.
     """
     m = m_norm.tocsr()
     n = m.shape[0]
@@ -202,51 +214,49 @@ def gcn(m_norm: sp.spmatrix, features: sp.spmatrix | None, weights: Sequence[Ten
         raise ValueError(f"gcn shape mismatch: {m.shape} graph, "
                          f"{None if features is None else features.shape} features, "
                          f"weights {[w.shape for w in weights]}")
-    if rows is not None and rows.size and (rows.min() < 0 or rows.max() >= n):
-        raise ValueError(f"gcn rows out of range [0, {n}): {int(rows.min())}..{int(rows.max())}")
+    if n_rows is not None and not 0 <= n_rows <= n:
+        raise ValueError(f"gcn n_rows {n_rows} outside [0, {n}]")
     # Each layer's output; its positive entries are the layer's ReLU mask.
     hs = [np.maximum(np.asarray(m @ (w0 if features is None else np.asarray(features @ w0))), 0.0)]
     for w in weights[1:]:
         hs.append(np.maximum(np.asarray(m @ (hs[-1] @ w.values)), 0.0))
-    out = _result(hs[-1] if rows is None else hs[-1][rows], *weights)
+    out = _result(hs[-1][:n_rows], *weights)
     if out.requires_grad:
         x = None if features is None else features.tocsr()
 
         def backward():
             g = out.grad
-            live = np.flatnonzero(np.abs(g) @ np.ones(g.shape[1]))
-            if not live.size:
+            rows = np.flatnonzero(np.abs(g) @ np.ones(g.shape[1]))
+            if not rows.size:
                 return
-            nodes = live if rows is None else rows[live]
-            order = np.argsort(nodes, kind="stable")
-            nodes = nodes[order]
-            starts = np.flatnonzero(np.r_[True, nodes[1:] != nodes[:-1]])
-            g, nodes = np.add.reduceat(g[live[order]], starts), nodes[starts]
+            g = g[rows]
+            mt = None  # m's transpose, formed at the first full-graph layer
             for i in range(len(weights) - 1, -1, -1):
-                dense = nodes is _ALL or nodes.size > GCN_DENSE_SHARE * n
-                if dense and nodes is not _ALL:  # widen to every node
+                dense = rows is _ALL or rows.size > GCN_DENSE_SHARE * n
+                if dense and rows is not _ALL:  # widen to every node
                     full = np.zeros((n, g.shape[1]))
-                    full[nodes] = g
-                    g, nodes = full, _ALL
-                g *= hs[i][nodes] > 0.0
+                    full[rows] = g
+                    g, rows = full, _ALL
+                g *= hs[i][rows] > 0.0
                 if dense:
-                    cols, gp = _ALL, np.asarray(m.T @ g)
+                    mt = m.T if mt is None else mt
+                    cols, gp = _ALL, np.asarray(mt @ g)
                 else:
-                    sub = csr_rows(m, nodes)
+                    sub_t = _csr_rows_transposed(m, rows)
                     reached = np.zeros(n, dtype=bool)
-                    reached[sub.indices] = True
+                    reached[sub_t.indices] = True
                     cols = np.flatnonzero(reached)
-                    gp = np.asarray(sub.T @ g)[cols]  # (Mᵀ g)[cols]; zero elsewhere
+                    gp = np.asarray(sub_t @ g)[cols]  # (Mᵀ g)[cols]; zero elsewhere
                 w = weights[i]
                 if i > 0:
                     if w.requires_grad:
                         w.grad += hs[i - 1][cols].T @ gp
                     g = gp @ w.values.T
-                    nodes = cols
+                    rows = cols
                 elif w.requires_grad and x is None:
                     w.grad[cols] += gp
                 elif w.requires_grad:
-                    w.grad += np.asarray((x if dense else csr_rows(x, cols)).T @ gp)
+                    w.grad += np.asarray((x.T if dense else _csr_rows_transposed(x, cols)) @ gp)
         _record(backward)
     return out
 
@@ -316,93 +326,126 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along an axis; forward-only, it records nothing."""
+def _counts(counts, n: int) -> np.ndarray:
+    """Counts of the n entries along the last axis, one each when None."""
+    c = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
+    if c.shape != (n,) or not np.all(c >= 1.0):
+        raise ValueError(f"counts must be {n} values of at least 1, got shape {c.shape}")
+    return c
+
+
+def softmax(x: Tensor, axis: int = -1, counts=None) -> Tensor:
+    """Max-shifted softmax along an axis, each last-axis entry counted
+    counts[j] times (once by default): the weight of one copy, so the row's
+    copies sum to one. Forward-only: it records nothing."""
     shifted = x.values - x.values.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return Tensor(e / e.sum(axis=axis, keepdims=True))
+    return Tensor(e / np.sum(e * _counts(counts, e.shape[-1]), axis=axis, keepdims=True))
 
 
-def sparsemax(x: Tensor) -> Tensor:
-    """Euclidean projection of each last-axis row onto the probability simplex.
+def sparsemax(x: Tensor, counts=None) -> Tensor:
+    """Euclidean projection of each last-axis row onto the probability
+    simplex, entry j of the row counted counts[j] times (once by default):
+    the weight of one copy in the projection of the row with every entry
+    repeated (Martins & Astudillo, 2016).
 
-    Sort-and-threshold: with z sorted descending, the support size is the
-    largest k with 1 + k * z_(k) > sum_{j<=k} z_(j); the threshold is
-    tau = (sum_{j<=k} z_(j) - 1) / k and p_i = max(z_i - tau, 0). Only each
-    row's top w entries are sorted (w widened x4 while some row's support
-    reaches w): they and their cumulative sums are the full sort's prefix,
-    so the result is the full sort's to the bit. Forward-only: it records
+    Sort-and-threshold: with z sorted descending, S_k = sum_{j<=k} c_j z_j
+    and C_k = sum_{j<=k} c_j, the support is the largest k with
+    1 + C_k z_k > S_k; the threshold is tau = (S_k - 1) / C_k and
+    p_i = max(z_i - tau, 0). Only each row's top w entries are sorted (w
+    widened x4 while some row's support reaches w): they and their
+    cumulative sums are the full sort's prefix, so the result is the full
+    sort's to the bit. Every product by a count of one is exact, so unit
+    counts give the unweighted projection's bits. Forward-only: it records
     nothing.
     """
     if x.values.ndim == 0 or x.shape[-1] == 0:
         raise ValueError(f"sparsemax expects non-empty rows, got {x.shape}")
     if not np.all(np.isfinite(x.values)):
         raise ValueError("sparsemax input must be finite")
-    z = x.values
-    n = z.shape[-1]
+    n = x.shape[-1]
+    c = _counts(counts, n)
+    z = x.values.reshape(-1, n)
+    r = np.arange(len(z))[:, None]
     width = SPARSEMAX_WIDTH
     while True:
         if width >= n:
-            z_sorted = np.sort(z, axis=-1)
+            order = np.argsort(z, axis=-1)
         else:  # the top width entries of each row, ascending
-            z_sorted = np.sort(np.partition(z, n - width, axis=-1)[..., n - width:], axis=-1)
-        z_sorted = np.flip(z_sorted, axis=-1)
-        cumulative = np.cumsum(z_sorted, axis=-1)
-        k = np.arange(1, z_sorted.shape[-1] + 1)
-        inside = 1.0 + k * z_sorted > cumulative
-        if width >= n or not inside[..., -1].any():
+            order = np.argpartition(z, n - width, axis=-1)[:, n - width:]
+            order = order[r, np.argsort(z[r, order], axis=-1)]
+        order = order[:, ::-1]
+        z_sorted = z[r, order]
+        c_sorted = c[order]
+        cumulative = np.cumsum(c_sorted * z_sorted, axis=-1)
+        count = np.cumsum(c_sorted, axis=-1)
+        inside = 1.0 + count * z_sorted > cumulative
+        if width >= n or not inside[:, -1].any():
             break
         width *= 4
-    support_size = np.count_nonzero(inside, axis=-1, keepdims=True)
-    tau = (np.take_along_axis(cumulative, support_size - 1, axis=-1) - 1.0) / support_size
-    p = z - tau
+    rows, last = r[:, 0], np.count_nonzero(inside, axis=-1) - 1
+    tau = (cumulative[rows, last] - 1.0) / count[rows, last]
+    p = z - tau[:, None]
     np.maximum(p, 0.0, out=p)
-    return Tensor(p)
+    return Tensor(p.reshape(x.shape))
 
 
-def cosine_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float,
+def cosine_attention(h: Tensor, norms: Tensor, counts, batch, eps: float,
                      use_softmax: bool) -> Tensor:
-    """Cosine-scored attention of the rows h_traj[batch] over every row of
-    h_traj: sparsemax(scores) @ h_traj, or softmax if use_softmax, with scores
-    the (B, n) matrix (rows @ h_trajᵀ) / (traj_norms[batch] ⊗ traj_norms + eps).
+    """Cosine-scored attention of the rows h[batch] over every row of h, row
+    j standing for counts[j] equal rows: (p * counts) @ h, with p the
+    sparsemax (or, if use_softmax, the softmax) of the (B, n) scores
+    (rows @ hᵀ) / (norms[batch] ⊗ norms + eps), each column counted
+    counts[j] times. The model's rows are twin classes of trajectories, so
+    this is the attention over every trajectory at class size. Batch rows
+    of one class attend alike, so each distinct index is scored once, in
+    order of first appearance, and its output row copied to the others.
 
     The forward makes the same float operations in the same order as the
-    taped composition of those steps. Both Jacobians are diag(w) - w wᵀ / Σw
-    on a row's support, the pairs of nonzero weight p: w = p for softmax, 1
-    for sparsemax. The backward visits only the support: its products run
-    over the columns of the trajectories some row keeps.
+    taped composition of those steps over the distinct batch indices. Both
+    Jacobians of p * counts are diag(w) - w wᵀ / Σw on a row's support, the
+    pairs of nonzero weight p: w = counts * p for softmax, counts for
+    sparsemax. The backward visits only the support: its products run over
+    the columns some batch row keeps.
     """
     idx = np.asarray(batch, dtype=np.int64)
-    h = h_traj.values
-    n = h.shape[0]
-    if h.ndim != 2 or traj_norms.shape != (n,) or idx.ndim != 1:
-        raise ValueError(f"cosine_attention shape mismatch: {h_traj.shape}, "
-                         f"{traj_norms.shape}, batch {idx.shape}")
+    hv = h.values
+    n = hv.shape[0]
+    if hv.ndim != 2 or norms.shape != (n,) or idx.ndim != 1:
+        raise ValueError(f"cosine_attention shape mismatch: {h.shape}, "
+                         f"{norms.shape}, batch {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"cosine_attention index out of range [0, {n}): "
                          f"{int(idx.min())}..{int(idx.max())}")
-    rows = h[idx]
-    nh = traj_norms.values
+    c = _counts(counts, n)
+    _, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct indices by first appearance
+    copies = np.argsort(order)[inverse]  # each batch row's distinct index
+    idx = idx[first[order]]
+    rows = hv[idx]
+    nh = norms.values
     nr = nh[idx]
-    dots = rows @ np.swapaxes(h, -1, -2)
+    dots = rows @ np.swapaxes(hv, -1, -2)
     denom = nr[:, None] * nh
     denom += eps
     scores = Tensor(np.divide(dots, denom, out=denom))  # into denom, not read again
-    p = (softmax(scores, axis=-1) if use_softmax else sparsemax(scores)).values
-    out = _result(p @ h, h_traj, traj_norms)
+    p = (softmax(scores, counts=c) if use_softmax else sparsemax(scores, c)).values
+    p *= c  # each row's weight on all copies of each column
+    out = _result((p @ hv)[copies], h, norms)
     if out.requires_grad:
-        r, c = np.nonzero(p > 0.0)  # the support, row-major
-        kept, col = np.unique(c, return_inverse=True)  # trajectories some row keeps
+        r, j = np.nonzero(p > 0.0)  # the support, row-major
+        kept, col = np.unique(j, return_inverse=True)  # columns some row keeps
         b = len(idx)
-        w = p[r, c] if use_softmax else np.ones(len(r))
+        w = p[r, j] if use_softmax else c[j]
         w_sum = np.bincount(r, w, b)  # positive: every row keeps at least one
         weights = p[:, kept]
         # denom's own two float operations at the kept pairs, so the same bits.
-        dots_s, denom_s = dots[r, c], nr[r] * nh[c] + eps
+        dots_s, denom_s = dots[r, j], nr[r] * nh[j] + eps
 
         def backward():
-            g = out.grad
-            h_kept = h[kept]
+            g = np.zeros((b, hv.shape[1]))
+            np.add.at(g, copies, out.grad)
+            h_kept = hv[kept]
             g_p = (g @ h_kept.T)[r, col]
             # Centre each row on its w-weighted mean. The second pass sums the
             # residuals, so a row of nearly equal gradients centres accurately.
@@ -411,17 +454,17 @@ def cosine_attention(h_traj: Tensor, traj_norms: Tensor, batch, eps: float,
             g_scores = w * (g_p - mean[r])
             g_dots = g_scores / denom_s
             g_denom = -g_scores * dots_s / (denom_s * denom_s)
-            if h_traj.requires_grad:
+            if h.requires_grad:
                 # A kept pair (i, j) reaches h[j] through the weighted sum and
                 # the dot product, and h[batch[i]] through the dot product.
                 d_dots = np.zeros(weights.shape)
                 d_dots[r, col] = g_dots
-                h_traj.grad[kept] += weights.T @ g + d_dots.T @ rows
-                np.add.at(h_traj.grad, idx, d_dots @ h_kept)
-            if traj_norms.requires_grad:
-                traj_norms.grad += np.bincount(
-                    np.concatenate((c, idx[r])),
-                    np.concatenate((g_denom * nr[r], g_denom * nh[c])), minlength=n)
+                h.grad[kept] += weights.T @ g + d_dots.T @ rows
+                h.grad[idx] += d_dots @ h_kept  # idx holds no repeats
+            if norms.requires_grad:
+                norms.grad += np.bincount(
+                    np.concatenate((j, idx[r])),
+                    np.concatenate((g_denom * nr[r], g_denom * nh[j])), minlength=n)
         _record(backward)
     return out
 

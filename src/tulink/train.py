@@ -19,9 +19,10 @@ from .model import (ModelConfig, ModelInputs, ModelParams, check_records, encode
                     forward_batch, model_loss, parameter_shapes)
 
 # Rows per evaluation forward pass. Fewer, larger blocks pay the fixed cost
-# of each pass less often, but each (rows, n_traj) global-attention
-# temporary grows with it: 1.6 MB at 64 rows over 3,194 trajectories, which
-# still fits in cache where 300 rows do not.
+# of each pass less often, but each (rows, classes) global-attention
+# temporary grows with it: at most 0.7 MB at 64 rows over the 1,436
+# trajectory classes of seed-1 checkin-80u, which still fits in cache where
+# several hundred rows do not.
 EVAL_CHUNK = 64
 # Adam (Kingma & Ba, 2015) decay rates and denominator floor.
 BETA1 = 0.9

@@ -443,6 +443,54 @@ def per_row_global_attention_oracle(h_traj, traj_norms, index, use_softmax):
     return reshape(matmul(reshape(weights, (1, n_traj)), h_traj), (d,))
 
 
+def trajectory_attention_oracle(h_traj: Tensor, traj_norms: Tensor, batch, eps: float,
+                                use_softmax: bool) -> Tensor:
+    """The fused cosine attention over every trajectory row, one column per
+    trajectory: T.cosine_attention as it was before it ran over twin
+    classes, its normalizers the unweighted T.softmax and T.sparsemax."""
+    idx = np.asarray(batch, dtype=np.int64)
+    h = h_traj.values
+    n = h.shape[0]
+    rows = h[idx]
+    nh = traj_norms.values
+    nr = nh[idx]
+    dots = rows @ np.swapaxes(h, -1, -2)
+    denom = nr[:, None] * nh
+    denom += eps
+    scores = Tensor(np.divide(dots, denom, out=denom))
+    p = (T.softmax(scores, axis=-1) if use_softmax else T.sparsemax(scores)).values
+    out = _result(p @ h, h_traj, traj_norms)
+    if out.requires_grad:
+        r, c = np.nonzero(p > 0.0)
+        kept, col = np.unique(c, return_inverse=True)
+        b = len(idx)
+        w = p[r, c] if use_softmax else np.ones(len(r))
+        w_sum = np.bincount(r, w, b)
+        weights = p[:, kept]
+        dots_s, denom_s = dots[r, c], nr[r] * nh[c] + eps
+
+        def backward():
+            g = out.grad
+            h_kept = h[kept]
+            g_p = (g @ h_kept.T)[r, col]
+            mean = np.bincount(r, w * g_p, b) / w_sum
+            mean += np.bincount(r, w * (g_p - mean[r]), b) / w_sum
+            g_scores = w * (g_p - mean[r])
+            g_dots = g_scores / denom_s
+            g_denom = -g_scores * dots_s / (denom_s * denom_s)
+            if h_traj.requires_grad:
+                d_dots = np.zeros(weights.shape)
+                d_dots[r, col] = g_dots
+                h_traj.grad[kept] += weights.T @ g + d_dots.T @ rows
+                np.add.at(h_traj.grad, idx, d_dots @ h_kept)
+            if traj_norms.requires_grad:
+                traj_norms.grad += np.bincount(
+                    np.concatenate((c, idx[r])),
+                    np.concatenate((g_denom * nr[r], g_denom * nh[c])), minlength=n)
+        _record(backward)
+    return out
+
+
 def dense_global_attention_oracle(h_traj, traj_norms, batch, eps, use_softmax):
     """Cosine attention composed of taped primitives, every backward step
     over dense (B, n_traj) buffers. The batch rows' norms are gathered from
@@ -458,15 +506,22 @@ def dense_global_attention_oracle(h_traj, traj_norms, batch, eps, use_softmax):
     return matmul(weights, h_traj)
 
 
-def dense_gcn_oracle(m_norm, features, weights, rows=None):
+def dense_gcn_oracle(m_norm, features, weights, n_rows=None):
     """Stacked GCN composed of taped spmm, matmul and relu, every backward
-    step over the whole graph, then node rows[i]'s row for each i (every
+    step over the whole graph, then the first n_rows node rows (every
     node's when None); features None means one-hot, so X W0 is W0."""
     xw = weights[0] if features is None else T.spmm(features, weights[0])
     h = relu(T.spmm(m_norm, xw))
     for w in weights[1:]:
         h = relu(T.spmm(m_norm, matmul(h, w)))
-    return h if rows is None else T.embedding(h, rows)
+    return h if n_rows is None else slice_rows(h, 0, n_rows)
+
+
+def gcn_rows_oracle(gcn, m_norm, features, weights, rows):
+    """``gcn``'s node rows[i] row for each i, rows repeating nodes as twin
+    trajectories read their class's row: a taped gather, whose backward adds
+    the repeated reads into their node."""
+    return T.embedding(gcn(m_norm, features, weights), rows)
 
 
 def twin_quotient_oracle(m, x):
@@ -500,7 +555,9 @@ def per_trajectory_logits_oracle(params, inputs, batch, rng, training):
     """Logits with a Python loop over the batch: each trajectory attends over
     its own unpadded sequence and scores the roster on its own."""
     config = params.config
-    h_local, h_traj, traj_norms = encode_graphs(params, inputs)
+    h_local, h_class, class_norms = encode_graphs(params, inputs)
+    if config.ablation != "tul-g":  # each trajectory's row and norm, read from its class
+        h_traj, traj_norms = (T.embedding(t, inputs.traj_rows) for t in (h_class, class_norms))
     zeros_d = Tensor(np.zeros(config.embed_dim))
     rows = []
     for idx in batch:

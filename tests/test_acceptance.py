@@ -77,22 +77,25 @@ def scalar_functional(t, coeffs):
     return oracles.matmul(flat, Tensor(np.asarray(coeffs).reshape(-1, 1)))
 
 
+def cosine_safe_roster(rng, batch, counts, margin=1e-3):
+    """A roster of seven rows, each counted counts[j] times, whose sparsemax
+    supports cannot flip within the FD step, and its row norms."""
+    while True:
+        h = rng.normal(size=(7, 3)) + 0.5
+        norms = np.linalg.norm(h, axis=1)
+        scores = (h[batch] @ h.T) / (np.outer(norms[batch], norms) + 1e-12)
+        tau = np.max(scores - T.sparsemax(Tensor(scores), counts).values, axis=-1,
+                     keepdims=True)
+        if np.min(np.abs(scores - tau)) > margin:
+            return h, norms
+
+
 def primitive_checks(rng):
     """(name, f, x) triples covering every differentiable primitive.
 
     Inputs are sampled away from relu kinks, max-pooling ties, and sparsemax
     support boundaries so central differences see a smooth function.
     """
-    def cosine_safe_roster(batch, margin=1e-3):
-        """A roster whose sparsemax supports cannot flip within the FD step."""
-        while True:
-            h = rng.normal(size=(7, 3)) + 0.5
-            norms = np.linalg.norm(h, axis=1)
-            scores = (h[batch] @ h.T) / (np.outer(norms[batch], norms) + 1e-12)
-            tau = np.max(scores - T.sparsemax(Tensor(scores)).values, axis=-1, keepdims=True)
-            if np.min(np.abs(scores - tau)) > margin:
-                return h, norms
-
     def max_pool_safe(shape, lengths, margin=1e-3):
         """Real rows without near-ties; the padded rows hold the largest
         entries, which must neither win nor take a gradient."""
@@ -169,13 +172,18 @@ def primitive_checks(rng):
          rng.normal(size=(3, 4)) + 1.5),
     ]
     batch = np.array([1, 4, 4, 0])
-    roster, roster_norms = cosine_safe_roster(batch)
-    for use_softmax in (False, True):
-        checks.append((
-            f"cosine_attention_{'softmax' if use_softmax else 'sparsemax'}",
-            lambda t, u=use_softmax: scalar_functional(
-                T.cosine_attention(t, Tensor(roster_norms), batch, 1e-12, u), c12),
-            roster))
+    # Every row counted once, and rows standing for several twin trajectories
+    # (drawn from a generator of their own, so every other row keeps its data).
+    for suffix, counts, gen in (("", np.ones(7), rng),
+                                ("_counted", np.array([1.0, 3, 1, 2, 4, 1, 2]),
+                                 np.random.default_rng(55))):
+        roster, roster_norms = cosine_safe_roster(gen, batch, counts)
+        for use_softmax in (False, True):
+            checks.append((
+                f"cosine_attention_{'softmax' if use_softmax else 'sparsemax'}{suffix}",
+                lambda t, u=use_softmax, c=counts, n=roster_norms: scalar_functional(
+                    T.cosine_attention(t, Tensor(n), c, batch, 1e-12, u), c12),
+                roster))
 
     # A five-node graph whose last node is isolated, and weights drawn so no
     # pre-activation sits within the FD step of ReLU's kink.
@@ -202,9 +210,8 @@ def primitive_checks(rng):
     checks += [
         ("gcn", lambda t: scalar_functional(
             T.gcn(gcn_m, None, [t, Tensor(gcn_one_hot[1])]), c15), gcn_one_hot[0]),
-        ("gcn_features", lambda t: scalar_functional(T.gcn(  # rows read node 2 twice
-            gcn_m, gcn_x, [Tensor(gcn_feats[0]), t, Tensor(gcn_feats[2])],
-            np.array([2, 0, 2])), c9), gcn_feats[1]),
+        ("gcn_features", lambda t: scalar_functional(T.gcn(  # the first three rows
+            gcn_m, gcn_x, [Tensor(gcn_feats[0]), t, Tensor(gcn_feats[2])], 3), c9), gcn_feats[1]),
     ]
 
     # Three rows padded to four positions (one of length 1, one full), and
@@ -245,7 +252,15 @@ def oracle_primitive_checks(rng):
     b245 = rng.normal(size=(2, 4, 5))
     mat43 = rng.normal(size=(4, 3))
     c4, c6, c8, c12, c24, c30 = (rng.normal(size=n) for n in (4, 6, 8, 12, 24, 30))
-    return [
+    # From a generator of their own, so every other row keeps its data.
+    batch = np.array([1, 4, 4, 0])
+    roster, roster_norms = cosine_safe_roster(np.random.default_rng(56), batch, np.ones(7))
+    trajectory_attention = [
+        (f"trajectory_attention_oracle_{'softmax' if u else 'sparsemax'}",
+         lambda t, u=u: scalar_functional(oracles.trajectory_attention_oracle(
+             t, Tensor(roster_norms), batch, 1e-12, u), c12), roster)
+        for u in (False, True)]
+    return trajectory_attention + [
         ("add_bias", lambda t: scalar_functional(oracles.add_bias(Tensor(a34), t), c12), c4),
         ("scale", lambda t: scalar_functional(oracles.scale(t, -1.3), c6), rng.normal(size=6)),
         ("matmul", lambda t: scalar_functional(oracles.matmul(t, Tensor(mat43)), c12),

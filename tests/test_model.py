@@ -1,9 +1,13 @@
 """Model components against straight-line dense re-implementations."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tulink import synth
 from tulink import tensor as T
@@ -126,7 +130,7 @@ class TestGCN:
         m, feats = random_graph_inputs(5, 5, rng)
         w0 = rng.normal(size=(5, 4))
         w1 = rng.normal(size=(4, 4))
-        out = gcn_forward(m, feats, [Tensor(w0), Tensor(w1)], np.arange(3))
+        out = gcn_forward(m, feats, [Tensor(w0), Tensor(w1)], 3)
 
         h = feats.toarray()
         for w in (w0, w1):
@@ -150,12 +154,14 @@ class TestGCN:
     @pytest.mark.parametrize("share", [T.GCN_DENSE_SHARE, 0.0], ids=["default", "full"])
     def test_twin_quotient_matches_the_full_graph(self, tmp_path, monkeypatch, share):
         """On check-in data the global GCN over twin classes gives every
-        trajectory the full graph's row and every weight its gradient."""
+        trajectory its class's row, the full graph's, and every weight its
+        gradient when each class's rows take the sum of its trajectories'."""
         monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
         columns, local, global_g = checkin_graphs(tmp_path)
         inputs = build_model_inputs(columns, local, global_g)
         assert inputs.m_global.shape[0] < 0.8 * global_g.n_nodes  # 321 classes of 472 nodes
-        assert len(np.unique(inputs.traj_rows)) < inputs.n_traj
+        counts = inputs.class_counts
+        assert len(counts) < inputs.n_traj and counts.min() >= 1
         m = symmetric_normalize(global_g.adjacency)
         x = global_g.features.astype(float).tocsr()[:, inputs.grid_rows]
         d = 8
@@ -163,12 +169,13 @@ class TestGCN:
         weights = [rng.normal(size=(x.shape[1], d)), rng.normal(size=(d, d))]
         upstream = rng.normal(size=(inputs.n_traj, d))
         upstream[rng.random(inputs.n_traj) < 0.7] = 0.0  # a row-sparse gradient
+        class_upstream = np.zeros((len(counts), d))
+        np.add.at(class_upstream, inputs.traj_rows, upstream)
         out, grads = gcn_and_grads(T.gcn, inputs.m_global, inputs.x_global, weights,
-                                   inputs.traj_rows, upstream)
-        ref, ref_grads = gcn_and_grads(dense_gcn_oracle, m, x, weights,
-                                       np.arange(inputs.n_traj), upstream)
+                                   len(counts), class_upstream)
+        ref, ref_grads = gcn_and_grads(dense_gcn_oracle, m, x, weights, inputs.n_traj, upstream)
         assert np.count_nonzero(ref) > ref.size / 4
-        assert max_rel(out, ref) <= 1e-12
+        assert max_rel(out[inputs.traj_rows], ref) <= 1e-12
         for g, r in zip(grads, ref_grads):
             assert np.any(r) and max_rel(g, r) <= 1e-12
 
@@ -378,10 +385,11 @@ class TestSelfAttention:
 
 
 class TestGlobalAttention:
-    def _z(self, h, index, use_softmax=False):
+    def _z(self, h, index, use_softmax=False, counts=None):
         ht = Tensor(np.asarray(h, float))
         norms = T.row_norms(ht)
-        return global_attention(ht, norms, np.array([index]), use_softmax).values[0]
+        counts = np.ones(len(h)) if counts is None else counts
+        return global_attention(ht, norms, counts, np.array([index]), use_softmax).values[0]
 
     def test_identical_embeddings_average_to_common_vector(self):
         row = RNG.normal(size=6)
@@ -409,6 +417,21 @@ class TestGlobalAttention:
             expected = simplex_weights(scores) @ h
             np.testing.assert_allclose(self._z(h, idx), expected, atol=1e-10)
 
+    @pytest.mark.parametrize("use_softmax", [False, True], ids=["sparsemax", "softmax"])
+    def test_classes_weigh_as_their_trajectories(self, use_softmax):
+        """A class of c twin trajectories weighs as c equal rows."""
+        rng = np.random.default_rng(15)
+        h = rng.normal(size=(5, 4))
+        counts = np.array([1, 3, 1, 2, 4])
+        expanded = np.repeat(h, counts, axis=0)
+        for idx in range(5):
+            scores = expanded @ h[idx] / (np.linalg.norm(expanded, axis=1)
+                                          * np.linalg.norm(h[idx]) + 1e-12)
+            e = np.exp(scores - scores.max())
+            weights = e / e.sum() if use_softmax else simplex_weights(scores)
+            np.testing.assert_allclose(self._z(h, idx, use_softmax, counts), weights @ expanded,
+                                       atol=1e-10)
+
     def test_softmax_variant(self):
         rng = np.random.default_rng(13)
         h = rng.normal(size=(4, 3))
@@ -431,7 +454,7 @@ class TestGlobalAttention:
             tape = Tape()
             with recording(tape):
                 norms = T.row_norms(ht)
-                z = global_attention(ht, norms, np.array([idx]), use_softmax=False)
+                z = global_attention(ht, norms, np.ones(5), np.array([idx]), use_softmax=False)
                 out = T.sum_squares([z], 1.0)
             tape.backward(out)
             assert np.all(np.isfinite(z.values))
@@ -712,8 +735,8 @@ class TestBatchedMatchesPerTrajectoryOracle:
         supports = [0]
         sparsemax = T.sparsemax
 
-        def counting_sparsemax(x):
-            out = sparsemax(x)
+        def counting_sparsemax(x, counts=None):
+            out = sparsemax(x, counts)
             supports.append(np.count_nonzero(out.values, axis=-1).max())
             return out
         monkeypatch.setattr(T, "sparsemax", counting_sparsemax)
@@ -817,6 +840,24 @@ class TestVisitedGridRows:
 
 
 class TestBuildModelInputs:
+    @settings(max_examples=12, deadline=None)
+    @given(n_users=st.integers(2, 10), seed=st.integers(0, 10_000))
+    def test_trajectory_classes_are_a_prefix(self, n_users, seed):
+        """Classes are numbered by first member and trajectories are the
+        first nodes, so the trajectory classes are exactly [0, K), each
+        holding at least one trajectory."""
+        with tempfile.TemporaryDirectory() as tmp:
+            columns, local, global_g = checkin_graphs(Path(tmp), n_users, seed)
+        _, _, classes = twin_quotient(symmetric_normalize(global_g.adjacency),
+                                      global_g.features.astype(float).tocsr())
+        n_traj = len(global_g.traj_ids)
+        k = len(np.unique(classes[:n_traj]))
+        np.testing.assert_array_equal(np.unique(classes[:n_traj]), np.arange(k))
+        inputs = build_model_inputs(columns, local, global_g)
+        np.testing.assert_array_equal(inputs.traj_rows, classes[:n_traj])
+        counts = inputs.class_counts
+        assert counts.shape == (k,) and counts.min() >= 1 and counts.sum() == n_traj
+
     def test_labels_are_user_codes(self):
         sequences, local, global_g, _ = graphs_from_sequences(toy_nine_sequences(), 9)
         inputs = build_model_inputs(sequences, local, global_g)
