@@ -2,12 +2,14 @@
 
 Every command takes ``--config PATH`` (flat key=value file) plus flag
 overrides; flags win over the file, the file wins over defaults. Every
-command accepts and validates every setting, and each uses those it needs:
-the time-of-day window length is read only by train, and evaluate and embed
-use only the output directory, and take the model, windows included, from
-the header of the checkpoint. Stage outputs land under the configured output
-directory and later stages refuse to run until their inputs exist. Exit
-codes: 0 success, 1 usage error, 2 data error.
+command accepts every setting, and each checks only the settings it reads,
+before it reads any input: preprocess reads the dataset, the cell size and
+tau; build-graphs reads only the output directory; train reads the model
+and training settings, the time-of-day window length included; evaluate
+and embed read only the output directory, and take the model, windows
+included, from the header of the checkpoint. Stage outputs land under the
+configured output directory and later stages refuse to run until their
+inputs exist. Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -89,6 +92,10 @@ def _load_preprocessed(paths: StagePaths):
 def run_preprocess(cfg: RunConfig) -> dict:
     if not cfg.dataset:
         raise ConfigError("no dataset path configured")
+    for name in ("cell_size", "tau"):
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {value}")
     paths = StagePaths(cfg.output_dir or ".")
     paths.root.mkdir(parents=True, exist_ok=True)
 
@@ -157,12 +164,15 @@ def _load_model_inputs(paths: StagePaths):
 
 
 def run_train(cfg: RunConfig) -> dict:
+    model_config, train_config = cfg.model_config(), cfg.train_config()
+    model_config.validate()
+    train_config.validate()
     paths = StagePaths(cfg.output_dir or ".")
     inputs, split = _load_model_inputs(paths)
     if not len(split.validation):
         raise DataError(f"{paths.splits.name} has an empty validation split: validation "
                         "needs a user with at least 3 sub-trajectories")
-    result = train(inputs, split, cfg.model_config(), cfg.train_config())
+    result = train(inputs, split, model_config, train_config)
     save_checkpoint(result.params, paths.checkpoint)
     save_history(result.history, paths.history)
     return {

@@ -1,7 +1,8 @@
 """Run configuration: defaults, flat key=value files, and seed streams.
 
 Precedence is command-line flags over config file over defaults. Unknown
-keys in a config file are rejected. All randomness in a run derives from
+keys in a config file are rejected; values are checked by the stage that
+reads them (see ``cli``). All randomness in a run derives from
 the single ``seed`` through named sub-streams (``seeded_rng``, defined in
 ``train`` and re-exported here), so each pipeline stage is reproducible on
 its own.
@@ -9,7 +10,6 @@ its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -37,15 +37,6 @@ class RunConfig:
     patience: int = TrainConfig.patience
     seed: int = TrainConfig.seed
     ablation: str = ModelConfig.ablation
-
-    def validate(self) -> None:
-        for name in ("cell_size", "tau"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        time_window_vocab(self.time_window)
-        self.model_config().validate()
-        self.train_config().validate()
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -111,5 +102,4 @@ def resolve_config(file_path: str | None, overrides: dict) -> RunConfig:
         if key not in FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, value)
-    cfg.validate()
     return cfg

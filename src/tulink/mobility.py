@@ -256,7 +256,7 @@ def map_points_to_grids(lons, lats, gm: GridMap) -> np.ndarray:
 def time_window_vocab(window_len: float) -> int:
     if window_len <= 0 or SECONDS_PER_DAY % window_len != 0:
         raise ConfigError(
-            f"time window length {window_len} must divide {SECONDS_PER_DAY} seconds"
+            f"time_window {window_len} must divide {SECONDS_PER_DAY} seconds"
         )
     return int(SECONDS_PER_DAY // window_len)
 

@@ -16,11 +16,12 @@ attention runs over twin classes of trajectories, weighted by class
 size), layer norm, inverted dropout, masked positional max-pooling, a
 fused log-space cross entropy, the scaled sum-of-squares penalty and the
 row-norm reduction; ``spmm`` stays while perfbench's tracer wraps it.
-``softmax`` and ``sparsemax``, both weighted by counts, are forward-only:
-cosine_attention reads their values and records nothing for them. The
-tests check every taped primitive against central finite differences
-(``finite_difference_check`` in ``tests/oracles.py``), which also keeps
-the taped versions of the primitives the model no longer records.
+``softmax`` and ``sparsemax``, both over the last axis and weighted by
+counts, are forward-only: cosine_attention reads their values and records
+nothing for them. The tests check every taped primitive against central
+finite differences (``finite_difference_check`` in ``tests/oracles.py``),
+which also keeps the taped versions of the primitives the model no longer
+records.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ LAYER_NORM_EPS = 1e-5
 # Entries per row that sparsemax sorts first; trained score rows over a
 # roster of thousands keep a few dozen.
 SPARSEMAX_WIDTH = 128
-# Share of a graph's nodes above which a GCN backward layer runs full-graph
-# products: gathering that many rows costs more than it saves.
-GCN_DENSE_SHARE = 0.5
-_ALL = slice(None)
 
 
 class Tensor:
@@ -200,9 +197,7 @@ def gcn(m_norm: sp.spmatrix, features: sp.spmatrix | None, weights: Sequence[Ten
     composition of spmm, matmul and relu. The backward starts from the
     nonzero rows of the result's gradient and carries them back one hop per
     layer: a layer's gradient reaches only the nodes adjacent to the rows it
-    starts from, so every product runs over those rows and nodes alone. From
-    the layer whose rows exceed GCN_DENSE_SHARE of the nodes, it runs the
-    full-graph products instead.
+    starts from, so every product runs over those rows and nodes alone.
     """
     m = m_norm.tocsr()
     n = m.shape[0]
@@ -230,23 +225,13 @@ def gcn(m_norm: sp.spmatrix, features: sp.spmatrix | None, weights: Sequence[Ten
             if not rows.size:
                 return
             g = g[rows]
-            mt = None  # m's transpose, formed at the first full-graph layer
             for i in range(len(weights) - 1, -1, -1):
-                dense = rows is _ALL or rows.size > GCN_DENSE_SHARE * n
-                if dense and rows is not _ALL:  # widen to every node
-                    full = np.zeros((n, g.shape[1]))
-                    full[rows] = g
-                    g, rows = full, _ALL
                 g *= hs[i][rows] > 0.0
-                if dense:
-                    mt = m.T if mt is None else mt
-                    cols, gp = _ALL, np.asarray(mt @ g)
-                else:
-                    sub_t = _csr_rows_transposed(m, rows)
-                    reached = np.zeros(n, dtype=bool)
-                    reached[sub_t.indices] = True
-                    cols = np.flatnonzero(reached)
-                    gp = np.asarray(sub_t @ g)[cols]  # (Mᵀ g)[cols]; zero elsewhere
+                sub_t = _csr_rows_transposed(m, rows)
+                reached = np.zeros(n, dtype=bool)
+                reached[sub_t.indices] = True
+                cols = np.flatnonzero(reached)
+                gp = np.asarray(sub_t @ g)[cols]  # (Mᵀ g)[cols]; zero elsewhere
                 w = weights[i]
                 if i > 0:
                     if w.requires_grad:
@@ -256,7 +241,7 @@ def gcn(m_norm: sp.spmatrix, features: sp.spmatrix | None, weights: Sequence[Ten
                 elif w.requires_grad and x is None:
                     w.grad[cols] += gp
                 elif w.requires_grad:
-                    w.grad += np.asarray((x.T if dense else _csr_rows_transposed(x, cols)) @ gp)
+                    w.grad += np.asarray(_csr_rows_transposed(x, cols) @ gp)
         _record(backward)
     return out
 
@@ -334,13 +319,13 @@ def _counts(counts, n: int) -> np.ndarray:
     return c
 
 
-def softmax(x: Tensor, axis: int = -1, counts=None) -> Tensor:
-    """Max-shifted softmax along an axis, each last-axis entry counted
-    counts[j] times (once by default): the weight of one copy, so the row's
-    copies sum to one. Forward-only: it records nothing."""
-    shifted = x.values - x.values.max(axis=axis, keepdims=True)
+def softmax(x: Tensor, counts=None) -> Tensor:
+    """Max-shifted softmax along the last axis, each entry counted counts[j]
+    times (once by default): the weight of one copy, so the row's copies
+    sum to one. Forward-only: it records nothing."""
+    shifted = x.values - x.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return Tensor(e / np.sum(e * _counts(counts, e.shape[-1]), axis=axis, keepdims=True))
+    return Tensor(e / np.sum(e * _counts(counts, e.shape[-1]), axis=-1, keepdims=True))
 
 
 def sparsemax(x: Tensor, counts=None) -> Tensor:

@@ -202,14 +202,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax(x: Tensor) -> Tensor:
     """T.softmax with its Jacobian recorded."""
-    p = T.softmax(x, axis=axis).values
+    p = T.softmax(x).values
     out = _result(p, x)
     if out.requires_grad:
         def backward():
             g = out.grad
-            x.grad += (g - (g * p).sum(axis=axis, keepdims=True)) * p
+            x.grad += (g - (g * p).sum(axis=-1, keepdims=True)) * p
         _record(backward)
     return out
 
@@ -407,7 +407,7 @@ def per_head_attention_oracle(params, config, x, rng, training):
         for h in range(config.heads):
             q, k, v = (matmul(state, _columns(params[f"attn{layer}_{kind}"],
                                               h * dh, (h + 1) * dh)) for kind in "qkv")
-            weights = softmax(scale(matmul(q, T.transpose(k)), inv_scale), axis=-1)
+            weights = softmax(scale(matmul(q, T.transpose(k)), inv_scale))
             heads.append(matmul(weights, v))
         z = add_bias(matmul(T.concat(heads, axis=-1), params[f"attn{layer}_out_w"]),
                      params[f"attn{layer}_out_b"])
@@ -429,7 +429,7 @@ def masked_attention_oracle(state, wq, wk, wv, lengths, heads, inv_scale):
     q, k, v = (permute(reshape(matmul(state, w), (b, m, heads, dh)), (0, 2, 1, 3))
                for w in (wq, wk, wv))
     scores = T.add(scale(matmul(q, T.transpose(k)), inv_scale), key_mask)
-    return reshape(permute(matmul(softmax(scores, axis=-1), v), (0, 2, 1, 3)), (b, m, d))
+    return reshape(permute(matmul(softmax(scores), v), (0, 2, 1, 3)), (b, m, d))
 
 
 def per_row_global_attention_oracle(h_traj, traj_norms, index, use_softmax):
@@ -458,7 +458,7 @@ def trajectory_attention_oracle(h_traj: Tensor, traj_norms: Tensor, batch, eps: 
     denom = nr[:, None] * nh
     denom += eps
     scores = Tensor(np.divide(dots, denom, out=denom))
-    p = (T.softmax(scores, axis=-1) if use_softmax else T.sparsemax(scores)).values
+    p = (T.softmax(scores) if use_softmax else T.sparsemax(scores)).values
     out = _result(p @ h, h_traj, traj_norms)
     if out.requires_grad:
         r, c = np.nonzero(p > 0.0)
@@ -502,7 +502,7 @@ def dense_global_attention_oracle(h_traj, traj_norms, batch, eps, use_softmax):
     row_norms = T.embedding(reshape(traj_norms, (n_traj, 1)), batch)
     norms = matmul(row_norms, reshape(traj_norms, (1, n_traj)))
     scores = div(dots, add_scalar(norms, eps))
-    weights = softmax(scores, axis=-1) if use_softmax else sparsemax(scores)
+    weights = softmax(scores) if use_softmax else sparsemax(scores)
     return matmul(weights, h_traj)
 
 

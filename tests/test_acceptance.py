@@ -269,7 +269,7 @@ def oracle_primitive_checks(rng):
          a234),
         ("matmul_batched_right", lambda t: scalar_functional(
             oracles.matmul(Tensor(a234), t), c30), b245),
-        ("softmax", lambda t: scalar_functional(oracles.softmax(t, axis=-1), c12), a34),
+        ("softmax", lambda t: scalar_functional(oracles.softmax(t), c12), a34),
         ("sparsemax", lambda t: scalar_functional(oracles.sparsemax(t), c6),
          sparsemax_safe_vector()),
         ("sparsemax_rows", lambda t: scalar_functional(oracles.sparsemax(t), c24),
@@ -444,7 +444,6 @@ class TestCriterion5SyntheticAccuracy:
         data = tmp_path / "data.csv"
         data.write_text(synth.disjoint_regions(n_users=10, subtrajs_per_user=30, seed=7))
         cfg = RunConfig(dataset=str(data), output_dir=str(tmp_path / "out"), seed=42)
-        cfg.validate()  # all model/training fields at their defaults
         run_preprocess(cfg)
         run_build_graphs(cfg)
         inputs, split = _load_model_inputs(StagePaths(cfg.output_dir))
@@ -469,7 +468,6 @@ class TestCriterion6AblationOrdering:
                     epochs_max=60, batch_size=8, patience=12,
                     learning_rate=5e-3, dropout=0.2)
         cfg = RunConfig(**base)
-        cfg.validate()
         run_preprocess(cfg)
         run_build_graphs(cfg)
         inputs, split = _load_model_inputs(StagePaths(cfg.output_dir))

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from tulink import metrics as M
 from tulink import mobility as mob
 from tulink import synth
-from tulink.cli import (StagePaths, _config_from_args, _restore,
-                        build_parser, main)
+from tulink.cli import (_FLAG_NAMES, StagePaths, _config_from_args, _restore,
+                        build_parser, main, run_train)
 from tulink.config import FIELD_TYPES, RunConfig, load_config_file, resolve_config
 from tulink.errors import ConfigError
 from tulink.model import ABLATIONS, ModelConfig
@@ -154,25 +154,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         for name in ABLATIONS:
             assert name in err
-
-    @pytest.mark.parametrize("flag, value, name", [
-        ("--heads", "0", "heads"), ("--heads", "-4", "heads"), ("--seed", "-1", "seed"),
-        ("--cell-size", "nan", "cell_size"), ("--tau", "nan", "tau"),
-        ("--lambda-l2", "nan", "lambda_l2"), ("--lambda-l2", "-1", "lambda_l2"),
-        ("--cell-size", "inf", "cell_size"), ("--tau", "inf", "tau"),
-        ("--cell-size", "1e-300", "cell_size"), ("--tau", "1e-305", "tau"),
-        ("--tau", "1e-300", "tau"),
-    ])
-    def test_bad_setting_is_usage_error_naming_it(self, workspace, capsys, tmp_path,
-                                                  flag, value, name):
-        """From the first stage, which is where a cell size too small for the
-        data's extent or a tau too small for its times shows (1e-305 puts the
-        times past the float range, 1e-300 gives interval ids near 1e305);
-        every other value fails when the config loads."""
-        assert run(["preprocess", "--config", workspace["config"],
-                    "--output", str(tmp_path / "out"), flag, value]) == 1
-        err = capsys.readouterr().err
-        assert f"config error: {name} " in err and "Traceback" not in err
 
     def test_instant_before_midnight_trains(self, tmp_path, capsys):
         """-1e-13 s rounds to a whole day in time of day; the model puts it in
@@ -508,9 +489,11 @@ class TestConfigResolution:
         assert RunConfig().model_config() == ModelConfig(time_vocab=12)
         assert RunConfig().train_config() == TrainConfig()
 
-    def test_time_window_divisor_enforced(self):
-        with pytest.raises(ConfigError, match="divide"):
-            resolve_config(None, {"time_window": 7000.0})
+    def test_time_window_divisor_enforced(self, tmp_path):
+        """By train, which reads the setting, before it reads any artifact."""
+        cfg = resolve_config(None, {"time_window": 7000.0, "output_dir": str(tmp_path)})
+        with pytest.raises(ConfigError, match="time_window 7000.0 must divide"):
+            run_train(cfg)
 
 
 STAGES = ("preprocess", "build-graphs", "train", "evaluate", "embed")
@@ -576,6 +559,90 @@ class TestFlags:
         assert f"unknown config key {name!r}" in capsys.readouterr().err
         assert run(["train", "--" + name.replace("_", "-"), "1"]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# An invalid value of each setting, under the one stage that reads it. A
+# cell size too small for the data's extent or a tau too small for its times
+# shows only once preprocess reads the data (1e-305 puts the times past the
+# float range, 1e-300 gives interval ids near 1e305).
+BAD_SETTINGS = {
+    "preprocess": [("cell_size", "nan"), ("cell_size", "inf"), ("cell_size", "1e-300"),
+                   ("tau", "nan"), ("tau", "inf"), ("tau", "1e-305"), ("tau", "1e-300")],
+    "train": [("time_window", "7000"), ("embed_dim", "0"), ("gcn_layers", "0"),
+              ("attn_layers", "0"), ("heads", "0"), ("heads", "-4"), ("heads", "3"),
+              ("lambda_l2", "nan"), ("lambda_l2", "-1"), ("dropout", "1"),
+              ("learning_rate", "0.5"), ("batch_size", "0"), ("epochs_max", "0"),
+              ("patience", "0"), ("seed", "-1"), ("ablation", "bogus")],
+}
+STAGE_OUTPUTS = {
+    "preprocess": ("grid_map.json", "sequences.jsonl", "splits.json", "manifest.json"),
+    "build-graphs": ("local_graph.txt", "global_graph.txt"),
+    "train": ("checkpoint.bin", "history.tsv"),
+    "evaluate": ("metrics.txt",),
+    "embed": ("embeddings.tsv",),
+}
+
+
+@pytest.fixture(scope="module")
+def linked(trained, workspace, tmp_path_factory):
+    """Every stage's outputs under the workspace config's valid settings."""
+    out = tmp_path_factory.mktemp("linked") / "out"
+    shutil.copytree(trained, out)
+    for stage in ("evaluate", "embed"):
+        assert run([stage, "--config", workspace["config"], "--output", str(out)]) == 0
+    return out
+
+
+def artifact_bytes(out):
+    """Each file's bytes; history.tsv without its seconds column."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    files["history.tsv"] = b"\n".join(line.rsplit(b"\t", 1)[0]
+                                      for line in files["history.tsv"].splitlines())
+    return files
+
+
+class TestSettingsPerStage:
+    """Each stage checks the settings it reads, before it reads any input,
+    and runs as under valid flags whatever the settings it does not read."""
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("reader, name, value", [
+        (reader, name, value) for reader, bad in BAD_SETTINGS.items() for name, value in bad])
+    def test_invalid_setting(self, workspace, linked, tmp_path, capsys,
+                             stage, reader, name, value):
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        out = tmp_path / "out"
+        if stage == reader:  # no input artifact in the output directory
+            code = run([stage, "--config", workspace["config"], "--output", str(out),
+                        flag, value])
+            err = capsys.readouterr().err
+            assert code == 1, err
+            assert "config error: " in err and name in err.split("config error: ")[1], err
+            assert "Traceback" not in err
+            return
+        shutil.copytree(linked, out)
+        for artifact in STAGE_OUTPUTS[stage]:
+            (out / artifact).unlink()
+        code = run([stage, "--config", workspace["config"], "--output", str(out), flag, value])
+        assert code == 0, capsys.readouterr().err
+        assert artifact_bytes(out) == artifact_bytes(linked)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("config, flags, message", [
+        ("not_a_key=1\n", (), "unknown config key 'not_a_key'"),
+        ("heads=two\n", (), "config error: cannot parse heads='two'"),
+        ("", ("--tau", "long"), "argument --tau: invalid float value: 'long'"),
+    ], ids=["unknown_key", "unparsable_value", "unparsable_flag"])
+    def test_usage_error(self, linked, tmp_path, capsys, stage, config, flags, message):
+        """Whether the stage reads the setting or not."""
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        out = tmp_path / "out"
+        shutil.copytree(linked, out)
+        assert run([stage, "--config", str(path), "--output", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert artifact_bytes(out) == artifact_bytes(linked)
 
 
 def cut_mid_line(path):

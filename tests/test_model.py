@@ -151,12 +151,10 @@ class TestGCN:
             assert len(np.unique(m.data)) > 10  # many distinct degree products
             np.testing.assert_array_equal(m.toarray(), m.T.toarray())
 
-    @pytest.mark.parametrize("share", [T.GCN_DENSE_SHARE, 0.0], ids=["default", "full"])
-    def test_twin_quotient_matches_the_full_graph(self, tmp_path, monkeypatch, share):
+    def test_twin_quotient_matches_the_full_graph(self, tmp_path):
         """On check-in data the global GCN over twin classes gives every
         trajectory its class's row, the full graph's, and every weight its
         gradient when each class's rows take the sum of its trajectories'."""
-        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
         columns, local, global_g = checkin_graphs(tmp_path)
         inputs = build_model_inputs(columns, local, global_g)
         assert inputs.m_global.shape[0] < 0.8 * global_g.n_nodes  # 321 classes of 472 nodes
@@ -336,7 +334,7 @@ class TestSelfAttention:
                 q = state @ head_weight(params, layer, "q", h, dh)
                 k = state @ head_weight(params, layer, "k", h, dh)
                 v = state @ head_weight(params, layer, "v", h, dh)
-                weights = T.softmax(Tensor((q @ k.T) / math.sqrt(dh)), axis=-1).values
+                weights = T.softmax(Tensor((q @ k.T) / math.sqrt(dh))).values
                 np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
                 outs.append(weights @ v)
             z = np.concatenate(outs, -1) @ params[f"attn{layer}_out_w"].values \

@@ -250,14 +250,14 @@ class TestSoftmax:
 
     def test_rows_sum_to_one(self):
         x = RNG.normal(size=(10, 7)) * 5
-        out = T.softmax(Tensor(x), axis=-1).values
+        out = T.softmax(Tensor(x)).values
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(out >= 0)
 
     def test_gradient(self):
         x = RNG.normal(size=(3, 5))
         c = RNG.normal(size=15)
-        check_grad(lambda t: scalarize(softmax(t, axis=-1), c), x)
+        check_grad(lambda t: scalarize(softmax(t), c), x)
 
 
 @pytest.mark.parametrize("normalize", [T.softmax, T.sparsemax], ids=["softmax", "sparsemax"])
@@ -441,10 +441,10 @@ class TestWeightedNormalizers:
     """Column j counted counts[j] times: each weight is that of one copy in
     the normalizer of the row with every column repeated."""
 
-    def _expanded(self, normalize, x, counts, **kwargs):
+    def _expanded(self, normalize, x, counts):
         copies = np.repeat(np.arange(x.shape[-1]), counts.astype(int))
-        got = normalize(Tensor(x), counts=counts, **kwargs).values
-        want = normalize(Tensor(x[..., copies]), **kwargs).values
+        got = normalize(Tensor(x), counts=counts).values
+        want = normalize(Tensor(x[..., copies])).values
         np.testing.assert_allclose(got[..., copies], want, rtol=0, atol=1e-12)
         np.testing.assert_allclose((got * counts).sum(axis=-1), 1.0, rtol=0, atol=1e-12)
         return got
@@ -457,7 +457,7 @@ class TestWeightedNormalizers:
     @settings(max_examples=100, deadline=None)
     @given(xc=counted_rows())
     def test_softmax_is_the_expanded_row_s(self, xc):
-        self._expanded(T.softmax, *xc, axis=-1)
+        self._expanded(T.softmax, *xc)
 
     def test_counts_push_the_support_past_the_width(self):
         """Counts spread over more than WIDTH kept columns, so the weighted
@@ -816,13 +816,6 @@ def graph_with_isolated_nodes(rng, n=14, isolated=(3, 10)):
     return symmetric_normalize(sp.csr_matrix(upper + upper.T))
 
 
-# Row shares that send every backward layer through gathered rows, the
-# default choice, gathered rows until one hop reaches a fifth of the graph,
-# and full-graph products.
-DENSE_SHARES = {"gathered": 2.0, "default": T.GCN_DENSE_SHARE, "widened": 0.2, "full": 0.0}
-
-
-@pytest.mark.parametrize("share", DENSE_SHARES.values(), ids=DENSE_SHARES.keys())
 class TestGCN:
     """The fused GCN against the composition of spmm, matmul and relu in
     tests/oracles.py: the same forward to the bit, gradients summed in
@@ -850,8 +843,7 @@ class TestGCN:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("one_hot", [True, False], ids=["one_hot", "sparse_features"])
     @pytest.mark.parametrize("rows", ["one_row", "every_row"])
-    def test_matches_dense_oracle(self, monkeypatch, share, layers, one_hot, rows):
-        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
+    def test_matches_dense_oracle(self, layers, one_hot, rows):
         rng, m, features, weights = self._inputs(7 + layers, one_hot, layers)
         n_rows = None if one_hot else self.N - 3
         upstream = rng.normal(size=(self.N if n_rows is None else n_rows, self.D))
@@ -862,10 +854,9 @@ class TestGCN:
         assert all(np.any(g) for g in grads)
 
     @pytest.mark.parametrize("one_hot", [True, False], ids=["one_hot", "sparse_features"])
-    def test_repeated_rows_sum_into_their_node(self, monkeypatch, share, one_hot):
+    def test_repeated_rows_sum_into_their_node(self, one_hot):
         """Rows read many times, as twin trajectories read their class's
         row, reach the fused GCN as one gradient per node, the reads summed."""
-        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
         rng, m, features, weights = self._inputs(5, one_hot, 2)
         rows = np.array([4, 0, 4, 9, 3, 4, 0, 12, 9])  # node 3 is isolated
         upstream = rng.normal(size=(len(rows), self.D))
@@ -878,20 +869,19 @@ class TestGCN:
         assert all(np.any(g) for g in grads)
 
     @pytest.mark.parametrize("n_rows", [-1, 15])
-    def test_rows_outside_the_graph(self, share, n_rows):
+    def test_rows_outside_the_graph(self, n_rows):
         _, m, features, weights = self._inputs(1, False, 2)
         with pytest.raises(ValueError, match=rf"gcn n_rows {n_rows} outside \[0, 14\]"):
             T.gcn(m, features, [Tensor(w) for w in weights], n_rows)
 
-    def test_prefix_is_the_full_output_s_first_rows(self, share):
+    def test_prefix_is_the_full_output_s_first_rows(self):
         _, m, features, weights = self._inputs(2, False, 2)
         ws = [Tensor(w) for w in weights]
         full = T.gcn(m, features, ws).values
         for n_rows in (0, 5, self.N):
             np.testing.assert_array_equal(T.gcn(m, features, ws, n_rows).values, full[:n_rows])
 
-    def test_isolated_node_reaches_only_its_own_row(self, monkeypatch, share):
-        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
+    def test_isolated_node_reaches_only_its_own_row(self):
         rng, m, _, weights = self._inputs(3, True, 2)
         upstream = np.zeros((self.N, self.D))
         upstream[3] = rng.normal(size=self.D)
@@ -899,8 +889,7 @@ class TestGCN:
         assert not np.any(np.delete(first, 3, axis=0))
 
     @pytest.mark.parametrize("one_hot", [True, False], ids=["one_hot", "sparse_features"])
-    def test_finite_differences_every_weight(self, monkeypatch, share, one_hot):
-        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
+    def test_finite_differences_every_weight(self, one_hot):
         seed = 20
         while True:  # weights with no pre-activation within the FD step of ReLU's kink
             rng, m, features, weights = self._inputs(seed, one_hot, 2)
@@ -919,8 +908,7 @@ class TestGCN:
                 return scalarize(T.gcn(m, features, ws), upstream)
             check_grad(f, weights[i])
 
-    def test_zero_upstream_leaves_every_grad_bit_unchanged(self, monkeypatch, share):
-        monkeypatch.setattr(T, "GCN_DENSE_SHARE", share)
+    def test_zero_upstream_leaves_every_grad_bit_unchanged(self):
         rng, m, features, weights = self._inputs(11, False, 3)
         ws = []
         for w in weights:
@@ -936,7 +924,7 @@ class TestGCN:
         for w, b in zip(ws, before):
             np.testing.assert_array_equal(w.grad.view(np.int64), b.view(np.int64))
 
-    def test_shape_mismatch_names_every_shape(self, share):
+    def test_shape_mismatch_names_every_shape(self):
         _, m, features, weights = self._inputs(1, False, 2)
         with pytest.raises(ValueError, match=r"gcn shape mismatch: \(14, 14\) graph"):
             T.gcn(m, features, [Tensor(np.zeros((self.FEATS + 1, self.D))), Tensor(weights[1])])
