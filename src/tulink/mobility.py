@@ -38,7 +38,7 @@ SECONDS_PER_DAY = 86_400
 # The motion-state vocabulary (3 speed x 3 turn classes) and its thresholds.
 MOTION_STATES = 9
 SPEED_RATIO_EPS = 0.1
-TURN_THRESHOLD_DEG = 15.0
+TURN_TAN = 0.2679491924311227  # tan 15 degrees, correctly rounded
 # Share of unparseable data lines above which parse_dataset aborts.
 MAX_FAILURE_RATE = 0.01
 _SEQUENCE_KEYS = frozenset(("user", "interval", "t", "grid", "state"))
@@ -291,9 +291,11 @@ def motion_states(t: np.ndarray, lon: np.ndarray, lat: np.ndarray,
     From the third point of a sub-trajectory on, the two most recent
     segments are compared: speed class is accelerating / decelerating /
     constant by the ratio of segment speeds against ``1 +- SPEED_RATIO_EPS``,
-    turn class is left / right / straight by the signed heading change
-    against ``TURN_THRESHOLD_DEG``. Positions are planar meters at each
-    sub-trajectory's own mid-latitude.
+    turn class is left / right / straight by the signs of the segments'
+    cross and dot products, with no rounding that depends on the CPU: a
+    turn (of over 15 degrees) when dot <= 0 or |cross| > ``TURN_TAN`` * dot,
+    left when cross > 0 and also for an exact reversal (cross 0, dot < 0).
+    Positions are planar meters at each sub-trajectory's own mid-latitude.
     State = 3 * speed_class + turn_class with constant=0/accel=1/decel=2 and
     straight=0/left=1/right=2. The first two points default to state 0, as
     do zero-duration and zero-length segments.
@@ -315,14 +317,11 @@ def motion_states(t: np.ndarray, lon: np.ndarray, lat: np.ndarray,
     timed = (dt[:-1] > 0) & (dt[1:] > 0)
     speed = np.where(timed & (vb > (1.0 + SPEED_RATIO_EPS) * va), 1,
                      np.where(timed & (vb < (1.0 - SPEED_RATIO_EPS) * va), 2, 0))
-    heading = np.arctan2(dy, dx)
-    dtheta = heading[1:] - heading[:-1]
-    # Wrap to (-pi, pi]; one step does it, since |dtheta| <= 2 pi.
-    dtheta = np.where(dtheta <= -math.pi, dtheta + 2 * math.pi, dtheta)
-    dtheta = np.where(dtheta > math.pi, dtheta - 2 * math.pi, dtheta)
-    theta0 = math.radians(TURN_THRESHOLD_DEG)
+    cross = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
+    dot = dx[:-1] * dx[1:] + dy[:-1] * dy[1:]
     moved = (d[:-1] > 0) & (d[1:] > 0)
-    turn = np.where(moved & (dtheta > theta0), 1, np.where(moved & (dtheta < -theta0), 2, 0))
+    turn = np.where(moved & ((dot <= 0) | (np.abs(cross) > TURN_TAN * dot)),
+                    np.where(cross < 0, 2, 1), 0)
     third_on = (np.arange(n) - np.repeat(starts, lengths))[2:] >= 2
     states[2:] = np.where(third_on, 3 * speed + turn, 0)
     return states

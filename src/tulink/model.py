@@ -58,16 +58,13 @@ class ModelConfig:
     ablation: str = ""  # the full model, or a name in ABLATIONS
 
     def validate(self) -> None:
-        if self.heads < 1:
-            raise ConfigError(f"heads must be at least 1, got {self.heads}")
-        if self.embed_dim <= 0 or self.embed_dim % self.heads != 0:
-            raise ConfigError(
-                f"embed_dim {self.embed_dim} must be a positive multiple of heads {self.heads}"
-            )
-        if self.gcn_layers < 1 or self.attn_layers < 1:
-            raise ConfigError("gcn_layers and attn_layers must be at least 1")
+        for name in ("heads", "embed_dim", "gcn_layers", "attn_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.embed_dim % self.heads:
+            raise ConfigError(f"heads {self.heads} must divide the embedding size {self.embed_dim}")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout_rate}")
         if not (math.isfinite(self.lambda_l2) and self.lambda_l2 >= 0.0):
             raise ConfigError(f"lambda_l2 must be finite and >= 0, got {self.lambda_l2}")
         if self.time_vocab < 1 or (time_window_vocab(SECONDS_PER_DAY / self.time_vocab)

@@ -45,10 +45,9 @@ class TrainConfig:
             raise ConfigError(
                 f"learning_rate {self.learning_rate} outside the search range [1e-4, 1e-2]"
             )
-        if self.patience < 1:
-            raise ConfigError(f"patience must be at least 1, got {self.patience}")
-        if self.batch_size < 1 or self.epochs_max < 1:
-            raise ConfigError("batch_size and epochs_max must be positive")
+        for name in ("patience", "batch_size", "epochs_max"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
 

@@ -15,7 +15,7 @@ from tulink import tensor as T
 from tulink.errors import ConfigError, DataError, reading
 from tulink.graphs import symmetric_normalize
 from tulink.mobility import (_SEQUENCE_KEYS, MAX_FAILURE_RATE, METERS_PER_DEGREE, MOTION_STATES,
-                             SECONDS_PER_DAY, SPEED_RATIO_EPS, TURN_THRESHOLD_DEG, GridMap,
+                             SECONDS_PER_DAY, SPEED_RATIO_EPS, TURN_TAN, GridMap,
                              GridSequence, ParseReport, SequenceColumns, split_sizes,
                              time_window_vocab)
 from tulink.model import (COSINE_EPS, ModelInputs, ModelParams, build_model_inputs,
@@ -990,40 +990,64 @@ def split_trajectory_by_interval(tr, tau):
     ]
 
 
-def _planar_xy(points):
+def planar_xy(points):
     mid_lat = 0.5 * (min(p.lat for p in points) + max(p.lat for p in points))
     mx = METERS_PER_DEGREE * math.cos(math.radians(mid_lat))
     return [(p.lon * mx, p.lat * METERS_PER_DEGREE) for p in points]
 
 
-def _segment_pair(st, i, xy):
-    """Planar lengths, durations and heading change of the segments ending
-    at points i - 1 and i."""
+def segment_pair(st, i, xy):
+    """Planar components, lengths and durations of the segments a and b
+    ending at points i - 1 and i."""
     ts = [p.t for p in st.points]
-    dxa = xy[i - 1][0] - xy[i - 2][0]
-    dya = xy[i - 1][1] - xy[i - 2][1]
-    dxb = xy[i][0] - xy[i - 1][0]
-    dyb = xy[i][1] - xy[i - 1][1]
-    dtheta = math.atan2(dyb, dxb) - math.atan2(dya, dxa)
-    # wrap to (-pi, pi]
+    a = (xy[i - 1][0] - xy[i - 2][0], xy[i - 1][1] - xy[i - 2][1])
+    b = (xy[i][0] - xy[i - 1][0], xy[i][1] - xy[i - 1][1])
+    return a, b, math.hypot(*a), math.hypot(*b), ts[i - 1] - ts[i - 2], ts[i] - ts[i - 1]
+
+
+# The angle rule's own threshold; mobility.TURN_TAN is its tangent.
+TURN_THRESHOLD_DEG = 15.0
+
+
+def heading_change(a, b):
+    """b's heading minus a's by math.atan2, wrapped to (-pi, pi]."""
+    dtheta = math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])
     while dtheta <= -math.pi:
         dtheta += 2 * math.pi
     while dtheta > math.pi:
         dtheta -= 2 * math.pi
-    return (math.hypot(dxa, dya), math.hypot(dxb, dyb), ts[i - 1] - ts[i - 2],
-            ts[i] - ts[i - 1], dtheta)
+    return dtheta
 
 
-def encode_motion_states(st):
-    """Nine-state motion codes per point, one Python float at a time."""
+def angle_turn(a, b):
+    """Left (1) / right (2) / straight (0) by the heading change against 15
+    degrees: the reference rule, which rounds differently near +-pi."""
+    dtheta = heading_change(a, b)
+    theta0 = math.radians(TURN_THRESHOLD_DEG)
+    return 1 if dtheta > theta0 else 2 if dtheta < -theta0 else 0
+
+
+def sign_turn(a, b):
+    """The turn class from the signs of the cross and dot products, with the
+    products and sums mobility.motion_states rounds, one Python float at a
+    time; an exact reversal is a left turn."""
+    cross = a[0] * b[1] - a[1] * b[0]
+    dot = a[0] * b[0] + a[1] * b[1]
+    if dot <= 0 or abs(cross) > TURN_TAN * dot:
+        return 2 if cross < 0 else 1
+    return 0
+
+
+def encode_motion_states(st, turn=angle_turn):
+    """Nine-state motion codes per point, one Python float at a time, with
+    turn classes by ``turn``."""
     n = len(st.points)
     states = [0] * n
     if n < 3:
         return states
-    xy = _planar_xy(st.points)
-    theta0 = math.radians(TURN_THRESHOLD_DEG)
+    xy = planar_xy(st.points)
     for i in range(2, n):
-        da, db, dta, dtb, dtheta = _segment_pair(st, i, xy)
+        a, b, da, db, dta, dtb = segment_pair(st, i, xy)
 
         speed_class = 0
         if dta > 0 and dtb > 0:
@@ -1034,33 +1058,22 @@ def encode_motion_states(st):
             elif vb < (1.0 - SPEED_RATIO_EPS) * va:
                 speed_class = 2
 
-        turn_class = 0
-        if da > 0 and db > 0:
-            if dtheta > theta0:
-                turn_class = 1
-            elif dtheta < -theta0:
-                turn_class = 2
-
+        turn_class = turn(a, b) if da > 0 and db > 0 else 0
         states[i] = 3 * speed_class + turn_class
     return states
 
 
 def motion_margin(st, i):
-    """How near point i's speed ratio and heading change lie to their class
-    thresholds, relative to the compared values; the heading change's wrap
-    point at pi is one. Only within a few ulps can numpy's hypot and arctan2
-    give another class than math's."""
-    da, db, dta, dtb, dtheta = _segment_pair(st, i, _planar_xy(st.points))
+    """How near point i's speed ratio lies to its class thresholds, relative
+    to the compared values. Only within a few ulps can numpy's hypot give
+    another speed class than math's."""
+    _, _, da, db, dta, dtb = segment_pair(st, i, planar_xy(st.points))
     margins = [math.inf]
     if dta > 0 and dtb > 0:
         va, vb = da / dta, db / dtb
         for factor in (1.0 + SPEED_RATIO_EPS, 1.0 - SPEED_RATIO_EPS):
             bound = factor * va
             margins.append(abs(vb - bound) / max(abs(vb), abs(bound), 5e-324))
-    if da > 0 and db > 0:
-        theta0 = math.radians(TURN_THRESHOLD_DEG)
-        margins += [abs(dtheta - theta0) / theta0, abs(dtheta + theta0) / theta0,
-                    (math.pi - abs(dtheta)) / math.pi]  # a U-turn wraps to +pi or -pi
     return min(margins)
 
 

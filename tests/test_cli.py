@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import shutil
 import struct
 import tempfile
@@ -617,7 +618,9 @@ class TestSettingsPerStage:
                         flag, value])
             err = capsys.readouterr().err
             assert code == 1, err
-            assert "config error: " in err and name in err.split("config error: ")[1], err
+            assert "config error: " in err, err
+            named = set(re.findall(r"\w+", err.split("config error: ")[1])) & set(FIELD_TYPES)
+            assert named == {name}, err
             assert "Traceback" not in err
             return
         shutil.copytree(linked, out)

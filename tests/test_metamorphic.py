@@ -1,4 +1,5 @@
-"""Properties that must hold across related inputs of the whole pipeline.
+"""Properties that must hold across related inputs of the whole pipeline,
+and across the SIMD levels numpy can dispatch on.
 
 Each example runs the five stages in process on a small check-in instance,
 so hypothesis draws only a few.
@@ -6,16 +7,23 @@ so hypothesis draws only a few.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tulink
 from tulink import synth
 from tulink.cli import main
 from tulink.config import RunConfig
 from tulink.mobility import SECONDS_PER_DAY
+from tulink.tensor import load_tensors
 
 FLAGS = ("--embed-dim", "16", "--heads", "2", "--attn-layers", "1", "--epochs", "3")
 ARTIFACTS = ("grid_map.json", "sequences.jsonl", "splits.json", "manifest.json",
@@ -132,3 +140,57 @@ def test_whole_interval_time_shifts_change_no_model_output(in_file_order, tmp_pa
         assert all(math.isclose(a - shift, b, rel_tol=0, abs_tol=1e-6)
                    for a, b in zip(got.pop("t"), record.pop("t")))
     assert shifted == expected
+
+
+# numpy's SIMD tables: the features it has loops for, those this CPU has
+# (and that NPY_DISABLE_CPU_FEATURES left on), and those every build assumes.
+_CPU = (getattr(np, "_core", None) or np.core)._multiarray_umath
+DISPATCHED = [f for f in _CPU.__cpu_dispatch__
+              if _CPU.__cpu_features__.get(f) and f not in _CPU.__cpu_baseline__]
+# A trained value may move between SIMD levels by this share of its
+# tensor's largest entry (1.4e-14 measured on an AVX-512 host), since
+# numpy's exp and log loops differ in the last bit.
+SIMD_BOUND = 1e-11
+_LOWER_LEVEL_RUN = """
+import json, sys
+import numpy as np
+from tulink.cli import main
+data, out, features, *flags = sys.argv[1:]
+cpu = (getattr(np, "_core", None) or np.core)._multiarray_umath
+assert not any(map(cpu.__cpu_features__.get, json.loads(features)))
+for stage in ("preprocess", "build-graphs", "train", "evaluate", "embed"):
+    assert main([stage, "--dataset", data, "--output", out, *flags]) == 0, stage
+"""
+
+
+def _relative_deviation(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 5e-324))
+
+
+@pytest.mark.skipif(not DISPATCHED, reason="numpy dispatches no loop above its baseline here")
+def test_simd_level_changes_no_setup_artifact(in_file_order, tmp_path):
+    """The five stages in a child process with every SIMD feature above
+    numpy's baseline switched off for that process alone. Every setup
+    artifact and metrics.txt keep their bytes, since preprocess and
+    build-graphs call no loop whose result follows the SIMD level; the
+    checkpoint and the embeddings stay within SIMD_BOUND of the in-process
+    run."""
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    data.write_text("\n".join([HEADER, *LINES]) + "\n")
+    src = str(Path(tulink.__file__).parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(DISPATCHED),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", _LOWER_LEVEL_RUN, str(data), str(out),
+                    json.dumps(DISPATCHED), *FLAGS], env=env, check=True)
+    for name in ARTIFACTS[:6] + ("metrics.txt",):
+        assert (out / name).read_bytes() == in_file_order[name], name
+    (tmp_path / "here.bin").write_bytes(in_file_order["checkpoint.bin"])
+    (header, here), (child_header, there) = (load_tensors(tmp_path / "here.bin"),
+                                             load_tensors(out / "checkpoint.bin"))
+    assert child_header == header and there.keys() == here.keys()
+    assert max(_relative_deviation(here[k], there[k]) for k in here) <= SIMD_BOUND
+    rows = [[line.split("\t") for line in text.decode().splitlines()] for text in
+            (in_file_order["embeddings.tsv"], (out / "embeddings.tsv").read_bytes())]
+    assert [row[:2] for row in rows[1]] == [row[:2] for row in rows[0]]
+    values = (np.array([row[2:] for row in table], dtype=np.float64) for table in rows)
+    assert _relative_deviation(*values) <= SIMD_BOUND

@@ -1,14 +1,16 @@
 """Preprocessing: gridding, interval splits, motion/time codes, data splits."""
 
 import dataclasses
+import itertools
 import json
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tulink.errors import ConfigError, DataError
@@ -16,6 +18,7 @@ from tulink.graphs import build_global_graph, build_grid_incidence, build_local_
 from tulink.mobility import (
     GridSequence,
     METERS_PER_DEGREE,
+    TURN_TAN,
     GridMap,
     PointColumns,
     build_grid_map,
@@ -309,6 +312,32 @@ def sub_from_meters(coords, times):
     return motion_states(points.t, points.lon, points.lat, np.array([0])).tolist()
 
 
+def turn_of_path(lonlats):
+    """The turn class of a three-point sub-trajectory's last point."""
+    lon, lat = np.array(lonlats, dtype=np.float64).T
+    return int(motion_states(np.array([0.0, 10.0, 20.0]), lon, lat, np.array([0]))[2]) % 3
+
+
+# Planar meters: small integers give exact right angles and reversals.
+METERS = st.one_of(st.integers(-30, 30).map(float), st.floats(-1e4, 1e4, allow_subnormal=False))
+# Degrees in steps of 1/64, so that shifted paths keep their exact shape.
+STEPS = st.integers(-1280, 1280).map(lambda k: k / 64)
+STRIDES = st.integers(1, 1280).map(lambda k: k / 64)
+
+
+@st.composite
+def reversals(draw):
+    """Three (lon, lat) points whose last segment runs exactly against the
+    one before: back to the first point, or back along a line of one
+    latitude or longitude."""
+    if draw(st.booleans()):
+        p, q = draw(st.lists(st.tuples(STEPS, STEPS), min_size=2, max_size=2, unique=True))
+        return [p, q, p]
+    u, c, out, back = draw(st.tuples(STEPS, STEPS, STRIDES, STRIDES))
+    line = [(u, c), (u + out, c), (u + out - back, c)]
+    return line if draw(st.booleans()) else [(y, x) for x, y in line]
+
+
 class TestMotionStates:
     def test_collinear_constant_speed(self):
         assert sub_from_meters([(0, 0), (10, 0), (20, 0)], [0, 10, 20]) == [0, 0, 0]
@@ -357,6 +386,53 @@ class TestMotionStates:
                 oracles.SpatioTemporalPoint(t[i], lon[i], lat[i]) for i in range(a, a + m)))
             assert states[a:a + m] == oracles.encode_motion_states(sub)
         assert {s for s in states} - {0}
+
+    @settings(max_examples=500, deadline=None)
+    @given(coords=st.lists(st.tuples(METERS, METERS), min_size=3, max_size=3))
+    @example(coords=[(0.0, 0.0), (10.0, 0.0), (0.0, 0.0)])
+    @example(coords=[(0.0, 0.0), (10.0, 0.0), (20.0, 5.0)])  # 26.6 degrees left
+    @example(coords=[(0.0, 0.0), (10.0, 0.0), (20.0, -2.0)])  # 11.3 degrees right
+    def test_turns_match_heading_changes(self, coords):
+        """The sign tests give the class of the heading change by math.atan2
+        wherever that change lies more than 1e-9 rad from +-15 degrees and
+        from +-pi. Segments shorter than 1e-100 m are left out, since their
+        products can underflow."""
+        points = columns([0.0, 10.0, 20.0], coords)
+        sub = oracles.SubTrajectory("u", 0, tuple(map(
+            oracles.SpatioTemporalPoint, points.t, points.lon, points.lat)))
+        a, b, da, db, _, _ = oracles.segment_pair(sub, 2, oracles.planar_xy(sub.points))
+        assume(all(d == 0 or d > 1e-100 for d in (da, db)))
+        change = abs(oracles.heading_change(a, b))
+        assume(abs(change - math.radians(15)) > 1e-9 and math.pi - change > 1e-9)
+        got = motion_states(points.t, points.lon, points.lat, np.array([0])).tolist()
+        assert got[2] % 3 == oracles.encode_motion_states(sub)[2] % 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=reversals(), shift=st.tuples(STEPS, STEPS))
+    def test_exact_reversal_is_a_left_turn(self, path, shift):
+        """Whatever its direction: mirrored in either axis and shifted."""
+        for sx, sy in itertools.product((1, -1), repeat=2):
+            for dx, dy in ((0.0, 0.0), shift):
+                assert turn_of_path([(sx * (x + dx), sy * (y + dy)) for x, y in path]) == 1
+
+    @pytest.mark.parametrize("sx, sy", itertools.product((1, -1), repeat=2))
+    @pytest.mark.parametrize("dlat, dlon", [(0.0, 0.0), (30.0, -100.0), (45.5, -20.25)])
+    def test_u_turn_through_preprocess(self, tmp_path, sx, sy, dlat, dlon):
+        """The U-turn a,1,-90.0,180 / a,1,0.0,0.0 / a,0,0.0,0.0, mirrored and
+        shifted: a left turn after a zero-duration segment, state 1."""
+        rows = [(1, -90.0, 180.0), (1, 0.0, 0.0), (0, 0.0, 0.0)]
+        path = tmp_path / "d.csv"
+        path.write_text("".join(f"a,{t},{sy * (lat + dlat)!r},{sx * (lon + dlon)!r}\n"
+                                for t, lat, lon in rows))
+        points, _ = parse_dataset(path)
+        seqs = build_grid_sequences(points, build_grid_map(points.lon, points.lat, 40.0), 21_600.0)
+        assert seqs.state.tolist() == [0, 0, 1]
+
+    def test_turn_tan_is_tan_15_degrees_correctly_rounded(self):
+        with mpmath.workdps(50):
+            exact = mpmath.tan(mpmath.pi / 12)
+            assert TURN_TAN == float(exact)
+            assert abs(mpmath.mpf(TURN_TAN) - exact) < mpmath.mpf(math.ulp(TURN_TAN)) / 2
 
 
 class TestTimeWindows:
@@ -577,7 +653,7 @@ class TestColumnsMatchPointObjects:
     @example(text='q"\\,0,0,0\nu\x00,5,0,0.001\n"",7,0.001,0\nu,9,0,0', cell=40.0,
              tau=3600.0, window=7200.0)  # users with quotes and NULs
     @example(text="a,1,-90.0,180\na,1,0.0,0.0\na,0,0.0,0.0", cell=40.0, tau=21_600.0,
-             window=7200.0)  # a U-turn whose heading change wraps to -pi with numpy
+             window=7200.0)  # an exact U-turn
     def test_same_records_as_the_point_objects(self, text, cell, tau, window, tmp_path_factory):
         """Preprocess through the columns and through the point objects, then
         every later sequence step through the columns and through the
@@ -602,9 +678,13 @@ class TestColumnsMatchPointObjects:
         got = list(sequences)
         assert len(got) == len(expected)
         for g, e, sub in zip(got, expected, subs):
-            # numpy's hypot and arctan2 may differ from math's in the last
-            # bit, which can flip a state only at a threshold.
-            flips = [i for i, (a, b) in enumerate(zip(g.state, e.state)) if a != b]
+            # Turn classes come from correctly rounded products, so they are
+            # the scalar sign tests' exactly. numpy's hypot may differ from
+            # math's in the last bit, which can flip a speed class only at a
+            # threshold.
+            signs = oracles.encode_motion_states(sub, oracles.sign_turn)
+            assert [s % 3 for s in g.state] == [s % 3 for s in signs]
+            flips = [i for i, (a, b) in enumerate(zip(g.state, signs)) if a != b]
             assert all(oracles.motion_margin(sub, i) < 1e-12 for i in flips), flips
             e.state = g.state
         assert repr(got) == repr(expected)

@@ -71,7 +71,7 @@ class TestPositionalEncoding:
 
 class TestConfigValidation:
     def test_dim_must_divide_heads(self):
-        with pytest.raises(ConfigError, match="multiple of heads"):
+        with pytest.raises(ConfigError, match="^heads 4 must divide the embedding size 10$"):
             ModelConfig(embed_dim=10, heads=4).validate()
 
     def test_unknown_ablation_lists_the_valid_names(self):
