@@ -9,9 +9,10 @@ a user nobody predicted scores precision 0, and P + R = 0 scores F1 = 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,14 +63,31 @@ def save_report(report: MetricsReport, path: str | Path) -> None:
     Path(path).write_text(format_report(report))
 
 
+def _row_texts(half: np.ndarray) -> Iterator[str]:
+    """Each row of ``half`` as its tab-joined float reprs, in order. A row is
+    keyed by its bytes, so -0.0 and 0.0 stay apart; each distinct row is
+    formatted once and its text kept only until its last row."""
+    left = Counter(map(bytes, half))
+    texts = {}
+    for row in half:
+        key = bytes(row)
+        text = texts.pop(key, None) or "\t".join(map(repr, row.tolist()))
+        left[key] -= 1
+        if left[key]:
+            texts[key] = text
+        yield text
+
+
 def export_embeddings(representations, traj_ids, user_ids, path: str | Path) -> None:
     """Write one row per trajectory: id, user, then the fused vector values.
 
     Floats are written with repr so a re-export from the same checkpoint is
-    byte-identical and values round-trip exactly.
+    byte-identical and values round-trip exactly. Each half of the fused
+    [local ; global] vector is formatted once per distinct row: twins share
+    their global half, and one-point trajectories alike in cell, state and
+    window share their local half.
     """
-    representations = np.asarray(representations)
+    reps = np.asarray(representations, dtype=np.float64)
+    rows = map("\t".join, zip(*map(_row_texts, np.hsplit(reps, 2))))
     with Path(path).open("w", encoding="utf-8") as fh:
-        for tid, uid, row in zip(traj_ids, user_ids, representations):
-            vals = "\t".join(repr(float(v)) for v in row)
-            fh.write(f"{tid}\t{uid}\t{vals}\n")
+        fh.writelines(f"{t}\t{u}\t{v}\n" for t, u, v in zip(traj_ids, user_ids, rows))

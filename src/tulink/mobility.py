@@ -317,8 +317,13 @@ def motion_states(t: np.ndarray, lon: np.ndarray, lat: np.ndarray,
     timed = (dt[:-1] > 0) & (dt[1:] > 0)
     speed = np.where(timed & (vb > (1.0 + SPEED_RATIO_EPS) * va), 1,
                      np.where(timed & (vb < (1.0 - SPEED_RATIO_EPS) * va), 2, 0))
-    cross = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
-    dot = dx[:-1] * dx[1:] + dy[:-1] * dy[1:]
+    # Each segment scaled by the power of two that puts its larger component
+    # in [0.5, 1): exact, so no decision moves where nothing underflowed, and
+    # the products of segments shorter than 1e-154 m no longer underflow.
+    e = np.frexp(np.maximum(np.abs(dx), np.abs(dy)))[1]
+    ux, uy = np.ldexp(dx, -e), np.ldexp(dy, -e)
+    cross = ux[:-1] * uy[1:] - uy[:-1] * ux[1:]
+    dot = ux[:-1] * ux[1:] + uy[:-1] * uy[1:]
     moved = (d[:-1] > 0) & (d[1:] > 0)
     turn = np.where(moved & ((dot <= 0) | (np.abs(cross) > TURN_TAN * dot)),
                     np.where(cross < 0, 2, 1), 0)

@@ -706,6 +706,15 @@ def write_coo_oracle(fh, name, m):
         fh.write(f"{r} {c} {int(w)}\n")
 
 
+def export_embeddings_oracle(representations, traj_ids, user_ids, path):
+    """embeddings.tsv written one row and one repr per float at a time."""
+    representations = np.asarray(representations)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for tid, uid, row in zip(traj_ids, user_ids, representations):
+            vals = "\t".join(repr(float(v)) for v in row)
+            fh.write(f"{tid}\t{uid}\t{vals}\n")
+
+
 def save_sequences_oracle(sequences, path):
     """sequences.jsonl written with one json.dumps per record."""
     with Path(path).open("w", encoding="utf-8") as fh:

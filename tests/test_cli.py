@@ -23,11 +23,12 @@ from tulink.cli import (_FLAG_NAMES, StagePaths, _config_from_args, _restore,
                         build_parser, main, run_train)
 from tulink.config import FIELD_TYPES, RunConfig, load_config_file, resolve_config
 from tulink.errors import ConfigError
-from tulink.model import ABLATIONS, ModelConfig
-from tulink.train import TrainConfig, evaluate_on_split
+from tulink.model import ABLATIONS, ModelConfig, fused_representations
+from tulink.train import TrainConfig, evaluate_on_split, evaluate_rows
 from tulink.tensor import load_tensors, save_tensors
 
 from conftest import GRAPH_CORRUPTIONS, edit_graph_section
+from oracles import export_embeddings_oracle
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +242,27 @@ def test_each_ablation_trains_evaluates_and_embeds(workspace, trained, tmp_path,
                     "--ablation", name])
         assert code == 0, (stage, capsys.readouterr().err)
     assert len((out / "embeddings.tsv").read_text().splitlines()) == 24
+
+
+CHECKIN_FLAGS = ("--embed-dim", "16", "--heads", "2", "--attn-layers", "1", "--epochs", "3")
+
+
+@pytest.mark.parametrize("ablation, zero_half", [("tul-l", 0), ("tul-g", 1)])
+def test_embed_with_one_half_all_zeros_writes_the_oracle_bytes(tmp_path, ablation, zero_half):
+    """On the 12-user check-in instance, an ablation that leaves one half of
+    every fused vector zero still gets the per-float writer's bytes."""
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    data.write_text(synth.checkin_style(n_users=12, seed=5))
+    for stage in ("preprocess", "build-graphs", "train", "embed"):
+        assert run([stage, "--dataset", str(data), "--output", str(out), *CHECKIN_FLAGS,
+                    "--ablation", ablation]) == 0, stage
+    params, inputs, _ = _restore(StagePaths(out))
+    reps = evaluate_rows(params, inputs, np.arange(inputs.n_traj), fused_representations)
+    halves = np.hsplit(reps, 2)
+    assert not np.any(halves[zero_half]) and np.any(halves[1 - zero_half])
+    users = [inputs.user_ids[i] for i in inputs.labels]
+    export_embeddings_oracle(reps, inputs.traj_ids, users, tmp_path / "oracle.tsv")
+    assert (out / "embeddings.tsv").read_bytes() == (tmp_path / "oracle.tsv").read_bytes()
 
 
 def test_empty_ablation_flag_selects_the_full_model(workspace, trained, tmp_path, capsys):

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tulink.metrics import (
@@ -16,8 +16,8 @@ from tulink.metrics import (
     true_ranks,
 )
 
-from oracles import (build_predictions, confusion_matrix_oracle, load_report, macro_metrics,
-                     report_oracle)
+from oracles import (build_predictions, confusion_matrix_oracle, export_embeddings_oracle,
+                     load_report, macro_metrics, report_oracle)
 
 
 def logits_from_top1(top1_labels, n_classes):
@@ -204,3 +204,44 @@ class TestEmbeddingExport:
         np.testing.assert_array_equal(
             np.array([float(v) for v in fields[2:]]), reps[3]
         )
+
+
+# Values whose repr is worth checking: signed zeros, the smallest subnormal,
+# integral floats, and both sides of repr's switch to exponent form.
+REPR_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -3.0, 1e16, 9999999999999998.0,
+                              1e-5, 0.0001, 0.1, 1.7976931348623157e308])
+
+
+@st.composite
+def embedding_matrices(draw):
+    """(n, 2d) matrices, in C or Fortran order, whose two halves each take
+    their rows from a pool of at most three, one of them possibly all zeros,
+    so halves repeat."""
+    n, w = draw(st.integers(0, 8)), draw(st.integers(1, 5))
+    halves = []
+    for _ in range(2):
+        row = st.lists(st.one_of(REPR_EDGES, st.floats()), min_size=w, max_size=w)
+        pool = draw(st.lists(row, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            pool.append([0.0] * w)
+        picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        halves.append(np.array(picks, dtype=np.float64).reshape(n, w))
+    reps = np.hstack(halves)
+    return np.asfortranarray(reps) if draw(st.booleans()) else reps
+
+
+class TestEmbeddingWriterAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(reps=embedding_matrices())
+    @example(reps=np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+    @example(reps=np.array([[5e-324, 1e16, 1e-5, 0.0], [5e-324, 1e16, 0.0, 0.0],
+                            [1.0, -0.0, 0.0, 0.0]]))
+    def test_bytes_match_the_per_float_writer(self, tmp_path_factory, reps):
+        """Formatting each distinct half-row once writes the bytes of one repr
+        per float, with -0.0 and 0.0 kept apart in one column."""
+        root = tmp_path_factory.mktemp("export")
+        ids = [f"t{i}" for i in range(len(reps))]
+        users = [f"u{i % 3}" for i in range(len(reps))]
+        export_embeddings(reps, ids, users, root / "fast.tsv")
+        export_embeddings_oracle(reps, ids, users, root / "oracle.tsv")
+        assert (root / "fast.tsv").read_bytes() == (root / "oracle.tsv").read_bytes()

@@ -392,20 +392,26 @@ class TestMotionStates:
     @example(coords=[(0.0, 0.0), (10.0, 0.0), (0.0, 0.0)])
     @example(coords=[(0.0, 0.0), (10.0, 0.0), (20.0, 5.0)])  # 26.6 degrees left
     @example(coords=[(0.0, 0.0), (10.0, 0.0), (20.0, -2.0)])  # 11.3 degrees right
+    @example(coords=[(0.0, 0.0), (1e-200, 0.0), (1e-200, -1e-200)])  # a tiny right angle
     def test_turns_match_heading_changes(self, coords):
         """The sign tests give the class of the heading change by math.atan2
         wherever that change lies more than 1e-9 rad from +-15 degrees and
-        from +-pi. Segments shorter than 1e-100 m are left out, since their
-        products can underflow."""
+        from +-pi, however short the segments."""
         points = columns([0.0, 10.0, 20.0], coords)
         sub = oracles.SubTrajectory("u", 0, tuple(map(
             oracles.SpatioTemporalPoint, points.t, points.lon, points.lat)))
-        a, b, da, db, _, _ = oracles.segment_pair(sub, 2, oracles.planar_xy(sub.points))
-        assume(all(d == 0 or d > 1e-100 for d in (da, db)))
+        a, b, _, _, _, _ = oracles.segment_pair(sub, 2, oracles.planar_xy(sub.points))
         change = abs(oracles.heading_change(a, b))
         assume(abs(change - math.radians(15)) > 1e-9 and math.pi - change > 1e-9)
         got = motion_states(points.t, points.lon, points.lat, np.array([0])).tolist()
         assert got[2] % 3 == oracles.encode_motion_states(sub)[2] % 3
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-200, 1e-300])
+    def test_short_segments_keep_their_turn(self, scale):
+        """(0, 0) -> (s, 0) -> (s, -s) m is a right turn at constant speed,
+        state 2, even where the unscaled cross and dot products underflow."""
+        points = columns([0.0, 10.0, 20.0], [(0.0, 0.0), (scale, 0.0), (scale, -scale)])
+        assert motion_states(points.t, points.lon, points.lat, np.array([0]))[2] == 2
 
     @settings(max_examples=200, deadline=None)
     @given(path=reversals(), shift=st.tuples(STEPS, STEPS))
