@@ -9,13 +9,17 @@ and training settings, the time-of-day window length included; evaluate
 and embed read only the output directory, and take the model, windows
 included, from the header of the checkpoint. Stage outputs land under the
 configured output directory and later stages refuse to run until their
-inputs exist. Exit codes: 0 success, 1 usage error, 2 data error.
+inputs exist. Train saves the model inputs it built, with the sha256 of each
+file it built them from; evaluate and embed load them while every file
+still has those bytes, and refuse to run on files changed since. Exit
+codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import hashlib
 import json
 import math
 import sys
@@ -29,7 +33,8 @@ from . import metrics as M
 from . import mobility as mob
 from .config import FIELD_TYPES, RunConfig, resolve_config
 from .errors import ConfigError, DataError, TrainingError
-from .model import build_model_inputs, fused_representations
+from .model import (build_model_inputs, fused_representations, load_model_inputs,
+                    save_model_inputs)
 from .train import (
     evaluate_on_split,
     evaluate_rows,
@@ -53,6 +58,7 @@ class StagePaths:
         self.local_graph = self.root / "local_graph.txt"
         self.global_graph = self.root / "global_graph.txt"
         self.checkpoint = self.root / "checkpoint.bin"
+        self.model_inputs = self.root / "model_inputs.bin"
         self.history = self.root / "history.tsv"
         self.metrics = self.root / "metrics.txt"
         self.embeddings = self.root / "embeddings.tsv"
@@ -144,6 +150,15 @@ def run_build_graphs(cfg: RunConfig) -> dict:
     }
 
 
+def _sources(paths: StagePaths) -> dict[str, str]:
+    """The sha256 of each artifact the model inputs are built from, by file
+    name; a missing one names the stage that writes it."""
+    writers = {"preprocess": (paths.grid_map, paths.sequences, paths.splits),
+               "build-graphs": (paths.local_graph, paths.global_graph)}
+    return {path.name: hashlib.sha256(_require(path, stage).read_bytes()).hexdigest()
+            for stage, group in writers.items() for path in group}
+
+
 def _load_model_inputs(paths: StagePaths):
     gm, sequences, split = _load_preprocessed(paths)
     _require(paths.local_graph, "build-graphs")
@@ -168,12 +183,16 @@ def run_train(cfg: RunConfig) -> dict:
     model_config.validate()
     train_config.validate()
     paths = StagePaths(cfg.output_dir or ".")
+    # Hashed before they are parsed: a file rewritten in between reads as
+    # changed to evaluate and embed, never as the bytes the inputs came from.
+    sources = _sources(paths)
     inputs, split = _load_model_inputs(paths)
     if not len(split.validation):
         raise DataError(f"{paths.splits.name} has an empty validation split: validation "
                         "needs a user with at least 3 sub-trajectories")
     result = train(inputs, split, model_config, train_config)
     save_checkpoint(result.params, paths.checkpoint)
+    save_model_inputs(inputs, split, sources, paths.model_inputs)
     save_history(result.history, paths.history)
     return {
         "epochs": len(result.history),
@@ -184,8 +203,15 @@ def run_train(cfg: RunConfig) -> dict:
 
 def _restore(paths: StagePaths):
     """The checkpoint's model, whose header gives every setting, with the
-    inputs and split it runs on."""
-    inputs, split = _load_model_inputs(paths)
+    inputs and split it runs on: those the train stage saved, while every
+    file they were built from keeps the bytes train read."""
+    sources = _sources(paths)
+    inputs, split, built_from = load_model_inputs(_require(paths.model_inputs, "train"))
+    changed = [name for name, digest in sources.items() if built_from.get(name) != digest]
+    if changed:
+        _load_model_inputs(paths)  # a malformed file names itself and the stage writing it
+        raise DataError(f"{', '.join(changed)} changed since the 'train' stage built "
+                        f"{paths.model_inputs.name}; rerun the 'train' stage")
     params = load_checkpoint(_require(paths.checkpoint, "train"), inputs)
     return params, inputs, split
 

@@ -20,18 +20,21 @@ each of which removes one component.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import tensor as T
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 from .graphs import GlobalSpatialGraph, LocalSpatialGraph, symmetric_normalize, twin_quotient
-from .mobility import (MOTION_STATES, SECONDS_PER_DAY, SequenceColumns, time_window_vocab,
-                       time_windows)
+from .mobility import (MOTION_STATES, SECONDS_PER_DAY, DatasetSplit, SequenceColumns,
+                       time_window_vocab, time_windows)
 from .tensor import Tensor
 
 COSINE_EPS = 1e-12
@@ -327,6 +330,77 @@ def build_model_inputs(
         grid_rows=grid_rows,
         max_seq_len=int(lengths.max()),
     )
+
+
+_INPUTS_MAGIC = b"TLNKINP1\n"
+_CHECKSUM_END = len(_INPUTS_MAGIC) + 65  # the hex sha256 and its newline
+# A model-inputs file's arrays, in file order: each CSR matrix as its data,
+# indices and indptr, then the dense arrays, then the split's parts.
+_CSR_FIELDS = ("m_local", "m_global", "x_global")
+_ARRAY_FIELDS = ("traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels",
+                 "grid_rows")
+
+
+def _checksum(fh) -> bytes:
+    """The checksum line of an open model-inputs file: the hex sha256 of
+    everything after it. Read in blocks, so no copy of the file is held."""
+    fh.seek(_CHECKSUM_END)
+    digest = hashlib.sha256()
+    for block in iter(lambda: fh.read(1 << 16), b""):
+        digest.update(block)
+    return digest.hexdigest().encode("ascii") + b"\n"
+
+
+def save_model_inputs(inputs: ModelInputs, split: DatasetSplit, sources: dict[str, str],
+                      path: str | Path) -> None:
+    """The model inputs and split, with ``sources`` (the sha256 of each file
+    they were built from, by name), in deterministic bytes: the magic line,
+    the checksum line, a sorted-key JSON header line (sources, ids, scalars,
+    matrix shapes), then one ``.npy`` record per array in a fixed order."""
+    header = {"sources": sources, "traj_ids": inputs.traj_ids, "user_ids": inputs.user_ids,
+              "n_grids": inputs.n_grids, "max_seq_len": inputs.max_seq_len,
+              "shapes": {name: getattr(inputs, name).shape for name in _CSR_FIELDS}}
+    arrays = [getattr(getattr(inputs, name), part) for name in _CSR_FIELDS
+              for part in ("data", "indices", "indptr")]
+    arrays += [getattr(inputs, name) for name in _ARRAY_FIELDS]
+    arrays += [getattr(split, f.name) for f in fields(split)]
+    with Path(path).open("w+b") as fh:
+        fh.write(_INPUTS_MAGIC + bytes(_CHECKSUM_END - len(_INPUTS_MAGIC)))  # filled in last
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        for array in arrays:
+            np.lib.format.write_array(fh, array, allow_pickle=False)
+        checksum = _checksum(fh)
+        fh.seek(len(_INPUTS_MAGIC))
+        fh.write(checksum)
+
+
+def load_model_inputs(path: str | Path) -> tuple[ModelInputs, DatasetSplit, dict[str, str]]:
+    """What ``save_model_inputs`` wrote: (inputs, split, sources). A foreign
+    file, or one whose checksum does not match (a cut or a changed byte
+    anywhere), raises DataError naming it and the train stage."""
+    with Path(path).open("rb") as fh:
+        if fh.read(len(_INPUTS_MAGIC)) != _INPUTS_MAGIC:
+            raise DataError(f"{path} is not a tulink model-inputs file; "
+                            "rerun the 'train' stage")
+        stored = fh.read(_CHECKSUM_END - len(_INPUTS_MAGIC))
+        if stored != _checksum(fh):
+            raise DataError(f"{path} does not match its checksum, so it is cut or corrupt; "
+                            "rerun the 'train' stage")
+        fh.seek(_CHECKSUM_END)
+        with reading(path, "train"):
+            header = json.loads(fh.readline())
+
+            def read() -> np.ndarray:
+                return np.lib.format.read_array(fh, allow_pickle=False)
+
+            csr = {name: sp.csr_matrix((read(), read(), read()),
+                                       shape=tuple(header["shapes"][name]))
+                   for name in _CSR_FIELDS}
+            inputs = ModelInputs(**csr, **{name: read() for name in _ARRAY_FIELDS},
+                                 traj_ids=header["traj_ids"], user_ids=header["user_ids"],
+                                 n_grids=header["n_grids"], max_seq_len=header["max_seq_len"])
+            split = DatasetSplit(*(read() for _ in fields(DatasetSplit)))
+    return inputs, split, header["sources"]
 
 
 def gcn_forward(m_norm: sp.csr_matrix, features: sp.csr_matrix | None,

@@ -1039,7 +1039,9 @@ def angle_turn(a, b):
 def sign_turn(a, b):
     """The turn class from the signs of the cross and dot products, with the
     products and sums mobility.motion_states rounds, one Python float at a
-    time; an exact reversal is a left turn."""
+    time, each segment first scaled by the power of two that puts its larger
+    component in [0.5, 1); an exact reversal is a left turn."""
+    a, b = ([math.ldexp(c, -math.frexp(max(map(abs, v)))[1]) for c in v] for v in (a, b))
     cross = a[0] * b[1] - a[1] * b[0]
     dot = a[0] * b[0] + a[1] * b[1]
     if dot <= 0 or abs(cross) > TURN_TAN * dot:

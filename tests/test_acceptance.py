@@ -552,7 +552,7 @@ class TestCriterion8Determinism:
         identical = [
             "manifest.json", "grid_map.json", "sequences.jsonl", "splits.json",
             "local_graph.txt", "global_graph.txt",
-            "checkpoint.bin", "metrics.txt", "embeddings.tsv",
+            "checkpoint.bin", "model_inputs.bin", "metrics.txt", "embeddings.tsv",
         ]
         for name in identical:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -13,17 +14,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import scipy.sparse as sp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tulink import cli
+from tulink import graphs as G
 from tulink import metrics as M
 from tulink import mobility as mob
 from tulink import synth
-from tulink.cli import (_FLAG_NAMES, StagePaths, _config_from_args, _restore,
-                        build_parser, main, run_train)
+from tulink.cli import (_FLAG_NAMES, StagePaths, _config_from_args, _load_model_inputs,
+                        _restore, build_parser, main, run_train)
 from tulink.config import FIELD_TYPES, RunConfig, load_config_file, resolve_config
 from tulink.errors import ConfigError
-from tulink.model import ABLATIONS, ModelConfig, fused_representations
+from tulink.mobility import DatasetSplit
+from tulink.model import (ABLATIONS, ModelConfig, ModelInputs, fused_representations,
+                          load_model_inputs)
 from tulink.train import TrainConfig, evaluate_on_split, evaluate_rows
 from tulink.tensor import load_tensors, save_tensors
 
@@ -600,7 +606,7 @@ BAD_SETTINGS = {
 STAGE_OUTPUTS = {
     "preprocess": ("grid_map.json", "sequences.jsonl", "splits.json", "manifest.json"),
     "build-graphs": ("local_graph.txt", "global_graph.txt"),
-    "train": ("checkpoint.bin", "history.tsv"),
+    "train": ("checkpoint.bin", "history.tsv", "model_inputs.bin"),
     "evaluate": ("metrics.txt",),
     "embed": ("embeddings.tsv",),
 }
@@ -923,6 +929,130 @@ class TestArtifactErrors:
         assert "sequences.jsonl" in err and "'preprocess'" in err
 
 
+def reformat_json(path):
+    """The same JSON value in other bytes."""
+    path.write_text(json.dumps(json.loads(path.read_text())))
+
+
+def shift_first_time(path):
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record["t"][0] += 1.0
+    lines[0] = json.dumps(record, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+
+
+def double_weights(path):
+    edit_graph_section(path, "adjacency", lambda entries: [[r, c, 2 * w] for r, c, w in entries])
+
+
+# A rewrite of each file the model inputs are built from that still parses
+# and passes every check, but changes the file's bytes.
+STALE_REWRITES = {
+    "grid_map.json": reformat_json,
+    "sequences.jsonl": shift_first_time,
+    "splits.json": reformat_json,
+    "local_graph.txt": double_weights,
+    "global_graph.txt": double_weights,
+}
+
+
+class TestStaleInputs:
+    """evaluate and embed run on the model inputs train saved, and only while
+    every file they were built from keeps the bytes train read."""
+
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    @pytest.mark.parametrize("name", sorted(STALE_REWRITES))
+    def test_rewrite_that_parses_is_refused(self, workspace, trained, tmp_path, capsys,
+                                            stage, name):
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        STALE_REWRITES[name](out / name)
+        _load_model_inputs(StagePaths(out))  # parses as before
+        code = run([stage, "--config", workspace["config"], "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert name in err and "'train'" in err and "Traceback" not in err
+        assert not any((out / f).exists() for f in ("metrics.txt", "embeddings.tsv"))
+
+    def test_byte_identical_rerun_of_the_setup_stages(self, workspace, linked, tmp_path,
+                                                      capsys):
+        out = tmp_path / "run"
+        shutil.copytree(linked, out)
+        for stage in ("preprocess", "build-graphs", "evaluate", "embed"):
+            assert run([stage, "--config", workspace["config"], "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert artifact_bytes(out) == artifact_bytes(linked)
+
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    def test_deleted_model_inputs(self, workspace, trained, tmp_path, capsys, stage):
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        (out / "model_inputs.bin").unlink()
+        assert run([stage, "--config", workspace["config"], "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "model_inputs.bin" in err and "run the 'train' stage first" in err
+
+    def test_evaluate_and_embed_parse_no_upstream_file(self, workspace, linked, tmp_path,
+                                                       capsys, monkeypatch):
+        """The saved inputs serve both stages: no sequence or graph parse and
+        no model-input build, and the bytes of the full parse."""
+        out = tmp_path / "run"
+        shutil.copytree(linked, out)
+        for name in ("metrics.txt", "embeddings.tsv"):
+            (out / name).unlink()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate and embed must not build the model inputs")
+
+        for module, name in ((mob, "load_sequences"), (G, "load_local_graph"),
+                             (G, "load_global_graph"), (cli, "build_model_inputs")):
+            monkeypatch.setattr(module, name, refuse)
+        for stage in ("evaluate", "embed"):
+            assert run([stage, "--config", workspace["config"], "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert artifact_bytes(out) == artifact_bytes(linked)
+
+
+def assert_same_arrays(got, expected, what):
+    assert type(got) is type(expected), what
+    if isinstance(expected, np.ndarray):
+        assert got.dtype == expected.dtype and got.shape == expected.shape, what
+        assert np.array_equal(got, expected), what
+    elif sp.issparse(expected):
+        assert got.shape == expected.shape, what
+        for part in ("data", "indices", "indptr"):
+            assert_same_arrays(getattr(got, part), getattr(expected, part), f"{what}.{part}")
+    else:
+        assert got == expected, what
+        if isinstance(expected, list):
+            assert list(map(type, got)) == list(map(type, expected)), what
+
+
+@pytest.mark.parametrize("text, twins", [
+    (synth.checkin_style(n_users=12, seed=5), True),
+    (synth.disjoint_regions(n_users=4, subtrajs_per_user=6, seed=3), False),
+], ids=["checkin-12u", "regions"])
+def test_saved_model_inputs_equal_the_built_ones(tmp_path, text, twins):
+    """Field by field, dtypes and CSR arrays included, with the split and the
+    sha256 of each file they were built from."""
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    data.write_text(text)
+    for stage in ("preprocess", "build-graphs", "train"):
+        assert run([stage, "--dataset", str(data), "--output", str(out), "--embed-dim", "8",
+                    "--heads", "2", "--attn-layers", "1", "--epochs", "1"]) == 0, stage
+    built, split = _load_model_inputs(StagePaths(out))
+    saved, saved_split, sources = load_model_inputs(out / "model_inputs.bin")
+    assert (built.traj_rows.max() + 1 < built.n_traj) == twins
+    for f in fields(ModelInputs):
+        assert_same_arrays(getattr(saved, f.name), getattr(built, f.name), f.name)
+    for f in fields(DatasetSplit):
+        assert_same_arrays(getattr(saved_split, f.name), getattr(split, f.name), f.name)
+    names = ("grid_map.json", "sequences.jsonl", "splits.json", "local_graph.txt",
+             "global_graph.txt")
+    assert sources == {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
+
+
 # The first stage that reads each artifact.
 FIRST_READER = {
     "grid_map.json": "build-graphs",
@@ -931,6 +1061,7 @@ FIRST_READER = {
     "local_graph.txt": "train",
     "global_graph.txt": "train",
     "checkpoint.bin": "evaluate",
+    "model_inputs.bin": "evaluate",
 }
 
 
@@ -957,3 +1088,32 @@ class TestTruncationFaults:
         assert code == 2, err.getvalue()
         assert name in err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+class TestByteFlipFaults:
+    """Any one byte of model_inputs.bin changed makes evaluate and embed exit
+    2 naming the file: most flips leave a file that would still parse, so the
+    checksum catches them."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(fraction=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
+    # In the workspace's 18 kB file: the magic line, the checksum, a source
+    # digest and a trajectory id ("user01:0" read as "user00:0").
+    @example(fraction=0.0, mask=1)
+    @example(fraction=0.003, mask=1)
+    @example(fraction=0.02, mask=1)
+    @example(fraction=0.0398, mask=1)
+    def test_flip_one_byte(self, workspace, trained, fraction, mask):
+        data = bytearray((trained / "model_inputs.bin").read_bytes())
+        data[int(fraction * len(data))] ^= mask
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            shutil.copytree(trained, out)
+            (out / "model_inputs.bin").write_bytes(data)
+            for stage in ("evaluate", "embed"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = run([stage, "--config", workspace["config"], "--output", str(out)])
+                assert code == 2, (stage, err.getvalue())
+                assert "model_inputs.bin" in err.getvalue() and "'train'" in err.getvalue()
+                assert "Traceback" not in err.getvalue()

@@ -28,7 +28,7 @@ from tulink.tensor import load_tensors
 FLAGS = ("--embed-dim", "16", "--heads", "2", "--attn-layers", "1", "--epochs", "3")
 ARTIFACTS = ("grid_map.json", "sequences.jsonl", "splits.json", "manifest.json",
              "local_graph.txt", "global_graph.txt", "checkpoint.bin", "metrics.txt",
-             "embeddings.tsv")
+             "embeddings.tsv", "model_inputs.bin")
 HEADER, *LINES = synth.checkin_style(n_users=12, seed=5).splitlines()
 USERS = sorted({line.split(",")[0] for line in LINES})
 TAU = RunConfig().tau
@@ -75,7 +75,8 @@ def with_ids(artifacts, users=None, interval=0):
     """The artifacts with every user id u read as ``users[u]`` and every
     trajectory id's interval moved by ``interval``: sequences.jsonl,
     splits.json and manifest.json parsed, and the global graph's roster and
-    the first two columns of embeddings.tsv rewritten."""
+    the first two columns of embeddings.tsv rewritten. model_inputs.bin is
+    left out: it holds the ids and the sha256 of files that hold the ids."""
     users = users or {}
 
     def traj(tid):
@@ -83,6 +84,7 @@ def with_ids(artifacts, users=None, interval=0):
         return f"{users.get(user, user)}:{int(k) + interval}"
 
     out = dict(artifacts)
+    del out["model_inputs.bin"]
     out["sequences.jsonl"] = [json.loads(line) for line in
                               artifacts["sequences.jsonl"].decode().splitlines()]
     for record in out["sequences.jsonl"]:
@@ -171,8 +173,9 @@ def _relative_deviation(a, b):
 def test_simd_level_changes_no_setup_artifact(in_file_order, tmp_path):
     """The five stages in a child process with every SIMD feature above
     numpy's baseline switched off for that process alone. Every setup
-    artifact and metrics.txt keep their bytes, since preprocess and
-    build-graphs call no loop whose result follows the SIMD level; the
+    artifact, metrics.txt and model_inputs.bin keep their bytes, since
+    preprocess and build-graphs call no loop whose result follows the SIMD
+    level and model_inputs.bin holds no trained value; the
     checkpoint and the embeddings stay within SIMD_BOUND of the in-process
     run."""
     data, out = tmp_path / "data.csv", tmp_path / "out"
@@ -182,7 +185,7 @@ def test_simd_level_changes_no_setup_artifact(in_file_order, tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", _LOWER_LEVEL_RUN, str(data), str(out),
                     json.dumps(DISPATCHED), *FLAGS], env=env, check=True)
-    for name in ARTIFACTS[:6] + ("metrics.txt",):
+    for name in ARTIFACTS[:6] + ("metrics.txt", "model_inputs.bin"):
         assert (out / name).read_bytes() == in_file_order[name], name
     (tmp_path / "here.bin").write_bytes(in_file_order["checkpoint.bin"])
     (header, here), (child_header, there) = (load_tensors(tmp_path / "here.bin"),

@@ -660,6 +660,9 @@ class TestColumnsMatchPointObjects:
              tau=3600.0, window=7200.0)  # users with quotes and NULs
     @example(text="a,1,-90.0,180\na,1,0.0,0.0\na,0,0.0,0.0", cell=40.0, tau=21_600.0,
              window=7200.0)  # an exact U-turn
+    @example(text="a,0,0.0,2.225073858507e-311\na,1,0.0,0.0\na,1,0.0,0.0\na,0,0.0,0.0\n"
+                  "a,0,0.0,-1.0316220728335502e-205", cell=40.0, tau=21_600.0,
+             window=7200.0)  # segment products that underflow unless scaled
     def test_same_records_as_the_point_objects(self, text, cell, tau, window, tmp_path_factory):
         """Preprocess through the columns and through the point objects, then
         every later sequence step through the columns and through the
