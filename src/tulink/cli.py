@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -143,7 +144,7 @@ def run_build_graphs(cfg: RunConfig) -> dict:
     G.save_local_graph(local, paths.local_graph)
     G.save_global_graph(global_g, paths.global_graph)
     return {
-        "local": {"nodes": local.n_grids, "edges": local.n_edges,
+        "local": {"nodes": len(local.cells), "edges": local.n_edges,
                   "max_weight": local.max_weight},
         "global": {"nodes": global_g.n_nodes, "edges": global_g.n_edges,
                    "max_weight": global_g.max_weight},
@@ -155,8 +156,17 @@ def _sources(paths: StagePaths) -> dict[str, str]:
     name; a missing one names the stage that writes it."""
     writers = {"preprocess": (paths.grid_map, paths.sequences, paths.splits),
                "build-graphs": (paths.local_graph, paths.global_graph)}
-    return {path.name: hashlib.sha256(_require(path, stage).read_bytes()).hexdigest()
+    return {path.name: _digest(_require(path, stage))
             for stage, group in writers.items() for path in group}
+
+
+def _digest(path: Path) -> str:
+    """The hex sha256 of a file, read in blocks, so no copy of it is held."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _load_model_inputs(paths: StagePaths):
@@ -168,6 +178,9 @@ def _load_model_inputs(paths: StagePaths):
     if local.n_grids != gm.n_grids:
         raise DataError(f"{paths.local_graph.name} has {local.n_grids} grids but "
                         f"{paths.grid_map.name} has {gm.n_grids}; rerun the 'build-graphs' stage")
+    if not np.array_equal(local.cells, np.unique(sequences.grid)):
+        raise DataError(f"{paths.local_graph.name} and {paths.sequences.name} list different "
+                        "visited cells; rerun the 'build-graphs' stage")
     if global_g.traj_ids != sequences.traj_ids:
         raise DataError(f"{paths.global_graph.name} and {paths.sequences.name} list different "
                         "trajectories; rerun the 'build-graphs' stage")
@@ -255,7 +268,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                          dest=f.name, type=FIELD_TYPES[f.name])
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="tulink", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
     for name in ("preprocess", "build-graphs", "train", "evaluate", "embed"):

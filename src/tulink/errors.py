@@ -21,7 +21,7 @@ def reading(path, stage: str):
     artifact ``path`` and the pipeline stage that writes it."""
     try:
         yield
-    except (StopIteration, ValueError, KeyError, IndexError, TypeError) as exc:
+    except (StopIteration, ValueError, KeyError, IndexError, TypeError, OverflowError) as exc:
         detail = ("it ends early" if isinstance(exc, StopIteration)
                   else f"{type(exc).__name__}: {exc}")
         raise DataError(f"cannot parse {path} ({detail}); rerun the {stage!r} stage") from None

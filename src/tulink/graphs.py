@@ -6,17 +6,23 @@ every split (the model predicts from a node's embedding, so test
 trajectories must be present), user nodes attached only to training
 trajectories. Both are sparse products of the trajectory-by-grid incidence
 C and the user-by-trajectory training-label matrix A, not pairwise scans.
-The grid features of the local graph are one-hot, so none are stored.
-``twin_quotient`` merges the global nodes whose graph and feature rows are
-equal, which every GCN layer maps to equal rows.
+The local graph's nodes are the visited grid cells, in ascending id order:
+an unvisited cell would be an isolated node, so nothing is sized by the
+bounding box. The grid features of the local graph are one-hot, so none
+are stored. ``twin_quotient`` merges the global nodes whose graph and
+feature rows are equal, which every GCN layer maps to equal rows.
 
-On-disk format is a line-oriented text file: a small header, the node
-roster, then one or two integer COO sections in row-major order. Weights
-are integers throughout, so round-trips are exact.
+On-disk format is a line-oriented text file: the version line, a sha256
+line over the rest, a small header, the node roster, then one or two
+integer COO sections in row-major order. An adjacency section lists each
+undirected edge once, as row < col, and the reader mirrors it. Weights are
+integers throughout, so round-trips are exact.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +35,7 @@ from .errors import reading
 from .mobility import SequenceColumns
 from .tensor import csr_rows
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class _Weighted:
@@ -46,8 +52,9 @@ class _Weighted:
 
 @dataclass
 class LocalSpatialGraph(_Weighted):
-    n_grids: int
-    adjacency: sp.csr_matrix  # int64 weights
+    n_grids: int  # bounding-box cells
+    cells: np.ndarray  # ascending bounding-box ids of the visited cells, the nodes
+    adjacency: sp.csr_matrix  # int64 weights, nodes in ``cells`` order
 
 
 @dataclass
@@ -63,21 +70,24 @@ class GlobalSpatialGraph(_Weighted):
 
 
 def build_local_graph(sequences: SequenceColumns, n_grids: int) -> LocalSpatialGraph:
-    """Grid graph weighted by how many trajectories make each transition.
+    """Grid graph over the visited cells, weighted by how many trajectories
+    make each transition.
 
     An unordered grid pair (g, h), g != h, gains weight one per trajectory
     containing at least one consecutive step between g and h in either
     direction. Consecutive repeats of the same grid contribute nothing.
     """
-    rows, a, b = sequences.point_rows(), sequences.grid[:-1], sequences.grid[1:]
+    cells, grid = np.unique(sequences.grid, return_inverse=True)
+    rows, a, b = sequences.point_rows(), grid[:-1], grid[1:]
     step = (rows[1:] == rows[:-1]) & (a != b)  # no step across a sequence boundary
     t, a, b = rows[1:][step], a[step], b[step]
     # one count per trajectory and unordered pair
     _, lo, hi = np.unique([t, np.minimum(a, b), np.maximum(a, b)], axis=1)
-    upper = sp.coo_matrix((np.ones(len(lo), dtype=np.int64), (lo, hi)), shape=(n_grids, n_grids))
+    upper = sp.coo_matrix((np.ones(len(lo), dtype=np.int64), (lo, hi)),
+                          shape=(len(cells), len(cells)))
     adj = (upper + upper.T).tocsr()
     adj.sort_indices()
-    return LocalSpatialGraph(n_grids, adj)
+    return LocalSpatialGraph(n_grids, cells, adj)
 
 
 def build_grid_incidence(sequences: SequenceColumns, n_grids: int) -> sp.csr_matrix:
@@ -117,12 +127,18 @@ def build_global_graph(
     labels = sp.csr_matrix((np.ones(len(train), dtype=np.int64), (train_users, train)),
                            shape=(len(user_ids), n_traj))
 
-    shared = incidence @ incidence.T
+    cells, cols = np.unique(incidence.indices, return_inverse=True)
+    visits = sp.csr_matrix((incidence.data, cols, incidence.indptr),
+                           shape=(n_traj, len(cells)))
+    shared = visits @ visits.T
     shared = shared - sp.diags(shared.diagonal(), dtype=np.int64)
     w = int(shared.data.max(initial=0)) or 1
     adj = sp.bmat([[shared, w * labels.T], [w * labels, None]], format="csr", dtype=np.int64)
     adj.sort_indices()
-    features = sp.vstack([incidence, labels @ incidence > 0], format="csr", dtype=np.int64)
+    unions = (labels @ visits).tocsr()
+    unions = sp.csr_matrix((np.ones(unions.nnz, dtype=np.int64), cells[unions.indices],
+                            unions.indptr), shape=(len(user_ids), incidence.shape[1]))
+    features = sp.vstack([incidence, unions], format="csr", dtype=np.int64)
     features.sort_indices()
     return GlobalSpatialGraph(list(traj_ids), list(user_ids), adj, features)
 
@@ -224,7 +240,9 @@ def _write_coo(fh, name: str, m: sp.spmatrix) -> None:
 
 
 def _read_coo(lines, expect_name: str, nodes: int) -> sp.csr_matrix:
-    """One matrix section with ``nodes`` rows; an adjacency is square."""
+    """One matrix section with ``nodes`` rows, its entries strictly ascending
+    in (row, col). An adjacency is square and lists each edge once above the
+    diagonal with a positive weight; it is returned mirrored."""
     tag, name, rows, cols, nnz = next(lines).split()
     if tag != "matrix" or name != expect_name:
         raise ValueError(f"expected matrix section {expect_name!r}, found {name!r}")
@@ -235,34 +253,49 @@ def _read_coo(lines, expect_name: str, nodes: int) -> sp.csr_matrix:
     if nnz:  # loadtxt warns on an empty section
         entries = np.loadtxt(itertools.islice(lines, nnz), dtype=np.int64, ndmin=2)
     r, c, w = entries.T
+    if name == "adjacency":
+        if np.any(w <= 0):
+            raise ValueError("adjacency holds a weight that is not positive")
+        if np.any(r == c):
+            raise ValueError("adjacency has a nonzero diagonal")
+        if np.any(r > c):
+            raise ValueError("adjacency holds an entry below the diagonal")
+    dr, dc = np.diff(r), np.diff(c)
+    if np.any((dr < 0) | ((dr == 0) & (dc <= 0))):
+        raise ValueError(f"matrix {name} lists an entry out of order or twice")
+    if name == "adjacency":
+        r, c, w = np.r_[r, c], np.r_[c, r], np.r_[w, w]
     out = sp.coo_matrix((w, (r, c)), shape=(int(rows), int(cols))).tocsr()
     out.sort_indices()
     return out
 
 
 def _save_graph(path: str | Path, header: dict, roster, sections: dict) -> None:
-    """A graph file: version line, ``header`` fields, the node roster, one COO
-    section per matrix of ``sections``, then ``end``."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"tulink-graph {FORMAT_VERSION}\n")
-        fh.write("".join(f"{key} {value}\n" for key, value in header.items()))
-        fh.write("symmetric 1\n")
-        fh.write(f"roster {len(roster)}\n")
-        fh.write("".join(f"{node}\n" for node in roster))
-        for name, m in sections.items():
-            _write_coo(fh, name, m)
-        fh.write("end\n")
+    """A graph file: the version line, the checksum line, ``header`` fields,
+    the node roster, one COO section per matrix of ``sections``, then
+    ``end``. The checksum is the hex sha256 of everything after its line."""
+    body = io.StringIO()
+    body.write("".join(f"{key} {value}\n" for key, value in header.items()))
+    body.write(f"roster {len(roster)}\n")
+    body.write("".join(f"{node}\n" for node in roster))
+    for name, m in sections.items():
+        _write_coo(body, name, m)
+    body.write("end\n")
+    data = body.getvalue().encode("utf-8")
+    Path(path).write_bytes(f"tulink-graph {FORMAT_VERSION}\n"
+                           f"sha256 {hashlib.sha256(data).hexdigest()}\n".encode() + data)
 
 
 def _load_graph(path: str | Path, kind: str, sections: Sequence[str]):
-    """Header fields, node roster and matrix sections of a ``kind`` graph file;
-    the roster and each section must fit the header's ``nodes``."""
-    text = Path(path).read_text(encoding="utf-8")
-    if not text.endswith("\nend\n"):  # a cut anywhere loses the closing line
-        raise StopIteration
-    lines = iter(text.splitlines())
-    if next(lines) != f"tulink-graph {FORMAT_VERSION}":
+    """Header fields, node roster and matrix sections of a ``kind`` graph file
+    whose checksum matches; the roster and each section must fit the
+    header's ``nodes``."""
+    parts = Path(path).read_bytes().split(b"\n", 2)
+    if parts[0] != f"tulink-graph {FORMAT_VERSION}".encode():
         raise ValueError(f"not a version-{FORMAT_VERSION} graph file")
+    if len(parts) < 3 or parts[1] != f"sha256 {hashlib.sha256(parts[2]).hexdigest()}".encode():
+        raise ValueError("does not match its checksum, so it is cut or corrupt")
+    lines = iter(parts[2].decode("utf-8").splitlines())
     header: dict = {}
     for line in lines:
         key, value = line.split(maxsplit=1)
@@ -281,43 +314,32 @@ def _load_graph(path: str | Path, kind: str, sections: Sequence[str]):
     return header, roster, matrices
 
 
-def _check_adjacency(adj: sp.csr_matrix) -> None:
-    """ValueError unless the canonical CSR ``adj`` has positive weights, a zero
-    diagonal and is symmetric: the one symmetry check of each model stage."""
-    if np.any(adj.data <= 0):
-        raise ValueError("adjacency holds a weight that is not positive")
-    if adj.diagonal().any():
-        raise ValueError("adjacency has a nonzero diagonal")
-    t = adj.T.tocsr()  # canonical too, so equal matrices have equal arrays
-    if not all(np.array_equal(getattr(adj, a), getattr(t, a))
-               for a in ("indptr", "indices", "data")):
-        raise ValueError("adjacency is not symmetric")
-
-
 def save_local_graph(g: LocalSpatialGraph, path: str | Path) -> None:
-    header = {"kind": "local", "nodes": g.n_grids, "edges": g.n_edges,
-              "max_weight": g.max_weight}
-    _save_graph(path, header, range(g.n_grids), {"adjacency": g.adjacency})
+    header = {"kind": "local", "n_grids": g.n_grids, "nodes": len(g.cells),
+              "edges": g.n_edges, "max_weight": g.max_weight}
+    _save_graph(path, header, g.cells.tolist(), {"adjacency": sp.triu(g.adjacency, k=1)})
 
 
 def load_local_graph(path: str | Path) -> LocalSpatialGraph:
     with reading(path, "build-graphs"):
-        header, _, (adj,) = _load_graph(path, "local", ("adjacency",))
-        _check_adjacency(adj)
-        return LocalSpatialGraph(int(header["nodes"]), adj)
+        header, roster, (adj,) = _load_graph(path, "local", ("adjacency",))
+        n_grids = int(header["n_grids"])
+        cells = np.array(roster, dtype=np.int64)
+        if np.any(np.diff(cells) <= 0) or (cells.size and (cells[0] < 0 or cells[-1] >= n_grids)):
+            raise ValueError(f"roster is not ascending cell ids below n_grids {n_grids}")
+        return LocalSpatialGraph(n_grids, cells, adj)
 
 
 def save_global_graph(g: GlobalSpatialGraph, path: str | Path) -> None:
     header = {"kind": "global", "nodes": g.n_nodes, "trajectories": len(g.traj_ids),
               "users": len(g.user_ids), "edges": g.n_edges, "max_weight": g.max_weight}
     _save_graph(path, header, [*g.traj_ids, *g.user_ids],
-                {"adjacency": g.adjacency, "features": g.features})
+                {"adjacency": sp.triu(g.adjacency, k=1), "features": g.features})
 
 
 def load_global_graph(path: str | Path) -> GlobalSpatialGraph:
     with reading(path, "build-graphs"):
         header, roster, (adj, features) = _load_graph(path, "global", ("adjacency", "features"))
-        _check_adjacency(adj)
         if np.any(features.data != 1):
             raise ValueError("features hold an entry other than 1")
         n_traj = int(header["trajectories"])

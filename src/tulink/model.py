@@ -94,6 +94,25 @@ def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+def _xavier_rows(rng: np.random.Generator, rows: int, cols: int,
+                 kept: np.ndarray) -> np.ndarray:
+    """``_xavier(rng, rows, cols)[kept]`` for ascending ``kept``, drawing only
+    those rows. Each value takes one 64-bit output of the bit generator (so
+    PCG64, numpy's default), so the bit generator advances past the other
+    rows, and the stream ends where the whole draw would end. Each run of
+    consecutive rows is one draw."""
+    limit = math.sqrt(6.0 / (rows + cols))
+    out = np.empty((len(kept), cols))
+    starts = np.flatnonzero(np.r_[True, kept[1:] != kept[:-1] + 1][:len(kept)]).tolist()
+    at = 0  # the row the stream stands at
+    for lo, hi in zip(starts, [*starts[1:], len(kept)]):
+        rng.bit_generator.advance((int(kept[lo]) - at) * cols)
+        out[lo:hi] = rng.uniform(-limit, limit, size=(hi - lo, cols))
+        at = int(kept[lo]) + hi - lo
+    rng.bit_generator.advance((rows - at) * cols)
+    return out
+
+
 class ModelParams:
     """All learnable tensors, plus the fixed position table.
 
@@ -127,11 +146,9 @@ class ModelParams:
             if len(shape) == 1:
                 draws[name] = np.full(shape, 1.0 if name.endswith("_ln_gain") else 0.0)
             elif name in ("gcn_local_0", "gcn_global_0"):
-                # The first layer is drawn over the whole bounding box, with its
-                # Xavier limit, and keeps the visited rows only. So every later
-                # draw and every kept value equal a bounding-box-sized layer's,
-                # whose unvisited rows would never reach a logit.
-                draws[name] = _xavier(rng, n_grids, d)[grid_rows]
+                # The visited rows of a bounding-box-sized layer, whose
+                # unvisited rows would never reach a logit.
+                draws[name] = _xavier_rows(rng, n_grids, d, grid_rows)
             elif name.endswith("_q"):
                 # Drawn head by head (q, k, v each), so head h owns columns
                 # h*dh:(h+1)*dh of the fused (d, d) projections.
@@ -273,19 +290,32 @@ class ModelInputs:
         return np.bincount(self.traj_rows)
 
 
+def _columns(m: sp.csr_matrix, cols: np.ndarray) -> sp.csr_matrix:
+    """``m[:, cols]`` in float64 for ascending, distinct ``cols``, each entry's
+    column found by binary search, so that no array is as long as ``m`` is
+    wide."""
+    at = np.searchsorted(cols, m.indices)
+    kept = at < len(cols)
+    kept[kept] = cols[at[kept]] == m.indices[kept]
+    indptr = np.r_[0, np.cumsum(kept)][m.indptr]
+    return sp.csr_matrix((m.data[kept].astype(np.float64), at[kept], indptr),
+                         shape=(m.shape[0], len(cols)))
+
+
 def build_model_inputs(
     sequences: SequenceColumns,
     local_graph: LocalSpatialGraph,
     global_graph: GlobalSpatialGraph,
 ) -> ModelInputs:
     """Normalize adjacencies and label every sequence by its user code; the
-    global graph must list the same trajectories and users, or a ValueError.
+    global graph must list the same trajectories and users, and the local
+    graph the cells the sequences visit, or a ValueError.
 
     Only the grids some sequence visits get a row: ``grid_idx`` holds dense
-    row numbers into ``grid_rows``, the local adjacency keeps those rows and
-    columns, and the global features those columns. An unvisited cell is an
-    isolated self-loop node and an all-zero feature column, so dropping it
-    changes no embedding of a visited grid, trajectory or user.
+    row numbers into ``grid_rows``, which are the local graph's nodes, and
+    the global features keep those columns. An unvisited cell would be an
+    isolated self-loop node and an all-zero feature column, so leaving it
+    out changes no embedding of a visited grid, trajectory or user.
 
     The global graph enters as its twin quotient: nodes with equal rows of
     the normalized adjacency and of the features get equal rows from every
@@ -310,11 +340,13 @@ def build_model_inputs(
         return out
 
     grid_rows = np.unique(sequences.grid)
+    if not np.array_equal(local_graph.cells, grid_rows):
+        raise ValueError("the local graph's cells are not the cells the sequences visit")
     m_global, x_global, classes = twin_quotient(
         symmetric_normalize(global_graph.adjacency),
-        global_graph.features.astype(np.float64).tocsr()[:, grid_rows])
+        _columns(global_graph.features, grid_rows))
     return ModelInputs(
-        m_local=symmetric_normalize(local_graph.adjacency)[grid_rows][:, grid_rows],
+        m_local=symmetric_normalize(local_graph.adjacency),
         m_global=m_global,
         x_global=x_global,
         traj_rows=classes[: len(ids)],  # trajectories are the first nodes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import warnings
 
 import numpy as np
@@ -99,25 +100,34 @@ def gcn_and_grads(gcn, m, features, weights, rows, upstream):
     return out.values, [w.grad for w in ws]
 
 
+def rewrite_graph(path, edit):
+    """Rewrite a graph file's lines after its checksum line, and the
+    checksum with them, so that its loader reads the edit itself:
+    ``edit`` takes the lines (each with its newline) and returns the new
+    ones."""
+    version, _, body = path.read_bytes().split(b"\n", 2)
+    body = "".join(edit(body.decode().splitlines(keepends=True))).encode()
+    path.write_bytes(b"%s\nsha256 %s\n%s" % (version, hashlib.sha256(body).hexdigest().encode(),
+                                             body))
+
+
 def edit_graph_section(path, section, edit):
     """Rewrite one matrix section of a graph file: ``edit`` takes the
     section's [row, col, weight] entries and returns the new ones."""
-    lines = path.read_text().splitlines(keepends=True)
-    i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {section} "))
-    tag, name, rows, cols, nnz = lines[i].split()
-    end = i + 1 + int(nnz)
-    entries = edit([[int(v) for v in line.split()] for line in lines[i + 1 : end]])
-    lines[i : end] = [f"{tag} {name} {rows} {cols} {len(entries)}\n",
-                      *(f"{r} {c} {w}\n" for r, c, w in entries)]
-    path.write_text("".join(lines))
+    def rewrite(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {section} "))
+        tag, name, rows, cols, nnz = lines[i].split()
+        end = i + 1 + int(nnz)
+        entries = edit([[int(v) for v in line.split()] for line in lines[i + 1 : end]])
+        lines[i : end] = [f"{tag} {name} {rows} {cols} {len(entries)}\n",
+                          *(f"{r} {c} {w}\n" for r, c, w in entries)]
+        return lines
+    rewrite_graph(path, rewrite)
 
 
-def _set_pair(weight):
+def _set_first(weight):
     def edit(entries):
-        r, c, _ = entries[0]
-        for e in entries:
-            if (e[0], e[1]) in ((r, c), (c, r)):
-                e[2] = weight
+        entries[0][2] = weight
         return entries
     return edit
 
@@ -127,13 +137,27 @@ def _bump_first(entries):
     return entries
 
 
+def _mirror_first(entries):
+    """The first edge listed as its mirror image, below the diagonal."""
+    (r, c, w), *rest = entries
+    return [[c, r, w], *rest]
+
+
+def _swap_first_two(entries):
+    return [entries[1], entries[0], *entries[2:]]
+
+
 # Corruptions of a graph file's sections that its loader rejects, as
-# (section, edit, the ValueError's words).
+# (section, edit, the ValueError's words). An adjacency section lists each
+# edge once, above the diagonal, so a pair's weight is its one entry's. Each
+# edit rewrites the checksum.
 GRAPH_CORRUPTIONS = {
-    "asymmetric": ("adjacency", _bump_first, "not symmetric"),
-    "negative_pair": ("adjacency", _set_pair(-9), "not positive"),
-    "zero_pair": ("adjacency", _set_pair(0), "not positive"),
+    "asymmetric": ("adjacency", _mirror_first, "below the diagonal"),
+    "negative_pair": ("adjacency", _set_first(-9), "not positive"),
+    "zero_pair": ("adjacency", _set_first(0), "not positive"),
     "self_loop": ("adjacency", lambda e: [[e[0][0], e[0][0], 1], *e], "nonzero diagonal"),
+    "repeated_edge": ("adjacency", lambda e: [e[0], *e], "out of order or twice"),
+    "edges_out_of_order": ("adjacency", _swap_first_two, "out of order or twice"),
     "feature_of_two": ("features", _bump_first, "other than 1"),
 }
 

@@ -594,6 +594,16 @@ def evaluate_rows_oracle(params, inputs, indices, forward, chunk=16):
 # The linking model with a first-layer GCN row for every bounding-box cell
 # ---------------------------------------------------------------------------
 
+def bounding_box_adjacency(local_graph):
+    """A local graph's adjacency over every bounding-box cell: the visited
+    cells' rows and columns at their ids, the rest empty."""
+    coo = local_graph.adjacency.tocoo()
+    cells, n = local_graph.cells, local_graph.n_grids
+    out = sp.coo_matrix((coo.data, (cells[coo.row], cells[coo.col])), shape=(n, n)).tocsr()
+    out.sort_indices()
+    return out
+
+
 def bounding_box_inputs_oracle(sequences, local_graph, global_graph):
     """Model inputs indexed by bounding-box cell and by global node: the whole
     normalized local and global adjacencies, every feature row and column,
@@ -605,7 +615,7 @@ def bounding_box_inputs_oracle(sequences, local_graph, global_graph):
         row[: len(s)] = s.grid
     return dataclasses.replace(
         inputs,
-        m_local=symmetric_normalize(local_graph.adjacency),
+        m_local=symmetric_normalize(bounding_box_adjacency(local_graph)),
         m_global=symmetric_normalize(global_graph.adjacency),
         x_global=global_graph.features.astype(np.float64).tocsr(),
         traj_rows=np.arange(inputs.n_traj),
@@ -796,7 +806,8 @@ def chronological_split_oracle(sequences):
 
 
 def build_local_graph_oracle(sequences, n_grids):
-    """Local adjacency from a list of (trajectory, grid, next grid) steps."""
+    """Local adjacency over every bounding-box cell from a list of
+    (trajectory, grid, next grid) steps."""
     steps = [(i, a, b) for i, seq in enumerate(sequences)
              for a, b in zip(seq.grid, seq.grid[1:]) if a != b]
     t, a, b = np.array(steps, dtype=np.int64).reshape(-1, 3).T
@@ -835,7 +846,7 @@ def model_inputs_oracle(sequences, local_graph, global_graph):
         symmetric_normalize(global_graph.adjacency),
         global_graph.features.astype(np.float64).tocsr()[:, grid_rows])
     return ModelInputs(
-        m_local=symmetric_normalize(local_graph.adjacency)[grid_rows][:, grid_rows],
+        m_local=symmetric_normalize(bounding_box_adjacency(local_graph))[grid_rows][:, grid_rows],
         m_global=m_global,
         x_global=x_global,
         traj_rows=classes[: len(sequences)],

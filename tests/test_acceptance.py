@@ -595,29 +595,32 @@ class TestCriterion8Determinism:
 # then a check-in instance where 47 of 59 sequences are one point long. The
 # sequences.jsonl digests are of the earlier versions' files with each record's
 # "window" key dropped and the line re-dumped with sort_keys, since windows
-# are no longer stored.
+# are no longer stored. The graph files' digests are those of version 2 of
+# the graph format: each edge listed once, the local roster of visited cells
+# and a checksum line.
 SETUP_DIGESTS = {
     "grid_map.json": "291642cdd47538b55b8c3ad0ea044ce9d1b13c77bb60d294fba530719175c261",
     "sequences.jsonl": "998081b4beeeece825f11d18b79d0e8f25fe45f6e268a0e6b609af3cea0d9611",
     "splits.json": "e84be6670893c31df40100e6755a2019da1c9b030d3a5d8ddd8c23780530d892",
     "manifest.json": "838ca252bc1c212fa32a5b8262532d686f1d407935bfdd55dbf80748f786f5fd",
-    "local_graph.txt": "a14ed275cab8da120da527f3d193806b15418da9070b72c8d07c823697179cc7",
-    "global_graph.txt": "36f55e2ad8da01c3496618160fe1ae1ad54c101d2e1d2c771bed377dc1a1c8c7",
+    "local_graph.txt": "ad6208f88a1d6fb3ce1af747296881c644d2e830fcfa321e7a10215136dea7e2",
+    "global_graph.txt": "a936b66f59e66f6b6b79081955c2ef1ce3637dfe4e10a80ee34c971ee0094c07",
 }
 CHECKIN_SETUP_DIGESTS = {
     "grid_map.json": "e70cf10c29ea9c44038c50230411aa4c293fe10b6b977acb084b4645413f0194",
     "sequences.jsonl": "297c0e70a85445c660308cd9cb82feaabcce9a87939d958ce6de24f475871489",
     "splits.json": "7824173a0df41e379426c902a96f3d0d515cf1cfe18d2acd1968762c3c2fe8ce",
     "manifest.json": "7a43c7d6f0fd1d47dbbc5d7d9dc0d5535e4f61447771340d7921934c9e80f205",
-    "local_graph.txt": "c5fd81237da36e26f98bc51a0e7d2230af0b1c26053c26ea24efb24fa884aef3",
-    "global_graph.txt": "0f334344241b1330bf58d244823786e5f20ed05e15dd978f3c29c1fa79772d46",
+    "local_graph.txt": "c03b39e1357ea4c13f819a30a92b5b8879d8e1b9948993a14c52c0ace5642949",
+    "global_graph.txt": "db598e4e65f76dd0c1b1f8bc68ad90fc78b5a1972cc337278a9dafeab10181d4",
 }
 
 
 class TestCriterion8ArtifactFormat:
     def test_setup_artifacts_match_pinned_digests(self, tmp_path, capsys):
         """Same-seed reruns agree with each other; these digests also hold the
-        bytes still against earlier versions."""
+        bytes still against earlier versions, the graph files against those
+        since version 2 of their format."""
         instances = [
             (synth.disjoint_regions(3, 4, seed=3), SETUP_DIGESTS),
             (synth.checkin_style(n_users=12, checkins_per_user=6, n_days=4, seed=5),

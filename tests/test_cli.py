@@ -5,9 +5,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -18,6 +21,7 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import tulink
 from tulink import cli
 from tulink import graphs as G
 from tulink import metrics as M
@@ -33,7 +37,7 @@ from tulink.model import (ABLATIONS, ModelConfig, ModelInputs, fused_representat
 from tulink.train import TrainConfig, evaluate_on_split, evaluate_rows
 from tulink.tensor import load_tensors, save_tensors
 
-from conftest import GRAPH_CORRUPTIONS, edit_graph_section
+from conftest import GRAPH_CORRUPTIONS, edit_graph_section, rewrite_graph
 from oracles import export_embeddings_oracle
 
 
@@ -793,14 +797,13 @@ class TestArtifactErrors:
         ("local_graph.txt", "adjacency")])
     def test_graph_section_larger_than_header(self, workspace, trained, tmp_path, capsys,
                                               stage, name, section):
-        def widen(out):
-            path = out / name
-            lines = path.read_text().splitlines(keepends=True)
+        def widen(lines):
             i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {section} "))
             tag, _, rows, cols, nnz = lines[i].split()
             lines[i] = f"{tag} {section} {int(rows) + 1} {int(cols) + 1} {nnz}\n"
-            path.write_text("".join(lines))
-        err = self._run(workspace, trained, tmp_path, capsys, stage, widen)
+            return lines
+        err = self._run(workspace, trained, tmp_path, capsys, stage,
+                        lambda out: rewrite_graph(out / name, widen))
         assert name in err and "'build-graphs'" in err and f"matrix {section}" in err
 
     @pytest.mark.parametrize("stage", ["train", "evaluate", "embed"])
@@ -810,8 +813,8 @@ class TestArtifactErrors:
         if name == "global_graph.txt" or section == "adjacency"])
     def test_malformed_graph(self, workspace, trained, tmp_path, capsys, stage, name,
                              corruption):
-        """A graph file that parses but breaks the graph's invariants, such as
-        an asymmetric adjacency or a symmetric pair of negative weights."""
+        """A graph file whose checksum matches but that breaks the graph's
+        invariants, such as an edge below the diagonal or a negative weight."""
         section, edit, words = GRAPH_CORRUPTIONS[corruption]
         err = self._run(workspace, trained, tmp_path, capsys, stage,
                         lambda out: edit_graph_section(out / name, section, edit))
@@ -834,14 +837,29 @@ class TestArtifactErrors:
         assert "local_graph.txt" in err and "grid_map.json" in err
         assert "'build-graphs'" in err
 
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    def test_graphs_older_than_visited_cells(self, workspace, trained, tmp_path, capsys, stage):
+        """sequences.jsonl with one point moved to a cell no trajectory
+        visited, so that the local graph's roster is no longer its cells."""
+        def move_a_point(out):
+            visited = set(G.load_local_graph(out / "local_graph.txt").cells.tolist())
+            path = out / "sequences.jsonl"
+            lines = path.read_text().splitlines(keepends=True)
+            record = json.loads(lines[0])
+            record["grid"][-1] = min(set(range(len(visited) + 1)) - visited)
+            lines[0] = json.dumps(record, sort_keys=True) + "\n"
+            path.write_text("".join(lines))
+        err = self._run(workspace, trained, tmp_path, capsys, stage, move_a_point)
+        assert "local_graph.txt" in err and "sequences.jsonl" in err
+        assert "different visited cells" in err and "'build-graphs'" in err
+
     @pytest.mark.parametrize("stage", ["train", "evaluate", "embed"])
     def test_graph_user_roster_differs(self, workspace, trained, tmp_path, capsys, stage):
-        def rename_a_user(out):
-            path = out / "global_graph.txt"
-            lines = path.read_text().splitlines(keepends=True)
+        def rename_a_user(lines):
             lines[lines.index("user03\n")] = "userXX\n"
-            path.write_text("".join(lines))
-        err = self._run(workspace, trained, tmp_path, capsys, stage, rename_a_user)
+            return lines
+        err = self._run(workspace, trained, tmp_path, capsys, stage,
+                        lambda out: rewrite_graph(out / "global_graph.txt", rename_a_user))
         assert "global_graph.txt" in err and "different users" in err
         assert "'build-graphs'" in err
 
@@ -1092,8 +1110,31 @@ class TestTruncationFaults:
 
 class TestByteFlipFaults:
     """Any one byte of model_inputs.bin changed makes evaluate and embed exit
-    2 naming the file: most flips leave a file that would still parse, so the
-    checksum catches them."""
+    2 naming the file, and any one byte of a graph file makes train do so:
+    most flips leave a file that would still parse, so the checksum catches
+    them."""
+
+    @pytest.mark.parametrize("name", ["local_graph.txt", "global_graph.txt"])
+    @settings(max_examples=10, deadline=None)
+    @given(fraction=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
+    # In the workspace's 1.5 and 2.3 kB files: the version line, the checksum
+    # line and a header field.
+    @example(fraction=0.0, mask=1)
+    @example(fraction=0.02, mask=1)
+    @example(fraction=0.065, mask=1)
+    def test_flip_one_byte_of_a_graph_file(self, workspace, trained, name, fraction, mask):
+        data = bytearray((trained / name).read_bytes())
+        data[int(fraction * len(data))] ^= mask
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            shutil.copytree(trained, out)
+            (out / name).write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(["train", "--config", workspace["config"], "--output", str(out)])
+        assert code == 2, err.getvalue()
+        assert name in err.getvalue() and "'build-graphs'" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
     @settings(max_examples=10, deadline=None)
     @given(fraction=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
@@ -1117,3 +1158,45 @@ class TestByteFlipFaults:
                 assert code == 2, (stage, err.getvalue())
                 assert "model_inputs.bin" in err.getvalue() and "'train'" in err.getvalue()
                 assert "Traceback" not in err.getvalue()
+
+
+# Runs the five stages on a dataset in one process whose address space is
+# capped at 1 GB, stopping at the first stage that does not exit 0.
+CAPPED_PIPELINE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tulink.cli import main
+data, out = sys.argv[1:]
+for stage in ("preprocess", "build-graphs", "train", "evaluate", "embed"):
+    code = main([stage, "--dataset", data, "--output", out, "--embed-dim", "4",
+                 "--heads", "2", "--epochs", "2"])
+    if code:
+        sys.exit(f"{stage} exited {code}")
+"""
+
+
+def far_user_lines(lat, lon):
+    """Seven check-ins of one more user around (lat, lon), a week apart."""
+    return [f"userfar,{86_400.0 * 7 * k + 3_600.0:.1f},{lat + 1e-4 * k:.10f},"
+            f"{lon + 2e-4 * (k % 3):.10f}" for k in range(7)]
+
+
+@pytest.mark.parametrize("lat, lon", [
+    (synth.BASE_LAT + 6.36, synth.BASE_LON + 8.31),  # about 1,000 km north-east
+    (-synth.BASE_LAT, synth.BASE_LON - 180.0),  # the antipode
+], ids=["1000km", "antipode"])
+def test_far_apart_users_run_in_a_memory_ceiling(tmp_path, lat, lon):
+    """One user far from the other twelve stretches the bounding box to up
+    to 10**11 cells; no stage allocates by the box, so each runs under a
+    1 GB address-space cap. One child process runs at a time."""
+    data = tmp_path / "data.csv"
+    data.write_text(synth.checkin_style(12, seed=5) + "\n".join(far_user_lines(lat, lon)) + "\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(tulink.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", CAPPED_PIPELINE, str(data), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    grids = json.loads((tmp_path / "out" / "manifest.json").read_text())["grids"]
+    assert grids > 10**8

@@ -1,5 +1,6 @@
 """Graph construction against brute-force oracles, plus serialization."""
 
+import hashlib
 import io
 import re
 
@@ -25,7 +26,7 @@ from tulink.graphs import (
     twin_quotient,
 )
 
-from conftest import GRAPH_CORRUPTIONS, edit_graph_section, make_sequence
+from conftest import GRAPH_CORRUPTIONS, edit_graph_section, make_sequence, rewrite_graph
 from oracles import (columns_from_records, global_graph_oracle, twin_quotient_oracle,
                      write_coo_oracle)
 
@@ -42,6 +43,14 @@ def labelled_graph(incidence, ids, labels, user_ids=None):
     train = np.array(list(labels), dtype=np.int64)
     train_users = np.array([user_ids.index(u) for u in labels.values()], dtype=np.int64)
     return build_global_graph(incidence, ids, user_ids, train, train_users)
+
+
+def box_dense(g):
+    """A local graph's adjacency as a dense matrix over every bounding-box
+    cell, with zero rows and columns for the unvisited ones."""
+    dense = np.zeros((g.n_grids, g.n_grids), dtype=np.int64)
+    dense[np.ix_(g.cells, g.cells)] = g.adjacency.toarray()
+    return dense
 
 
 def local_oracle(grid_lists, n_grids):
@@ -63,19 +72,21 @@ class TestLocalGraph:
         g = build_local_graph(columns_from_records(
             [seq("a", 0, [1, 2, 3]), seq("b", 0, [1, 2])]), n_grids=5
         )
-        dense = g.adjacency.toarray()
+        assert g.cells.tolist() == [1, 2, 3] and g.adjacency.shape == (3, 3)
+        dense = box_dense(g)
         assert dense[1, 2] == 2 and dense[2, 1] == 2
         assert dense[2, 3] == 1 and dense[3, 2] == 1
         assert dense[1, 3] == 0
 
     def test_consecutive_repeats_make_no_self_edge(self):
         g = build_local_graph(columns_from_records([seq("a", 0, [1, 1, 2])]), n_grids=3)
-        dense = g.adjacency.toarray()
+        dense = box_dense(g)
         assert dense[1, 1] == 0
         assert dense[1, 2] == 1
 
     def test_single_point_trajectory_is_edgeless(self):
         g = build_local_graph(columns_from_records([seq("a", 0, [2])]), n_grids=3)
+        assert g.cells.tolist() == [2] and g.adjacency.shape == (1, 1)
         assert g.adjacency.nnz == 0
 
     def test_matches_brute_force_on_random_inputs(self):
@@ -87,9 +98,16 @@ class TestLocalGraph:
         ]
         sequences = [seq(f"u{i}", 0, g) for i, g in enumerate(grid_lists)]
         g = build_local_graph(columns_from_records(sequences), n_grids)
-        np.testing.assert_array_equal(
-            g.adjacency.toarray(), local_oracle(grid_lists, n_grids)
-        )
+        assert g.cells.tolist() == sorted({c for grids in grid_lists for c in grids})
+        np.testing.assert_array_equal(box_dense(g), local_oracle(grid_lists, n_grids))
+
+    def test_far_apart_cells_allocate_nothing_box_sized(self):
+        """Two cells 10**17 ids apart: a graph with one node per box cell
+        could not be allocated."""
+        far = 10**17
+        g = build_local_graph(columns_from_records([seq("a", 0, [3, far, 3])]), far + 1)
+        assert g.n_grids == far + 1 and g.cells.tolist() == [3, far]
+        np.testing.assert_array_equal(g.adjacency.toarray(), [[0, 1], [1, 0]])
 
     def test_symmetric_zero_diagonal(self):
         g = build_local_graph(columns_from_records([seq("a", 0, [0, 1, 2, 0])]), n_grids=4)
@@ -178,6 +196,18 @@ class TestGlobalGraph:
         dense = g.adjacency.toarray()
         assert dense[2, :3].sum() == 0  # no trajectory neighbors
         assert dense[2].sum() == dense[2, 3 + g.user_ids.index("uc")]
+
+    def test_far_apart_cells_allocate_nothing_box_sized(self):
+        """Features keep their bounding-box columns; no product forms an
+        array as long as the box."""
+        far = 10**17
+        sequences = [seq("a", 0, [3, far]), seq("b", 0, [far]), seq("c", 0, [5])]
+        inc = build_grid_incidence(columns_from_records(sequences), far + 1)
+        g = labelled_graph(inc, [s.traj_id for s in sequences], {0: "ua", 1: "ua"})
+        assert g.features.shape == (4, far + 1)
+        assert g.features.indices.tolist() == [3, far, far, 5, 3, far]
+        assert g.adjacency.toarray().tolist() == [[0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 0, 0],
+                                                  [1, 1, 0, 0]]
 
     def test_symmetry_and_zero_diagonal(self):
         g, _ = self._graph([[0, 1], [1, 2], [0, 2]], labels={0: "ua", 1: "ub"})
@@ -307,6 +337,7 @@ class TestSerialization:
         save_local_graph(g, p1)
         loaded = load_local_graph(p1)
         assert loaded.n_grids == g.n_grids
+        assert loaded.cells.dtype == np.int64 and np.array_equal(loaded.cells, g.cells)
         np.testing.assert_array_equal(loaded.adjacency.toarray(), g.adjacency.toarray())
         save_local_graph(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -326,11 +357,72 @@ class TestSerialization:
         g = self._local()
         save_local_graph(g, tmp_path / "g.txt")
         text = (tmp_path / "g.txt").read_text().splitlines()
-        assert text[1] == "kind local"
-        assert text[2] == f"nodes {g.n_grids}"
-        assert text[3] == f"edges {g.n_edges}"
-        assert text[4] == f"max_weight {g.max_weight}"
-        assert text[5] == "symmetric 1"
+        assert text[0] == "tulink-graph 2"
+        assert text[1] == "sha256 " + hashlib.sha256(
+            (tmp_path / "g.txt").read_bytes().split(b"\n", 2)[2]).hexdigest()
+        assert text[2] == "kind local"
+        assert text[3] == f"n_grids {g.n_grids}"
+        assert text[4] == f"nodes {len(g.cells)}"
+        assert text[5] == f"edges {g.n_edges}"
+        assert text[6] == f"max_weight {g.max_weight}"
+        assert text[7 : 8 + len(g.cells)] == [f"roster {len(g.cells)}", *map(str, g.cells)]
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_each_edge_is_listed_once_above_the_diagonal(self, tmp_path, kind):
+        graph, save = {"local": (self._local(), save_local_graph),
+                       "global": (self._global(), save_global_graph)}[kind]
+        save(graph, tmp_path / "g.txt")
+        lines = (tmp_path / "g.txt").read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("matrix adjacency "))
+        assert int(lines[i].split()[-1]) == graph.n_edges > 0
+        entries = [tuple(map(int, l.split())) for l in lines[i + 1 : i + 1 + graph.n_edges]]
+        assert entries == sorted(entries) and all(r < c for r, c, _ in entries)
+        upper = sp.triu(graph.adjacency, k=1).tocoo()
+        assert sorted(entries) == sorted(zip(upper.row.tolist(), upper.col.tolist(),
+                                             upper.data.tolist()))
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_changed_byte_fails_the_checksum(self, tmp_path, kind):
+        """A weight edited in place still parses as a valid graph, so only
+        the checksum can tell."""
+        graph, save, load = {
+            "local": (self._local(), save_local_graph, load_local_graph),
+            "global": (self._global(), save_global_graph, load_global_graph),
+        }[kind]
+        path = tmp_path / "g.txt"
+        save(graph, path)
+        text = path.read_text()
+        at = text.index("matrix adjacency ")
+        at = text.index("\n", text.index("\n", at) + 1) - 1  # the first edge's weight
+        path.write_text(text[:at] + str(int(text[at]) % 9 + 1) + text[at + 1:])
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))} .*checksum.*'build-graphs'"):
+            load(path)
+        rewrite_graph(path, lambda lines: lines)
+        load(path)
+
+    def test_version_1_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "g.txt"
+        save_local_graph(self._local(), path)
+        path.write_bytes(b"tulink-graph 1\n" + path.read_bytes().split(b"\n", 2)[2])
+        with pytest.raises(DataError, match="not a version-2 graph file"):
+            load_local_graph(path)
+
+    @pytest.mark.parametrize("roster, words", [
+        (["5", "3"], "ascending"), (["3", "3"], "ascending"), (["-1", "3"], "ascending"),
+        (["3", "12"], "below n_grids 12"), (["3", "x"], "invalid literal"),
+        (["3", str(2**64)], "too large")])
+    def test_local_roster_is_ascending_cells_of_the_box(self, tmp_path, roster, words):
+        path = tmp_path / "g.txt"
+        graph = build_local_graph(columns_from_records([seq("a", 0, [3, 7])]), 12)
+        save_local_graph(graph, path)
+
+        def edit(lines):
+            at = lines.index("roster 2\n") + 1
+            lines[at : at + 2] = [f"{cell}\n" for cell in roster]
+            return lines
+        rewrite_graph(path, edit)
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))} .*{words}"):
+            load_local_graph(path)
 
     @pytest.mark.parametrize("kind", ["local", "global"])
     def test_every_cut_is_a_data_error(self, tmp_path, kind):
@@ -351,19 +443,22 @@ class TestSerialization:
     def test_corrupt_entry_is_a_data_error(self, tmp_path):
         path = tmp_path / "g.txt"
         save_global_graph(self._global(), path)
-        lines = path.read_text().splitlines(keepends=True)
-        first_entry = next(i for i, l in enumerate(lines) if l.startswith("matrix")) + 1
-        lines[first_entry] = "0 x 1\n"
-        path.write_text("".join(lines))
-        with pytest.raises(DataError, match="cannot parse"):
+
+        def edit(lines):
+            first_entry = next(i for i, l in enumerate(lines) if l.startswith("matrix")) + 1
+            lines[first_entry] = "0 x 1\n"
+            return lines
+        rewrite_graph(path, edit)
+        with pytest.raises(DataError, match="cannot parse.*could not convert"):
             load_global_graph(path)
 
     @pytest.mark.parametrize("kind, corruption", [
         (kind, name) for kind in ("local", "global") for name, (section, _, _)
         in GRAPH_CORRUPTIONS.items() if kind == "global" or section == "adjacency"])
     def test_malformed_section_is_a_data_error(self, tmp_path, kind, corruption):
-        """An adjacency that is not symmetric, a weight that is not positive, a
-        self-loop or a feature entry other than 1 names the file and the stage."""
+        """An adjacency entry below the diagonal, on it, out of order or
+        repeated, a weight that is not positive or a feature entry other than
+        1 names the file and the stage."""
         section, edit, words = GRAPH_CORRUPTIONS[corruption]
         graph, save, load = {
             "local": (self._local(), save_local_graph, load_local_graph),
@@ -379,8 +474,12 @@ class TestSerialization:
     def test_roster_must_fit_the_header(self, tmp_path):
         path, g = tmp_path / "g.txt", self._global()
         save_global_graph(g, path)
-        text = path.read_text().replace(f"roster {g.n_nodes}\n", f"roster {g.n_nodes - 1}\n")
-        path.write_text(text.replace(f"\n{g.user_ids[-1]}\n", "\n", 1))
+
+        def edit(lines):
+            lines[lines.index(f"roster {g.n_nodes}\n")] = f"roster {g.n_nodes - 1}\n"
+            lines.remove(f"{g.user_ids[-1]}\n")
+            return lines
+        rewrite_graph(path, edit)
         with pytest.raises(DataError, match="roster lists"):
             load_global_graph(path)
 

@@ -74,8 +74,9 @@ def test_line_order_changes_no_artifact(in_file_order, tmp_path_factory, shuffle
 def with_ids(artifacts, users=None, interval=0):
     """The artifacts with every user id u read as ``users[u]`` and every
     trajectory id's interval moved by ``interval``: sequences.jsonl,
-    splits.json and manifest.json parsed, and the global graph's roster and
-    the first two columns of embeddings.tsv rewritten. model_inputs.bin is
+    splits.json and manifest.json parsed, the global graph's roster and the
+    first two columns of embeddings.tsv rewritten, and the global graph's
+    checksum line dropped. model_inputs.bin is
     left out: it holds the ids and the sha256 of files that hold the ids."""
     users = users or {}
 
@@ -100,6 +101,7 @@ def with_ids(artifacts, users=None, interval=0):
     n = int(lines[r - 1].split()[1])
     lines[r : r + n] = [*map(traj, lines[r : r + n_traj]),
                         *(users.get(u, u) for u in lines[r + n_traj : r + n])]
+    del lines[1]  # the checksum, over the ids too
     out["embeddings.tsv"] = [[traj(tid), users.get(user, user), *values] for tid, user, *values
                              in (line.split("\t") for line in
                                  artifacts["embeddings.tsv"].decode().splitlines())]

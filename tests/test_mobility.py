@@ -709,11 +709,13 @@ class TestColumnsMatchPointObjects:
         assert list(sequences) == records
         split = chronological_split(sequences)
         assert split.named(sequences.traj_ids) == oracles.chronological_split_oracle(records)
-        if n_grids > 10_000:  # the graphs hold arrays of n_grids entries
+        if n_grids > 10_000:  # the oracles hold arrays of n_grids entries
             return
         local = build_local_graph(sequences, n_grids)
         incidence = build_grid_incidence(sequences, n_grids)
-        assert_same(local.adjacency, oracles.build_local_graph_oracle(records, n_grids))
+        assert_same(local.cells, np.unique(np.concatenate([s.grid for s in records])))
+        assert_same(oracles.bounding_box_adjacency(local),
+                    oracles.build_local_graph_oracle(records, n_grids))
         assert_same(incidence, oracles.build_grid_incidence_oracle(records, n_grids))
         global_g = build_global_graph(incidence, sequences.traj_ids, sequences.roster,
                                       split.train, sequences.user[split.train])

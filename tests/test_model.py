@@ -21,6 +21,8 @@ from tulink.model import (
     ABLATIONS,
     ModelConfig,
     ModelParams,
+    _xavier,
+    _xavier_rows,
     build_model_inputs,
     encode_graphs,
     encode_locations,
@@ -835,6 +837,41 @@ class TestVisitedGridRows:
             w = oracle[name].values[dropped]
             l2_only = cfg.lambda_l2 * w if name in active else np.zeros_like(w)
             np.testing.assert_array_equal(ref_grads[name][dropped], l2_only, err_msg=name)
+
+
+class TestFirstLayerDraw:
+    """The first GCN layers draw only their visited rows of a bounding-box
+    Xavier matrix, skipping the others with ``bit_generator.advance``."""
+
+    def test_parameters_draw_from_pcg64(self):
+        """Each value of the skipped rows is one 64-bit output of PCG64;
+        another bit generator would need its own proof."""
+        assert type(seeded_rng(7, "init").bit_generator) is np.random.PCG64
+
+    @pytest.mark.parametrize("kept", [
+        [], [0], [39], [0, 1, 2], [37, 38, 39], [3, 4, 9, 20, 21, 22, 39], list(range(40)),
+        sorted(np.random.default_rng(4).choice(40, 17, replace=False).tolist())])
+    def test_rows_and_stream_equal_the_whole_draw(self, kept):
+        kept = np.array(kept, dtype=np.int64)
+        whole, visited = seeded_rng(7, "init"), seeded_rng(7, "init")
+        expected = _xavier(whole, 40, 8)[kept]
+        got = _xavier_rows(visited, 40, 8, kept)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert visited.bit_generator.state == whole.bit_generator.state
+        assert visited.random(16).tobytes() == whole.random(16).tobytes()
+
+    def test_huge_box_draws_only_its_visited_rows(self):
+        """A box of 10**15 cells: the whole draw could not be held, and the
+        stream still ends where it would."""
+        rng, ref = seeded_rng(7, "init"), seeded_rng(7, "init")
+        got = _xavier_rows(rng, 10**15, 8, np.array([5, 10**14]))
+        limit = np.sqrt(6.0 / (10**15 + 8))
+        ref.bit_generator.advance(5 * 8)
+        assert got[0].tobytes() == ref.uniform(-limit, limit, 8).tobytes()
+        ref.bit_generator.advance((10**14 - 6) * 8)
+        assert got[1].tobytes() == ref.uniform(-limit, limit, 8).tobytes()
+        ref.bit_generator.advance((10**15 - 10**14 - 1) * 8)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestBuildModelInputs:
