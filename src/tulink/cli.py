@@ -9,10 +9,10 @@ and training settings, the time-of-day window length included; evaluate
 and embed read only the output directory, and take the model, windows
 included, from the header of the checkpoint. Stage outputs land under the
 configured output directory and later stages refuse to run until their
-inputs exist. Train saves the model inputs it built, with the sha256 of each
-file it built them from; evaluate and embed load them while every file
-still has those bytes, and refuse to run on files changed since. Exit
-codes: 0 success, 1 usage error, 2 data error.
+inputs exist. Train saves the model with the inputs it built and the sha256
+of each file it built them from, all in one checkpoint; evaluate and embed
+load it while every file still has those bytes, and refuse to run on files
+changed since. Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -34,16 +34,8 @@ from . import metrics as M
 from . import mobility as mob
 from .config import FIELD_TYPES, RunConfig, resolve_config
 from .errors import ConfigError, DataError, TrainingError
-from .model import (build_model_inputs, fused_representations, load_model_inputs,
-                    save_model_inputs)
-from .train import (
-    evaluate_on_split,
-    evaluate_rows,
-    load_checkpoint,
-    save_checkpoint,
-    save_history,
-    train,
-)
+from .model import build_model_inputs, fused_representations, load_checkpoint, save_checkpoint
+from .train import evaluate_on_split, evaluate_rows, save_history, train
 
 
 @dataclass
@@ -59,7 +51,6 @@ class StagePaths:
         self.local_graph = self.root / "local_graph.txt"
         self.global_graph = self.root / "global_graph.txt"
         self.checkpoint = self.root / "checkpoint.bin"
-        self.model_inputs = self.root / "model_inputs.bin"
         self.history = self.root / "history.tsv"
         self.metrics = self.root / "metrics.txt"
         self.embeddings = self.root / "embeddings.tsv"
@@ -204,8 +195,7 @@ def run_train(cfg: RunConfig) -> dict:
         raise DataError(f"{paths.splits.name} has an empty validation split: validation "
                         "needs a user with at least 3 sub-trajectories")
     result = train(inputs, split, model_config, train_config)
-    save_checkpoint(result.params, paths.checkpoint)
-    save_model_inputs(inputs, split, sources, paths.model_inputs)
+    save_checkpoint(result.params, inputs, split, sources, paths.checkpoint)
     save_history(result.history, paths.history)
     return {
         "epochs": len(result.history),
@@ -216,16 +206,15 @@ def run_train(cfg: RunConfig) -> dict:
 
 def _restore(paths: StagePaths):
     """The checkpoint's model, whose header gives every setting, with the
-    inputs and split it runs on: those the train stage saved, while every
-    file they were built from keeps the bytes train read."""
+    inputs and split it runs on, which the train stage saved with it, while
+    every file they were built from keeps the bytes train read."""
     sources = _sources(paths)
-    inputs, split, built_from = load_model_inputs(_require(paths.model_inputs, "train"))
+    params, inputs, split, built_from = load_checkpoint(_require(paths.checkpoint, "train"))
     changed = [name for name, digest in sources.items() if built_from.get(name) != digest]
     if changed:
         _load_model_inputs(paths)  # a malformed file names itself and the stage writing it
-        raise DataError(f"{', '.join(changed)} changed since the 'train' stage built "
-                        f"{paths.model_inputs.name}; rerun the 'train' stage")
-    params = load_checkpoint(_require(paths.checkpoint, "train"), inputs)
+        raise DataError(f"{', '.join(changed)} changed since the 'train' stage wrote "
+                        f"{paths.checkpoint.name}; rerun the 'train' stage")
     return params, inputs, split
 
 
@@ -291,11 +280,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return resolve_config(args.config, overrides)
 
 
+@functools.cache
 def _keep_freed_memory() -> None:
     """Fix glibc's malloc thresholds: blocks up to 4 MB come from the heap and
     up to 32 MB of freed heap is kept. Under its adaptive defaults a training
     step's arrays of a few hundred KB can fault their pages in again on every
-    use (see README). Without glibc this does nothing."""
+    use (see README). Without glibc this does nothing. A process-wide
+    setting, so it runs once per process."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -304,11 +295,13 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
 
 
+@functools.cache
 def _pin_blas_threads() -> None:
     """Run numpy's bundled OpenBLAS on one thread. How a product is split
     over threads changes its sums in the last bits, so without the pin the
     outputs would follow the host's CPU count (see README). Where numpy
-    bundles no such library this does nothing."""
+    bundles no such library this does nothing. A process-wide setting, so it
+    runs once per process."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so*")):
         try:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -116,32 +116,45 @@ def _xavier_rows(rng: np.random.Generator, rows: int, cols: int,
 class ModelParams:
     """All learnable tensors, plus the fixed position table.
 
-    Tensors live in a single insertion-ordered dict so initialization,
-    checkpoints and the optimizer all walk them in one deterministic order.
-    Each views its slice of two flat arenas, ``values`` and ``grad``, which
-    whole-model updates write in place; nothing rebinds a tensor's arrays.
-    The first GCN layers hold one row per visited grid: ``grid_rows`` are
-    those grids' ascending ids among the ``n_grids`` bounding-box cells.
+    Tensors live in a single insertion-ordered dict, in ``parameter_shapes``
+    order, so initialization, checkpoints and the optimizer all walk them in
+    one deterministic order. Each views its slice of two flat arenas,
+    ``values`` and ``grad``, which whole-model updates write in place;
+    nothing rebinds a tensor's arrays. The first GCN layers hold one row per
+    visited grid, ``n_rows`` of them.
     """
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        n_grids: int,
-        grid_rows: np.ndarray,
-        n_users: int,
-        max_seq_len: int,
-        rng: np.random.Generator | None,
-    ):
-        """Without ``rng`` every value is zero, for a checkpoint's to replace."""
+    def __init__(self, config: ModelConfig, values: np.ndarray, n_rows: int, n_users: int,
+                 max_seq_len: int):
+        """The parameters whose values are the flat arena ``values``."""
         config.validate()
         self.config = config
+        self.values = values
+        self.grad = np.zeros_like(values)
+        shapes = list(parameter_shapes(config, n_rows, n_users))
+        cuts = np.cumsum([math.prod(shape) for _, shape in shapes])
+        if values.shape != (cuts[-1],):
+            raise ValueError(f"an arena of shape {values.shape} for {cuts[-1]} parameter values")
+        self.tensors = {
+            name: Tensor(v.reshape(shape), requires_grad=True, grad=g.reshape(shape))
+            for (name, shape), v, g in zip(shapes, np.split(values, cuts[:-1]),
+                                           np.split(self.grad, cuts[:-1]))
+        }
+        self.pos_encoding = positional_encoding(max(max_seq_len, 1), config.embed_dim)
+
+    @classmethod
+    def drawn(cls, config: ModelConfig, n_grids: int, grid_rows: np.ndarray, n_users: int,
+              max_seq_len: int, rng: np.random.Generator) -> "ModelParams":
+        """Freshly initialized parameters: Xavier weights, zero biases and
+        unit layer-norm gains. ``grid_rows`` are the visited grids' ascending
+        ids among the ``n_grids`` bounding-box cells."""
+        config.validate()
         d = config.embed_dim
         dh = d // config.heads
         shapes = dict(parameter_shapes(config, len(grid_rows), n_users))
-        draws = {name: np.zeros(shape) for name, shape in shapes.items()} if rng is None else {}
+        draws = {}
         for name, shape in shapes.items():
-            if name in draws:  # k and v come with their q; everything without rng
+            if name in draws:  # k and v come with their q
                 continue
             if len(shape) == 1:
                 draws[name] = np.full(shape, 1.0 if name.endswith("_ln_gain") else 0.0)
@@ -157,24 +170,16 @@ class ModelParams:
                     draws[name[:-1] + kind] = np.hstack([head[j] for head in heads])
             else:
                 draws[name] = _xavier(rng, *shape)
-
-        self.values = np.concatenate([a.ravel() for a in draws.values()])
-        self.grad = np.zeros_like(self.values)
-        cuts = np.cumsum([a.size for a in draws.values()])[:-1]
-        self.tensors = {
-            name: Tensor(v.reshape(a.shape), requires_grad=True, grad=g.reshape(a.shape))
-            for (name, a), v, g in zip(draws.items(), np.split(self.values, cuts),
-                                       np.split(self.grad, cuts))
-        }
-
-        self.pos_encoding = positional_encoding(max(max_seq_len, 1), d)
+        return cls(config, np.concatenate([draws[name].ravel() for name in shapes]),
+                   len(grid_rows), n_users, max_seq_len)
 
     @classmethod
     def for_inputs(cls, config: ModelConfig, inputs: "ModelInputs",
-                   rng: np.random.Generator | None) -> "ModelParams":
-        """Parameters sized for ``inputs``' grids, users and sequence length."""
-        return cls(config, n_grids=inputs.n_grids, grid_rows=inputs.grid_rows,
-                   n_users=inputs.n_users, max_seq_len=inputs.max_seq_len, rng=rng)
+                   rng: np.random.Generator) -> "ModelParams":
+        """Freshly initialized parameters sized for ``inputs``' grids, users
+        and sequence length."""
+        return cls.drawn(config, inputs.n_grids, inputs.grid_rows, inputs.n_users,
+                         inputs.max_seq_len, rng)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -215,11 +220,6 @@ class ModelParams:
             if self.tensors[n].values.ndim == 2
         ]
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        check_records(values, ((name, t.values.shape) for name, t in self.items()))
-        for name, t in self.tensors.items():
-            t.values[...] = values[name]
-
 
 def parameter_shapes(config: ModelConfig, n_rows: int,
                      n_users: int) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -237,24 +237,6 @@ def parameter_shapes(config: ModelConfig, n_rows: int,
         for part in ("q", "k", "v", "out_w", "out_b", "ln_gain", "ln_bias"):
             yield f"attn{layer}_{part}", (d, d) if part in ("q", "k", "v", "out_w") else (d,)
     yield from [("link_w", (n_users, 2 * d)), ("link_b", (n_users,))]
-
-
-def check_records(values: dict[str, np.ndarray],
-                  shapes: Iterable[tuple[str, tuple[int, ...]]]) -> None:
-    """DataError unless ``values`` holds exactly the named parameters, each of
-    its shape. Stops at the first that is missing, so a lazy ``shapes`` naming
-    a billion layers is never built."""
-    names = set()
-    for name, shape in shapes:
-        if name not in values:
-            raise DataError(f"checkpoint is missing parameter {name!r}")
-        if values[name].shape != shape:
-            raise DataError(f"checkpoint shape {values[name].shape} for {name!r} "
-                            f"does not match model shape {shape}")
-        names.add(name)
-    extra = sorted(set(values) - names)
-    if extra:
-        raise DataError(f"checkpoint holds parameters the model lacks: {extra}")
 
 
 @dataclass
@@ -364,18 +346,19 @@ def build_model_inputs(
     )
 
 
-_INPUTS_MAGIC = b"TLNKINP1\n"
-_CHECKSUM_END = len(_INPUTS_MAGIC) + 65  # the hex sha256 and its newline
-# A model-inputs file's arrays, in file order: each CSR matrix as its data,
-# indices and indptr, then the dense arrays, then the split's parts.
+_MAGIC = b"TLNKCKP1\n"
+_CHECKSUM_END = len(_MAGIC) + 65  # the hex sha256 and its newline
+# A checkpoint's records after the parameter arena, in file order: each CSR
+# matrix as its data, indices and indptr, then the dense arrays, then the
+# split's parts.
 _CSR_FIELDS = ("m_local", "m_global", "x_global")
 _ARRAY_FIELDS = ("traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels",
                  "grid_rows")
 
 
 def _checksum(fh) -> bytes:
-    """The checksum line of an open model-inputs file: the hex sha256 of
-    everything after it. Read in blocks, so no copy of the file is held."""
+    """The checksum line of an open checkpoint: the hex sha256 of everything
+    after it. Read in blocks, so no copy of the file is held."""
     fh.seek(_CHECKSUM_END)
     digest = hashlib.sha256()
     for block in iter(lambda: fh.read(1 << 16), b""):
@@ -383,56 +366,159 @@ def _checksum(fh) -> bytes:
     return digest.hexdigest().encode("ascii") + b"\n"
 
 
-def save_model_inputs(inputs: ModelInputs, split: DatasetSplit, sources: dict[str, str],
-                      path: str | Path) -> None:
-    """The model inputs and split, with ``sources`` (the sha256 of each file
-    they were built from, by name), in deterministic bytes: the magic line,
-    the checksum line, a sorted-key JSON header line (sources, ids, scalars,
-    matrix shapes), then one ``.npy`` record per array in a fixed order."""
-    header = {"sources": sources, "traj_ids": inputs.traj_ids, "user_ids": inputs.user_ids,
+def save_checkpoint(params: ModelParams, inputs: ModelInputs, split: DatasetSplit,
+                    sources: dict[str, str], path: str | Path) -> None:
+    """Everything evaluate and embed run on, with ``sources`` (the sha256 of
+    each file the inputs were built from, by name), in deterministic bytes:
+    the magic line, the checksum line, a sorted-key JSON header line (the
+    model settings, each parameter's name and shape, the sources, ids,
+    scalars and matrix shapes), then one ``.npy`` record for the parameter
+    arena and one per input array and split part, in a fixed order."""
+    header = {"model": asdict(params.config),
+              "parameters": [[name, t.values.shape] for name, t in params.items()],
+              "sources": sources, "traj_ids": inputs.traj_ids, "user_ids": inputs.user_ids,
               "n_grids": inputs.n_grids, "max_seq_len": inputs.max_seq_len,
               "shapes": {name: getattr(inputs, name).shape for name in _CSR_FIELDS}}
-    arrays = [getattr(getattr(inputs, name), part) for name in _CSR_FIELDS
-              for part in ("data", "indices", "indptr")]
+    arrays = [params.values]
+    arrays += [getattr(getattr(inputs, name), part) for name in _CSR_FIELDS
+               for part in ("data", "indices", "indptr")]
     arrays += [getattr(inputs, name) for name in _ARRAY_FIELDS]
     arrays += [getattr(split, f.name) for f in fields(split)]
     with Path(path).open("w+b") as fh:
-        fh.write(_INPUTS_MAGIC + bytes(_CHECKSUM_END - len(_INPUTS_MAGIC)))  # filled in last
+        fh.write(_MAGIC + bytes(_CHECKSUM_END - len(_MAGIC)))  # filled in last
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
         for array in arrays:
             np.lib.format.write_array(fh, array, allow_pickle=False)
         checksum = _checksum(fh)
-        fh.seek(len(_INPUTS_MAGIC))
+        fh.seek(len(_MAGIC))
         fh.write(checksum)
 
 
-def load_model_inputs(path: str | Path) -> tuple[ModelInputs, DatasetSplit, dict[str, str]]:
-    """What ``save_model_inputs`` wrote: (inputs, split, sources). A foreign
-    file, or one whose checksum does not match (a cut or a changed byte
-    anywhere), raises DataError naming it and the train stage."""
+def _header_config(header, path: str | Path) -> ModelConfig:
+    """The ModelConfig a checkpoint header holds: exactly its fields, each of
+    its exact type (an int is no bool), with valid values."""
+    types = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(ModelConfig)}
+    try:
+        if type(header) is not dict:
+            raise ConfigError("not a JSON object")
+        for key in sorted(header.keys() | types.keys()):
+            if type(header.get(key)) is not types.get(key):
+                raise ConfigError(f"no {key}" if key not in header else f"unknown {key!r}"
+                                  if key not in types else
+                                  f"{key} {header[key]!r} is not {types[key].__name__}")
+        config = ModelConfig(**header)
+        config.validate()
+    except ConfigError as exc:
+        raise DataError(f"{path} has an invalid model header ({exc}); "
+                        "rerun the 'train' stage") from None
+    return config
+
+
+def _check_parameters(listed: list, expected: Iterable[tuple[str, tuple[int, ...]]],
+                      path: str | Path) -> None:
+    """DataError unless the header's ``listed`` [name, shape] pairs are
+    ``expected``, in its order. Stops at the first expected parameter that is
+    missing, so a lazy ``expected`` naming a billion layers is never built."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, shape in listed:
+        if name in shapes:
+            raise DataError(f"{path} holds parameter {name!r} twice; rerun the 'train' stage")
+        shapes[name] = tuple(shape)
+    names = []
+    for name, shape in expected:
+        if name not in shapes:
+            problem = f"is missing parameter {name!r}"
+        elif shapes[name] != shape:
+            problem = f"shape {shapes[name]} for {name!r} does not match model shape {shape}"
+        else:
+            names.append(name)
+            continue
+        raise DataError(f"{path}: checkpoint {problem}; rerun the 'train' stage")
+    extra = sorted(shapes.keys() - set(names))
+    if extra:
+        raise DataError(f"{path}: checkpoint holds parameters the model lacks: {extra}; "
+                        "rerun the 'train' stage")
+    if [name for name, _ in listed] != names:
+        raise DataError(f"{path} lists its parameters out of order; rerun the 'train' stage")
+
+
+def _read_record(fh, path: str | Path, size: int) -> np.ndarray:
+    """The next ``.npy`` record of an open checkpoint of ``size`` bytes. Its
+    declared shape is checked against the bytes left before anything is
+    allocated, so a corrupt shape cannot request a huge array."""
+    version = np.lib.format.read_magic(fh)
+    if version != (1, 0):
+        raise ValueError(f"a .npy record of format version {version}")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    if min(shape, default=0) < 0:
+        raise DataError(f"{path} holds a record with a negative dimension {shape}; "
+                        "rerun the 'train' stage")
+    count = math.prod(shape)
+    left = size - fh.tell()
+    if dtype.hasobject or fortran_order or count * dtype.itemsize > left:
+        raise DataError(f"{path} holds a record of shape {shape} and type {dtype} in "
+                        f"{left} bytes; rerun the 'train' stage")
+    return np.fromfile(fh, dtype, count).reshape(shape)
+
+
+def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, DatasetSplit,
+                                                  dict[str, str]]:
+    """What ``save_checkpoint`` wrote: (params, inputs, split, sources), the
+    parameters viewing the arena read from the file. A foreign or older
+    file, one whose checksum does not match (a cut or a changed byte
+    anywhere), a header or a parameter list that does not fit the model
+    (found before any array is read), a record larger than the bytes left
+    or a non-finite value raises DataError naming the file and the train
+    stage."""
+    size = Path(path).stat().st_size
     with Path(path).open("rb") as fh:
-        if fh.read(len(_INPUTS_MAGIC)) != _INPUTS_MAGIC:
-            raise DataError(f"{path} is not a tulink model-inputs file; "
-                            "rerun the 'train' stage")
-        stored = fh.read(_CHECKSUM_END - len(_INPUTS_MAGIC))
-        if stored != _checksum(fh):
-            raise DataError(f"{path} does not match its checksum, so it is cut or corrupt; "
-                            "rerun the 'train' stage")
+        magic = fh.read(len(_MAGIC))
+        if magic != _MAGIC:
+            raise DataError(f"{path} was written by an earlier version of tulink; rerun the "
+                            "'train' stage" if magic.startswith(b"TLNK") else
+                            f"{path} is not a tulink checkpoint; rerun the 'train' stage")
+        if fh.read(_CHECKSUM_END - len(_MAGIC)) != _checksum(fh):
+            raise DataError(f"{path} does not match its checksum, so it is truncated or "
+                            "corrupt; rerun the 'train' stage")
         fh.seek(_CHECKSUM_END)
         with reading(path, "train"):
             header = json.loads(fh.readline())
+            config = _header_config(header["model"], path)
+            n_rows, n_users = header["shapes"]["m_local"][0], len(header["user_ids"])
+            _check_parameters(header["parameters"], parameter_shapes(config, n_rows, n_users),
+                              path)
 
             def read() -> np.ndarray:
-                return np.lib.format.read_array(fh, allow_pickle=False)
+                return _read_record(fh, path, size)
 
+            values = read()
+            if values.dtype != np.float64:
+                raise DataError(f"{path} holds a parameter arena of type {values.dtype}; "
+                                "rerun the 'train' stage")
             csr = {name: sp.csr_matrix((read(), read(), read()),
                                        shape=tuple(header["shapes"][name]))
                    for name in _CSR_FIELDS}
             inputs = ModelInputs(**csr, **{name: read() for name in _ARRAY_FIELDS},
                                  traj_ids=header["traj_ids"], user_ids=header["user_ids"],
                                  n_grids=header["n_grids"], max_seq_len=header["max_seq_len"])
+            # The position table is max_seq_len rows: bounded by the file only
+            # through the padded sequence arrays, one row per trajectory.
+            if not inputs.n_traj or inputs.grid_idx.shape != (inputs.n_traj,
+                                                                inputs.max_seq_len):
+                raise DataError(f"{path} holds sequences of shape {inputs.grid_idx.shape} for "
+                                f"{inputs.n_traj} trajectories of at most "
+                                f"{inputs.max_seq_len} points; rerun the 'train' stage")
+            params = ModelParams(config, values, n_rows, n_users, inputs.max_seq_len)
             split = DatasetSplit(*(read() for _ in fields(DatasetSplit)))
-    return inputs, split, header["sources"]
+            sources = dict(header["sources"])
+        if fh.tell() != size:
+            raise DataError(f"{path} holds {size - fh.tell()} bytes after its last record; "
+                            "rerun the 'train' stage")
+    if not np.isfinite(params.values).all():
+        name = next(n for n, t in params.items() if not np.isfinite(t.values).all())
+        raise DataError(f"{path}: parameter {name!r} holds a non-finite value; "
+                        "rerun the 'train' stage")
+    return params, inputs, split, sources
 
 
 def gcn_forward(m_norm: sp.csr_matrix, features: sp.csr_matrix | None,

@@ -26,17 +26,12 @@ records.
 
 from __future__ import annotations
 
-import json
-import math
-import struct
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError
 
 LAYER_NORM_EPS = 1e-5
 # Entries per row that sparsemax sorts first; trained score rows over a
@@ -624,78 +619,3 @@ def row_norms(x: Tensor) -> Tensor:
             x.grad[rows] += (out.grad[rows] / safe[rows])[:, None] * x.values[rows]
         _record(backward)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Parameter checkpoints
-# ---------------------------------------------------------------------------
-
-_CKPT_MAGIC = b"TLNKPRM2"
-_CKPT_MAGIC_V1 = b"TLNKPRM1"  # records without a header
-
-
-def save_tensors(path: str | Path, named: Sequence[tuple[str, np.ndarray]],
-                 header: dict) -> None:
-    """Versioned binary checkpoint: a header dict as sorted-key JSON, then
-    (name, shape, row-major float64) records."""
-    meta = json.dumps(header, sort_keys=True).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
-        fh.write(struct.pack("<I", len(named)))
-        for name, values in named:
-            raw = name.encode("utf-8")
-            arr = np.ascontiguousarray(values, dtype="<f8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-            fh.write(arr.tobytes())
-
-
-def load_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint's header and records; a foreign, earlier-version,
-    truncated or overlong file, a header that is not a JSON object, or a
-    file that names a parameter twice raises DataError."""
-    size = Path(path).stat().st_size
-    with Path(path).open("rb") as fh:
-        def read(n: int) -> bytes:  # checked first: a corrupt length must not allocate
-            if not 0 <= n <= size - fh.tell():
-                raise DataError(f"checkpoint {path} is truncated; rerun the 'train' stage")
-            return fh.read(n)
-
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic == _CKPT_MAGIC_V1:
-            raise DataError(f"checkpoint {path} was written by an earlier version of tulink "
-                            "and records no model settings; rerun the 'train' stage")
-        if magic != _CKPT_MAGIC:
-            raise DataError(f"{path} is not a tulink parameter checkpoint; "
-                            "rerun the 'train' stage")
-        (meta_len,) = struct.unpack("<I", read(4))
-        meta = read(meta_len)
-        try:
-            header = json.loads(meta.decode("utf-8"))
-        except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
-            header = None
-        if not isinstance(header, dict):
-            raise DataError(f"checkpoint {path} has a corrupt header; rerun the 'train' stage")
-        (count,) = struct.unpack("<I", read(4))
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", read(2))
-            name = read(name_len).decode("utf-8", "replace")
-            (ndim,) = struct.unpack("<B", read(1))
-            shape = struct.unpack(f"<{ndim}q", read(8 * ndim))
-            if min(shape, default=0) < 0:
-                raise DataError(f"checkpoint {path} holds a negative dimension {shape} for "
-                                f"{name!r}; rerun the 'train' stage")
-            if name in out:
-                raise DataError(f"checkpoint {path} holds parameter {name!r} twice; "
-                                "rerun the 'train' stage")
-            values = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
-            out[name] = values
-        if fh.tell() != size:
-            raise DataError(f"checkpoint {path} holds {size - fh.tell()} bytes after its last "
-                            "record; rerun the 'train' stage")
-    return header, out

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -13,10 +13,10 @@ import numpy as np
 
 from . import metrics as M
 from . import tensor as T
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, TrainingError
 from .mobility import DatasetSplit
-from .model import (ModelConfig, ModelInputs, ModelParams, check_records, encode_graphs,
-                    forward_batch, model_loss, parameter_shapes)
+from .model import (ModelConfig, ModelInputs, ModelParams, encode_graphs, forward_batch,
+                    model_loss)
 
 # Rows per evaluation forward pass. Fewer, larger blocks pay the fixed cost
 # of each pass less often, but each (rows, classes) global-attention
@@ -215,47 +215,3 @@ def save_history(history: Sequence[EpochStats], path: str | Path) -> None:
                 f"{row.epoch}\t{row.mean_train_loss!r}\t{row.val_acc1!r}"
                 f"\t{row.seconds:.3f}\n"
             )
-
-
-def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Every parameter, under a header holding the model settings."""
-    T.save_tensors(path, [(name, t.values) for name, t in params.items()], asdict(params.config))
-
-
-def _header_config(header: dict, path: str | Path) -> ModelConfig:
-    """The ModelConfig a checkpoint header holds: exactly its fields, each of
-    its exact type (an int is no bool), with valid values."""
-    types = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(ModelConfig)}
-    try:
-        for key in sorted(header.keys() | types.keys()):
-            if type(header.get(key)) is not types.get(key):
-                raise ConfigError(f"no {key}" if key not in header else f"unknown {key!r}"
-                                  if key not in types else
-                                  f"{key} {header[key]!r} is not {types[key].__name__}")
-        config = ModelConfig(**header)
-        config.validate()
-    except ConfigError as exc:
-        raise DataError(f"{path} has an invalid model header ({exc}); "
-                        "rerun the 'train' stage") from None
-    return config
-
-
-def load_checkpoint(path: str | Path, inputs: ModelInputs) -> ModelParams:
-    """The model a checkpoint holds, sized for ``inputs``: settings from its
-    header, every parameter from its records. A header or a parameter that
-    does not fit raises DataError before the model is allocated, so a corrupt
-    header cannot size a huge one."""
-    header, values = T.load_tensors(path)
-    config = _header_config(header, path)
-    try:
-        check_records(values, parameter_shapes(config, len(inputs.grid_rows), inputs.n_users))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}; it was written by an earlier version or "
-                        "for other inputs, rerun the 'train' stage") from None
-    params = ModelParams.for_inputs(config, inputs, rng=None)
-    params.load_values(values)
-    if not np.isfinite(params.values).all():
-        name = next(n for n, t in params.items() if not np.isfinite(t.values).all())
-        raise DataError(f"{path}: parameter {name!r} holds a non-finite value; "
-                        "rerun the 'train' stage")
-    return params

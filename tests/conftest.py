@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
+import json
+import math
 import warnings
 
 import numpy as np
@@ -125,6 +128,53 @@ def edit_graph_section(path, section, edit):
     rewrite_graph(path, rewrite)
 
 
+def checkpoint_parts(data):
+    """A checkpoint's magic line, its header dict and its records (arrays),
+    read without any of the loader's checks."""
+    magic, _, body = data.split(b"\n", 2)
+    fh = io.BytesIO(body)
+    header = json.loads(fh.readline())
+    records = []
+    while fh.tell() < len(body):
+        records.append(np.lib.format.read_array(fh, allow_pickle=False))
+    return magic, header, records
+
+
+def rewrite_checkpoint(path, edit):
+    """Rewrite a checkpoint's header and records, and its checksum with them,
+    so that its loader reads the edit itself: ``edit`` takes the header dict
+    and the list of records and changes them in place. A record given as
+    bytes is written as it is."""
+    magic, header, records = checkpoint_parts(path.read_bytes())
+    edit(header, records)
+    fh = io.BytesIO()
+    fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+    for record in records:
+        if isinstance(record, bytes):
+            fh.write(record)
+        else:
+            np.lib.format.write_array(fh, record, allow_pickle=False)
+    body = fh.getvalue()
+    path.write_bytes(b"%s\n%s\n%s" % (magic, hashlib.sha256(body).hexdigest().encode(), body))
+
+
+def npy_record(array, shape):
+    """``array``'s data under a .npy header that declares ``shape``."""
+    fh = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        fh, {"descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False,
+             "shape": shape})
+    return fh.getvalue() + array.tobytes()
+
+
+def parameter_views(header, arena):
+    """Each parameter's view of a checkpoint's arena, by name, as its header
+    lists them."""
+    cuts = np.cumsum([math.prod(shape) for _, shape in header["parameters"]])
+    return {name: values.reshape(shape) for (name, shape), values in
+            zip(header["parameters"], np.split(arena, cuts[:-1]))}
+
+
 def _set_first(weight):
     def edit(entries):
         entries[0][2] = weight
@@ -187,7 +237,7 @@ def toy_model_setup():
     """(params, config, inputs, split) for a 3-user, 9-trajectory scenario."""
     config = small_config()
     inputs, split = inputs_from_sequences(toy_nine_sequences(), n_grids=9)
-    params = ModelParams(
+    params = ModelParams.drawn(
         config,
         n_grids=inputs.n_grids,
         grid_rows=inputs.grid_rows,

@@ -659,10 +659,9 @@ def bounding_box_initial_values(config, n_grids, n_users, rng):
 def bounding_box_params_oracle(config, n_grids, n_users, max_seq_len, rng):
     """ModelParams holding bounding_box_initial_values: one first-layer row
     per bounding-box cell, for bounding_box_inputs_oracle."""
-    params = ModelParams(config, n_grids, np.arange(n_grids), n_users, max_seq_len,
-                         np.random.default_rng(0))
-    params.load_values(bounding_box_initial_values(config, n_grids, n_users, rng))
-    return params
+    values = bounding_box_initial_values(config, n_grids, n_users, rng)
+    return ModelParams(config, np.concatenate([v.ravel() for v in values.values()]), n_grids,
+                       n_users, max_seq_len)
 
 
 # ---------------------------------------------------------------------------

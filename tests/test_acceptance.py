@@ -341,8 +341,8 @@ class TestCriterion2Gradients:
 
         config = small_config()
         inputs, _ = inputs_from_sequences(toy_nine_sequences(), 9)
-        params = ModelParams(config, 9, inputs.grid_rows, inputs.n_users, inputs.max_seq_len,
-                             seeded_rng(123, "init"))
+        params = ModelParams.drawn(config, 9, inputs.grid_rows, inputs.n_users,
+                                   inputs.max_seq_len, seeded_rng(123, "init"))
         batch = np.arange(9)
         targets = inputs.labels[batch]
         worst = 0.0
@@ -552,7 +552,7 @@ class TestCriterion8Determinism:
         identical = [
             "manifest.json", "grid_map.json", "sequences.jsonl", "splits.json",
             "local_graph.txt", "global_graph.txt",
-            "checkpoint.bin", "model_inputs.bin", "metrics.txt", "embeddings.tsv",
+            "checkpoint.bin", "metrics.txt", "embeddings.tsv",
         ]
         for name in identical:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name

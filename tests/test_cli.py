@@ -8,7 +8,6 @@ import json
 import os
 import re
 import shutil
-import struct
 import subprocess
 import sys
 import tempfile
@@ -33,11 +32,11 @@ from tulink.config import FIELD_TYPES, RunConfig, load_config_file, resolve_conf
 from tulink.errors import ConfigError
 from tulink.mobility import DatasetSplit
 from tulink.model import (ABLATIONS, ModelConfig, ModelInputs, fused_representations,
-                          load_model_inputs)
+                          load_checkpoint)
 from tulink.train import TrainConfig, evaluate_on_split, evaluate_rows
-from tulink.tensor import load_tensors, save_tensors
 
-from conftest import GRAPH_CORRUPTIONS, edit_graph_section, rewrite_graph
+from conftest import (GRAPH_CORRUPTIONS, checkpoint_parts, edit_graph_section, npy_record,
+                      parameter_views, rewrite_checkpoint, rewrite_graph)
 from oracles import export_embeddings_oracle
 
 
@@ -283,7 +282,8 @@ def test_empty_ablation_flag_selects_the_full_model(workspace, trained, tmp_path
     shutil.copytree(trained, out)
     for flags, ablation in (((), "tul-g"), (("--ablation", ""), "")):
         assert run(["train", "--config", str(config), "--output", str(out), *flags]) == 0
-        assert load_tensors(out / "checkpoint.bin")[0]["ablation"] == ablation
+        header = checkpoint_parts((out / "checkpoint.bin").read_bytes())[1]
+        assert header["model"]["ablation"] == ablation
     capsys.readouterr()
 
 
@@ -327,13 +327,22 @@ class TestCheckpointErrors:
 
     def test_negative_dimensions(self, workspace, trained, tmp_path, capsys):
         """A record of shape (-r, -c) holds as many values as one of (r, c)."""
-        def negate_first_matrix(path):
-            name, values = next((n, v) for n, v in load_tensors(path)[1].items() if v.ndim == 2)
-            header = name.encode() + struct.pack("<B2q", 2, *values.shape)
-            negated = name.encode() + struct.pack("<B2q", 2, *(-n for n in values.shape))
-            path.write_bytes(path.read_bytes().replace(header, negated, 1))
-        err = self._evaluate(workspace, trained, tmp_path, capsys, negate_first_matrix)
+        def negate_first_matrix(header, records):
+            k, values = next((k, r) for k, r in enumerate(records) if r.ndim == 2)
+            records[k] = npy_record(values, tuple(-n for n in values.shape))
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, negate_first_matrix))
         assert "negative dimension" in err
+
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    def test_record_larger_than_the_file(self, workspace, trained, tmp_path, capsys, stage):
+        """A parameter arena whose header declares 10**11 values (745 GiB),
+        under a renewed checksum, exits before anything is allocated."""
+        def enlarge_arena(header, records):
+            records[0] = npy_record(records[0], (10 ** 11,))
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, enlarge_arena), stage=stage)
+        assert "(100000000000,)" in err
 
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
     @pytest.mark.parametrize("run_dir, flags", [
@@ -383,11 +392,9 @@ class TestCheckpointErrors:
             "unknown-ablation", "no-whole-window"])
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
     def test_invalid_header(self, workspace, trained, tmp_path, capsys, stage, change):
-        def rewrite_header(path):
-            header, tensors = load_tensors(path)
-            change(header)
-            save_tensors(path, tensors.items(), header)
-        err = self._evaluate(workspace, trained, tmp_path, capsys, rewrite_header, stage=stage)
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, lambda h, _: change(h["model"])),
+                             stage=stage)
         assert "invalid model header" in err
 
     @pytest.mark.parametrize("setting, value, record", [
@@ -397,11 +404,10 @@ class TestCheckpointErrors:
                                                       setting, value, record):
         """A header that would size a huge model exits at the first record
         that does not fit it, before anything is drawn or allocated."""
-        def enlarge(path):
-            header, tensors = load_tensors(path)
-            header[setting] = value
-            save_tensors(path, tensors.items(), header)
-        err = self._evaluate(workspace, trained, tmp_path, capsys, enlarge)
+        def enlarge(header, records):
+            header["model"][setting] = value
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, enlarge))
         assert repr(record) in err
 
     @pytest.mark.parametrize("window", ["600", "3600", "86400"])
@@ -421,28 +427,34 @@ class TestCheckpointErrors:
         for name in ("checkpoint.bin", "metrics.txt", "embeddings.tsv"):
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
-    def test_checkpoint_of_an_earlier_version(self, workspace, trained, tmp_path, capsys):
-        def drop_header(path):
-            raw = path.read_bytes()
-            (meta_len,) = struct.unpack("<I", raw[8:12])
-            path.write_bytes(b"TLNKPRM1" + raw[12 + meta_len:])
-        err = self._evaluate(workspace, trained, tmp_path, capsys, drop_header)
+    # The parameter records of earlier versions with and without model
+    # settings, and the model inputs they were saved beside.
+    @pytest.mark.parametrize("magic", [b"TLNKPRM1", b"TLNKPRM2", b"TLNKINP1\n"])
+    def test_checkpoint_of_an_earlier_version(self, workspace, trained, tmp_path, capsys,
+                                              magic):
+        def overwrite_magic(path):
+            path.write_bytes(magic + path.read_bytes()[len(magic):])
+        err = self._evaluate(workspace, trained, tmp_path, capsys, overwrite_magic)
         assert "earlier version" in err and "rerun the 'train' stage" in err
+
+    def test_foreign_file(self, workspace, trained, tmp_path, capsys):
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: path.write_bytes(b"not a checkpoint"))
+        assert "not a tulink checkpoint" in err
 
     def test_per_head_parameter_names_of_earlier_versions(self, workspace, trained,
                                                           tmp_path, capsys):
-        def split_heads(path):
-            named = []
-            header, tensors = load_tensors(path)
-            for name, values in tensors.items():
+        def split_heads(header, records):
+            listed = []
+            for name, shape in header["parameters"]:
                 layer, _, kind = name.partition("_")
                 if layer.startswith("attn") and kind in ("q", "k", "v"):
-                    named += [(f"{name}{h}", block)
-                              for h, block in enumerate(np.split(values, 2, axis=1))]
+                    listed += [[f"{name}{h}", [shape[0], shape[1] // 2]] for h in range(2)]
                 else:
-                    named.append((name, values))
-            save_tensors(path, named, header)
-        err = self._evaluate(workspace, trained, tmp_path, capsys, split_heads)
+                    listed.append([name, shape])
+            header["parameters"] = listed
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, split_heads))
         assert "'attn0_q'" in err
 
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
@@ -453,37 +465,50 @@ class TestCheckpointErrors:
                        for g in s.grid})
         assert len(rows) < n_cells
 
-        def widen_first_gcn_layers(path):
-            named = []
-            header, tensors = load_tensors(path)
-            for name, values in tensors.items():
+        def widen_first_gcn_layers(header, records):
+            arena = []
+            for (name, shape), values in zip(header["parameters"],
+                                             parameter_views(header, records[0]).values()):
                 if name in ("gcn_local_0", "gcn_global_0"):
-                    wide = np.zeros((n_cells, values.shape[1]))
+                    shape[0] = n_cells
+                    wide = np.zeros(shape)
                     wide[rows] = values
                     values = wide
-                named.append((name, values))
-            save_tensors(path, named, header)
-        err = self._evaluate(workspace, trained, tmp_path, capsys, widen_first_gcn_layers,
+                arena.append(values.ravel())
+            records[0] = np.concatenate(arena)
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, widen_first_gcn_layers),
                              stage=stage)
         assert "'gcn_local_0'" in err and "shape" in err
 
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value(self, workspace, trained, tmp_path, capsys, stage, value):
-        def poison_link_bias(path):
-            header, tensors = load_tensors(path)
-            tensors["link_b"][0] = value
-            save_tensors(path, tensors.items(), header)
-        err = self._evaluate(workspace, trained, tmp_path, capsys, poison_link_bias,
-                             stage=stage)
+        def poison_link_bias(header, records):
+            parameter_views(header, records[0])["link_b"][0] = value
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, poison_link_bias), stage=stage)
         assert "'link_b'" in err and "non-finite" in err
 
     def test_checkpoint_holds_a_parameter_the_model_lacks(self, workspace, trained, tmp_path,
                                                           capsys):
-        def add_a_layer(path):
-            header, tensors = load_tensors(path)
-            save_tensors(path, [*tensors.items(), ("attn1_q", tensors["attn0_q"])], header)
-        assert "lacks" in self._evaluate(workspace, trained, tmp_path, capsys, add_a_layer)
+        def add_a_layer(header, records):
+            attn0_q = parameter_views(header, records[0])["attn0_q"]
+            header["parameters"].append(["attn1_q", list(attn0_q.shape)])
+            records[0] = np.concatenate([records[0], attn0_q.ravel()])
+        assert "lacks" in self._evaluate(workspace, trained, tmp_path, capsys,
+                                         lambda path: rewrite_checkpoint(path, add_a_layer))
+
+    def test_parameters_out_of_order(self, workspace, trained, tmp_path, capsys):
+        """Each parameter views the arena at its place in the model's order,
+        so the same parameters listed in another order are refused."""
+        def swap_biases(header, records):
+            listed = header["parameters"]
+            i, j = (next(k for k, (name, _) in enumerate(listed) if name == wanted)
+                    for wanted in ("time_b", "state_b"))
+            listed[i], listed[j] = listed[j], listed[i]
+        assert "out of order" in self._evaluate(workspace, trained, tmp_path, capsys,
+                                                lambda path: rewrite_checkpoint(path, swap_biases))
 
 
 class TestConfigResolution:
@@ -610,7 +635,7 @@ BAD_SETTINGS = {
 STAGE_OUTPUTS = {
     "preprocess": ("grid_map.json", "sequences.jsonl", "splits.json", "manifest.json"),
     "build-graphs": ("local_graph.txt", "global_graph.txt"),
-    "train": ("checkpoint.bin", "history.tsv", "model_inputs.bin"),
+    "train": ("checkpoint.bin", "history.tsv"),
     "evaluate": ("metrics.txt",),
     "embed": ("embeddings.tsv",),
 }
@@ -742,20 +767,20 @@ class TestArtifactErrors:
         assert "sequences.jsonl" not in err
 
     def test_checkpoint_names_a_parameter_twice(self, workspace, trained, tmp_path, capsys):
-        def repeat_link_w(out):
-            path = out / "checkpoint.bin"
-            header, tensors = load_tensors(path)
-            values = np.random.default_rng(0).normal(size=tensors["link_w"].shape)
-            save_tensors(path, [*tensors.items(), ("link_w", values)], header)
-        err = self._run(workspace, trained, tmp_path, capsys, "evaluate", repeat_link_w)
+        def repeat_link_w(header, records):
+            shape = parameter_views(header, records[0])["link_w"].shape
+            values = np.random.default_rng(0).normal(size=shape)
+            header["parameters"].append(["link_w", list(shape)])
+            records[0] = np.concatenate([records[0], values.ravel()])
+        err = self._run(workspace, trained, tmp_path, capsys, "evaluate",
+                        lambda out: rewrite_checkpoint(out / "checkpoint.bin", repeat_link_w))
         assert "checkpoint.bin" in err and "'train'" in err and "'link_w' twice" in err
 
     def test_bytes_after_the_last_checkpoint_record(self, workspace, trained, tmp_path,
                                                     capsys):
-        def append(out):
-            path = out / "checkpoint.bin"
-            path.write_bytes(path.read_bytes() + bytes(16))
-        err = self._run(workspace, trained, tmp_path, capsys, "evaluate", append)
+        err = self._run(workspace, trained, tmp_path, capsys, "evaluate",
+                        lambda out: rewrite_checkpoint(out / "checkpoint.bin",
+                                                       lambda _, records: records.append(bytes(16))))
         assert "checkpoint.bin" in err and "'train'" in err and "16 bytes after" in err
 
     @pytest.mark.parametrize("stage", ["build-graphs", "train"])
@@ -1003,13 +1028,33 @@ class TestStaleInputs:
         assert artifact_bytes(out) == artifact_bytes(linked)
 
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
-    def test_deleted_model_inputs(self, workspace, trained, tmp_path, capsys, stage):
+    def test_deleted_checkpoint(self, workspace, trained, tmp_path, capsys, stage):
         out = tmp_path / "run"
         shutil.copytree(trained, out)
-        (out / "model_inputs.bin").unlink()
+        (out / "checkpoint.bin").unlink()
         assert run([stage, "--config", workspace["config"], "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "model_inputs.bin" in err and "run the 'train' stage first" in err
+        assert "checkpoint.bin" in err and "run the 'train' stage first" in err
+
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    def test_checkpoint_of_other_data_is_refused(self, workspace, trained, tmp_path, capsys,
+                                                 stage):
+        """A checkpoint trained on data with one point's time shifted has the
+        same parameter shapes; copied beside this run's files, it is not
+        scored against them."""
+        other = tmp_path / "other"
+        shutil.copytree(trained, other)
+        shift_first_time(other / "sequences.jsonl")
+        assert run(["train", "--config", workspace["config"], "--output", str(other)]) == 0
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        shutil.copy(other / "checkpoint.bin", out / "checkpoint.bin")
+        capsys.readouterr()
+        assert run([stage, "--config", workspace["config"], "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sequences.jsonl changed" in err and "checkpoint.bin" in err
+        assert "'train'" in err and "Traceback" not in err
+        assert not any((out / f).exists() for f in ("metrics.txt", "embeddings.tsv"))
 
     def test_evaluate_and_embed_parse_no_upstream_file(self, workspace, linked, tmp_path,
                                                        capsys, monkeypatch):
@@ -1060,7 +1105,7 @@ def test_saved_model_inputs_equal_the_built_ones(tmp_path, text, twins):
         assert run([stage, "--dataset", str(data), "--output", str(out), "--embed-dim", "8",
                     "--heads", "2", "--attn-layers", "1", "--epochs", "1"]) == 0, stage
     built, split = _load_model_inputs(StagePaths(out))
-    saved, saved_split, sources = load_model_inputs(out / "model_inputs.bin")
+    _, saved, saved_split, sources = load_checkpoint(out / "checkpoint.bin")
     assert (built.traj_rows.max() + 1 < built.n_traj) == twins
     for f in fields(ModelInputs):
         assert_same_arrays(getattr(saved, f.name), getattr(built, f.name), f.name)
@@ -1079,7 +1124,6 @@ FIRST_READER = {
     "local_graph.txt": "train",
     "global_graph.txt": "train",
     "checkpoint.bin": "evaluate",
-    "model_inputs.bin": "evaluate",
 }
 
 
@@ -1109,8 +1153,8 @@ class TestTruncationFaults:
 
 
 class TestByteFlipFaults:
-    """Any one byte of model_inputs.bin changed makes evaluate and embed exit
-    2 naming the file, and any one byte of a graph file makes train do so:
+    """Any one byte of checkpoint.bin changed makes evaluate and embed exit 2
+    naming the file, and any one byte of a graph file makes train do so:
     most flips leave a file that would still parse, so the checksum catches
     them."""
 
@@ -1138,26 +1182,45 @@ class TestByteFlipFaults:
 
     @settings(max_examples=10, deadline=None)
     @given(fraction=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
-    # In the workspace's 18 kB file: the magic line, the checksum, a source
-    # digest and a trajectory id ("user01:0" read as "user00:0").
+    # In the workspace's 69 kB file: the magic line, the checksum, a source
+    # digest, a trajectory id ("user01:0" read as "user00:0"), a parameter
+    # value and the split's last record.
     @example(fraction=0.0, mask=1)
-    @example(fraction=0.003, mask=1)
-    @example(fraction=0.02, mask=1)
-    @example(fraction=0.0398, mask=1)
+    @example(fraction=0.0005, mask=1)
+    @example(fraction=0.012, mask=1)
+    @example(fraction=0.01928, mask=1)
+    @example(fraction=0.1, mask=1)
+    @example(fraction=0.99, mask=1)
     def test_flip_one_byte(self, workspace, trained, fraction, mask):
-        data = bytearray((trained / "model_inputs.bin").read_bytes())
+        data = bytearray((trained / "checkpoint.bin").read_bytes())
         data[int(fraction * len(data))] ^= mask
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "run"
             shutil.copytree(trained, out)
-            (out / "model_inputs.bin").write_bytes(data)
+            (out / "checkpoint.bin").write_bytes(data)
             for stage in ("evaluate", "embed"):
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                     code = run([stage, "--config", workspace["config"], "--output", str(out)])
                 assert code == 2, (stage, err.getvalue())
-                assert "model_inputs.bin" in err.getvalue() and "'train'" in err.getvalue()
+                assert "checkpoint.bin" in err.getvalue() and "'train'" in err.getvalue()
                 assert "Traceback" not in err.getvalue()
+
+
+def test_process_settings_are_made_once(workspace, trained, tmp_path, monkeypatch, capsys):
+    """The malloc thresholds and the BLAS thread pin hold for the whole
+    process, so only the first stage run in a process opens a library for
+    them; a second stage in the same process opens none."""
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    assert run(["evaluate", "--config", workspace["config"], "--output", str(out)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage opened a shared library again")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", refuse)
+    assert run(["embed", "--config", workspace["config"], "--output", str(out)]) == 0
+    capsys.readouterr()
 
 
 # Runs the five stages on a dataset in one process whose address space is

@@ -23,12 +23,13 @@ from tulink import synth
 from tulink.cli import main
 from tulink.config import RunConfig
 from tulink.mobility import SECONDS_PER_DAY
-from tulink.tensor import load_tensors
+
+from conftest import checkpoint_parts, parameter_views
 
 FLAGS = ("--embed-dim", "16", "--heads", "2", "--attn-layers", "1", "--epochs", "3")
 ARTIFACTS = ("grid_map.json", "sequences.jsonl", "splits.json", "manifest.json",
              "local_graph.txt", "global_graph.txt", "checkpoint.bin", "metrics.txt",
-             "embeddings.tsv", "model_inputs.bin")
+             "embeddings.tsv")
 HEADER, *LINES = synth.checkin_style(n_users=12, seed=5).splitlines()
 USERS = sorted({line.split(",")[0] for line in LINES})
 TAU = RunConfig().tau
@@ -76,8 +77,10 @@ def with_ids(artifacts, users=None, interval=0):
     trajectory id's interval moved by ``interval``: sequences.jsonl,
     splits.json and manifest.json parsed, the global graph's roster and the
     first two columns of embeddings.tsv rewritten, and the global graph's
-    checksum line dropped. model_inputs.bin is
-    left out: it holds the ids and the sha256 of files that hold the ids."""
+    checksum line dropped. checkpoint.bin becomes its header, ids rewritten
+    and without the sha256 of files that hold the ids, and its parameter
+    arena's bytes; its input records are left out, since they hold the point
+    times and otherwise what the files compared here hold."""
     users = users or {}
 
     def traj(tid):
@@ -85,7 +88,11 @@ def with_ids(artifacts, users=None, interval=0):
         return f"{users.get(user, user)}:{int(k) + interval}"
 
     out = dict(artifacts)
-    del out["model_inputs.bin"]
+    _, header, records = checkpoint_parts(artifacts["checkpoint.bin"])
+    header.update(traj_ids=list(map(traj, header["traj_ids"])),
+                  user_ids=[users.get(u, u) for u in header["user_ids"]])
+    del header["sources"]
+    out["checkpoint.bin"] = header, records[0].tobytes()
     out["sequences.jsonl"] = [json.loads(line) for line in
                               artifacts["sequences.jsonl"].decode().splitlines()]
     for record in out["sequences.jsonl"]:
@@ -175,11 +182,11 @@ def _relative_deviation(a, b):
 def test_simd_level_changes_no_setup_artifact(in_file_order, tmp_path):
     """The five stages in a child process with every SIMD feature above
     numpy's baseline switched off for that process alone. Every setup
-    artifact, metrics.txt and model_inputs.bin keep their bytes, since
-    preprocess and build-graphs call no loop whose result follows the SIMD
-    level and model_inputs.bin holds no trained value; the
-    checkpoint and the embeddings stay within SIMD_BOUND of the in-process
-    run."""
+    artifact, metrics.txt, the checkpoint's header and its input records keep
+    their bytes, since preprocess and build-graphs call no loop whose result
+    follows the SIMD level and those records hold no trained value; the
+    checkpoint's parameters and the embeddings stay within SIMD_BOUND of the
+    in-process run."""
     data, out = tmp_path / "data.csv", tmp_path / "out"
     data.write_text("\n".join([HEADER, *LINES]) + "\n")
     src = str(Path(tulink.__file__).parents[1])
@@ -187,12 +194,15 @@ def test_simd_level_changes_no_setup_artifact(in_file_order, tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", _LOWER_LEVEL_RUN, str(data), str(out),
                     json.dumps(DISPATCHED), *FLAGS], env=env, check=True)
-    for name in ARTIFACTS[:6] + ("metrics.txt", "model_inputs.bin"):
+    for name in ARTIFACTS[:6] + ("metrics.txt",):
         assert (out / name).read_bytes() == in_file_order[name], name
-    (tmp_path / "here.bin").write_bytes(in_file_order["checkpoint.bin"])
-    (header, here), (child_header, there) = (load_tensors(tmp_path / "here.bin"),
-                                             load_tensors(out / "checkpoint.bin"))
-    assert child_header == header and there.keys() == here.keys()
+    (_, header, records), (_, child_header, child_records) = (
+        checkpoint_parts(data) for data in (in_file_order["checkpoint.bin"],
+                                            (out / "checkpoint.bin").read_bytes()))
+    assert child_header == header and len(child_records) == len(records)
+    for got, expected in zip(child_records[1:], records[1:]):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    here, there = (parameter_views(header, arena) for arena in (records[0], child_records[0]))
     assert max(_relative_deviation(here[k], there[k]) for k in here) <= SIMD_BOUND
     rows = [[line.split("\t") for line in text.decode().splitlines()] for text in
             (in_file_order["embeddings.tsv"], (out / "embeddings.tsv").read_bytes())]

@@ -1,7 +1,10 @@
 """Model components against straight-line dense re-implementations."""
 
+import hashlib
+import json
 import math
 import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from tulink import synth
 from tulink import tensor as T
 from tulink.config import RunConfig, seeded_rng
-from tulink.errors import ConfigError
+from tulink.errors import ConfigError, DataError
 from tulink.graphs import (build_global_graph, build_grid_incidence, build_local_graph,
                            symmetric_normalize, twin_quotient)
 from tulink.mobility import (build_grid_map, build_grid_sequences, chronological_split,
@@ -20,6 +23,7 @@ from tulink.mobility import (build_grid_map, build_grid_sequences, chronological
 from tulink.model import (
     ABLATIONS,
     ModelConfig,
+    ModelInputs,
     ModelParams,
     _xavier,
     _xavier_rows,
@@ -30,14 +34,17 @@ from tulink.model import (
     fused_representations,
     gcn_forward,
     global_attention,
+    load_checkpoint,
     model_loss,
     positional_encoding,
+    save_checkpoint,
     self_attention_stack,
 )
 from tulink.tensor import Tape, Tensor, recording
 
-from conftest import (STEP_OPS, gcn_and_grads, graphs_from_sequences, inputs_from_sequences,
-                      make_sequence, on_odd_cells, small_config, toy_nine_sequences)
+from conftest import (STEP_OPS, checkpoint_parts, gcn_and_grads, graphs_from_sequences,
+                      inputs_from_sequences, make_sequence, npy_record, on_odd_cells,
+                      rewrite_checkpoint, small_config, toy_nine_sequences)
 from oracles import (bounding_box_initial_values, bounding_box_inputs_oracle,
                      bounding_box_params_oracle, dense_gcn_oracle, finite_difference_check,
                      l2_chain_oracle, matmul, per_trajectory_logits_oracle, reshape, scale)
@@ -190,7 +197,8 @@ class TestGCN:
 def make_params(config, n_grids=9, n_users=3, max_seq_len=8, seed=123, grid_rows=None):
     """Parameters with first GCN rows for ``grid_rows``, by default every cell."""
     rows = np.arange(n_grids) if grid_rows is None else grid_rows
-    return ModelParams(config, n_grids, rows, n_users, max_seq_len, seeded_rng(seed, "init"))
+    return ModelParams.drawn(config, n_grids, rows, n_users, max_seq_len,
+                             seeded_rng(seed, "init"))
 
 
 class TestLocationEncoder:
@@ -907,3 +915,98 @@ class TestBuildModelInputs:
         global_g.user_ids = user_ids
         with pytest.raises(ValueError, match="user roster"):
             build_model_inputs(sequences, local, global_g)
+
+
+SOURCES = {"grid_map.json": "0" * 64, "sequences.jsonl": "1" * 64}
+
+
+@pytest.fixture
+def saved_checkpoint(toy_model_setup, tmp_path):
+    """The toy model, inputs and split, saved; and the path."""
+    params, _, inputs, split = toy_model_setup
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(params, inputs, split, SOURCES, path)
+    return params, inputs, split, path
+
+
+class TestCheckpoint:
+    def test_round_trip_bit_exact(self, saved_checkpoint):
+        params, inputs, split, path = saved_checkpoint
+        loaded, loaded_inputs, loaded_split, sources = load_checkpoint(path)
+        assert loaded.config == params.config and sources == SOURCES
+        assert loaded.values.tobytes() == params.values.tobytes()
+        assert [(n, t.values.shape) for n, t in loaded.items()] == \
+            [(n, t.values.shape) for n, t in params.items()]
+        assert all(np.shares_memory(t.values, loaded.values) for _, t in loaded.items())
+        for f in fields(ModelInputs):
+            got, expected = getattr(loaded_inputs, f.name), getattr(inputs, f.name)
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), f.name
+            elif hasattr(expected, "tocsr"):
+                assert (got != expected).nnz == 0 and got.shape == expected.shape, f.name
+            else:
+                assert got == expected, f.name
+        for f in fields(split):
+            assert np.array_equal(getattr(loaded_split, f.name), getattr(split, f.name))
+
+    def test_layout(self, saved_checkpoint):
+        """The magic line, the sha256 of the rest, a sorted-key JSON header
+        listing the model and each parameter, then the parameter arena as the
+        first .npy record."""
+        params, _, _, path = saved_checkpoint
+        data = path.read_bytes()
+        magic, checksum, rest = data.split(b"\n", 2)
+        assert magic == b"TLNKCKP1" and checksum == hashlib.sha256(rest).hexdigest().encode()
+        line = rest.split(b"\n", 1)[0]
+        header = json.loads(line)
+        assert line == json.dumps(header, sort_keys=True).encode()
+        assert header["model"] == asdict(params.config)
+        assert header["parameters"] == [[n, list(t.values.shape)] for n, t in params.items()]
+        records = checkpoint_parts(data)[2]
+        assert records[0].tobytes() == params.values.tobytes()
+        assert len(records) == 1 + 3 * 3 + 7 + 3
+
+    def test_rewrite_is_byte_identical(self, saved_checkpoint, tmp_path):
+        _, _, _, path = saved_checkpoint
+        params, inputs, split, sources = load_checkpoint(path)
+        save_checkpoint(params, inputs, split, sources, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    def test_cut_anywhere_is_refused(self, saved_checkpoint):
+        _, _, _, path = saved_checkpoint
+        data = path.read_bytes()
+        for cut in [*range(0, 200), *range(200, len(data), 97)]:
+            path.write_bytes(data[:cut])
+            with pytest.raises(DataError, match=r"checkpoint\.bin.*'train'"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("line", [b"[1, 2]", b"{'model': {}}", b"\xff\xfe", b""])
+    def test_header_that_is_no_json_object(self, saved_checkpoint, line):
+        _, _, _, path = saved_checkpoint
+        magic, _, rest = path.read_bytes().split(b"\n", 2)
+        body = line + b"\n" + rest.split(b"\n", 1)[1]
+        path.write_bytes(b"%s\n%s\n%s" % (magic, hashlib.sha256(body).hexdigest().encode(), body))
+        with pytest.raises(DataError, match=r"checkpoint\.bin.*'train'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda header, records: header.pop("traj_ids"),
+        lambda header, records: header.update(sources=[1, 2]),
+        lambda header, records: header["shapes"].pop("m_local"),
+        lambda header, records: header.update(max_seq_len=10 ** 12),
+        lambda header, records: header.update(traj_ids=[]),
+        lambda header, records: records.pop(),
+        lambda header, records: records.__setitem__(0, records[0].astype(np.float32)),
+        lambda header, records: records.__setitem__(
+            3, npy_record(records[3].astype(object), records[3].shape)),
+        lambda header, records: records.__setitem__(11, np.asfortranarray(records[11])),
+    ], ids=["no-ids", "sources-not-a-dict", "no-shape", "longer-sequences", "no-trajectories",
+            "a-record-short",
+            "float32-arena", "object-record", "fortran-order"])
+    def test_malformed_header_or_record(self, saved_checkpoint, edit):
+        """Under a renewed checksum: the loader's own checks, not a traceback."""
+        _, _, _, path = saved_checkpoint
+        rewrite_checkpoint(path, edit)
+        with pytest.raises(DataError, match=r"checkpoint\.bin.*'train'"):
+            load_checkpoint(path)
+

@@ -1,8 +1,6 @@
 """Autodiff core: forward values, backward rules, gradient checks."""
 
-import json
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -11,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tulink import tensor as T
-from tulink.errors import DataError
-from tulink.tensor import (
-    Tape,
-    Tensor,
-    load_tensors,
-    recording,
-    save_tensors,
-)
+from tulink.tensor import Tape, Tensor, recording
 
 from tulink.graphs import symmetric_normalize
 
@@ -1185,78 +1176,3 @@ class TestTape:
             out = T.tanh(x)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(out)
-
-
-HEADER = {"heads": 2, "ablation": "", "lambda_l2": 5e-4}
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        named = [
-            ("alpha", RNG.normal(size=(3, 4))),
-            ("beta", RNG.normal(size=7)),
-            ("gamma", np.array(2.5)),
-        ]
-        path = tmp_path / "params.bin"
-        save_tensors(path, named, HEADER)
-        header, loaded = load_tensors(path)
-        assert header == HEADER
-        assert list(loaded) == ["alpha", "beta", "gamma"]
-        for name, values in named:
-            assert loaded[name].tobytes() == values.tobytes()
-
-    def test_header_is_sorted_key_json(self, tmp_path):
-        path = tmp_path / "params.bin"
-        save_tensors(path, [], HEADER)
-        meta = json.dumps(HEADER, sort_keys=True).encode()
-        assert path.read_bytes() == b"TLNKPRM2" + struct.pack("<I", len(meta)) + meta + bytes(4)
-
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        named = [("w", RNG.normal(size=(2, 2)))]
-        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_tensors(p1, named, HEADER)
-        header, values = load_tensors(p1)
-        save_tensors(p2, values.items(), header)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_truncated_file_rejected_at_every_cut(self, tmp_path):
-        path = tmp_path / "params.bin"
-        save_tensors(path, [("w", RNG.normal(size=(2, 3))), ("b", RNG.normal(size=3))], HEADER)
-        raw = path.read_bytes()
-        for cut in range(len(raw)):
-            path.write_bytes(raw[:cut])
-            with pytest.raises(DataError, match="params.bin"):
-                load_tensors(path)
-
-    @pytest.mark.parametrize("dims", [(-2, -3), (-1, -1), (-4,), (2, -1)])
-    def test_negative_dimension_rejected(self, tmp_path, dims):
-        """Dimensions whose product is a valid size but one of them negative."""
-        path = tmp_path / "params.bin"
-        save_tensors(path, [("w", np.zeros((2, 3)))], {})
-        raw = bytearray(path.read_bytes())
-        at = raw.index(b"w") + 1  # the record's ndim byte follows its name
-        raw[at:at + 17] = struct.pack(f"<B{len(dims)}q", len(dims), *dims)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataError, match=r"params\.bin.*negative dimension.*'train'"):
-            load_tensors(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a checkpoint")
-        with pytest.raises(DataError, match="junk.bin"):
-            load_tensors(path)
-
-    def test_earlier_version_rejected(self, tmp_path):
-        path = tmp_path / "params.bin"
-        save_tensors(path, [("w", np.zeros((2, 3)))], {})
-        raw = path.read_bytes()
-        path.write_bytes(b"TLNKPRM1" + raw[8 + 4 + 2:])  # the records without the header
-        with pytest.raises(DataError, match=r"params\.bin.*earlier version.*'train'"):
-            load_tensors(path)
-
-    @pytest.mark.parametrize("meta", [b"[1, 2]", b"{'heads': 2}", b"\xff\xfe", b""])
-    def test_header_must_be_a_json_object(self, tmp_path, meta):
-        path = tmp_path / "params.bin"
-        path.write_bytes(b"TLNKPRM2" + struct.pack("<I", len(meta)) + meta + bytes(4))
-        with pytest.raises(DataError, match=r"params\.bin.*corrupt header.*'train'"):
-            load_tensors(path)

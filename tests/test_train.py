@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from tulink.config import seeded_rng
-from tulink.errors import ConfigError, DataError, TrainingError
+from tulink.errors import ConfigError, TrainingError
 from tulink.model import (ABLATIONS, ModelParams, build_model_inputs, forward_batch,
-                          fused_representations)
+                          fused_representations, load_checkpoint, save_checkpoint)
 from tulink.train import (
     EVAL_CHUNK,
     AdamState,
@@ -16,9 +16,7 @@ from tulink.train import (
     adam_step,
     evaluate_on_split,
     evaluate_rows,
-    load_checkpoint,
     predict_logits,
-    save_checkpoint,
     save_history,
     train,
 )
@@ -30,8 +28,8 @@ from oracles import bounding_box_inputs_oracle, evaluate_rows_oracle, per_tensor
 
 def tiny_params(seed=0):
     cfg = small_config(gcn_layers=1, attn_layers=1)
-    return cfg, ModelParams(cfg, n_grids=4, grid_rows=np.arange(4), n_users=2,
-                            max_seq_len=3, rng=seeded_rng(seed, "init"))
+    return cfg, ModelParams.drawn(cfg, n_grids=4, grid_rows=np.arange(4), n_users=2,
+                                  max_seq_len=3, rng=seeded_rng(seed, "init"))
 
 
 class TestAdam:
@@ -131,25 +129,17 @@ class TestParameterArena:
         result = train(inputs, split, config,
                        TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=1))
         assert_views_arena(result.params)
-        save_checkpoint(result.params, tmp_path / "checkpoint.bin")
-        loaded = load_checkpoint(tmp_path / "checkpoint.bin", inputs)
+        save_checkpoint(result.params, inputs, split, {}, tmp_path / "checkpoint.bin")
+        loaded = load_checkpoint(tmp_path / "checkpoint.bin")[0]
         assert_views_arena(loaded)
         assert loaded.config == config
         np.testing.assert_array_equal(loaded.values, result.params.values)
 
-    def test_mismatched_checkpoint_writes_nothing(self):
-        _, params = tiny_params()
-        before = params.values.copy()
-        values = {n: np.ones_like(t.values) for n, t in params.items()}
-        values["link_b"] = np.ones(5)
-        with pytest.raises(DataError, match="link_b"):
-            params.load_values(values)
-        np.testing.assert_array_equal(params.values, before)
-        values = {n: np.ones_like(t.values) for n, t in params.items()}
-        values["attn9_q"] = np.ones((2, 2))
-        with pytest.raises(DataError, match="lacks.*attn9_q"):
-            params.load_values(values)
-        np.testing.assert_array_equal(params.values, before)
+    def test_arena_of_another_size_is_refused(self):
+        config, params = tiny_params()
+        for size in (params.values.size - 1, params.values.size + 1):
+            with pytest.raises(ValueError, match="arena"):
+                ModelParams(config, np.zeros(size), n_rows=4, n_users=2, max_seq_len=3)
 
 
 class TestTrainConfig:
@@ -206,7 +196,7 @@ class TestTrainLoop:
         config, inputs, split = toy_training_setup(ablation="tul-l")
         tc = TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=2)
         result = train(inputs, split, config, tc)
-        reference = ModelParams(
+        reference = ModelParams.drawn(
             config, n_grids=inputs.n_grids, grid_rows=inputs.grid_rows, n_users=inputs.n_users,
             max_seq_len=inputs.max_seq_len, rng=seeded_rng(2, "init"),
         )
