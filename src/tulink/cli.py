@@ -59,6 +59,8 @@ class StagePaths:
 def _require(path: Path, stage: str) -> Path:
     if not path.exists():
         raise DataError(f"missing artifact {path.name}; run the {stage!r} stage first")
+    if not path.is_file():
+        raise DataError(f"artifact {path.name} is not a file; rerun the {stage!r} stage")
     return path
 
 

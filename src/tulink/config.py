@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, cannot_read
 from .mobility import time_window_vocab
 from .model import ModelConfig
 from .train import TrainConfig, seeded_rng
@@ -75,8 +75,12 @@ def _parse_value(key: str, raw: str):
 
 def load_config_file(path: str | Path) -> dict:
     """Parse a flat key=value file; '#' starts a comment, unknown keys fail."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file: {cannot_read(path, exc)}") from None
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

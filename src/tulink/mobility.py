@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError, reading
+from .errors import ConfigError, DataError, cannot_read, reading
 
 EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0
@@ -393,33 +393,36 @@ def parse_dataset(path: str | Path) -> tuple[PointColumns, ParseReport]:
     values: list[float] = []
     report = ParseReport()
     first_content_line = True
-    with path.open("r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if first_content_line:
-                first_content_line = False
-                if len(fields) >= 2:
-                    try:
-                        float(fields[1])
-                    except ValueError:
-                        continue  # header line
-            report.data_lines += 1
-            try:
-                if len(fields) != 4:
-                    raise ValueError("expected 4 comma-separated fields")
-                user, t_s, lat_s, lon_s = (f.strip() for f in fields)
-                if "\t" in user:
-                    raise DataError(f"{path} line {number}: user id {user!r} holds a tab, "
-                                    "which would split its rows of embeddings.tsv")
-                row = (float(t_s), float(lon_s), float(lat_s))
-            except ValueError:
-                report.failed += 1
-                continue
-            users.append(user)
-            values.extend(row)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split(",")
+                if first_content_line:
+                    first_content_line = False
+                    if len(fields) >= 2:
+                        try:
+                            float(fields[1])
+                        except ValueError:
+                            continue  # header line
+                report.data_lines += 1
+                try:
+                    if len(fields) != 4:
+                        raise ValueError("expected 4 comma-separated fields")
+                    user, t_s, lat_s, lon_s = (f.strip() for f in fields)
+                    if "\t" in user:
+                        raise DataError(f"{path} line {number}: user id {user!r} holds a tab, "
+                                        "which would split its rows of embeddings.tsv")
+                    row = (float(t_s), float(lon_s), float(lat_s))
+                except ValueError:
+                    report.failed += 1
+                    continue
+                users.append(user)
+                values.extend(row)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"dataset: {cannot_read(path, exc)}") from None
     if report.data_lines == 0:
         raise DataError(f"no records found in {path}")
     t, lon, lat = np.array(values, dtype=np.float64).reshape(-1, 3).T

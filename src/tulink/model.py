@@ -530,8 +530,8 @@ def gcn_forward(m_norm: sp.csr_matrix, features: sp.csr_matrix | None,
 
 def encode_locations(params: ModelParams, h_local: Tensor, grid_idx: np.ndarray,
                      state_idx: np.ndarray, times: np.ndarray) -> Tensor:
-    """Per-point fusion Tanh(FC([time ; state ; grid])) -> (..., m, d), the
-    time entering as its time-of-day window."""
+    """Per-point fusion Tanh(FC([time ; state ; grid])), one (d,) row per
+    point, the time entering as its time-of-day window."""
     g_emb = T.embedding(h_local, grid_idx)
     if params.config.ablation == "tul-ts":
         zeros = Tensor(np.zeros((*np.shape(grid_idx), params.config.embed_dim)))
@@ -544,24 +544,22 @@ def encode_locations(params: ModelParams, h_local: Tensor, grid_idx: np.ndarray,
     return T.tanh(T.matmul(fused, params["loc_w"], params["loc_b"]))
 
 
-def self_attention_stack(params: ModelParams, x: Tensor, lengths: np.ndarray,
+def self_attention_stack(params: ModelParams, x: Tensor, packing: T.Packing,
                          rng: np.random.Generator, training: bool) -> Tensor:
     """Position-encoded multi-head self-attention with post-norm residuals.
 
-    x is (B, m, d), row i padded past lengths[i]; padded keys get exactly
-    zero weight, so no real position ever sees padding.
+    x holds the (d,) rows of a batch's points, packed by ``packing``; each
+    point attends over its own sequence's points only, and no padded
+    position enters a product.
     """
-    _, m, d = x.shape
     config = params.config
-    if m == 0:
-        raise ValueError("cannot attend over an empty sequence")
-    inv_scale = 1.0 / math.sqrt(d // config.heads)
-    state = T.add(x, Tensor(np.broadcast_to(params.pos_encoding[:m], x.shape)))
+    inv_scale = 1.0 / math.sqrt(x.shape[-1] // config.heads)
+    state = T.add(x, Tensor(params.pos_encoding[packing.pos]))
     for layer in range(config.attn_layers):
         merged = T.masked_attention(state, *(params[f"attn{layer}_{kind}"] for kind in "qkv"),
-                                    lengths, config.heads, inv_scale)
+                                    packing, config.heads, inv_scale)
         z = T.matmul(merged, params[f"attn{layer}_out_w"], params[f"attn{layer}_out_b"])
-        z = T.dropout(z, config.dropout_rate, training, rng)
+        z = T.dropout(z, config.dropout_rate, training, rng, packing)
         state = T.layer_norm(T.add(state, z),
                              params[f"attn{layer}_ln_gain"],
                              params[f"attn{layer}_ln_bias"])
@@ -612,23 +610,22 @@ def fused_representations(params: ModelParams, inputs: ModelInputs, batch: np.nd
     """Concatenated [local ; global] vectors, one row per batched trajectory.
 
     ``graphs`` is encode_graphs' output for these parameters, computed here
-    when omitted. Sequences are padded to the longest in the batch.
+    when omitted. The local branch runs on the batch's points packed one row
+    each (``T.Packing``), up to the max pool.
     """
     config = params.config
     h_local, h_class, class_norms = graphs or encode_graphs(params, inputs)
     z_local = z_global = Tensor(np.zeros((len(batch), config.embed_dim)))
     if config.ablation != "tul-l":
-        lengths = inputs.lengths[batch]
-        m = int(lengths.max())
-        x = encode_locations(
-            params, h_local,
-            inputs.grid_idx[batch, :m], inputs.state_idx[batch, :m], inputs.times[batch, :m],
-        )
-        x = T.dropout(x, config.dropout_rate, training, rng)
+        packing = T.Packing(inputs.lengths[batch])
+        at = np.asarray(batch)[packing.seq], packing.pos
+        x = encode_locations(params, h_local,
+                             inputs.grid_idx[at], inputs.state_idx[at], inputs.times[at])
+        x = T.dropout(x, config.dropout_rate, training, rng, packing)
         z = x if config.ablation == "tul-sa" else self_attention_stack(
-            params, x, lengths, rng, training
+            params, x, packing, rng, training
         )
-        z_local = T.max_pool_positions(z, lengths)
+        z_local = T.max_pool_positions(z, packing)
     if config.ablation != "tul-g":
         z_global = global_attention(h_class, class_norms, inputs.class_counts,
                                     inputs.traj_rows[batch], config.ablation == "tul-ea")

@@ -9,13 +9,17 @@ evaluation path) operations are plain numpy calls with no bookkeeping.
 The operation set is exactly what the linking model records: add, a
 dense matmul with its bias, a fused stacked GCN that keeps its first rows
 and whose backward visits only the graph rows its gradient reaches,
-transpose, concat, row gathers with an optional bias, tanh, a fused masked
-multi-head self-attention, a fused cosine-scored attention under either
-normalizer over rows that each stand for a count of equal rows (the global
-attention runs over twin classes of trajectories, weighted by class
-size), layer norm, inverted dropout, masked positional max-pooling, a
-fused log-space cross entropy, the scaled sum-of-squares penalty and the
-row-norm reduction; ``spmm`` stays while perfbench's tracer wraps it.
+transpose, concat, row gathers with an optional bias, tanh, a fused
+multi-head self-attention within each sequence, a fused cosine-scored
+attention under either normalizer over rows that each stand for a count
+of equal rows (the global attention runs over twin classes of
+trajectories, weighted by class size), layer norm, inverted dropout,
+per-sequence max-pooling, a fused log-space cross entropy, the scaled
+sum-of-squares penalty and the row-norm reduction; ``spmm`` stays while
+perfbench's tracer wraps it. A batch's sequences of points are packed, one
+row per point and no padding, as a :class:`Packing` lays them out; the
+attention, dropout and the pool take the packing, and only the attention
+scores see the padded (B, m) layout.
 ``softmax`` and ``sparsemax``, both over the last axis and weighted by
 counts, are forward-only: cosine_attention reads their values and records
 nothing for them. The tests check every taped primitive against central
@@ -267,6 +271,21 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     return out
 
 
+def _add_rows_at(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """np.add.at(out, rows, values) through a flat 1-D view of a C-ordered
+    out: every element is added in the same order, so the sums are the
+    row-wise scatter's to the bit, and numpy's 1-D scatter is several times
+    faster."""
+    if not out.flags.c_contiguous:
+        np.add.at(out, rows, values)
+        return
+    flat = out.reshape(-1)
+    assert np.may_share_memory(flat, out), "the flat scatter target is a copy"
+    width = flat.size // max(len(out), 1)
+    cells = rows.reshape(-1, 1) * width + np.arange(width)
+    np.add.at(flat, cells.ravel(), values.reshape(-1))
+
+
 def embedding(table: Tensor, indices, bias: Tensor | None = None) -> Tensor:
     """Gather rows of a matrix, plus a bias row when given; repeated indices
     accumulate on backward."""
@@ -287,7 +306,7 @@ def embedding(table: Tensor, indices, bias: Tensor | None = None) -> Tensor:
             if bias is not None and bias.requires_grad:
                 bias.grad += out.grad.reshape(-1, bias.shape[0]).sum(axis=0)
             if table.requires_grad:
-                np.add.at(table.grad, idx, out.grad)
+                _add_rows_at(table.grad, idx, out.grad)
         _record(backward)
     return out
 
@@ -424,7 +443,7 @@ def cosine_attention(h: Tensor, norms: Tensor, counts, batch, eps: float,
 
         def backward():
             g = np.zeros((b, hv.shape[1]))
-            np.add.at(g, copies, out.grad)
+            _add_rows_at(g, copies, out.grad)
             h_kept = hv[kept]
             g_p = (g @ h_kept.T)[r, col]
             # Centre each row on its w-weighted mean. The second pass sums the
@@ -449,53 +468,96 @@ def cosine_attention(h: Tensor, norms: Tensor, counts, batch, eps: float,
     return out
 
 
-def masked_attention(state: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, lengths,
-                     heads: int, inv_scale: float) -> Tensor:
-    """Multi-head self-attention of each (m, d) row of the (B, m, d) state
-    over its first lengths[i] positions, the heads merged back to (B, m, d).
-    Head h uses columns h*dh:(h+1)*dh of the (d, d) projections.
+class Packing:
+    """The packed layout of a batch of B sequences, lengths[i] >= 1 points
+    each: row r of an (N, ...) packed array is position pos[r] of sequence
+    seq[r], N = lengths.sum(). Each sequence's rows are consecutive and in
+    position order, from row starts[i]. Padded to the longest, m points,
+    the same points are the (B, m, ...) array whose row index[r] of the
+    flattened (B·m, ...) is packed row r; when ``dense``, every length is m
+    and the padded array is a reshape of the packed one."""
 
-    The forward makes the same float operations in the same order as the
-    taped composition: the three projections, the head split, (q @ kᵀ) *
-    inv_scale plus -inf on each row's padded keys, a max-shifted softmax,
-    p @ v and the head merge. The backward is the softmax-attention gradient
-    written out (Vaswani et al., 2017): the softmax Jacobian per head, then
-    the projection gradients.
+    __slots__ = ("lengths", "m", "starts", "seq", "pos", "index", "dense")
+
+    def __init__(self, lengths):
+        lens = np.asarray(lengths, dtype=np.int64)
+        if lens.ndim != 1:
+            raise ValueError(f"cannot pack lengths of shape {lens.shape}: one per sequence")
+        if not lens.size or lens.min() < 1:
+            raise ValueError(f"cannot pack an empty batch or sequence: lengths {lens.tolist()}")
+        self.lengths = lens
+        self.m = int(lens.max())
+        self.starts = np.cumsum(lens) - lens
+        self.seq = np.repeat(np.arange(len(lens)), lens)
+        self.pos = np.arange(len(self.seq)) - self.starts[self.seq]
+        self.index = self.seq * self.m + self.pos
+        self.dense = len(self.seq) == len(lens) * self.m
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def padded(self, rows: np.ndarray, fill: float) -> np.ndarray:
+        """The (B, m, ...) array of the packed (N, ...) rows, padded with fill."""
+        if self.dense:
+            return rows.reshape(len(self.lengths), self.m, *rows.shape[1:])
+        out = np.full((len(self.lengths) * self.m, *rows.shape[1:]), fill)
+        out[self.index] = rows
+        return out.reshape(len(self.lengths), self.m, *rows.shape[1:])
+
+
+def masked_attention(state: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, packing: Packing,
+                     heads: int, inv_scale: float) -> Tensor:
+    """Multi-head self-attention of each sequence's points over its own
+    points: state holds one (d,) row per point, packed by ``packing``, and so
+    does the result. Head h uses columns h*dh:(h+1)*dh of the (d, d)
+    projections.
+
+    Each projection is one (N, d) @ (d, d) product over the points. Only q,
+    k and v are scattered into the zero-padded (B, heads, m, dh) layout for
+    (q @ kᵀ) * inv_scale plus -inf on each sequence's padded keys, a
+    max-shifted softmax and p @ v, which is gathered back to the points; a
+    batch without padding reshapes instead. The backward is the
+    softmax-attention gradient written out (Vaswani et al., 2017): the
+    softmax Jacobian per head, gathered back to the points, then the
+    projection gradients.
     """
     x = state.values
-    lens = np.asarray(lengths, dtype=np.int64)
-    if (x.ndim != 3 or heads < 1 or x.shape[2] % heads or lens.shape != x.shape[:1]
-            or any(w.shape != (x.shape[2],) * 2 for w in (wq, wk, wv))):
-        raise ValueError(f"masked_attention shape mismatch: state {state.shape}, {heads} heads, "
-                         f"weights {[w.shape for w in (wq, wk, wv)]}, lengths {lens.shape}")
-    b, m, d = x.shape
-    if lens.size and (lens.min() < 1 or lens.max() > m):
-        raise ValueError(f"masked_attention lengths must lie in [1, {m}], "
-                         f"got {int(lens.min())}..{int(lens.max())}")
-    dh = d // heads
-    # (B, m, d) -> (B, heads, m, dh) views
-    q, k, v = ((x @ w.values).reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
-               for w in (wq, wk, wv))
+    if (x.ndim != 2 or heads < 1 or x.shape[1] % heads or len(x) != len(packing)
+            or any(w.shape != (x.shape[1],) * 2 for w in (wq, wk, wv))):
+        raise ValueError(f"masked_attention shape mismatch: state {state.shape} for "
+                         f"{len(packing)} points, {heads} heads, "
+                         f"weights {[w.shape for w in (wq, wk, wv)]}")
+    n, d = x.shape
+    b, m, dh = len(packing.lengths), packing.m, d // heads
+
+    def split_heads(y):  # packed (N, d) -> (B, heads, m, dh), padded with zeros
+        return packing.padded(y, 0.0).reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge_heads(y):  # (B, heads, m, dh) -> packed (N, d)
+        if packing.dense:
+            return np.ascontiguousarray(y.transpose(0, 2, 1, 3)).reshape(n, d)
+        return y[packing.seq, :, packing.pos].reshape(n, d)
+
+    q, k, v = (split_heads(x @ w.values) for w in (wq, wk, wv))
     p = (q @ np.swapaxes(k, -1, -2)) * inv_scale
-    p += np.where(np.arange(m) < lens[:, None], 0.0, -np.inf)[:, None, None, :]
+    if not packing.dense:
+        p += np.where(np.arange(m) < packing.lengths[:, None], 0.0, -np.inf)[:, None, None, :]
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = _result((p @ v).transpose(0, 2, 1, 3).reshape(b, m, d), state, wq, wk, wv)
+    out = _result(merge_heads(p @ v), state, wq, wk, wv)
     if out.requires_grad:
         def backward():
-            g = out.grad.reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
+            g = split_heads(out.grad)
             g_p = g @ np.swapaxes(v, -1, -2)
             g_s = (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * p
             g_s *= inv_scale
             g_k = np.swapaxes(np.swapaxes(q, -1, -2) @ g_s, -1, -2)
-            flat = x.reshape(-1, d)
-            # v, k, q: the composition's order of adds into state, each from a
-            # contiguous buffer as there, so every product sums in its order.
+            # v, k, q: the composition's order of adds into state.
             for w, g_head in ((wv, np.swapaxes(p, -1, -2) @ g), (wk, g_k), (wq, g_s @ k)):
-                g_w = np.ascontiguousarray(g_head.transpose(0, 2, 1, 3)).reshape(b, m, d)
+                g_w = merge_heads(g_head)
                 if w.requires_grad:
-                    w.grad += flat.T @ g_w.reshape(-1, d)
+                    w.grad += x.T @ g_w
                 if state.requires_grad:
                     state.grad += g_w @ w.values.T
         _record(backward)
@@ -531,13 +593,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     return out
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: scales survivors at train time, identity in eval."""
+def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator,
+            packing: Packing | None = None) -> Tensor:
+    """Inverted dropout: scales survivors at train time, identity in eval.
+    With a packing, x holds packed rows and the mask is drawn over their
+    padded (B, m, ...) layout, of which the packed rows' draws are kept: the
+    generator advances as for the padded array."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if packing is not None and x.shape[:1] != (len(packing),):
+        raise ValueError(f"dropout over rows of shape {x.shape}, packed as "
+                         f"{len(packing)} points")
     if not training or rate == 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    if packing is None:
+        draw = rng.random(x.shape)
+    else:
+        draw = rng.random((len(packing.lengths) * packing.m, *x.shape[1:]))
+        draw = draw if packing.dense else draw[packing.index]
+    mask = (draw >= rate) / (1.0 - rate)
     out = _result(x.values * mask, x)
     if out.requires_grad:
         def backward():
@@ -546,22 +620,16 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     return out
 
 
-def max_pool_positions(z: Tensor, lengths) -> Tensor:
-    """Max over axis -2 of an (..., m, d) array, each (m, d) matrix over its
-    first lengths[...] rows only; ties resolve to the first row. The rest
-    are padding: they get -inf added, so the pooled value is z + 0.0."""
-    lens = np.asarray(lengths, dtype=np.int64)
-    if z.values.ndim < 2 or lens.shape != z.shape[:-2]:
-        raise ValueError(f"max_pool_positions shape mismatch: {z.shape}, lengths {lens.shape}")
-    m = z.shape[-2]
-    if lens.size and (lens.min() < 1 or lens.max() > m):
-        raise ValueError(f"max_pool_positions lengths must lie in [1, {m}], "
-                         f"got {int(lens.min())}..{int(lens.max())}")
-    masked = z.values + np.where(np.arange(m) < lens[..., None], 0.0, -np.inf)[..., None]
-    winners = np.argmax(masked, axis=-2)
-    lead = np.indices(winners.shape, sparse=True)
-    index = (*lead[:-1], winners, lead[-1])  # one (row, column) per output entry
-    out = _result(masked[index], z)
+def max_pool_positions(z: Tensor, packing: Packing) -> Tensor:
+    """Max over each sequence's points of the packed (N, d) rows of z, one
+    (d,) row per sequence; ties resolve to the first point. The pooled value
+    is z + 0.0, as if the padding had -inf added."""
+    if z.values.ndim != 2 or len(z.values) != len(packing):
+        raise ValueError(f"max_pool_positions shape mismatch: {z.shape} for "
+                         f"{len(packing)} points")
+    winners = np.argmax(packing.padded(z.values, -np.inf), axis=1)
+    index = (packing.starts[:, None] + winners, np.arange(z.shape[1]))  # per output entry
+    out = _result(z.values[index] + 0.0, z)
     if out.requires_grad:
         def backward():
             z.grad[index] += out.grad

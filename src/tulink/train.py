@@ -114,9 +114,10 @@ def evaluate_rows(params: ModelParams, inputs: ModelInputs, indices: np.ndarray,
     indices, in request order, with the GCNs encoded once.
 
     The rows run in blocks of EVAL_CHUNK in order of sequence length (a
-    stable sort), so each block pads its sequences little. A block's row
-    count picks the BLAS kernels, so a row may differ from a lone forward of
-    it in the last bits.
+    stable sort), so most blocks hold sequences of one length, whose
+    attention needs no padding. A block's point count (its row count for
+    the linking layer) picks the BLAS kernels, so a row may differ from a
+    lone forward of it in the last bits.
     """
     rng = np.random.default_rng(0)  # never drawn in evaluation mode
     graphs = encode_graphs(params, inputs)

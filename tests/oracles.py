@@ -19,7 +19,7 @@ from tulink.mobility import (_SEQUENCE_KEYS, MAX_FAILURE_RATE, METERS_PER_DEGREE
                              GridSequence, ParseReport, SequenceColumns, split_sizes,
                              time_window_vocab)
 from tulink.model import (COSINE_EPS, ModelInputs, ModelParams, build_model_inputs,
-                          encode_graphs, encode_locations)
+                          encode_graphs, encode_locations, global_attention)
 from tulink.tensor import Tape, Tensor, _record, _result, recording
 from tulink.train import ADAM_EPS, BETA1, BETA2
 
@@ -388,6 +388,119 @@ def global_graph_oracle(incidence, traj_ids, user_ids, train_labels):
 
 
 # ---------------------------------------------------------------------------
+# The local branch over batches zero-padded to their longest sequence
+# ---------------------------------------------------------------------------
+
+def padded_masked_attention(state: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, lengths,
+                            heads: int, inv_scale: float) -> Tensor:
+    """T.masked_attention over a padded batch: multi-head self-attention of
+    each (m, d) row of the (B, m, d) state over its first lengths[i]
+    positions, the heads merged back to (B, m, d). Every product runs over
+    all B·m positions, each projection as one (B, m, d) @ (d, d) product."""
+    x = state.values
+    lens = np.asarray(lengths, dtype=np.int64)
+    if (x.ndim != 3 or heads < 1 or x.shape[2] % heads or lens.shape != x.shape[:1]
+            or any(w.shape != (x.shape[2],) * 2 for w in (wq, wk, wv))):
+        raise ValueError(f"masked_attention shape mismatch: state {state.shape}, {heads} heads, "
+                         f"weights {[w.shape for w in (wq, wk, wv)]}, lengths {lens.shape}")
+    b, m, d = x.shape
+    if lens.size and (lens.min() < 1 or lens.max() > m):
+        raise ValueError(f"masked_attention lengths must lie in [1, {m}], "
+                         f"got {int(lens.min())}..{int(lens.max())}")
+    dh = d // heads
+    q, k, v = ((x @ w.values).reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
+               for w in (wq, wk, wv))
+    p = (q @ np.swapaxes(k, -1, -2)) * inv_scale
+    p += np.where(np.arange(m) < lens[:, None], 0.0, -np.inf)[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = _result((p @ v).transpose(0, 2, 1, 3).reshape(b, m, d), state, wq, wk, wv)
+    if out.requires_grad:
+        def backward():
+            g = out.grad.reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
+            g_p = g @ np.swapaxes(v, -1, -2)
+            g_s = (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * p
+            g_s *= inv_scale
+            g_k = np.swapaxes(np.swapaxes(q, -1, -2) @ g_s, -1, -2)
+            flat = x.reshape(-1, d)
+            for w, g_head in ((wv, np.swapaxes(p, -1, -2) @ g), (wk, g_k), (wq, g_s @ k)):
+                g_w = np.ascontiguousarray(g_head.transpose(0, 2, 1, 3)).reshape(b, m, d)
+                if w.requires_grad:
+                    w.grad += flat.T @ g_w.reshape(-1, d)
+                if state.requires_grad:
+                    state.grad += g_w @ w.values.T
+        _record(backward)
+    return out
+
+
+def padded_max_pool_positions(z: Tensor, lengths) -> Tensor:
+    """T.max_pool_positions over a padded batch: the max over axis -2 of an
+    (..., m, d) array, each (m, d) matrix over its first lengths[...] rows
+    only; ties resolve to the first row. The rest are padding: they get -inf
+    added, so the pooled value is z + 0.0."""
+    lens = np.asarray(lengths, dtype=np.int64)
+    if z.values.ndim < 2 or lens.shape != z.shape[:-2]:
+        raise ValueError(f"max_pool_positions shape mismatch: {z.shape}, lengths {lens.shape}")
+    m = z.shape[-2]
+    if lens.size and (lens.min() < 1 or lens.max() > m):
+        raise ValueError(f"max_pool_positions lengths must lie in [1, {m}], "
+                         f"got {int(lens.min())}..{int(lens.max())}")
+    masked = z.values + np.where(np.arange(m) < lens[..., None], 0.0, -np.inf)[..., None]
+    winners = np.argmax(masked, axis=-2)
+    lead = np.indices(winners.shape, sparse=True)
+    index = (*lead[:-1], winners, lead[-1])  # one (row, column) per output entry
+    out = _result(masked[index], z)
+    if out.requires_grad:
+        def backward():
+            z.grad[index] += out.grad
+        _record(backward)
+    return out
+
+
+def padded_self_attention_stack(params, x, lengths, rng, training):
+    """model.self_attention_stack over a (B, m, d) batch padded past each
+    lengths[i]: the position table broadcast over the batch and dropout
+    drawn over every position."""
+    _, m, d = x.shape
+    config = params.config
+    inv_scale = 1.0 / math.sqrt(d // config.heads)
+    state = T.add(x, Tensor(np.broadcast_to(params.pos_encoding[:m], x.shape)))
+    for layer in range(config.attn_layers):
+        merged = padded_masked_attention(
+            state, *(params[f"attn{layer}_{kind}"] for kind in "qkv"), lengths, config.heads,
+            inv_scale)
+        z = T.matmul(merged, params[f"attn{layer}_out_w"], params[f"attn{layer}_out_b"])
+        z = T.dropout(z, config.dropout_rate, training, rng)
+        state = T.layer_norm(T.add(state, z),
+                             params[f"attn{layer}_ln_gain"],
+                             params[f"attn{layer}_ln_bias"])
+    return state
+
+
+def padded_fused_representations(params, inputs, batch, rng, training, graphs=None):
+    """model.fused_representations with the local branch over the batch
+    padded to its longest sequence, every per-point layer over all B·m
+    positions."""
+    config = params.config
+    h_local, h_class, class_norms = graphs or encode_graphs(params, inputs)
+    z_local = z_global = Tensor(np.zeros((len(batch), config.embed_dim)))
+    if config.ablation != "tul-l":
+        lengths = inputs.lengths[batch]
+        m = int(lengths.max())
+        x = encode_locations(params, h_local, inputs.grid_idx[batch, :m],
+                             inputs.state_idx[batch, :m], inputs.times[batch, :m])
+        x = T.dropout(x, config.dropout_rate, training, rng)
+        z = x if config.ablation == "tul-sa" else padded_self_attention_stack(
+            params, x, lengths, rng, training)
+        z_local = padded_max_pool_positions(z, lengths)
+    if config.ablation != "tul-g":
+        z_global = global_attention(h_class, class_norms, inputs.class_counts,
+                                    inputs.traj_rows[batch], config.ablation == "tul-ea")
+    return T.concat([z_local, z_global], axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # The linking model one trajectory and one head at a time
 # ---------------------------------------------------------------------------
 
@@ -569,7 +682,7 @@ def per_trajectory_logits_oracle(params, inputs, batch, rng, training):
             x = T.dropout(x, config.dropout_rate, training, rng)
             z = x if config.ablation == "tul-sa" else per_head_attention_oracle(
                 params, config, x, rng, training)
-            z_local = T.max_pool_positions(z, m)
+            z_local = padded_max_pool_positions(z, m)
         if config.ablation != "tul-g":
             z_global = per_row_global_attention_oracle(
                 h_traj, traj_norms, int(idx), config.ablation == "tul-ea")

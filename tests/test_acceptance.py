@@ -129,6 +129,7 @@ def primitive_checks(rng):
     ln_bias = rng.normal(size=4)
     targets = np.array([1, 0, 3])
     pool_lengths = np.array([2, 5, 1])
+    pool_packing = T.Packing(pool_lengths)
 
     def dropout_f(t):
         return scalar_functional(
@@ -162,9 +163,10 @@ def primitive_checks(rng):
             T.layer_norm(t, Tensor(ln_gain), Tensor(ln_bias)), c12), a34),
         ("dropout", dropout_f, a34),
         ("max_pool_positions", lambda t: scalar_functional(
-            T.max_pool_positions(t, 5), c4), max_pool_safe((5, 4), 5)),
+            T.max_pool_positions(t, T.Packing([5])), c4), max_pool_safe((5, 4), 5)),
         ("max_pool_positions_batched", lambda t: scalar_functional(
-            T.max_pool_positions(t, pool_lengths), c12), max_pool_safe((3, 5, 4), pool_lengths)),
+            T.max_pool_positions(t, pool_packing), c12),
+         max_pool_safe((3, 5, 4), pool_lengths)[pool_packing.seq, pool_packing.pos]),
         ("cross_entropy", lambda t: T.cross_entropy(t, targets), rng.normal(size=(3, 5))),
         ("sum_squares", lambda t: T.sum_squares([t], 1.0), a34),
         ("sum_squares_scaled", lambda t: T.sum_squares([t, Tensor(part32), t], -0.3), a34),
@@ -214,18 +216,29 @@ def primitive_checks(rng):
             gcn_m, gcn_x, [Tensor(gcn_feats[0]), t, Tensor(gcn_feats[2])], 3), c9), gcn_feats[1]),
     ]
 
-    # Three rows padded to four positions (one of length 1, one full), and
-    # one weight at a time probed under a single head.
-    attn_lengths = np.array([1, 4, 2])
-    attn_state = rng.normal(size=(3, 4, 4))
+    # The points of three sequences of up to four (one of length 1, one
+    # full), and one weight at a time probed under a single head.
+    attn_packing = T.Packing([1, 4, 2])
+    attn_state = rng.normal(size=(3, 4, 4))[attn_packing.seq, attn_packing.pos]
     attn_w = [rng.normal(size=(4, 4)) * 0.5 for _ in range(3)]
     c48 = rng.normal(size=48)
     checks += [
         ("masked_attention", lambda t: scalar_functional(T.masked_attention(
-            t, *map(Tensor, attn_w), attn_lengths, 2, 0.5 ** 0.5), c48), attn_state),
+            t, *map(Tensor, attn_w), attn_packing, 2, 0.5 ** 0.5), c48[:28]), attn_state),
         ("masked_attention_one_head", lambda t: scalar_functional(T.masked_attention(
-            Tensor(attn_state), Tensor(attn_w[0]), t, Tensor(attn_w[2]), attn_lengths, 1, 0.5),
-            c48), attn_w[1]),
+            Tensor(attn_state), Tensor(attn_w[0]), t, Tensor(attn_w[2]), attn_packing, 1, 0.5),
+            c48[:28]), attn_w[1]),
+    ]
+    # Two full sequences, which need no padding, and packed dropout, whose
+    # mask is drawn over the padded layout.
+    full_packing = T.Packing([3, 3])
+    c_full = rng.normal(size=24)
+    checks += [
+        ("masked_attention_unpadded", lambda t: scalar_functional(T.masked_attention(
+            t, *map(Tensor, attn_w), full_packing, 2, 0.5 ** 0.5), c_full),
+         rng.normal(size=(6, 4))),
+        ("dropout_packed", lambda t: scalar_functional(T.dropout(
+            t, 0.5, True, np.random.default_rng(56), attn_packing), c48[:28]), attn_state),
     ]
     return checks
 
@@ -260,7 +273,7 @@ def oracle_primitive_checks(rng):
          lambda t, u=u: scalar_functional(oracles.trajectory_attention_oracle(
              t, Tensor(roster_norms), batch, 1e-12, u), c12), roster)
         for u in (False, True)]
-    return trajectory_attention + [
+    checks = trajectory_attention + [
         ("add_bias", lambda t: scalar_functional(oracles.add_bias(Tensor(a34), t), c12), c4),
         ("scale", lambda t: scalar_functional(oracles.scale(t, -1.3), c6), rng.normal(size=6)),
         ("matmul", lambda t: scalar_functional(oracles.matmul(t, Tensor(mat43)), c12),
@@ -281,6 +294,22 @@ def oracle_primitive_checks(rng):
         ("reshape", lambda t: scalar_functional(oracles.reshape(t, (2, 6)), c12), a34),
         ("slice_rows", lambda t: scalar_functional(oracles.slice_rows(t, 1, 3), c8), a34),
         ("relu", lambda t: scalar_functional(oracles.relu(t), c12), away_from_zero((3, 4))),
+    ]
+    # The padded local-branch references: two sequences of 1 and 3 points,
+    # the padded rows the largest, and no near-ties among the real ones.
+    attn_w = [Tensor(rng.normal(size=(4, 4)) * 0.5) for _ in "qkv"]
+    while True:
+        pool = rng.normal(size=(2, 3, 4))
+        top2 = np.sort(pool[1], axis=0)[-2:]
+        if np.min(top2[1] - top2[0]) > 1e-3:
+            break
+    pool[0, 1:] += 10.0
+    return checks + [
+        ("padded_masked_attention", lambda t: scalar_functional(
+            oracles.padded_masked_attention(t, *attn_w, [1, 3], 2, 0.5), c24),
+         rng.normal(size=(2, 3, 4))),
+        ("padded_max_pool_positions", lambda t: scalar_functional(
+            oracles.padded_max_pool_positions(t, [1, 3]), c8), pool),
     ]
 
 

@@ -705,6 +705,40 @@ class TestSettingsPerStage:
         assert artifact_bytes(out) == artifact_bytes(linked)
 
 
+class TestUnreadableInputs:
+    """A missing file, a directory or bytes that are not UTF-8 where a stage
+    reads a file end in an error that names the file, never a traceback:
+    exit 2 for the dataset or an artifact, exit 1 for a config file."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("stage, role, code", [
+        ("preprocess", "dataset", 2),
+        ("preprocess", "config", 1),
+        ("build-graphs", "sequences.jsonl", 2),
+        ("evaluate", "checkpoint.bin", 2),
+        ("embed", "checkpoint.bin", 2),
+    ])
+    def test_exit_code_names_the_file(self, workspace, trained, tmp_path, capsys,
+                                      stage, role, code, kind):
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        bad = out / role if "." in role else tmp_path / f"unreadable.{role}"
+        if bad.exists():
+            bad.unlink()
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "not-utf8":
+            bad.write_bytes(b"user,t,lat,lon\n\xff\xfe,1,2,3\n")
+        argv = [stage, "--output", str(out),
+                "--config", str(bad) if role == "config" else workspace["config"]]
+        if role == "dataset":
+            argv += ["--dataset", str(bad)]
+        capsys.readouterr()
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert bad.name in err and "Traceback" not in err, err
+
+
 def cut_mid_line(path):
     """Keep the first half of the file, moved off any line boundary."""
     data = path.read_bytes()

@@ -47,7 +47,8 @@ from conftest import (STEP_OPS, checkpoint_parts, gcn_and_grads, graphs_from_seq
                       rewrite_checkpoint, small_config, toy_nine_sequences)
 from oracles import (bounding_box_initial_values, bounding_box_inputs_oracle,
                      bounding_box_params_oracle, dense_gcn_oracle, finite_difference_check,
-                     l2_chain_oracle, matmul, per_trajectory_logits_oracle, reshape, scale)
+                     l2_chain_oracle, matmul, padded_fused_representations,
+                     padded_self_attention_stack, per_trajectory_logits_oracle, reshape, scale)
 
 RNG = np.random.default_rng(4242)
 # The full model ("") and every ablation.
@@ -299,9 +300,8 @@ def dense_attention_oracle(params, cfg, x):
 class TestSelfAttention:
     def _run(self, params, cfg, x):
         return self_attention_stack(
-            params, Tensor(x[None]), np.array([len(x)]), np.random.default_rng(0),
-            training=False,
-        ).values[0]
+            params, Tensor(x), T.Packing([len(x)]), np.random.default_rng(0), training=False,
+        ).values
 
     def test_single_position(self):
         """With one row the attention matrix is [[1]] so the output is the
@@ -368,12 +368,12 @@ class TestSelfAttention:
         c = RNG.normal(size=3 * cfg.embed_dim)
 
         def f(t):
-            out = self_attention_stack(params, t, np.array([3]),
+            out = self_attention_stack(params, t, T.Packing([3]),
                                        np.random.default_rng(0), False)
             flat = reshape(out, (1, out.values.size))
             return matmul(flat, Tensor(c.reshape(-1, 1)))
 
-        report = finite_difference_check(f, Tensor(RNG.normal(size=(1, 3, cfg.embed_dim))),
+        report = finite_difference_check(f, Tensor(RNG.normal(size=(3, cfg.embed_dim))),
                                          tolerance=1e-4)
         assert report.passed, report
 
@@ -385,9 +385,9 @@ class TestSelfAttention:
         params = make_params(cfg)
         tape = Tape()
         with recording(tape):
-            x = Tensor(np.random.default_rng(0).normal(size=(3, 4, cfg.embed_dim)),
+            x = Tensor(np.random.default_rng(0).normal(size=(7, cfg.embed_dim)),
                        requires_grad=True)
-            self_attention_stack(params, x, np.array([1, 4, 2]), np.random.default_rng(0),
+            self_attention_stack(params, x, T.Packing([1, 4, 2]), np.random.default_rng(0),
                                  training=True)
         assert len(tape) == 1 + 5 * layers
 
@@ -771,6 +771,91 @@ class TestBatchedMatchesPerTrajectoryOracle:
             padded = fused_representations(params, inputs, np.array([longest, i, 0]),
                                            np.random.default_rng(0), False).values[1]
             np.testing.assert_allclose(padded, alone, rtol=1e-12, atol=1e-15)
+
+
+class TestPackedLocalBranch:
+    """The local branch on packed points against the padded one in
+    tests/oracles.py, forward and every gradient within 1e-12 relative,
+    with dropout off and with one fixed mask: the same generator state for
+    both, whose draws cover the padded layout either way."""
+
+    @pytest.mark.parametrize("training", [False, True], ids=["dropout-off", "fixed-mask"])
+    def test_self_attention_stack(self, training):
+        cfg = small_config(embed_dim=16, heads=4, attn_layers=3, dropout_rate=0.3)
+        params = make_params(cfg, max_seq_len=6)
+        lengths = np.array([2, 6, 1, 4])
+        packing = T.Packing(lengths)
+        at = packing.seq, packing.pos
+        real = (np.arange(6) < lengths[:, None])[..., None]
+        rng = np.random.default_rng(8)
+        x, c = rng.normal(size=(4, 6, 16)), rng.normal(size=(4, 6, 16))
+
+        def run(stack, x_values, layout, coeffs):
+            params.zero_grads()
+            xt = Tensor(x_values, requires_grad=True)
+            tape = Tape()
+            with recording(tape):
+                out = stack(params, xt, layout, np.random.default_rng(9), training)
+                loss = matmul(reshape(out, (1, out.values.size)),
+                              Tensor(coeffs.reshape(-1, 1)))
+            tape.backward(loss)
+            return out.values, xt.grad, {name: t.grad.copy() for name, t in params.items()}
+
+        out, grad_x, grads = run(self_attention_stack, x[at], packing, c[at])
+        ref, ref_grad_x, ref_grads = run(padded_self_attention_stack, x, lengths, c * real)
+        assert max_rel(out, ref[at]) <= 1e-12
+        assert max_rel(grad_x, ref_grad_x[at]) <= 1e-12
+        assert not (ref_grad_x * ~real).any()
+        for name in params.tensors:
+            assert max_rel(grads[name], ref_grads[name]) <= 1e-12, name
+        assert any(np.any(g != 0) for g in grads.values())
+
+    @pytest.mark.parametrize("ablation", VARIANTS, ids=["full", *ABLATIONS])
+    @pytest.mark.parametrize("training", [False, True], ids=["dropout-off", "fixed-mask"])
+    def test_logits_and_every_gradient(self, ablation, training):
+        cfg = small_config(embed_dim=16, heads=4, attn_layers=2, dropout_rate=0.3,
+                           ablation=ablation)
+        inputs, _ = inputs_from_sequences(ragged_sequences(), 9)
+        params = make_params(cfg, max_seq_len=inputs.max_seq_len, seed=2)
+        batch = np.array([0, 3, 5, 7, 11, 2, 4])
+
+        def linked(fused):
+            def forward(params, inputs, batch, rng, _):
+                stacked = fused(params, inputs, batch, np.random.default_rng(7), training)
+                return T.matmul(stacked, T.transpose(params["link_w"]), params["link_b"])
+            return forward
+
+        logits, grads = logits_and_grads(linked(fused_representations), params, inputs, batch)
+        ref_logits, ref_grads = logits_and_grads(linked(padded_fused_representations),
+                                                 params, inputs, batch)
+        assert max_rel(logits, ref_logits) <= 1e-12
+        for name in params.tensors:
+            assert max_rel(grads[name], ref_grads[name]) <= 1e-12, name
+
+    def test_no_padded_row_reaches_a_dense_product(self, monkeypatch):
+        """A taped training step on a batch of mixed lengths: each per-point
+        product of T.matmul and T.masked_attention runs over one row per
+        point, and the linking layer over one row per trajectory."""
+        rows = []
+        for name in ("matmul", "masked_attention"):
+            def recorded(x, *args, _name=name, _original=getattr(T, name)):
+                rows.append((_name, math.prod(x.shape[:-1])))
+                return _original(x, *args)
+            monkeypatch.setattr(T, name, recorded)
+        cfg = small_config(attn_layers=2, dropout_rate=0.5)
+        inputs, _ = inputs_from_sequences(ragged_sequences(), 9)
+        params = make_params(cfg, max_seq_len=inputs.max_seq_len)
+        batch = np.array([0, 1, 2, 3, 6])
+        points = int(inputs.lengths[batch].sum())
+        assert points < len(batch) * inputs.lengths[batch].max()
+        tape = Tape()
+        with recording(tape):
+            logits = forward_batch(params, inputs, batch, np.random.default_rng(0), True)
+            loss = model_loss(logits, inputs.labels[batch], params)
+        tape.backward(loss)
+        assert rows == ([("matmul", points)]
+                        + [("masked_attention", points), ("matmul", points)] * 2
+                        + [("matmul", len(batch))])
 
 
 # ragged_sequences on odd cells: cells 0, 2, ..., 18 and 19-24 go unvisited.

@@ -16,8 +16,9 @@ from tulink.graphs import symmetric_normalize
 from conftest import gcn_and_grads
 from oracles import (GradCheckReport, add_bias, add_scalar, dense_gcn_oracle,
                      dense_global_attention_oracle, div, finite_difference_check, gcn_rows_oracle,
-                     l2_chain_oracle, masked_attention_oracle, matmul, permute, relu, reshape,
-                     scale, simplex_projection_oracle, slice_rows, softmax, sorted_sparsemax_oracle,
+                     l2_chain_oracle, masked_attention_oracle, matmul, padded_masked_attention,
+                     padded_max_pool_positions, permute, relu, reshape, scale,
+                     simplex_projection_oracle, slice_rows, softmax, sorted_sparsemax_oracle,
                      sparsemax, trajectory_attention_oracle)
 
 RNG = np.random.default_rng(20_240_817)
@@ -205,6 +206,37 @@ class TestShapePlumbing:
     def test_embedding_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             T.embedding(Tensor(np.zeros((3, 2))), [0, 3])
+
+    @pytest.mark.parametrize("table_shape, idx_shape", [
+        ((7, 5), (40,)), ((7,), (40,)), ((7, 2, 3), (8, 5)), ((3, 4), (0,))])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_scatter_add_is_the_row_wise_one_to_the_bit(self, table_shape, idx_shape, order):
+        """The flat scatter adds each element in the order np.add.at over
+        rows does, so repeated indices sum to the same bits, from upstream
+        values of mixed magnitudes; a target that is not C-ordered takes the
+        row-wise scatter."""
+        rng = np.random.default_rng(14)
+        idx = rng.integers(0, table_shape[0], size=idx_shape)
+        values = rng.normal(size=(*idx_shape, *table_shape[1:]))
+        values *= 10.0 ** rng.integers(-8, 8, size=values.shape)
+        out = np.asarray(rng.normal(size=table_shape), order=order)
+        expected = out.copy()
+        np.add.at(expected, idx, values)
+        T._add_rows_at(out, idx, values)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_embedding_backward_is_the_row_wise_scatter(self):
+        rng = np.random.default_rng(15)
+        idx = rng.integers(0, 6, size=50)
+        upstream = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-8, 8, size=(50, 1))
+        table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        tape = Tape()
+        with recording(tape):
+            loss = scalarize(T.embedding(table, idx), upstream)
+        tape.backward(loss)
+        expected = np.zeros((6, 4))
+        np.add.at(expected, idx, upstream)
+        np.testing.assert_array_equal(table.grad, expected)
 
     def test_sparse_matmul(self):
         s = sp.random(6, 4, density=0.5, random_state=3, format="csr")
@@ -707,15 +739,41 @@ class TestClassAttention:
         check_grad(lambda t: attend(Tensor(h), t), norms, tol=1e-5)
 
 
-def masked_attention_and_grads(attend, state, weights, lengths, heads, upstream):
+class TestPacking:
+    def test_layout(self):
+        packing = T.Packing([2, 3, 1])
+        np.testing.assert_array_equal(packing.seq, [0, 0, 1, 1, 1, 2])
+        np.testing.assert_array_equal(packing.pos, [0, 1, 0, 1, 2, 0])
+        np.testing.assert_array_equal(packing.starts, [0, 2, 5])
+        np.testing.assert_array_equal(packing.index, [0, 1, 3, 4, 5, 6])
+        assert (len(packing), packing.m, packing.dense) == (6, 3, False)
+        assert T.Packing([3, 3]).dense and T.Packing([1]).dense
+
+    @pytest.mark.parametrize("lengths", [[2, 3, 1], [4, 4]])
+    def test_padded_scatters_the_rows(self, lengths):
+        packing = T.Packing(lengths)
+        rows = RNG.normal(size=(len(packing), 2))
+        padded = packing.padded(rows, -7.0)
+        assert padded.shape == (len(lengths), packing.m, 2)
+        np.testing.assert_array_equal(padded[packing.seq, packing.pos], rows)
+        real = np.arange(packing.m) < np.asarray(lengths)[:, None]
+        assert np.all(padded[~real] == -7.0)
+
+    @pytest.mark.parametrize("lengths", [[0, 3], [-1, 1], [], [[2]]])
+    def test_empty_batch_or_sequence_rejected(self, lengths):
+        with pytest.raises(ValueError, match="cannot pack"):
+            T.Packing(lengths)
+
+
+def masked_attention_and_grads(attend, state, weights, layout, heads, upstream):
     """Output values and the gradients of state and of each projection under
     a fixed linear functional of the output, every input a leaf."""
     st = Tensor(state.copy(), requires_grad=True)
     ws = [Tensor(w.copy(), requires_grad=True) for w in weights]
-    inv_scale = 1.0 / math.sqrt(state.shape[2] // heads)
+    inv_scale = 1.0 / math.sqrt(state.shape[-1] // heads)
     tape = Tape()
     with recording(tape):
-        out = attend(st, *ws, lengths, heads, inv_scale)
+        out = attend(st, *ws, layout, heads, inv_scale)
         loss = scalarize(out, upstream)
     tape.backward(loss)
     return out.values, [st.grad] + [w.grad for w in ws]
@@ -723,24 +781,34 @@ def masked_attention_and_grads(attend, state, weights, lengths, heads, upstream)
 
 @pytest.mark.parametrize("heads", [1, 4])
 class TestMaskedAttention:
-    """The fused primitive against the composition of reshape, permute,
-    scale, the key mask and softmax in tests/oracles.py: the same forward to
-    the bit, every gradient within 1e-12 relative."""
+    """The packed primitive against two padded references in
+    tests/oracles.py: the fused padded primitive it replaced, and the
+    composition of reshape, permute, scale, the key mask and softmax. Every
+    point's output and every gradient agree within 1e-12 relative, and the
+    padded references give their padding zero gradient. The packed
+    projections are one 2-D product each, which BLAS may sum in another
+    order than the padded (B, m, d) ones, so the bits may differ."""
 
     def _case(self, lengths, m, heads, seed=0):
         rng = np.random.default_rng(seed)
         d = 8
         state = rng.normal(size=(len(lengths), m, d))
         weights = [rng.normal(size=(d, d)) * 0.5 for _ in "qkv"]
-        upstream = rng.normal(size=state.size)
+        upstream = rng.normal(size=state.shape)
+        packing = T.Packing(lengths)
+        at = packing.seq, packing.pos
+        real = np.arange(m) < np.asarray(lengths)[:, None]
         out, grads = masked_attention_and_grads(
-            T.masked_attention, state, weights, lengths, heads, upstream)
-        ref, ref_grads = masked_attention_and_grads(
-            masked_attention_oracle, state, weights, lengths, heads, upstream)
-        np.testing.assert_array_equal(out, ref)
-        for g, ref_g in zip(grads, ref_grads):
-            assert_rel_close(g, ref_g)
-        return state, weights, out
+            T.masked_attention, state[at], weights, packing, heads, upstream[at])
+        for reference in (padded_masked_attention, masked_attention_oracle):
+            ref, ref_grads = masked_attention_and_grads(
+                reference, state, weights, lengths, heads, upstream * real[..., None])
+            assert_rel_close(out, ref[at])
+            assert not ref_grads[0][~real].any()
+            assert_rel_close(grads[0], ref_grads[0][at])
+            for g, ref_g in zip(grads[1:], ref_grads[1:]):
+                assert_rel_close(g, ref_g)
+        return state[at], weights, out
 
     def test_padded_rows_of_length_one_and_m(self, heads):
         self._case(np.array([1, 5, 3, 1, 5, 2]), 5, heads)
@@ -754,48 +822,43 @@ class TestMaskedAttention:
         np.testing.assert_allclose(out, state @ wv, rtol=1e-14)
 
     def test_padded_keys_change_nothing(self, heads):
-        """A row's real positions read only its first lengths[i] keys."""
+        """A sequence's points read only its own points, whichever longer
+        sequences pad it in the batch."""
         rng = np.random.default_rng(3)
-        state = rng.normal(size=(1, 6, 8))
+        state = rng.normal(size=(9, 8))
         ws = [Tensor(rng.normal(size=(8, 8))) for _ in "qkv"]
-        full = T.masked_attention(Tensor(state), *ws, [3], heads, 0.5).values
-        cut = T.masked_attention(Tensor(state[:, :3]), *ws, [3], heads, 0.5).values
-        np.testing.assert_array_equal(full[:, :3], cut)
+        batched = T.masked_attention(Tensor(state), *ws, T.Packing([3, 6]), heads, 0.5).values
+        alone = T.masked_attention(Tensor(state[:3]), *ws, T.Packing([3]), heads, 0.5).values
+        np.testing.assert_allclose(batched[:3], alone, rtol=1e-13)
 
     def test_finite_differences_every_input(self, heads):
         rng = np.random.default_rng(4)
-        state = rng.normal(size=(3, 4, 8))
+        state = rng.normal(size=(7, 8))
         weights = [rng.normal(size=(8, 8)) * 0.5 for _ in "qkv"]
-        lengths = np.array([1, 4, 2])
+        packing = T.Packing([1, 4, 2])
         c = rng.normal(size=state.size)
 
         def attend(i):
             def f(t):
                 args = [Tensor(state)] + [Tensor(w) for w in weights]
                 args[i] = t
-                return scalarize(T.masked_attention(*args, lengths, heads, 0.5), c)
+                return scalarize(T.masked_attention(*args, packing, heads, 0.5), c)
             return f
         for i, x in enumerate([state] + weights):
             check_grad(attend(i), x, tol=1e-6)
 
     @pytest.mark.parametrize("state_shape, w_shape, lengths, n_heads", [
-        ((2, 3, 8), (8, 8), [1, 2, 3], None),  # one length too many
-        ((2, 3, 8), (8, 4), [1, 2], None),  # a projection not (d, d)
-        ((3, 8), (8, 8), [1, 2, 3], None),  # no batch axis
-        ((2, 3, 8), (8, 8), [1, 2], 3),  # heads do not divide d
-        ((2, 3, 8), (8, 8), [1, 2], 0),
+        ((5, 8), (8, 8), [1, 2, 3], None),  # one point too few
+        ((6, 8), (8, 4), [1, 2, 3], None),  # a projection not (d, d)
+        ((2, 3, 8), (8, 8), [3, 3], None),  # padded, not packed
+        ((3, 8), (8, 8), [1, 2], 3),  # heads do not divide d
+        ((3, 8), (8, 8), [1, 2], 0),
     ])
     def test_shape_mismatch(self, heads, state_shape, w_shape, lengths, n_heads):
         ws = [Tensor(np.zeros((8, 8))), Tensor(np.zeros(w_shape)), Tensor(np.zeros((8, 8)))]
         with pytest.raises(ValueError, match="shape mismatch"):
-            T.masked_attention(Tensor(np.zeros(state_shape)), *ws, np.array(lengths),
+            T.masked_attention(Tensor(np.zeros(state_shape)), *ws, T.Packing(lengths),
                                heads if n_heads is None else n_heads, 0.5)
-
-    @pytest.mark.parametrize("lengths", [[0, 3], [2, 4], [-1, 1]])
-    def test_length_outside_one_to_m(self, heads, lengths):
-        ws = [Tensor(np.zeros((8, 8))) for _ in "qkv"]
-        with pytest.raises(ValueError, match=r"lengths must lie in \[1, 3\]"):
-            T.masked_attention(Tensor(np.zeros((2, 3, 8))), *ws, np.array(lengths), heads, 0.5)
 
 
 def graph_with_isolated_nodes(rng, n=14, isolated=(3, 10)):
@@ -965,6 +1028,24 @@ class TestDropout:
         assert abs(survivors - 0.5) < 0.01
         assert abs(out.values.mean() - 2.0) / 2.0 < 0.01
 
+    @pytest.mark.parametrize("lengths", [[1, 4, 2], [3, 3]])
+    def test_packed_mask_is_the_padded_draw_at_the_points(self, lengths):
+        """Over packed rows the mask is the padded array's, drawn over every
+        (B, m, d) position, at the points: the generator ends where the
+        padded draw ends."""
+        packing = T.Packing(lengths)
+        padded = RNG.normal(size=(len(lengths), packing.m, 3))
+        rng_packed, rng_padded = np.random.default_rng(9), np.random.default_rng(9)
+        out = T.dropout(Tensor(padded[packing.seq, packing.pos]), 0.5, True, rng_packed, packing)
+        ref = T.dropout(Tensor(padded), 0.5, True, rng_padded)
+        np.testing.assert_array_equal(out.values, ref.values[packing.seq, packing.pos])
+        assert rng_packed.random() == rng_padded.random()
+
+    def test_packed_rows_must_match(self):
+        with pytest.raises(ValueError, match="packed as 3 points"):
+            T.dropout(Tensor(np.ones((4, 2))), 0.5, True, np.random.default_rng(0),
+                      T.Packing([1, 2]))
+
     def test_gradient_with_fixed_mask(self):
         x = RNG.normal(size=(4, 4))
         c = RNG.normal(size=16)
@@ -978,80 +1059,75 @@ class TestDropout:
 
 class TestMaxPool:
     def test_hand_case(self):
-        out = T.max_pool_positions(Tensor([[1.0, 4.0], [3.0, 2.0]]), 2)
-        np.testing.assert_array_equal(out.values, [3.0, 4.0])
+        out = T.max_pool_positions(Tensor([[1.0, 4.0], [3.0, 2.0]]), T.Packing([2]))
+        np.testing.assert_array_equal(out.values, [[3.0, 4.0]])
 
     def test_single_row_identity(self):
         row = RNG.normal(size=(1, 5))
-        np.testing.assert_array_equal(T.max_pool_positions(Tensor(row), 1).values, row[0])
+        np.testing.assert_array_equal(T.max_pool_positions(Tensor(row), T.Packing([1])).values,
+                                      row)
 
     def test_dominates_every_row(self):
         z = RNG.normal(size=(6, 4))
-        out = T.max_pool_positions(Tensor(z), 6).values
-        assert np.all(out[None, :] >= z)
+        out = T.max_pool_positions(Tensor(z), T.Packing([6])).values
+        assert np.all(out >= z)
 
     def test_tie_routes_to_first_row(self):
         z = Tensor(np.array([[1.0, 0.0], [1.0, 0.5]]), requires_grad=True)
         tape = Tape()
         with recording(tape):
-            out = scalarize(T.max_pool_positions(z, 2), np.array([1.0, 1.0]))
+            out = scalarize(T.max_pool_positions(z, T.Packing([2])), np.array([1.0, 1.0]))
         tape.backward(out)
         np.testing.assert_array_equal(z.grad, [[1.0, 0.0], [0.0, 1.0]])
 
-    def test_empty_and_bad_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            T.max_pool_positions(Tensor(np.zeros((0, 3))), 0)
-        z = Tensor(np.zeros((2, 3, 4)))
-        for lengths in ([0, 3], [1, 4], [3], 3):
-            with pytest.raises(ValueError):
-                T.max_pool_positions(z, lengths)
+    @pytest.mark.parametrize("shape, lengths", [
+        ((5, 4), [2, 2]),  # one point too many
+        ((3, 4), [2, 2]),  # one point too few
+        ((2, 3, 4), [3, 3]),  # padded, not packed
+        ((4,), [4]),  # no column axis
+    ])
+    def test_points_not_matching_the_packing_rejected(self, shape, lengths):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            T.max_pool_positions(Tensor(np.zeros(shape)), T.Packing(lengths))
 
     def test_gradient_away_from_ties(self):
         z = RNG.normal(size=(5, 3))
         c = RNG.normal(size=3)
-        check_grad(lambda t: scalarize(T.max_pool_positions(t, 5), c), z)
+        check_grad(lambda t: scalarize(T.max_pool_positions(t, T.Packing([5])), c), z)
 
-    def test_batched_pools_axis_minus_two(self):
-        z = RNG.normal(size=(2, 5, 3))
-        np.testing.assert_array_equal(T.max_pool_positions(Tensor(z), [5, 5]).values,
-                                      z.max(axis=1))
+    def test_batched_pools_each_sequence(self):
+        z = RNG.normal(size=(10, 3))
+        np.testing.assert_array_equal(T.max_pool_positions(Tensor(z), T.Packing([5, 5])).values,
+                                      z.reshape(2, 5, 3).max(axis=1))
         c = RNG.normal(size=6)
-        check_grad(lambda t: scalarize(T.max_pool_positions(t, [5, 5]), c), z)
+        check_grad(lambda t: scalarize(T.max_pool_positions(t, T.Packing([5, 5])), c), z)
 
     def test_batched_tie_routes_to_first_row(self):
-        z = Tensor(np.array([[[1.0, 0.0], [1.0, 0.5]], [[0.0, 2.0], [3.0, 2.0]]]),
+        z = Tensor(np.array([[1.0, 0.0], [1.0, 0.5], [0.0, 2.0], [3.0, 2.0]]),
                    requires_grad=True)
         tape = Tape()
         with recording(tape):
-            out = scalarize(T.max_pool_positions(z, [2, 2]), np.ones(4))
+            out = scalarize(T.max_pool_positions(z, T.Packing([2, 2])), np.ones(4))
         tape.backward(out)
-        np.testing.assert_array_equal(z.grad, [[[1.0, 0.0], [0.0, 1.0]],
-                                               [[0.0, 1.0], [1.0, 0.0]]])
+        np.testing.assert_array_equal(z.grad, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 
-    def test_padding_never_wins_and_gets_no_gradient(self):
-        rng = np.random.default_rng(15)
-        lengths = np.array([1, 4, 2])
-        z = rng.normal(size=(3, 4, 5))
-        z[np.arange(4) >= lengths[:, None]] = 100.0
-        out, (grad,) = values_and_grads(lambda t: T.max_pool_positions(t, lengths), z)
-        for i, n in enumerate(lengths):
-            np.testing.assert_array_equal(out[i], z[i, :n].max(axis=0))
-            assert not grad[i, n:].any()
-        c = rng.normal(size=15)
-        check_grad(lambda t: scalarize(T.max_pool_positions(t, lengths), c), z)
-
-    def test_matches_the_padded_sum_to_the_bit(self):
-        """The mask inside the op gives the values and gradients of adding a
-        -inf padding tensor first and pooling every position."""
-        lengths = np.array([1, 4, 2])
-        z = np.random.default_rng(16).normal(size=(3, 4, 5))
+    @pytest.mark.parametrize("lengths", [[1, 4, 2], [3, 3]])
+    def test_matches_the_padded_reference_to_the_bit(self, lengths):
+        """The padded reference in tests/oracles.py, its padding the largest
+        entries: the same pooled bits, -0.0 pooled as 0.0 (z + 0.0), and the
+        same gradient at every point, none at the padding."""
+        packing = T.Packing(lengths)
+        at = packing.seq, packing.pos
+        z = np.random.default_rng(15).normal(size=(len(lengths), packing.m, 5))
         z[0, 0, 1] = -0.0
-        pad = np.where(np.arange(4) < lengths[:, None], 0.0, -np.inf)[:, :, None]
-        full = np.full(3, 4)
-        assert_same_bits(
-            values_and_grads(lambda t: T.max_pool_positions(t, lengths), z),
-            values_and_grads(lambda t: T.max_pool_positions(
-                T.add(t, Tensor(np.broadcast_to(pad, z.shape))), full), z))
+        z[np.arange(packing.m) >= np.asarray(lengths)[:, None]] = 100.0
+        out, (grad,) = values_and_grads(lambda t: T.max_pool_positions(t, packing), z[at])
+        ref, (ref_grad,) = values_and_grads(lambda t: padded_max_pool_positions(t, lengths), z)
+        assert_same_bits((out, [grad]), (ref, [ref_grad[at]]))
+        assert not ref_grad[np.arange(packing.m) >= np.asarray(lengths)[:, None]].any()
+        assert np.signbit(out[0, 1]) == np.signbit(-0.0 + 0.0)
+        c = np.random.default_rng(16).normal(size=out.size)
+        check_grad(lambda t: scalarize(T.max_pool_positions(t, packing), c), z[at])
 
 
 class TestCrossEntropy:
