@@ -97,7 +97,11 @@ def run_preprocess(cfg: RunConfig) -> dict:
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and positive, got {value}")
     paths = StagePaths(cfg.output_dir or ".")
-    paths.root.mkdir(parents=True, exist_ok=True)
+    try:
+        paths.root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {paths.root} "
+                          f"({exc.strerror or exc})") from None
 
     points, report = mob.parse_dataset(cfg.dataset)
     gm = mob.build_grid_map(points.lon, points.lat, cfg.cell_size)

@@ -114,7 +114,7 @@ def _xavier_rows(rng: np.random.Generator, rows: int, cols: int,
 
 
 class ModelParams:
-    """All learnable tensors, plus the fixed position table.
+    """All learnable tensors.
 
     Tensors live in a single insertion-ordered dict, in ``parameter_shapes``
     order, so initialization, checkpoints and the optimizer all walk them in
@@ -124,8 +124,7 @@ class ModelParams:
     visited grid, ``n_rows`` of them.
     """
 
-    def __init__(self, config: ModelConfig, values: np.ndarray, n_rows: int, n_users: int,
-                 max_seq_len: int):
+    def __init__(self, config: ModelConfig, values: np.ndarray, n_rows: int, n_users: int):
         """The parameters whose values are the flat arena ``values``."""
         config.validate()
         self.config = config
@@ -140,11 +139,10 @@ class ModelParams:
             for (name, shape), v, g in zip(shapes, np.split(values, cuts[:-1]),
                                            np.split(self.grad, cuts[:-1]))
         }
-        self.pos_encoding = positional_encoding(max(max_seq_len, 1), config.embed_dim)
 
     @classmethod
     def drawn(cls, config: ModelConfig, n_grids: int, grid_rows: np.ndarray, n_users: int,
-              max_seq_len: int, rng: np.random.Generator) -> "ModelParams":
+              rng: np.random.Generator) -> "ModelParams":
         """Freshly initialized parameters: Xavier weights, zero biases and
         unit layer-norm gains. ``grid_rows`` are the visited grids' ascending
         ids among the ``n_grids`` bounding-box cells."""
@@ -171,15 +169,14 @@ class ModelParams:
             else:
                 draws[name] = _xavier(rng, *shape)
         return cls(config, np.concatenate([draws[name].ravel() for name in shapes]),
-                   len(grid_rows), n_users, max_seq_len)
+                   len(grid_rows), n_users)
 
     @classmethod
     def for_inputs(cls, config: ModelConfig, inputs: "ModelInputs",
                    rng: np.random.Generator) -> "ModelParams":
-        """Freshly initialized parameters sized for ``inputs``' grids, users
-        and sequence length."""
-        return cls.drawn(config, inputs.n_grids, inputs.grid_rows, inputs.n_users,
-                         inputs.max_seq_len, rng)
+        """Freshly initialized parameters sized for ``inputs``' grids and
+        users."""
+        return cls.drawn(config, inputs.n_grids, inputs.grid_rows, inputs.n_users, rng)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -212,8 +209,8 @@ class ModelParams:
         return sum(self.tensors[n].values.size for n in self.active_names())
 
     def l2_tensors(self) -> list[Tensor]:
-        """Active weight matrices; biases, layer-norm affines and the fixed
-        position table never enter the regularizer."""
+        """Active weight matrices; biases and layer-norm affines never enter
+        the regularizer."""
         return [
             self.tensors[n]
             for n in self.active_names()
@@ -241,22 +238,24 @@ def parameter_shapes(config: ModelConfig, n_rows: int,
 
 @dataclass
 class ModelInputs:
-    """Everything the forward pass consumes, prepared once per run."""
+    """Everything the forward pass consumes, prepared once per run. Each
+    point is one entry of the per-point columns, trajectory after trajectory
+    in roster order: trajectory i holds the ``lengths[i]`` entries from
+    ``starts[i]``."""
 
     m_local: sp.csr_matrix
     m_global: sp.csr_matrix  # over the global graph's twin classes
     x_global: sp.csr_matrix  # one feature row per twin class
     traj_rows: np.ndarray  # each trajectory's twin class, all in [0, K)
     traj_ids: list[str]
-    grid_idx: np.ndarray  # (n_traj, max_seq_len) rows of grid_rows, zero past each length
-    state_idx: np.ndarray
-    times: np.ndarray  # float64 point times, 0.0 past each length
-    lengths: np.ndarray
+    grid_idx: np.ndarray  # each point's row of grid_rows
+    state_idx: np.ndarray  # each point's motion state
+    times: np.ndarray  # each point's float64 time
+    lengths: np.ndarray  # points per trajectory, each at least 1
     labels: np.ndarray
     user_ids: list[str]
     n_grids: int  # bounding-box cells
     grid_rows: np.ndarray  # ascending bounding-box ids of the visited grids
-    max_seq_len: int
 
     @property
     def n_traj(self) -> int:
@@ -265,6 +264,11 @@ class ModelInputs:
     @property
     def n_users(self) -> int:
         return len(self.user_ids)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Each trajectory's first point in the per-point columns."""
+        return np.cumsum(self.lengths) - self.lengths
 
     @property
     def class_counts(self) -> np.ndarray:
@@ -313,14 +317,6 @@ def build_model_inputs(
     if sequences.roster != list(global_graph.user_ids):
         raise ValueError("sequence users do not match the global graph's user roster")
 
-    lengths, rows = sequences.lengths, sequences.point_rows()
-    at = rows, np.arange(len(rows)) - sequences.start[rows]  # (sequence, position) per point
-
-    def padded(values):
-        out = np.zeros((len(sequences), lengths.max()), dtype=values.dtype)
-        out[at] = values
-        return out
-
     grid_rows = np.unique(sequences.grid)
     if not np.array_equal(local_graph.cells, grid_rows):
         raise ValueError("the local graph's cells are not the cells the sequences visit")
@@ -333,20 +329,18 @@ def build_model_inputs(
         x_global=x_global,
         traj_rows=classes[: len(ids)],  # trajectories are the first nodes
         traj_ids=ids,
-        # Padding is grid 0, at or below every visited id, so it maps to row 0.
-        grid_idx=np.searchsorted(grid_rows, padded(sequences.grid)),
-        state_idx=padded(sequences.state),
-        times=padded(sequences.t),
-        lengths=lengths,
+        grid_idx=np.searchsorted(grid_rows, sequences.grid),
+        state_idx=sequences.state,
+        times=sequences.t,
+        lengths=sequences.lengths,
         labels=sequences.user,
         user_ids=sequences.roster,
         n_grids=local_graph.n_grids,
         grid_rows=grid_rows,
-        max_seq_len=int(lengths.max()),
     )
 
 
-_MAGIC = b"TLNKCKP1\n"
+_MAGIC = b"TLNKCKP2\n"
 _CHECKSUM_END = len(_MAGIC) + 65  # the hex sha256 and its newline
 # A checkpoint's records after the parameter arena, in file order: each CSR
 # matrix as its data, indices and indptr, then the dense arrays, then the
@@ -377,7 +371,7 @@ def save_checkpoint(params: ModelParams, inputs: ModelInputs, split: DatasetSpli
     header = {"model": asdict(params.config),
               "parameters": [[name, t.values.shape] for name, t in params.items()],
               "sources": sources, "traj_ids": inputs.traj_ids, "user_ids": inputs.user_ids,
-              "n_grids": inputs.n_grids, "max_seq_len": inputs.max_seq_len,
+              "n_grids": inputs.n_grids,
               "shapes": {name: getattr(inputs, name).shape for name in _CSR_FIELDS}}
     arrays = [params.values]
     arrays += [getattr(getattr(inputs, name), part) for name in _CSR_FIELDS
@@ -461,6 +455,54 @@ def _read_record(fh, path: str | Path, size: int) -> np.ndarray:
     return np.fromfile(fh, dtype, count).reshape(shape)
 
 
+def _check_index(path: str | Path, name: str, values: np.ndarray, limit: int,
+                 length: int | None) -> None:
+    """DataError unless ``values`` are ``length`` (any number when None)
+    int64 entries, each in [0, limit)."""
+    if values.dtype != np.int64 or values.ndim != 1 or length not in (None, len(values)):
+        raise DataError(f"{path} holds {name} of shape {values.shape} and type {values.dtype} "
+                        f"where {'some' if length is None else length} int64 entries belong; "
+                        "rerun the 'train' stage")
+    bad = values[(values < 0) | (values >= limit)]
+    if bad.size:
+        raise DataError(f"{path} holds {name} {int(bad[0])}, outside [0, {limit}); "
+                        "rerun the 'train' stage")
+
+
+def _check_inputs(inputs: ModelInputs, split: DatasetSplit, n_rows: int,
+                  path: str | Path) -> None:
+    """DataError unless every trajectory holds 1 to N points, N finite point
+    times in all, every index lies in the range of what it indexes and each
+    matrix has its shape and finite entries. So the longest sequence, which
+    sizes a batch's position table, is bounded by the file's own bytes, and
+    no native product reads past a matrix."""
+    k = inputs.m_global.shape[0]
+    for name, shape in (("m_local", (n_rows, n_rows)), ("m_global", (k, k)),
+                        ("x_global", (k, n_rows))):
+        matrix = getattr(inputs, name)
+        matrix.check_format(full_check=True)  # its indices and indptr, or a ValueError
+        if matrix.shape != shape:
+            raise DataError(f"{path} holds {name} of shape {matrix.shape} where {shape} "
+                            "belongs; rerun the 'train' stage")
+        if not np.isfinite(matrix.data).all():
+            raise DataError(f"{path}: {name} holds a non-finite entry; rerun the 'train' stage")
+    times, n = inputs.times, len(inputs.times)
+    if times.dtype != np.float64 or times.ndim != 1 or not np.isfinite(times).all():
+        raise DataError(f"{path} holds point times of shape {times.shape} and type "
+                        f"{times.dtype} that are not all finite; rerun the 'train' stage")
+    _check_index(path, "lengths", inputs.lengths, n + 1, inputs.n_traj)
+    if not inputs.n_traj or inputs.lengths.min() < 1 or inputs.lengths.sum() != n:
+        raise DataError(f"{path} holds {inputs.n_traj} trajectory lengths that are not each "
+                        f"at least 1 with {n} points in all; rerun the 'train' stage")
+    _check_index(path, "grid_rows", inputs.grid_rows, inputs.n_grids, n_rows)
+    _check_index(path, "grid_idx", inputs.grid_idx, n_rows, n)
+    _check_index(path, "state_idx", inputs.state_idx, MOTION_STATES, n)
+    _check_index(path, "traj_rows", inputs.traj_rows, k, inputs.n_traj)
+    _check_index(path, "labels", inputs.labels, inputs.n_users, inputs.n_traj)
+    for f in fields(split):
+        _check_index(path, f"the {f.name} split", getattr(split, f.name), inputs.n_traj, None)
+
+
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, DatasetSplit,
                                                   dict[str, str]]:
     """What ``save_checkpoint`` wrote: (params, inputs, split, sources), the
@@ -469,7 +511,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, Dataset
     anywhere), a header or a parameter list that does not fit the model
     (found before any array is read), a record larger than the bytes left
     or a non-finite value raises DataError naming the file and the train
-    stage."""
+    stage, and so do sequences or indices that do not fit (``_check_inputs``)."""
     size = Path(path).stat().st_size
     with Path(path).open("rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -500,16 +542,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, Dataset
                    for name in _CSR_FIELDS}
             inputs = ModelInputs(**csr, **{name: read() for name in _ARRAY_FIELDS},
                                  traj_ids=header["traj_ids"], user_ids=header["user_ids"],
-                                 n_grids=header["n_grids"], max_seq_len=header["max_seq_len"])
-            # The position table is max_seq_len rows: bounded by the file only
-            # through the padded sequence arrays, one row per trajectory.
-            if not inputs.n_traj or inputs.grid_idx.shape != (inputs.n_traj,
-                                                                inputs.max_seq_len):
-                raise DataError(f"{path} holds sequences of shape {inputs.grid_idx.shape} for "
-                                f"{inputs.n_traj} trajectories of at most "
-                                f"{inputs.max_seq_len} points; rerun the 'train' stage")
-            params = ModelParams(config, values, n_rows, n_users, inputs.max_seq_len)
+                                 n_grids=header["n_grids"])
             split = DatasetSplit(*(read() for _ in fields(DatasetSplit)))
+            _check_inputs(inputs, split, n_rows, path)
+            params = ModelParams(config, values, n_rows, n_users)
             sources = dict(header["sources"])
         if fh.tell() != size:
             raise DataError(f"{path} holds {size - fh.tell()} bytes after its last record; "
@@ -554,7 +590,7 @@ def self_attention_stack(params: ModelParams, x: Tensor, packing: T.Packing,
     """
     config = params.config
     inv_scale = 1.0 / math.sqrt(x.shape[-1] // config.heads)
-    state = T.add(x, Tensor(params.pos_encoding[packing.pos]))
+    state = T.add(x, Tensor(positional_encoding(packing.m, x.shape[-1])[packing.pos]))
     for layer in range(config.attn_layers):
         merged = T.masked_attention(state, *(params[f"attn{layer}_{kind}"] for kind in "qkv"),
                                     packing, config.heads, inv_scale)
@@ -618,7 +654,7 @@ def fused_representations(params: ModelParams, inputs: ModelInputs, batch: np.nd
     z_local = z_global = Tensor(np.zeros((len(batch), config.embed_dim)))
     if config.ablation != "tul-l":
         packing = T.Packing(inputs.lengths[batch])
-        at = np.asarray(batch)[packing.seq], packing.pos
+        at = inputs.starts[batch][packing.seq] + packing.pos
         x = encode_locations(params, h_local,
                              inputs.grid_idx[at], inputs.state_idx[at], inputs.times[at])
         x = T.dropout(x, config.dropout_rate, training, rng, packing)

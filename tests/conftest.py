@@ -140,6 +140,15 @@ def checkpoint_parts(data):
     return magic, header, records
 
 
+# Where each model-input and split record stands in a checkpoint's records,
+# after the parameter arena: each CSR matrix's parts, then the other arrays.
+CHECKPOINT_RECORDS = {name: 1 + k for k, name in enumerate(
+    [f"{matrix}.{part}" for matrix in ("m_local", "m_global", "x_global")
+     for part in ("data", "indices", "indptr")]
+    + ["traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels", "grid_rows",
+       "train", "validation", "test"])}
+
+
 def rewrite_checkpoint(path, edit):
     """Rewrite a checkpoint's header and records, and its checksum with them,
     so that its loader reads the edit itself: ``edit`` takes the header dict
@@ -158,11 +167,12 @@ def rewrite_checkpoint(path, edit):
     path.write_bytes(b"%s\n%s\n%s" % (magic, hashlib.sha256(body).hexdigest().encode(), body))
 
 
-def npy_record(array, shape):
-    """``array``'s data under a .npy header that declares ``shape``."""
+def npy_record(array, shape, fortran_order=False):
+    """``array``'s data under a .npy header that declares ``shape`` and
+    ``fortran_order``."""
     fh = io.BytesIO()
     np.lib.format.write_array_header_1_0(
-        fh, {"descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False,
+        fh, {"descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": fortran_order,
              "shape": shape})
     return fh.getvalue() + array.tobytes()
 
@@ -242,7 +252,6 @@ def toy_model_setup():
         n_grids=inputs.n_grids,
         grid_rows=inputs.grid_rows,
         n_users=inputs.n_users,
-        max_seq_len=inputs.max_seq_len,
         rng=seeded_rng(123, "init"),
     )
     return params, config, inputs, split

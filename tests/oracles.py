@@ -19,7 +19,8 @@ from tulink.mobility import (_SEQUENCE_KEYS, MAX_FAILURE_RATE, METERS_PER_DEGREE
                              GridSequence, ParseReport, SequenceColumns, split_sizes,
                              time_window_vocab)
 from tulink.model import (COSINE_EPS, ModelInputs, ModelParams, build_model_inputs,
-                          encode_graphs, encode_locations, global_attention)
+                          encode_graphs, encode_locations, global_attention,
+                          positional_encoding)
 from tulink.tensor import Tape, Tensor, _record, _result, recording
 from tulink.train import ADAM_EPS, BETA1, BETA2
 
@@ -465,7 +466,7 @@ def padded_self_attention_stack(params, x, lengths, rng, training):
     _, m, d = x.shape
     config = params.config
     inv_scale = 1.0 / math.sqrt(d // config.heads)
-    state = T.add(x, Tensor(np.broadcast_to(params.pos_encoding[:m], x.shape)))
+    state = T.add(x, Tensor(np.broadcast_to(positional_encoding(m, d), x.shape)))
     for layer in range(config.attn_layers):
         merged = padded_masked_attention(
             state, *(params[f"attn{layer}_{kind}"] for kind in "qkv"), lengths, config.heads,
@@ -478,6 +479,18 @@ def padded_self_attention_stack(params, x, lengths, rng, training):
     return state
 
 
+def padded_points(inputs, batch):
+    """The batch's grid rows, states and times cut from the packed columns
+    one trajectory at a time, each a (B, m) array zero past each length."""
+    lengths, ends = inputs.lengths[batch], np.cumsum(inputs.lengths)[batch]
+    columns = (inputs.grid_idx, inputs.state_idx, inputs.times)
+    out = [np.zeros((len(batch), lengths.max()), dtype=c.dtype) for c in columns]
+    for row, (n, end) in enumerate(zip(lengths, ends)):
+        for padded, column in zip(out, columns):
+            padded[row, :n] = column[end - n : end]
+    return out
+
+
 def padded_fused_representations(params, inputs, batch, rng, training, graphs=None):
     """model.fused_representations with the local branch over the batch
     padded to its longest sequence, every per-point layer over all B·m
@@ -487,9 +500,7 @@ def padded_fused_representations(params, inputs, batch, rng, training, graphs=No
     z_local = z_global = Tensor(np.zeros((len(batch), config.embed_dim)))
     if config.ablation != "tul-l":
         lengths = inputs.lengths[batch]
-        m = int(lengths.max())
-        x = encode_locations(params, h_local, inputs.grid_idx[batch, :m],
-                             inputs.state_idx[batch, :m], inputs.times[batch, :m])
+        x = encode_locations(params, h_local, *padded_points(inputs, batch))
         x = T.dropout(x, config.dropout_rate, training, rng)
         z = x if config.ablation == "tul-sa" else padded_self_attention_stack(
             params, x, lengths, rng, training)
@@ -514,7 +525,7 @@ def per_head_attention_oracle(params, config, x, rng, training):
     m, d = x.shape
     dh = d // config.heads
     inv_scale = 1.0 / math.sqrt(dh)
-    state = T.add(x, Tensor(params.pos_encoding[:m]))
+    state = T.add(x, Tensor(positional_encoding(m, d)))
     for layer in range(config.attn_layers):
         heads = []
         for h in range(config.heads):
@@ -672,13 +683,15 @@ def per_trajectory_logits_oracle(params, inputs, batch, rng, training):
     if config.ablation != "tul-g":  # each trajectory's row and norm, read from its class
         h_traj, traj_norms = (T.embedding(t, inputs.traj_rows) for t in (h_class, class_norms))
     zeros_d = Tensor(np.zeros(config.embed_dim))
+    ends = np.cumsum(inputs.lengths)
     rows = []
     for idx in batch:
         z_local = z_global = zeros_d
         if config.ablation != "tul-l":
             m = inputs.lengths[idx]
-            x = encode_locations(params, h_local, inputs.grid_idx[idx, :m],
-                                 inputs.state_idx[idx, :m], inputs.times[idx, :m])
+            at = slice(ends[idx] - m, ends[idx])
+            x = encode_locations(params, h_local, inputs.grid_idx[at], inputs.state_idx[at],
+                                 inputs.times[at])
             x = T.dropout(x, config.dropout_rate, training, rng)
             z = x if config.ablation == "tul-sa" else per_head_attention_oracle(
                 params, config, x, rng, training)
@@ -720,12 +733,9 @@ def bounding_box_adjacency(local_graph):
 def bounding_box_inputs_oracle(sequences, local_graph, global_graph):
     """Model inputs indexed by bounding-box cell and by global node: the whole
     normalized local and global adjacencies, every feature row and column,
-    raw grid ids padded with grid 0, and no twin classes."""
+    raw grid ids, and no twin classes."""
     inputs = build_model_inputs(sequences, local_graph, global_graph)
-
-    grid_idx = np.zeros_like(inputs.grid_idx)
-    for row, s in zip(grid_idx, sequences):
-        row[: len(s)] = s.grid
+    grid_idx = np.array([g for s in sequences for g in s.grid], dtype=np.int64)
     return dataclasses.replace(
         inputs,
         m_local=symmetric_normalize(bounding_box_adjacency(local_graph)),
@@ -769,12 +779,12 @@ def bounding_box_initial_values(config, n_grids, n_users, rng):
     return values
 
 
-def bounding_box_params_oracle(config, n_grids, n_users, max_seq_len, rng):
+def bounding_box_params_oracle(config, n_grids, n_users, rng):
     """ModelParams holding bounding_box_initial_values: one first-layer row
     per bounding-box cell, for bounding_box_inputs_oracle."""
     values = bounding_box_initial_values(config, n_grids, n_users, rng)
     return ModelParams(config, np.concatenate([v.ravel() for v in values.values()]), n_grids,
-                       n_users, max_seq_len)
+                       n_users)
 
 
 # ---------------------------------------------------------------------------
@@ -942,16 +952,17 @@ def build_grid_incidence_oracle(sequences, n_grids):
 
 
 def model_inputs_oracle(sequences, local_graph, global_graph):
-    """Labels and padded id and time matrices of records filled one row at a time,
-    and the rest of ModelInputs from the records' grids."""
+    """Labels and per-point id and time columns of records appended one point
+    at a time, and the rest of ModelInputs from the records' grids."""
     user_index = {u: k for k, u in enumerate(global_graph.user_ids)}
     lengths = np.asarray([len(s) for s in sequences], dtype=np.int64)
 
-    def padded(field, dtype=np.int64):
-        out = np.zeros((len(sequences), lengths.max()), dtype=dtype)
-        for row, s in zip(out, sequences):
-            row[: len(s)] = getattr(s, field)
-        return out
+    def points(field, dtype=np.int64):
+        out = []
+        for s in sequences:
+            for value in getattr(s, field):
+                out.append(value)
+        return np.array(out, dtype=dtype)
 
     grid_rows = np.unique(np.concatenate([s.grid for s in sequences]).astype(np.int64))
     m_global, x_global, classes = twin_quotient_oracle(
@@ -963,15 +974,14 @@ def model_inputs_oracle(sequences, local_graph, global_graph):
         x_global=x_global,
         traj_rows=classes[: len(sequences)],
         traj_ids=[s.traj_id for s in sequences],
-        grid_idx=np.searchsorted(grid_rows, padded("grid")),
-        state_idx=padded("state"),
-        times=padded("t", np.float64),
+        grid_idx=np.searchsorted(grid_rows, points("grid")),
+        state_idx=points("state"),
+        times=points("t", np.float64),
         lengths=lengths,
         labels=np.asarray([user_index[s.user_id] for s in sequences], dtype=np.int64),
         user_ids=list(global_graph.user_ids),
         n_grids=local_graph.n_grids,
         grid_rows=grid_rows,
-        max_seq_len=int(lengths.max()),
     )
 
 

@@ -371,7 +371,7 @@ class TestCriterion2Gradients:
         config = small_config()
         inputs, _ = inputs_from_sequences(toy_nine_sequences(), 9)
         params = ModelParams.drawn(config, 9, inputs.grid_rows, inputs.n_users,
-                                   inputs.max_seq_len, seeded_rng(123, "init"))
+                                   seeded_rng(123, "init"))
         batch = np.arange(9)
         targets = inputs.labels[batch]
         worst = 0.0

@@ -35,8 +35,9 @@ from tulink.model import (ABLATIONS, ModelConfig, ModelInputs, fused_representat
                           load_checkpoint)
 from tulink.train import TrainConfig, evaluate_on_split, evaluate_rows
 
-from conftest import (GRAPH_CORRUPTIONS, checkpoint_parts, edit_graph_section, npy_record,
-                      parameter_views, rewrite_checkpoint, rewrite_graph)
+from conftest import (CHECKPOINT_RECORDS, GRAPH_CORRUPTIONS, checkpoint_parts,
+                      edit_graph_section, npy_record, parameter_views, rewrite_checkpoint,
+                      rewrite_graph)
 from oracles import export_embeddings_oracle
 
 
@@ -180,9 +181,22 @@ class TestExitCodes:
             assert run([stage, *args]) == 0, capsys.readouterr().err
         params, inputs, _ = _restore(StagePaths(tmp_path / "o"))
         k = next(k for k, tid in enumerate(inputs.traj_ids) if tid.endswith(":-1"))
-        assert inputs.lengths[k] == 1 and inputs.times[k, 0] == -1e-13
+        at = inputs.starts[k]
+        assert inputs.lengths[k] == 1 and inputs.times[at] == -1e-13
         window_len = mob.SECONDS_PER_DAY / params.config.time_vocab
-        assert mob.time_windows(inputs.times[k, :1], window_len).tolist() == [11]
+        assert mob.time_windows(inputs.times[at : at + 1], window_len).tolist() == [11]
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+    def test_output_that_cannot_be_a_directory_is_usage_error(self, workspace, tmp_path, capsys,
+                                                              under):
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        out = afile / under if under else afile
+        code = run(["preprocess", "--config", workspace["config"], "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert f"output directory {out}" in err and "Traceback" not in err
+        assert afile.read_text() == "not a directory\n"
 
     def test_empty_dataset_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -326,13 +340,29 @@ class TestCheckpointErrors:
         assert "truncated" in self._evaluate(workspace, trained, tmp_path, capsys, truncate)
 
     def test_negative_dimensions(self, workspace, trained, tmp_path, capsys):
-        """A record of shape (-r, -c) holds as many values as one of (r, c)."""
-        def negate_first_matrix(header, records):
-            k, values = next((k, r) for k, r in enumerate(records) if r.ndim == 2)
-            records[k] = npy_record(values, tuple(-n for n in values.shape))
+        """A record of shape (-1, -n) holds as many values as one of (n,)."""
+        def negate_point_times(header, records):
+            k = CHECKPOINT_RECORDS["times"]
+            records[k] = npy_record(records[k], (-1, -len(records[k])))
         err = self._evaluate(workspace, trained, tmp_path, capsys,
-                             lambda path: rewrite_checkpoint(path, negate_first_matrix))
+                             lambda path: rewrite_checkpoint(path, negate_point_times))
         assert "negative dimension" in err
+
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    @pytest.mark.parametrize("name, value, words", [
+        ("grid_idx", 10 ** 6, "grid_idx 1000000"), ("state_idx", 10 ** 6, "state_idx 1000000"),
+        ("labels", 10 ** 6, "labels 1000000"), ("traj_rows", 10 ** 6, "traj_rows 1000000"),
+        ("test", 10 ** 6, "test split 1000000"), ("lengths", 0, "trajectory lengths"),
+        ("lengths", 10 ** 6, "lengths 1000000")])
+    def test_index_out_of_range(self, workspace, trained, tmp_path, capsys, stage, name, value,
+                                words):
+        """Under a renewed checksum, an index record's first entry set past
+        what it indexes, or a length to 0 or past the points, exits 2."""
+        def set_first(header, records):
+            records[CHECKPOINT_RECORDS[name]][0] = value
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, set_first), stage=stage)
+        assert words in err
 
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
     def test_record_larger_than_the_file(self, workspace, trained, tmp_path, capsys, stage):
@@ -428,8 +458,9 @@ class TestCheckpointErrors:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
     # The parameter records of earlier versions with and without model
-    # settings, and the model inputs they were saved beside.
-    @pytest.mark.parametrize("magic", [b"TLNKPRM1", b"TLNKPRM2", b"TLNKINP1\n"])
+    # settings, the model inputs they were saved beside, and the checkpoint
+    # whose sequence records were padded to the longest trajectory.
+    @pytest.mark.parametrize("magic", [b"TLNKPRM1", b"TLNKPRM2", b"TLNKINP1\n", b"TLNKCKP1\n"])
     def test_checkpoint_of_an_earlier_version(self, workspace, trained, tmp_path, capsys,
                                               magic):
         def overwrite_magic(path):

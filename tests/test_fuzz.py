@@ -94,6 +94,13 @@ def artifact_bytes(out):
     f"u{u},{k * 30_000.0!r},{lat!r},{lon + 1e-4 * k!r}\n"
     for u, (lat, lon) in enumerate([(89.9995, 10.0), (-16.5, -179.9999), (-89.9995, -100.0)])
     for k in range(9)), []))
+# One user's 300-point interval among one-point intervals: the longest
+# sequence is 300 times the shortest, through every stage.
+@example(dataset=("user_id,timestamp,lat,lon\n" + "".join(
+    f"u0,{60.0 * k!r},{39.9 + 1e-4 * (k % 7)!r},{116.4 + 1e-4 * (k % 5)!r}\n"
+    for k in range(300)) + "".join(
+    f"u{u},{86_400.0 * day + 3_600.0 * u!r},{39.9 + 2e-3 * u!r},116.4\n"
+    for u in range(4) for day in range(1, 4)), []))
 def test_five_stages_on_odd_data(tmp_path_factory, dataset):
     """Each stage exits 0, 1 or 2 without a traceback. After five exits 0,
     embeddings.tsv holds one finite row per trajectory and every metric lies

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,7 @@ from tulink.model import (
 )
 from tulink.tensor import Tape, Tensor, recording
 
+from conftest import CHECKPOINT_RECORDS as RECORD
 from conftest import (STEP_OPS, checkpoint_parts, gcn_and_grads, graphs_from_sequences,
                       inputs_from_sequences, make_sequence, npy_record, on_odd_cells,
                       rewrite_checkpoint, small_config, toy_nine_sequences)
@@ -73,6 +75,14 @@ class TestPositionalEncoding:
             math.cos(1.0 / 10000 ** (2 / 4)),
         ]
         np.testing.assert_allclose(p[1], expected, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [4, 6, 32, 128, 256])
+    def test_a_shorter_table_is_a_prefix(self, d):
+        """A batch builds the table for its own longest sequence: the first
+        rows of any longer table, bit for bit."""
+        longer = positional_encoding(5000, d)
+        for m in (1, 2, 7, 40):
+            assert positional_encoding(m, d).tobytes() == longer[:m].tobytes()
 
     def test_never_trained(self, toy_model_setup):
         params, _, _, _ = toy_model_setup
@@ -195,11 +205,10 @@ class TestGCN:
             encode_graphs(params, inputs)
 
 
-def make_params(config, n_grids=9, n_users=3, max_seq_len=8, seed=123, grid_rows=None):
+def make_params(config, n_grids=9, n_users=3, seed=123, grid_rows=None):
     """Parameters with first GCN rows for ``grid_rows``, by default every cell."""
     rows = np.arange(n_grids) if grid_rows is None else grid_rows
-    return ModelParams.drawn(config, n_grids, rows, n_users, max_seq_len,
-                             seeded_rng(seed, "init"))
+    return ModelParams.drawn(config, n_grids, rows, n_users, seeded_rng(seed, "init"))
 
 
 class TestLocationEncoder:
@@ -276,7 +285,7 @@ def dense_attention_oracle(params, cfg, x):
     d = cfg.embed_dim
     dh = d // cfg.heads
     scale = 1.0 / math.sqrt(dh)
-    state = x + params.pos_encoding[: x.shape[0]]
+    state = x + positional_encoding(*x.shape)
     for layer in range(cfg.attn_layers):
         outs = []
         for h in range(cfg.heads):
@@ -317,9 +326,8 @@ class TestSelfAttention:
         cfg = small_config()
         params = make_params(cfg)
         row = RNG.normal(size=cfg.embed_dim)
-        x = np.stack([row, row])
-        # zero the position table so both rows see identical inputs end to end
-        params.pos_encoding = np.zeros_like(params.pos_encoding)
+        # minus the position table, so both rows see identical inputs end to end
+        x = row - positional_encoding(2, cfg.embed_dim)
         out = self._run(params, cfg, x)
         np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
@@ -337,7 +345,7 @@ class TestSelfAttention:
         params = make_params(cfg)
         x = RNG.normal(size=(5, cfg.embed_dim))
         dh = cfg.embed_dim // cfg.heads
-        state = x + params.pos_encoding[:5]
+        state = x + positional_encoding(*x.shape)
         for layer in range(cfg.attn_layers):
             outs = []
             for h in range(cfg.heads):
@@ -521,7 +529,7 @@ def test_tape_ops_per_training_step(ablation, layers):
     cross entropy, the scaled penalty and the loss add."""
     cfg = small_config(attn_layers=layers, dropout_rate=0.5, ablation=ablation)
     inputs, _ = inputs_from_sequences(toy_nine_sequences(), 9)
-    params = make_params(cfg, max_seq_len=inputs.max_seq_len)
+    params = make_params(cfg)
     batch = np.array([0, 4, 7])
     tape = Tape()
     with recording(tape):
@@ -739,7 +747,7 @@ class TestBatchedMatchesPerTrajectoryOracle:
         cfg = small_config(**dims, ablation=ablation)
         inputs, _ = inputs_from_sequences(ragged_sequences(repeats), 9)
         assert len(set(inputs.lengths)) > 3
-        params = make_params(cfg, max_seq_len=inputs.max_seq_len, seed=1)
+        params = make_params(cfg, seed=1)
         supports = [0]
         sparsemax = T.sparsemax
 
@@ -762,7 +770,7 @@ class TestBatchedMatchesPerTrajectoryOracle:
     def test_padding_leaves_a_trajectory_row_unchanged(self):
         cfg = small_config(attn_layers=2)
         inputs, _ = inputs_from_sequences(ragged_sequences(), 9)
-        params = make_params(cfg, max_seq_len=inputs.max_seq_len)
+        params = make_params(cfg)
         short = [i for i in range(inputs.n_traj) if inputs.lengths[i] <= 2]
         longest = int(np.argmax(inputs.lengths))
         for i in short:
@@ -782,7 +790,7 @@ class TestPackedLocalBranch:
     @pytest.mark.parametrize("training", [False, True], ids=["dropout-off", "fixed-mask"])
     def test_self_attention_stack(self, training):
         cfg = small_config(embed_dim=16, heads=4, attn_layers=3, dropout_rate=0.3)
-        params = make_params(cfg, max_seq_len=6)
+        params = make_params(cfg)
         lengths = np.array([2, 6, 1, 4])
         packing = T.Packing(lengths)
         at = packing.seq, packing.pos
@@ -816,7 +824,7 @@ class TestPackedLocalBranch:
         cfg = small_config(embed_dim=16, heads=4, attn_layers=2, dropout_rate=0.3,
                            ablation=ablation)
         inputs, _ = inputs_from_sequences(ragged_sequences(), 9)
-        params = make_params(cfg, max_seq_len=inputs.max_seq_len, seed=2)
+        params = make_params(cfg, seed=2)
         batch = np.array([0, 3, 5, 7, 11, 2, 4])
 
         def linked(fused):
@@ -844,7 +852,7 @@ class TestPackedLocalBranch:
             monkeypatch.setattr(T, name, recorded)
         cfg = small_config(attn_layers=2, dropout_rate=0.5)
         inputs, _ = inputs_from_sequences(ragged_sequences(), 9)
-        params = make_params(cfg, max_seq_len=inputs.max_seq_len)
+        params = make_params(cfg)
         batch = np.array([0, 1, 2, 3, 6])
         points = int(inputs.lengths[batch].sum())
         assert points < len(batch) * inputs.lengths[batch].max()
@@ -879,8 +887,9 @@ class TestVisitedGridRows:
         assert rows.tolist() == sorted({g for s in sequences for g in s.grid})
         assert rows[0] > 0 and len(rows) < SPARSE_BBOX
         for i, s in enumerate(sequences):
-            assert rows[inputs.grid_idx[i, : len(s)]].tolist() == s.grid
-            assert not inputs.grid_idx[i, len(s):].any()
+            lo = inputs.starts[i]
+            assert rows[inputs.grid_idx[lo : lo + len(s)]].tolist() == s.grid
+        assert len(inputs.grid_idx) == inputs.lengths.sum()
         np.testing.assert_array_equal(inputs.m_local.toarray(),
                                       full.m_local.toarray()[np.ix_(rows, rows)])
         _, _, classes = twin_quotient(full.m_global, full.x_global)
@@ -894,8 +903,7 @@ class TestVisitedGridRows:
         np.testing.assert_array_equal(m_full[dropped][:, dropped], np.eye(len(dropped)))
         assert not m_full[np.ix_(dropped, rows)].any()
         assert not full.x_global.toarray()[:, dropped].any()
-        params = make_params(cfg, n_grids=SPARSE_BBOX, grid_rows=rows,
-                             max_seq_len=inputs.max_seq_len)
+        params = make_params(cfg, n_grids=SPARSE_BBOX, grid_rows=rows)
         for branch in ("local", "global"):
             assert params[f"gcn_{branch}_0"].shape == (len(rows), cfg.embed_dim)
 
@@ -904,10 +912,9 @@ class TestVisitedGridRows:
         cfg = small_config(ablation=ablation)
         inputs, full, _ = self._both()
         rows = inputs.grid_rows
-        params = make_params(cfg, n_grids=SPARSE_BBOX, grid_rows=rows,
-                             max_seq_len=inputs.max_seq_len, seed=7)
+        params = make_params(cfg, n_grids=SPARSE_BBOX, grid_rows=rows, seed=7)
         oracle = bounding_box_params_oracle(cfg, SPARSE_BBOX, inputs.n_users,
-                                            inputs.max_seq_len, seeded_rng(7, "init"))
+                                            seeded_rng(7, "init"))
         reference = bounding_box_initial_values(cfg, SPARSE_BBOX, inputs.n_users,
                                                 seeded_rng(7, "init"))
         assert list(params.tensors) == list(reference)
@@ -1041,7 +1048,7 @@ class TestCheckpoint:
         params, _, _, path = saved_checkpoint
         data = path.read_bytes()
         magic, checksum, rest = data.split(b"\n", 2)
-        assert magic == b"TLNKCKP1" and checksum == hashlib.sha256(rest).hexdigest().encode()
+        assert magic == b"TLNKCKP2" and checksum == hashlib.sha256(rest).hexdigest().encode()
         line = rest.split(b"\n", 1)[0]
         header = json.loads(line)
         assert line == json.dumps(header, sort_keys=True).encode()
@@ -1050,6 +1057,26 @@ class TestCheckpoint:
         records = checkpoint_parts(data)[2]
         assert records[0].tobytes() == params.values.tobytes()
         assert len(records) == 1 + 3 * 3 + 7 + 3
+
+    def test_no_record_is_sized_by_the_longest_sequence(self, tmp_path):
+        """One 10,000-point trajectory among one-point ones: no input array
+        and no checkpoint record holds more entries than there are points or
+        trajectories."""
+        sequences = [make_sequence("u0", 0, [0, 1, 2, 3] * 2500)]
+        sequences += [make_sequence(f"u{u}", j, [4 + 3 * u + j])
+                      for u in range(5) for j in range(1, 4)]
+        inputs, split = inputs_from_sequences(sequences, 20)
+        bound = max(inputs.lengths.sum(), inputs.n_traj)
+        assert bound == 10_015
+        for f in fields(ModelInputs):
+            value = getattr(inputs, f.name)
+            parts = (value.data, value.indices, value.indptr) if sp.issparse(value) else (value,)
+            assert max(map(np.size, parts)) <= bound, f.name
+        params = ModelParams.for_inputs(small_config(), inputs, seeded_rng(1, "init"))
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(params, inputs, split, SOURCES, path)
+        assert max(record.size for record in checkpoint_parts(path.read_bytes())[2]) <= bound
+        assert load_checkpoint(path)[1].lengths.max() == 10_000
 
     def test_rewrite_is_byte_identical(self, saved_checkpoint, tmp_path):
         _, _, _, path = saved_checkpoint
@@ -1078,16 +1105,28 @@ class TestCheckpoint:
         lambda header, records: header.pop("traj_ids"),
         lambda header, records: header.update(sources=[1, 2]),
         lambda header, records: header["shapes"].pop("m_local"),
-        lambda header, records: header.update(max_seq_len=10 ** 12),
+        lambda header, records: records[RECORD["lengths"]].__setitem__(0, 10 ** 12),
         lambda header, records: header.update(traj_ids=[]),
         lambda header, records: records.pop(),
         lambda header, records: records.__setitem__(0, records[0].astype(np.float32)),
         lambda header, records: records.__setitem__(
             3, npy_record(records[3].astype(object), records[3].shape)),
-        lambda header, records: records.__setitem__(11, np.asfortranarray(records[11])),
+        lambda header, records: records.__setitem__(RECORD["grid_idx"], npy_record(
+            records[RECORD["grid_idx"]], records[RECORD["grid_idx"]].shape, fortran_order=True)),
+        lambda header, records: records.__setitem__(
+            RECORD["grid_rows"], records[RECORD["grid_rows"]].astype(np.float64)),
+        lambda header, records: records[RECORD["times"]].__setitem__(0, np.nan),
+        lambda header, records: records.__setitem__(RECORD["times"],
+                                                    records[RECORD["times"]][:-1]),
+        lambda header, records: records[RECORD["m_local.indices"]].__setitem__(0, 10 ** 6),
+        lambda header, records: records[RECORD["m_global.indices"]].__setitem__(0, -1),
+        lambda header, records: records[RECORD["x_global.data"]].__setitem__(0, np.inf),
+        lambda header, records: header["shapes"]["m_local"].__setitem__(1, 10 ** 6),
     ], ids=["no-ids", "sources-not-a-dict", "no-shape", "longer-sequences", "no-trajectories",
             "a-record-short",
-            "float32-arena", "object-record", "fortran-order"])
+            "float32-arena", "object-record", "fortran-order", "float-grid-rows", "nan-time",
+            "a-point-short", "column-past-the-matrix", "negative-column",
+            "infinite-matrix-entry", "matrix-of-other-shape"])
     def test_malformed_header_or_record(self, saved_checkpoint, edit):
         """Under a renewed checksum: the loader's own checks, not a traceback."""
         _, _, _, path = saved_checkpoint

@@ -29,7 +29,7 @@ from oracles import bounding_box_inputs_oracle, evaluate_rows_oracle, per_tensor
 def tiny_params(seed=0):
     cfg = small_config(gcn_layers=1, attn_layers=1)
     return cfg, ModelParams.drawn(cfg, n_grids=4, grid_rows=np.arange(4), n_users=2,
-                                  max_seq_len=3, rng=seeded_rng(seed, "init"))
+                                  rng=seeded_rng(seed, "init"))
 
 
 class TestAdam:
@@ -139,7 +139,7 @@ class TestParameterArena:
         config, params = tiny_params()
         for size in (params.values.size - 1, params.values.size + 1):
             with pytest.raises(ValueError, match="arena"):
-                ModelParams(config, np.zeros(size), n_rows=4, n_users=2, max_seq_len=3)
+                ModelParams(config, np.zeros(size), n_rows=4, n_users=2)
 
 
 class TestTrainConfig:
@@ -198,7 +198,7 @@ class TestTrainLoop:
         result = train(inputs, split, config, tc)
         reference = ModelParams.drawn(
             config, n_grids=inputs.n_grids, grid_rows=inputs.grid_rows, n_users=inputs.n_users,
-            max_seq_len=inputs.max_seq_len, rng=seeded_rng(2, "init"),
+            rng=seeded_rng(2, "init"),
         )
         active = set(result.params.active_names())
         inactive = [n for n in result.params.tensors if n not in active]
