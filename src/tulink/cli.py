@@ -82,7 +82,7 @@ def _load_preprocessed(paths: StagePaths):
     sequences = mob.load_sequences(paths.sequences)
     saved = mob.load_split(paths.splits)
     _check_ids(paths, sequences, "grid", gm.n_grids)
-    split = mob.chronological_split(sequences)
+    split = mob.chronological_split(sequences.user)
     if saved != split.named(sequences.traj_ids):
         raise DataError(f"{paths.splits.name} is not the chronological split of "
                         f"{paths.sequences.name}; rerun the 'preprocess' stage")
@@ -106,7 +106,7 @@ def run_preprocess(cfg: RunConfig) -> dict:
     points, report = mob.parse_dataset(cfg.dataset)
     gm = mob.build_grid_map(points.lon, points.lat, cfg.cell_size)
     sequences = mob.build_grid_sequences(points, gm, cfg.tau)
-    split = mob.chronological_split(sequences)
+    split = mob.chronological_split(sequences.user)
 
     manifest = {
         "users": len(points.roster),
@@ -207,6 +207,7 @@ def run_train(cfg: RunConfig) -> dict:
         "epochs": len(result.history),
         "best_epoch": result.best_epoch,
         "best_val_acc1": result.best_val_acc1,
+        "stopped_by": result.stopped_by,
     }
 
 
@@ -348,7 +349,7 @@ def main(argv=None) -> int:
             print(
                 f"trained {summary['epochs']} epochs; best epoch "
                 f"{summary['best_epoch']} with validation acc@1 "
-                f"{summary['best_val_acc1']:.4f}"
+                f"{summary['best_val_acc1']:.4f}; stopped by {summary['stopped_by']}"
             )
         elif args.command == "evaluate":
             print(M.format_report(run_evaluate(cfg, args.split)), end="")

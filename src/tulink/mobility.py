@@ -362,12 +362,14 @@ def split_sizes(n):
     return n_train, n_val, rem - n_val
 
 
-def chronological_split(sequences: SequenceColumns) -> DatasetSplit:
-    """Per-user chronological 60/20/20 partition into train/validation/test:
-    each user's sequences are one run, cut in order by ``split_sizes``."""
-    _, firsts, counts = np.unique(sequences.user, return_index=True, return_counts=True)
+def chronological_split(users: np.ndarray) -> DatasetSplit:
+    """Per-user chronological 60/20/20 partition into train/validation/test
+    of the sequences whose user codes are ``users``, in (user, interval)
+    order: each user's sequences are one run, cut in order by
+    ``split_sizes``."""
+    _, firsts, counts = np.unique(users, return_index=True, return_counts=True)
     n_train, n_val, _ = (np.repeat(n, counts) for n in split_sizes(counts))
-    rank = np.arange(len(sequences)) - np.repeat(firsts, counts)
+    rank = np.arange(len(users)) - np.repeat(firsts, counts)
     part = (rank >= n_train).astype(np.int64) + (rank >= n_train + n_val)
     return DatasetSplit(*(np.flatnonzero(part == k) for k in range(3)))
 

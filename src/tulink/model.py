@@ -34,7 +34,7 @@ from . import tensor as T
 from .errors import ConfigError, DataError, reading
 from .graphs import GlobalSpatialGraph, LocalSpatialGraph, symmetric_normalize, twin_quotient
 from .mobility import (MOTION_STATES, SECONDS_PER_DAY, DatasetSplit, SequenceColumns,
-                       time_window_vocab, time_windows)
+                       chronological_split, time_window_vocab, time_windows)
 from .tensor import Tensor
 
 COSINE_EPS = 1e-12
@@ -475,7 +475,16 @@ def _check_inputs(inputs: ModelInputs, split: DatasetSplit, n_rows: int,
     times in all, every index lies in the range of what it indexes and each
     matrix has its shape and finite entries. So the longest sequence, which
     sizes a batch's position table, is bounded by the file's own bytes, and
-    no native product reads past a matrix."""
+    no native product reads past a matrix. The rest of what the writer
+    guarantees is checked too: the ids are lists of distinct str,
+    ``traj_rows`` numbers the trajectory classes by first appearance (so no
+    class is empty), the labels are in user order and the split is their
+    chronological split."""
+    for name in ("traj_ids", "user_ids"):
+        ids = getattr(inputs, name)
+        if type(ids) is not list or set(map(type, ids)) - {str} or len(set(ids)) != len(ids):
+            raise DataError(f"{path} holds {name} that are not a list of distinct str; "
+                            "rerun the 'train' stage")
     k = inputs.m_global.shape[0]
     for name, shape in (("m_local", (n_rows, n_rows)), ("m_global", (k, k)),
                         ("x_global", (k, n_rows))):
@@ -498,9 +507,20 @@ def _check_inputs(inputs: ModelInputs, split: DatasetSplit, n_rows: int,
     _check_index(path, "grid_idx", inputs.grid_idx, n_rows, n)
     _check_index(path, "state_idx", inputs.state_idx, MOTION_STATES, n)
     _check_index(path, "traj_rows", inputs.traj_rows, k, inputs.n_traj)
+    rows = inputs.traj_rows
+    if rows[0] != 0 or (rows[1:] > np.maximum.accumulate(rows)[:-1] + 1).any():
+        raise DataError(f"{path} holds traj_rows that do not number the trajectory classes "
+                        "by first appearance; rerun the 'train' stage")
     _check_index(path, "labels", inputs.labels, inputs.n_users, inputs.n_traj)
+    if (inputs.labels[1:] < inputs.labels[:-1]).any():
+        raise DataError(f"{path} holds labels out of user order; rerun the 'train' stage")
     for f in fields(split):
         _check_index(path, f"the {f.name} split", getattr(split, f.name), inputs.n_traj, None)
+    chronological = chronological_split(inputs.labels)
+    if not all(np.array_equal(getattr(split, f.name), getattr(chronological, f.name))
+               for f in fields(split)):
+        raise DataError(f"{path} holds a split that is not the chronological split of its "
+                        "labels; rerun the 'train' stage")
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, DatasetSplit,
@@ -511,7 +531,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, Dataset
     anywhere), a header or a parameter list that does not fit the model
     (found before any array is read), a record larger than the bytes left
     or a non-finite value raises DataError naming the file and the train
-    stage, and so do sequences or indices that do not fit (``_check_inputs``)."""
+    stage, and so do sequences, indices or ids that do not fit or that break
+    what ``save_checkpoint`` guarantees (``_check_inputs``)."""
     size = Path(path).stat().st_size
     with Path(path).open("rb") as fh:
         magic = fh.read(len(_MAGIC))

@@ -106,6 +106,7 @@ class TrainResult:
     history: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     best_val_acc1: float = 0.0
+    stopped_by: str = "epochs_max"  # or "patience", or "validation acc@1 1.0"
 
 
 def evaluate_rows(params: ModelParams, inputs: ModelInputs, indices: np.ndarray,
@@ -152,10 +153,13 @@ def train(
 ) -> TrainResult:
     """Optimize from a seeded initialization, keeping the best-validation state.
 
-    Stops when validation acc@1 has not improved for ``patience``
-    consecutive epochs, or at ``epochs_max``. Randomness (parameter init,
-    epoch shuffling, dropout) flows from the run seed through named
-    sub-streams so identical seeds give identical histories.
+    An epoch is kept only when its validation acc@1 beats the best so far.
+    Stops as soon as a kept epoch reaches acc@1 1.0, which no later epoch
+    can beat; when validation acc@1 has not improved for ``patience``
+    consecutive epochs; or at ``epochs_max``. ``stopped_by`` names the
+    first of these three rules that holds at the last epoch. Randomness
+    (parameter init, epoch shuffling, dropout) flows from the run seed
+    through named sub-streams so identical seeds give identical histories.
     """
     model_config.validate()
     train_config.validate()
@@ -199,9 +203,13 @@ def train(
             result.best_epoch = epoch
             result.best_val_acc1 = val_acc
             epochs_without_improvement = 0
+            if val_acc == 1.0:
+                result.stopped_by = "validation acc@1 1.0"
+                break
         else:
             epochs_without_improvement += 1
             if epochs_without_improvement >= train_config.patience:
+                result.stopped_by = "patience"
                 break
 
     params.values[:] = best_values

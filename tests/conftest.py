@@ -49,7 +49,7 @@ def graphs_from_sequences(sequences, n_grids):
     """(columns of the sorted sequences, local graph, global graph, split) for
     hand-built sequences, labelled by the chronological training split."""
     columns = columns_from_records(sorted(sequences, key=lambda s: (s.user_id, s.interval_index)))
-    split = chronological_split(columns)
+    split = chronological_split(columns.user)
     local = build_local_graph(columns, n_grids)
     incidence = build_grid_incidence(columns, n_grids)
     global_g = build_global_graph(incidence, columns.traj_ids, columns.roster, split.train,

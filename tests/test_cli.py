@@ -301,6 +301,23 @@ def test_empty_ablation_flag_selects_the_full_model(workspace, trained, tmp_path
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, line", [
+    ((), "trained 2 epochs; best epoch 1 with validation acc@1 0.2500; stopped by epochs_max"),
+    (("--epochs", "30", "--patience", "1"),
+     "trained 2 epochs; best epoch 1 with validation acc@1 0.2500; stopped by patience"),
+    (("--epochs", "80", "--patience", "80", "--learning-rate", "0.01"),
+     "trained 5 epochs; best epoch 5 with validation acc@1 1.0000; "
+     "stopped by validation acc@1 1.0"),
+], ids=["epochs-max", "patience", "perfect-validation"])
+def test_train_says_which_rule_stopped_it(workspace, trained, tmp_path, capsys, flags, line):
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    capsys.readouterr()
+    assert run(["train", "--config", workspace["config"], "--output", str(out), *flags]) == 0
+    assert capsys.readouterr().out == line + "\n"
+    assert len((out / "history.tsv").read_text().splitlines()) == int(line.split()[1])
+
+
 @pytest.mark.parametrize("part", ["train", "validation"])
 def test_evaluate_scores_the_chosen_split(workspace, trained, tmp_path, part):
     """``--split`` scores the trajectories that splits.json lists under it."""
@@ -363,6 +380,43 @@ class TestCheckpointErrors:
         err = self._evaluate(workspace, trained, tmp_path, capsys,
                              lambda path: rewrite_checkpoint(path, set_first), stage=stage)
         assert words in err
+
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    @pytest.mark.parametrize("name, edit, words", [
+        ("traj_rows", lambda r: r.__setitem__(1, r[0]), "traj_rows that do not number"),
+        ("traj_rows", lambda r: r.__setitem__(0, r.max()), "traj_rows that do not number"),
+        ("traj_rows", lambda r: r.__setitem__(slice(0, 2), r[1::-1]),
+         "traj_rows that do not number"),
+        ("labels", lambda r: r.__setitem__(slice(None), r[::-1]), "labels out of user order"),
+        ("test", lambda r: r.__setitem__(1, r[0]), "not the chronological split"),
+        ("test", lambda r: r.__setitem__(slice(None), r[::-1]), "not the chronological split"),
+        ("validation", lambda r: r.__setitem__(0, r[1]), "not the chronological split"),
+    ], ids=["class-repeated", "class-set-to-max", "classes-swapped", "labels-reversed",
+            "test-index-repeated", "test-reversed", "validation-index-repeated"])
+    def test_record_breaks_what_the_writer_guarantees(self, workspace, trained, tmp_path,
+                                                       capsys, stage, name, edit, words):
+        """Under a renewed checksum, a record edited within the ranges the
+        index checks allow but against the writer's numbering, order or
+        split exits 2, where it gave a traceback or wrong numbers."""
+        def apply(header, records):
+            edit(records[CHECKPOINT_RECORDS[name]])
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, apply), stage=stage)
+        assert words in err
+
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    @pytest.mark.parametrize("name", ["traj_ids", "user_ids"])
+    @pytest.mark.parametrize("edit", [
+        lambda ids: ids.__setitem__(1, ids[0]),
+        lambda ids: ids.__setitem__(slice(None), range(len(ids))),
+    ], ids=["repeated", "ints"])
+    def test_ids_that_are_not_distinct_str(self, workspace, trained, tmp_path, capsys, stage,
+                                           name, edit):
+        def apply(header, records):
+            edit(header[name])
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, apply), stage=stage)
+        assert f"{name} that are not a list of distinct str" in err
 
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
     def test_record_larger_than_the_file(self, workspace, trained, tmp_path, capsys, stage):

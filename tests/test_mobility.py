@@ -476,7 +476,7 @@ class TestChronologicalSplit:
         assert split_sizes(5) == (3, 1, 1)
 
     def test_single_item_goes_to_train_only(self):
-        split = chronological_split(columns_from_records(self._subs("a", 1)))
+        split = chronological_split(columns_from_records(self._subs("a", 1)).user)
         assert split.named(["a:0"]) == {"train": ["a:0"], "validation": [], "test": []}
         assert all(part.dtype == np.int64 for part in (split.train, split.validation, split.test))
 
@@ -497,7 +497,7 @@ class TestChronologicalSplit:
         for u in range(4):
             subs.extend(self._subs(f"user{u}", int(rng.integers(1, 15))))
         columns = columns_from_records(subs)
-        split = chronological_split(columns).named(columns.traj_ids)
+        split = chronological_split(columns.user).named(columns.traj_ids)
         all_ids = {s.traj_id for s in subs}
         parts = [set(split["train"]), set(split["validation"]), set(split["test"])]
         assert parts[0] | parts[1] | parts[2] == all_ids
@@ -588,7 +588,7 @@ class TestArtifactRoundTrips:
     def test_split(self, tmp_path):
         columns = columns_from_records(
             [GridSequence("u", j, [float(j)], [0], [0]) for j in range(7)])
-        split = chronological_split(columns)
+        split = chronological_split(columns.user)
         save_split(split, columns.traj_ids, tmp_path / "split.json")
         assert load_split(tmp_path / "split.json") == split.named(columns.traj_ids)
 
@@ -707,7 +707,7 @@ class TestColumnsMatchPointObjects:
         sequences = load_sequences(tmp / "fast.jsonl")
         records = load_sequences_oracle(tmp / "slow.jsonl")
         assert list(sequences) == records
-        split = chronological_split(sequences)
+        split = chronological_split(sequences.user)
         assert split.named(sequences.traj_ids) == oracles.chronological_split_oracle(records)
         if n_grids > 10_000:  # the oracles hold arrays of n_grids entries
             return

@@ -110,7 +110,7 @@ def checkin_graphs(tmp_path, n_users=12, seed=5):
     cfg = RunConfig()
     gm = build_grid_map(points.lon, points.lat, cfg.cell_size)
     columns = build_grid_sequences(points, gm, cfg.tau)
-    split = chronological_split(columns)
+    split = chronological_split(columns.user)
     global_g = build_global_graph(build_grid_incidence(columns, gm.n_grids), columns.traj_ids,
                                   columns.roster, split.train, columns.user[split.train])
     return columns, build_local_graph(columns, gm.n_grids), global_g

@@ -169,14 +169,40 @@ class TestTrainLoop:
         assert result.history[-1].mean_train_loss < result.history[0].mean_train_loss
 
     def test_constant_validation_stops_after_two_epochs(self):
-        """A one-user problem pins validation accuracy at 1.0, so with
-        patience 1 the second epoch is the last."""
+        """Two users with equal sequences give equal validation rows, whose
+        one prediction is right for one user's half: validation acc@1 stays
+        at 0.5, so with patience 1 the second epoch is the last."""
         config = small_config()
-        sequences = [s for s in toy_nine_sequences() if s.user_id == "u0"]
+        sequences = [make_sequence(user, j, [j, j + 1, 2], [0, 1, 2], [0, 1, 2])
+                     for user in ("a", "b") for j in range(3)]
         inputs, split = inputs_from_sequences(sequences, 9)
         tc = TrainConfig(epochs_max=30, patience=1, batch_size=2, seed=0)
         result = train(inputs, split, config, tc)
-        assert len(result.history) == 2
+        assert [h.val_acc1 for h in result.history] == [0.5, 0.5]
+        assert result.stopped_by == "patience"
+
+    @pytest.mark.parametrize("instance, seed, k", [("one-user", 0, 1), ("three-users", 7, 4)])
+    def test_stops_at_the_first_perfect_validation(self, instance, seed, k):
+        """Validation acc@1 first reaches 1.0 at epoch k, which no later epoch
+        can beat: training stops there, with the parameters and history of a
+        run capped at k epochs."""
+        config = small_config()
+        sequences = toy_nine_sequences()
+        if instance == "one-user":
+            sequences = [s for s in sequences if s.user_id == "u0"]
+        inputs, split = inputs_from_sequences(sequences, 9)
+        stopped, capped = (train(inputs, split, config,
+                                 TrainConfig(learning_rate=1e-2, epochs_max=epochs,
+                                             patience=epochs, batch_size=4, seed=seed))
+                           for epochs in (80, k))
+        accs = [h.val_acc1 for h in stopped.history]
+        assert accs == [h.val_acc1 for h in capped.history]
+        assert accs.index(1.0) == len(accs) - 1 == k - 1
+        assert stopped.best_epoch == capped.best_epoch == k
+        assert [h.mean_train_loss for h in stopped.history] == \
+               [h.mean_train_loss for h in capped.history]
+        assert np.array_equal(stopped.params.values, capped.params.values)
+        assert stopped.stopped_by == "validation acc@1 1.0"
 
     def test_same_seed_identical_history_and_parameters(self):
         runs = []
@@ -234,6 +260,8 @@ class TestTrainLoop:
                          batch_size=4, seed=4)
         result = train(inputs, split, config, tc)
         accs = [h.val_acc1 for h in result.history]
+        assert len(accs) == 10 and max(accs) < 1.0  # no epoch stops the run early
+        assert result.stopped_by == "epochs_max"
         assert result.best_val_acc1 == max(accs)
         assert all(result.best_val_acc1 >= a for a in accs[result.best_epoch:])
 
