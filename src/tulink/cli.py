@@ -201,7 +201,7 @@ def run_train(cfg: RunConfig) -> dict:
         raise DataError(f"{paths.splits.name} has an empty validation split: validation "
                         "needs a user with at least 3 sub-trajectories")
     result = train(inputs, split, model_config, train_config)
-    save_checkpoint(result.params, inputs, split, sources, paths.checkpoint)
+    save_checkpoint(result.params, inputs, sources, paths.checkpoint)
     save_history(result.history, paths.history)
     return {
         "epochs": len(result.history),
@@ -213,22 +213,22 @@ def run_train(cfg: RunConfig) -> dict:
 
 def _restore(paths: StagePaths):
     """The checkpoint's model, whose header gives every setting, with the
-    inputs and split it runs on, which the train stage saved with it, while
-    every file they were built from keeps the bytes train read."""
+    inputs it runs on, which the train stage saved with it, while every file
+    they were built from keeps the bytes train read."""
     sources = _sources(paths)
-    params, inputs, split, built_from = load_checkpoint(_require(paths.checkpoint, "train"))
+    params, inputs, built_from = load_checkpoint(_require(paths.checkpoint, "train"))
     changed = [name for name, digest in sources.items() if built_from.get(name) != digest]
     if changed:
         _load_model_inputs(paths)  # a malformed file names itself and the stage writing it
         raise DataError(f"{', '.join(changed)} changed since the 'train' stage wrote "
                         f"{paths.checkpoint.name}; rerun the 'train' stage")
-    return params, inputs, split
+    return params, inputs
 
 
 def run_evaluate(cfg: RunConfig, split_name: str = "test") -> M.MetricsReport:
     paths = StagePaths(cfg.output_dir or ".")
-    params, inputs, split = _restore(paths)
-    indices = getattr(split, split_name)
+    params, inputs = _restore(paths)
+    indices = getattr(mob.chronological_split(inputs.labels), split_name)
     if not len(indices):
         raise DataError(f"split {split_name!r} is empty")
     report = evaluate_on_split(params, inputs, indices)
@@ -238,7 +238,7 @@ def run_evaluate(cfg: RunConfig, split_name: str = "test") -> M.MetricsReport:
 
 def run_embed(cfg: RunConfig) -> Path:
     paths = StagePaths(cfg.output_dir or ".")
-    params, inputs, _ = _restore(paths)
+    params, inputs = _restore(paths)
     reps = evaluate_rows(params, inputs, np.arange(inputs.n_traj), fused_representations)
     users = [inputs.user_ids[i] for i in inputs.labels]
     M.export_embeddings(reps, inputs.traj_ids, users, paths.embeddings)

@@ -31,10 +31,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensor as T
-from .errors import ConfigError, DataError, reading
+from .errors import ConfigError, reading
 from .graphs import GlobalSpatialGraph, LocalSpatialGraph, symmetric_normalize, twin_quotient
-from .mobility import (MOTION_STATES, SECONDS_PER_DAY, DatasetSplit, SequenceColumns,
-                       chronological_split, time_window_vocab, time_windows)
+from .mobility import (MOTION_STATES, SECONDS_PER_DAY, SequenceColumns, time_window_vocab,
+                       time_windows)
 from .tensor import Tensor
 
 COSINE_EPS = 1e-12
@@ -205,9 +205,6 @@ class ModelParams:
         names += ["link_w", "link_b"]
         return names
 
-    def active_parameter_count(self) -> int:
-        return sum(self.tensors[n].values.size for n in self.active_names())
-
     def l2_tensors(self) -> list[Tensor]:
         """Active weight matrices; biases and layer-norm affines never enter
         the regularizer."""
@@ -340,11 +337,10 @@ def build_model_inputs(
     )
 
 
-_MAGIC = b"TLNKCKP2\n"
+_MAGIC = b"TLNKCKP3\n"
 _CHECKSUM_END = len(_MAGIC) + 65  # the hex sha256 and its newline
 # A checkpoint's records after the parameter arena, in file order: each CSR
-# matrix as its data, indices and indptr, then the dense arrays, then the
-# split's parts.
+# matrix as its data, indices and indptr, then the dense arrays.
 _CSR_FIELDS = ("m_local", "m_global", "x_global")
 _ARRAY_FIELDS = ("traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels",
                  "grid_rows")
@@ -360,14 +356,15 @@ def _checksum(fh) -> bytes:
     return digest.hexdigest().encode("ascii") + b"\n"
 
 
-def save_checkpoint(params: ModelParams, inputs: ModelInputs, split: DatasetSplit,
-                    sources: dict[str, str], path: str | Path) -> None:
+def save_checkpoint(params: ModelParams, inputs: ModelInputs, sources: dict[str, str],
+                    path: str | Path) -> None:
     """Everything evaluate and embed run on, with ``sources`` (the sha256 of
     each file the inputs were built from, by name), in deterministic bytes:
     the magic line, the checksum line, a sorted-key JSON header line (the
     model settings, each parameter's name and shape, the sources, ids,
     scalars and matrix shapes), then one ``.npy`` record for the parameter
-    arena and one per input array and split part, in a fixed order."""
+    arena and one per input array, in a fixed order. The split is no part of
+    it: it is ``chronological_split(inputs.labels)``."""
     header = {"model": asdict(params.config),
               "parameters": [[name, t.values.shape] for name, t in params.items()],
               "sources": sources, "traj_ids": inputs.traj_ids, "user_ids": inputs.user_ids,
@@ -377,7 +374,6 @@ def save_checkpoint(params: ModelParams, inputs: ModelInputs, split: DatasetSpli
     arrays += [getattr(getattr(inputs, name), part) for name in _CSR_FIELDS
                for part in ("data", "indices", "indptr")]
     arrays += [getattr(inputs, name) for name in _ARRAY_FIELDS]
-    arrays += [getattr(split, f.name) for f in fields(split)]
     with Path(path).open("w+b") as fh:
         fh.write(_MAGIC + bytes(_CHECKSUM_END - len(_MAGIC)))  # filled in last
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
@@ -388,7 +384,7 @@ def save_checkpoint(params: ModelParams, inputs: ModelInputs, split: DatasetSpli
         fh.write(checksum)
 
 
-def _header_config(header, path: str | Path) -> ModelConfig:
+def _header_config(header) -> ModelConfig:
     """The ModelConfig a checkpoint header holds: exactly its fields, each of
     its exact type (an int is no bool), with valid values."""
     types = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(ModelConfig)}
@@ -403,179 +399,153 @@ def _header_config(header, path: str | Path) -> ModelConfig:
         config = ModelConfig(**header)
         config.validate()
     except ConfigError as exc:
-        raise DataError(f"{path} has an invalid model header ({exc}); "
-                        "rerun the 'train' stage") from None
+        raise ConfigError(f"invalid model header ({exc})") from None
     return config
 
 
-def _check_parameters(listed: list, expected: Iterable[tuple[str, tuple[int, ...]]],
-                      path: str | Path) -> None:
-    """DataError unless the header's ``listed`` [name, shape] pairs are
+def _check_parameters(listed: list, expected: Iterable[tuple[str, tuple[int, ...]]]) -> None:
+    """ValueError unless the header's ``listed`` [name, shape] pairs are
     ``expected``, in its order. Stops at the first expected parameter that is
     missing, so a lazy ``expected`` naming a billion layers is never built."""
     shapes: dict[str, tuple[int, ...]] = {}
     for name, shape in listed:
         if name in shapes:
-            raise DataError(f"{path} holds parameter {name!r} twice; rerun the 'train' stage")
+            raise ValueError(f"lists parameter {name!r} twice")
         shapes[name] = tuple(shape)
     names = []
     for name, shape in expected:
         if name not in shapes:
-            problem = f"is missing parameter {name!r}"
-        elif shapes[name] != shape:
-            problem = f"shape {shapes[name]} for {name!r} does not match model shape {shape}"
-        else:
-            names.append(name)
-            continue
-        raise DataError(f"{path}: checkpoint {problem}; rerun the 'train' stage")
+            raise ValueError(f"is missing parameter {name!r}")
+        if shapes[name] != shape:
+            raise ValueError(f"shape {shapes[name]} for {name!r} does not match model shape "
+                             f"{shape}")
+        names.append(name)
     extra = sorted(shapes.keys() - set(names))
     if extra:
-        raise DataError(f"{path}: checkpoint holds parameters the model lacks: {extra}; "
-                        "rerun the 'train' stage")
+        raise ValueError(f"holds parameters the model lacks: {extra}")
     if [name for name, _ in listed] != names:
-        raise DataError(f"{path} lists its parameters out of order; rerun the 'train' stage")
+        raise ValueError("lists its parameters out of order")
 
 
-def _read_record(fh, path: str | Path, size: int) -> np.ndarray:
+def _read_record(fh, size: int) -> np.ndarray:
     """The next ``.npy`` record of an open checkpoint of ``size`` bytes. Its
     declared shape is checked against the bytes left before anything is
     allocated, so a corrupt shape cannot request a huge array."""
     version = np.lib.format.read_magic(fh)
     if version != (1, 0):
-        raise ValueError(f"a .npy record of format version {version}")
+        raise ValueError(f"holds a .npy record of format version {version}")
     shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
     if min(shape, default=0) < 0:
-        raise DataError(f"{path} holds a record with a negative dimension {shape}; "
-                        "rerun the 'train' stage")
+        raise ValueError(f"holds a record with a negative dimension {shape}")
     count = math.prod(shape)
     left = size - fh.tell()
     if dtype.hasobject or fortran_order or count * dtype.itemsize > left:
-        raise DataError(f"{path} holds a record of shape {shape} and type {dtype} in "
-                        f"{left} bytes; rerun the 'train' stage")
+        raise ValueError(f"holds a record of shape {shape} and type {dtype} in {left} bytes")
     return np.fromfile(fh, dtype, count).reshape(shape)
 
 
-def _check_index(path: str | Path, name: str, values: np.ndarray, limit: int,
-                 length: int | None) -> None:
-    """DataError unless ``values`` are ``length`` (any number when None)
-    int64 entries, each in [0, limit)."""
-    if values.dtype != np.int64 or values.ndim != 1 or length not in (None, len(values)):
-        raise DataError(f"{path} holds {name} of shape {values.shape} and type {values.dtype} "
-                        f"where {'some' if length is None else length} int64 entries belong; "
-                        "rerun the 'train' stage")
+def _check_index(name: str, values: np.ndarray, limit: int, length: int) -> None:
+    """ValueError unless ``values`` are ``length`` int64 entries, each in
+    [0, limit)."""
+    if values.dtype != np.int64 or values.shape != (length,):
+        raise ValueError(f"holds {name} of shape {values.shape} and type {values.dtype} where "
+                         f"{length} int64 entries belong")
     bad = values[(values < 0) | (values >= limit)]
     if bad.size:
-        raise DataError(f"{path} holds {name} {int(bad[0])}, outside [0, {limit}); "
-                        "rerun the 'train' stage")
+        raise ValueError(f"holds {name} {int(bad[0])}, outside [0, {limit})")
 
 
-def _check_inputs(inputs: ModelInputs, split: DatasetSplit, n_rows: int,
-                  path: str | Path) -> None:
-    """DataError unless every trajectory holds 1 to N points, N finite point
+def _check_inputs(inputs: ModelInputs, n_rows: int) -> None:
+    """ValueError unless every trajectory holds 1 to N points, N finite point
     times in all, every index lies in the range of what it indexes and each
-    matrix has its shape and finite entries. So the longest sequence, which
-    sizes a batch's position table, is bounded by the file's own bytes, and
-    no native product reads past a matrix. The rest of what the writer
-    guarantees is checked too: the ids are lists of distinct str,
+    matrix is canonical CSR (each row's column indices ascending and
+    distinct) of its shape with finite entries. So the longest sequence,
+    which sizes a batch's position table, is bounded by the file's own
+    bytes, and no native product reads past a matrix. The rest of what the
+    writer guarantees is checked too: the ids are lists of distinct str,
     ``traj_rows`` numbers the trajectory classes by first appearance (so no
-    class is empty), the labels are in user order and the split is their
-    chronological split."""
+    class is empty) and the labels are in user order, so that their
+    chronological split is the one ``preprocess`` wrote."""
     for name in ("traj_ids", "user_ids"):
         ids = getattr(inputs, name)
         if type(ids) is not list or set(map(type, ids)) - {str} or len(set(ids)) != len(ids):
-            raise DataError(f"{path} holds {name} that are not a list of distinct str; "
-                            "rerun the 'train' stage")
+            raise ValueError(f"holds {name} that are not a list of distinct str")
     k = inputs.m_global.shape[0]
     for name, shape in (("m_local", (n_rows, n_rows)), ("m_global", (k, k)),
                         ("x_global", (k, n_rows))):
         matrix = getattr(inputs, name)
         matrix.check_format(full_check=True)  # its indices and indptr, or a ValueError
         if matrix.shape != shape:
-            raise DataError(f"{path} holds {name} of shape {matrix.shape} where {shape} "
-                            "belongs; rerun the 'train' stage")
+            raise ValueError(f"holds {name} of shape {matrix.shape} where {shape} belongs")
+        if not matrix.has_canonical_format:
+            raise ValueError(f"holds {name} with a row whose column indices are not ascending "
+                             "and distinct")
         if not np.isfinite(matrix.data).all():
-            raise DataError(f"{path}: {name} holds a non-finite entry; rerun the 'train' stage")
+            raise ValueError(f"{name} holds a non-finite entry")
     times, n = inputs.times, len(inputs.times)
     if times.dtype != np.float64 or times.ndim != 1 or not np.isfinite(times).all():
-        raise DataError(f"{path} holds point times of shape {times.shape} and type "
-                        f"{times.dtype} that are not all finite; rerun the 'train' stage")
-    _check_index(path, "lengths", inputs.lengths, n + 1, inputs.n_traj)
+        raise ValueError(f"holds point times of shape {times.shape} and type {times.dtype} that "
+                         "are not all finite")
+    _check_index("lengths", inputs.lengths, n + 1, inputs.n_traj)
     if not inputs.n_traj or inputs.lengths.min() < 1 or inputs.lengths.sum() != n:
-        raise DataError(f"{path} holds {inputs.n_traj} trajectory lengths that are not each "
-                        f"at least 1 with {n} points in all; rerun the 'train' stage")
-    _check_index(path, "grid_rows", inputs.grid_rows, inputs.n_grids, n_rows)
-    _check_index(path, "grid_idx", inputs.grid_idx, n_rows, n)
-    _check_index(path, "state_idx", inputs.state_idx, MOTION_STATES, n)
-    _check_index(path, "traj_rows", inputs.traj_rows, k, inputs.n_traj)
+        raise ValueError(f"holds {inputs.n_traj} trajectory lengths that are not each at least 1 "
+                         f"with {n} points in all")
+    _check_index("grid_rows", inputs.grid_rows, inputs.n_grids, n_rows)
+    _check_index("grid_idx", inputs.grid_idx, n_rows, n)
+    _check_index("state_idx", inputs.state_idx, MOTION_STATES, n)
+    _check_index("traj_rows", inputs.traj_rows, k, inputs.n_traj)
     rows = inputs.traj_rows
     if rows[0] != 0 or (rows[1:] > np.maximum.accumulate(rows)[:-1] + 1).any():
-        raise DataError(f"{path} holds traj_rows that do not number the trajectory classes "
-                        "by first appearance; rerun the 'train' stage")
-    _check_index(path, "labels", inputs.labels, inputs.n_users, inputs.n_traj)
+        raise ValueError("holds traj_rows that do not number the trajectory classes by first "
+                         "appearance")
+    _check_index("labels", inputs.labels, inputs.n_users, inputs.n_traj)
     if (inputs.labels[1:] < inputs.labels[:-1]).any():
-        raise DataError(f"{path} holds labels out of user order; rerun the 'train' stage")
-    for f in fields(split):
-        _check_index(path, f"the {f.name} split", getattr(split, f.name), inputs.n_traj, None)
-    chronological = chronological_split(inputs.labels)
-    if not all(np.array_equal(getattr(split, f.name), getattr(chronological, f.name))
-               for f in fields(split)):
-        raise DataError(f"{path} holds a split that is not the chronological split of its "
-                        "labels; rerun the 'train' stage")
+        raise ValueError("holds labels out of user order")
 
 
-def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, DatasetSplit,
-                                                  dict[str, str]]:
-    """What ``save_checkpoint`` wrote: (params, inputs, split, sources), the
+def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, dict[str, str]]:
+    """What ``save_checkpoint`` wrote: (params, inputs, sources), the
     parameters viewing the arena read from the file. A foreign or older
     file, one whose checksum does not match (a cut or a changed byte
     anywhere), a header or a parameter list that does not fit the model
     (found before any array is read), a record larger than the bytes left
-    or a non-finite value raises DataError naming the file and the train
-    stage, and so do sequences, indices or ids that do not fit or that break
-    what ``save_checkpoint`` guarantees (``_check_inputs``)."""
-    size = Path(path).stat().st_size
-    with Path(path).open("rb") as fh:
+    or a non-finite value is refused through ``errors.reading``, naming the
+    file and the train stage, and so are sequences, indices or ids that do
+    not fit or that break what ``save_checkpoint`` guarantees
+    (``_check_inputs``)."""
+    with reading(path, "train"), Path(path).open("rb") as fh:
+        size = Path(path).stat().st_size
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
-            raise DataError(f"{path} was written by an earlier version of tulink; rerun the "
-                            "'train' stage" if magic.startswith(b"TLNK") else
-                            f"{path} is not a tulink checkpoint; rerun the 'train' stage")
+            raise ValueError("was written by an earlier version of tulink"
+                             if magic.startswith(b"TLNK") else "not a tulink checkpoint")
         if fh.read(_CHECKSUM_END - len(_MAGIC)) != _checksum(fh):
-            raise DataError(f"{path} does not match its checksum, so it is truncated or "
-                            "corrupt; rerun the 'train' stage")
+            raise ValueError("does not match its checksum, so it is truncated or corrupt")
         fh.seek(_CHECKSUM_END)
-        with reading(path, "train"):
-            header = json.loads(fh.readline())
-            config = _header_config(header["model"], path)
-            n_rows, n_users = header["shapes"]["m_local"][0], len(header["user_ids"])
-            _check_parameters(header["parameters"], parameter_shapes(config, n_rows, n_users),
-                              path)
+        header = json.loads(fh.readline())
+        config = _header_config(header["model"])
+        n_rows, n_users = header["shapes"]["m_local"][0], len(header["user_ids"])
+        _check_parameters(header["parameters"], parameter_shapes(config, n_rows, n_users))
 
-            def read() -> np.ndarray:
-                return _read_record(fh, path, size)
+        def read() -> np.ndarray:
+            return _read_record(fh, size)
 
-            values = read()
-            if values.dtype != np.float64:
-                raise DataError(f"{path} holds a parameter arena of type {values.dtype}; "
-                                "rerun the 'train' stage")
-            csr = {name: sp.csr_matrix((read(), read(), read()),
-                                       shape=tuple(header["shapes"][name]))
-                   for name in _CSR_FIELDS}
-            inputs = ModelInputs(**csr, **{name: read() for name in _ARRAY_FIELDS},
-                                 traj_ids=header["traj_ids"], user_ids=header["user_ids"],
-                                 n_grids=header["n_grids"])
-            split = DatasetSplit(*(read() for _ in fields(DatasetSplit)))
-            _check_inputs(inputs, split, n_rows, path)
-            params = ModelParams(config, values, n_rows, n_users)
-            sources = dict(header["sources"])
+        values = read()
+        if values.dtype != np.float64:
+            raise ValueError(f"holds a parameter arena of type {values.dtype}")
+        csr = {name: sp.csr_matrix((read(), read(), read()), shape=tuple(header["shapes"][name]))
+               for name in _CSR_FIELDS}
+        inputs = ModelInputs(**csr, **{name: read() for name in _ARRAY_FIELDS},
+                             traj_ids=header["traj_ids"], user_ids=header["user_ids"],
+                             n_grids=header["n_grids"])
+        _check_inputs(inputs, n_rows)
         if fh.tell() != size:
-            raise DataError(f"{path} holds {size - fh.tell()} bytes after its last record; "
-                            "rerun the 'train' stage")
-    if not np.isfinite(params.values).all():
-        name = next(n for n, t in params.items() if not np.isfinite(t.values).all())
-        raise DataError(f"{path}: parameter {name!r} holds a non-finite value; "
-                        "rerun the 'train' stage")
-    return params, inputs, split, sources
+            raise ValueError(f"holds {size - fh.tell()} bytes after its last record")
+        params = ModelParams(config, values, n_rows, n_users)
+        if not np.isfinite(values).all():
+            name = next(n for n, t in params.items() if not np.isfinite(t.values).all())
+            raise ValueError(f"parameter {name!r} holds a non-finite value")
+        return params, inputs, dict(header["sources"])
 
 
 def gcn_forward(m_norm: sp.csr_matrix, features: sp.csr_matrix | None,

@@ -140,13 +140,12 @@ def checkpoint_parts(data):
     return magic, header, records
 
 
-# Where each model-input and split record stands in a checkpoint's records,
-# after the parameter arena: each CSR matrix's parts, then the other arrays.
+# Where each model-input record stands in a checkpoint's records, after the
+# parameter arena: each CSR matrix's parts, then the other arrays.
 CHECKPOINT_RECORDS = {name: 1 + k for k, name in enumerate(
     [f"{matrix}.{part}" for matrix in ("m_local", "m_global", "x_global")
      for part in ("data", "indices", "indptr")]
-    + ["traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels", "grid_rows",
-       "train", "validation", "test"])}
+    + ["traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels", "grid_rows"])}
 
 
 def rewrite_checkpoint(path, edit):

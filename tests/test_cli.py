@@ -2,22 +2,26 @@
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import traceback
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import tulink
@@ -39,6 +43,7 @@ from conftest import (CHECKPOINT_RECORDS, GRAPH_CORRUPTIONS, checkpoint_parts,
                       edit_graph_section, npy_record, parameter_views, rewrite_checkpoint,
                       rewrite_graph)
 from oracles import export_embeddings_oracle
+from test_fuzz import datasets as fuzz_datasets
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +184,7 @@ class TestExitCodes:
                 "--heads", "1", "--attn-layers", "1", "--epochs", "1"]
         for stage in ("preprocess", "build-graphs", "train"):
             assert run([stage, *args]) == 0, capsys.readouterr().err
-        params, inputs, _ = _restore(StagePaths(tmp_path / "o"))
+        params, inputs = _restore(StagePaths(tmp_path / "o"))
         k = next(k for k, tid in enumerate(inputs.traj_ids) if tid.endswith(":-1"))
         at = inputs.starts[k]
         assert inputs.lengths[k] == 1 and inputs.times[at] == -1e-13
@@ -279,7 +284,7 @@ def test_embed_with_one_half_all_zeros_writes_the_oracle_bytes(tmp_path, ablatio
     for stage in ("preprocess", "build-graphs", "train", "embed"):
         assert run([stage, "--dataset", str(data), "--output", str(out), *CHECKIN_FLAGS,
                     "--ablation", ablation]) == 0, stage
-    params, inputs, _ = _restore(StagePaths(out))
+    params, inputs = _restore(StagePaths(out))
     reps = evaluate_rows(params, inputs, np.arange(inputs.n_traj), fused_representations)
     halves = np.hsplit(reps, 2)
     assert not np.any(halves[zero_half]) and np.any(halves[1 - zero_half])
@@ -325,7 +330,7 @@ def test_evaluate_scores_the_chosen_split(workspace, trained, tmp_path, part):
     shutil.copytree(trained, out)
     assert run(["evaluate", "--config", workspace["config"], "--output", str(out),
                 "--split", part]) == 0
-    params, inputs, _ = _restore(StagePaths(out))
+    params, inputs = _restore(StagePaths(out))
     ids = json.loads((out / "splits.json").read_text())[part]
     indices = np.array([inputs.traj_ids.index(tid) for tid in ids])
     report = evaluate_on_split(params, inputs, indices)
@@ -369,8 +374,7 @@ class TestCheckpointErrors:
     @pytest.mark.parametrize("name, value, words", [
         ("grid_idx", 10 ** 6, "grid_idx 1000000"), ("state_idx", 10 ** 6, "state_idx 1000000"),
         ("labels", 10 ** 6, "labels 1000000"), ("traj_rows", 10 ** 6, "traj_rows 1000000"),
-        ("test", 10 ** 6, "test split 1000000"), ("lengths", 0, "trajectory lengths"),
-        ("lengths", 10 ** 6, "lengths 1000000")])
+        ("lengths", 0, "trajectory lengths"), ("lengths", 10 ** 6, "lengths 1000000")])
     def test_index_out_of_range(self, workspace, trained, tmp_path, capsys, stage, name, value,
                                 words):
         """Under a renewed checksum, an index record's first entry set past
@@ -388,21 +392,36 @@ class TestCheckpointErrors:
         ("traj_rows", lambda r: r.__setitem__(slice(0, 2), r[1::-1]),
          "traj_rows that do not number"),
         ("labels", lambda r: r.__setitem__(slice(None), r[::-1]), "labels out of user order"),
-        ("test", lambda r: r.__setitem__(1, r[0]), "not the chronological split"),
-        ("test", lambda r: r.__setitem__(slice(None), r[::-1]), "not the chronological split"),
-        ("validation", lambda r: r.__setitem__(0, r[1]), "not the chronological split"),
-    ], ids=["class-repeated", "class-set-to-max", "classes-swapped", "labels-reversed",
-            "test-index-repeated", "test-reversed", "validation-index-repeated"])
+    ], ids=["class-repeated", "class-set-to-max", "classes-swapped", "labels-reversed"])
     def test_record_breaks_what_the_writer_guarantees(self, workspace, trained, tmp_path,
                                                        capsys, stage, name, edit, words):
         """Under a renewed checksum, a record edited within the ranges the
-        index checks allow but against the writer's numbering, order or
-        split exits 2, where it gave a traceback or wrong numbers."""
+        index checks allow but against the writer's numbering or order
+        exits 2, where it gave a traceback or wrong numbers."""
         def apply(header, records):
             edit(records[CHECKPOINT_RECORDS[name]])
         err = self._evaluate(workspace, trained, tmp_path, capsys,
                              lambda path: rewrite_checkpoint(path, apply), stage=stage)
         assert words in err
+
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    @pytest.mark.parametrize("edit", [
+        lambda cols: cols.__setitem__(slice(0, 2), cols[1::-1]),
+        lambda cols: cols.__setitem__(1, cols[0]),
+    ], ids=["columns-swapped", "column-repeated"])
+    def test_global_matrix_that_is_not_canonical(self, workspace, trained, tmp_path, capsys,
+                                                 stage, edit):
+        """Under a renewed checksum, the first row of m_global with two or
+        more entries with its first two column indices swapped, or its first
+        one repeated, exits 2: the writer sorts each row's distinct columns,
+        and scipy's own format check accepts both edits."""
+        def apply(header, records):
+            indptr = records[CHECKPOINT_RECORDS["m_global.indptr"]]
+            start = indptr[np.flatnonzero(np.diff(indptr) >= 2)[0]]
+            edit(records[CHECKPOINT_RECORDS["m_global.indices"]][start:])
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, apply), stage=stage)
+        assert "m_global with a row whose column indices are not ascending" in err
 
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
     @pytest.mark.parametrize("name", ["traj_ids", "user_ids"])
@@ -512,9 +531,11 @@ class TestCheckpointErrors:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
     # The parameter records of earlier versions with and without model
-    # settings, the model inputs they were saved beside, and the checkpoint
-    # whose sequence records were padded to the longest trajectory.
-    @pytest.mark.parametrize("magic", [b"TLNKPRM1", b"TLNKPRM2", b"TLNKINP1\n", b"TLNKCKP1\n"])
+    # settings, the model inputs they were saved beside, the checkpoint whose
+    # sequence records were padded to the longest trajectory, and the one
+    # that stored the split.
+    @pytest.mark.parametrize("magic", [b"TLNKPRM1", b"TLNKPRM2", b"TLNKINP1\n", b"TLNKCKP1\n",
+                                       b"TLNKCKP2\n"])
     def test_checkpoint_of_an_earlier_version(self, workspace, trained, tmp_path, capsys,
                                               magic):
         def overwrite_magic(path):
@@ -1216,15 +1237,17 @@ def assert_same_arrays(got, expected, what):
     (synth.disjoint_regions(n_users=4, subtrajs_per_user=6, seed=3), False),
 ], ids=["checkin-12u", "regions"])
 def test_saved_model_inputs_equal_the_built_ones(tmp_path, text, twins):
-    """Field by field, dtypes and CSR arrays included, with the split and the
-    sha256 of each file they were built from."""
+    """Field by field, dtypes and CSR arrays included, with the sha256 of
+    each file they were built from; the split derived from the saved labels
+    is the one train ran on."""
     data, out = tmp_path / "data.csv", tmp_path / "out"
     data.write_text(text)
     for stage in ("preprocess", "build-graphs", "train"):
         assert run([stage, "--dataset", str(data), "--output", str(out), "--embed-dim", "8",
                     "--heads", "2", "--attn-layers", "1", "--epochs", "1"]) == 0, stage
     built, split = _load_model_inputs(StagePaths(out))
-    _, saved, saved_split, sources = load_checkpoint(out / "checkpoint.bin")
+    _, saved, sources = load_checkpoint(out / "checkpoint.bin")
+    saved_split = mob.chronological_split(saved.labels)
     assert (built.traj_rows.max() + 1 < built.n_traj) == twins
     for f in fields(ModelInputs):
         assert_same_arrays(getattr(saved, f.name), getattr(built, f.name), f.name)
@@ -1233,6 +1256,54 @@ def test_saved_model_inputs_equal_the_built_ones(tmp_path, text, twins):
     names = ("grid_map.json", "sequences.jsonl", "splits.json", "local_graph.txt",
              "global_graph.txt")
     assert sources == {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
+
+
+def built_model_inputs(text, root, *flags):
+    """The model inputs that train builds from a dataset, through the files
+    preprocess and build-graphs write, or None when either stage exits
+    other than 0."""
+    data, out = root / "data.csv", root / "out"
+    data.write_text(text)
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        for stage in ("preprocess", "build-graphs"):
+            if run([stage, "--dataset", str(data), "--output", str(out), *flags]):
+                return None
+    return _load_model_inputs(StagePaths(out))[0]
+
+
+def assert_canonical_csr(inputs):
+    """Each CSR matrix holds each row's column indices ascending and
+    distinct, by scipy's test on a matrix built afresh from the arrays, so
+    no flag cached by the writer answers for it."""
+    for name in ("m_local", "m_global", "x_global"):
+        m = getattr(inputs, name)
+        assert sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape).has_canonical_format, name
+
+
+@pytest.mark.parametrize("text", [
+    synth.disjoint_regions(n_users=4, subtrajs_per_user=6, seed=3),
+    synth.checkin_style(n_users=12, seed=5),
+    synth.checkin_style(n_users=40, seed=1),
+], ids=["regions", "checkin-12u", "checkin-40u"])
+def test_built_matrices_are_canonical_csr(tmp_path, text):
+    """What load_checkpoint requires, the writer guarantees:
+    symmetric_normalize and twin_quotient sort each row's indices, and
+    ``_columns`` and ``csr_rows`` keep their order."""
+    inputs = built_model_inputs(text, tmp_path)
+    assert inputs is not None and inputs.traj_rows.max() + 1 <= inputs.n_traj
+    assert_canonical_csr(inputs)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dataset=fuzz_datasets())
+def test_built_matrices_are_canonical_csr_on_odd_data(dataset):
+    """The same on the odd datasets of test_fuzz.py: poles, the
+    antimeridian, repeated times and places, extreme cells and intervals."""
+    text, flags = dataset
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = built_model_inputs(text, Path(tmp), *flags)
+    if inputs is not None:
+        assert_canonical_csr(inputs)
 
 
 # The first stage that reads each artifact.
@@ -1301,13 +1372,13 @@ class TestByteFlipFaults:
 
     @settings(max_examples=10, deadline=None)
     @given(fraction=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
-    # In the workspace's 69 kB file: the magic line, the checksum, a source
+    # In the workspace's 67 kB file: the magic line, the checksum, a source
     # digest, a trajectory id ("user01:0" read as "user00:0"), a parameter
-    # value and the split's last record.
+    # value and the last record, grid_rows.
     @example(fraction=0.0, mask=1)
     @example(fraction=0.0005, mask=1)
     @example(fraction=0.012, mask=1)
-    @example(fraction=0.01928, mask=1)
+    @example(fraction=0.01952, mask=1)
     @example(fraction=0.1, mask=1)
     @example(fraction=0.99, mask=1)
     def test_flip_one_byte(self, workspace, trained, fraction, mask):
@@ -1324,6 +1395,155 @@ class TestByteFlipFaults:
                 assert code == 2, (stage, err.getvalue())
                 assert "checkpoint.bin" in err.getvalue() and "'train'" in err.getvalue()
                 assert "Traceback" not in err.getvalue()
+
+
+def _reverse(r):
+    r[:] = r[::-1].copy()
+
+
+def _repeat_first(r):
+    r[1] = r[0]
+
+
+def _swap_first_two(r):
+    r[:2] = r[1::-1].copy()
+
+
+def _first_to_max(r):
+    r[0] = r.max()
+
+
+def _first_to_0(r):
+    r[0] = 0
+
+
+RECORD_EDITS = {"reversed": _reverse, "first-repeated": _repeat_first,
+                "first-two-swapped": _swap_first_two, "first-set-to-max": _first_to_max,
+                "first-set-to-0": _first_to_0}
+ID_EDITS = {"repeated": lambda ids: ids.__setitem__(1, ids[0]),
+            "as-ints": lambda ids: ids.__setitem__(slice(None), range(len(ids))),
+            "reversed": lambda ids: ids.reverse()}
+
+
+def _edit_record(k, edit, header, records):
+    edit(records[k])
+
+
+def _edit_ids(field, edit, header, records):
+    edit(header[field])
+
+
+# Each edit of a checkpoint's header and records, by name: every edit of
+# RECORD_EDITS on every record, the parameter arena included, then the
+# header edits.
+CHECKPOINT_EDITS = {
+    **{f"{record}-{name}": functools.partial(_edit_record, k, edit)
+       for record, k in {"arena": 0, **CHECKPOINT_RECORDS}.items()
+       for name, edit in RECORD_EDITS.items()},
+    **{f"{field}-{name}": functools.partial(_edit_ids, field, edit)
+       for field in ("traj_ids", "user_ids") for name, edit in ID_EDITS.items()},
+    "n_grids-plus-1": lambda header, records: header.update(n_grids=header["n_grids"] + 1),
+    "sources-zeroed": lambda header, records: header.update(
+        sources=dict.fromkeys(header["sources"], "0" * 64)),
+}
+
+
+def broken_invariant(header, records):
+    """The first fact that save_checkpoint guarantees and ``_check_inputs``
+    documents which a checkpoint's header and records break, found by plain
+    loops, or None: distinct str ids, canonical CSR matrices of the header's
+    shapes with finite entries, finite point times, trajectory lengths of at
+    least 1 adding up to the points, every index within what it indexes,
+    trajectory classes numbered by first appearance and labels in user
+    order."""
+    for name in ("traj_ids", "user_ids"):
+        if any(type(i) is not str for i in header[name]) or \
+                len(set(header[name])) != len(header[name]):
+            return name
+    r = {name: records[k].tolist() for name, k in CHECKPOINT_RECORDS.items()}
+    for name in ("m_local", "m_global", "x_global"):
+        n_rows, n_cols = header["shapes"][name]
+        indptr, indices = r[f"{name}.indptr"], r[f"{name}.indices"]
+        if (len(indptr) != n_rows + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
+                or any(a > b for a, b in zip(indptr, indptr[1:]))):
+            return f"{name}.indptr"
+        for a, b in zip(indptr, indptr[1:]):
+            row = indices[a:b]
+            if row != sorted(set(row)) or any(not 0 <= c < n_cols for c in row):
+                return f"{name}.indices"
+        if not all(math.isfinite(v) for v in r[f"{name}.data"]):
+            return f"{name}.data"
+    if not all(math.isfinite(t) for t in r["times"]):
+        return "times"
+    if min(r["lengths"]) < 1 or sum(r["lengths"]) != len(r["times"]):
+        return "lengths"
+    limits = {"grid_rows": header["n_grids"], "grid_idx": header["shapes"]["m_local"][0],
+              "state_idx": mob.MOTION_STATES, "traj_rows": header["shapes"]["m_global"][0],
+              "labels": len(header["user_ids"])}
+    for name, limit in limits.items():
+        if any(not 0 <= v < limit for v in r[name]):
+            return name
+    classes = r["traj_rows"]
+    if classes[0] != 0 or any(c > max(classes[:i]) + 1 for i, c in enumerate(classes) if i):
+        return "traj_rows"
+    if r["labels"] != sorted(r["labels"]):
+        return "labels"
+    return None
+
+
+def run_forked(argvs, seconds=60):
+    """``main`` on each argument list in turn, in a child forked from this
+    process: [(exit code, standard error)] per run, or the text of an
+    exception that escaped. Raises AssertionError when a signal ends the
+    child, so that a segmentation fault fails one test and not the run; an
+    alarm ends a child still running after ``seconds``."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child
+        signal.alarm(seconds)
+        os.close(read_end)
+        try:
+            result = []
+            for argv in argvs:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    result.append([main(argv), err.getvalue()])
+        # Reported, not raised: the child must reach os._exit, never the
+        # test runner's frames it inherited.
+        except BaseException:
+            result = traceback.format_exc()
+        with os.fdopen(write_end, "w") as fh:
+            json.dump(result, fh)
+        os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end) as fh:
+        text = fh.read()
+    _, status = os.waitpid(pid, 0)
+    assert not os.WIFSIGNALED(status), f"signal {os.WTERMSIG(status)}"
+    return json.loads(text)
+
+
+class TestCheckpointRecordFuzz:
+    """Each of a fixed set of edits to a checkpoint's header or records,
+    under a renewed checksum, then evaluate and embed in a forked child:
+    each exits 0, or 2 naming the checkpoint and the train stage, with no
+    traceback and no signal, and an edit that breaks what the writer
+    guarantees (``broken_invariant``) exits 2."""
+
+    @pytest.mark.parametrize("edit", CHECKPOINT_EDITS.values(), ids=CHECKPOINT_EDITS.keys())
+    def test_edit_exits_0_or_2(self, workspace, trained, tmp_path, edit):
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        rewrite_checkpoint(out / "checkpoint.bin", edit)
+        broken = broken_invariant(*checkpoint_parts((out / "checkpoint.bin").read_bytes())[1:])
+        result = run_forked([[stage, "--config", workspace["config"], "--output", str(out)]
+                             for stage in ("evaluate", "embed")])
+        assert isinstance(result, list), result
+        for code, err in result:
+            assert code in (0, 2) and "Traceback" not in err, err
+            assert code == 0 or ("checkpoint.bin" in err and "'train'" in err), err
+            assert code == 2 or broken is None, broken
 
 
 def test_process_settings_are_made_once(workspace, trained, tmp_path, monkeypatch, capsys):

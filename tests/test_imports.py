@@ -66,3 +66,20 @@ def test_every_tensor_function_has_a_caller():
     wrapped = set(load_spans().TARGETS["tensor"])
     assert not unread - wrapped, sorted(unread - wrapped)
     assert sorted(unread & wrapped) == ["spmm"]
+
+
+def test_model_leaves_checkpoint_faults_to_errors_reading():
+    """model.py neither imports nor builds DataError: each fault that
+    load_checkpoint finds is a ValueError, which ``errors.reading`` turns
+    into the one message that names the file and the stage to rerun."""
+    model = next(path for path in SOURCES if path.name == "model.py")
+    names = set()
+    for node in ast.walk(ast.parse(model.read_text(encoding="utf-8"), str(model))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.rpartition(".")[2] for a in node.names)
+    assert "reading" in names
+    assert "DataError" not in names

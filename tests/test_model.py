@@ -668,7 +668,11 @@ class TestForwardFull:
         attn = cfg.attn_layers * (3 * d * d + d * d + 3 * d)
         link = n_users * 2 * d + n_users
         expected_full = 2 * gcn + time_state + loc + attn + link
-        assert params.active_parameter_count() == expected_full
+
+        def active_count(p):
+            return sum(p[name].values.size for name in p.active_names())
+
+        assert active_count(params) == expected_full
 
         variants = {
             "tul-l": expected_full - gcn - time_state - loc - attn,
@@ -681,7 +685,7 @@ class TestForwardFull:
         for name, count in variants.items():
             variant = ModelParams.for_inputs(small_config(ablation=name), inputs,
                                              seeded_rng(0, "init"))
-            assert variant.active_parameter_count() == count, name
+            assert active_count(variant) == count, name
 
     def test_full_model_gradient_spot_check(self, toy_model_setup):
         """Finite differences on representative parameters of every path."""
@@ -1014,17 +1018,17 @@ SOURCES = {"grid_map.json": "0" * 64, "sequences.jsonl": "1" * 64}
 
 @pytest.fixture
 def saved_checkpoint(toy_model_setup, tmp_path):
-    """The toy model, inputs and split, saved; and the path."""
-    params, _, inputs, split = toy_model_setup
+    """The toy model and inputs, saved; and the path."""
+    params, _, inputs, _ = toy_model_setup
     path = tmp_path / "checkpoint.bin"
-    save_checkpoint(params, inputs, split, SOURCES, path)
-    return params, inputs, split, path
+    save_checkpoint(params, inputs, SOURCES, path)
+    return params, inputs, path
 
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, saved_checkpoint):
-        params, inputs, split, path = saved_checkpoint
-        loaded, loaded_inputs, loaded_split, sources = load_checkpoint(path)
+        params, inputs, path = saved_checkpoint
+        loaded, loaded_inputs, sources = load_checkpoint(path)
         assert loaded.config == params.config and sources == SOURCES
         assert loaded.values.tobytes() == params.values.tobytes()
         assert [(n, t.values.shape) for n, t in loaded.items()] == \
@@ -1038,17 +1042,15 @@ class TestCheckpoint:
                 assert (got != expected).nnz == 0 and got.shape == expected.shape, f.name
             else:
                 assert got == expected, f.name
-        for f in fields(split):
-            assert np.array_equal(getattr(loaded_split, f.name), getattr(split, f.name))
 
     def test_layout(self, saved_checkpoint):
         """The magic line, the sha256 of the rest, a sorted-key JSON header
         listing the model and each parameter, then the parameter arena as the
-        first .npy record."""
-        params, _, _, path = saved_checkpoint
+        first .npy record, then the model inputs and no split."""
+        params, _, path = saved_checkpoint
         data = path.read_bytes()
         magic, checksum, rest = data.split(b"\n", 2)
-        assert magic == b"TLNKCKP2" and checksum == hashlib.sha256(rest).hexdigest().encode()
+        assert magic == b"TLNKCKP3" and checksum == hashlib.sha256(rest).hexdigest().encode()
         line = rest.split(b"\n", 1)[0]
         header = json.loads(line)
         assert line == json.dumps(header, sort_keys=True).encode()
@@ -1056,7 +1058,7 @@ class TestCheckpoint:
         assert header["parameters"] == [[n, list(t.values.shape)] for n, t in params.items()]
         records = checkpoint_parts(data)[2]
         assert records[0].tobytes() == params.values.tobytes()
-        assert len(records) == 1 + 3 * 3 + 7 + 3
+        assert len(records) == 1 + 3 * 3 + 7
 
     def test_no_record_is_sized_by_the_longest_sequence(self, tmp_path):
         """One 10,000-point trajectory among one-point ones: no input array
@@ -1065,7 +1067,7 @@ class TestCheckpoint:
         sequences = [make_sequence("u0", 0, [0, 1, 2, 3] * 2500)]
         sequences += [make_sequence(f"u{u}", j, [4 + 3 * u + j])
                       for u in range(5) for j in range(1, 4)]
-        inputs, split = inputs_from_sequences(sequences, 20)
+        inputs, _ = inputs_from_sequences(sequences, 20)
         bound = max(inputs.lengths.sum(), inputs.n_traj)
         assert bound == 10_015
         for f in fields(ModelInputs):
@@ -1074,18 +1076,18 @@ class TestCheckpoint:
             assert max(map(np.size, parts)) <= bound, f.name
         params = ModelParams.for_inputs(small_config(), inputs, seeded_rng(1, "init"))
         path = tmp_path / "checkpoint.bin"
-        save_checkpoint(params, inputs, split, SOURCES, path)
+        save_checkpoint(params, inputs, SOURCES, path)
         assert max(record.size for record in checkpoint_parts(path.read_bytes())[2]) <= bound
         assert load_checkpoint(path)[1].lengths.max() == 10_000
 
     def test_rewrite_is_byte_identical(self, saved_checkpoint, tmp_path):
-        _, _, _, path = saved_checkpoint
-        params, inputs, split, sources = load_checkpoint(path)
-        save_checkpoint(params, inputs, split, sources, tmp_path / "again.bin")
+        _, _, path = saved_checkpoint
+        params, inputs, sources = load_checkpoint(path)
+        save_checkpoint(params, inputs, sources, tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_cut_anywhere_is_refused(self, saved_checkpoint):
-        _, _, _, path = saved_checkpoint
+        _, _, path = saved_checkpoint
         data = path.read_bytes()
         for cut in [*range(0, 200), *range(200, len(data), 97)]:
             path.write_bytes(data[:cut])
@@ -1094,7 +1096,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("line", [b"[1, 2]", b"{'model': {}}", b"\xff\xfe", b""])
     def test_header_that_is_no_json_object(self, saved_checkpoint, line):
-        _, _, _, path = saved_checkpoint
+        _, _, path = saved_checkpoint
         magic, _, rest = path.read_bytes().split(b"\n", 2)
         body = line + b"\n" + rest.split(b"\n", 1)[1]
         path.write_bytes(b"%s\n%s\n%s" % (magic, hashlib.sha256(body).hexdigest().encode(), body))
@@ -1129,7 +1131,7 @@ class TestCheckpoint:
             "infinite-matrix-entry", "matrix-of-other-shape"])
     def test_malformed_header_or_record(self, saved_checkpoint, edit):
         """Under a renewed checksum: the loader's own checks, not a traceback."""
-        _, _, _, path = saved_checkpoint
+        _, _, path = saved_checkpoint
         rewrite_checkpoint(path, edit)
         with pytest.raises(DataError, match=r"checkpoint\.bin.*'train'"):
             load_checkpoint(path)

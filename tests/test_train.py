@@ -129,7 +129,7 @@ class TestParameterArena:
         result = train(inputs, split, config,
                        TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=1))
         assert_views_arena(result.params)
-        save_checkpoint(result.params, inputs, split, {}, tmp_path / "checkpoint.bin")
+        save_checkpoint(result.params, inputs, {}, tmp_path / "checkpoint.bin")
         loaded = load_checkpoint(tmp_path / "checkpoint.bin")[0]
         assert_views_arena(loaded)
         assert loaded.config == config
