@@ -34,8 +34,9 @@ from . import metrics as M
 from . import mobility as mob
 from .config import FIELD_TYPES, RunConfig, resolve_config
 from .errors import ConfigError, DataError, TrainingError
-from .model import build_model_inputs, fused_representations, load_checkpoint, save_checkpoint
-from .train import evaluate_on_split, evaluate_rows, save_history, train
+from .model import (ModelParams, build_model_inputs, fused_representations, load_checkpoint,
+                    save_checkpoint)
+from .train import evaluate_on_split, evaluate_rows, save_history, seeded_rng, train
 
 
 @dataclass
@@ -134,7 +135,7 @@ def run_build_graphs(cfg: RunConfig) -> dict:
     gm, sequences, split = _load_preprocessed(paths)
 
     local = G.build_local_graph(sequences, gm.n_grids)
-    incidence = G.build_grid_incidence(sequences, gm.n_grids)
+    incidence = G.build_grid_incidence(sequences)
     global_g = G.build_global_graph(incidence, sequences.traj_ids, sequences.roster,
                                     split.train, sequences.user[split.train])
 
@@ -167,6 +168,8 @@ def _digest(path: Path) -> str:
 
 
 def _load_model_inputs(paths: StagePaths):
+    """(model inputs, split, local graph) from the set-up artifacts, each
+    checked against the others."""
     gm, sequences, split = _load_preprocessed(paths)
     _require(paths.local_graph, "build-graphs")
     _require(paths.global_graph, "build-graphs")
@@ -178,6 +181,10 @@ def _load_model_inputs(paths: StagePaths):
     if not np.array_equal(local.cells, np.unique(sequences.grid)):
         raise DataError(f"{paths.local_graph.name} and {paths.sequences.name} list different "
                         "visited cells; rerun the 'build-graphs' stage")
+    if global_g.features.shape[1] != len(local.cells):
+        raise DataError(f"{paths.global_graph.name} has {global_g.features.shape[1]} feature "
+                        f"columns but {paths.local_graph.name} has {len(local.cells)} nodes; "
+                        "rerun the 'build-graphs' stage")
     if global_g.traj_ids != sequences.traj_ids:
         raise DataError(f"{paths.global_graph.name} and {paths.sequences.name} list different "
                         "trajectories; rerun the 'build-graphs' stage")
@@ -185,7 +192,7 @@ def _load_model_inputs(paths: StagePaths):
         raise DataError(f"{paths.global_graph.name} and {paths.sequences.name} list different "
                         "users; rerun the 'build-graphs' stage")
     _check_ids(paths, sequences, "state", mob.MOTION_STATES)
-    return build_model_inputs(sequences, local, global_g), split
+    return build_model_inputs(sequences, local, global_g), split, local
 
 
 def run_train(cfg: RunConfig) -> dict:
@@ -196,11 +203,13 @@ def run_train(cfg: RunConfig) -> dict:
     # Hashed before they are parsed: a file rewritten in between reads as
     # changed to evaluate and embed, never as the bytes the inputs came from.
     sources = _sources(paths)
-    inputs, split = _load_model_inputs(paths)
+    inputs, split, local = _load_model_inputs(paths)
     if not len(split.validation):
         raise DataError(f"{paths.splits.name} has an empty validation split: validation "
                         "needs a user with at least 3 sub-trajectories")
-    result = train(inputs, split, model_config, train_config)
+    params = ModelParams.drawn(model_config, local.n_grids, local.cells, inputs.n_users,
+                               seeded_rng(train_config.seed, "init"))
+    result = train(params, inputs, split, train_config)
     save_checkpoint(result.params, inputs, sources, paths.checkpoint)
     save_history(result.history, paths.history)
     return {

@@ -6,11 +6,13 @@ every split (the model predicts from a node's embedding, so test
 trajectories must be present), user nodes attached only to training
 trajectories. Both are sparse products of the trajectory-by-grid incidence
 C and the user-by-trajectory training-label matrix A, not pairwise scans.
-The local graph's nodes are the visited grid cells, in ascending id order:
-an unvisited cell would be an isolated node, so nothing is sized by the
-bounding box. The grid features of the local graph are one-hot, so none
-are stored. ``twin_quotient`` merges the global nodes whose graph and
-feature rows are equal, which every GCN layer maps to equal rows.
+The local graph's nodes are the visited grid cells, in ascending id order,
+and every later structure indexes a cell by its node row: the global
+features' columns are those rows too. An unvisited cell would be an
+isolated node, so nothing is sized by the bounding box. The grid features
+of the local graph are one-hot, so none are stored. ``twin_quotient``
+merges the global nodes whose graph and feature rows are equal, which
+every GCN layer maps to equal rows.
 
 On-disk format is a line-oriented text file: the version line, a sha256
 line over the rest, a small header, the node roster, then one or two
@@ -35,7 +37,7 @@ from .errors import reading
 from .mobility import SequenceColumns
 from .tensor import csr_rows
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class _Weighted:
@@ -62,7 +64,7 @@ class GlobalSpatialGraph(_Weighted):
     traj_ids: list[str]
     user_ids: list[str]
     adjacency: sp.csr_matrix  # (T+U) x (T+U)
-    features: sp.csr_matrix   # (T+U) x n_grids multi-hot
+    features: sp.csr_matrix   # (T+U) x local graph nodes, multi-hot
 
     @property
     def n_nodes(self) -> int:
@@ -77,7 +79,7 @@ def build_local_graph(sequences: SequenceColumns, n_grids: int) -> LocalSpatialG
     containing at least one consecutive step between g and h in either
     direction. Consecutive repeats of the same grid contribute nothing.
     """
-    cells, grid = np.unique(sequences.grid, return_inverse=True)
+    cells, grid = _node_rows(sequences)
     rows, a, b = sequences.point_rows(), grid[:-1], grid[1:]
     step = (rows[1:] == rows[:-1]) & (a != b)  # no step across a sequence boundary
     t, a, b = rows[1:][step], a[step], b[step]
@@ -90,11 +92,18 @@ def build_local_graph(sequences: SequenceColumns, n_grids: int) -> LocalSpatialG
     return LocalSpatialGraph(n_grids, cells, adj)
 
 
-def build_grid_incidence(sequences: SequenceColumns, n_grids: int) -> sp.csr_matrix:
-    """Binary trajectories-by-grids visitation matrix, rows in sequence order."""
-    inc = sp.csr_matrix((np.ones(len(sequences.grid), dtype=np.int64),
-                         (sequences.point_rows(), sequences.grid)),
-                        shape=(len(sequences), n_grids))
+def _node_rows(sequences: SequenceColumns) -> tuple[np.ndarray, np.ndarray]:
+    """The local graph's nodes, the visited cells in ascending id order, and
+    each point's node row."""
+    return np.unique(sequences.grid, return_inverse=True)
+
+
+def build_grid_incidence(sequences: SequenceColumns) -> sp.csr_matrix:
+    """Binary trajectories-by-nodes visitation matrix, rows in sequence order
+    and columns the local graph's node rows."""
+    cells, cols = _node_rows(sequences)
+    inc = sp.csr_matrix((np.ones(len(cols), dtype=np.int64), (sequences.point_rows(), cols)),
+                        shape=(len(sequences), len(cells)))
     inc.data[:] = 1  # a revisited grid is still one visit
     inc.sort_indices()
     return inc
@@ -127,17 +136,13 @@ def build_global_graph(
     labels = sp.csr_matrix((np.ones(len(train), dtype=np.int64), (train_users, train)),
                            shape=(len(user_ids), n_traj))
 
-    cells, cols = np.unique(incidence.indices, return_inverse=True)
-    visits = sp.csr_matrix((incidence.data, cols, incidence.indptr),
-                           shape=(n_traj, len(cells)))
-    shared = visits @ visits.T
+    shared = incidence @ incidence.T
     shared = shared - sp.diags(shared.diagonal(), dtype=np.int64)
     w = int(shared.data.max(initial=0)) or 1
     adj = sp.bmat([[shared, w * labels.T], [w * labels, None]], format="csr", dtype=np.int64)
     adj.sort_indices()
-    unions = (labels @ visits).tocsr()
-    unions = sp.csr_matrix((np.ones(unions.nnz, dtype=np.int64), cells[unions.indices],
-                            unions.indptr), shape=(len(user_ids), incidence.shape[1]))
+    unions = (labels @ incidence).tocsr()
+    unions.data[:] = 1
     features = sp.vstack([incidence, unions], format="csr", dtype=np.int64)
     features.sort_indices()
     return GlobalSpatialGraph(list(traj_ids), list(user_ids), adj, features)
@@ -295,7 +300,7 @@ def _load_graph(path: str | Path, kind: str, sections: Sequence[str]):
         raise ValueError(f"not a version-{FORMAT_VERSION} graph file")
     if len(parts) < 3 or parts[1] != f"sha256 {hashlib.sha256(parts[2]).hexdigest()}".encode():
         raise ValueError("does not match its checksum, so it is cut or corrupt")
-    lines = iter(parts[2].decode("utf-8").splitlines())
+    lines = iter(parts[2].decode("utf-8").split("\n"))
     header: dict = {}
     for line in lines:
         key, value = line.split(maxsplit=1)

@@ -171,13 +171,6 @@ class ModelParams:
         return cls(config, np.concatenate([draws[name].ravel() for name in shapes]),
                    len(grid_rows), n_users)
 
-    @classmethod
-    def for_inputs(cls, config: ModelConfig, inputs: "ModelInputs",
-                   rng: np.random.Generator) -> "ModelParams":
-        """Freshly initialized parameters sized for ``inputs``' grids and
-        users."""
-        return cls.drawn(config, inputs.n_grids, inputs.grid_rows, inputs.n_users, rng)
-
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
@@ -245,14 +238,12 @@ class ModelInputs:
     x_global: sp.csr_matrix  # one feature row per twin class
     traj_rows: np.ndarray  # each trajectory's twin class, all in [0, K)
     traj_ids: list[str]
-    grid_idx: np.ndarray  # each point's row of grid_rows
+    grid_idx: np.ndarray  # each point's cell, as its local graph node row
     state_idx: np.ndarray  # each point's motion state
     times: np.ndarray  # each point's float64 time
     lengths: np.ndarray  # points per trajectory, each at least 1
     labels: np.ndarray
     user_ids: list[str]
-    n_grids: int  # bounding-box cells
-    grid_rows: np.ndarray  # ascending bounding-box ids of the visited grids
 
     @property
     def n_traj(self) -> int:
@@ -273,18 +264,6 @@ class ModelInputs:
         return np.bincount(self.traj_rows)
 
 
-def _columns(m: sp.csr_matrix, cols: np.ndarray) -> sp.csr_matrix:
-    """``m[:, cols]`` in float64 for ascending, distinct ``cols``, each entry's
-    column found by binary search, so that no array is as long as ``m`` is
-    wide."""
-    at = np.searchsorted(cols, m.indices)
-    kept = at < len(cols)
-    kept[kept] = cols[at[kept]] == m.indices[kept]
-    indptr = np.r_[0, np.cumsum(kept)][m.indptr]
-    return sp.csr_matrix((m.data[kept].astype(np.float64), at[kept], indptr),
-                         shape=(m.shape[0], len(cols)))
-
-
 def build_model_inputs(
     sequences: SequenceColumns,
     local_graph: LocalSpatialGraph,
@@ -294,11 +273,11 @@ def build_model_inputs(
     global graph must list the same trajectories and users, and the local
     graph the cells the sequences visit, or a ValueError.
 
-    Only the grids some sequence visits get a row: ``grid_idx`` holds dense
-    row numbers into ``grid_rows``, which are the local graph's nodes, and
-    the global features keep those columns. An unvisited cell would be an
-    isolated self-loop node and an all-zero feature column, so leaving it
-    out changes no embedding of a visited grid, trajectory or user.
+    Only the grids some sequence visits get a row: ``grid_idx`` holds each
+    point's row among the local graph's nodes, the rows the global features'
+    columns already are. An unvisited cell would be an isolated self-loop
+    node and an all-zero feature column, so leaving it out changes no
+    embedding of a visited grid, trajectory or user.
 
     The global graph enters as its twin quotient: nodes with equal rows of
     the normalized adjacency and of the features get equal rows from every
@@ -314,36 +293,31 @@ def build_model_inputs(
     if sequences.roster != list(global_graph.user_ids):
         raise ValueError("sequence users do not match the global graph's user roster")
 
-    grid_rows = np.unique(sequences.grid)
-    if not np.array_equal(local_graph.cells, grid_rows):
+    if not np.array_equal(local_graph.cells, np.unique(sequences.grid)):
         raise ValueError("the local graph's cells are not the cells the sequences visit")
-    m_global, x_global, classes = twin_quotient(
-        symmetric_normalize(global_graph.adjacency),
-        _columns(global_graph.features, grid_rows))
+    m_global, x_global, classes = twin_quotient(symmetric_normalize(global_graph.adjacency),
+                                                global_graph.features.astype(np.float64))
     return ModelInputs(
         m_local=symmetric_normalize(local_graph.adjacency),
         m_global=m_global,
         x_global=x_global,
         traj_rows=classes[: len(ids)],  # trajectories are the first nodes
         traj_ids=ids,
-        grid_idx=np.searchsorted(grid_rows, sequences.grid),
+        grid_idx=np.searchsorted(local_graph.cells, sequences.grid),
         state_idx=sequences.state,
         times=sequences.t,
         lengths=sequences.lengths,
         labels=sequences.user,
         user_ids=sequences.roster,
-        n_grids=local_graph.n_grids,
-        grid_rows=grid_rows,
     )
 
 
-_MAGIC = b"TLNKCKP3\n"
+_MAGIC = b"TLNKCKP4\n"
 _CHECKSUM_END = len(_MAGIC) + 65  # the hex sha256 and its newline
 # A checkpoint's records after the parameter arena, in file order: each CSR
 # matrix as its data, indices and indptr, then the dense arrays.
 _CSR_FIELDS = ("m_local", "m_global", "x_global")
-_ARRAY_FIELDS = ("traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels",
-                 "grid_rows")
+_ARRAY_FIELDS = ("traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels")
 
 
 def _checksum(fh) -> bytes:
@@ -361,14 +335,13 @@ def save_checkpoint(params: ModelParams, inputs: ModelInputs, sources: dict[str,
     """Everything evaluate and embed run on, with ``sources`` (the sha256 of
     each file the inputs were built from, by name), in deterministic bytes:
     the magic line, the checksum line, a sorted-key JSON header line (the
-    model settings, each parameter's name and shape, the sources, ids,
-    scalars and matrix shapes), then one ``.npy`` record for the parameter
-    arena and one per input array, in a fixed order. The split is no part of
-    it: it is ``chronological_split(inputs.labels)``."""
+    model settings, each parameter's name and shape, the sources, ids and
+    matrix shapes), then one ``.npy`` record for the parameter arena and one
+    per input array, in a fixed order. The split is no part of it: it is
+    ``chronological_split(inputs.labels)``."""
     header = {"model": asdict(params.config),
               "parameters": [[name, t.values.shape] for name, t in params.items()],
               "sources": sources, "traj_ids": inputs.traj_ids, "user_ids": inputs.user_ids,
-              "n_grids": inputs.n_grids,
               "shapes": {name: getattr(inputs, name).shape for name in _CSR_FIELDS}}
     arrays = [params.values]
     arrays += [getattr(getattr(inputs, name), part) for name in _CSR_FIELDS
@@ -490,7 +463,6 @@ def _check_inputs(inputs: ModelInputs, n_rows: int) -> None:
     if not inputs.n_traj or inputs.lengths.min() < 1 or inputs.lengths.sum() != n:
         raise ValueError(f"holds {inputs.n_traj} trajectory lengths that are not each at least 1 "
                          f"with {n} points in all")
-    _check_index("grid_rows", inputs.grid_rows, inputs.n_grids, n_rows)
     _check_index("grid_idx", inputs.grid_idx, n_rows, n)
     _check_index("state_idx", inputs.state_idx, MOTION_STATES, n)
     _check_index("traj_rows", inputs.traj_rows, k, inputs.n_traj)
@@ -536,8 +508,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, dict[st
         csr = {name: sp.csr_matrix((read(), read(), read()), shape=tuple(header["shapes"][name]))
                for name in _CSR_FIELDS}
         inputs = ModelInputs(**csr, **{name: read() for name in _ARRAY_FIELDS},
-                             traj_ids=header["traj_ids"], user_ids=header["user_ids"],
-                             n_grids=header["n_grids"])
+                             traj_ids=header["traj_ids"], user_ids=header["user_ids"])
         _check_inputs(inputs, n_rows)
         if fh.tell() != size:
             raise ValueError(f"holds {size - fh.tell()} bytes after its last record")

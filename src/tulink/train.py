@@ -15,8 +15,7 @@ from . import metrics as M
 from . import tensor as T
 from .errors import ConfigError, TrainingError
 from .mobility import DatasetSplit
-from .model import (ModelConfig, ModelInputs, ModelParams, encode_graphs, forward_batch,
-                    model_loss)
+from .model import ModelInputs, ModelParams, encode_graphs, forward_batch, model_loss
 
 # Rows per evaluation forward pass. Fewer, larger blocks pay the fixed cost
 # of each pass less often, but each (rows, classes) global-attention
@@ -146,27 +145,25 @@ def evaluate_on_split(params: ModelParams, inputs: ModelInputs, indices: np.ndar
 
 
 def train(
+    params: ModelParams,
     inputs: ModelInputs,
     split: DatasetSplit,
-    model_config: ModelConfig,
     train_config: TrainConfig,
 ) -> TrainResult:
-    """Optimize from a seeded initialization, keeping the best-validation state.
+    """Optimize ``params`` in place, keeping the best-validation state.
 
     An epoch is kept only when its validation acc@1 beats the best so far.
     Stops as soon as a kept epoch reaches acc@1 1.0, which no later epoch
     can beat; when validation acc@1 has not improved for ``patience``
     consecutive epochs; or at ``epochs_max``. ``stopped_by`` names the
-    first of these three rules that holds at the last epoch. Randomness
-    (parameter init, epoch shuffling, dropout) flows from the run seed
-    through named sub-streams so identical seeds give identical histories.
+    first of these three rules that holds at the last epoch. Epoch
+    shuffling and dropout draw from the run seed's named sub-streams, so
+    identical parameters and seeds give identical histories.
     """
-    model_config.validate()
     train_config.validate()
     if not len(split.train) or not len(split.validation):
         raise ValueError("training requires non-empty train and validation splits")
 
-    params = ModelParams.for_inputs(model_config, inputs, seeded_rng(train_config.seed, "init"))
     rng_shuffle = seeded_rng(train_config.seed, "shuffle")
     rng_dropout = seeded_rng(train_config.seed, "dropout")
 

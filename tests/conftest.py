@@ -16,6 +16,7 @@ from tulink.graphs import build_global_graph, build_grid_incidence, build_local_
 from tulink.mobility import GridSequence, chronological_split
 from tulink.model import ModelConfig, ModelParams, build_model_inputs
 from tulink.config import seeded_rng
+from tulink.train import train
 from tulink.tensor import Tape, Tensor, recording
 
 from oracles import columns_from_records, matmul, reshape
@@ -51,7 +52,7 @@ def graphs_from_sequences(sequences, n_grids):
     columns = columns_from_records(sorted(sequences, key=lambda s: (s.user_id, s.interval_index)))
     split = chronological_split(columns.user)
     local = build_local_graph(columns, n_grids)
-    incidence = build_grid_incidence(columns, n_grids)
+    incidence = build_grid_incidence(columns)
     global_g = build_global_graph(incidence, columns.traj_ids, columns.roster, split.train,
                                   columns.user[split.train])
     return columns, local, global_g, split
@@ -61,6 +62,22 @@ def inputs_from_sequences(sequences, n_grids):
     """Graphs, labels and normalized matrices for hand-built sequences."""
     sequences, local, global_g, split = graphs_from_sequences(sequences, n_grids)
     return build_model_inputs(sequences, local, global_g), split
+
+
+def fresh_params(config, inputs, seed, local=None):
+    """The parameters the train stage starts from at ``seed``: drawn for
+    ``local``'s cells in its bounding box or, by default, for grid rows that
+    are the whole box."""
+    n = inputs.m_local.shape[0]
+    n_grids, cells = (local.n_grids, local.cells) if local is not None else (n, np.arange(n))
+    return ModelParams.drawn(config, n_grids, cells, inputs.n_users, seeded_rng(seed, "init"))
+
+
+def fit(inputs, split, config, train_config, local=None):
+    """``train`` from the parameters the train stage draws
+    (``fresh_params``)."""
+    return train(fresh_params(config, inputs, train_config.seed, local), inputs, split,
+                 train_config)
 
 
 def toy_nine_sequences(rng=None, n_grids=9):
@@ -145,7 +162,7 @@ def checkpoint_parts(data):
 CHECKPOINT_RECORDS = {name: 1 + k for k, name in enumerate(
     [f"{matrix}.{part}" for matrix in ("m_local", "m_global", "x_global")
      for part in ("data", "indices", "indptr")]
-    + ["traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels", "grid_rows"])}
+    + ["traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels"])}
 
 
 def rewrite_checkpoint(path, edit):
@@ -246,11 +263,4 @@ def toy_model_setup():
     """(params, config, inputs, split) for a 3-user, 9-trajectory scenario."""
     config = small_config()
     inputs, split = inputs_from_sequences(toy_nine_sequences(), n_grids=9)
-    params = ModelParams.drawn(
-        config,
-        n_grids=inputs.n_grids,
-        grid_rows=inputs.grid_rows,
-        n_users=inputs.n_users,
-        rng=seeded_rng(123, "init"),
-    )
-    return params, config, inputs, split
+    return fresh_params(config, inputs, 123), config, inputs, split

@@ -732,18 +732,22 @@ def bounding_box_adjacency(local_graph):
 
 def bounding_box_inputs_oracle(sequences, local_graph, global_graph):
     """Model inputs indexed by bounding-box cell and by global node: the whole
-    normalized local and global adjacencies, every feature row and column,
-    raw grid ids, and no twin classes."""
+    normalized local and global adjacencies, every feature row with a column
+    for every cell, raw grid ids, and no twin classes."""
     inputs = build_model_inputs(sequences, local_graph, global_graph)
     grid_idx = np.array([g for s in sequences for g in s.grid], dtype=np.int64)
+    features = global_graph.features.tocoo()
+    x_global = sp.coo_matrix((features.data.astype(np.float64),
+                              (features.row, local_graph.cells[features.col])),
+                             shape=(features.shape[0], local_graph.n_grids)).tocsr()
+    x_global.sort_indices()
     return dataclasses.replace(
         inputs,
         m_local=symmetric_normalize(bounding_box_adjacency(local_graph)),
         m_global=symmetric_normalize(global_graph.adjacency),
-        x_global=global_graph.features.astype(np.float64).tocsr(),
+        x_global=x_global,
         traj_rows=np.arange(inputs.n_traj),
         grid_idx=grid_idx,
-        grid_rows=np.arange(local_graph.n_grids),
     )
 
 
@@ -940,12 +944,14 @@ def build_local_graph_oracle(sequences, n_grids):
     return adj
 
 
-def build_grid_incidence_oracle(sequences, n_grids):
-    """Incidence from a list of (trajectory, grid) visits."""
-    visits = [(i, g) for i, seq in enumerate(sequences) for g in seq.grid]
+def build_grid_incidence_oracle(sequences):
+    """Incidence from a list of (trajectory, grid) visits, a column per
+    visited cell in ascending id order."""
+    column = {g: k for k, g in enumerate(sorted({g for seq in sequences for g in seq.grid}))}
+    visits = [(i, column[g]) for i, seq in enumerate(sequences) for g in seq.grid]
     rows, cols = np.array(visits, dtype=np.int64).reshape(-1, 2).T
     inc = sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
-                        shape=(len(sequences), n_grids))
+                        shape=(len(sequences), len(column)))
     inc.data[:] = 1
     inc.sort_indices()
     return inc
@@ -967,7 +973,7 @@ def model_inputs_oracle(sequences, local_graph, global_graph):
     grid_rows = np.unique(np.concatenate([s.grid for s in sequences]).astype(np.int64))
     m_global, x_global, classes = twin_quotient_oracle(
         symmetric_normalize(global_graph.adjacency),
-        global_graph.features.astype(np.float64).tocsr()[:, grid_rows])
+        global_graph.features.astype(np.float64).tocsr())
     return ModelInputs(
         m_local=symmetric_normalize(bounding_box_adjacency(local_graph))[grid_rows][:, grid_rows],
         m_global=m_global,
@@ -980,8 +986,6 @@ def model_inputs_oracle(sequences, local_graph, global_graph):
         lengths=lengths,
         labels=np.asarray([user_index[s.user_id] for s in sequences], dtype=np.int64),
         user_ids=list(global_graph.user_ids),
-        n_grids=local_graph.n_grids,
-        grid_rows=grid_rows,
     )
 
 

@@ -31,9 +31,9 @@ from tulink.graphs import (
 from tulink.metrics import compute_report
 from tulink.model import ModelParams, forward_batch, model_loss
 from tulink.tensor import Tensor
-from tulink.train import evaluate_on_split, train
+from tulink.train import evaluate_on_split
 
-from conftest import inputs_from_sequences, make_sequence, small_config, toy_nine_sequences
+from conftest import fit, inputs_from_sequences, make_sequence, small_config, toy_nine_sequences
 import oracles
 from oracles import (columns_from_records, confusion_matrix_oracle, finite_difference_check,
                      simplex_projection_oracle)
@@ -370,7 +370,7 @@ class TestCriterion2Gradients:
 
         config = small_config()
         inputs, _ = inputs_from_sequences(toy_nine_sequences(), 9)
-        params = ModelParams.drawn(config, 9, inputs.grid_rows, inputs.n_users,
+        params = ModelParams.drawn(config, 9, np.arange(9), inputs.n_users,
                                    seeded_rng(123, "init"))
         batch = np.arange(9)
         targets = inputs.labels[batch]
@@ -410,7 +410,7 @@ class TestCriterion3GraphOracles:
                      for i, g in enumerate(grid_lists)]
         ids = [s.traj_id for s in sequences]
 
-        incidence = build_grid_incidence(columns_from_records(sequences), n_grids)
+        incidence = build_grid_incidence(columns_from_records(sequences))
         train = np.arange(0, n_traj, 2)  # trajectory i belongs to user u{i % 10}
         global_g = build_global_graph(incidence, ids, [f"u{k}" for k in range(10)], train,
                                       train % 10)
@@ -475,8 +475,8 @@ class TestCriterion5SyntheticAccuracy:
         cfg = RunConfig(dataset=str(data), output_dir=str(tmp_path / "out"), seed=42)
         run_preprocess(cfg)
         run_build_graphs(cfg)
-        inputs, split = _load_model_inputs(StagePaths(cfg.output_dir))
-        result = train(inputs, split, cfg.model_config(), cfg.train_config())
+        inputs, split, local = _load_model_inputs(StagePaths(cfg.output_dir))
+        result = fit(inputs, split, cfg.model_config(), cfg.train_config(), local)
         rep = evaluate_on_split(result.params, inputs, split.test)
         elapsed = time.perf_counter() - t0
         assert len(result.history) <= 80
@@ -499,14 +499,14 @@ class TestCriterion6AblationOrdering:
         cfg = RunConfig(**base)
         run_preprocess(cfg)
         run_build_graphs(cfg)
-        inputs, split = _load_model_inputs(StagePaths(cfg.output_dir))
+        inputs, split, local = _load_model_inputs(StagePaths(cfg.output_dir))
 
         pairs = []
         for seed in (1, 2, 3, 4, 5):
             accs = {}
             for ablation in ("", "tul-g"):
                 c = RunConfig(**base, ablation=ablation, seed=seed)
-                result = train(inputs, split, c.model_config(), c.train_config())
+                result = fit(inputs, split, c.model_config(), c.train_config(), local)
                 rep = evaluate_on_split(result.params, inputs, split.test)
                 accs[ablation or "full"] = rep.acc_at[1]
             pairs.append((accs["full"], accs["tul-g"]))
@@ -624,24 +624,24 @@ class TestCriterion8Determinism:
 # then a check-in instance where 47 of 59 sequences are one point long. The
 # sequences.jsonl digests are of the earlier versions' files with each record's
 # "window" key dropped and the line re-dumped with sort_keys, since windows
-# are no longer stored. The graph files' digests are those of version 2 of
-# the graph format: each edge listed once, the local roster of visited cells
-# and a checksum line.
+# are no longer stored. The graph files' digests are those of version 3 of
+# the graph format: each edge listed once, the local roster of visited cells,
+# a checksum line and the global features by local graph node row.
 SETUP_DIGESTS = {
     "grid_map.json": "291642cdd47538b55b8c3ad0ea044ce9d1b13c77bb60d294fba530719175c261",
     "sequences.jsonl": "998081b4beeeece825f11d18b79d0e8f25fe45f6e268a0e6b609af3cea0d9611",
     "splits.json": "e84be6670893c31df40100e6755a2019da1c9b030d3a5d8ddd8c23780530d892",
     "manifest.json": "838ca252bc1c212fa32a5b8262532d686f1d407935bfdd55dbf80748f786f5fd",
-    "local_graph.txt": "ad6208f88a1d6fb3ce1af747296881c644d2e830fcfa321e7a10215136dea7e2",
-    "global_graph.txt": "a936b66f59e66f6b6b79081955c2ef1ce3637dfe4e10a80ee34c971ee0094c07",
+    "local_graph.txt": "ea39fb705e5924180b0469d4cf85a2fa454be5f8188a417d74b41259b4a595df",
+    "global_graph.txt": "2d64fda4d2017a06bb12c94e4a88a84bb0d38a2caf7495c70f6cf4b36393b39b",
 }
 CHECKIN_SETUP_DIGESTS = {
     "grid_map.json": "e70cf10c29ea9c44038c50230411aa4c293fe10b6b977acb084b4645413f0194",
     "sequences.jsonl": "297c0e70a85445c660308cd9cb82feaabcce9a87939d958ce6de24f475871489",
     "splits.json": "7824173a0df41e379426c902a96f3d0d515cf1cfe18d2acd1968762c3c2fe8ce",
     "manifest.json": "7a43c7d6f0fd1d47dbbc5d7d9dc0d5535e4f61447771340d7921934c9e80f205",
-    "local_graph.txt": "c03b39e1357ea4c13f819a30a92b5b8879d8e1b9948993a14c52c0ace5642949",
-    "global_graph.txt": "db598e4e65f76dd0c1b1f8bc68ad90fc78b5a1972cc337278a9dafeab10181d4",
+    "local_graph.txt": "82cd2da795fc5ba912cf7bec966ea00c444bcd04f332e0bf6a67cade7af8dcb9",
+    "global_graph.txt": "45339ae058a2b72ed5f09a78480f2fc51cb1bd133a64f12a80eab1827addc257",
 }
 
 
@@ -649,7 +649,7 @@ class TestCriterion8ArtifactFormat:
     def test_setup_artifacts_match_pinned_digests(self, tmp_path, capsys):
         """Same-seed reruns agree with each other; these digests also hold the
         bytes still against earlier versions, the graph files against those
-        since version 2 of their format."""
+        since version 3 of their format."""
         instances = [
             (synth.disjoint_regions(3, 4, seed=3), SETUP_DIGESTS),
             (synth.checkin_style(n_users=12, checkins_per_user=6, n_days=4, seed=5),

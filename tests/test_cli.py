@@ -338,6 +338,28 @@ def test_evaluate_scores_the_chosen_split(workspace, trained, tmp_path, part):
     assert (out / "metrics.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
 
 
+# Characters at which str.splitlines breaks a line, though no artifact ends
+# a line with one.
+SPLITLINES_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS,
+                         ids=[f"U+{ord(c):04X}" for c in SPLITLINES_BREAKS])
+def test_user_ids_may_hold_what_splitlines_breaks_at(tmp_path, capsys, char):
+    """Only a newline ends a line of an artifact, so a user id holding one of
+    these characters runs through all five stages and keeps it."""
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    data.write_text(synth.disjoint_regions(3, 6, seed=3).replace("user0", f"us{char}er0"),
+                    encoding="utf-8")
+    for stage in ("preprocess", "build-graphs", "train", "evaluate", "embed"):
+        code = run([stage, "--dataset", str(data), "--output", str(out), "--embed-dim", "8",
+                    "--heads", "2", "--attn-layers", "1", "--epochs", "1"])
+        assert code == 0, (stage, capsys.readouterr().err)
+    rows = (out / "embeddings.tsv").read_text(encoding="utf-8").split("\n")[:-1]
+    assert len(rows) == 18 and {row.split("\t")[1] for row in rows} == \
+        {f"us{char}er0{u}" for u in range(3)}
+
+
 class TestCheckpointErrors:
     """A checkpoint that does not fit is a data error naming the file and the
     train stage, not a traceback; one that fits is the model, whatever the
@@ -532,10 +554,10 @@ class TestCheckpointErrors:
 
     # The parameter records of earlier versions with and without model
     # settings, the model inputs they were saved beside, the checkpoint whose
-    # sequence records were padded to the longest trajectory, and the one
-    # that stored the split.
+    # sequence records were padded to the longest trajectory, the one that
+    # stored the split and the one that stored the visited cells' ids.
     @pytest.mark.parametrize("magic", [b"TLNKPRM1", b"TLNKPRM2", b"TLNKINP1\n", b"TLNKCKP1\n",
-                                       b"TLNKCKP2\n"])
+                                       b"TLNKCKP2\n", b"TLNKCKP3\n"])
     def test_checkpoint_of_an_earlier_version(self, workspace, trained, tmp_path, capsys,
                                               magic):
         def overwrite_magic(path):
@@ -985,6 +1007,30 @@ class TestArtifactErrors:
                         lambda out: edit_graph_section(out / name, section, edit))
         assert name in err and words in err and "'build-graphs'" in err
 
+    @pytest.mark.parametrize("name", ["local_graph.txt", "global_graph.txt"])
+    def test_graph_file_of_an_earlier_version(self, workspace, trained, tmp_path, capsys, name):
+        """Version 2 held the global features by bounding-box cell id."""
+        def relabel(out):
+            path = out / name
+            path.write_bytes(b"tulink-graph 2\n" + path.read_bytes().split(b"\n", 1)[1])
+        err = self._run(workspace, trained, tmp_path, capsys, "train", relabel)
+        assert name in err and "not a version-3 graph file" in err and "'build-graphs'" in err
+
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    def test_global_features_wider_than_the_local_graph(self, workspace, trained, tmp_path,
+                                                        capsys, stage):
+        """One more feature column than the local graph has nodes, empty and
+        under a renewed checksum: the columns are no longer its node rows."""
+        def widen(lines):
+            i = next(i for i, line in enumerate(lines) if line.startswith("matrix features "))
+            tag, name, rows, cols, nnz = lines[i].split()
+            lines[i] = f"{tag} {name} {rows} {int(cols) + 1} {nnz}\n"
+            return lines
+        err = self._run(workspace, trained, tmp_path, capsys, stage,
+                        lambda out: rewrite_graph(out / "global_graph.txt", widen))
+        assert "global_graph.txt" in err and "local_graph.txt" in err
+        assert "feature columns" in err and "'build-graphs'" in err
+
     def test_graphs_older_than_sequences(self, workspace, trained, tmp_path, capsys):
         def resplit(out):
             assert run(["preprocess", "--config", workspace["config"], "--output", str(out),
@@ -1245,7 +1291,7 @@ def test_saved_model_inputs_equal_the_built_ones(tmp_path, text, twins):
     for stage in ("preprocess", "build-graphs", "train"):
         assert run([stage, "--dataset", str(data), "--output", str(out), "--embed-dim", "8",
                     "--heads", "2", "--attn-layers", "1", "--epochs", "1"]) == 0, stage
-    built, split = _load_model_inputs(StagePaths(out))
+    built, split, _ = _load_model_inputs(StagePaths(out))
     _, saved, sources = load_checkpoint(out / "checkpoint.bin")
     saved_split = mob.chronological_split(saved.labels)
     assert (built.traj_rows.max() + 1 < built.n_traj) == twins
@@ -1287,8 +1333,8 @@ def assert_canonical_csr(inputs):
 ], ids=["regions", "checkin-12u", "checkin-40u"])
 def test_built_matrices_are_canonical_csr(tmp_path, text):
     """What load_checkpoint requires, the writer guarantees:
-    symmetric_normalize and twin_quotient sort each row's indices, and
-    ``_columns`` and ``csr_rows`` keep their order."""
+    symmetric_normalize, twin_quotient and build_global_graph sort each
+    row's indices, and ``csr_rows`` keeps their order."""
     inputs = built_model_inputs(text, tmp_path)
     assert inputs is not None and inputs.traj_rows.max() + 1 <= inputs.n_traj
     assert_canonical_csr(inputs)
@@ -1372,15 +1418,15 @@ class TestByteFlipFaults:
 
     @settings(max_examples=10, deadline=None)
     @given(fraction=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
-    # In the workspace's 67 kB file: the magic line, the checksum, a source
+    # In the workspace's 66 kB file: the magic line, the checksum, a source
     # digest, a trajectory id ("user01:0" read as "user00:0"), a parameter
-    # value and the last record, grid_rows.
+    # value and the last record, labels.
     @example(fraction=0.0, mask=1)
     @example(fraction=0.0005, mask=1)
     @example(fraction=0.012, mask=1)
-    @example(fraction=0.01952, mask=1)
+    @example(fraction=0.01957, mask=1)
     @example(fraction=0.1, mask=1)
-    @example(fraction=0.99, mask=1)
+    @example(fraction=0.999, mask=1)
     def test_flip_one_byte(self, workspace, trained, fraction, mask):
         data = bytearray((trained / "checkpoint.bin").read_bytes())
         data[int(fraction * len(data))] ^= mask
@@ -1442,7 +1488,6 @@ CHECKPOINT_EDITS = {
        for name, edit in RECORD_EDITS.items()},
     **{f"{field}-{name}": functools.partial(_edit_ids, field, edit)
        for field in ("traj_ids", "user_ids") for name, edit in ID_EDITS.items()},
-    "n_grids-plus-1": lambda header, records: header.update(n_grids=header["n_grids"] + 1),
     "sources-zeroed": lambda header, records: header.update(
         sources=dict.fromkeys(header["sources"], "0" * 64)),
 }
@@ -1477,7 +1522,7 @@ def broken_invariant(header, records):
         return "times"
     if min(r["lengths"]) < 1 or sum(r["lengths"]) != len(r["times"]):
         return "lengths"
-    limits = {"grid_rows": header["n_grids"], "grid_idx": header["shapes"]["m_local"][0],
+    limits = {"grid_idx": header["shapes"]["m_local"][0],
               "state_idx": mob.MOTION_STATES, "traj_rows": header["shapes"]["m_global"][0],
               "labels": len(header["user_ids"])}
     for name, limit in limits.items():

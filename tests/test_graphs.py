@@ -118,13 +118,12 @@ class TestLocalGraph:
 
 class TestIncidence:
     def test_rows_are_visited_sets(self):
-        inc = build_grid_incidence(columns_from_records([seq("a", 0, [1, 2, 1])]), n_grids=4)
-        np.testing.assert_array_equal(inc.toarray(), [[0, 1, 1, 0]])
+        inc = build_grid_incidence(columns_from_records([seq("a", 0, [1, 3, 1]),
+                                                         seq("b", 0, [3, 6])]))
+        np.testing.assert_array_equal(inc.toarray(), [[1, 1, 0], [0, 1, 1]])
 
     def test_every_row_nonempty(self):
-        inc = build_grid_incidence(columns_from_records(
-            [seq("a", 0, [3]), seq("b", 0, [0, 0])]), n_grids=4
-        )
+        inc = build_grid_incidence(columns_from_records([seq("a", 0, [3]), seq("b", 0, [0, 0])]))
         assert np.all(inc.toarray().sum(axis=1) >= 1)
 
     def test_row_sums_match_set_oracle(self):
@@ -133,20 +132,21 @@ class TestIncidence:
             rng.integers(0, 20, size=rng.integers(1, 10)).tolist() for _ in range(40)
         ]
         sequences = [seq(f"u{i}", 0, g) for i, g in enumerate(grid_lists)]
-        inc = build_grid_incidence(columns_from_records(sequences), 20)
+        inc = build_grid_incidence(columns_from_records(sequences))
+        cells = np.unique(np.concatenate(grid_lists))
         dense = inc.toarray()
         sums = dense.sum(axis=1)
         for i, grids in enumerate(grid_lists):
             assert sums[i] == len(set(grids))
-            np.testing.assert_array_equal(np.flatnonzero(dense[i]), sorted(set(grids)))
+            np.testing.assert_array_equal(cells[np.flatnonzero(dense[i])], sorted(set(grids)))
         assert inc.nnz == sums.sum() and inc.has_canonical_format
 
 
 class TestGlobalGraph:
-    def _graph(self, grid_lists, labels, n_grids=10):
+    def _graph(self, grid_lists, labels):
         sequences = [seq(f"t{i}", 0, g) for i, g in enumerate(grid_lists)]
         ids = [s.traj_id for s in sequences]
-        inc = build_grid_incidence(columns_from_records(sequences), n_grids)
+        inc = build_grid_incidence(columns_from_records(sequences))
         return labelled_graph(inc, ids, labels), ids
 
     def test_hand_case_with_unit_max_weight(self):
@@ -181,7 +181,7 @@ class TestGlobalGraph:
         ]
         sequences = [seq(f"t{i}", 0, sorted(s)) for i, s in enumerate(grid_sets)]
         ids = [s.traj_id for s in sequences]
-        inc = build_grid_incidence(columns_from_records(sequences), n_grids)
+        inc = build_grid_incidence(columns_from_records(sequences))
         g = labelled_graph(inc, ids, {0: "ua"})
         block = g.adjacency.toarray()[:200, :200]
         for i in range(200):
@@ -198,16 +198,35 @@ class TestGlobalGraph:
         assert dense[2].sum() == dense[2, 3 + g.user_ids.index("uc")]
 
     def test_far_apart_cells_allocate_nothing_box_sized(self):
-        """Features keep their bounding-box columns; no product forms an
-        array as long as the box."""
+        """Features have a column per visited cell, cells 3, 5 and 10**17 in
+        that order; no product forms an array as long as the box."""
         far = 10**17
         sequences = [seq("a", 0, [3, far]), seq("b", 0, [far]), seq("c", 0, [5])]
-        inc = build_grid_incidence(columns_from_records(sequences), far + 1)
+        inc = build_grid_incidence(columns_from_records(sequences))
         g = labelled_graph(inc, [s.traj_id for s in sequences], {0: "ua", 1: "ua"})
-        assert g.features.shape == (4, far + 1)
-        assert g.features.indices.tolist() == [3, far, far, 5, 3, far]
+        assert g.features.shape == (4, 3)
+        assert g.features.indices.tolist() == [0, 2, 2, 1, 0, 2]
         assert g.adjacency.toarray().tolist() == [[0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 0, 0],
                                                   [1, 1, 0, 0]]
+
+    def test_feature_columns_are_the_local_graph_nodes(self):
+        """Column j of every feature row is the local graph's node j: each
+        trajectory's columns name the cells it visits, and each user's the
+        cells of their training trajectories."""
+        rng = np.random.default_rng(6)
+        grid_lists = [(2 * rng.integers(0, 30, size=rng.integers(1, 8)) + 5).tolist()
+                      for _ in range(24)]
+        sequences = [seq(f"u{i % 4}", i // 4, g) for i, g in enumerate(grid_lists)]
+        columns = columns_from_records(sequences)
+        local = build_local_graph(columns, 70)
+        labels = {i: sequences[i].user_id for i in range(16)}
+        g = labelled_graph(build_grid_incidence(columns), columns.traj_ids, labels)
+        assert g.features.shape == (24 + 4, len(local.cells)) and local.cells[0] > 0
+        for i, grids in enumerate(grid_lists):
+            assert local.cells[g.features[i].indices].tolist() == sorted(set(grids))
+        for k, user in enumerate(g.user_ids):
+            visited = {c for i, u in labels.items() if u == user for c in grid_lists[i]}
+            assert local.cells[g.features[24 + k].indices].tolist() == sorted(visited)
 
     def test_symmetry_and_zero_diagonal(self):
         g, _ = self._graph([[0, 1], [1, 2], [0, 2]], labels={0: "ua", 1: "ub"})
@@ -249,20 +268,20 @@ class TestGlobalGraphOracle:
 
     def test_no_training_labels(self):
         inc = build_grid_incidence(
-            columns_from_records([seq("a", 0, [0, 1]), seq("b", 0, [1, 2])]), 4)
+            columns_from_records([seq("a", 0, [0, 1]), seq("b", 0, [1, 2])]))
         g = self._check(inc, {})
-        assert g.user_ids == [] and g.features.shape == (2, 4)
+        assert g.user_ids == [] and g.features.shape == (2, 3)
 
     def test_user_without_training_trajectory_is_isolated(self):
         inc = build_grid_incidence(
-            columns_from_records([seq("a", 0, [0, 1]), seq("b", 0, [1, 2])]), 4)
+            columns_from_records([seq("a", 0, [0, 1]), seq("b", 0, [1, 2])]))
         g = self._check(inc, {0: "ua"}, ["ua", "ub"])
         assert g.user_ids == ["ua", "ub"] and g.n_nodes == 4
         assert g.adjacency[3].nnz == 0 and g.features[3].nnz == 0
 
     def test_disjoint_trajectories_link_users_at_weight_one(self):
         inc = build_grid_incidence(
-            columns_from_records([seq(f"t{i}", 0, [2 * i, 2 * i + 1]) for i in range(4)]), 8)
+            columns_from_records([seq(f"t{i}", 0, [2 * i, 2 * i + 1]) for i in range(4)]))
         g = self._check(inc, {0: "ua", 1: "ub", 3: "ua"})
         assert g.max_weight == 1 and g.n_edges == 3
 
@@ -328,7 +347,7 @@ class TestSerialization:
             for i in range(9)
         ]
         ids = [s.traj_id for s in sequences]
-        inc = build_grid_incidence(columns_from_records(sequences), 12)
+        inc = build_grid_incidence(columns_from_records(sequences))
         return labelled_graph(inc, ids, {i: sequences[i].user_id for i in range(6)})
 
     def test_local_round_trip_bit_exact(self, tmp_path):
@@ -357,7 +376,7 @@ class TestSerialization:
         g = self._local()
         save_local_graph(g, tmp_path / "g.txt")
         text = (tmp_path / "g.txt").read_text().splitlines()
-        assert text[0] == "tulink-graph 2"
+        assert text[0] == "tulink-graph 3"
         assert text[1] == "sha256 " + hashlib.sha256(
             (tmp_path / "g.txt").read_bytes().split(b"\n", 2)[2]).hexdigest()
         assert text[2] == "kind local"
@@ -404,8 +423,16 @@ class TestSerialization:
         path = tmp_path / "g.txt"
         save_local_graph(self._local(), path)
         path.write_bytes(b"tulink-graph 1\n" + path.read_bytes().split(b"\n", 2)[2])
-        with pytest.raises(DataError, match="not a version-2 graph file"):
+        with pytest.raises(DataError, match="not a version-3 graph file"):
             load_local_graph(path)
+
+    def test_version_2_file_is_a_data_error(self, tmp_path):
+        """Version 2 held the global features by bounding-box cell id."""
+        path = tmp_path / "g.txt"
+        save_global_graph(self._global(), path)
+        path.write_bytes(b"tulink-graph 2\n" + path.read_bytes().split(b"\n", 1)[1])
+        with pytest.raises(DataError, match="not a version-3 graph file"):
+            load_global_graph(path)
 
     @pytest.mark.parametrize("roster, words", [
         (["5", "3"], "ascending"), (["3", "3"], "ascending"), (["-1", "3"], "ascending"),

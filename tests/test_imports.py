@@ -1,7 +1,8 @@
-"""Package structure: every module imports at its top level, and every
-primitive of the tensor module has a caller."""
+"""Package structure: every module imports at its top level, every
+primitive of the tensor module has a caller, and what a module may name."""
 
 import ast
+import re
 from pathlib import Path
 
 import tulink
@@ -83,3 +84,31 @@ def test_model_leaves_checkpoint_faults_to_errors_reading():
             names.update(a.asname or a.name.rpartition(".")[2] for a in node.names)
     assert "reading" in names
     assert "DataError" not in names
+
+
+def test_only_the_initial_draw_sees_the_bounding_box():
+    """After build-graphs every structure indexes a cell by its local graph
+    node row. In model.py the bounding box's size ``n_grids`` appears only in
+    ``ModelParams.drawn`` and ``_xavier_rows``, and ``grid_rows`` only as
+    ``drawn``'s parameter; train.py names neither. So the bounding box cannot
+    drift back into the model's inputs or its checkpoint."""
+    def lines_of(tree, names):
+        return {n for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name in names
+                for n in range(node.lineno, node.end_lineno + 1)}
+
+    found = []
+    for name in ("model.py", "train.py"):
+        text = next(path for path in SOURCES if path.name == name).read_text(encoding="utf-8")
+        tree = ast.parse(text, name)
+        allowed = {"n_grids": set(), "grid_rows": set()}
+        if name == "model.py":
+            drawn = next(node for node in ast.walk(tree)
+                         if isinstance(node, ast.FunctionDef) and node.name == "drawn")
+            assert "grid_rows" in [a.arg for a in drawn.args.args]
+            allowed = {"n_grids": lines_of(tree, {"drawn", "_xavier_rows"}),
+                       "grid_rows": lines_of(tree, {"drawn"})}
+        for lineno, line in enumerate(text.split("\n"), 1):
+            found += [f"{name}:{lineno} {word}" for word, lines in allowed.items()
+                      if re.search(rf"\b{word}\b", line) and lineno not in lines]
+    assert not found, found

@@ -712,11 +712,11 @@ class TestColumnsMatchPointObjects:
         if n_grids > 10_000:  # the oracles hold arrays of n_grids entries
             return
         local = build_local_graph(sequences, n_grids)
-        incidence = build_grid_incidence(sequences, n_grids)
+        incidence = build_grid_incidence(sequences)
         assert_same(local.cells, np.unique(np.concatenate([s.grid for s in records])))
         assert_same(oracles.bounding_box_adjacency(local),
                     oracles.build_local_graph_oracle(records, n_grids))
-        assert_same(incidence, oracles.build_grid_incidence_oracle(records, n_grids))
+        assert_same(incidence, oracles.build_grid_incidence_oracle(records))
         global_g = build_global_graph(incidence, sequences.traj_ids, sequences.roster,
                                       split.train, sequences.user[split.train])
         labels = {records[i].traj_id: records[i].user_id for i in split.train}

@@ -45,8 +45,8 @@ from tulink.tensor import Tape, Tensor, recording
 
 from conftest import CHECKPOINT_RECORDS as RECORD
 from conftest import (STEP_OPS, checkpoint_parts, gcn_and_grads, graphs_from_sequences,
-                      inputs_from_sequences, make_sequence, npy_record, on_odd_cells,
-                      rewrite_checkpoint, small_config, toy_nine_sequences)
+                      fresh_params, inputs_from_sequences, make_sequence, npy_record,
+                      on_odd_cells, rewrite_checkpoint, small_config, toy_nine_sequences)
 from oracles import (bounding_box_initial_values, bounding_box_inputs_oracle,
                      bounding_box_params_oracle, dense_gcn_oracle, finite_difference_check,
                      l2_chain_oracle, matmul, padded_fused_representations,
@@ -111,7 +111,7 @@ def checkin_graphs(tmp_path, n_users=12, seed=5):
     gm = build_grid_map(points.lon, points.lat, cfg.cell_size)
     columns = build_grid_sequences(points, gm, cfg.tau)
     split = chronological_split(columns.user)
-    global_g = build_global_graph(build_grid_incidence(columns, gm.n_grids), columns.traj_ids,
+    global_g = build_global_graph(build_grid_incidence(columns), columns.traj_ids,
                                   columns.roster, split.train, columns.user[split.train])
     return columns, build_local_graph(columns, gm.n_grids), global_g
 
@@ -181,7 +181,7 @@ class TestGCN:
         counts = inputs.class_counts
         assert len(counts) < inputs.n_traj and counts.min() >= 1
         m = symmetric_normalize(global_g.adjacency)
-        x = global_g.features.astype(float).tocsr()[:, inputs.grid_rows]
+        x = global_g.features.astype(float).tocsr()
         d = 8
         rng = np.random.default_rng(3)
         weights = [rng.normal(size=(x.shape[1], d)), rng.normal(size=(d, d))]
@@ -200,7 +200,7 @@ class TestGCN:
     def test_feature_width_mismatch(self, toy_model_setup):
         _, _, inputs, _ = toy_model_setup
         config = small_config(ablation="tul-l")
-        params = make_params(config, n_grids=inputs.n_grids + 1)
+        params = make_params(config, n_grids=inputs.m_local.shape[0] + 1)
         with pytest.raises(ValueError, match="mismatch"):
             encode_graphs(params, inputs)
 
@@ -501,7 +501,7 @@ class TestLinking:
         cfg = small_config()
         sequences = [s for s in toy_nine_sequences() if s.user_id == "u0"]
         inputs, _ = inputs_from_sequences(sequences, n_grids=9)
-        params = make_params(cfg, n_users=1, grid_rows=inputs.grid_rows)
+        params = make_params(cfg, n_users=1, grid_rows=np.arange(inputs.m_local.shape[0]))
         logits = forward_batch(params, inputs, np.array([0]),
                                np.random.default_rng(0), training=False)
         assert logits.values.shape == (1, 1)
@@ -543,8 +543,7 @@ def test_tape_ops_per_training_step(ablation, layers):
 class TestModelLoss:
     def test_lambda_zero_equals_cross_entropy(self, toy_model_setup):
         _, _, inputs, _ = toy_model_setup
-        params = ModelParams.for_inputs(small_config(lambda_l2=0.0), inputs,
-                                        seeded_rng(123, "init"))
+        params = fresh_params(small_config(lambda_l2=0.0), inputs, 123)
         batch = np.array([0, 3, 6])
         logits = forward_batch(params, inputs, batch,
                                np.random.default_rng(0), training=False)
@@ -622,8 +621,7 @@ class TestForwardFull:
 
     def test_training_mode_reproducible_under_same_stream(self, toy_model_setup):
         _, _, inputs, _ = toy_model_setup
-        params = ModelParams.for_inputs(small_config(dropout_rate=0.5), inputs,
-                                        seeded_rng(123, "init"))
+        params = fresh_params(small_config(dropout_rate=0.5), inputs, 123)
         batch = np.arange(4)
         a = forward_batch(params, inputs, batch, np.random.default_rng(3), True)
         b = forward_batch(params, inputs, batch, np.random.default_rng(3), True)
@@ -650,7 +648,7 @@ class TestForwardFull:
         assert any(np.any(full[n] != 0) for n in local_names)
 
         cfg_abl = small_config(ablation="tul-l")
-        params_abl = ModelParams.for_inputs(cfg_abl, inputs, seeded_rng(123, "init"))
+        params_abl = fresh_params(cfg_abl, inputs, 123)
         ablated = grads_after_backward(params_abl, inputs, batch)
         for name in local_names:
             np.testing.assert_array_equal(ablated[name], 0.0)
@@ -661,7 +659,7 @@ class TestForwardFull:
     def test_variant_parameter_counts_match_closed_form(self, toy_model_setup):
         params, cfg, inputs, _ = toy_model_setup
         d, L, H, tv = cfg.embed_dim, cfg.gcn_layers, cfg.heads, cfg.time_vocab
-        n_rows, n_users = len(inputs.grid_rows), 3
+        n_rows, n_users = inputs.m_local.shape[0], 3
         gcn = n_rows * d + (L - 1) * d * d
         time_state = tv * d + d + 9 * d + d
         loc = 3 * d * d + d
@@ -683,8 +681,7 @@ class TestForwardFull:
         }
         assert set(variants) == set(ABLATIONS)
         for name, count in variants.items():
-            variant = ModelParams.for_inputs(small_config(ablation=name), inputs,
-                                             seeded_rng(0, "init"))
+            variant = fresh_params(small_config(ablation=name), inputs, 0)
             assert active_count(variant) == count, name
 
     def test_full_model_gradient_spot_check(self, toy_model_setup):
@@ -882,12 +879,11 @@ class TestVisitedGridRows:
         sequences, local, global_g, _ = graphs_from_sequences(on_odd_cells(ragged_sequences()),
                                                               SPARSE_BBOX)
         return (build_model_inputs(sequences, local, global_g),
-                bounding_box_inputs_oracle(sequences, local, global_g), sequences)
+                bounding_box_inputs_oracle(sequences, local, global_g), sequences, local.cells)
 
     def test_inputs_keep_visited_rows(self):
         cfg = small_config()
-        inputs, full, sequences = self._both()
-        rows = inputs.grid_rows
+        inputs, full, sequences, rows = self._both()
         assert rows.tolist() == sorted({g for s in sequences for g in s.grid})
         assert rows[0] > 0 and len(rows) < SPARSE_BBOX
         for i, s in enumerate(sequences):
@@ -914,8 +910,7 @@ class TestVisitedGridRows:
     @pytest.mark.parametrize("ablation", VARIANTS, ids=["full", *ABLATIONS])
     def test_matches_bounding_box_layout(self, ablation):
         cfg = small_config(ablation=ablation)
-        inputs, full, _ = self._both()
-        rows = inputs.grid_rows
+        inputs, full, _, rows = self._both()
         params = make_params(cfg, n_grids=SPARSE_BBOX, grid_rows=rows, seed=7)
         oracle = bounding_box_params_oracle(cfg, SPARSE_BBOX, inputs.n_users,
                                             seeded_rng(7, "init"))
@@ -1050,7 +1045,7 @@ class TestCheckpoint:
         params, _, path = saved_checkpoint
         data = path.read_bytes()
         magic, checksum, rest = data.split(b"\n", 2)
-        assert magic == b"TLNKCKP3" and checksum == hashlib.sha256(rest).hexdigest().encode()
+        assert magic == b"TLNKCKP4" and checksum == hashlib.sha256(rest).hexdigest().encode()
         line = rest.split(b"\n", 1)[0]
         header = json.loads(line)
         assert line == json.dumps(header, sort_keys=True).encode()
@@ -1058,7 +1053,7 @@ class TestCheckpoint:
         assert header["parameters"] == [[n, list(t.values.shape)] for n, t in params.items()]
         records = checkpoint_parts(data)[2]
         assert records[0].tobytes() == params.values.tobytes()
-        assert len(records) == 1 + 3 * 3 + 7
+        assert len(records) == 1 + 3 * 3 + 6
 
     def test_no_record_is_sized_by_the_longest_sequence(self, tmp_path):
         """One 10,000-point trajectory among one-point ones: no input array
@@ -1074,7 +1069,7 @@ class TestCheckpoint:
             value = getattr(inputs, f.name)
             parts = (value.data, value.indices, value.indptr) if sp.issparse(value) else (value,)
             assert max(map(np.size, parts)) <= bound, f.name
-        params = ModelParams.for_inputs(small_config(), inputs, seeded_rng(1, "init"))
+        params = fresh_params(small_config(), inputs, 1)
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(params, inputs, SOURCES, path)
         assert max(record.size for record in checkpoint_parts(path.read_bytes())[2]) <= bound
@@ -1116,7 +1111,7 @@ class TestCheckpoint:
         lambda header, records: records.__setitem__(RECORD["grid_idx"], npy_record(
             records[RECORD["grid_idx"]], records[RECORD["grid_idx"]].shape, fortran_order=True)),
         lambda header, records: records.__setitem__(
-            RECORD["grid_rows"], records[RECORD["grid_rows"]].astype(np.float64)),
+            RECORD["labels"], records[RECORD["labels"]].astype(np.float64)),
         lambda header, records: records[RECORD["times"]].__setitem__(0, np.nan),
         lambda header, records: records.__setitem__(RECORD["times"],
                                                     records[RECORD["times"]][:-1]),
@@ -1126,7 +1121,7 @@ class TestCheckpoint:
         lambda header, records: header["shapes"]["m_local"].__setitem__(1, 10 ** 6),
     ], ids=["no-ids", "sources-not-a-dict", "no-shape", "longer-sequences", "no-trajectories",
             "a-record-short",
-            "float32-arena", "object-record", "fortran-order", "float-grid-rows", "nan-time",
+            "float32-arena", "object-record", "fortran-order", "float-labels", "nan-time",
             "a-point-short", "column-past-the-matrix", "negative-column",
             "infinite-matrix-entry", "matrix-of-other-shape"])
     def test_malformed_header_or_record(self, saved_checkpoint, edit):

@@ -21,8 +21,8 @@ from tulink.train import (
     train,
 )
 
-from conftest import (graphs_from_sequences, inputs_from_sequences, make_sequence, on_odd_cells,
-                      small_config, toy_nine_sequences)
+from conftest import (fit, fresh_params, graphs_from_sequences, inputs_from_sequences,
+                      make_sequence, on_odd_cells, small_config, toy_nine_sequences)
 from oracles import bounding_box_inputs_oracle, evaluate_rows_oracle, per_tensor_adam_oracle
 
 
@@ -124,10 +124,10 @@ def assert_views_arena(params):
 class TestParameterArena:
     def test_tensors_view_the_arena_after_init_training_and_loading(self, tmp_path):
         config, inputs, split = toy_training_setup()
-        params = ModelParams.for_inputs(config, inputs, seeded_rng(0, "init"))
+        params = fresh_params(config, inputs, 0)
         assert_views_arena(params)
-        result = train(inputs, split, config,
-                       TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=1))
+        result = fit(inputs, split, config,
+                     TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=1))
         assert_views_arena(result.params)
         save_checkpoint(result.params, inputs, {}, tmp_path / "checkpoint.bin")
         loaded = load_checkpoint(tmp_path / "checkpoint.bin")[0]
@@ -165,7 +165,7 @@ class TestTrainLoop:
         config, inputs, split = toy_training_setup(dropout_rate=0.0)
         tc = TrainConfig(learning_rate=1e-2, epochs_max=20, patience=20,
                          batch_size=4, seed=0)
-        result = train(inputs, split, config, tc)
+        result = fit(inputs, split, config, tc)
         assert result.history[-1].mean_train_loss < result.history[0].mean_train_loss
 
     def test_constant_validation_stops_after_two_epochs(self):
@@ -175,9 +175,10 @@ class TestTrainLoop:
         config = small_config()
         sequences = [make_sequence(user, j, [j, j + 1, 2], [0, 1, 2], [0, 1, 2])
                      for user in ("a", "b") for j in range(3)]
-        inputs, split = inputs_from_sequences(sequences, 9)
+        columns, local, global_g, split = graphs_from_sequences(sequences, 9)
+        inputs = build_model_inputs(columns, local, global_g)
         tc = TrainConfig(epochs_max=30, patience=1, batch_size=2, seed=0)
-        result = train(inputs, split, config, tc)
+        result = fit(inputs, split, config, tc, local)
         assert [h.val_acc1 for h in result.history] == [0.5, 0.5]
         assert result.stopped_by == "patience"
 
@@ -190,10 +191,11 @@ class TestTrainLoop:
         sequences = toy_nine_sequences()
         if instance == "one-user":
             sequences = [s for s in sequences if s.user_id == "u0"]
-        inputs, split = inputs_from_sequences(sequences, 9)
-        stopped, capped = (train(inputs, split, config,
-                                 TrainConfig(learning_rate=1e-2, epochs_max=epochs,
-                                             patience=epochs, batch_size=4, seed=seed))
+        columns, local, global_g, split = graphs_from_sequences(sequences, 9)
+        inputs = build_model_inputs(columns, local, global_g)
+        stopped, capped = (fit(inputs, split, config,
+                               TrainConfig(learning_rate=1e-2, epochs_max=epochs,
+                                           patience=epochs, batch_size=4, seed=seed), local)
                            for epochs in (80, k))
         accs = [h.val_acc1 for h in stopped.history]
         assert accs == [h.val_acc1 for h in capped.history]
@@ -209,7 +211,7 @@ class TestTrainLoop:
         for _ in range(2):
             config, inputs, split = toy_training_setup(dropout_rate=0.3)
             tc = TrainConfig(epochs_max=4, patience=10, batch_size=4, seed=11)
-            result = train(inputs, split, config, tc)
+            result = fit(inputs, split, config, tc)
             runs.append(result)
         a, b = runs
         assert [(h.epoch, h.mean_train_loss, h.val_acc1) for h in a.history] == \
@@ -221,11 +223,8 @@ class TestTrainLoop:
         """Under the local ablation the entire local branch must stay put."""
         config, inputs, split = toy_training_setup(ablation="tul-l")
         tc = TrainConfig(epochs_max=3, patience=10, batch_size=4, seed=2)
-        result = train(inputs, split, config, tc)
-        reference = ModelParams.drawn(
-            config, n_grids=inputs.n_grids, grid_rows=inputs.grid_rows, n_users=inputs.n_users,
-            rng=seeded_rng(2, "init"),
-        )
+        reference = fresh_params(config, inputs, 2)
+        result = train(fresh_params(config, inputs, 2), inputs, split, tc)
         active = set(result.params.active_names())
         inactive = [n for n in result.params.tensors if n not in active]
         assert inactive, "ablation should leave some parameters untouched"
@@ -244,11 +243,12 @@ class TestTrainLoop:
         inputs = build_model_inputs(sequences, local, global_g)
         full = bounding_box_inputs_oracle(sequences, local, global_g)
         tc = TrainConfig(learning_rate=1e-2, epochs_max=4, patience=10, batch_size=4, seed=8)
-        compact, reference = train(inputs, split, config, tc), train(full, split, config, tc)
+        # The reference draws a first-layer row for every bounding-box cell.
+        compact, reference = fit(inputs, split, config, tc, local), fit(full, split, config, tc)
         assert [h.val_acc1 for h in compact.history] == \
                [h.val_acc1 for h in reference.history]
         assert compact.best_epoch == reference.best_epoch
-        rows = inputs.grid_rows
+        rows = local.cells
         for name, t in compact.params.items():
             ref = reference.params[name].values
             ref = ref[rows] if name in ("gcn_local_0", "gcn_global_0") else ref
@@ -258,7 +258,7 @@ class TestTrainLoop:
         config, inputs, split = toy_training_setup()
         tc = TrainConfig(learning_rate=1e-2, epochs_max=10, patience=10,
                          batch_size=4, seed=4)
-        result = train(inputs, split, config, tc)
+        result = fit(inputs, split, config, tc)
         accs = [h.val_acc1 for h in result.history]
         assert len(accs) == 10 and max(accs) < 1.0  # no epoch stops the run early
         assert result.stopped_by == "epochs_max"
@@ -268,7 +268,7 @@ class TestTrainLoop:
     def test_history_is_finite(self):
         config, inputs, split = toy_training_setup()
         tc = TrainConfig(epochs_max=5, patience=10, batch_size=4, seed=6)
-        result = train(inputs, split, config, tc)
+        result = fit(inputs, split, config, tc)
         for row in result.history:
             assert np.isfinite(row.mean_train_loss)
             assert np.isfinite(row.val_acc1)
@@ -277,7 +277,7 @@ class TestTrainLoop:
         config, inputs, split = toy_training_setup()
         split.validation = np.array([], dtype=np.int64)
         with pytest.raises(ValueError, match="non-empty"):
-            train(inputs, split, config, TrainConfig())
+            fit(inputs, split, config, TrainConfig())
 
 
 class TestEvaluate:
@@ -285,7 +285,7 @@ class TestEvaluate:
         config, inputs, split = toy_training_setup()
         tc = TrainConfig(learning_rate=1e-2, epochs_max=8, patience=10,
                          batch_size=4, seed=1)
-        result = train(inputs, split, config, tc)
+        result = fit(inputs, split, config, tc)
         report = evaluate_on_split(result.params, inputs, split.test)
         logits = predict_logits(result.params, inputs, split.test)
         manual = float(np.mean(np.argmax(logits, axis=1) == inputs.labels[split.test]))
@@ -294,7 +294,7 @@ class TestEvaluate:
     def test_acc_at_full_user_count_is_one(self):
         config, inputs, split = toy_training_setup()
         tc = TrainConfig(epochs_max=2, patience=10, batch_size=4, seed=1)
-        result = train(inputs, split, config, tc)
+        result = fit(inputs, split, config, tc)
         report = evaluate_on_split(result.params, inputs, split.test,
                                    ks=(1, inputs.n_users))
         assert report.acc_at[inputs.n_users] == 1.0
@@ -328,7 +328,7 @@ class TestEvaluateRows:
         n = inputs.n_traj
         assert n > EVAL_CHUNK + 1 and len(set(inputs.lengths.tolist())) > 1
         config = small_config(ablation=ablation, dropout_rate=0.5)
-        params = ModelParams.for_inputs(config, inputs, seeded_rng(3, "init"))
+        params = fresh_params(config, inputs, 3)
         rng = np.random.default_rng(1)
         shuffled = rng.permutation(n)
         shuffled[-1] = shuffled[0]
@@ -350,7 +350,7 @@ class TestHistoryFile:
     def test_four_tab_separated_columns(self, tmp_path):
         config, inputs, split = toy_training_setup()
         tc = TrainConfig(epochs_max=2, patience=10, batch_size=4, seed=1)
-        result = train(inputs, split, config, tc)
+        result = fit(inputs, split, config, tc)
         path = tmp_path / "history.tsv"
         save_history(result.history, path)
         lines = path.read_text().splitlines()
