@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import operator
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -398,7 +399,7 @@ def parse_dataset(path: str | Path) -> tuple[PointColumns, ParseReport]:
     try:
         with path.open("r", encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
-                line = line.strip()
+                line = line.strip(string.whitespace)
                 if not line:
                     continue
                 fields = line.split(",")
@@ -413,7 +414,7 @@ def parse_dataset(path: str | Path) -> tuple[PointColumns, ParseReport]:
                 try:
                     if len(fields) != 4:
                         raise ValueError("expected 4 comma-separated fields")
-                    user, t_s, lat_s, lon_s = (f.strip() for f in fields)
+                    user, t_s, lat_s, lon_s = (f.strip(string.whitespace) for f in fields)
                     if "\t" in user:
                         raise DataError(f"{path} line {number}: user id {user!r} holds a tab, "
                                         "which would split its rows of embeddings.tsv")

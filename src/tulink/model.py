@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,20 +125,28 @@ class ModelParams:
     """
 
     def __init__(self, config: ModelConfig, values: np.ndarray, n_rows: int, n_users: int):
-        """The parameters whose values are the flat arena ``values``."""
+        """The parameters whose values are the flat arena ``values``, laid
+        out one at a time: a ValueError names the first that runs past the
+        arena, so a config of a billion layers lays out no more than the
+        arena holds."""
         config.validate()
+        if values.ndim != 1:
+            raise ValueError(f"an arena of shape {values.shape} is not flat")
         self.config = config
         self.values = values
         self.grad = np.zeros_like(values)
-        shapes = list(parameter_shapes(config, n_rows, n_users))
-        cuts = np.cumsum([math.prod(shape) for _, shape in shapes])
-        if values.shape != (cuts[-1],):
-            raise ValueError(f"an arena of shape {values.shape} for {cuts[-1]} parameter values")
-        self.tensors = {
-            name: Tensor(v.reshape(shape), requires_grad=True, grad=g.reshape(shape))
-            for (name, shape), v, g in zip(shapes, np.split(values, cuts[:-1]),
-                                           np.split(self.grad, cuts[:-1]))
-        }
+        self.tensors = {}
+        at = 0
+        for name, shape in parameter_shapes(config, n_rows, n_users):
+            end = at + math.prod(shape)
+            if end > len(values):
+                raise ValueError(f"parameter {name!r} of shape {shape} runs past an arena of "
+                                 f"{len(values)} values")
+            self.tensors[name] = Tensor(values[at:end].reshape(shape), requires_grad=True,
+                                        grad=self.grad[at:end].reshape(shape))
+            at = end
+        if at != len(values):
+            raise ValueError(f"an arena of {len(values)} values for {at} parameter values")
 
     @classmethod
     def drawn(cls, config: ModelConfig, n_grids: int, grid_rows: np.ndarray, n_users: int,
@@ -312,10 +320,12 @@ def build_model_inputs(
     )
 
 
-_MAGIC = b"TLNKCKP4\n"
+_MAGIC = b"TLNKCKP5\n"
 _CHECKSUM_END = len(_MAGIC) + 65  # the hex sha256 and its newline
 # A checkpoint's records after the parameter arena, in file order: each CSR
-# matrix as its data, indices and indptr, then the dense arrays.
+# matrix as its data, indices and indptr, then the dense arrays. A matrix has
+# a row per indptr entry but the last; m_local and m_global are square, and
+# x_global has a column per m_local row.
 _CSR_FIELDS = ("m_local", "m_global", "x_global")
 _ARRAY_FIELDS = ("traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels")
 
@@ -335,14 +345,14 @@ def save_checkpoint(params: ModelParams, inputs: ModelInputs, sources: dict[str,
     """Everything evaluate and embed run on, with ``sources`` (the sha256 of
     each file the inputs were built from, by name), in deterministic bytes:
     the magic line, the checksum line, a sorted-key JSON header line (the
-    model settings, each parameter's name and shape, the sources, ids and
-    matrix shapes), then one ``.npy`` record for the parameter arena and one
-    per input array, in a fixed order. The split is no part of it: it is
+    model settings, the sources and the ids), then one ``.npy`` record for
+    the parameter arena and one per input array, in a fixed order. Nothing
+    the rest gives is stored: the matrix shapes follow from their records,
+    the parameter layout from the settings and the shapes
+    (``parameter_shapes``), and the split is
     ``chronological_split(inputs.labels)``."""
-    header = {"model": asdict(params.config),
-              "parameters": [[name, t.values.shape] for name, t in params.items()],
-              "sources": sources, "traj_ids": inputs.traj_ids, "user_ids": inputs.user_ids,
-              "shapes": {name: getattr(inputs, name).shape for name in _CSR_FIELDS}}
+    header = {"model": asdict(params.config), "sources": sources,
+              "traj_ids": inputs.traj_ids, "user_ids": inputs.user_ids}
     arrays = [params.values]
     arrays += [getattr(getattr(inputs, name), part) for name in _CSR_FIELDS
                for part in ("data", "indices", "indptr")]
@@ -376,30 +386,6 @@ def _header_config(header) -> ModelConfig:
     return config
 
 
-def _check_parameters(listed: list, expected: Iterable[tuple[str, tuple[int, ...]]]) -> None:
-    """ValueError unless the header's ``listed`` [name, shape] pairs are
-    ``expected``, in its order. Stops at the first expected parameter that is
-    missing, so a lazy ``expected`` naming a billion layers is never built."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    for name, shape in listed:
-        if name in shapes:
-            raise ValueError(f"lists parameter {name!r} twice")
-        shapes[name] = tuple(shape)
-    names = []
-    for name, shape in expected:
-        if name not in shapes:
-            raise ValueError(f"is missing parameter {name!r}")
-        if shapes[name] != shape:
-            raise ValueError(f"shape {shapes[name]} for {name!r} does not match model shape "
-                             f"{shape}")
-        names.append(name)
-    extra = sorted(shapes.keys() - set(names))
-    if extra:
-        raise ValueError(f"holds parameters the model lacks: {extra}")
-    if [name for name, _ in listed] != names:
-        raise ValueError("lists its parameters out of order")
-
-
 def _read_record(fh, size: int) -> np.ndarray:
     """The next ``.npy`` record of an open checkpoint of ``size`` bytes. Its
     declared shape is checked against the bytes left before anything is
@@ -428,28 +414,29 @@ def _check_index(name: str, values: np.ndarray, limit: int, length: int) -> None
         raise ValueError(f"holds {name} {int(bad[0])}, outside [0, {limit})")
 
 
-def _check_inputs(inputs: ModelInputs, n_rows: int) -> None:
+def _check_inputs(inputs: ModelInputs) -> None:
     """ValueError unless every trajectory holds 1 to N points, N finite point
-    times in all, every index lies in the range of what it indexes and each
+    times in all, every index lies in the range of what it indexes, each
     matrix is canonical CSR (each row's column indices ascending and
-    distinct) of its shape with finite entries. So the longest sequence,
-    which sizes a batch's position table, is bounded by the file's own
-    bytes, and no native product reads past a matrix. The rest of what the
-    writer guarantees is checked too: the ids are lists of distinct str,
-    ``traj_rows`` numbers the trajectory classes by first appearance (so no
-    class is empty) and the labels are in user order, so that their
-    chronological split is the one ``preprocess`` wrote."""
+    distinct) with finite entries and x_global has a row per m_global row.
+    So the longest sequence, which sizes a batch's position table, is
+    bounded by the file's own bytes, and no native product reads past a
+    matrix. The rest of what the writer guarantees is checked too: the ids
+    are lists of distinct str, ``traj_rows`` numbers the trajectory classes
+    by first appearance (so no class is empty) and the labels are in user
+    order, so that their chronological split is the one ``preprocess``
+    wrote."""
     for name in ("traj_ids", "user_ids"):
         ids = getattr(inputs, name)
         if type(ids) is not list or set(map(type, ids)) - {str} or len(set(ids)) != len(ids):
             raise ValueError(f"holds {name} that are not a list of distinct str")
-    k = inputs.m_global.shape[0]
-    for name, shape in (("m_local", (n_rows, n_rows)), ("m_global", (k, k)),
-                        ("x_global", (k, n_rows))):
+    n_rows, k = inputs.m_local.shape[0], inputs.m_global.shape[0]
+    if inputs.x_global.shape[0] != k:
+        raise ValueError(f"holds x_global of {inputs.x_global.shape[0]} rows where m_global has "
+                         f"{k}")
+    for name in _CSR_FIELDS:
         matrix = getattr(inputs, name)
         matrix.check_format(full_check=True)  # its indices and indptr, or a ValueError
-        if matrix.shape != shape:
-            raise ValueError(f"holds {name} of shape {matrix.shape} where {shape} belongs")
         if not matrix.has_canonical_format:
             raise ValueError(f"holds {name} with a row whose column indices are not ascending "
                              "and distinct")
@@ -477,14 +464,14 @@ def _check_inputs(inputs: ModelInputs, n_rows: int) -> None:
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, dict[str, str]]:
     """What ``save_checkpoint`` wrote: (params, inputs, sources), the
-    parameters viewing the arena read from the file. A foreign or older
-    file, one whose checksum does not match (a cut or a changed byte
-    anywhere), a header or a parameter list that does not fit the model
-    (found before any array is read), a record larger than the bytes left
-    or a non-finite value is refused through ``errors.reading``, naming the
-    file and the train stage, and so are sequences, indices or ids that do
-    not fit or that break what ``save_checkpoint`` guarantees
-    (``_check_inputs``)."""
+    parameters viewing the arena read from the file, laid out by the header's
+    model settings and the records' shapes. A foreign or older file, one
+    whose checksum does not match (a cut or a changed byte anywhere), an
+    invalid header, a record larger than the bytes left, an arena that the
+    layout does not fill exactly or a non-finite value is refused through
+    ``errors.reading``, naming the file and the train stage, and so are
+    sequences, indices or ids that do not fit or that break what
+    ``save_checkpoint`` guarantees (``_check_inputs``)."""
     with reading(path, "train"), Path(path).open("rb") as fh:
         size = Path(path).stat().st_size
         magic = fh.read(len(_MAGIC))
@@ -496,8 +483,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, dict[st
         fh.seek(_CHECKSUM_END)
         header = json.loads(fh.readline())
         config = _header_config(header["model"])
-        n_rows, n_users = header["shapes"]["m_local"][0], len(header["user_ids"])
-        _check_parameters(header["parameters"], parameter_shapes(config, n_rows, n_users))
 
         def read() -> np.ndarray:
             return _read_record(fh, size)
@@ -505,14 +490,16 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, dict[st
         values = read()
         if values.dtype != np.float64:
             raise ValueError(f"holds a parameter arena of type {values.dtype}")
-        csr = {name: sp.csr_matrix((read(), read(), read()), shape=tuple(header["shapes"][name]))
-               for name in _CSR_FIELDS}
+        parts = [(read(), read(), read()) for _ in _CSR_FIELDS]
+        n_rows, k, n_x = (len(indptr) - 1 for _, _, indptr in parts)
+        csr = {name: sp.csr_matrix(part, shape=shape) for name, part, shape in
+               zip(_CSR_FIELDS, parts, [(n_rows, n_rows), (k, k), (n_x, n_rows)])}
         inputs = ModelInputs(**csr, **{name: read() for name in _ARRAY_FIELDS},
                              traj_ids=header["traj_ids"], user_ids=header["user_ids"])
-        _check_inputs(inputs, n_rows)
+        _check_inputs(inputs)
         if fh.tell() != size:
             raise ValueError(f"holds {size - fh.tell()} bytes after its last record")
-        params = ModelParams(config, values, n_rows, n_users)
+        params = ModelParams(config, values, n_rows, inputs.n_users)
         if not np.isfinite(values).all():
             name = next(n for n, t in params.items() if not np.isfinite(t.values).all())
             raise ValueError(f"parameter {name!r} holds a non-finite value")

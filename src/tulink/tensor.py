@@ -474,10 +474,9 @@ class Packing:
     seq[r], N = lengths.sum(). Each sequence's rows are consecutive and in
     position order, from row starts[i]. Padded to the longest, m points,
     the same points are the (B, m, ...) array whose row index[r] of the
-    flattened (B·m, ...) is packed row r; when ``dense``, every length is m
-    and the padded array is a reshape of the packed one."""
+    flattened (B·m, ...) is packed row r."""
 
-    __slots__ = ("lengths", "m", "starts", "seq", "pos", "index", "dense")
+    __slots__ = ("lengths", "m", "starts", "seq", "pos", "index")
 
     def __init__(self, lengths):
         lens = np.asarray(lengths, dtype=np.int64)
@@ -491,15 +490,12 @@ class Packing:
         self.seq = np.repeat(np.arange(len(lens)), lens)
         self.pos = np.arange(len(self.seq)) - self.starts[self.seq]
         self.index = self.seq * self.m + self.pos
-        self.dense = len(self.seq) == len(lens) * self.m
 
     def __len__(self) -> int:
         return len(self.seq)
 
     def padded(self, rows: np.ndarray, fill: float) -> np.ndarray:
         """The (B, m, ...) array of the packed (N, ...) rows, padded with fill."""
-        if self.dense:
-            return rows.reshape(len(self.lengths), self.m, *rows.shape[1:])
         out = np.full((len(self.lengths) * self.m, *rows.shape[1:]), fill)
         out[self.index] = rows
         return out.reshape(len(self.lengths), self.m, *rows.shape[1:])
@@ -515,11 +511,10 @@ def masked_attention(state: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, packing:
     Each projection is one (N, d) @ (d, d) product over the points. Only q,
     k and v are scattered into the zero-padded (B, heads, m, dh) layout for
     (q @ kᵀ) * inv_scale plus -inf on each sequence's padded keys, a
-    max-shifted softmax and p @ v, which is gathered back to the points; a
-    batch without padding reshapes instead. The backward is the
-    softmax-attention gradient written out (Vaswani et al., 2017): the
-    softmax Jacobian per head, gathered back to the points, then the
-    projection gradients.
+    max-shifted softmax and p @ v, which is gathered back to the points. The
+    backward is the softmax-attention gradient written out (Vaswani et al.,
+    2017): the softmax Jacobian per head, gathered back to the points, then
+    the projection gradients.
     """
     x = state.values
     if (x.ndim != 2 or heads < 1 or x.shape[1] % heads or len(x) != len(packing)
@@ -534,14 +529,11 @@ def masked_attention(state: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, packing:
         return packing.padded(y, 0.0).reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
 
     def merge_heads(y):  # (B, heads, m, dh) -> packed (N, d)
-        if packing.dense:
-            return np.ascontiguousarray(y.transpose(0, 2, 1, 3)).reshape(n, d)
         return y[packing.seq, :, packing.pos].reshape(n, d)
 
     q, k, v = (split_heads(x @ w.values) for w in (wq, wk, wv))
     p = (q @ np.swapaxes(k, -1, -2)) * inv_scale
-    if not packing.dense:
-        p += np.where(np.arange(m) < packing.lengths[:, None], 0.0, -np.inf)[:, None, None, :]
+    p += np.where(np.arange(m) < packing.lengths[:, None], 0.0, -np.inf)[:, None, None, :]
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
@@ -609,8 +601,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator,
     if packing is None:
         draw = rng.random(x.shape)
     else:
-        draw = rng.random((len(packing.lengths) * packing.m, *x.shape[1:]))
-        draw = draw if packing.dense else draw[packing.index]
+        draw = rng.random((len(packing.lengths) * packing.m, *x.shape[1:]))[packing.index]
     mask = (draw >= rate) / (1.0 - rate)
     out = _result(x.values * mask, x)
     if out.requires_grad:

@@ -14,7 +14,7 @@ import pytest
 
 from tulink.graphs import build_global_graph, build_grid_incidence, build_local_graph
 from tulink.mobility import GridSequence, chronological_split
-from tulink.model import ModelConfig, ModelParams, build_model_inputs
+from tulink.model import ModelConfig, ModelParams, build_model_inputs, parameter_shapes
 from tulink.config import seeded_rng
 from tulink.train import train
 from tulink.tensor import Tape, Tensor, recording
@@ -193,12 +193,17 @@ def npy_record(array, shape, fortran_order=False):
     return fh.getvalue() + array.tobytes()
 
 
-def parameter_views(header, arena):
-    """Each parameter's view of a checkpoint's arena, by name, as its header
-    lists them."""
-    cuts = np.cumsum([math.prod(shape) for _, shape in header["parameters"]])
+def parameter_views(header, records):
+    """Each parameter's view of a checkpoint's arena, its first record, by
+    name, laid out as the loader lays it out: by the header's model settings,
+    the rows of m_local (an indptr entry each, but the last) and the
+    users."""
+    shapes = list(parameter_shapes(ModelConfig(**header["model"]),
+                                   len(records[CHECKPOINT_RECORDS["m_local.indptr"]]) - 1,
+                                   len(header["user_ids"])))
+    cuts = np.cumsum([math.prod(shape) for _, shape in shapes])
     return {name: values.reshape(shape) for (name, shape), values in
-            zip(header["parameters"], np.split(arena, cuts[:-1]))}
+            zip(shapes, np.split(records[0], cuts[:-1]))}
 
 
 def _set_first(weight):

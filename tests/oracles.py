@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import string
 from pathlib import Path
 from typing import Callable
 
@@ -1043,7 +1044,7 @@ def parse_dataset_oracle(path):
     first_content_line = True
     with path.open("r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
-            line = line.strip()
+            line = line.strip(string.whitespace)
             if not line:
                 continue
             fields = line.split(",")
@@ -1058,7 +1059,7 @@ def parse_dataset_oracle(path):
             try:
                 if len(fields) != 4:
                     raise ValueError("expected 4 comma-separated fields")
-                user, t_s, lat_s, lon_s = (f.strip() for f in fields)
+                user, t_s, lat_s, lon_s = (f.strip(string.whitespace) for f in fields)
                 if "\t" in user:
                     raise DataError(f"{path} line {number}: user id {user!r} holds a tab, "
                                     "which would split its rows of embeddings.tsv")

@@ -36,7 +36,7 @@ from tulink.config import FIELD_TYPES, RunConfig, load_config_file, resolve_conf
 from tulink.errors import ConfigError
 from tulink.mobility import DatasetSplit
 from tulink.model import (ABLATIONS, ModelConfig, ModelInputs, fused_representations,
-                          load_checkpoint)
+                          load_checkpoint, parameter_shapes)
 from tulink.train import TrainConfig, evaluate_on_split, evaluate_rows
 
 from conftest import (CHECKPOINT_RECORDS, GRAPH_CORRUPTIONS, checkpoint_parts,
@@ -522,18 +522,30 @@ class TestCheckpointErrors:
                              stage=stage)
         assert "invalid model header" in err
 
-    @pytest.mark.parametrize("setting, value, record", [
-        ("embed_dim", 10 ** 12, "gcn_local_0"), ("gcn_layers", 10 ** 12, "gcn_local_2"),
-        ("attn_layers", 10 ** 12, "attn1_q"), ("time_vocab", 86400 * 2 ** 20, "time_w")])
+    @pytest.mark.parametrize("setting, value, family", [
+        ("embed_dim", 10 ** 12, "gcn_local_0"), ("gcn_layers", 10 ** 12, "gcn_local_"),
+        ("attn_layers", 10 ** 12, "attn"), ("time_vocab", 86400 * 2 ** 20, "time_w")])
     def test_header_sizes_the_records_do_not_bear_out(self, workspace, trained, tmp_path, capsys,
-                                                      setting, value, record):
-        """A header that would size a huge model exits at the first record
-        that does not fit it, before anything is drawn or allocated."""
+                                                      setting, value, family):
+        """A header that would size a huge model exits at the first parameter
+        that runs past the arena, having laid out no more than the arena
+        holds: the one whose end, in the model's order, passes the arena's
+        size."""
         def enlarge(header, records):
             header["model"][setting] = value
+        _, header, records = checkpoint_parts((trained / "checkpoint.bin").read_bytes())
+        enlarge(header, records)
+        end = 0
+        for name, shape in parameter_shapes(
+                ModelConfig(**header["model"]),
+                len(records[CHECKPOINT_RECORDS["m_local.indptr"]]) - 1, len(header["user_ids"])):
+            end += math.prod(shape)
+            if end > records[0].size:
+                break
+        assert name.startswith(family)
         err = self._evaluate(workspace, trained, tmp_path, capsys,
                              lambda path: rewrite_checkpoint(path, enlarge))
-        assert repr(record) in err
+        assert f"parameter {name!r} of shape" in err and "runs past an arena" in err
 
     @pytest.mark.parametrize("window", ["600", "3600", "86400"])
     def test_windows_come_from_the_model(self, workspace, trained, tmp_path, window):
@@ -555,9 +567,10 @@ class TestCheckpointErrors:
     # The parameter records of earlier versions with and without model
     # settings, the model inputs they were saved beside, the checkpoint whose
     # sequence records were padded to the longest trajectory, the one that
-    # stored the split and the one that stored the visited cells' ids.
+    # stored the split, the one that stored the visited cells' ids and the one
+    # that listed each parameter's shape and each matrix's.
     @pytest.mark.parametrize("magic", [b"TLNKPRM1", b"TLNKPRM2", b"TLNKINP1\n", b"TLNKCKP1\n",
-                                       b"TLNKCKP2\n", b"TLNKCKP3\n"])
+                                       b"TLNKCKP2\n", b"TLNKCKP3\n", b"TLNKCKP4\n"])
     def test_checkpoint_of_an_earlier_version(self, workspace, trained, tmp_path, capsys,
                                               magic):
         def overwrite_magic(path):
@@ -570,73 +583,14 @@ class TestCheckpointErrors:
                              lambda path: path.write_bytes(b"not a checkpoint"))
         assert "not a tulink checkpoint" in err
 
-    def test_per_head_parameter_names_of_earlier_versions(self, workspace, trained,
-                                                          tmp_path, capsys):
-        def split_heads(header, records):
-            listed = []
-            for name, shape in header["parameters"]:
-                layer, _, kind = name.partition("_")
-                if layer.startswith("attn") and kind in ("q", "k", "v"):
-                    listed += [[f"{name}{h}", [shape[0], shape[1] // 2]] for h in range(2)]
-                else:
-                    listed.append([name, shape])
-            header["parameters"] = listed
-        err = self._evaluate(workspace, trained, tmp_path, capsys,
-                             lambda path: rewrite_checkpoint(path, split_heads))
-        assert "'attn0_q'" in err
-
-    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
-    def test_bounding_box_rows_of_earlier_versions(self, workspace, trained, tmp_path,
-                                                   capsys, stage):
-        n_cells = mob.load_grid_map(trained / "grid_map.json").n_grids
-        rows = sorted({g for s in mob.load_sequences(trained / "sequences.jsonl")
-                       for g in s.grid})
-        assert len(rows) < n_cells
-
-        def widen_first_gcn_layers(header, records):
-            arena = []
-            for (name, shape), values in zip(header["parameters"],
-                                             parameter_views(header, records[0]).values()):
-                if name in ("gcn_local_0", "gcn_global_0"):
-                    shape[0] = n_cells
-                    wide = np.zeros(shape)
-                    wide[rows] = values
-                    values = wide
-                arena.append(values.ravel())
-            records[0] = np.concatenate(arena)
-        err = self._evaluate(workspace, trained, tmp_path, capsys,
-                             lambda path: rewrite_checkpoint(path, widen_first_gcn_layers),
-                             stage=stage)
-        assert "'gcn_local_0'" in err and "shape" in err
-
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value(self, workspace, trained, tmp_path, capsys, stage, value):
         def poison_link_bias(header, records):
-            parameter_views(header, records[0])["link_b"][0] = value
+            parameter_views(header, records)["link_b"][0] = value
         err = self._evaluate(workspace, trained, tmp_path, capsys,
                              lambda path: rewrite_checkpoint(path, poison_link_bias), stage=stage)
         assert "'link_b'" in err and "non-finite" in err
-
-    def test_checkpoint_holds_a_parameter_the_model_lacks(self, workspace, trained, tmp_path,
-                                                          capsys):
-        def add_a_layer(header, records):
-            attn0_q = parameter_views(header, records[0])["attn0_q"]
-            header["parameters"].append(["attn1_q", list(attn0_q.shape)])
-            records[0] = np.concatenate([records[0], attn0_q.ravel()])
-        assert "lacks" in self._evaluate(workspace, trained, tmp_path, capsys,
-                                         lambda path: rewrite_checkpoint(path, add_a_layer))
-
-    def test_parameters_out_of_order(self, workspace, trained, tmp_path, capsys):
-        """Each parameter views the arena at its place in the model's order,
-        so the same parameters listed in another order are refused."""
-        def swap_biases(header, records):
-            listed = header["parameters"]
-            i, j = (next(k for k, (name, _) in enumerate(listed) if name == wanted)
-                    for wanted in ("time_b", "state_b"))
-            listed[i], listed[j] = listed[j], listed[i]
-        assert "out of order" in self._evaluate(workspace, trained, tmp_path, capsys,
-                                                lambda path: rewrite_checkpoint(path, swap_biases))
 
 
 class TestConfigResolution:
@@ -927,16 +881,6 @@ class TestArtifactErrors:
         err = self._run(workspace, trained, tmp_path, capsys, "build-graphs", edit)
         assert "grid_map.json" in err and "'preprocess'" in err and key in err
         assert "sequences.jsonl" not in err
-
-    def test_checkpoint_names_a_parameter_twice(self, workspace, trained, tmp_path, capsys):
-        def repeat_link_w(header, records):
-            shape = parameter_views(header, records[0])["link_w"].shape
-            values = np.random.default_rng(0).normal(size=shape)
-            header["parameters"].append(["link_w", list(shape)])
-            records[0] = np.concatenate([records[0], values.ravel()])
-        err = self._run(workspace, trained, tmp_path, capsys, "evaluate",
-                        lambda out: rewrite_checkpoint(out / "checkpoint.bin", repeat_link_w))
-        assert "checkpoint.bin" in err and "'train'" in err and "'link_w' twice" in err
 
     def test_bytes_after_the_last_checkpoint_record(self, workspace, trained, tmp_path,
                                                     capsys):
@@ -1496,18 +1440,21 @@ CHECKPOINT_EDITS = {
 def broken_invariant(header, records):
     """The first fact that save_checkpoint guarantees and ``_check_inputs``
     documents which a checkpoint's header and records break, found by plain
-    loops, or None: distinct str ids, canonical CSR matrices of the header's
-    shapes with finite entries, finite point times, trajectory lengths of at
-    least 1 adding up to the points, every index within what it indexes,
-    trajectory classes numbered by first appearance and labels in user
-    order."""
+    loops, or None: distinct str ids, canonical CSR matrices with finite
+    entries, finite point times, trajectory lengths of at least 1 adding up
+    to the points, every index within what it indexes, trajectory classes
+    numbered by first appearance and labels in user order. Each matrix's
+    shape is derived as the loader derives it: a row per indptr entry but
+    the last, m_local and m_global square, x_global as wide as m_local and
+    with m_global's rows."""
     for name in ("traj_ids", "user_ids"):
         if any(type(i) is not str for i in header[name]) or \
                 len(set(header[name])) != len(header[name]):
             return name
     r = {name: records[k].tolist() for name, k in CHECKPOINT_RECORDS.items()}
-    for name in ("m_local", "m_global", "x_global"):
-        n_rows, n_cols = header["shapes"][name]
+    n_local, k = len(r["m_local.indptr"]) - 1, len(r["m_global.indptr"]) - 1
+    shapes = {"m_local": (n_local, n_local), "m_global": (k, k), "x_global": (k, n_local)}
+    for name, (n_rows, n_cols) in shapes.items():
         indptr, indices = r[f"{name}.indptr"], r[f"{name}.indices"]
         if (len(indptr) != n_rows + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
                 or any(a > b for a, b in zip(indptr, indptr[1:]))):
@@ -1522,8 +1469,7 @@ def broken_invariant(header, records):
         return "times"
     if min(r["lengths"]) < 1 or sum(r["lengths"]) != len(r["times"]):
         return "lengths"
-    limits = {"grid_idx": header["shapes"]["m_local"][0],
-              "state_idx": mob.MOTION_STATES, "traj_rows": header["shapes"]["m_global"][0],
+    limits = {"grid_idx": n_local, "state_idx": mob.MOTION_STATES, "traj_rows": k,
               "labels": len(header["user_ids"])}
     for name, limit in limits.items():
         if any(not 0 <= v < limit for v in r[name]):

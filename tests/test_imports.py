@@ -1,5 +1,5 @@
-"""Package structure: every module imports at its top level, every
-primitive of the tensor module has a caller, and what a module may name."""
+"""Package structure: every module imports at its top level, every public
+function and class has a caller, and what a module may name."""
 
 import ast
 import re
@@ -26,20 +26,22 @@ def test_no_import_inside_a_function():
     assert not found, found
 
 
-def tensor_references(path: Path) -> set[str]:
-    """The names of tulink.tensor that a module's code reads: ``T.name``
-    under the module's alias, a name imported from it, or, in tensor.py, a
-    module-level name read outside the function that it names."""
+def references(path: Path, module: str) -> set[str]:
+    """The names of tulink.<module> that a module's code reads: ``alias.name``
+    under the module's alias, a name imported from it, or, in the module
+    itself, a module-level name read outside the function or class that it
+    names. A name imported and never read, as ``__init__`` re-exports them,
+    is no read."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     aliases, imported = set(), {}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for a in node.names:
-                if node.module is None and a.name == "tensor":
+                if node.module is None and a.name == module:
                     aliases.add(a.asname or a.name)
-                elif node.module == "tensor":
+                elif node.module == module:
                     imported[a.asname or a.name] = a.name
-    own = path.name == "tensor.py"
+    own = path.stem == module
     found = set()
     for top in tree.body:
         for node in ast.walk(top):
@@ -54,19 +56,26 @@ def tensor_references(path: Path) -> set[str]:
     return found
 
 
-def test_every_tensor_function_has_a_caller():
-    """A public function of tulink.tensor that no code of the package reads
-    is dead, unless the benchmark's tracer wraps it by name
-    (perfbench/spans.py TARGETS). Only spmm lives on that way: it goes
-    together with its TARGETS entry."""
-    tensor = next(path for path in SOURCES if path.name == "tensor.py")
-    public = {node.name for node in ast.parse(tensor.read_text(encoding="utf-8")).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    assert {"gcn", "softmax", "spmm"} <= public
-    unread = public - set().union(*map(tensor_references, SOURCES))
-    wrapped = set(load_spans().TARGETS["tensor"])
-    assert not unread - wrapped, sorted(unread - wrapped)
-    assert sorted(unread & wrapped) == ["spmm"]
+def test_every_public_function_or_class_has_a_caller():
+    """A public function or class of any module that no code of the package
+    reads is dead. Two kinds live on: tulink.synth, which the README demo and
+    the benchmark call, and what the benchmark's tracer wraps by name
+    (perfbench/spans.py TARGETS). Of the latter only tensor.spmm is read by
+    nothing else: it goes together with its TARGETS entry."""
+    unread = set()
+    for path in SOURCES:
+        public = {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")}
+        read = set().union(*(references(other, path.stem) for other in SOURCES))
+        unread |= {(path.stem, name) for name in public - read}
+    model = next(path for path in SOURCES if path.name == "model.py")
+    assert {"gcn", "Packing", "Tensor"} <= references(model, "tensor")
+    wrapped = {(module, name) for module, names in load_spans().TARGETS.items()
+               for name in names}
+    dead = {(module, name) for module, name in unread if module != "synth"} - wrapped
+    assert not dead, sorted(dead)
+    assert sorted(unread & wrapped) == [("tensor", "spmm")]
 
 
 def test_model_leaves_checkpoint_faults_to_errors_reading():

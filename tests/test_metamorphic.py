@@ -202,7 +202,7 @@ def test_simd_level_changes_no_setup_artifact(in_file_order, tmp_path):
     assert child_header == header and len(child_records) == len(records)
     for got, expected in zip(child_records[1:], records[1:]):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    here, there = (parameter_views(header, arena) for arena in (records[0], child_records[0]))
+    here, there = (parameter_views(header, parts) for parts in (records, child_records))
     assert max(_relative_deviation(here[k], there[k]) for k in here) <= SIMD_BOUND
     rows = [[line.split("\t") for line in text.decode().splitlines()] for text in
             (in_file_order["embeddings.tsv"], (out / "embeddings.tsv").read_bytes())]

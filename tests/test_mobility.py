@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tulink import synth
 from tulink.errors import ConfigError, DataError
 from tulink.graphs import build_global_graph, build_grid_incidence, build_local_graph
 from tulink.mobility import (
@@ -569,6 +570,23 @@ class TestParseDataset:
         f.write_text("")
         with pytest.raises(DataError):
             parse_dataset(f)
+
+    def test_ids_apart_only_in_other_whitespace_are_other_users(self, tmp_path):
+        """Only ASCII whitespace is trimmed from a field's ends: every other
+        user01 line renamed user00 plus \\x1c, which ``str.strip`` would
+        remove, is a fourth user and no line of user00's."""
+        f = tmp_path / "d.csv"
+        lines = synth.disjoint_regions(3, 6, seed=3).splitlines(keepends=True)
+        renamed = [k for k, line in enumerate(lines) if line.startswith("user01,")][::2]
+        for k in renamed:
+            lines[k] = lines[k].replace("user01,", "user00\x1c,", 1)
+        f.write_text("".join(lines), encoding="utf-8")
+        points, report = parse_dataset(f)
+        assert points.roster == ["user00", "user00\x1c", "user01", "user02"]
+        assert np.bincount(points.user)[1] == len(renamed)
+        assert (report.data_lines, report.failed) == (124, 0)
+        trajectories, _ = oracles.parse_dataset_oracle(f)
+        assert sorted({t.user_id for t in trajectories}) == points.roster
 
 
 class TestArtifactRoundTrips:

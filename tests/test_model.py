@@ -1040,17 +1040,18 @@ class TestCheckpoint:
 
     def test_layout(self, saved_checkpoint):
         """The magic line, the sha256 of the rest, a sorted-key JSON header
-        listing the model and each parameter, then the parameter arena as the
-        first .npy record, then the model inputs and no split."""
-        params, _, path = saved_checkpoint
+        holding the model settings, the sources and the ids and no fact the
+        records or the settings give, then the parameter arena as the first
+        .npy record, then the model inputs and no split."""
+        params, inputs, path = saved_checkpoint
         data = path.read_bytes()
         magic, checksum, rest = data.split(b"\n", 2)
-        assert magic == b"TLNKCKP4" and checksum == hashlib.sha256(rest).hexdigest().encode()
+        assert magic == b"TLNKCKP5" and checksum == hashlib.sha256(rest).hexdigest().encode()
         line = rest.split(b"\n", 1)[0]
         header = json.loads(line)
         assert line == json.dumps(header, sort_keys=True).encode()
-        assert header["model"] == asdict(params.config)
-        assert header["parameters"] == [[n, list(t.values.shape)] for n, t in params.items()]
+        assert header == {"model": asdict(params.config), "sources": SOURCES,
+                          "traj_ids": inputs.traj_ids, "user_ids": inputs.user_ids}
         records = checkpoint_parts(data)[2]
         assert records[0].tobytes() == params.values.tobytes()
         assert len(records) == 1 + 3 * 3 + 6
@@ -1101,7 +1102,6 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit", [
         lambda header, records: header.pop("traj_ids"),
         lambda header, records: header.update(sources=[1, 2]),
-        lambda header, records: header["shapes"].pop("m_local"),
         lambda header, records: records[RECORD["lengths"]].__setitem__(0, 10 ** 12),
         lambda header, records: header.update(traj_ids=[]),
         lambda header, records: records.pop(),
@@ -1118,12 +1118,14 @@ class TestCheckpoint:
         lambda header, records: records[RECORD["m_local.indices"]].__setitem__(0, 10 ** 6),
         lambda header, records: records[RECORD["m_global.indices"]].__setitem__(0, -1),
         lambda header, records: records[RECORD["x_global.data"]].__setitem__(0, np.inf),
-        lambda header, records: header["shapes"]["m_local"].__setitem__(1, 10 ** 6),
-    ], ids=["no-ids", "sources-not-a-dict", "no-shape", "longer-sequences", "no-trajectories",
+        lambda header, records: records.__setitem__(
+            RECORD["x_global.indptr"], np.append(records[RECORD["x_global.indptr"]],
+                                                 records[RECORD["x_global.indptr"]][-1])),
+    ], ids=["no-ids", "sources-not-a-dict", "longer-sequences", "no-trajectories",
             "a-record-short",
             "float32-arena", "object-record", "fortran-order", "float-labels", "nan-time",
             "a-point-short", "column-past-the-matrix", "negative-column",
-            "infinite-matrix-entry", "matrix-of-other-shape"])
+            "infinite-matrix-entry", "x-global-rows-unlike-m-global"])
     def test_malformed_header_or_record(self, saved_checkpoint, edit):
         """Under a renewed checksum: the loader's own checks, not a traceback."""
         _, _, path = saved_checkpoint
