@@ -584,6 +584,49 @@ class TestCheckpointErrors:
         assert "not a tulink checkpoint" in err
 
     @pytest.mark.parametrize("stage", ["evaluate", "embed"])
+    def test_bounding_box_rows_of_earlier_versions(self, workspace, trained, tmp_path,
+                                                   capsys, stage):
+        """First GCN layers of one row per bounding-box cell, as earlier
+        versions trained them, leave the arena longer than the layout that
+        one row per visited cell gives."""
+        n_cells = mob.load_grid_map(trained / "grid_map.json").n_grids
+        rows = sorted({g for s in mob.load_sequences(trained / "sequences.jsonl")
+                       for g in s.grid})
+        assert len(rows) < n_cells
+        _, header, records = checkpoint_parts((trained / "checkpoint.bin").read_bytes())
+        widened = records[0].size + 2 * (n_cells - len(rows)) * header["model"]["embed_dim"]
+
+        def widen_first_gcn_layers(header, records):
+            arena = []
+            for name, values in parameter_views(header, records).items():
+                if name in ("gcn_local_0", "gcn_global_0"):
+                    wide = np.zeros((n_cells, values.shape[1]))
+                    wide[rows] = values
+                    values = wide
+                arena.append(values.ravel())
+            records[0] = np.concatenate(arena)
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, widen_first_gcn_layers),
+                             stage=stage)
+        assert (f"an arena of {widened} values for {records[0].size} parameter values"
+                in err)
+
+    def test_checkpoint_holds_a_parameter_the_model_lacks(self, workspace, trained, tmp_path,
+                                                          capsys):
+        """A further attention layer's query weights after the arena's last
+        parameter: the model's layout ends before the arena does."""
+        _, header, records = checkpoint_parts((trained / "checkpoint.bin").read_bytes())
+        n_attn1_q = header["model"]["embed_dim"] ** 2
+
+        def add_a_layer(header, records):
+            attn0_q = parameter_views(header, records)["attn0_q"]
+            records[0] = np.concatenate([records[0], attn0_q.ravel()])
+        err = self._evaluate(workspace, trained, tmp_path, capsys,
+                             lambda path: rewrite_checkpoint(path, add_a_layer))
+        assert (f"an arena of {records[0].size + n_attn1_q} values for {records[0].size} "
+                "parameter values" in err)
+
+    @pytest.mark.parametrize("stage", ["evaluate", "embed"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value(self, workspace, trained, tmp_path, capsys, stage, value):
         def poison_link_bias(header, records):
@@ -881,6 +924,17 @@ class TestArtifactErrors:
         err = self._run(workspace, trained, tmp_path, capsys, "build-graphs", edit)
         assert "grid_map.json" in err and "'preprocess'" in err and key in err
         assert "sequences.jsonl" not in err
+
+    def test_checkpoint_names_a_parameter_twice(self, workspace, trained, tmp_path, capsys):
+        """link_w's values stored a second time, after the arena's last
+        parameter, are values that no parameter of the model views."""
+        def repeat_link_w(header, records):
+            shape = parameter_views(header, records)["link_w"].shape
+            values = np.random.default_rng(0).normal(size=shape)
+            records[0] = np.concatenate([records[0], values.ravel()])
+        err = self._run(workspace, trained, tmp_path, capsys, "evaluate",
+                        lambda out: rewrite_checkpoint(out / "checkpoint.bin", repeat_link_w))
+        assert "checkpoint.bin" in err and "'train'" in err and "parameter values" in err
 
     def test_bytes_after_the_last_checkpoint_record(self, workspace, trained, tmp_path,
                                                     capsys):

@@ -1102,6 +1102,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit", [
         lambda header, records: header.pop("traj_ids"),
         lambda header, records: header.update(sources=[1, 2]),
+        lambda header, records: records.__setitem__(RECORD["m_local.indptr"],
+                                                    records[RECORD["m_local.indptr"]][:0]),
         lambda header, records: records[RECORD["lengths"]].__setitem__(0, 10 ** 12),
         lambda header, records: header.update(traj_ids=[]),
         lambda header, records: records.pop(),
@@ -1121,11 +1123,13 @@ class TestCheckpoint:
         lambda header, records: records.__setitem__(
             RECORD["x_global.indptr"], np.append(records[RECORD["x_global.indptr"]],
                                                  records[RECORD["x_global.indptr"]][-1])),
-    ], ids=["no-ids", "sources-not-a-dict", "longer-sequences", "no-trajectories",
+        lambda header, records: records.__setitem__(RECORD["m_local.indptr"],
+                                                    records[RECORD["m_local.indptr"]][:-1]),
+    ], ids=["no-ids", "sources-not-a-dict", "no-shape", "longer-sequences", "no-trajectories",
             "a-record-short",
             "float32-arena", "object-record", "fortran-order", "float-labels", "nan-time",
             "a-point-short", "column-past-the-matrix", "negative-column",
-            "infinite-matrix-entry", "x-global-rows-unlike-m-global"])
+            "infinite-matrix-entry", "x-global-rows-unlike-m-global", "matrix-of-other-shape"])
     def test_malformed_header_or_record(self, saved_checkpoint, edit):
         """Under a renewed checksum: the loader's own checks, not a traceback."""
         _, _, path = saved_checkpoint
