@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -29,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import container
 from . import graphs as G
 from . import metrics as M
 from . import mobility as mob
@@ -154,17 +154,8 @@ def _sources(paths: StagePaths) -> dict[str, str]:
     name; a missing one names the stage that writes it."""
     writers = {"preprocess": (paths.grid_map, paths.sequences, paths.splits),
                "build-graphs": (paths.local_graph, paths.global_graph)}
-    return {path.name: _digest(_require(path, stage))
+    return {path.name: container.digest(_require(path, stage))
             for stage, group in writers.items() for path in group}
-
-
-def _digest(path: Path) -> str:
-    """The hex sha256 of a file, read in blocks, so no copy of it is held."""
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _load_model_inputs(paths: StagePaths):

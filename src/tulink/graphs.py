@@ -14,8 +14,8 @@ of the local graph are one-hot, so none are stored. ``twin_quotient``
 merges the global nodes whose graph and feature rows are equal, which
 every GCN layer maps to equal rows.
 
-On-disk format is a line-oriented text file: the version line, a sha256
-line over the rest, a small header, the node roster, then one or two
+On-disk format is a checked file (``container``) whose body is
+line-oriented text: a small header, the node roster, then one or two
 integer COO sections in row-major order. An adjacency section lists each
 undirected edge once, as row < col, and the reader mirrors it. Weights are
 integers throughout, so round-trips are exact.
@@ -23,7 +23,6 @@ integers throughout, so round-trips are exact.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import itertools
 from dataclasses import dataclass
@@ -33,11 +32,12 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from . import container
 from .errors import reading
 from .mobility import SequenceColumns
 from .tensor import csr_rows
 
-FORMAT_VERSION = 3
+_FORMAT = container.Format("tulink graph file", "tulink-graph 3", "tulink-graph ")
 
 
 class _Weighted:
@@ -276,9 +276,9 @@ def _read_coo(lines, expect_name: str, nodes: int) -> sp.csr_matrix:
 
 
 def _save_graph(path: str | Path, header: dict, roster, sections: dict) -> None:
-    """A graph file: the version line, the checksum line, ``header`` fields,
+    """A graph file, a checked file whose body is the ``header`` fields,
     the node roster, one COO section per matrix of ``sections``, then
-    ``end``. The checksum is the hex sha256 of everything after its line."""
+    ``end``."""
     body = io.StringIO()
     body.write("".join(f"{key} {value}\n" for key, value in header.items()))
     body.write(f"roster {len(roster)}\n")
@@ -286,21 +286,15 @@ def _save_graph(path: str | Path, header: dict, roster, sections: dict) -> None:
     for name, m in sections.items():
         _write_coo(body, name, m)
     body.write("end\n")
-    data = body.getvalue().encode("utf-8")
-    Path(path).write_bytes(f"tulink-graph {FORMAT_VERSION}\n"
-                           f"sha256 {hashlib.sha256(data).hexdigest()}\n".encode() + data)
+    with container.writing(path, _FORMAT) as fh:
+        fh.write(body.getvalue().encode("utf-8"))
 
 
 def _load_graph(path: str | Path, kind: str, sections: Sequence[str]):
     """Header fields, node roster and matrix sections of a ``kind`` graph file
     whose checksum matches; the roster and each section must fit the
     header's ``nodes``."""
-    parts = Path(path).read_bytes().split(b"\n", 2)
-    if parts[0] != f"tulink-graph {FORMAT_VERSION}".encode():
-        raise ValueError(f"not a version-{FORMAT_VERSION} graph file")
-    if len(parts) < 3 or parts[1] != f"sha256 {hashlib.sha256(parts[2]).hexdigest()}".encode():
-        raise ValueError("does not match its checksum, so it is cut or corrupt")
-    lines = iter(parts[2].decode("utf-8").split("\n"))
+    lines = iter(container.read(path, _FORMAT).read().decode("utf-8").split("\n"))
     header: dict = {}
     for line in lines:
         key, value = line.split(maxsplit=1)

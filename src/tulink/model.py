@@ -20,7 +20,6 @@ each of which removes one component.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -30,6 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from . import container
 from . import tensor as T
 from .errors import ConfigError, reading
 from .graphs import GlobalSpatialGraph, LocalSpatialGraph, symmetric_normalize, twin_quotient
@@ -118,23 +118,25 @@ class ModelParams:
 
     Tensors live in a single insertion-ordered dict, in ``parameter_shapes``
     order, so initialization, checkpoints and the optimizer all walk them in
-    one deterministic order. Each views its slice of two flat arenas,
-    ``values`` and ``grad``, which whole-model updates write in place;
-    nothing rebinds a tensor's arrays. The first GCN layers hold one row per
-    visited grid, ``n_rows`` of them.
+    one deterministic order. Each views its slice of the flat arena
+    ``values`` and, when trainable, of the flat arena ``grad``, which
+    whole-model updates write in place; nothing rebinds a tensor's arrays.
+    The first GCN layers hold one row per visited grid, ``n_rows`` of them.
     """
 
-    def __init__(self, config: ModelConfig, values: np.ndarray, n_rows: int, n_users: int):
+    def __init__(self, config: ModelConfig, values: np.ndarray, n_rows: int, n_users: int,
+                 trainable: bool = False):
         """The parameters whose values are the flat arena ``values``, laid
         out one at a time: a ValueError names the first that runs past the
         arena, so a config of a billion layers lays out no more than the
-        arena holds."""
+        arena holds. Only trainable parameters get a gradient arena; the
+        others are constants, and ``grad`` is None."""
         config.validate()
         if values.ndim != 1:
             raise ValueError(f"an arena of shape {values.shape} is not flat")
         self.config = config
         self.values = values
-        self.grad = np.zeros_like(values)
+        self.grad = np.zeros_like(values) if trainable else None
         self.tensors = {}
         at = 0
         for name, shape in parameter_shapes(config, n_rows, n_users):
@@ -142,8 +144,8 @@ class ModelParams:
             if end > len(values):
                 raise ValueError(f"parameter {name!r} of shape {shape} runs past an arena of "
                                  f"{len(values)} values")
-            self.tensors[name] = Tensor(values[at:end].reshape(shape), requires_grad=True,
-                                        grad=self.grad[at:end].reshape(shape))
+            grad = None if self.grad is None else self.grad[at:end].reshape(shape)
+            self.tensors[name] = Tensor(values[at:end].reshape(shape), trainable, grad)
             at = end
         if at != len(values):
             raise ValueError(f"an arena of {len(values)} values for {at} parameter values")
@@ -177,7 +179,7 @@ class ModelParams:
             else:
                 draws[name] = _xavier(rng, *shape)
         return cls(config, np.concatenate([draws[name].ravel() for name in shapes]),
-                   len(grid_rows), n_users)
+                   len(grid_rows), n_users, trainable=True)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -320,8 +322,7 @@ def build_model_inputs(
     )
 
 
-_MAGIC = b"TLNKCKP5\n"
-_CHECKSUM_END = len(_MAGIC) + 65  # the hex sha256 and its newline
+_FORMAT = container.Format("tulink checkpoint", "TLNKCKP6", "TLNK")
 # A checkpoint's records after the parameter arena, in file order: each CSR
 # matrix as its data, indices and indptr, then the dense arrays. A matrix has
 # a row per indptr entry but the last; m_local and m_global are square, and
@@ -330,23 +331,14 @@ _CSR_FIELDS = ("m_local", "m_global", "x_global")
 _ARRAY_FIELDS = ("traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels")
 
 
-def _checksum(fh) -> bytes:
-    """The checksum line of an open checkpoint: the hex sha256 of everything
-    after it. Read in blocks, so no copy of the file is held."""
-    fh.seek(_CHECKSUM_END)
-    digest = hashlib.sha256()
-    for block in iter(lambda: fh.read(1 << 16), b""):
-        digest.update(block)
-    return digest.hexdigest().encode("ascii") + b"\n"
-
-
 def save_checkpoint(params: ModelParams, inputs: ModelInputs, sources: dict[str, str],
                     path: str | Path) -> None:
     """Everything evaluate and embed run on, with ``sources`` (the sha256 of
     each file the inputs were built from, by name), in deterministic bytes:
-    the magic line, the checksum line, a sorted-key JSON header line (the
-    model settings, the sources and the ids), then one ``.npy`` record for
-    the parameter arena and one per input array, in a fixed order. Nothing
+    a checked file (``container``) whose body is a sorted-key JSON header
+    line (the model settings, the sources and the ids), then one ``.npy``
+    record for the parameter arena and one per input array, in a fixed
+    order. Nothing
     the rest gives is stored: the matrix shapes follow from their records,
     the parameter layout from the settings and the shapes
     (``parameter_shapes``), and the split is
@@ -357,14 +349,10 @@ def save_checkpoint(params: ModelParams, inputs: ModelInputs, sources: dict[str,
     arrays += [getattr(getattr(inputs, name), part) for name in _CSR_FIELDS
                for part in ("data", "indices", "indptr")]
     arrays += [getattr(inputs, name) for name in _ARRAY_FIELDS]
-    with Path(path).open("w+b") as fh:
-        fh.write(_MAGIC + bytes(_CHECKSUM_END - len(_MAGIC)))  # filled in last
+    with container.writing(path, _FORMAT) as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
         for array in arrays:
             np.lib.format.write_array(fh, array, allow_pickle=False)
-        checksum = _checksum(fh)
-        fh.seek(len(_MAGIC))
-        fh.write(checksum)
 
 
 def _header_config(header) -> ModelConfig:
@@ -384,23 +372,6 @@ def _header_config(header) -> ModelConfig:
     except ConfigError as exc:
         raise ConfigError(f"invalid model header ({exc})") from None
     return config
-
-
-def _read_record(fh, size: int) -> np.ndarray:
-    """The next ``.npy`` record of an open checkpoint of ``size`` bytes. Its
-    declared shape is checked against the bytes left before anything is
-    allocated, so a corrupt shape cannot request a huge array."""
-    version = np.lib.format.read_magic(fh)
-    if version != (1, 0):
-        raise ValueError(f"holds a .npy record of format version {version}")
-    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-    if min(shape, default=0) < 0:
-        raise ValueError(f"holds a record with a negative dimension {shape}")
-    count = math.prod(shape)
-    left = size - fh.tell()
-    if dtype.hasobject or fortran_order or count * dtype.itemsize > left:
-        raise ValueError(f"holds a record of shape {shape} and type {dtype} in {left} bytes")
-    return np.fromfile(fh, dtype, count).reshape(shape)
 
 
 def _check_index(name: str, values: np.ndarray, limit: int, length: int) -> None:
@@ -463,42 +434,33 @@ def _check_inputs(inputs: ModelInputs) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, dict[str, str]]:
-    """What ``save_checkpoint`` wrote: (params, inputs, sources), the
-    parameters viewing the arena read from the file, laid out by the header's
-    model settings and the records' shapes. A foreign or older file, one
+    """What ``save_checkpoint`` wrote: (params, inputs, sources). The
+    parameters are constants, with no gradient arena, that view the arena
+    read from the file, laid out by the header's model settings and the
+    records' shapes. The file is read and hashed once. A foreign or older
+    file, one
     whose checksum does not match (a cut or a changed byte anywhere), an
     invalid header, a record larger than the bytes left, an arena that the
     layout does not fill exactly or a non-finite value is refused through
     ``errors.reading``, naming the file and the train stage, and so are
     sequences, indices or ids that do not fit or that break what
     ``save_checkpoint`` guarantees (``_check_inputs``)."""
-    with reading(path, "train"), Path(path).open("rb") as fh:
-        size = Path(path).stat().st_size
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError("was written by an earlier version of tulink"
-                             if magic.startswith(b"TLNK") else "not a tulink checkpoint")
-        if fh.read(_CHECKSUM_END - len(_MAGIC)) != _checksum(fh):
-            raise ValueError("does not match its checksum, so it is truncated or corrupt")
-        fh.seek(_CHECKSUM_END)
-        header = json.loads(fh.readline())
+    with reading(path, "train"):
+        body = container.read(path, _FORMAT)
+        header = json.loads(body.readline())
         config = _header_config(header["model"])
-
-        def read() -> np.ndarray:
-            return _read_record(fh, size)
-
-        values = read()
+        values = body.record()
         if values.dtype != np.float64:
             raise ValueError(f"holds a parameter arena of type {values.dtype}")
-        parts = [(read(), read(), read()) for _ in _CSR_FIELDS]
+        parts = [(body.record(), body.record(), body.record()) for _ in _CSR_FIELDS]
         n_rows, k, n_x = (len(indptr) - 1 for _, _, indptr in parts)
         csr = {name: sp.csr_matrix(part, shape=shape) for name, part, shape in
                zip(_CSR_FIELDS, parts, [(n_rows, n_rows), (k, k), (n_x, n_rows)])}
-        inputs = ModelInputs(**csr, **{name: read() for name in _ARRAY_FIELDS},
+        inputs = ModelInputs(**csr, **{name: body.record() for name in _ARRAY_FIELDS},
                              traj_ids=header["traj_ids"], user_ids=header["user_ids"])
         _check_inputs(inputs)
-        if fh.tell() != size:
-            raise ValueError(f"holds {size - fh.tell()} bytes after its last record")
+        if body.left:
+            raise ValueError(f"holds {body.left} bytes after its last record")
         params = ModelParams(config, values, n_rows, inputs.n_users)
         if not np.isfinite(values).all():
             name = next(n for n, t in params.items() if not np.isfinite(t.values).all())

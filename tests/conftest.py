@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -12,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tulink import container, graphs, model
 from tulink.graphs import build_global_graph, build_grid_incidence, build_local_graph
 from tulink.mobility import GridSequence, chronological_split
 from tulink.model import ModelConfig, ModelParams, build_model_inputs, parameter_shapes
@@ -120,15 +120,28 @@ def gcn_and_grads(gcn, m, features, weights, rows, upstream):
     return out.values, [w.grad for w in ws]
 
 
+def checked_body(data):
+    """The body of a checked file's bytes as ``container.read`` hands it
+    out, its first line and its checksum left unchecked."""
+    body = container.Body(data)
+    body.seek(data.index(b"\n", data.index(b"\n") + 1) + 1)
+    return body
+
+
+def reframe(path, fmt, edit):
+    """Rewrite the body of the checked file of format ``fmt`` at ``path``,
+    and its checksum with it, so that its loader reads the edit itself:
+    ``edit`` takes the body's bytes and returns the new ones."""
+    body = edit(checked_body(path.read_bytes()).read())
+    with container.writing(path, fmt) as fh:
+        fh.write(body)
+
+
 def rewrite_graph(path, edit):
-    """Rewrite a graph file's lines after its checksum line, and the
-    checksum with them, so that its loader reads the edit itself:
-    ``edit`` takes the lines (each with its newline) and returns the new
-    ones."""
-    version, _, body = path.read_bytes().split(b"\n", 2)
-    body = "".join(edit(body.decode().splitlines(keepends=True))).encode()
-    path.write_bytes(b"%s\nsha256 %s\n%s" % (version, hashlib.sha256(body).hexdigest().encode(),
-                                             body))
+    """Rewrite a graph file's body lines under a renewed checksum: ``edit``
+    takes the lines (each with its newline) and returns the new ones."""
+    reframe(path, graphs._FORMAT,
+            lambda body: "".join(edit(body.decode().splitlines(keepends=True))).encode())
 
 
 def edit_graph_section(path, section, edit):
@@ -145,16 +158,18 @@ def edit_graph_section(path, section, edit):
     rewrite_graph(path, rewrite)
 
 
+def _header_and_records(body):
+    header = json.loads(body.readline())
+    records = []
+    while body.left:
+        records.append(body.record())
+    return header, records
+
+
 def checkpoint_parts(data):
     """A checkpoint's magic line, its header dict and its records (arrays),
-    read without any of the loader's checks."""
-    magic, _, body = data.split(b"\n", 2)
-    fh = io.BytesIO(body)
-    header = json.loads(fh.readline())
-    records = []
-    while fh.tell() < len(body):
-        records.append(np.lib.format.read_array(fh, allow_pickle=False))
-    return magic, header, records
+    read without any of the loader's checks but the records' own bounds."""
+    return (data[: data.index(b"\n")], *_header_and_records(checked_body(data)))
 
 
 # Where each model-input record stands in a checkpoint's records, after the
@@ -166,21 +181,22 @@ CHECKPOINT_RECORDS = {name: 1 + k for k, name in enumerate(
 
 
 def rewrite_checkpoint(path, edit):
-    """Rewrite a checkpoint's header and records, and its checksum with them,
+    """Rewrite a checkpoint's header and records under a renewed checksum,
     so that its loader reads the edit itself: ``edit`` takes the header dict
     and the list of records and changes them in place. A record given as
     bytes is written as it is."""
-    magic, header, records = checkpoint_parts(path.read_bytes())
-    edit(header, records)
-    fh = io.BytesIO()
-    fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-    for record in records:
-        if isinstance(record, bytes):
-            fh.write(record)
-        else:
-            np.lib.format.write_array(fh, record, allow_pickle=False)
-    body = fh.getvalue()
-    path.write_bytes(b"%s\n%s\n%s" % (magic, hashlib.sha256(body).hexdigest().encode(), body))
+    def rewrite(body):
+        header, records = _header_and_records(container.Body(body))
+        edit(header, records)
+        fh = io.BytesIO()
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        for record in records:
+            if isinstance(record, bytes):
+                fh.write(record)
+            else:
+                np.lib.format.write_array(fh, record, allow_pickle=False)
+        return fh.getvalue()
+    reframe(path, model._FORMAT, rewrite)
 
 
 def npy_record(array, shape, fortran_order=False):

@@ -789,7 +789,7 @@ def bounding_box_params_oracle(config, n_grids, n_users, rng):
     per bounding-box cell, for bounding_box_inputs_oracle."""
     values = bounding_box_initial_values(config, n_grids, n_users, rng)
     return ModelParams(config, np.concatenate([v.ravel() for v in values.values()]), n_grids,
-                       n_users)
+                       n_users, trainable=True)
 
 
 # ---------------------------------------------------------------------------

@@ -423,7 +423,7 @@ class TestSerialization:
         path = tmp_path / "g.txt"
         save_local_graph(self._local(), path)
         path.write_bytes(b"tulink-graph 1\n" + path.read_bytes().split(b"\n", 2)[2])
-        with pytest.raises(DataError, match="not a version-3 graph file"):
+        with pytest.raises(DataError, match="graph file of another version"):
             load_local_graph(path)
 
     def test_version_2_file_is_a_data_error(self, tmp_path):
@@ -431,7 +431,7 @@ class TestSerialization:
         path = tmp_path / "g.txt"
         save_global_graph(self._global(), path)
         path.write_bytes(b"tulink-graph 2\n" + path.read_bytes().split(b"\n", 1)[1])
-        with pytest.raises(DataError, match="not a version-3 graph file"):
+        with pytest.raises(DataError, match="graph file of another version"):
             load_global_graph(path)
 
     @pytest.mark.parametrize("roster, words", [

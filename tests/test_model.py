@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tulink import synth
+from tulink import model, synth
 from tulink import tensor as T
 from tulink.config import RunConfig, seeded_rng
 from tulink.errors import ConfigError, DataError
@@ -46,7 +46,8 @@ from tulink.tensor import Tape, Tensor, recording
 from conftest import CHECKPOINT_RECORDS as RECORD
 from conftest import (STEP_OPS, checkpoint_parts, gcn_and_grads, graphs_from_sequences,
                       fresh_params, inputs_from_sequences, make_sequence, npy_record,
-                      on_odd_cells, rewrite_checkpoint, small_config, toy_nine_sequences)
+                      on_odd_cells, reframe, rewrite_checkpoint, small_config,
+                      toy_nine_sequences)
 from oracles import (bounding_box_initial_values, bounding_box_inputs_oracle,
                      bounding_box_params_oracle, dense_gcn_oracle, finite_difference_check,
                      l2_chain_oracle, matmul, padded_fused_representations,
@@ -1046,7 +1047,8 @@ class TestCheckpoint:
         params, inputs, path = saved_checkpoint
         data = path.read_bytes()
         magic, checksum, rest = data.split(b"\n", 2)
-        assert magic == b"TLNKCKP5" and checksum == hashlib.sha256(rest).hexdigest().encode()
+        assert magic == b"TLNKCKP6"
+        assert checksum == b"sha256 " + hashlib.sha256(rest).hexdigest().encode()
         line = rest.split(b"\n", 1)[0]
         header = json.loads(line)
         assert line == json.dumps(header, sort_keys=True).encode()
@@ -1093,9 +1095,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("line", [b"[1, 2]", b"{'model': {}}", b"\xff\xfe", b""])
     def test_header_that_is_no_json_object(self, saved_checkpoint, line):
         _, _, path = saved_checkpoint
-        magic, _, rest = path.read_bytes().split(b"\n", 2)
-        body = line + b"\n" + rest.split(b"\n", 1)[1]
-        path.write_bytes(b"%s\n%s\n%s" % (magic, hashlib.sha256(body).hexdigest().encode(), body))
+        reframe(path, model._FORMAT, lambda body: line + b"\n" + body.split(b"\n", 1)[1])
         with pytest.raises(DataError, match=r"checkpoint\.bin.*'train'"):
             load_checkpoint(path)
 
