@@ -14,20 +14,18 @@ of the local graph are one-hot, so none are stored. ``twin_quotient``
 merges the global nodes whose graph and feature rows are equal, which
 every GCN layer maps to equal rows.
 
-On-disk format is a checked file (``container``) whose body is
-line-oriented text: a small header, the node roster, then one or two
-integer COO sections in row-major order. An adjacency section lists each
-undirected edge once, as row < col, and the reader mirrors it. Weights are
-integers throughout, so round-trips are exact.
+On-disk format is a checked file (``container``) whose body is a JSON
+header line (the kind, then ``n_grids`` or the ids and the features' column
+count), then int64 ``.npy`` records: the local graph's ``cells``, each
+adjacency's strict upper triangle as CSR data, indices and indptr, which the
+reader mirrors, and the global features, all 1, as CSR indices and indptr.
 """
 
 from __future__ import annotations
 
-import io
-import itertools
+import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,7 +35,7 @@ from .errors import reading
 from .mobility import SequenceColumns
 from .tensor import csr_rows
 
-_FORMAT = container.Format("tulink graph file", "tulink-graph 3", "tulink-graph ")
+_FORMAT = container.Format("tulink graph file", "tulink-graph 4", "tulink-graph ")
 
 
 class _Weighted:
@@ -87,9 +85,14 @@ def build_local_graph(sequences: SequenceColumns, n_grids: int) -> LocalSpatialG
     _, lo, hi = np.unique([t, np.minimum(a, b), np.maximum(a, b)], axis=1)
     upper = sp.coo_matrix((np.ones(len(lo), dtype=np.int64), (lo, hi)),
                           shape=(len(cells), len(cells)))
+    return LocalSpatialGraph(n_grids, cells, _symmetric(upper))
+
+
+def _symmetric(upper: sp.spmatrix) -> sp.csr_matrix:
+    """The symmetric canonical CSR matrix whose strict upper triangle is ``upper``."""
     adj = (upper + upper.T).tocsr()
     adj.sort_indices()
-    return LocalSpatialGraph(n_grids, cells, adj)
+    return adj
 
 
 def _node_rows(sequences: SequenceColumns) -> tuple[np.ndarray, np.ndarray]:
@@ -234,112 +237,108 @@ def twin_quotient(m: sp.csr_matrix,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _write_coo(fh, name: str, m: sp.spmatrix) -> None:
-    """One ``matrix`` header line, then one "row col weight" line per entry in
-    row-major order, formatted as one string."""
-    coo = m.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    entries = np.column_stack((coo.row[order], coo.col[order], coo.data[order]))
-    fh.write(f"matrix {name} {m.shape[0]} {m.shape[1]} {coo.nnz}\n")
-    fh.write(("%d %d %d\n" * coo.nnz) % tuple(entries.astype(np.int64).ravel().tolist()))
-
-
-def _read_coo(lines, expect_name: str, nodes: int) -> sp.csr_matrix:
-    """One matrix section with ``nodes`` rows, its entries strictly ascending
-    in (row, col). An adjacency is square and lists each edge once above the
-    diagonal with a positive weight; it is returned mirrored."""
-    tag, name, rows, cols, nnz = next(lines).split()
-    if tag != "matrix" or name != expect_name:
-        raise ValueError(f"expected matrix section {expect_name!r}, found {name!r}")
-    if int(rows) != nodes or (name == "adjacency" and int(cols) != nodes):
-        raise ValueError(f"matrix {name} is {rows} x {cols}, but the header has {nodes} nodes")
-    nnz = int(nnz)
-    entries = np.empty((0, 3), dtype=np.int64)
-    if nnz:  # loadtxt warns on an empty section
-        entries = np.loadtxt(itertools.islice(lines, nnz), dtype=np.int64, ndmin=2)
-    r, c, w = entries.T
-    if name == "adjacency":
-        if np.any(w <= 0):
-            raise ValueError("adjacency holds a weight that is not positive")
-        if np.any(r == c):
-            raise ValueError("adjacency has a nonzero diagonal")
-        if np.any(r > c):
-            raise ValueError("adjacency holds an entry below the diagonal")
-    dr, dc = np.diff(r), np.diff(c)
-    if np.any((dr < 0) | ((dr == 0) & (dc <= 0))):
-        raise ValueError(f"matrix {name} lists an entry out of order or twice")
-    if name == "adjacency":
-        r, c, w = np.r_[r, c], np.r_[c, r], np.r_[w, w]
-    out = sp.coo_matrix((w, (r, c)), shape=(int(rows), int(cols))).tocsr()
-    out.sort_indices()
-    return out
-
-
-def _save_graph(path: str | Path, header: dict, roster, sections: dict) -> None:
-    """A graph file, a checked file whose body is the ``header`` fields,
-    the node roster, one COO section per matrix of ``sections``, then
-    ``end``."""
-    body = io.StringIO()
-    body.write("".join(f"{key} {value}\n" for key, value in header.items()))
-    body.write(f"roster {len(roster)}\n")
-    body.write("".join(f"{node}\n" for node in roster))
-    for name, m in sections.items():
-        _write_coo(body, name, m)
-    body.write("end\n")
+def _save_graph(path: str | Path, header: dict, records) -> None:
+    """A graph file: ``header`` as one sorted-key JSON line, then an int64
+    ``.npy`` record per array of ``records``."""
     with container.writing(path, _FORMAT) as fh:
-        fh.write(body.getvalue().encode("utf-8"))
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        for array in records:
+            np.lib.format.write_array(fh, np.asarray(array, dtype=np.int64), allow_pickle=False)
 
 
-def _load_graph(path: str | Path, kind: str, sections: Sequence[str]):
-    """Header fields, node roster and matrix sections of a ``kind`` graph file
-    whose checksum matches; the roster and each section must fit the
-    header's ``nodes``."""
-    lines = iter(container.read(path, _FORMAT).read().decode("utf-8").split("\n"))
-    header: dict = {}
-    for line in lines:
-        key, value = line.split(maxsplit=1)
-        if key == "roster":
-            break
-        header[key] = value
+def _load_graph(path: str | Path, kind: str, n_records: int) -> tuple[dict, list[np.ndarray]]:
+    """The header and the ``n_records`` records, each one-dimensional int64,
+    of a ``kind`` graph file with no bytes after its last record."""
+    body = container.read(path, _FORMAT)
+    header = json.loads(body.readline())
     if header["kind"] != kind:
         raise ValueError(f"holds a {header['kind']} graph, not a {kind} one")
-    nodes = int(header["nodes"])
-    if int(value) != nodes:
-        raise ValueError(f"roster lists {value} nodes, but the header has {nodes}")
-    roster = [next(lines) for _ in range(nodes)]
-    matrices = [_read_coo(lines, name, nodes) for name in sections]
-    if next(lines) != "end":
-        raise ValueError("matrix sections do not match their sizes")
-    return header, roster, matrices
+    records = [body.record() for _ in range(n_records)]
+    for record in records:
+        if record.dtype != np.int64 or record.ndim != 1:
+            raise ValueError(f"holds a record of shape {record.shape} and type {record.dtype} "
+                             "where int64 entries belong")
+    if body.left:
+        raise ValueError(f"holds {body.left} bytes after its last record")
+    return header, records
+
+
+def _count(header: dict, key: str) -> int:
+    value = header[key]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"holds {key} {value!r}, which is no count")
+    return value
+
+
+def _csr(name: str, data, indices, indptr, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Matrix ``name`` from its CSR records: a row per roster node, an index
+    pointer from 0 to the entry count, each row's columns ascending and
+    distinct."""
+    if len(indptr) != shape[0] + 1:
+        raise ValueError(f"{name} has {len(indptr) - 1} rows, but the roster has {shape[0]} nodes")
+    if indptr[-1] != len(indices):
+        raise ValueError(f"{name} holds {len(indices)} entries, but its index pointer ends at "
+                         f"{indptr[-1]}")
+    m = sp.csr_matrix((data, indices, indptr), shape=shape)
+    m.check_format(full_check=True)  # its indices and indptr, or a ValueError
+    if not m.has_canonical_format:
+        raise ValueError(f"{name} lists an entry out of order or twice")
+    return m
+
+
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of each entry of a CSR matrix."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _upper_records(adjacency: sp.csr_matrix) -> tuple[np.ndarray, ...]:
+    """An adjacency's strict upper triangle, each edge once, as CSR data,
+    indices and indptr."""
+    above = adjacency.indices > _entry_rows(adjacency.indptr)
+    kept = np.r_[0, np.cumsum(above)]  # entries above the diagonal before each entry
+    return adjacency.data[above], adjacency.indices[above], kept[adjacency.indptr]
+
+
+def _adjacency(data, indices, indptr, nodes: int) -> sp.csr_matrix:
+    """The symmetric adjacency whose strict upper triangle the records hold,
+    each entry above the diagonal with a positive weight."""
+    upper = _csr("adjacency", data, indices, indptr, (nodes, nodes))
+    if np.any(data <= 0):
+        raise ValueError("adjacency holds a weight that is not positive")
+    if np.any(indices <= _entry_rows(indptr)):
+        raise ValueError("adjacency holds an entry on or below the diagonal")
+    return _symmetric(upper)
 
 
 def save_local_graph(g: LocalSpatialGraph, path: str | Path) -> None:
-    header = {"kind": "local", "n_grids": g.n_grids, "nodes": len(g.cells),
-              "edges": g.n_edges, "max_weight": g.max_weight}
-    _save_graph(path, header, g.cells.tolist(), {"adjacency": sp.triu(g.adjacency, k=1)})
+    _save_graph(path, {"kind": "local", "n_grids": g.n_grids},
+                [g.cells, *_upper_records(g.adjacency)])
 
 
 def load_local_graph(path: str | Path) -> LocalSpatialGraph:
     with reading(path, "build-graphs"):
-        header, roster, (adj,) = _load_graph(path, "local", ("adjacency",))
-        n_grids = int(header["n_grids"])
-        cells = np.array(roster, dtype=np.int64)
+        header, (cells, *upper) = _load_graph(path, "local", 4)
+        n_grids = _count(header, "n_grids")
         if np.any(np.diff(cells) <= 0) or (cells.size and (cells[0] < 0 or cells[-1] >= n_grids)):
             raise ValueError(f"roster is not ascending cell ids below n_grids {n_grids}")
-        return LocalSpatialGraph(n_grids, cells, adj)
+        return LocalSpatialGraph(n_grids, cells, _adjacency(*upper, len(cells)))
 
 
 def save_global_graph(g: GlobalSpatialGraph, path: str | Path) -> None:
-    header = {"kind": "global", "nodes": g.n_nodes, "trajectories": len(g.traj_ids),
-              "users": len(g.user_ids), "edges": g.n_edges, "max_weight": g.max_weight}
-    _save_graph(path, header, [*g.traj_ids, *g.user_ids],
-                {"adjacency": sp.triu(g.adjacency, k=1), "features": g.features})
+    header = {"kind": "global", "traj_ids": g.traj_ids, "user_ids": g.user_ids,
+              "feature_columns": g.features.shape[1]}
+    _save_graph(path, header,
+                [*_upper_records(g.adjacency), g.features.indices, g.features.indptr])
 
 
 def load_global_graph(path: str | Path) -> GlobalSpatialGraph:
     with reading(path, "build-graphs"):
-        header, roster, (adj, features) = _load_graph(path, "global", ("adjacency", "features"))
-        if np.any(features.data != 1):
-            raise ValueError("features hold an entry other than 1")
-        n_traj = int(header["trajectories"])
-        return GlobalSpatialGraph(roster[:n_traj], roster[n_traj:], adj, features)
+        header, (*upper, indices, indptr) = _load_graph(path, "global", 5)
+        traj_ids, user_ids = header["traj_ids"], header["user_ids"]
+        for ids in (traj_ids, user_ids):
+            if type(ids) is not list or set(map(type, ids)) - {str}:
+                raise ValueError("roster is not a list of str ids")
+        nodes = len(traj_ids) + len(user_ids)
+        features = _csr("features", np.ones(len(indices), dtype=np.int64), indices, indptr,
+                        (nodes, _count(header, "feature_columns")))
+        return GlobalSpatialGraph(traj_ids, user_ids, _adjacency(*upper, nodes), features)

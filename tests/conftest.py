@@ -137,27 +137,6 @@ def reframe(path, fmt, edit):
         fh.write(body)
 
 
-def rewrite_graph(path, edit):
-    """Rewrite a graph file's body lines under a renewed checksum: ``edit``
-    takes the lines (each with its newline) and returns the new ones."""
-    reframe(path, graphs._FORMAT,
-            lambda body: "".join(edit(body.decode().splitlines(keepends=True))).encode())
-
-
-def edit_graph_section(path, section, edit):
-    """Rewrite one matrix section of a graph file: ``edit`` takes the
-    section's [row, col, weight] entries and returns the new ones."""
-    def rewrite(lines):
-        i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {section} "))
-        tag, name, rows, cols, nnz = lines[i].split()
-        end = i + 1 + int(nnz)
-        entries = edit([[int(v) for v in line.split()] for line in lines[i + 1 : end]])
-        lines[i : end] = [f"{tag} {name} {rows} {cols} {len(entries)}\n",
-                          *(f"{r} {c} {w}\n" for r, c, w in entries)]
-        return lines
-    rewrite_graph(path, rewrite)
-
-
 def _header_and_records(body):
     header = json.loads(body.readline())
     records = []
@@ -180,11 +159,11 @@ CHECKPOINT_RECORDS = {name: 1 + k for k, name in enumerate(
     + ["traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels"])}
 
 
-def rewrite_checkpoint(path, edit):
-    """Rewrite a checkpoint's header and records under a renewed checksum,
-    so that its loader reads the edit itself: ``edit`` takes the header dict
-    and the list of records and changes them in place. A record given as
-    bytes is written as it is."""
+def rewrite_records(path, fmt, edit):
+    """Rewrite the header and records of the checked file of format ``fmt``
+    at ``path`` under a renewed checksum, so that its loader reads the edit
+    itself: ``edit`` takes the header dict and the list of records and
+    changes them in place. A record given as bytes is written as it is."""
     def rewrite(body):
         header, records = _header_and_records(container.Body(body))
         edit(header, records)
@@ -196,7 +175,45 @@ def rewrite_checkpoint(path, edit):
             else:
                 np.lib.format.write_array(fh, record, allow_pickle=False)
         return fh.getvalue()
-    reframe(path, model._FORMAT, rewrite)
+    reframe(path, fmt, rewrite)
+
+
+def rewrite_checkpoint(path, edit):
+    """``rewrite_records`` on a checkpoint."""
+    rewrite_records(path, model._FORMAT, edit)
+
+
+def rewrite_graph(path, edit):
+    """``rewrite_records`` on a graph file."""
+    rewrite_records(path, graphs._FORMAT, edit)
+
+
+def graph_parts(data):
+    """A graph file's header dict and its records, read without any of the
+    loader's checks but the records' own bounds."""
+    return _header_and_records(checked_body(data))
+
+
+# Each graph file's records, in file order, by the graph's kind.
+GRAPH_RECORDS = {
+    "local": ["cells", "adjacency.data", "adjacency.indices", "adjacency.indptr"],
+    "global": ["adjacency.data", "adjacency.indices", "adjacency.indptr", "features.indices",
+               "features.indptr"],
+}
+
+
+def edit_graph_matrix(path, matrix, edit):
+    """Rewrite one matrix of a graph file: ``edit`` takes a dict of its CSR
+    records by part ("indices", "indptr" and, for an adjacency, "data") and
+    changes or replaces them in place."""
+    def rewrite(header, records):
+        at = {name.split(".")[1]: k for k, name in enumerate(GRAPH_RECORDS[header["kind"]])
+              if name.startswith(f"{matrix}.")}
+        parts = {part: records[k] for part, k in at.items()}
+        edit(parts)
+        for part, k in at.items():
+            records[k] = parts[part]
+    rewrite_graph(path, rewrite)
 
 
 def npy_record(array, shape, fortran_order=False):
@@ -222,40 +239,58 @@ def parameter_views(header, records):
             zip(shapes, np.split(records[0], cuts[:-1]))}
 
 
-def _set_first(weight):
-    def edit(entries):
-        entries[0][2] = weight
-        return entries
+def _row_start(indptr, least=1, first_row=0):
+    """The first entry of the first row from ``first_row`` on that holds at
+    least ``least`` entries, and that row."""
+    counts = np.diff(indptr)
+    row = next(r for r in range(first_row, len(counts)) if counts[r] >= least)
+    return indptr[row], row
+
+
+def _set_first_weight(weight):
+    def edit(m):
+        m["data"][0] = weight
     return edit
 
 
-def _bump_first(entries):
-    entries[0][2] += 1
-    return entries
+def _to_column(offset):
+    """The first entry of a row past the first moved to the column of its
+    row plus ``offset``, below every other entry of the row."""
+    def edit(m):
+        at, row = _row_start(m["indptr"], first_row=1)
+        m["indices"][at] = row + offset
+    return edit
 
 
-def _mirror_first(entries):
-    """The first edge listed as its mirror image, below the diagonal."""
-    (r, c, w), *rest = entries
-    return [[c, r, w], *rest]
+def _repeat_in_row(m):
+    at, _ = _row_start(m["indptr"], least=2)
+    m["indices"][at + 1] = m["indices"][at]
 
 
-def _swap_first_two(entries):
-    return [entries[1], entries[0], *entries[2:]]
+def _swap_in_row(m):
+    at, _ = _row_start(m["indptr"], least=2)
+    m["indices"][[at, at + 1]] = m["indices"][[at + 1, at]]
 
 
-# Corruptions of a graph file's sections that its loader rejects, as
-# (section, edit, the ValueError's words). An adjacency section lists each
-# edge once, above the diagonal, so a pair's weight is its one entry's. Each
-# edit rewrites the checksum.
+def _past_the_columns(m):
+    m["indices"][-1] = 10**6
+
+
+# Corruptions of a graph file's matrices that its loader rejects, as
+# (matrix, edit, the ValueError's words). An adjacency holds each edge once,
+# above the diagonal, so a pair's weight is its one entry's. The features
+# store no values, so an entry of two is a column listed twice in its row.
+# Each edit rewrites the checksum.
 GRAPH_CORRUPTIONS = {
-    "asymmetric": ("adjacency", _mirror_first, "below the diagonal"),
-    "negative_pair": ("adjacency", _set_first(-9), "not positive"),
-    "zero_pair": ("adjacency", _set_first(0), "not positive"),
-    "self_loop": ("adjacency", lambda e: [[e[0][0], e[0][0], 1], *e], "nonzero diagonal"),
-    "repeated_edge": ("adjacency", lambda e: [e[0], *e], "out of order or twice"),
-    "edges_out_of_order": ("adjacency", _swap_first_two, "out of order or twice"),
-    "feature_of_two": ("features", _bump_first, "other than 1"),
+    "asymmetric": ("adjacency", _to_column(-1), "below the diagonal"),
+    "negative_pair": ("adjacency", _set_first_weight(-9), "not positive"),
+    "zero_pair": ("adjacency", _set_first_weight(0), "not positive"),
+    "self_loop": ("adjacency", _to_column(0), "on or below the diagonal"),
+    "repeated_edge": ("adjacency", _repeat_in_row, "out of order or twice"),
+    "edges_out_of_order": ("adjacency", _swap_in_row, "out of order or twice"),
+    "feature_of_two": ("features", _repeat_in_row, "out of order or twice"),
+    "features_out_of_order": ("features", _swap_in_row, "out of order or twice"),
+    "feature_past_the_columns": ("features", _past_the_columns, "indices must be <"),
 }
 
 

@@ -834,15 +834,6 @@ def load_report(path):
     return out
 
 
-def write_coo_oracle(fh, name, m):
-    """A graph file's matrix section written one entry per call."""
-    coo = m.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    fh.write(f"matrix {name} {m.shape[0]} {m.shape[1]} {coo.nnz}\n")
-    for r, c, w in zip(coo.row[order], coo.col[order], coo.data[order]):
-        fh.write(f"{r} {c} {int(w)}\n")
-
-
 def export_embeddings_oracle(representations, traj_ids, user_ids, path):
     """embeddings.tsv written one row and one repr per float at a time."""
     representations = np.asarray(representations)

@@ -624,24 +624,25 @@ class TestCriterion8Determinism:
 # then a check-in instance where 47 of 59 sequences are one point long. The
 # sequences.jsonl digests are of the earlier versions' files with each record's
 # "window" key dropped and the line re-dumped with sort_keys, since windows
-# are no longer stored. The graph files' digests are those of version 3 of
-# the graph format: each edge listed once, the local roster of visited cells,
-# a checksum line and the global features by local graph node row.
+# are no longer stored. The graph files' digests are those of version 4 of
+# the graph format: a JSON header line and int64 .npy records, each edge once
+# in the adjacency's strict upper triangle, the local graph's visited cells and
+# the global features by local graph node row.
 SETUP_DIGESTS = {
     "grid_map.json": "291642cdd47538b55b8c3ad0ea044ce9d1b13c77bb60d294fba530719175c261",
     "sequences.jsonl": "998081b4beeeece825f11d18b79d0e8f25fe45f6e268a0e6b609af3cea0d9611",
     "splits.json": "e84be6670893c31df40100e6755a2019da1c9b030d3a5d8ddd8c23780530d892",
     "manifest.json": "838ca252bc1c212fa32a5b8262532d686f1d407935bfdd55dbf80748f786f5fd",
-    "local_graph.txt": "ea39fb705e5924180b0469d4cf85a2fa454be5f8188a417d74b41259b4a595df",
-    "global_graph.txt": "2d64fda4d2017a06bb12c94e4a88a84bb0d38a2caf7495c70f6cf4b36393b39b",
+    "local_graph.txt": "6b5dae7ab689e080b36489221bef563970154054455444de177e21d753f3128b",
+    "global_graph.txt": "bcdbe44328878a15e64c16f0e3b1efa20c2524d3b25cfabd36ff90c46cfb7b42",
 }
 CHECKIN_SETUP_DIGESTS = {
     "grid_map.json": "e70cf10c29ea9c44038c50230411aa4c293fe10b6b977acb084b4645413f0194",
     "sequences.jsonl": "297c0e70a85445c660308cd9cb82feaabcce9a87939d958ce6de24f475871489",
     "splits.json": "7824173a0df41e379426c902a96f3d0d515cf1cfe18d2acd1968762c3c2fe8ce",
     "manifest.json": "7a43c7d6f0fd1d47dbbc5d7d9dc0d5535e4f61447771340d7921934c9e80f205",
-    "local_graph.txt": "82cd2da795fc5ba912cf7bec966ea00c444bcd04f332e0bf6a67cade7af8dcb9",
-    "global_graph.txt": "45339ae058a2b72ed5f09a78480f2fc51cb1bd133a64f12a80eab1827addc257",
+    "local_graph.txt": "18cd67210de504ca283ea798986aa66827c37d3c0688b0d7179b374f96a32362",
+    "global_graph.txt": "349ff43d1b47738e3c94d0d32d017852a077a8b9f7b666525a5e4f6b004e7e1b",
 }
 
 
@@ -649,7 +650,7 @@ class TestCriterion8ArtifactFormat:
     def test_setup_artifacts_match_pinned_digests(self, tmp_path, capsys):
         """Same-seed reruns agree with each other; these digests also hold the
         bytes still against earlier versions, the graph files against those
-        since version 3 of their format."""
+        since version 4 of their format."""
         instances = [
             (synth.disjoint_regions(3, 4, seed=3), SETUP_DIGESTS),
             (synth.checkin_style(n_users=12, checkins_per_user=6, n_days=4, seed=5),

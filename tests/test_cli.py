@@ -39,8 +39,8 @@ from tulink.model import (ABLATIONS, ModelConfig, ModelInputs, fused_representat
                           load_checkpoint, parameter_shapes)
 from tulink.train import TrainConfig, evaluate_on_split, evaluate_rows
 
-from conftest import (CHECKPOINT_RECORDS, GRAPH_CORRUPTIONS, checkpoint_parts,
-                      edit_graph_section, npy_record, parameter_views, rewrite_checkpoint,
+from conftest import (CHECKPOINT_RECORDS, GRAPH_CORRUPTIONS, GRAPH_RECORDS, checkpoint_parts,
+                      edit_graph_matrix, npy_record, parameter_views, rewrite_checkpoint,
                       rewrite_graph)
 from oracles import export_embeddings_oracle
 from test_fuzz import datasets as fuzz_datasets
@@ -984,35 +984,34 @@ class TestArtifactErrors:
         ("local_graph.txt", "adjacency")])
     def test_graph_section_larger_than_header(self, workspace, trained, tmp_path, capsys,
                                               stage, name, section):
-        def widen(lines):
-            i = next(i for i, line in enumerate(lines) if line.startswith(f"matrix {section} "))
-            tag, _, rows, cols, nnz = lines[i].split()
-            lines[i] = f"{tag} {section} {int(rows) + 1} {int(cols) + 1} {nnz}\n"
-            return lines
+        """One more row, empty, than the roster has nodes."""
+        def widen(m):
+            m["indptr"] = np.r_[m["indptr"], m["indptr"][-1]]
         err = self._run(workspace, trained, tmp_path, capsys, stage,
-                        lambda out: rewrite_graph(out / name, widen))
-        assert name in err and "'build-graphs'" in err and f"matrix {section}" in err
+                        lambda out: edit_graph_matrix(out / name, section, widen))
+        assert name in err and "'build-graphs'" in err and f"{section} has" in err
+        assert "but the roster has" in err
 
     @pytest.mark.parametrize("stage", ["train", "evaluate", "embed"])
     @pytest.mark.parametrize("name, corruption", [
         (name, corruption) for name in ("global_graph.txt", "local_graph.txt")
-        for corruption, (section, _, _) in GRAPH_CORRUPTIONS.items()
-        if name == "global_graph.txt" or section == "adjacency"])
+        for corruption, (matrix, _, _) in GRAPH_CORRUPTIONS.items()
+        if name == "global_graph.txt" or matrix == "adjacency"])
     def test_malformed_graph(self, workspace, trained, tmp_path, capsys, stage, name,
                              corruption):
         """A graph file whose checksum matches but that breaks the graph's
         invariants, such as an edge below the diagonal or a negative weight."""
-        section, edit, words = GRAPH_CORRUPTIONS[corruption]
+        matrix, edit, words = GRAPH_CORRUPTIONS[corruption]
         err = self._run(workspace, trained, tmp_path, capsys, stage,
-                        lambda out: edit_graph_section(out / name, section, edit))
+                        lambda out: edit_graph_matrix(out / name, matrix, edit))
         assert name in err and words in err and "'build-graphs'" in err
 
     @pytest.mark.parametrize("name", ["local_graph.txt", "global_graph.txt"])
     def test_graph_file_of_an_earlier_version(self, workspace, trained, tmp_path, capsys, name):
-        """Version 2 held the global features by bounding-box cell id."""
+        """Version 3 held each matrix as COO text."""
         def relabel(out):
             path = out / name
-            path.write_bytes(b"tulink-graph 2\n" + path.read_bytes().split(b"\n", 1)[1])
+            path.write_bytes(b"tulink-graph 3\n" + path.read_bytes().split(b"\n", 1)[1])
         err = self._run(workspace, trained, tmp_path, capsys, "train", relabel)
         assert name in err and "graph file of another version" in err and "'build-graphs'" in err
 
@@ -1021,11 +1020,8 @@ class TestArtifactErrors:
                                                         capsys, stage):
         """One more feature column than the local graph has nodes, empty and
         under a renewed checksum: the columns are no longer its node rows."""
-        def widen(lines):
-            i = next(i for i, line in enumerate(lines) if line.startswith("matrix features "))
-            tag, name, rows, cols, nnz = lines[i].split()
-            lines[i] = f"{tag} {name} {rows} {int(cols) + 1} {nnz}\n"
-            return lines
+        def widen(header, records):
+            header["feature_columns"] += 1
         err = self._run(workspace, trained, tmp_path, capsys, stage,
                         lambda out: rewrite_graph(out / "global_graph.txt", widen))
         assert "global_graph.txt" in err and "local_graph.txt" in err
@@ -1066,9 +1062,9 @@ class TestArtifactErrors:
 
     @pytest.mark.parametrize("stage", ["train", "evaluate", "embed"])
     def test_graph_user_roster_differs(self, workspace, trained, tmp_path, capsys, stage):
-        def rename_a_user(lines):
-            lines[lines.index("user03\n")] = "userXX\n"
-            return lines
+        def rename_a_user(header, records):
+            users = header["user_ids"]
+            users[users.index("user03")] = "userXX"
         err = self._run(workspace, trained, tmp_path, capsys, stage,
                         lambda out: rewrite_graph(out / "global_graph.txt", rename_a_user))
         assert "global_graph.txt" in err and "different users" in err
@@ -1172,7 +1168,7 @@ def shift_first_time(path):
 
 
 def double_weights(path):
-    edit_graph_section(path, "adjacency", lambda entries: [[r, c, 2 * w] for r, c, w in entries])
+    edit_graph_matrix(path, "adjacency", lambda m: m["data"].__imul__(2))
 
 
 # A rewrite of each file the model inputs are built from that still parses
@@ -1397,11 +1393,14 @@ class TestByteFlipFaults:
     @pytest.mark.parametrize("name", ["local_graph.txt", "global_graph.txt"])
     @settings(max_examples=10, deadline=None)
     @given(fraction=st.floats(0.0, 1.0, exclude_max=True), mask=st.integers(1, 255))
-    # In the workspace's 1.5 and 2.3 kB files: the version line, the checksum
-    # line and a header field.
+    # In the workspace's 4.1 and 3.7 kB files: the version line, the checksum
+    # line, the header (n_grids; the checksum), a record (a trajectory id) and
+    # a record.
     @example(fraction=0.0, mask=1)
     @example(fraction=0.02, mask=1)
+    @example(fraction=0.025, mask=1)
     @example(fraction=0.065, mask=1)
+    @example(fraction=0.5, mask=1)
     def test_flip_one_byte_of_a_graph_file(self, workspace, trained, name, fraction, mask):
         data = bytearray((trained / name).read_bytes())
         data[int(fraction * len(data))] ^= mask
@@ -1591,6 +1590,49 @@ class TestCheckpointRecordFuzz:
             assert code in (0, 2) and "Traceback" not in err, err
             assert code == 0 or ("checkpoint.bin" in err and "'train'" in err), err
             assert code == 2 or broken is None, broken
+
+
+def _edit_field(field, edit, header, records):
+    header[field] = edit(header[field])
+
+
+COUNT_EDITS = {"doubled": lambda v: 2 * v, "set-to-0": lambda v: 0, "as-float": float}
+# Each edit of a graph file's header and records, as (file, edit) by name:
+# every edit of RECORD_EDITS on every record, of ID_EDITS on the ids and of
+# COUNT_EDITS on the header's count, then the other kind.
+GRAPH_EDITS = {
+    **{f"{name}-{record}-{edit_name}": (name, functools.partial(_edit_record, k, edit))
+       for name in ("local_graph.txt", "global_graph.txt")
+       for k, record in enumerate(GRAPH_RECORDS[name.split("_")[0]])
+       for edit_name, edit in RECORD_EDITS.items()},
+    **{f"global_graph.txt-{field}-{name}": ("global_graph.txt",
+                                            functools.partial(_edit_ids, field, edit))
+       for field in ("traj_ids", "user_ids") for name, edit in ID_EDITS.items()},
+    **{f"{name}-{field}-{edit_name}": (name, functools.partial(_edit_field, field, edit))
+       for name, field in (("local_graph.txt", "n_grids"), ("global_graph.txt", "feature_columns"))
+       for edit_name, edit in COUNT_EDITS.items()},
+    **{f"{name}-kind-swapped": (name, functools.partial(
+        _edit_field, "kind", {"local": "global", "global": "local"}.get))
+       for name in ("local_graph.txt", "global_graph.txt")},
+}
+
+
+class TestGraphRecordFuzz:
+    """Each of a fixed set of edits to a graph file's header or records,
+    under a renewed checksum, then train in a forked child: it exits 0, or 2
+    naming the file and the build-graphs stage, with no traceback and no
+    signal."""
+
+    @pytest.mark.parametrize("name, edit", GRAPH_EDITS.values(), ids=GRAPH_EDITS.keys())
+    def test_edit_exits_0_or_2(self, workspace, trained, tmp_path, name, edit):
+        out = tmp_path / "run"
+        shutil.copytree(trained, out)
+        rewrite_graph(out / name, edit)
+        result = run_forked([["train", "--config", workspace["config"], "--output", str(out)]])
+        assert isinstance(result, list), result
+        [(code, err)] = result
+        assert code in (0, 2) and "Traceback" not in err, err
+        assert code == 0 or (name in err and "'build-graphs'" in err), err
 
 
 def test_process_settings_are_made_once(workspace, trained, tmp_path, monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """Graph construction against brute-force oracles, plus serialization."""
 
 import hashlib
-import io
+import json
 import re
 
 import mpmath
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from tulink import graphs as G
 from tulink.errors import DataError
 from tulink.graphs import (
-    _write_coo,
     build_global_graph,
     build_grid_incidence,
     build_local_graph,
@@ -26,9 +25,9 @@ from tulink.graphs import (
     twin_quotient,
 )
 
-from conftest import GRAPH_CORRUPTIONS, edit_graph_section, make_sequence, rewrite_graph
-from oracles import (columns_from_records, global_graph_oracle, twin_quotient_oracle,
-                     write_coo_oracle)
+from conftest import (GRAPH_CORRUPTIONS, GRAPH_RECORDS, edit_graph_matrix, graph_parts,
+                      make_sequence, rewrite_graph)
+from oracles import columns_from_records, global_graph_oracle, twin_quotient_oracle
 
 
 def seq(user, interval, grids):
@@ -372,51 +371,68 @@ class TestSerialization:
         save_global_graph(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_header_carries_stats(self, tmp_path):
-        g = self._local()
-        save_local_graph(g, tmp_path / "g.txt")
-        text = (tmp_path / "g.txt").read_text().splitlines()
-        assert text[0] == "tulink-graph 3"
-        assert text[1] == "sha256 " + hashlib.sha256(
-            (tmp_path / "g.txt").read_bytes().split(b"\n", 2)[2]).hexdigest()
-        assert text[2] == "kind local"
-        assert text[3] == f"n_grids {g.n_grids}"
-        assert text[4] == f"nodes {len(g.cells)}"
-        assert text[5] == f"edges {g.n_edges}"
-        assert text[6] == f"max_weight {g.max_weight}"
-        assert text[7 : 8 + len(g.cells)] == [f"roster {len(g.cells)}", *map(str, g.cells)]
-
-    @pytest.mark.parametrize("kind", ["local", "global"])
-    def test_each_edge_is_listed_once_above_the_diagonal(self, tmp_path, kind):
-        graph, save = {"local": (self._local(), save_local_graph),
-                       "global": (self._global(), save_global_graph)}[kind]
-        save(graph, tmp_path / "g.txt")
-        lines = (tmp_path / "g.txt").read_text().splitlines()
-        i = next(k for k, line in enumerate(lines) if line.startswith("matrix adjacency "))
-        assert int(lines[i].split()[-1]) == graph.n_edges > 0
-        entries = [tuple(map(int, l.split())) for l in lines[i + 1 : i + 1 + graph.n_edges]]
-        assert entries == sorted(entries) and all(r < c for r, c, _ in entries)
-        upper = sp.triu(graph.adjacency, k=1).tocoo()
-        assert sorted(entries) == sorted(zip(upper.row.tolist(), upper.col.tolist(),
-                                             upper.data.tolist()))
-
-    @pytest.mark.parametrize("kind", ["local", "global"])
-    def test_changed_byte_fails_the_checksum(self, tmp_path, kind):
-        """A weight edited in place still parses as a valid graph, so only
-        the checksum can tell."""
+    def _saved(self, kind, path):
+        """(graph, loader) of ``kind``, the graph saved at ``path``."""
         graph, save, load = {
             "local": (self._local(), save_local_graph, load_local_graph),
             "global": (self._global(), save_global_graph, load_global_graph),
         }[kind]
-        path = tmp_path / "g.txt"
         save(graph, path)
-        text = path.read_text()
-        at = text.index("matrix adjacency ")
-        at = text.index("\n", text.index("\n", at) + 1) - 1  # the first edge's weight
-        path.write_text(text[:at] + str(int(text[at]) % 9 + 1) + text[at + 1:])
+        return graph, load
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_body_is_a_json_header_and_int64_records(self, tmp_path, kind):
+        path = tmp_path / "g.txt"
+        graph, _ = self._saved(kind, path)
+        data = path.read_bytes()
+        magic, checksum, body = data.split(b"\n", 2)
+        assert magic == b"tulink-graph 4"
+        assert checksum == b"sha256 " + hashlib.sha256(body).hexdigest().encode()
+        header, records = graph_parts(data)
+        assert body.startswith(json.dumps(header, sort_keys=True).encode() + b"\n")
+        assert len(records) == len(GRAPH_RECORDS[kind])
+        assert all(r.dtype == np.int64 and r.ndim == 1 for r in records)
+        parts = dict(zip(GRAPH_RECORDS[kind], records))
+        if kind == "local":
+            assert header == {"kind": "local", "n_grids": graph.n_grids}
+            np.testing.assert_array_equal(parts["cells"], graph.cells)
+        else:
+            assert header == {"kind": "global", "traj_ids": graph.traj_ids,
+                              "user_ids": graph.user_ids,
+                              "feature_columns": graph.features.shape[1]}
+            for part in ("indices", "indptr"):
+                np.testing.assert_array_equal(parts[f"features.{part}"],
+                                              getattr(graph.features, part))
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_each_edge_is_listed_once_above_the_diagonal(self, tmp_path, kind):
+        path = tmp_path / "g.txt"
+        graph, _ = self._saved(kind, path)
+        parts = dict(zip(GRAPH_RECORDS[kind], graph_parts(path.read_bytes())[1]))
+        indptr, indices = parts["adjacency.indptr"], parts["adjacency.indices"]
+        entries = [(r, int(c), int(w)) for r in range(len(indptr) - 1) for c, w in
+                   zip(indices[indptr[r] : indptr[r + 1]],
+                       parts["adjacency.data"][indptr[r] : indptr[r + 1]])]
+        assert len(entries) == graph.n_edges > 0
+        assert entries == sorted(entries) and all(r < c for r, c, _ in entries)
+        upper = sp.triu(graph.adjacency, k=1).tocoo()
+        assert entries == sorted(zip(upper.row.tolist(), upper.col.tolist(),
+                                     upper.data.tolist()))
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_changed_byte_fails_the_checksum(self, tmp_path, kind):
+        """Weights edited in place still read as a valid graph, so only the
+        checksum can tell."""
+        path = tmp_path / "g.txt"
+        _, load = self._saved(kind, path)
+        framing = path.read_bytes().split(b"\n", 2)[:2]
+        k = GRAPH_RECORDS[kind].index("adjacency.data")
+        rewrite_graph(path, lambda header, records: records[k].__imul__(2))
+        load(path)
+        path.write_bytes(b"\n".join([*framing, path.read_bytes().split(b"\n", 2)[2]]))
         with pytest.raises(DataError, match=rf"{re.escape(str(path))} .*checksum.*'build-graphs'"):
             load(path)
-        rewrite_graph(path, lambda lines: lines)
+        rewrite_graph(path, lambda header, records: None)
         load(path)
 
     def test_version_1_file_is_a_data_error(self, tmp_path):
@@ -434,31 +450,32 @@ class TestSerialization:
         with pytest.raises(DataError, match="graph file of another version"):
             load_global_graph(path)
 
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_version_3_file_is_a_data_error(self, tmp_path, kind):
+        """Version 3 held each matrix as COO text."""
+        path = tmp_path / "g.txt"
+        _, load = self._saved(kind, path)
+        path.write_bytes(b"tulink-graph 3\n" + path.read_bytes().split(b"\n", 1)[1])
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))} .*graph file of another "
+                                            r"version.*'build-graphs'"):
+            load(path)
+
     @pytest.mark.parametrize("roster, words", [
-        (["5", "3"], "ascending"), (["3", "3"], "ascending"), (["-1", "3"], "ascending"),
-        (["3", "12"], "below n_grids 12"), (["3", "x"], "invalid literal"),
-        (["3", str(2**64)], "too large")])
+        ([5, 3], "ascending"), ([3, 3], "ascending"), ([-1, 3], "ascending"),
+        ([3, 12], "below n_grids 12"), ([3, 2**62], "below n_grids 12")])
     def test_local_roster_is_ascending_cells_of_the_box(self, tmp_path, roster, words):
         path = tmp_path / "g.txt"
         graph = build_local_graph(columns_from_records([seq("a", 0, [3, 7])]), 12)
         save_local_graph(graph, path)
-
-        def edit(lines):
-            at = lines.index("roster 2\n") + 1
-            lines[at : at + 2] = [f"{cell}\n" for cell in roster]
-            return lines
-        rewrite_graph(path, edit)
+        rewrite_graph(path, lambda header, records: records.__setitem__(
+            0, np.array(roster, dtype=np.int64)))
         with pytest.raises(DataError, match=rf"{re.escape(str(path))} .*{words}"):
             load_local_graph(path)
 
     @pytest.mark.parametrize("kind", ["local", "global"])
     def test_every_cut_is_a_data_error(self, tmp_path, kind):
-        graph, save, load = {
-            "local": (self._local(), save_local_graph, load_local_graph),
-            "global": (self._global(), save_global_graph, load_global_graph),
-        }[kind]
         full, cut = tmp_path / "full.txt", tmp_path / "cut.txt"
-        save(graph, full)
+        graph, load = self._saved(kind, full)
         data = full.read_bytes()
         for n in range(len(data)):
             cut.write_bytes(data[:n])
@@ -467,77 +484,103 @@ class TestSerialization:
         loaded = load(full)
         np.testing.assert_array_equal(loaded.adjacency.toarray(), graph.adjacency.toarray())
 
-    def test_corrupt_entry_is_a_data_error(self, tmp_path):
-        path = tmp_path / "g.txt"
-        save_global_graph(self._global(), path)
-
-        def edit(lines):
-            first_entry = next(i for i, l in enumerate(lines) if l.startswith("matrix")) + 1
-            lines[first_entry] = "0 x 1\n"
-            return lines
-        rewrite_graph(path, edit)
-        with pytest.raises(DataError, match="cannot parse.*could not convert"):
-            load_global_graph(path)
-
     @pytest.mark.parametrize("kind, corruption", [
-        (kind, name) for kind in ("local", "global") for name, (section, _, _)
-        in GRAPH_CORRUPTIONS.items() if kind == "global" or section == "adjacency"])
+        (kind, name) for kind in ("local", "global") for name, (matrix, _, _)
+        in GRAPH_CORRUPTIONS.items() if kind == "global" or matrix == "adjacency"])
     def test_malformed_section_is_a_data_error(self, tmp_path, kind, corruption):
         """An adjacency entry below the diagonal, on it, out of order or
-        repeated, a weight that is not positive or a feature entry other than
-        1 names the file and the stage."""
-        section, edit, words = GRAPH_CORRUPTIONS[corruption]
-        graph, save, load = {
-            "local": (self._local(), save_local_graph, load_local_graph),
-            "global": (self._global(), save_global_graph, load_global_graph),
-        }[kind]
+        repeated, a weight that is not positive, or a feature column out of
+        order, repeated or past the columns names the file and the stage."""
+        matrix, edit, words = GRAPH_CORRUPTIONS[corruption]
         path = tmp_path / "g.txt"
-        save(graph, path)
+        _, load = self._saved(kind, path)
         load(path)
-        edit_graph_section(path, section, edit)
+        edit_graph_matrix(path, matrix, edit)
         with pytest.raises(DataError, match=rf"{re.escape(str(path))} .*{words}.*'build-graphs'"):
+            load(path)
+
+    @pytest.mark.parametrize("retype", ["float64", "int32", "uint64", "two-dimensional"])
+    @pytest.mark.parametrize("kind, record", [
+        (kind, name) for kind, names in GRAPH_RECORDS.items() for name in names])
+    def test_record_of_another_type_is_a_data_error(self, tmp_path, kind, record, retype):
+        """Each record is one-dimensional int64, even where its values would
+        fit another type."""
+        path = tmp_path / "g.txt"
+        _, load = self._saved(kind, path)
+        k = GRAPH_RECORDS[kind].index(record)
+
+        def edit(header, records):
+            r = records[k]
+            records[k] = r.reshape(1, -1) if retype == "two-dimensional" else r.astype(retype)
+        rewrite_graph(path, edit)
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))} .*where int64 entries "
+                                            r"belong.*'build-graphs'"):
+            load(path)
+
+    @pytest.mark.parametrize("kind", ["local", "global"])
+    def test_bytes_after_the_last_record_are_a_data_error(self, tmp_path, kind):
+        path = tmp_path / "g.txt"
+        _, load = self._saved(kind, path)
+        rewrite_graph(path, lambda header, records: records.append(bytes(16)))
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))} .*16 bytes after its last "
+                                            r"record.*'build-graphs'"):
+            load(path)
+
+    @pytest.mark.parametrize("kind, matrix", [
+        ("local", "adjacency"), ("global", "adjacency"), ("global", "features")])
+    def test_entries_past_the_index_pointer_are_a_data_error(self, tmp_path, kind, matrix):
+        """One more entry than the index pointer counts, which scipy's own
+        format check would drop without a word."""
+        path = tmp_path / "g.txt"
+        _, load = self._saved(kind, path)
+        edit_graph_matrix(path, matrix, lambda m: m.update(
+            {part: np.r_[r, 1] for part, r in m.items() if part != "indptr"}))
+        with pytest.raises(DataError, match=rf"{matrix} holds \d+ entries, but its index pointer "
+                                            r"ends at"):
             load(path)
 
     def test_roster_must_fit_the_header(self, tmp_path):
         path, g = tmp_path / "g.txt", self._global()
         save_global_graph(g, path)
-
-        def edit(lines):
-            lines[lines.index(f"roster {g.n_nodes}\n")] = f"roster {g.n_nodes - 1}\n"
-            lines.remove(f"{g.user_ids[-1]}\n")
-            return lines
-        rewrite_graph(path, edit)
-        with pytest.raises(DataError, match="roster lists"):
+        rewrite_graph(path, lambda header, records: header["user_ids"].pop())
+        with pytest.raises(DataError, match=f"has {g.n_nodes} rows, but the roster has "
+                                            f"{g.n_nodes - 1} nodes"):
             load_global_graph(path)
+
+    def test_cells_must_fit_the_adjacency(self, tmp_path):
+        path, g = tmp_path / "g.txt", self._local()
+        save_local_graph(g, path)
+        rewrite_graph(path, lambda header, records: records.__setitem__(0, records[0][:-1]))
+        with pytest.raises(DataError, match=f"adjacency has {len(g.cells)} rows, but the roster "
+                                            f"has {len(g.cells) - 1} nodes"):
+            load_local_graph(path)
+
+    @pytest.mark.parametrize("field", ["traj_ids", "user_ids"])
+    @pytest.mark.parametrize("ids", [lambda ids: list(range(len(ids))),
+                                     lambda ids: [*ids[:-1], None], lambda ids: "".join(ids),
+                                     lambda ids: dict.fromkeys(ids)],
+                             ids=["ints", "null", "one-string", "object"])
+    def test_ids_are_a_list_of_str(self, tmp_path, field, ids):
+        path = tmp_path / "g.txt"
+        save_global_graph(self._global(), path)
+        rewrite_graph(path, lambda header, records: header.update({field: ids(header[field])}))
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))} .*not a list of str ids"):
+            load_global_graph(path)
+
+    @pytest.mark.parametrize("kind, field", [("local", "n_grids"), ("global", "feature_columns")])
+    @pytest.mark.parametrize("value", ["12", 12.0, True, -1, None])
+    def test_header_count_is_a_nonnegative_int(self, tmp_path, kind, field, value):
+        path = tmp_path / "g.txt"
+        _, load = self._saved(kind, path)
+        rewrite_graph(path, lambda header, records: header.update({field: value}))
+        with pytest.raises(DataError, match=rf"{re.escape(str(path))} .*holds {field} "
+                                            rf"{re.escape(repr(value))}, which is no count"):
+            load(path)
 
     def test_local_file_is_not_a_global_graph(self, tmp_path):
         save_local_graph(self._local(), tmp_path / "g.txt")
         with pytest.raises(DataError, match="not a global one"):
             load_global_graph(tmp_path / "g.txt")
-
-
-@st.composite
-def coo_matrices(draw):
-    """Integer COO matrices with entries in any order, weights up to past 2**62
-    and possibly no entries at all."""
-    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
-    kept = draw(st.lists(st.sampled_from(cells), unique=True) if cells else st.just([]))
-    weights = st.one_of(st.integers(-3, 9), st.integers(2**62 - 3, 2**62 + 3),
-                        st.integers(2**63 - 3, 2**63 - 1))
-    w = draw(st.lists(weights, min_size=len(kept), max_size=len(kept)))
-    r, c = (np.array([rc[k] for rc in kept], dtype=np.int32) for k in (0, 1))
-    return sp.coo_matrix((np.array(w, dtype=np.int64), (r, c)), shape=(n_rows, n_cols))
-
-
-class TestCooWriter:
-    @settings(max_examples=200, deadline=None)
-    @given(m=coo_matrices())
-    def test_matches_per_entry_writer(self, m):
-        fast, slow = io.StringIO(), io.StringIO()
-        _write_coo(fast, "adjacency", m)
-        write_coo_oracle(slow, "adjacency", m)
-        assert fast.getvalue() == slow.getvalue()
 
 
 @st.composite

@@ -24,7 +24,7 @@ from tulink.cli import main
 from tulink.config import RunConfig
 from tulink.mobility import SECONDS_PER_DAY
 
-from conftest import checkpoint_parts, parameter_views
+from conftest import checkpoint_parts, graph_parts, parameter_views
 
 FLAGS = ("--embed-dim", "16", "--heads", "2", "--attn-layers", "1", "--epochs", "3")
 ARTIFACTS = ("grid_map.json", "sequences.jsonl", "splits.json", "manifest.json",
@@ -75,11 +75,12 @@ def test_line_order_changes_no_artifact(in_file_order, tmp_path_factory, shuffle
 def with_ids(artifacts, users=None, interval=0):
     """The artifacts with every user id u read as ``users[u]`` and every
     trajectory id's interval moved by ``interval``: sequences.jsonl,
-    splits.json and manifest.json parsed, the global graph's roster and the
-    first two columns of embeddings.tsv rewritten, and the global graph's
-    checksum line dropped. checkpoint.bin becomes its header, ids rewritten
-    and without the sha256 of files that hold the ids, and its parameter
-    arena's bytes; its input records are left out, since they hold the point
+    splits.json and manifest.json parsed, the global graph's header ids and
+    the first two columns of embeddings.tsv rewritten, and the global graph
+    read as its header and its records' bytes, without its checksum line.
+    checkpoint.bin becomes its header, ids rewritten and without the sha256
+    of files that hold the ids, and its parameter arena's bytes; its input
+    records are left out, since they hold the point
     times and otherwise what the files compared here hold."""
     users = users or {}
 
@@ -102,13 +103,10 @@ def with_ids(artifacts, users=None, interval=0):
                           json.loads(artifacts["splits.json"]).items()}
     manifest = out["manifest.json"] = json.loads(artifacts["manifest.json"])
     manifest["user_roster"] = [users.get(u, u) for u in manifest["user_roster"]]
-    lines = out["global_graph.txt"] = artifacts["global_graph.txt"].decode().splitlines()
-    n_traj = next(int(line.split()[1]) for line in lines if line.startswith("trajectories "))
-    r = next(k for k, line in enumerate(lines) if line.startswith("roster ")) + 1
-    n = int(lines[r - 1].split()[1])
-    lines[r : r + n] = [*map(traj, lines[r : r + n_traj]),
-                        *(users.get(u, u) for u in lines[r + n_traj : r + n])]
-    del lines[1]  # the checksum, over the ids too
+    header, records = graph_parts(artifacts["global_graph.txt"])  # its checksum is over the ids
+    header.update(traj_ids=list(map(traj, header["traj_ids"])),
+                  user_ids=[users.get(u, u) for u in header["user_ids"]])
+    out["global_graph.txt"] = header, [record.tobytes() for record in records]
     out["embeddings.tsv"] = [[traj(tid), users.get(user, user), *values] for tid, user, *values
                              in (line.split("\t") for line in
                                  artifacts["embeddings.tsv"].decode().splitlines())]
