@@ -1,18 +1,22 @@
-"""Checked files, the framing of the graph files and the checkpoint: a first
-line naming the format and version, a line ``sha256 <hex>`` over the rest,
-then the body. Each fault is a ValueError, for ``errors.reading`` to name
-the file and the stage that writes it."""
+"""Checked files, the format of the sequence file, the graph files and the
+checkpoint: a first line naming the format and version, a line ``sha256
+<hex>`` over the rest, then a sorted-key JSON header line and one-dimensional
+``.npy`` records, which ``write`` writes and ``read_records`` reads; ``csr``
+checks a matrix stored as CSR records. Each fault is a ValueError, for
+``errors.reading`` to name the file and the stage that writes it."""
 
 from __future__ import annotations
 
 import hashlib
 import io
+import json
 import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 _SHA256 = b"sha256 "
 _CHECKSUM_LINE = len(_SHA256) + 65  # the hex digest and its newline
@@ -54,23 +58,6 @@ def writing(path: str | Path, fmt: Format):
         fh.write(line)
 
 
-def read(path: str | Path, fmt: Format) -> Body:
-    """The body of the ``fmt`` file at ``path``, read once; one of another
-    version or kind, or with a cut or a changed byte, is refused."""
-    data = Path(path).read_bytes()
-    head = fmt.magic.encode() + b"\n"
-    if not data.startswith(head) and not head.startswith(data):  # a cut is no other version
-        raise ValueError(f"is a {fmt.name} of another version"
-                         if data.startswith(fmt.family.encode()) else f"is not a {fmt.name}")
-    at = len(head) + _CHECKSUM_LINE
-    checksum = hashlib.sha256(memoryview(data)[at:]).hexdigest()
-    if data[len(head) : at] != _SHA256 + checksum.encode() + b"\n":
-        raise ValueError("does not match its checksum, so it is cut or corrupt")
-    body = Body(data)
-    body.seek(at)
-    return body
-
-
 class Body(io.BytesIO):
     """A checked file's bytes, read as a file is, from its body on."""
 
@@ -93,3 +80,66 @@ class Body(io.BytesIO):
         out = np.empty(shape, dtype)
         self.readinto(out)
         return out
+
+
+def write(path: str | Path, fmt: Format, header: dict, records, dtypes: dict) -> None:
+    """A ``fmt`` file whose body is ``header`` as one sorted-key JSON line,
+    then a ``.npy`` record per array of ``records``, in order, each of the
+    type ``read_records`` takes for it from ``dtypes`` (its own where None)."""
+    with writing(path, fmt) as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        for array, dtype in zip(records, dtypes.values(), strict=True):
+            np.lib.format.write_array(fh, np.asarray(array, dtype), allow_pickle=False)
+
+
+def read_records(path: str | Path, fmt: Format, dtypes) -> tuple[dict, list[np.ndarray]]:
+    """The header and the records of the ``fmt`` file at ``path``, read once.
+    A file of another version or kind, or with a cut or a changed byte, is
+    refused, and so is one without a one-dimensional record per entry of
+    ``dtypes``, of the type it gives (any where None), and one with bytes
+    after the last. ``dtypes`` maps each record's name to its type, or is a
+    function of the header that returns such a map."""
+    data = Path(path).read_bytes()
+    head = fmt.magic.encode() + b"\n"
+    if not data.startswith(head) and not head.startswith(data):  # a cut is no other version
+        raise ValueError(f"is a {fmt.name} of another version"
+                         if data.startswith(fmt.family.encode()) else f"is not a {fmt.name}")
+    at = len(head) + _CHECKSUM_LINE
+    checksum = hashlib.sha256(memoryview(data)[at:]).hexdigest()
+    if data[len(head) : at] != _SHA256 + checksum.encode() + b"\n":
+        raise ValueError("does not match its checksum, so it is cut or corrupt")
+    body = Body(data)
+    body.seek(at)
+    header = json.loads(body.readline())
+    records = []
+    for name, dtype in (dtypes(header) if callable(dtypes) else dtypes).items():
+        record = body.record()
+        if record.ndim != 1 or dtype is not None and record.dtype != dtype:
+            raise ValueError(f"holds {name} of shape {record.shape} and type {record.dtype} "
+                             f"where {'one-dimensional' if dtype is None else np.dtype(dtype)} "
+                             "entries belong")
+        records.append(record)
+    if body.left:
+        raise ValueError(f"holds {body.left} bytes after its last record")
+    return header, records
+
+
+def csr(name: str, data, indices, indptr, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Matrix ``name`` of ``shape`` from its CSR records, in canonical form:
+    signed integer indices and index pointer (scipy would cast others
+    without a word), a row per pointer entry but the last, the pointer
+    ascending from 0 to the entry count, and each row's columns ascending,
+    distinct and below the column count."""
+    if indices.dtype.kind != "i" or indptr.dtype.kind != "i":
+        raise ValueError(f"{name} has indices of type {indices.dtype} and an index pointer of "
+                         f"type {indptr.dtype}, where signed integers belong")
+    if len(indptr) != shape[0] + 1:
+        raise ValueError(f"{name} has {len(indptr) - 1} rows, but the roster has {shape[0]} nodes")
+    m = sp.csr_matrix((data, indices, indptr), shape=shape)
+    m.check_format(full_check=True)  # its indices and indptr, or a ValueError
+    if indptr[-1] != len(indices):  # scipy drops the entries past the pointer's end
+        raise ValueError(f"{name} holds {len(indices)} entries, but its index pointer ends at "
+                         f"{indptr[-1]}")
+    if not m.has_canonical_format:
+        raise ValueError(f"{name} lists an entry out of order or twice")
+    return m

@@ -16,14 +16,13 @@ every GCN layer maps to equal rows.
 
 On-disk format is a checked file (``container``) whose body is a JSON
 header line (the kind, then ``n_grids`` or the ids and the features' column
-count), then int64 ``.npy`` records: the local graph's ``cells``, each
+count), then int64 records (``_RECORDS``): the local graph's ``cells``, each
 adjacency's strict upper triangle as CSR data, indices and indptr, which the
 reader mirrors, and the global features, all 1, as CSR indices and indptr.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -237,29 +236,20 @@ def twin_quotient(m: sp.csr_matrix,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _save_graph(path: str | Path, header: dict, records) -> None:
-    """A graph file: ``header`` as one sorted-key JSON line, then an int64
-    ``.npy`` record per array of ``records``."""
-    with container.writing(path, _FORMAT) as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for array in records:
-            np.lib.format.write_array(fh, np.asarray(array, dtype=np.int64), allow_pickle=False)
+# Each kind of graph file's records, in file order, all int64.
+_RECORDS = {kind: dict.fromkeys(names, np.int64) for kind, names in {
+    "local": ["cells", "adjacency.data", "adjacency.indices", "adjacency.indptr"],
+    "global": ["adjacency.data", "adjacency.indices", "adjacency.indptr", "features.indices",
+               "features.indptr"]}.items()}
 
 
-def _load_graph(path: str | Path, kind: str, n_records: int) -> tuple[dict, list[np.ndarray]]:
-    """The header and the ``n_records`` records, each one-dimensional int64,
-    of a ``kind`` graph file with no bytes after its last record."""
-    body = container.read(path, _FORMAT)
-    header = json.loads(body.readline())
+def _load_graph(path: str | Path, kind: str) -> tuple[dict, list[np.ndarray]]:
+    """The header and the records of a ``kind`` graph file; one of the other
+    kind is named as such."""
+    header, records = container.read_records(path, _FORMAT,
+                                             lambda header: _RECORDS[header["kind"]])
     if header["kind"] != kind:
         raise ValueError(f"holds a {header['kind']} graph, not a {kind} one")
-    records = [body.record() for _ in range(n_records)]
-    for record in records:
-        if record.dtype != np.int64 or record.ndim != 1:
-            raise ValueError(f"holds a record of shape {record.shape} and type {record.dtype} "
-                             "where int64 entries belong")
-    if body.left:
-        raise ValueError(f"holds {body.left} bytes after its last record")
     return header, records
 
 
@@ -268,22 +258,6 @@ def _count(header: dict, key: str) -> int:
     if type(value) is not int or value < 0:
         raise ValueError(f"holds {key} {value!r}, which is no count")
     return value
-
-
-def _csr(name: str, data, indices, indptr, shape: tuple[int, int]) -> sp.csr_matrix:
-    """Matrix ``name`` from its CSR records: a row per roster node, an index
-    pointer from 0 to the entry count, each row's columns ascending and
-    distinct."""
-    if len(indptr) != shape[0] + 1:
-        raise ValueError(f"{name} has {len(indptr) - 1} rows, but the roster has {shape[0]} nodes")
-    if indptr[-1] != len(indices):
-        raise ValueError(f"{name} holds {len(indices)} entries, but its index pointer ends at "
-                         f"{indptr[-1]}")
-    m = sp.csr_matrix((data, indices, indptr), shape=shape)
-    m.check_format(full_check=True)  # its indices and indptr, or a ValueError
-    if not m.has_canonical_format:
-        raise ValueError(f"{name} lists an entry out of order or twice")
-    return m
 
 
 def _entry_rows(indptr: np.ndarray) -> np.ndarray:
@@ -302,7 +276,7 @@ def _upper_records(adjacency: sp.csr_matrix) -> tuple[np.ndarray, ...]:
 def _adjacency(data, indices, indptr, nodes: int) -> sp.csr_matrix:
     """The symmetric adjacency whose strict upper triangle the records hold,
     each entry above the diagonal with a positive weight."""
-    upper = _csr("adjacency", data, indices, indptr, (nodes, nodes))
+    upper = container.csr("adjacency", data, indices, indptr, (nodes, nodes))
     if np.any(data <= 0):
         raise ValueError("adjacency holds a weight that is not positive")
     if np.any(indices <= _entry_rows(indptr)):
@@ -311,13 +285,13 @@ def _adjacency(data, indices, indptr, nodes: int) -> sp.csr_matrix:
 
 
 def save_local_graph(g: LocalSpatialGraph, path: str | Path) -> None:
-    _save_graph(path, {"kind": "local", "n_grids": g.n_grids},
-                [g.cells, *_upper_records(g.adjacency)])
+    container.write(path, _FORMAT, {"kind": "local", "n_grids": g.n_grids},
+                    [g.cells, *_upper_records(g.adjacency)], _RECORDS["local"])
 
 
 def load_local_graph(path: str | Path) -> LocalSpatialGraph:
     with reading(path, "build-graphs"):
-        header, (cells, *upper) = _load_graph(path, "local", 4)
+        header, (cells, *upper) = _load_graph(path, "local")
         n_grids = _count(header, "n_grids")
         if np.any(np.diff(cells) <= 0) or (cells.size and (cells[0] < 0 or cells[-1] >= n_grids)):
             raise ValueError(f"roster is not ascending cell ids below n_grids {n_grids}")
@@ -327,18 +301,19 @@ def load_local_graph(path: str | Path) -> LocalSpatialGraph:
 def save_global_graph(g: GlobalSpatialGraph, path: str | Path) -> None:
     header = {"kind": "global", "traj_ids": g.traj_ids, "user_ids": g.user_ids,
               "feature_columns": g.features.shape[1]}
-    _save_graph(path, header,
-                [*_upper_records(g.adjacency), g.features.indices, g.features.indptr])
+    container.write(path, _FORMAT, header,
+                    [*_upper_records(g.adjacency), g.features.indices, g.features.indptr],
+                    _RECORDS["global"])
 
 
 def load_global_graph(path: str | Path) -> GlobalSpatialGraph:
     with reading(path, "build-graphs"):
-        header, (*upper, indices, indptr) = _load_graph(path, "global", 5)
+        header, (*upper, indices, indptr) = _load_graph(path, "global")
         traj_ids, user_ids = header["traj_ids"], header["user_ids"]
         for ids in (traj_ids, user_ids):
             if type(ids) is not list or set(map(type, ids)) - {str}:
                 raise ValueError("roster is not a list of str ids")
         nodes = len(traj_ids) + len(user_ids)
-        features = _csr("features", np.ones(len(indices), dtype=np.int64), indices, indptr,
-                        (nodes, _count(header, "feature_columns")))
+        features = container.csr("features", np.ones(len(indices), dtype=np.int64), indices,
+                                 indptr, (nodes, _count(header, "feature_columns")))
         return GlobalSpatialGraph(traj_ids, user_ids, _adjacency(*upper, nodes), features)

@@ -11,17 +11,15 @@ entry also carries its time and a motion state (speed change x turn
 direction, nine classes); its time-of-day window is the model's to derive
 (``time_windows``), since the number of windows is a model setting. Past
 the CSV line loop, every step works on columns: one array per field over
-all points or all sequences.
+all points or all sequences. ``sequences.jsonl`` stores those columns as
+they are, as the records of a checked file (``container``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import itertools
 import json
 import math
-import operator
 import string
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import container
 from .errors import ConfigError, DataError, cannot_read, reading
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -42,7 +41,6 @@ SPEED_RATIO_EPS = 0.1
 TURN_TAN = 0.2679491924311227  # tan 15 degrees, correctly rounded
 # Share of unparseable data lines above which parse_dataset aborts.
 MAX_FAILURE_RATE = 0.01
-_SEQUENCE_KEYS = frozenset(("user", "interval", "t", "grid", "state"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,70 +456,54 @@ def load_grid_map(path: str | Path) -> GridMap:
         return GridMap.from_json(json.loads(Path(path).read_text()))
 
 
-# One sequences.jsonl line: json.dumps(record, sort_keys=True) with the lists'
-# brackets in the template.
-_SEQUENCE_LINE = '{"grid": [%s], "interval": %s, "state": [%s], "t": [%s], "user": %s}\n'
+# sequences.jsonl, a checked file (``container``): its header holds the
+# roster, and a record of its type holds each SequenceColumns array. The name
+# ends in .jsonl because readers outside the package open the file by it.
+_FORMAT = container.Format("tulink sequence file", "tulink-sequences 1", "tulink-sequences ")
+_RECORDS = {"user": np.int64, "interval": np.int64, "start": np.int64, "t": np.float64,
+            "grid": np.int64, "state": np.int64}
 
 
 def save_sequences(sequences: SequenceColumns, path: str | Path) -> None:
-    """One line per sequence, byte-identical to ``json.dumps(record,
-    sort_keys=True)``: one json.dumps per field, split into numbers and
-    joined per sequence, and the file written in one call."""
-    def rows(values):  # no number holds the ", " between two numbers
-        return map(", ".join, sequences.cut(json.dumps(values.tolist())[1:-1].split(", ")))
-
-    users = np.array(list(map(json.dumps, sequences.roster)), dtype=object)[sequences.user]
-    columns = (rows(sequences.grid), json.dumps(sequences.interval.tolist())[1:-1].split(", "),
-               rows(sequences.state), rows(sequences.t), users)
-    Path(path).write_text("".join(map(_SEQUENCE_LINE.__mod__, zip(*columns))), encoding="utf-8")
-
-
-def _int64s(values: list, what: str) -> np.ndarray:
-    """``values`` as int64, or a ValueError naming the first that is not."""
-    with contextlib.suppress(OverflowError):  # an int beyond int64
-        if not set(map(type, values)) - {int}:
-            return np.array(values, dtype=np.int64)
-    bad = next(v for v in values if type(v) is not int or not -2 ** 63 <= v < 2 ** 63)
-    raise ValueError(f"{what} {bad!r} is " + ("not an integer" if type(bad) is not int
-                                              else "outside the int64 range"))
+    container.write(path, _FORMAT, {"roster": sequences.roster},
+                    [getattr(sequences, name) for name in _RECORDS], _RECORDS)
 
 
 def load_sequences(path: str | Path) -> SequenceColumns:
-    """Parse sequences.jsonl with one json.loads and check it a field at a
-    time: a dict with the five keys per line, str users, three lists of one
-    non-zero length, float times, int64 intervals and ids, and each (user,
-    interval) strictly after the one on the line before."""
+    """The columns ``save_sequences`` wrote, checked: the roster ascending,
+    distinct str ids, each user's code in it and each user with a sequence;
+    a user and an interval per sequence and a time, a grid and a state per
+    point; each sequence at least one point long, each (user, interval)
+    strictly after the one before, and every time finite."""
     with reading(path, "preprocess"):
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-        if not lines[-1]:
-            lines.pop()
-        records = json.loads("[" + ",".join(lines) + "]")
-        if len(records) != len(lines):  # a line holding two records
-            raise ValueError(f"{len(lines)} lines hold {len(records)} records")
-        if set(map(type, records)) - {dict} or set(map(frozenset, records)) - {_SEQUENCE_KEYS}:
-            raise ValueError(f"a record's keys are not {sorted(_SEQUENCE_KEYS)}")
-        users, intervals, *lists = (list(map(operator.itemgetter(key), records)) for key in
-                                    ("user", "interval", "t", "grid", "state"))
-        lengths = [list(map(len, f)) for f in lists if not set(map(type, f)) - {list}]
-        if len(lengths) < 3 or 0 in lengths[0] or lengths.count(lengths[0]) < 3:
-            raise ValueError("t, grid and state must be lists of one non-zero length")
-        t, grid, state = (list(itertools.chain.from_iterable(f)) for f in lists)
-        grid, state = (_int64s(ids, f"{field} id") for field, ids in
-                       (("grid", grid), ("state", state)))
-        for name, values, kind in (("t", t, float), ("user", users, str)):
-            if set(map(type, values)) - {kind}:
-                bad = next(v for v in values if type(v) is not kind)
-                raise ValueError(f"{name} {bad!r} is not a {kind.__name__}")
-        interval = _int64s(intervals, "interval")
-        roster, user = np.unique(np.array(users, dtype=object), return_inverse=True)
-        later = (user[1:] > user[:-1]) | ((user[1:] == user[:-1]) & (interval[1:] > interval[:-1]))
+        header, records = container.read_records(path, _FORMAT, _RECORDS)
+        roster = header["roster"]
+        if type(roster) is not list or set(map(type, roster)) - {str} or \
+                sorted(set(roster)) != roster:
+            raise ValueError("roster is not a list of ascending, distinct str ids")
+        n = list(map(len, records))
+        if not n[0] == n[1] == n[2] or not n[3] == n[4] == n[5]:
+            raise ValueError(f"holds records of {dict(zip(_RECORDS, n))} entries, not one per "
+                             "sequence in user, interval and start and one per point in t, grid "
+                             "and state")
+        s = SequenceColumns(roster, *records)
+        bounds = np.r_[s.start, len(s.t)]
+        if bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
+            raise ValueError("start is not strictly ascending from 0 below the point count, "
+                             "so a sequence holds no point")
+        if np.any((s.user < 0) | (s.user >= len(roster))):
+            raise ValueError(f"holds a user code outside the roster of {len(roster)} users")
+        later = (s.user[1:] > s.user[:-1]) | ((s.user[1:] == s.user[:-1]) &
+                                              (s.interval[1:] > s.interval[:-1]))
         if not later.all():
             k = int(later.argmin()) + 1
-            tid, prev = (f"{users[i]}:{intervals[i]}" for i in (k, k - 1))
+            tid, prev = (f"{roster[s.user[i]]}:{s.interval[i]}" for i in (k, k - 1))
             raise ValueError(f"trajectory {tid!r} is not after {prev!r} in (user, interval) order")
-        start = np.cumsum([0, *lengths[0]], dtype=np.int64)[:-1]
-        return SequenceColumns(roster.tolist(), user.astype(np.int64), interval, start,
-                               np.array(t, dtype=np.float64), grid, state)
+        if len(np.unique(s.user)) != len(roster):
+            raise ValueError("roster holds a user with no sequence")
+        if not np.isfinite(s.t).all():
+            raise ValueError(f"t {float(s.t[~np.isfinite(s.t)][0])!r} is not a finite time")
+        return s
 
 
 def save_split(split: DatasetSplit, traj_ids: list[str], path: str | Path) -> None:

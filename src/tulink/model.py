@@ -20,7 +20,6 @@ each of which removes one component.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -132,8 +131,6 @@ class ModelParams:
         arena holds. Only trainable parameters get a gradient arena; the
         others are constants, and ``grad`` is None."""
         config.validate()
-        if values.ndim != 1:
-            raise ValueError(f"an arena of shape {values.shape} is not flat")
         self.config = config
         self.values = values
         self.grad = np.zeros_like(values) if trainable else None
@@ -328,7 +325,13 @@ _FORMAT = container.Format("tulink checkpoint", "TLNKCKP6", "TLNK")
 # a row per indptr entry but the last; m_local and m_global are square, and
 # x_global has a column per m_local row.
 _CSR_FIELDS = ("m_local", "m_global", "x_global")
+_CSR_PARTS = ("data", "indices", "indptr")
 _ARRAY_FIELDS = ("traj_rows", "grid_idx", "state_idx", "times", "lengths", "labels")
+# Every record's type; a matrix's indices and indptr keep the type scipy gave them.
+_RECORDS = {"arena": np.float64,
+            **{f"{name}.{part}": dtype for name in _CSR_FIELDS
+               for part, dtype in zip(_CSR_PARTS, (np.float64, None, None))},
+            **{name: np.float64 if name == "times" else np.int64 for name in _ARRAY_FIELDS}}
 
 
 def save_checkpoint(params: ModelParams, inputs: ModelInputs, sources: dict[str, str],
@@ -347,12 +350,9 @@ def save_checkpoint(params: ModelParams, inputs: ModelInputs, sources: dict[str,
               "traj_ids": inputs.traj_ids, "user_ids": inputs.user_ids}
     arrays = [params.values]
     arrays += [getattr(getattr(inputs, name), part) for name in _CSR_FIELDS
-               for part in ("data", "indices", "indptr")]
+               for part in _CSR_PARTS]
     arrays += [getattr(inputs, name) for name in _ARRAY_FIELDS]
-    with container.writing(path, _FORMAT) as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for array in arrays:
-            np.lib.format.write_array(fh, array, allow_pickle=False)
+    container.write(path, _FORMAT, header, arrays, _RECORDS)
 
 
 def _header_config(header) -> ModelConfig:
@@ -375,11 +375,10 @@ def _header_config(header) -> ModelConfig:
 
 
 def _check_index(name: str, values: np.ndarray, limit: int, length: int) -> None:
-    """ValueError unless ``values`` are ``length`` int64 entries, each in
+    """ValueError unless ``values`` are ``length`` entries, each in
     [0, limit)."""
-    if values.dtype != np.int64 or values.shape != (length,):
-        raise ValueError(f"holds {name} of shape {values.shape} and type {values.dtype} where "
-                         f"{length} int64 entries belong")
+    if len(values) != length:
+        raise ValueError(f"holds {len(values)} {name} where {length} belong")
     bad = values[(values < 0) | (values >= limit)]
     if bad.size:
         raise ValueError(f"holds {name} {int(bad[0])}, outside [0, {limit})")
@@ -388,8 +387,8 @@ def _check_index(name: str, values: np.ndarray, limit: int, length: int) -> None
 def _check_inputs(inputs: ModelInputs) -> None:
     """ValueError unless every trajectory holds 1 to N points, N finite point
     times in all, every index lies in the range of what it indexes, each
-    matrix is canonical CSR (each row's column indices ascending and
-    distinct) with finite entries and x_global has a row per m_global row.
+    matrix, canonical CSR as ``container.csr`` checked, holds finite entries
+    and x_global has a row per m_global row.
     So the longest sequence, which sizes a batch's position table, is
     bounded by the file's own bytes, and no native product reads past a
     matrix. The rest of what the writer guarantees is checked too: the ids
@@ -406,17 +405,11 @@ def _check_inputs(inputs: ModelInputs) -> None:
         raise ValueError(f"holds x_global of {inputs.x_global.shape[0]} rows where m_global has "
                          f"{k}")
     for name in _CSR_FIELDS:
-        matrix = getattr(inputs, name)
-        matrix.check_format(full_check=True)  # its indices and indptr, or a ValueError
-        if not matrix.has_canonical_format:
-            raise ValueError(f"holds {name} with a row whose column indices are not ascending "
-                             "and distinct")
-        if not np.isfinite(matrix.data).all():
+        if not np.isfinite(getattr(inputs, name).data).all():
             raise ValueError(f"{name} holds a non-finite entry")
-    times, n = inputs.times, len(inputs.times)
-    if times.dtype != np.float64 or times.ndim != 1 or not np.isfinite(times).all():
-        raise ValueError(f"holds point times of shape {times.shape} and type {times.dtype} that "
-                         "are not all finite")
+    n = len(inputs.times)
+    if not np.isfinite(inputs.times).all():
+        raise ValueError("holds point times that are not all finite")
     _check_index("lengths", inputs.lengths, n + 1, inputs.n_traj)
     if not inputs.n_traj or inputs.lengths.min() < 1 or inputs.lengths.sum() != n:
         raise ValueError(f"holds {inputs.n_traj} trajectory lengths that are not each at least 1 "
@@ -438,29 +431,24 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, ModelInputs, dict[st
     parameters are constants, with no gradient arena, that view the arena
     read from the file, laid out by the header's model settings and the
     records' shapes. The file is read and hashed once. A foreign or older
-    file, one
-    whose checksum does not match (a cut or a changed byte anywhere), an
-    invalid header, a record larger than the bytes left, an arena that the
-    layout does not fill exactly or a non-finite value is refused through
-    ``errors.reading``, naming the file and the train stage, and so are
+    file, one whose checksum does not match (a cut or a changed byte
+    anywhere), an invalid header, a record larger than the bytes left or of
+    another type, an arena that the layout does not fill exactly or a
+    non-finite value is refused through ``errors.reading``, naming the file
+    and the train stage, and so are
     sequences, indices or ids that do not fit or that break what
     ``save_checkpoint`` guarantees (``_check_inputs``)."""
     with reading(path, "train"):
-        body = container.read(path, _FORMAT)
-        header = json.loads(body.readline())
+        header, records = container.read_records(path, _FORMAT, _RECORDS)
+        record = dict(zip(_RECORDS, records))
         config = _header_config(header["model"])
-        values = body.record()
-        if values.dtype != np.float64:
-            raise ValueError(f"holds a parameter arena of type {values.dtype}")
-        parts = [(body.record(), body.record(), body.record()) for _ in _CSR_FIELDS]
-        n_rows, k, n_x = (len(indptr) - 1 for _, _, indptr in parts)
-        csr = {name: sp.csr_matrix(part, shape=shape) for name, part, shape in
-               zip(_CSR_FIELDS, parts, [(n_rows, n_rows), (k, k), (n_x, n_rows)])}
-        inputs = ModelInputs(**csr, **{name: body.record() for name in _ARRAY_FIELDS},
+        n_rows, k, n_x = (len(record[f"{name}.indptr"]) - 1 for name in _CSR_FIELDS)
+        csr = {name: container.csr(name, *(record[f"{name}.{part}"] for part in _CSR_PARTS), shape)
+               for name, shape in zip(_CSR_FIELDS, [(n_rows, n_rows), (k, k), (n_x, n_rows)])}
+        inputs = ModelInputs(**csr, **{name: record[name] for name in _ARRAY_FIELDS},
                              traj_ids=header["traj_ids"], user_ids=header["user_ids"])
         _check_inputs(inputs)
-        if body.left:
-            raise ValueError(f"holds {body.left} bytes after its last record")
+        values = record["arena"]
         params = ModelParams(config, values, n_rows, inputs.n_users)
         if not np.isfinite(values).all():
             name = next(n for n, t in params.items() if not np.isfinite(t.values).all())

@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from tulink import container, graphs, model
+from tulink import container, graphs, mobility, model
 from tulink.graphs import build_global_graph, build_grid_incidence, build_local_graph
-from tulink.mobility import GridSequence, chronological_split
+from tulink.mobility import GridSequence, SequenceColumns, chronological_split, save_sequences
 from tulink.model import ModelConfig, ModelParams, build_model_inputs, parameter_shapes
 from tulink.config import seeded_rng
 from tulink.train import train
@@ -121,8 +121,8 @@ def gcn_and_grads(gcn, m, features, weights, rows, upstream):
 
 
 def checked_body(data):
-    """The body of a checked file's bytes as ``container.read`` hands it
-    out, its first line and its checksum left unchecked."""
+    """The body of a checked file's bytes as ``container.read_records``
+    parses it, its first line and its checksum left unchecked."""
     body = container.Body(data)
     body.seek(data.index(b"\n", data.index(b"\n") + 1) + 1)
     return body
@@ -186,6 +186,32 @@ def rewrite_checkpoint(path, edit):
 def rewrite_graph(path, edit):
     """``rewrite_records`` on a graph file."""
     rewrite_records(path, graphs._FORMAT, edit)
+
+
+def rewrite_sequences(path, edit):
+    """``rewrite_records`` on a sequence file."""
+    rewrite_records(path, mobility._FORMAT, edit)
+
+
+# A sequence file's records, in file order.
+SEQUENCE_RECORDS = list(mobility._RECORDS)
+
+
+def sequence_parts(data):
+    """A sequence file's bytes as the SequenceColumns its header and records
+    hold, read without any of the loader's checks but the records' own
+    bounds."""
+    header, records = _header_and_records(checked_body(data))
+    return SequenceColumns(header["roster"], *records)
+
+
+def edit_trajectories(path, edit):
+    """Rewrite the sequence file at ``path`` as a list of GridSequence
+    records: ``edit`` changes the list in place, and ``save_sequences``
+    writes what it leaves, in its order and with no check."""
+    sequences = list(sequence_parts(path.read_bytes()))
+    edit(sequences)
+    save_sequences(columns_from_records(sequences), path)
 
 
 def graph_parts(data):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import string
 from pathlib import Path
@@ -13,10 +12,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from tulink import tensor as T
-from tulink.errors import ConfigError, DataError, reading
+from tulink.errors import ConfigError, DataError
 from tulink.graphs import symmetric_normalize
-from tulink.mobility import (_SEQUENCE_KEYS, MAX_FAILURE_RATE, METERS_PER_DEGREE, MOTION_STATES,
-                             SECONDS_PER_DAY, SPEED_RATIO_EPS, TURN_TAN, GridMap,
+from tulink.mobility import (MAX_FAILURE_RATE, METERS_PER_DEGREE, MOTION_STATES, SECONDS_PER_DAY,
+                             SPEED_RATIO_EPS, TURN_TAN, GridMap,
                              GridSequence, ParseReport, SequenceColumns, split_sizes,
                              time_window_vocab)
 from tulink.model import (COSINE_EPS, ModelInputs, ModelParams, build_model_inputs,
@@ -841,48 +840,6 @@ def export_embeddings_oracle(representations, traj_ids, user_ids, path):
         for tid, uid, row in zip(traj_ids, user_ids, representations):
             vals = "\t".join(repr(float(v)) for v in row)
             fh.write(f"{tid}\t{uid}\t{vals}\n")
-
-
-def save_sequences_oracle(sequences, path):
-    """sequences.jsonl written with one json.dumps per record."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for s in sequences:
-            fh.write(json.dumps({"user": s.user_id, "interval": s.interval_index,
-                                 "t": s.t, "grid": s.grid, "state": s.state},
-                                sort_keys=True) + "\n")
-
-
-def load_sequences_oracle(path):
-    """sequences.jsonl read with one json.loads per line and per-record checks;
-    it does not look at the order of the records, nor for a (user, interval)
-    listed twice."""
-    out = []
-    with reading(path, "preprocess"), Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            d = json.loads(line)
-            if type(d) is not dict or d.keys() != _SEQUENCE_KEYS:
-                raise ValueError(f"a record's keys are not {sorted(_SEQUENCE_KEYS)}")
-            t, grid, state = d["t"], d["grid"], d["state"]
-            if not (type(t) is type(grid) is type(state) is list
-                    and 0 < len(t) == len(grid) == len(state)):
-                raise ValueError("t, grid and state must be lists of one non-zero length")
-            for field, ids in (("grid", grid), ("state", state)):
-                for i in ids:
-                    if type(i) is not int:
-                        raise ValueError(f"{field} id {i!r} is not an integer")
-                    if not -2**63 <= i < 2**63:
-                        raise ValueError(f"{field} id {i!r} is outside the int64 range")
-            for v in t:
-                if type(v) is not float:
-                    raise ValueError(f"t {v!r} is not a float")
-            if type(d["user"]) is not str:
-                raise ValueError(f"user {d['user']!r} is not a str")
-            if type(d["interval"]) is not int:
-                raise ValueError(f"interval {d['interval']!r} is not an integer")
-            if not -2**63 <= d["interval"] < 2**63:
-                raise ValueError(f"interval {d['interval']!r} is outside the int64 range")
-            out.append(GridSequence(d["user"], d["interval"], t, grid, state))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -622,15 +622,15 @@ class TestCriterion8Determinism:
 # sha256 of the setup artifacts under the default configuration, as every
 # version since the format was fixed writes them: disjoint_regions(3, 4, seed=3),
 # then a check-in instance where 47 of 59 sequences are one point long. The
-# sequences.jsonl digests are of the earlier versions' files with each record's
-# "window" key dropped and the line re-dumped with sort_keys, since windows
-# are no longer stored. The graph files' digests are those of version 4 of
-# the graph format: a JSON header line and int64 .npy records, each edge once
-# in the adjacency's strict upper triangle, the local graph's visited cells and
-# the global features by local graph node row.
+# sequences.jsonl digests are those of version 1 of the sequence file: the
+# roster as a JSON header line, then the SequenceColumns arrays as .npy
+# records. The graph files' digests are those of version 4 of the graph
+# format: a JSON header line and int64 .npy records, each edge once in the
+# adjacency's strict upper triangle, the local graph's visited cells and the
+# global features by local graph node row.
 SETUP_DIGESTS = {
     "grid_map.json": "291642cdd47538b55b8c3ad0ea044ce9d1b13c77bb60d294fba530719175c261",
-    "sequences.jsonl": "998081b4beeeece825f11d18b79d0e8f25fe45f6e268a0e6b609af3cea0d9611",
+    "sequences.jsonl": "6c1b0a6ba7f7fa0ed2c266c633491fc5a9af2d4a546274186b88e104df66509e",
     "splits.json": "e84be6670893c31df40100e6755a2019da1c9b030d3a5d8ddd8c23780530d892",
     "manifest.json": "838ca252bc1c212fa32a5b8262532d686f1d407935bfdd55dbf80748f786f5fd",
     "local_graph.txt": "6b5dae7ab689e080b36489221bef563970154054455444de177e21d753f3128b",
@@ -638,7 +638,7 @@ SETUP_DIGESTS = {
 }
 CHECKIN_SETUP_DIGESTS = {
     "grid_map.json": "e70cf10c29ea9c44038c50230411aa4c293fe10b6b977acb084b4645413f0194",
-    "sequences.jsonl": "297c0e70a85445c660308cd9cb82feaabcce9a87939d958ce6de24f475871489",
+    "sequences.jsonl": "6ebe7e11fc4d1457aee42d0a67fd5b65fda2de4acf99d0770441ee8b7ac7f0fc",
     "splits.json": "7824173a0df41e379426c902a96f3d0d515cf1cfe18d2acd1968762c3c2fe8ce",
     "manifest.json": "7a43c7d6f0fd1d47dbbc5d7d9dc0d5535e4f61447771340d7921934c9e80f205",
     "local_graph.txt": "18cd67210de504ca283ea798986aa66827c37d3c0688b0d7179b374f96a32362",
@@ -650,7 +650,8 @@ class TestCriterion8ArtifactFormat:
     def test_setup_artifacts_match_pinned_digests(self, tmp_path, capsys):
         """Same-seed reruns agree with each other; these digests also hold the
         bytes still against earlier versions, the graph files against those
-        since version 4 of their format."""
+        since version 4 of their format and the sequence file against those
+        since version 1 of its own."""
         instances = [
             (synth.disjoint_regions(3, 4, seed=3), SETUP_DIGESTS),
             (synth.checkin_style(n_users=12, checkins_per_user=6, n_days=4, seed=5),

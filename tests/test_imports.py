@@ -121,3 +121,15 @@ def test_only_the_initial_draw_sees_the_bounding_box():
             found += [f"{name}:{lineno} {word}" for word, lines in allowed.items()
                       if re.search(rf"\b{word}\b", line) and lineno not in lines]
     assert not found, found
+
+
+def test_only_the_container_knows_the_record_format():
+    """The checksum, the header line and the .npy records of a checked file
+    are written and read in container.py alone: no other module names
+    hashlib, np.lib.format.write_array, read_array_header or readline, so
+    the sequence file, the graph files and the checkpoint share one body
+    format and cannot each grow a copy of it."""
+    names = ("hashlib", "write_array", "read_array_header", ".readline(")
+    found = {name: [path.name for path in SOURCES if name in path.read_text(encoding="utf-8")]
+             for name in names}
+    assert found == dict.fromkeys(names, ["container.py"])

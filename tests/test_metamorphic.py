@@ -5,6 +5,7 @@ Each example runs the five stages in process on a small check-in instance,
 so hypothesis draws only a few.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from tulink.cli import main
 from tulink.config import RunConfig
 from tulink.mobility import SECONDS_PER_DAY
 
-from conftest import checkpoint_parts, graph_parts, parameter_views
+from conftest import checkpoint_parts, graph_parts, parameter_views, sequence_parts
 
 FLAGS = ("--embed-dim", "16", "--heads", "2", "--attn-layers", "1", "--epochs", "3")
 ARTIFACTS = ("grid_map.json", "sequences.jsonl", "splits.json", "manifest.json",
@@ -74,8 +75,8 @@ def test_line_order_changes_no_artifact(in_file_order, tmp_path_factory, shuffle
 
 def with_ids(artifacts, users=None, interval=0):
     """The artifacts with every user id u read as ``users[u]`` and every
-    trajectory id's interval moved by ``interval``: sequences.jsonl,
-    splits.json and manifest.json parsed, the global graph's header ids and
+    trajectory id's interval moved by ``interval``: sequences.jsonl (as
+    its trajectories), splits.json and manifest.json parsed, the global graph's header ids and
     the first two columns of embeddings.tsv rewritten, and the global graph
     read as its header and its records' bytes, without its checksum line.
     checkpoint.bin becomes its header, ids rewritten and without the sha256
@@ -94,11 +95,11 @@ def with_ids(artifacts, users=None, interval=0):
                   user_ids=[users.get(u, u) for u in header["user_ids"]])
     del header["sources"]
     out["checkpoint.bin"] = header, records[0].tobytes()
-    out["sequences.jsonl"] = [json.loads(line) for line in
-                              artifacts["sequences.jsonl"].decode().splitlines()]
+    out["sequences.jsonl"] = list(map(dataclasses.asdict,
+                                      sequence_parts(artifacts["sequences.jsonl"])))
     for record in out["sequences.jsonl"]:
-        record.update(user=users.get(record["user"], record["user"]),
-                      interval=record["interval"] + interval)
+        record.update(user_id=users.get(record["user_id"], record["user_id"]),
+                      interval_index=record["interval_index"] + interval)
     out["splits.json"] = {part: list(map(traj, ids)) for part, ids in
                           json.loads(artifacts["splits.json"]).items()}
     manifest = out["manifest.json"] = json.loads(artifacts["manifest.json"])

@@ -1,8 +1,8 @@
 """Preprocessing: gridding, interval splits, motion/time codes, data splits."""
 
 import dataclasses
+import hashlib
 import itertools
-import json
 import math
 from types import SimpleNamespace
 
@@ -41,8 +41,10 @@ from tulink.mobility import (
 from tulink.model import build_model_inputs
 
 import oracles
-from oracles import (columns_from_records, load_sequences_oracle, map_point_to_grid,
-                     save_sequences_oracle)
+from oracles import columns_from_records, map_point_to_grid
+
+from conftest import (SEQUENCE_RECORDS, edit_trajectories, npy_record, rewrite_sequences,
+                      sequence_parts)
 
 
 def point_at_meters(x_m, y_m, t=0.0):
@@ -719,11 +721,8 @@ class TestColumnsMatchPointObjects:
 
     @staticmethod
     def _later_steps_match(sequences, records, n_grids, tmp):
-        save_sequences(sequences, tmp / "fast.jsonl")
-        save_sequences_oracle(records, tmp / "slow.jsonl")
-        assert (tmp / "fast.jsonl").read_bytes() == (tmp / "slow.jsonl").read_bytes()
-        sequences = load_sequences(tmp / "fast.jsonl")
-        records = load_sequences_oracle(tmp / "slow.jsonl")
+        save_sequences(sequences, tmp / "s.jsonl")
+        sequences = load_sequences(tmp / "s.jsonl")
         assert list(sequences) == records
         split = chronological_split(sequences.user)
         assert split.named(sequences.traj_ids) == oracles.chronological_split_oracle(records)
@@ -781,112 +780,163 @@ def record_key(s):
     return s.user_id, s.interval_index
 
 
-class TestSequencesFormat:
-    """save_sequences and load_sequences against the per-record writer and the
-    per-line reader."""
+def _no_sequences(header, records):
+    """Points, but no sequence and no user."""
+    header["roster"] = []
+    records[:3] = (r[:0] for r in records[:3])
 
-    @settings(max_examples=200, deadline=None)
-    @given(seqs=st.lists(grid_sequences(min_points=0), max_size=5))
-    @example(seqs=[])
-    @example(seqs=[GridSequence('q"\\ü', 0, [], [], [])])
-    def test_writer_matches_per_record_dumps(self, seqs, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("seq")
-        save_sequences(columns_from_records(seqs), tmp / "fast.jsonl")
-        save_sequences_oracle(seqs, tmp / "slow.jsonl")
-        assert (tmp / "fast.jsonl").read_bytes() == (tmp / "slow.jsonl").read_bytes()
+
+class TestSequencesFormat:
+    """save_sequences and load_sequences: a checked file of the columns'
+    records, and every refusal of the reader."""
 
     @settings(max_examples=200, deadline=None)
     @given(seqs=st.lists(grid_sequences(), max_size=5, unique_by=record_key).map(
         lambda seqs: sorted(seqs, key=record_key)))
-    def test_reader_matches_per_line_reader(self, seqs, tmp_path_factory):
+    @example(seqs=[])
+    def test_round_trip(self, seqs, tmp_path_factory):
         path = tmp_path_factory.mktemp("seq") / "s.jsonl"
         save_sequences(columns_from_records(seqs), path)
-        assert list(load_sequences(path)) == load_sequences_oracle(path) == seqs
-        path.write_text(path.read_text().rstrip("\n"))  # no final newline
-        assert list(load_sequences(path)) == load_sequences_oracle(path) == seqs
+        assert list(load_sequences(path)) == seqs
 
     def _file(self, tmp_path):
         seqs = [GridSequence(u, i, [1.5 * i, 2.0], [i, 3], [0, 8])
                 for u in ("a", "b") for i in range(3)]
         path = tmp_path / "s.jsonl"
         save_sequences(columns_from_records(seqs), path)
-        return path, path.read_text().splitlines(keepends=True)
+        return path
 
-    @pytest.mark.parametrize("change", [
-        lambda r: r.clear(), lambda r: r.update(extra=1), lambda r: r.pop("user"),
-        lambda r: r.update(grid=5), lambda r: r["state"].pop(), lambda r: r["t"].pop(),
-        lambda r: r.update(t=[], grid=[], state=[]),
-        lambda r: r.update(window=[1, 2]),
-        lambda r: r["grid"].__setitem__(0, 3.5), lambda r: r["state"].__setitem__(1, None),
-        lambda r: r["state"].__setitem__(0, True), lambda r: r["grid"].__setitem__(1, "1"),
-        lambda r: r["grid"].__setitem__(0, 2**63), lambda r: r["state"].__setitem__(1, -2**63 - 1),
-        lambda r: r["t"].__setitem__(0, 1), lambda r: r["t"].__setitem__(1, "2.0"),
-        lambda r: r.update(user=5), lambda r: r.update(user=None),
-        lambda r: r.update(interval="7"), lambda r: r.update(interval=None),
-        lambda r: r.update(interval=float("inf")), lambda r: r.update(interval=1.0),
-        lambda r: r.update(interval=True), lambda r: r.update(interval=2**63),
-    ])
-    @pytest.mark.parametrize("line", [0, 4])
-    def test_misshapen_record_gives_the_per_line_message(self, tmp_path, change, line):
-        path, lines = self._file(tmp_path)
-        record = json.loads(lines[line])
-        change(record)
-        lines[line] = json.dumps(record, sort_keys=True) + "\n"
-        path.write_text("".join(lines))
-        with pytest.raises(DataError) as fast:
+    def test_body_is_a_json_header_and_records(self, tmp_path):
+        """The format line, the sha256 of the rest, the roster as a
+        sorted-key JSON header line, then each column as a one-dimensional
+        record of its type, in the order of SequenceColumns."""
+        path = self._file(tmp_path)
+        data = path.read_bytes()
+        first, checksum, body = data.split(b"\n", 2)
+        assert first == b"tulink-sequences 1"
+        assert checksum == b"sha256 " + hashlib.sha256(body).hexdigest().encode()
+        assert body.startswith(b'{"roster": ["a", "b"]}\n')
+        columns = sequence_parts(data)
+        assert SEQUENCE_RECORDS == ["user", "interval", "start", "t", "grid", "state"]
+        assert [getattr(columns, name).dtype for name in SEQUENCE_RECORDS] == \
+            [np.int64] * 3 + [np.float64] + [np.int64] * 2
+        assert columns.start.tolist() == [0, 2, 4, 6, 8, 10]
+        assert columns.user.tolist() == [0, 0, 0, 1, 1, 1]
+
+    def test_every_flip_and_every_cut_is_refused(self, tmp_path):
+        path = self._file(tmp_path)
+        data = path.read_bytes()
+        for at in range(len(data)):
+            for mask in (0x01, 0x80):
+                flipped = bytearray(data)
+                flipped[at] ^= mask
+                path.write_bytes(flipped)
+                with pytest.raises(DataError, match=r"s\.jsonl.*'preprocess'"):
+                    load_sequences(path)
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(DataError, match=r"s\.jsonl.*'preprocess'"):
+                load_sequences(path)
+
+    def test_another_version_is_named_as_such(self, tmp_path):
+        path = self._file(tmp_path)
+        path.write_bytes(b"tulink-sequences 2\n" + path.read_bytes().split(b"\n", 1)[1])
+        with pytest.raises(DataError, match="is a tulink sequence file of another version"):
             load_sequences(path)
-        with pytest.raises(DataError) as slow:
-            load_sequences_oracle(path)
-        assert str(fast.value) == str(slow.value)
 
-    @pytest.mark.parametrize("edit", [
-        lambda lines: lines[:2] + ["\n"] + lines[2:],
-        lambda lines: lines + ["\n"],
-        lambda lines: lines[:1] + ["  \n"] + lines[1:],
-        lambda lines: [lines[0].rstrip("\n") + lines[1]] + lines[2:],
-        lambda lines: [lines[0].rstrip("\n") + ", " + lines[1]] + lines[2:],
-        lambda lines: [lines[0].rstrip("\n") + ",\n"] + lines[1:],
-        lambda lines: [lines[0][:9] + "\n", lines[0][9:]] + lines[1:],
-        lambda lines: lines[:-1] + [lines[-1][:-5]],
-        lambda lines: lines[:3] + ["]\n"] + lines[3:],
-        lambda lines: lines[:3] + ["[1, 2]\n"] + lines[3:],
-        lambda lines: lines[:3] + ["5\n"] + lines[3:],
-    ], ids=["blank-line", "blank-last-line", "spaces-line", "two-on-a-line",
-            "two-comma-separated", "trailing-comma", "record-over-two-lines",
-            "cut-last-line", "bracket-line", "array-record", "number-record"])
-    def test_line_faults_fail_as_in_the_per_line_reader(self, tmp_path, edit):
-        path, lines = self._file(tmp_path)
-        path.write_text("".join(edit(lines)))
-        with pytest.raises(DataError, match=r"s\.jsonl.*'preprocess'"):
+    def test_json_lines_of_earlier_versions_are_refused(self, tmp_path):
+        """A file of one JSON record per line, as earlier versions wrote."""
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"grid": [3], "interval": 0, "state": [0], "t": [1.5], "user": "a"}\n')
+        with pytest.raises(DataError, match=r"s\.jsonl .*is not a tulink sequence file"):
             load_sequences(path)
-        with pytest.raises(DataError):
-            load_sequences_oracle(path)
 
-    @pytest.mark.parametrize("text", ["", "\r\n"])
-    def test_line_endings_and_empty_file(self, tmp_path, text):
-        path, lines = self._file(tmp_path)
-        if text:
-            path.write_bytes("".join(lines).replace("\n", text).encode())
-        else:
-            path.write_text("")
-        assert list(load_sequences(path)) == load_sequences_oracle(path)
+    @pytest.mark.parametrize("edit, words", [
+        (lambda h, r: h.update(roster=["b", "a"]), "roster is not a list"),
+        (lambda h, r: h.update(roster=["a", "a"]), "roster is not a list"),
+        (lambda h, r: h.update(roster=["a", 5]), "roster is not a list"),
+        (lambda h, r: h.update(roster="ab"), "roster is not a list"),
+        (lambda h, r: h.pop("roster"), "KeyError"),
+        (lambda h, r: h.update(roster=["a", "b", "c"]), "a user with no sequence"),
+        (lambda h, r: r[0].__setitem__(-1, 2), "outside the roster"),
+        (lambda h, r: r[0].__setitem__(0, -1), "outside the roster"),
+        (lambda h, r: r.__setitem__(0, r[0][:-1]), "'user': 5, 'interval': 6, 'start': 6"),
+        (lambda h, r: r.__setitem__(1, r[1][1:]), "'user': 6, 'interval': 5, 'start': 6"),
+        (lambda h, r: r.__setitem__(4, r[4][:-1]), "'t': 12, 'grid': 11, 'state': 12"),
+        (lambda h, r: r.__setitem__(5, r[5][:-1]), "'t': 12, 'grid': 12, 'state': 11"),
+        (lambda h, r: r.__setitem__(3, r[3][:-1]), "'t': 11, 'grid': 12, 'state': 12"),
+        (lambda h, r: r[2].__setitem__(1, 0), "a sequence holds no point"),
+        (lambda h, r: r[2].__setitem__(0, 1), "a sequence holds no point"),
+        (lambda h, r: r[2].__setitem__(-1, 12), "a sequence holds no point"),
+        (lambda h, r: r[2].__setitem__(slice(2, 4), [4, 2]), "a sequence holds no point"),
+        (_no_sequences, "a sequence holds no point"),
+        (lambda h, r: r[1].__setitem__(1, 0), "trajectory 'a:0' is not after 'a:0'"),
+        (lambda h, r: r[1].__setitem__(4, -1), "trajectory 'b:-1' is not after 'b:0'"),
+        (lambda h, r: r[0].__setitem__(2, 1), "trajectory 'b:0' is not after 'b:2'"),
+        (lambda h, r: r.append(np.zeros(12, dtype=np.int64)), "bytes after its last record"),
+        (lambda h, r: r.pop(), "EOF"),
+    ], ids=["roster-unsorted", "roster-repeated", "roster-not-str", "roster-not-a-list",
+            "no-roster", "user-without-sequence", "user-past-the-roster", "negative-user",
+            "a-user-short", "an-interval-short", "a-grid-short", "a-state-short", "a-time-short",
+            "empty-sequence", "start-past-0", "start-at-the-end", "start-descending",
+            "points-of-no-sequence", "repeated-trajectory", "interval-out-of-order",
+            "user-out-of-order", "extra-record", "a-record-short"])
+    def test_record_edit_is_refused(self, tmp_path, edit, words):
+        """Under a renewed checksum: the reader's own checks, naming the file
+        and the stage that writes it."""
+        path = self._file(tmp_path)
+        rewrite_sequences(path, edit)
+        with pytest.raises(DataError) as raised:
+            load_sequences(path)
+        message = str(raised.value)
+        assert str(path) in message and "'preprocess'" in message and words in message
+
+    @pytest.mark.parametrize("retype", ["float64", "int32", "uint64", "two-dimensional",
+                                        "big-endian", "object"])
+    @pytest.mark.parametrize("record", SEQUENCE_RECORDS)
+    def test_record_of_another_type_is_refused(self, tmp_path, record, retype):
+        """Each record is one-dimensional and of its column's type, even
+        where its values would fit another."""
+        path = self._file(tmp_path)
+        k = SEQUENCE_RECORDS.index(record)
+        if retype == "float64" and record == "t":
+            retype = "float32"
+
+        def edit(header, records):
+            r = records[k]
+            records[k] = (r.reshape(1, -1) if retype == "two-dimensional"
+                          else npy_record(r.astype(object), r.shape) if retype == "object"
+                          else r.astype(r.dtype.newbyteorder(">")) if retype == "big-endian"
+                          else r.astype(retype))
+        rewrite_sequences(path, edit)
+        with pytest.raises(DataError, match=rf"s\.jsonl .*(where \w+ entries belong|object).*"
+                                            r"'preprocess'"):
+            load_sequences(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 11])
+    def test_time_that_is_not_finite_is_refused(self, tmp_path, value, at):
+        path = self._file(tmp_path)
+        rewrite_sequences(path, lambda header, records: records[3].__setitem__(at, value))
+        with pytest.raises(DataError, match=rf"s\.jsonl .*t {value!r} is not a finite time.*"
+                                            r"'preprocess'"):
+            load_sequences(path)
 
     @pytest.mark.parametrize("where", [1, 6])
     def test_repeated_trajectory_is_rejected(self, tmp_path, where):
-        path, lines = self._file(tmp_path)
-        path.write_text("".join(lines[:where] + [lines[0]] + lines[where:]))
-        assert len(load_sequences_oracle(path)) == 7  # the per-line reader let it pass
+        path = self._file(tmp_path)
+        edit_trajectories(path, lambda seqs: seqs.insert(where, seqs[0]))
+        assert len(sequence_parts(path.read_bytes())) == 7
         with pytest.raises(DataError) as raised:
             load_sequences(path)
         message = str(raised.value)
         assert str(path) in message and "'a:0'" in message and "'preprocess'" in message
 
-    def test_swapped_lines_are_rejected(self, tmp_path):
-        """The per-line reader takes records in any order; the file lists them
-        in (user, interval) order, and the first record out of it is named."""
-        path, lines = self._file(tmp_path)
-        path.write_text("".join([lines[0], lines[2], lines[1], *lines[3:]]))
-        assert len(load_sequences_oracle(path)) == 6
+    def test_swapped_trajectories_are_rejected(self, tmp_path):
+        """The file lists the trajectories in (user, interval) order, and the
+        first one out of it is named."""
+        path = self._file(tmp_path)
+        edit_trajectories(path, lambda seqs: seqs.insert(1, seqs.pop(2)))
         with pytest.raises(DataError) as raised:
             load_sequences(path)
         message = str(raised.value)

@@ -1125,11 +1125,16 @@ class TestCheckpoint:
                                                  records[RECORD["x_global.indptr"]][-1])),
         lambda header, records: records.__setitem__(RECORD["m_local.indptr"],
                                                     records[RECORD["m_local.indptr"]][:-1]),
+        lambda header, records: records.__setitem__(RECORD["m_local.indices"],
+                                                    records[RECORD["m_local.indices"]] + 0.5),
+        lambda header, records: records.__setitem__(
+            RECORD["m_global.indptr"], records[RECORD["m_global.indptr"]].astype(np.uint8)),
     ], ids=["no-ids", "sources-not-a-dict", "no-shape", "longer-sequences", "no-trajectories",
             "a-record-short",
             "float32-arena", "object-record", "fortran-order", "float-labels", "nan-time",
             "a-point-short", "column-past-the-matrix", "negative-column",
-            "infinite-matrix-entry", "x-global-rows-unlike-m-global", "matrix-of-other-shape"])
+            "infinite-matrix-entry", "x-global-rows-unlike-m-global", "matrix-of-other-shape",
+            "float-indices", "unsigned-index-pointer"])
     def test_malformed_header_or_record(self, saved_checkpoint, edit):
         """Under a renewed checksum: the loader's own checks, not a traceback."""
         _, _, path = saved_checkpoint
